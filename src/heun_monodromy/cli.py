@@ -8,9 +8,7 @@ Exit codes: 0 all requested checks pass, 1 a tolerance budget failed,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .heunpoly import (
 from .jsonio import canonical_json
 from .params import ModelParams
 from .phase import TOL_MAX, TOL_MIN, solve_phase
-from .verify import ALL_CHECKS, run_battery
+from .verify import ALL_CHECKS, check_monodromy, check_theorem2, run_battery
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -58,9 +56,9 @@ def _add_point_args(p: argparse.ArgumentParser):
     p.add_argument("--grid", type=int, default=1001)
 
 
-def _params(args) -> ModelParams:
+def _params(ell: float, mu: float, omega: float) -> ModelParams:
     try:
-        return ModelParams(ell=args.ell, mu=args.mu, omega=args.omega)
+        return ModelParams(ell=ell, mu=mu, omega=omega)
     except NonPositiveOmega as exc:
         raise UsageError(str(exc)) from exc
 
@@ -70,6 +68,14 @@ def _validate_common(args):
         raise UsageError(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     if args.grid < 101:
         raise UsageError("--grid must be >= 101")
+
+
+def _parse_checks(text: str | None) -> tuple[str, ...]:
+    checks = tuple(text.split(",")) if text else ALL_CHECKS
+    for c in checks:
+        if c not in ALL_CHECKS:
+            raise UsageError(f"unknown check {c!r}; choose from {','.join(ALL_CHECKS)}")
+    return checks
 
 
 def _parse_rhos(text: str | None) -> list[float]:
@@ -83,7 +89,7 @@ def _parse_rhos(text: str | None) -> list[float]:
 
 def cmd_solve(args) -> int:
     _validate_common(args)
-    params = _params(args)
+    params = _params(args.ell, args.mu, args.omega)
     path = solve_phase(params, args.phi0, tol=args.tol)
     t = np.linspace(path.t_min, path.t_max, args.grid)
     phi_vals, P_vals = path.eval(t)
@@ -158,11 +164,8 @@ def _battery_exit(failures: list[str]) -> int:
 
 def cmd_verify(args) -> int:
     _validate_common(args)
-    params = _params(args)
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
-    for c in checks:
-        if c not in ALL_CHECKS:
-            raise UsageError(f"unknown check {c!r}; choose from {','.join(ALL_CHECKS)}")
+    params = _params(args.ell, args.mu, args.omega)
+    checks = _parse_checks(args.checks)
     report, failures = run_battery(
         params,
         args.phi0,
@@ -181,26 +184,16 @@ def cmd_verify(args) -> int:
 
 def cmd_monodromy(args) -> int:
     _validate_common(args)
-    params = _params(args)
-    from .monodromy import verify_monodromy
-
+    params = _params(args.ell, args.mu, args.omega)
     path = solve_phase(params, args.phi0, tol=args.tol)
-    rep = verify_monodromy(path, grid_size=args.grid, rhos=_parse_rhos(args.rhos), tol=args.tol)
-    obj = rep.to_json_obj()
-    sys.stdout.write(canonical_json(obj) + "\n")
-    from .verify import BUDGETS
-
-    ok = (
-        obj["sup_residual_circle"] <= BUDGETS["monodromy_sup"]
-        and obj["boundary_residual"] <= BUDGETS["monodromy_boundary"]
-        and all(res <= BUDGETS["ray_residual"] for _, res in obj["ray_residuals"])
-    )
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    report, failures = check_monodromy(path, args.grid, _parse_rhos(args.rhos), args.tol)
+    sys.stdout.write(canonical_json(report) + "\n")
+    return _battery_exit(failures)
 
 
 def cmd_sqrt_monodromy(args) -> int:
     _validate_common(args)
-    params = _params(args)
+    params = _params(args.ell, args.mu, args.omega)
     ell = params.ell_int
     if ell is None:
         raise NonIntegerOrder(f"ell={params.ell} is not a positive integer")
@@ -208,18 +201,35 @@ def cmd_sqrt_monodromy(args) -> int:
     if not nq.generic:
         raise GenericityViolated(f"D+={nq.d_plus:.3e}, D-={nq.d_minus:.3e}")
     path = solve_phase(params, args.phi0, tol=args.tol)
-    from .verify import check_theorem2
-
     rep, failures = check_theorem2(path, nq, args.grid, args.tol)
     sys.stdout.write(canonical_json({"theorem2": rep}) + "\n")
     return _battery_exit(failures)
 
 
-def _sweep_one(point: dict, tol: float, grid: int, checks: tuple[str, ...]):
-    params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
+def _parse_points(text: str) -> list[tuple[dict, ModelParams]]:
+    """Sweep points with their parameters, all validated before any runs."""
+    points = []
+    for chunk in text.split(";"):
+        try:
+            vals = [float(x) for x in chunk.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad sweep point {chunk!r}: values must be numbers") from exc
+        if len(vals) not in (3, 4):
+            raise UsageError("each sweep point is ell,mu,omega[,phi0]")
+        point = {
+            "ell": vals[0],
+            "mu": vals[1],
+            "omega": vals[2],
+            "phi0": vals[3] if len(vals) == 4 else 0.0,
+        }
+        points.append((point, _params(vals[0], vals[1], vals[2])))
+    return points
+
+
+def _sweep_one(point: dict, params: ModelParams, tol: float, grid: int, checks: tuple[str, ...]):
     try:
         report, failures = run_battery(
-            params, point.get("phi0", 0.0), tol=tol, grid_size=grid, checks=checks
+            params, point["phi0"], tol=tol, grid_size=grid, checks=checks
         )
         code = _battery_exit(failures)
     except (GenericityViolated, DegenerateAtOne, NonIntegerOrder) as exc:
@@ -230,25 +240,11 @@ def _sweep_one(point: dict, tol: float, grid: int, checks: tuple[str, ...]):
 
 def cmd_sweep(args) -> int:
     _validate_common(args)
-    points = []
-    for chunk in args.points.split(";"):
-        vals = [float(x) for x in chunk.split(",")]
-        if len(vals) not in (3, 4):
-            raise UsageError("each sweep point is ell,mu,omega[,phi0]")
-        points.append(
-            {
-                "ell": vals[0],
-                "mu": vals[1],
-                "omega": vals[2],
-                "phi0": vals[3] if len(vals) == 4 else 0.0,
-            }
-        )
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
-    max_workers = int(os.environ.get("HEUN_MONODROMY_THREADS", "0")) or None
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(
-            pool.map(lambda pt: _sweep_one(pt, args.tol, args.grid, checks), points)
-        )
+    points = _parse_points(args.points)
+    checks = _parse_checks(args.checks)
+    # one point after another: the integrators are pure-Python loops, which
+    # threads only serialize on the interpreter lock
+    results = [_sweep_one(pt, params, args.tol, args.grid, checks) for pt, params in points]
     report = {"points": [r for r, _ in results]}
     text = canonical_json(report) + "\n"
     if args.out:

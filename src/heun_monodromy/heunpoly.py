@@ -269,19 +269,3 @@ class NumericQuad:
             acc = acc * z + c
         return acc * z**lo
 
-
-def verify_exact_suite(ell: int) -> dict:
-    """Run every exact identity for one order; returns a summary dict."""
-    quad = diagonal(ell)
-    parity_ok, parity_witness = check_parity(quad)
-    ode_ok, ode_witness = check_ode_system(quad)
-    D = first_integral(quad)  # raises NotConstant on failure
-    return {
-        "ell": ell,
-        "degrees": [p.max_degree for p in quad.as_tuple()],
-        "parity_ok": parity_ok,
-        "parity_witness": parity_witness,
-        "ode_ok": ode_ok,
-        "ode_witness": ode_witness,
-        "first_integral": D.terms,
-    }

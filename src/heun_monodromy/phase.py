@@ -11,6 +11,7 @@ half-power branches downstream need the continuous lift, never phi mod 2*pi.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ TOL_MIN, TOL_MAX = 1e-14, 1e-4
 DEFAULT_WINDOW = (-1.75, 2.25)
 
 _REFINE = 100.0  # tolerance ratio for the error-estimate re-solve
-_CHEB_NODES = 0.5 * (1.0 - np.cos(np.pi * np.arange(8) / 7.0))  # Lobatto on [0, 1]
 
 
 def _rhs(params: ModelParams):
@@ -39,54 +39,70 @@ def _rhs(params: ModelParams):
     return rhs
 
 
-def _segment_index(sol: OdeSolution, t: np.ndarray) -> np.ndarray:
-    ts = np.asarray(sol.ts)
-    if ts[-1] >= ts[0]:
-        idx = np.searchsorted(ts, t, side="right") - 1
-        return np.clip(idx, 0, len(ts) - 2)
-    rev = ts[::-1]
-    j = np.clip(np.searchsorted(rev, t, side="right") - 1, 0, len(ts) - 2)
-    return len(ts) - 2 - j
+class _DenseTable:
+    """DOP853's own dense output of one solve direction, held as arrays.
 
-
-class _DenseDerivative:
-    """Exact d/dt of a scipy dense output.
-
-    Each interpolant is a polynomial of degree <= 7 in the local variable; it
-    is reconstructed exactly from its values at 8 Chebyshev-Lobatto nodes, so
-    no scipy internals are touched and no finite-difference error enters.
+    Per segment the table keeps ``t_old``, ``h``, ``y_old`` and the seven
+    ``F`` vectors of scipy's ``Dop853DenseOutput`` and evaluates its nested
+    ``x``/``(1 - x)`` recurrence for all points at once.  Segments are picked
+    with the ``searchsorted`` side rule of ``OdeSolution``, so the values are
+    bit-identical to calling the ``OdeSolution`` itself.
     """
 
     def __init__(self, sol: OdeSolution):
-        self._sol = sol
-        self._cache: dict[int, tuple[float, float, np.ndarray]] = {}
+        interps = sol.interpolants
+        self.n = len(interps)
+        self.ascending = bool(sol.ascending)
+        self.side = sol.side
+        self.ts_sorted = np.asarray(sol.ts_sorted)
+        self._bisect = bisect_left if self.side == "left" else bisect_right
+        self.t_old = np.array([s.t_old for s in interps])
+        self.h = np.array([s.h for s in interps])
+        self.y_old = np.stack([s.y_old for s in interps])  # (n, ny)
+        self.F = np.stack([s.F[::-1] for s in interps])  # (n, 7, ny), outermost first
+        # plain-float copies for the one-point path
+        self._ts_list = self.ts_sorted.tolist()
+        self._rows = list(
+            zip(self.t_old.tolist(), self.h.tolist(), self.y_old.tolist(), self.F.tolist())
+        )
 
-    def _coeffs(self, k: int):
-        if k not in self._cache:
-            interp = self._sol.interpolants[k]
-            t_old, t_new = self._sol.ts[k], self._sol.ts[k + 1]
-            h = t_new - t_old
-            xs = _CHEB_NODES
-            ys = np.stack([interp(t_old + x * h) for x in xs], axis=1)  # (ny, 8)
-            V = np.vander(xs, 8, increasing=True)
-            c = np.linalg.solve(V, ys.T).T  # (ny, 8) power-basis coeffs
-            dcoef = c[:, 1:] * np.arange(1, 8)
-            self._cache[k] = (t_old, h, dcoef)
-        return self._cache[k]
+    def _segments(self, t: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(self.ts_sorted, t, side=self.side) - 1
+        np.clip(k, 0, self.n - 1, out=k)
+        return k if self.ascending else self.n - 1 - k
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = _segment_index(self._sol, t)
-        out = np.empty((2, t.size))
-        for k in np.unique(idx):
-            m = idx == k
-            t_old, h, dcoef = self._coeffs(int(k))
-            x = (t[m] - t_old) / h
-            acc = np.zeros((2, x.size))
-            for j in range(dcoef.shape[1] - 1, -1, -1):
-                acc = acc * x + dcoef[:, j][:, None]
-            out[:, m] = acc / h
-        return out
+    def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """(ny, n) values at the times t, or their d/dt with ``derivative``."""
+        k = self._segments(t)
+        h = self.h[k][:, None]
+        x = (t - self.t_old[k])[:, None] / h
+        F = self.F[k]
+        y = np.zeros((t.size, F.shape[2]))
+        dy = np.zeros_like(y)
+        for i in range(F.shape[1]):
+            y += F[:, i]
+            m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
+            if derivative:
+                dy = dy * m + dm * y
+            y *= m
+        if derivative:
+            return (dy / h).T
+        y += self.y_old[k]
+        return y.T
+
+    def at(self, t: float) -> tuple[float, float]:
+        """(phi, P) at one time, by bisection and plain float arithmetic."""
+        k = min(max(self._bisect(self._ts_list, t) - 1, 0), self.n - 1)
+        if not self.ascending:
+            k = self.n - 1 - k
+        t_old, h, (y0, y1), F = self._rows[k]
+        x = (t - t_old) / h
+        u = 1 - x
+        a = b = 0.0
+        for (f0, f1), m in zip(F, (x, u) * 4):
+            a = (a + f0) * m
+            b = (b + f1) * m
+        return a + y0, b + y1
 
 
 @dataclass
@@ -102,25 +118,42 @@ class PhasePath:
     _fwd: OdeSolution = field(repr=False)
     _bwd: OdeSolution = field(repr=False)
 
-    def _check_window(self, t: np.ndarray):
+    def __post_init__(self):
+        self._fwd_table = _DenseTable(self._fwd)
+        self._bwd_table = _DenseTable(self._bwd)
+
+    def _check_window(self, lo: float, hi: float):
         slack = 1e-9 * self.params.T
-        if np.any(t < self.t_min - slack) or np.any(t > self.t_max + slack):
+        if lo < self.t_min - slack or hi > self.t_max + slack:
             raise OutOfWindow(
-                f"t range [{np.min(t)}, {np.max(t)}] outside window "
-                f"[{self.t_min}, {self.t_max}]"
+                f"t range [{lo}, {hi}] outside window [{self.t_min}, {self.t_max}]"
             )
 
-    def eval(self, t) -> np.ndarray:
-        """(2, n) array of (phi, P) values; vectorized over t."""
+    def _split(self, t, derivative: bool) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_window(t)
+        if t.size:
+            # NaN-ignoring extremes, so a NaN never hides an out-of-window time
+            self._check_window(np.fmin.reduce(t, axis=None), np.fmax.reduce(t, axis=None))
         out = np.empty((2,) + t.shape)
         m = t >= 0
         if m.any():
-            out[:, m] = self._fwd(t[m])
-        if (~m).any():
-            out[:, ~m] = self._bwd(t[~m])
+            out[:, m] = self._fwd_table(t[m], derivative)
+        if not m.all():
+            out[:, ~m] = self._bwd_table(t[~m], derivative)
         return out
+
+    def eval(self, t) -> np.ndarray:
+        """(2, n) array of (phi, P) values; vectorized over t."""
+        if isinstance(t, float):
+            s = t
+        elif isinstance(t, np.ndarray) and t.shape == (1,):
+            s = float(t[0])
+        else:
+            return self._split(t, derivative=False)
+        # one point (the scalar right-hand sides): skip the array machinery
+        self._check_window(s, s)
+        phi, P = (self._fwd_table if s >= 0 else self._bwd_table).at(s)
+        return np.array(((phi,), (P,)))
 
     def phi(self, t):
         return self.eval(t)[0]
@@ -138,15 +171,7 @@ class PhasePath:
 
     def derivative(self, t) -> np.ndarray:
         """Exact (2, n) derivative of the dense interpolant itself."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_window(t)
-        out = np.empty((2,) + t.shape)
-        m = t >= 0
-        if m.any():
-            out[:, m] = _DenseDerivative(self._fwd)(t[m])
-        if (~m).any():
-            out[:, ~m] = _DenseDerivative(self._bwd)(t[~m])
-        return out
+        return self._split(t, derivative=True)
 
     def ode_residual(self, t) -> tuple[np.ndarray, np.ndarray]:
         """|interpolant' - rhs| for the phi and P components at samples t."""

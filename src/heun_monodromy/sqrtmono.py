@@ -144,6 +144,9 @@ def _formula_constants(sc: ShortcutSet):
 
 PhiFunc = Callable[[np.ndarray], np.ndarray]
 
+#: Margin, in units of T, the branch grid keeps beyond every requested time.
+_BRANCH_MARGIN = 0.05
+
 
 class SqrtMonodromyTransform:
     """One application of the transform to a circle pair given as callables.
@@ -163,6 +166,8 @@ class SqrtMonodromyTransform:
         n0 = self._nhat_dden(np.array([0.0]))
         self.k_norm = complex(-n0[0][0] * n0[1][0])
         self._branch_grid: tuple[np.ndarray, np.ndarray] | None = None
+        #: number of branch-grid builds; verify_theorem2 needs exactly one
+        self.branch_builds = 0
 
     # ---- factor plumbing ----
     def _factors(self, t: np.ndarray):
@@ -229,10 +234,12 @@ class SqrtMonodromyTransform:
 
     # ---- continuous phase and quadrature of the transformed pair ----
     def _ensure_branch(self, lo: float, hi: float, n: int = 8193):
+        """Make the branch grid cover [lo, hi]; a rebuild only ever widens it."""
         if self._branch_grid is not None:
             ts, _ = self._branch_grid
             if ts[0] <= lo and ts[-1] >= hi:
                 return
+            lo, hi = min(lo, ts[0]), max(hi, ts[-1])
         ts = np.linspace(lo, hi, n)
         ph = np.unwrap(np.angle(self.phi_B(ts)))
         # anchor: principal argument at t = 0, then continuity
@@ -240,12 +247,13 @@ class SqrtMonodromyTransform:
         anchor = float(np.angle(self.phi_B(np.array([0.0]))[0]))
         ph -= 2 * np.pi * np.round((ph[i0] - anchor) / (2 * np.pi))
         self._branch_grid = (ts, ph)
+        self.branch_builds += 1
 
     def phase(self, t) -> np.ndarray:
         """Continuous phi_B(t), pointwise exact with grid-assisted branch."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        lo = min(-.05 * self.params.T + float(np.min(t)), 0.0)
-        hi = max(.05 * self.params.T + float(np.max(t)), 0.0)
+        lo = min(-_BRANCH_MARGIN * self.params.T + float(np.min(t)), 0.0)
+        hi = max(_BRANCH_MARGIN * self.params.T + float(np.max(t)), 0.0)
         self._ensure_branch(lo, hi)
         ts, ph = self._branch_grid
         base = np.interp(t, ts, ph)
@@ -253,7 +261,9 @@ class SqrtMonodromyTransform:
 
     def quadrature(self, span: float, tol: float = 1e-12):
         """P_B on [-span, span] by integrating cos(phi_B); returns a callable."""
-        self._ensure_branch(-span, span)
+        # one grid for every window phase() is asked for on [-span, span]
+        reach = span + _BRANCH_MARGIN * self.params.T
+        self._ensure_branch(-reach, reach)
 
         def rhs(t, y):
             return [float(np.cos(self.phase(np.array([t]))[0]))]

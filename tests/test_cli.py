@@ -127,6 +127,17 @@ def test_monodromy_report_contract(capsys):
     assert len(report["ray_residuals"]) == 2
 
 
+def test_monodromy_gates_every_monodromy_budget(capsys, monkeypatch):
+    # the standalone command and the battery share one budget path
+    import heun_monodromy.verify as verify_mod
+
+    monkeypatch.setitem(verify_mod.BUDGETS, "monodromy_unimodularity", 0.0)
+    point = ("--ell", "2", "--mu", "0.3", "--omega", "1", "--phi0", "0.5",
+             "--tol", "1e-10", "--grid", "201", "--rhos", "1.25")
+    assert run(capsys, "monodromy", *point)[0] == 1
+    assert run(capsys, "verify", *point, "--checks", "monodromy")[0] == 1
+
+
 def test_verify_determinism(capsys):
     args = (
         "verify", "--ell", "2", "--mu", "0.3", "--omega", "1", "--phi0", "0.5",
@@ -138,8 +149,7 @@ def test_verify_determinism(capsys):
     assert out1 == out2
 
 
-def test_sweep_merges_in_input_order(capsys, monkeypatch):
-    monkeypatch.setenv("HEUN_MONODROMY_THREADS", "2")
+def test_sweep_merges_in_input_order(capsys):
     code, out, _ = run(
         capsys,
         "sweep", "--points", "2,0.3,1,0.5;1,0.2,1.3,1.0", "--tol", "1e-10",
@@ -164,6 +174,25 @@ def test_sweep_degenerate_point_exit(capsys):
 
 def test_sweep_bad_point(capsys):
     assert run(capsys, "sweep", "--points", "1,2")[0] == 3
+
+
+def test_sweep_non_numeric_point_is_usage_error(capsys):
+    # rejected before the valid first point runs: no report at all
+    code, out, err = run(
+        capsys, "sweep", "--points", "2,0.3,1,0.5;abc", "--checks", "poly-exact"
+    )
+    assert code == 3
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_sweep_non_positive_omega_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--points", "2,0.3,1,0.5;1,0.2,-1", "--checks", "poly-exact"
+    )
+    assert code == 3
+    assert out == ""
+    assert "omega must be > 0" in err
 
 
 def test_verify_tolerance_failure_exit_code(capsys, monkeypatch):

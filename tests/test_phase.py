@@ -90,3 +90,44 @@ def test_reaches_window_ends(golden_path):
     for t_edge in (golden_path.t_min, golden_path.t_max):
         vals = golden_path.eval(t_edge)
         assert np.all(np.isfinite(vals))
+
+
+def _scipy_reference(path, t):
+    """Values of the OdeSolution objects the evaluation tables come from."""
+    out = np.empty((2, t.size))
+    m = t >= 0
+    out[:, m] = path._fwd(t[m])
+    out[:, ~m] = path._bwd(t[~m])
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["golden_path", "golden2_path"])
+def test_eval_is_bit_identical_to_dense_output(fixture, request):
+    path = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(311)
+    t = np.concatenate(
+        [rng.uniform(path.t_min, path.t_max, 2000), path.step_times, [0.0, path.t_min, path.t_max]]
+    )
+    ref = _scipy_reference(path, t)
+    assert np.array_equal(path.eval(t), ref)
+    one = np.array([path.eval(float(x))[:, 0] for x in t]).T
+    assert np.array_equal(one, ref)
+    one_arr = np.array([path.eval(np.array([x]))[:, 0] for x in t]).T
+    assert np.array_equal(one_arr, ref)
+
+
+@pytest.mark.parametrize("fixture", ["golden_path", "golden2_path"])
+def test_derivative_matches_rhs_at_step_nodes(fixture, request):
+    # DOP853's dense output reproduces f at both ends of every step
+    path = request.getfixturevalue(fixture)
+    ts = path.step_times
+    d = path.derivative(ts)
+    phi = path.phi(ts)
+    assert np.max(np.abs(d[0] - path.phidot(ts, phi))) <= 1e-13
+    assert np.max(np.abs(d[1] - np.cos(phi))) <= 1e-13
+
+
+def test_golden_ode_residual_tight(golden_path):
+    t = np.linspace(golden_path.t_min + 0.01, golden_path.t_max - 0.01, 1001)
+    res_phi, res_p = golden_path.ode_residual(t)
+    assert max(float(np.max(res_phi)), float(np.max(res_p))) <= 1e-12

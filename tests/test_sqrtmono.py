@@ -145,8 +145,19 @@ def test_phase_reconstruction_anchoring(golden_transform):
     assert np.max(np.abs(np.diff(ph))) < 0.1  # continuous, no 2 pi jumps
 
 
-def test_theorem2_golden_set1(golden_path, golden_quad):
+def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
+    import heun_monodromy.sqrtmono as sqrt_mod
+
+    built = []
+
+    def capture(path, nq):
+        built.append(transform_from_path(path, nq))
+        return built[-1]
+
+    monkeypatch.setattr(sqrt_mod, "transform_from_path", capture)
     rep = verify_theorem2(golden_path, golden_quad, grid_size=1001)
+    # the branch grid is built once, covering every window phase() needs
+    assert [tr.branch_builds for tr in built] == [1]
     assert rep["b_squared_residual"] < 1e-6
     assert rep["sup_phi_residual"] < 1e-7
     assert rep["unimodularity_residual"] < 1e-8
