@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveOmega,
     NotConstant,
     OutOfWindow,
+    StepSizeTooSmall,
     ToleranceNotMet,
     WindowTooSmall,
 )

@@ -11,15 +11,17 @@ radial rays and arcs, with a 1/Phi chart switch around poles.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import NonAnalyticOnRay, ToleranceNotMet, WindowTooSmall
+from .errors import NonAnalyticOnRay, StepSizeTooSmall, WindowTooSmall
 from .params import ModelParams
 from .phase import PhasePath
+from .rk import DenseTable, dop853
 
 #: |Phi| at which continuation switches to the W = 1/Phi chart.
 CHART_SWITCH_UP = 1e3
@@ -214,21 +216,17 @@ def theta_pair_solve(path: PhasePath, tol: float = 1e-12) -> ThetaPair:
     """Integrate the theta subsystem along the circle from t = 0 both ways."""
 
     def rhs(t, y):
-        th = y[0] + 1j * y[1]
-        tht = y[2] + 1j * y[3]
-        Phi = np.exp(1j * path.phi(t)[0])
-        d = th - tht
+        Phi = cmath.exp(1j * path.at(t)[0])
+        d = complex(y[0], y[1]) - complex(y[2], y[3])
         dth = 0.5 * Phi * d
         dtht = -0.5 * d / Phi
         return (dth.real, dth.imag, dtht.real, dtht.imag)
 
-    y0 = (0.0, 1.0, 0.0, -1.0)
-    kw = dict(method="DOP853", rtol=max(tol, 1e-13), atol=max(tol, 1e-13) * 1e-2,
-              dense_output=True)
-    fwd = solve_ivp(rhs, (0.0, path.t_max), y0, **kw)
-    bwd = solve_ivp(rhs, (0.0, path.t_min), y0, **kw)
-    if not (fwd.success and bwd.success):
-        raise ToleranceNotMet("theta-pair integration failed")
+    rtol = max(tol, 1e-13)
+    fwd, bwd = (
+        DenseTable(dop853(rhs, 0.0, (0.0, 1.0, 0.0, -1.0), t_bound, rtol, rtol * 1e-2, dense=True))
+        for t_bound in (path.t_max, path.t_min)
+    )
 
     def make(i_re, i_im):
         def fn(t):
@@ -236,10 +234,10 @@ def theta_pair_solve(path: PhasePath, tol: float = 1e-12) -> ThetaPair:
             out = np.empty(t.shape, dtype=complex)
             m = t >= 0
             if m.any():
-                Y = fwd.sol(t[m])
+                Y = fwd(t[m])
                 out[m] = Y[i_re] + 1j * Y[i_im]
             if (~m).any():
-                Y = bwd.sol(t[~m])
+                Y = bwd(t[~m])
                 out[~m] = Y[i_re] + 1j * Y[i_im]
             return out
 
@@ -288,13 +286,13 @@ Segment = tuple  # ("radial", theta, rho0, rho1) | ("arc", rho, theta0, theta1)
 def _segment_funcs(seg: Segment):
     if seg[0] == "radial":
         _, theta, s0, s1 = seg
-        e = complex(np.cos(theta), np.sin(theta))
+        e = complex(math.cos(theta), math.sin(theta))
         return (lambda s: s * e), (lambda s: e), s0, s1
     if seg[0] == "arc":
         _, rho, th0, th1 = seg
         return (
-            lambda s: rho * complex(np.cos(s), np.sin(s)),
-            lambda s: 1j * rho * complex(np.cos(s), np.sin(s)),
+            lambda s: rho * complex(math.cos(s), math.sin(s)),
+            lambda s: 1j * rho * complex(math.cos(s), math.sin(s)),
             th0,
             th1,
         )
@@ -325,48 +323,32 @@ def continue_riccati_path(
             continue
         s = s0
         while True:
-            if chart == "phi":
-                def f(s_, y):
-                    F = y[0] + 1j * y[1]
-                    d = riccati_rhs(params, zfun(s_), F) * dzfun(s_)
-                    return (d.real, d.imag)
-
-                def ev_up(s_, y):
-                    return y[0] ** 2 + y[1] ** 2 - CHART_SWITCH_UP**2
-
-                ev_up.terminal = True
-                events = (ev_up,)
-            else:
-                def f(s_, y):
-                    W = y[0] + 1j * y[1]
-                    d = riccati_rhs_inverse(params, zfun(s_), W) * dzfun(s_)
-                    return (d.real, d.imag)
-
-                def ev_back(s_, y):
-                    return y[0] ** 2 + y[1] ** 2 - (1.0 / CHART_SWITCH_DOWN) ** 2
-
-                ev_back.terminal = True
-                ev_back.direction = 1.0
-                events = (ev_back,)
-
-            sol = solve_ivp(
-                f,
-                (s, s1),
-                (value.real, value.imag),
-                method="DOP853",
-                rtol=rtol,
-                atol=rtol * 1e-2,
-                events=events,
-                dense_output=False,
+            # the Phi chart hands over when |Phi| reaches CHART_SWITCH_UP, the
+            # W chart when |W| rises back to 1/CHART_SWITCH_DOWN
+            chart_rhs, bound, direction = (
+                (riccati_rhs, CHART_SWITCH_UP, 0.0)
+                if chart == "phi"
+                else (riccati_rhs_inverse, 1.0 / CHART_SWITCH_DOWN, 1.0)
             )
-            if not sol.success:
+
+            def f(s_, y):
+                d = chart_rhs(params, zfun(s_), complex(y[0], y[1])) * dzfun(s_)
+                return (d.real, d.imag)
+
+            def switch(s_, y):
+                return y[0] ** 2 + y[1] ** 2 - bound**2
+
+            try:
+                sol = dop853(f, s, (value.real, value.imag), s1, rtol, rtol * 1e-2,
+                             event=switch, direction=direction)
+            except StepSizeTooSmall as exc:
                 raise NonAnalyticOnRay(
-                    f"continuation failed on segment {seg} near s={sol.t[-1]:.6g}",
-                    rho=abs(zfun(sol.t[-1])),
-                )
-            value = complex(sol.y[0, -1], sol.y[1, -1])
-            if sol.status == 1:  # chart switch event
-                s = float(sol.t[-1])
+                    f"continuation failed on segment {seg} near s={exc.t:.6g}",
+                    rho=abs(zfun(exc.t)),
+                ) from exc
+            value = complex(*sol.y)
+            if sol.terminated:  # chart switch event
+                s = sol.t
                 if abs(value) == 0 or abs(value) > CHART_LIMIT:
                     raise NonAnalyticOnRay(
                         f"both charts unusable on segment {seg} at s={s:.6g}",

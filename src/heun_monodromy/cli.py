@@ -235,6 +235,10 @@ def _sweep_one(point: dict, params: ModelParams, tol: float, grid: int, checks: 
     except (GenericityViolated, DegenerateAtOne, NonIntegerOrder) as exc:
         report = {"params": point, "error": str(exc)}
         code = EXIT_DEGENERATE
+    except HeunMonodromyError as exc:
+        # a certificate that could not be computed fails this point only
+        report = {"params": point, "failures": [f"{type(exc).__name__}: {exc}"], "passed": False}
+        code = EXIT_TOLERANCE
     return report, code
 
 

@@ -27,6 +27,14 @@ class ToleranceNotMet(HeunMonodromyError):
     """Refinement disagreement exceeded the allowed budget."""
 
 
+class StepSizeTooSmall(ToleranceNotMet):
+    """The adaptive step fell below ten ulps of the current time."""
+
+    def __init__(self, message: str, t: float | None = None):
+        super().__init__(message)
+        self.t = t
+
+
 class NonAnalyticOnRay(HeunMonodromyError):
     """Analytic continuation failed in both charts (pole/zero collision)."""
 

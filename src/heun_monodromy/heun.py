@@ -20,10 +20,10 @@ pinned by that composition law and recorded in every report).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .circle import (
     BoundaryValues,
@@ -31,15 +31,11 @@ from .circle import (
     half_power_factor_dots,
     half_power_factors,
 )
-from .errors import (
-    DegenerateAtOne,
-    DenominatorVanished,
-    ToleranceNotMet,
-    WindowTooSmall,
-)
+from .errors import DegenerateAtOne, DenominatorVanished, WindowTooSmall
 from .heunpoly import NumericQuad
 from .params import ModelParams
 from .phase import PhasePath
+from .rk import dop853
 
 #: cos(phi(0)) threshold below which E+ and E- degenerate at z = 1.
 COS_PHI0_FLOOR = 1e-8
@@ -229,29 +225,21 @@ def continue_dche_ray(
     radially from the circle point e^{i theta} to rho e^{i theta}."""
     if rho == 1.0:
         return E0, Ep0
-    eith = complex(np.cos(theta), np.sin(theta))
+    eith = complex(math.cos(theta), math.sin(theta))
     lam, mu = params.lam, params.mu
 
     def rhs(s, y):
         z = s * eith
-        E = y[0] + 1j * y[1]
-        Ep = y[2] + 1j * y[3]
+        E = complex(y[0], y[1])
+        Ep = complex(y[2], y[3])
         Epp = -(((ell + 1) * z + mu * (1 - z * z)) * Ep + (lam - mu * (ell + 1) * z) * E) / (z * z)
         dE = Ep * eith
         dEp = Epp * eith
         return (dE.real, dE.imag, dEp.real, dEp.imag)
 
-    sol = solve_ivp(
-        rhs,
-        (1.0, float(rho)),
-        (E0.real, E0.imag, Ep0.real, Ep0.imag),
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        atol=max(tol, 1e-13) * 1e-2,
-    )
-    if not sol.success:
-        raise ToleranceNotMet(f"radial continuation failed at rho={rho}")
-    return complex(sol.y[0, -1], sol.y[1, -1]), complex(sol.y[2, -1], sol.y[3, -1])
+    rtol = max(tol, 1e-13)
+    y = dop853(rhs, 1.0, (E0.real, E0.imag, Ep0.real, Ep0.imag), float(rho), rtol, rtol * 1e-2).y
+    return complex(y[0], y[1]), complex(y[2], y[3])
 
 
 def radial_continue_E(

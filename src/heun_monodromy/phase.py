@@ -11,15 +11,14 @@ half-power branches downstream need the continuous lift, never phi mod 2*pi.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.common import OdeSolution
 
 from .errors import OutOfWindow, ToleranceNotMet, WindowTooSmall
 from .params import ModelParams
+from .rk import DenseTable, dop853
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 
@@ -32,77 +31,12 @@ _REFINE = 100.0  # tolerance ratio for the error-estimate re-solve
 
 def _rhs(params: ModelParams):
     A, Bd, omega = params.A, params.Bdrive, params.omega
+    cos, sin = math.cos, math.sin
 
     def rhs(t, y):
-        return (Bd + A * np.cos(omega * t) - np.sin(y[0]), np.cos(y[0]))
+        return (Bd + A * cos(omega * t) - sin(y[0]), cos(y[0]))
 
     return rhs
-
-
-class _DenseTable:
-    """DOP853's own dense output of one solve direction, held as arrays.
-
-    Per segment the table keeps ``t_old``, ``h``, ``y_old`` and the seven
-    ``F`` vectors of scipy's ``Dop853DenseOutput`` and evaluates its nested
-    ``x``/``(1 - x)`` recurrence for all points at once.  Segments are picked
-    with the ``searchsorted`` side rule of ``OdeSolution``, so the values are
-    bit-identical to calling the ``OdeSolution`` itself.
-    """
-
-    def __init__(self, sol: OdeSolution):
-        interps = sol.interpolants
-        self.n = len(interps)
-        self.ascending = bool(sol.ascending)
-        self.side = sol.side
-        self.ts_sorted = np.asarray(sol.ts_sorted)
-        self._bisect = bisect_left if self.side == "left" else bisect_right
-        self.t_old = np.array([s.t_old for s in interps])
-        self.h = np.array([s.h for s in interps])
-        self.y_old = np.stack([s.y_old for s in interps])  # (n, ny)
-        self.F = np.stack([s.F[::-1] for s in interps])  # (n, 7, ny), outermost first
-        # plain-float copies for the one-point path
-        self._ts_list = self.ts_sorted.tolist()
-        self._rows = list(
-            zip(self.t_old.tolist(), self.h.tolist(), self.y_old.tolist(), self.F.tolist())
-        )
-
-    def _segments(self, t: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(self.ts_sorted, t, side=self.side) - 1
-        np.clip(k, 0, self.n - 1, out=k)
-        return k if self.ascending else self.n - 1 - k
-
-    def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
-        """(ny, n) values at the times t, or their d/dt with ``derivative``."""
-        k = self._segments(t)
-        h = self.h[k][:, None]
-        x = (t - self.t_old[k])[:, None] / h
-        F = self.F[k]
-        y = np.zeros((t.size, F.shape[2]))
-        dy = np.zeros_like(y)
-        for i in range(F.shape[1]):
-            y += F[:, i]
-            m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
-            if derivative:
-                dy = dy * m + dm * y
-            y *= m
-        if derivative:
-            return (dy / h).T
-        y += self.y_old[k]
-        return y.T
-
-    def at(self, t: float) -> tuple[float, float]:
-        """(phi, P) at one time, by bisection and plain float arithmetic."""
-        k = min(max(self._bisect(self._ts_list, t) - 1, 0), self.n - 1)
-        if not self.ascending:
-            k = self.n - 1 - k
-        t_old, h, (y0, y1), F = self._rows[k]
-        x = (t - t_old) / h
-        u = 1 - x
-        a = b = 0.0
-        for (f0, f1), m in zip(F, (x, u) * 4):
-            a = (a + f0) * m
-            b = (b + f1) * m
-        return a + y0, b + y1
 
 
 @dataclass
@@ -115,12 +49,8 @@ class PhasePath:
     t_max: float
     tol: float
     err_est: float
-    _fwd: OdeSolution = field(repr=False)
-    _bwd: OdeSolution = field(repr=False)
-
-    def __post_init__(self):
-        self._fwd_table = _DenseTable(self._fwd)
-        self._bwd_table = _DenseTable(self._bwd)
+    _fwd: DenseTable = field(repr=False)
+    _bwd: DenseTable = field(repr=False)
 
     def _check_window(self, lo: float, hi: float):
         slack = 1e-9 * self.params.T
@@ -137,10 +67,16 @@ class PhasePath:
         out = np.empty((2,) + t.shape)
         m = t >= 0
         if m.any():
-            out[:, m] = self._fwd_table(t[m], derivative)
+            out[:, m] = self._fwd(t[m], derivative)
         if not m.all():
-            out[:, ~m] = self._bwd_table(t[~m], derivative)
+            out[:, ~m] = self._bwd(t[~m], derivative)
         return out
+
+    def at(self, t: float) -> tuple[float, float]:
+        """(phi, P) at one time as floats, for the scalar right-hand sides."""
+        self._check_window(t, t)
+        phi, P = (self._fwd if t >= 0 else self._bwd).at(t)
+        return phi, P
 
     def eval(self, t) -> np.ndarray:
         """(2, n) array of (phi, P) values; vectorized over t."""
@@ -150,9 +86,8 @@ class PhasePath:
             s = float(t[0])
         else:
             return self._split(t, derivative=False)
-        # one point (the scalar right-hand sides): skip the array machinery
-        self._check_window(s, s)
-        phi, P = (self._fwd_table if s >= 0 else self._bwd_table).at(s)
+        # one point: skip the array machinery
+        phi, P = self.at(s)
         return np.array(((phi,), (P,)))
 
     def phi(self, t):
@@ -203,7 +138,7 @@ class PhasePath:
     @property
     def step_times(self) -> np.ndarray:
         """Accepted step endpoints (ascending)."""
-        return np.concatenate([np.asarray(self._bwd.ts)[::-1], np.asarray(self._fwd.ts)[1:]])
+        return np.concatenate([self._bwd.ts[::-1], self._fwd.ts[1:]])
 
 
 def solve_phase(
@@ -235,18 +170,11 @@ def solve_phase(
         # bounded step) so that the *interpolant derivative* also honors the
         # 10*tol residual contract, not just the node values
         rtol_eff = max(rtol * 1e-2, 2.5e-14)
-        kw = dict(
-            method="DOP853",
-            rtol=rtol_eff,
-            atol=rtol_eff * 1e-2,
-            max_step=T / step_divisor,
-            dense_output=True,
-        )
-        fwd = solve_ivp(rhs, (0.0, t_max), (phi0, 0.0), **kw)
-        bwd = solve_ivp(rhs, (0.0, t_min), (phi0, 0.0), **kw)
-        if not (fwd.success and bwd.success):
-            raise ToleranceNotMet(f"integration failed: {fwd.message} / {bwd.message}")
-        return fwd.sol, bwd.sol
+        return [
+            DenseTable(dop853(rhs, 0.0, (phi0, 0.0), t_bound, rtol_eff, rtol_eff * 1e-2,
+                              max_step=T / step_divisor, dense=True))
+            for t_bound in (t_max, t_min)
+        ]
 
     fwd, bwd = run(tol)
     # the reference re-solve uses a tighter tolerance *and* a different step
@@ -277,5 +205,4 @@ def solve_phase(
 
 def eval_phase(path: PhasePath, t: float) -> tuple[float, float]:
     """(phi, P) at a single time; raises OutOfWindow outside the window."""
-    vals = path.eval(float(t))
-    return float(vals[0][0]), float(vals[1][0])
+    return path.at(float(t))

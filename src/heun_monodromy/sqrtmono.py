@@ -28,19 +28,20 @@ route-equivalence requirement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .circle import BoundaryValues, CircleFunction, boundary_values
-from .errors import DegenerateAtOne, DenominatorVanished, ToleranceNotMet, WindowTooSmall
+from .errors import DegenerateAtOne, DenominatorVanished, WindowTooSmall
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
 from .heunpoly import NumericQuad
 from .monodromy import DENOMINATOR_FLOOR, monodromy_direct
 from .params import ModelParams
 from .phase import PhasePath
+from .rk import DenseTable, dop853
 
 SHORTCUT_MAPPING = "u/v/w-default"
 THETA_B_ORIENTATION = "mirror (difference/2i equals 1/Psi_B)"
@@ -250,14 +251,20 @@ class SqrtMonodromyTransform:
         self.branch_builds += 1
 
     def phase(self, t) -> np.ndarray:
-        """Continuous phi_B(t), pointwise exact with grid-assisted branch."""
+        """Continuous phi_B(t): the principal argument of Phi_B(t) moved by
+        the multiple of 2*pi nearest the branch grid's value.
+
+        The grid only picks the branch, so the result does not depend on
+        the grid's last bits.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         lo = min(-_BRANCH_MARGIN * self.params.T + float(np.min(t)), 0.0)
         hi = max(_BRANCH_MARGIN * self.params.T + float(np.max(t)), 0.0)
         self._ensure_branch(lo, hi)
         ts, ph = self._branch_grid
         base = np.interp(t, ts, ph)
-        return np.angle(self.phi_B(t) * np.exp(-1j * base)) + base
+        a = np.angle(self.phi_B(t))
+        return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
 
     def quadrature(self, span: float, tol: float = 1e-12):
         """P_B on [-span, span] by integrating cos(phi_B); returns a callable."""
@@ -266,23 +273,22 @@ class SqrtMonodromyTransform:
         self._ensure_branch(-reach, reach)
 
         def rhs(t, y):
-            return [float(np.cos(self.phase(np.array([t]))[0]))]
+            return (math.cos(self.phase(np.array([t]))[0]),)
 
-        kw = dict(method="DOP853", rtol=max(tol, 1e-13), atol=max(tol, 1e-13) * 1e-2,
-                  dense_output=True)
-        fwd = solve_ivp(rhs, (0.0, span), [0.0], **kw)
-        bwd = solve_ivp(rhs, (0.0, -span), [0.0], **kw)
-        if not (fwd.success and bwd.success):
-            raise ToleranceNotMet("quadrature of cos(phi_B) failed")
+        rtol = max(tol, 1e-13)
+        fwd, bwd = (
+            DenseTable(dop853(rhs, 0.0, (0.0,), t_bound, rtol, rtol * 1e-2, dense=True))
+            for t_bound in (span, -span)
+        )
 
         def P_B(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
             out = np.empty_like(t)
             m = t >= 0
             if m.any():
-                out[m] = fwd.sol(t[m])[0]
+                out[m] = fwd(t[m])[0]
             if (~m).any():
-                out[~m] = bwd.sol(t[~m])[0]
+                out[~m] = bwd(t[~m])[0]
             return out
 
         return P_B

@@ -172,6 +172,34 @@ def test_sweep_degenerate_point_exit(capsys):
     assert "error" in report["points"][0]
 
 
+def test_sweep_error_at_one_point_keeps_the_others(capsys, monkeypatch):
+    import heun_monodromy.verify as verify_mod
+    from heun_monodromy import ToleranceNotMet
+    from heun_monodromy.jsonio import canonical_json
+
+    solve = verify_mod.solve_phase
+
+    def flaky(params, phi0, **kw):
+        if params.ell == 3.0:
+            raise ToleranceNotMet("refinement disagreement 1e-6")
+        return solve(params, phi0, **kw)
+
+    monkeypatch.setattr(verify_mod, "solve_phase", flaky)
+    args = ("--tol", "1e-10", "--grid", "101", "--checks", "ode")
+    code, out, _ = run(capsys, "sweep", "--points", "2,0.3,1,0.5;3,0.3,1,0.5;1,0.2,1.3,1.0", *args)
+    assert code == 1
+    points = json.loads(out)["points"]
+    assert points[1] == {
+        "params": {"ell": 3.0, "mu": 0.3, "omega": 1.0, "phi0": 0.5},
+        "failures": ["ToleranceNotMet: refinement disagreement 1e-6"],
+        "passed": False,
+    }
+    code_ok, out_ok, _ = run(capsys, "sweep", "--points", "2,0.3,1,0.5;1,0.2,1.3,1.0", *args)
+    assert code_ok == 0
+    good = json.loads(out_ok)["points"]
+    assert [canonical_json(p) for p in (points[0], points[2])] == [canonical_json(p) for p in good]
+
+
 def test_sweep_bad_point(capsys):
     assert run(capsys, "sweep", "--points", "1,2")[0] == 3
 

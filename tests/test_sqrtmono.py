@@ -145,6 +145,24 @@ def test_phase_reconstruction_anchoring(golden_transform):
     assert np.max(np.abs(np.diff(ph))) < 0.1  # continuous, no 2 pi jumps
 
 
+def test_phase_and_P_B_do_not_depend_on_the_branch_grid(golden2_path, golden2_quad, monkeypatch):
+    # the grid only selects the branch: grids over different windows give
+    # the same bits, and so the same quadrature steps for P_B
+    import heun_monodromy.sqrtmono as sqrt_mod
+
+    T = golden2_path.params.T
+    t = np.linspace(-0.55 * T, 0.55 * T, 20001)
+    runs = []
+    for margin in (0.05, 0.06, 0.07):
+        monkeypatch.setattr(sqrt_mod, "_BRANCH_MARGIN", margin)
+        tr = transform_from_path(golden2_path, golden2_quad)
+        P_B = tr.quadrature(0.55 * T)
+        runs.append((tr.phase(t), P_B(t)))
+    for phase, P in runs[1:]:
+        assert np.array_equal(phase, runs[0][0])
+        assert np.array_equal(P, runs[0][1])
+
+
 def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
     import heun_monodromy.sqrtmono as sqrt_mod
 
