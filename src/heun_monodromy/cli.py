@@ -21,9 +21,11 @@ from .errors import (
     ToleranceNotMet,
 )
 from .heunpoly import (
+    MAX_ELL,
     NumericQuad,
     check_ode_system,
     check_parity,
+    d_plus_minus,
     diagonal,
     first_integral,
 )
@@ -132,8 +134,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    if not (1 <= args.ell_int <= 32):
-        raise UsageError("--ell must be an integer in 1..32")
+    if not (1 <= args.ell_int <= MAX_ELL):
+        raise UsageError(f"--ell must be an integer in 1..{MAX_ELL}")
     quad = diagonal(args.ell_int)
     names = ("p", "q", "r", "s")
     out = []
@@ -194,12 +196,9 @@ def cmd_monodromy(args) -> int:
 def cmd_sqrt_monodromy(args) -> int:
     _validate_common(args)
     params = _params(args.ell, args.mu, args.omega)
-    ell = params.ell_int
-    if ell is None:
-        raise NonIntegerOrder(f"ell={params.ell} is not a positive integer")
-    nq = NumericQuad(diagonal(ell), params)
-    if not nq.generic:
-        raise GenericityViolated(f"D+={nq.d_plus:.3e}, D-={nq.d_minus:.3e}")
+    quad = diagonal(params.require_integer_order())
+    d_plus_minus(quad, params)  # raises GenericityViolated before any solve
+    nq = NumericQuad(quad, params)
     path = solve_phase(params, args.phi0, tol=args.tol)
     rep, failures = check_theorem2(path, nq, args.grid, args.tol)
     sys.stdout.write(canonical_json({"theorem2": rep}) + "\n")

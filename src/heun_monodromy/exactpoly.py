@@ -11,12 +11,86 @@ check there is performed with this exact arithmetic, never in floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
+
+#: The dense product box is used while it holds at most this many slots per
+#: term pair; sparser operands number their distinct exponent sums instead.
+_BOX_SLOTS_PER_PAIR = 32
 
 
 def _trim_bivar(d: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     return {k: v for k, v in d.items() if v != 0}
+
+
+def _flat_terms(coeffs: dict[int, "BivariateCoeff"]) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent triples (n, 3) and object-dtype coefficients of a Laurent dict."""
+    bivs = coeffs.values()
+    counts = [len(v.terms) for v in bivs]
+    n = sum(counts)
+    exps = np.empty((n, 3), dtype=np.int64)
+    exps[:, 0] = np.repeat(list(coeffs), counts)
+    lam_mu = chain.from_iterable(chain.from_iterable(v.terms for v in bivs))
+    exps[:, 1:] = np.fromiter(lam_mu, dtype=np.int64, count=2 * n).reshape(n, 2)
+    values = np.fromiter(chain.from_iterable(v.terms.values() for v in bivs), object, n)
+    return exps, values
+
+
+def _product(
+    x: dict[int, "BivariateCoeff"], y: dict[int, "BivariateCoeff"]
+) -> dict[int, "BivariateCoeff"]:
+    """Exact product of two Laurent coefficient dicts, in canonical form.
+
+    Every exponent triple (z, lam, mu) of the product gets a slot in one
+    accumulator.  The coefficients sit in numpy object arrays, so they stay
+    Python ints (exact at any size).  The products ``c_i * y`` of one term of
+    the shorter operand land on distinct slots, so one fancy-index ``+=`` per
+    term is exact.  Only the nonzero slots are decoded, ascending in
+    (z, lam, mu).
+    """
+    (xe, xc), (ye, yc) = _flat_terms(x), _flat_terms(y)
+    if not len(xc) or not len(yc):
+        return {}
+    if len(xc) > len(yc):
+        xe, xc, ye, yc = ye, yc, xe, xc
+    lo = xe.min(0) + ye.min(0)
+    span = tuple((xe.max(0) + ye.max(0) - lo + 1).tolist())
+    size = math.prod(span)
+    if size <= _BOX_SLOTS_PER_PAIR * len(xc) * len(yc):
+        # Flat index in the dense box of the product's span.
+        kx = np.ravel_multi_index(tuple((xe - xe.min(0)).T), span)
+        ky = np.ravel_multi_index(tuple((ye - ye.min(0)).T), span)
+        rows = (ky + k for k in kx.tolist())
+        acc = np.zeros(size, dtype=object)
+
+        def decode(nz):
+            return np.column_stack(np.unravel_index(nz, span)) + lo
+
+    else:
+        # Sparse operands: number the distinct exponent sums instead.
+        keys, inverse = np.unique((xe[:, None] + ye).reshape(-1, 3), axis=0, return_inverse=True)
+        rows = inverse.reshape(len(xc), len(yc))
+        acc = np.zeros(len(keys), dtype=object)
+
+        def decode(nz):
+            return keys[nz]
+
+    for row, c in zip(rows, xc.tolist()):
+        acc[row] += c * yc
+    nz = np.flatnonzero(acc)
+    z, lam, mu = decode(nz).T
+    starts = np.flatnonzero(np.diff(z, prepend=z[:1] - 1)).tolist()
+    z_pows = z.tolist()
+    lam_mu = list(zip(lam.tolist(), mu.tolist()))
+    values = acc[nz].tolist()
+    return {
+        z_pows[i]: BivariateCoeff(dict(zip(lam_mu[i:j], values[i:j])))
+        for i, j in zip(starts, starts[1:] + [len(nz)])
+    }
 
 
 @dataclass(frozen=True)
@@ -52,12 +126,7 @@ class BivariateCoeff:
         return self + (-other)
 
     def __mul__(self, other: "BivariateCoeff") -> "BivariateCoeff":
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivariateCoeff(out)
+        return _product({0: self}, {0: other}).get(0, BivariateCoeff())
 
     def scaled(self, c: int, dlam: int = 0, dmu: int = 0) -> "BivariateCoeff":
         """Multiply by the monomial c * lam**dlam * mu**dmu."""
@@ -140,13 +209,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, BivariateCoeff] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                prod = c1 * c2
-                out[k] = out[k] + prod if k in out else prod
-        return LaurentPoly(out)
+        return LaurentPoly(_product(self.coeffs, other.coeffs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -160,7 +223,7 @@ class LaurentPoly:
         return LaurentPoly({k + dz: v.scaled(c, dlam, dmu) for k, v in self.coeffs.items()})
 
     def mul_bivar(self, b: BivariateCoeff) -> "LaurentPoly":
-        return LaurentPoly({k: v * b for k, v in self.coeffs.items()})
+        return self * LaurentPoly({0: b})
 
     def diff_z(self) -> "LaurentPoly":
         """Formal d/dz (exact on Laurent monomials)."""

@@ -23,7 +23,9 @@ from .errors import DegreeClaimViolated, GenericityViolated, NotConstant
 from .exactpoly import LAM_PLUS_MUSQ, BivariateCoeff, LaurentPoly
 from .params import ModelParams
 
-#: Hard guard on the order; exact arithmetic stays sub-second well past this.
+#: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
+#: about 4.4 s on a 2-vCPU Xeon, most of it in the two products of
+#: ``first_integral``.
 MAX_ELL = 32
 
 #: Relative threshold below which a D factor counts as degenerate.

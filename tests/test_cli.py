@@ -1,8 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
+import pytest
+
 from heun_monodromy.cli import main
+from heun_monodromy.heunpoly import MAX_ELL
+
+# sha256 of `poly --ell L` standard output.  The output is exact integer
+# arithmetic, so a changed digest is a wrong answer, not a rounding change.
+POLY_STDOUT_SHA256 = {
+    10: "835adfabd85104790f06db8165c60d0ca4f4beb5ad8d29b4d7288a99433b8d12",
+    16: "d4687a2729f6b4d3103522a12f629c8d5f2a0c9b844929eb5a271cb9e1ad7047",
+}
+
+# sha256 of `sqrt-monodromy` standard output at golden point 2 with the
+# default --tol and --grid, recorded before its gate went through
+# `require_integer_order` and `d_plus_minus`.
+SQRT_MONODROMY_G2_SHA256 = "d18ee30a46db7801b0d6e002b866c6fdceae2c8b20d8f4cd37206a55e1a8f55e"
 
 
 def run(capsys, *argv):
@@ -74,6 +90,57 @@ def test_poly_check_flag(capsys):
 def test_poly_bad_order(capsys):
     assert run(capsys, "poly", "--ell", "0")[0] == 3
     assert run(capsys, "poly", "--ell", "40")[0] == 3
+
+
+@pytest.mark.parametrize("ell", sorted(POLY_STDOUT_SHA256))
+def test_poly_stdout_bytes_are_pinned(capsys, ell):
+    code, out, err = run(capsys, "poly", "--ell", str(ell))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == POLY_STDOUT_SHA256[ell]
+
+
+def test_poly_at_the_order_limit(capsys):
+    assert MAX_ELL == 32
+    code, _, err = run(capsys, "poly", "--ell", str(MAX_ELL), "--check")
+    assert code == 0
+    assert err == "exact checks passed\n"
+
+
+def test_poly_past_the_order_limit(capsys):
+    code, out, err = run(capsys, "poly", "--ell", str(MAX_ELL + 1), "--check")
+    assert (code, out) == (3, "")
+    assert f"1..{MAX_ELL}" in err
+
+
+def test_sqrt_monodromy_golden_2_stdout_is_pinned(capsys):
+    code, out, _ = run(
+        capsys, "sqrt-monodromy", "--ell", "1", "--mu", "0.2", "--omega", "1.3", "--phi0", "1.0"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SQRT_MONODROMY_G2_SHA256
+
+
+def test_sqrt_monodromy_degenerate_point_is_gated_before_the_solve(capsys, monkeypatch):
+    # order 1 with A = 1 has D- = 0: exit 2 before the phase is solved
+    import heun_monodromy.cli as cli_mod
+
+    def no_solve(*args, **kw):
+        raise AssertionError("solve_phase ran at a degenerate point")
+
+    monkeypatch.setattr(cli_mod, "solve_phase", no_solve)
+    code, out, err = run(
+        capsys, "sqrt-monodromy", "--ell", "1", "--mu", "0.5", "--omega", "1", "--phi0", "0.5"
+    )
+    assert (code, out) == (2, "")
+    assert "D-=0.000e+00" in err
+
+
+def test_sqrt_monodromy_non_integer_order(capsys):
+    code, out, err = run(
+        capsys, "sqrt-monodromy", "--ell", "1.5", "--mu", "0.5", "--omega", "1", "--phi0", "0.5"
+    )
+    assert (code, out) == (2, "")
+    assert "not a positive integer" in err
 
 
 def test_verify_poly_exact_only(capsys):

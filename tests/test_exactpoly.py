@@ -6,21 +6,42 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heun_monodromy.exactpoly import LAM_PLUS_MUSQ, BivariateCoeff, LaurentPoly
+from heun_monodromy.heunpoly import diagonal
 
 coeff_st = st.integers(-8, 8)
 pow_st = st.integers(0, 3)
 zpow_st = st.integers(-3, 4)
+# small values collide and cancel; the wide ones go past 64-bit integers
+wide_coeff_st = st.one_of(st.integers(-8, 8), st.integers(-(2**100), 2**100))
 
 
 @st.composite
-def laurent(draw, max_terms=5):
+def laurent(draw, max_terms=5, coeffs=coeff_st, z_pows=zpow_st):
     n = draw(st.integers(0, max_terms))
     poly = LaurentPoly.zero()
     for _ in range(n):
         poly = poly + LaurentPoly.monomial(
-            draw(coeff_st), z_pow=draw(zpow_st), lam_pow=draw(pow_st), mu_pow=draw(pow_st)
+            draw(coeffs), z_pow=draw(z_pows), lam_pow=draw(pow_st), mu_pow=draw(pow_st)
         )
     return poly
+
+
+def reference_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Schoolbook product over the nested dicts, one term pair at a time."""
+    out: dict[int, dict[tuple[int, int], int]] = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            acc = out.setdefault(k1 + k2, {})
+            for (a1, b1), v1 in c1.terms.items():
+                for (a2, b2), v2 in c2.terms.items():
+                    key = (a1 + a2, b1 + b2)
+                    acc[key] = acc.get(key, 0) + v1 * v2
+    return LaurentPoly({k: BivariateCoeff(t) for k, t in out.items()})
+
+
+def assert_canonical(poly: LaurentPoly):
+    assert all(not c.is_zero() for c in poly.coeffs.values())
+    assert all(v != 0 for c in poly.coeffs.values() for v in c.terms.values())
 
 
 def test_canonical_trim():
@@ -100,3 +121,57 @@ def test_bivariate_arithmetic():
     b = BivariateCoeff.monomial(3, 0, 2)
     assert (a * b).terms == {(1, 2): 6}
     assert (a + (-a)).is_zero()
+
+
+wide_laurent = laurent(max_terms=8, coeffs=wide_coeff_st)
+wide_bivariate = laurent(max_terms=6, coeffs=wide_coeff_st, z_pows=st.just(0))
+
+
+@given(wide_laurent, wide_laurent)
+@settings(max_examples=150, deadline=None)
+def test_product_matches_reference(a, b):
+    prod = a * b
+    assert prod == reference_product(a, b)
+    assert_canonical(prod)
+
+
+@given(wide_laurent, wide_laurent)
+@settings(max_examples=60, deadline=None)
+def test_cross_terms_cancel(a, b):
+    # (a + b)(a - b): every cross term a*b cancels against b*a
+    prod = (a + b) * (a - b)
+    assert prod == reference_product(a, a) - reference_product(b, b)
+    assert_canonical(prod)
+
+
+@given(wide_bivariate, wide_bivariate)
+@settings(max_examples=100, deadline=None)
+def test_bivariate_product_matches_reference(a, b):
+    x, y = a.coeffs.get(0, BivariateCoeff()), b.coeffs.get(0, BivariateCoeff())
+    prod = x * y
+    assert prod == reference_product(a, b).coeffs.get(0, BivariateCoeff())
+    assert all(v != 0 for v in prod.terms.values())
+
+
+def test_empty_and_single_term_operands():
+    one_term = LaurentPoly.monomial(-(2**70), z_pow=-2, lam_pow=1)
+    poly = one_term + LaurentPoly.monomial(3, z_pow=1, mu_pow=2)
+    assert (LaurentPoly.zero() * poly).coeffs == {}
+    assert (poly * LaurentPoly.zero()).coeffs == {}
+    assert (one_term * one_term) == LaurentPoly.monomial(2**140, z_pow=-4, lam_pow=2)
+    assert one_term * poly == reference_product(one_term, poly)
+    assert (BivariateCoeff() * LAM_PLUS_MUSQ).terms == {}
+
+
+def test_sparse_exponents_take_the_compact_path():
+    # the dense (z, lam, mu) box of this product has about 1e9 slots
+    a = LaurentPoly.monomial(1) + LaurentPoly.monomial(-5, z_pow=1000)
+    b = LaurentPoly.monomial(2, lam_pow=1000) + LaurentPoly.monomial(7, z_pow=-3, mu_pow=1000)
+    assert a * b == reference_product(a, b)
+    assert len((a * b).to_json_obj()) == 4
+
+
+def test_diagonal_products_match_reference():
+    quad = diagonal(16)
+    assert quad.p * quad.s == reference_product(quad.p, quad.s)
+    assert quad.q * quad.r == reference_product(quad.q, quad.r)

@@ -103,12 +103,26 @@ def test_sympy_oracle_cross_check():
             )
         quad = diagonal(ell)
         for ours, theirs in zip(quad.as_tuple(), (p, q, r, s)):
-            mine = sum(
-                c * lam**a * mu**b * z**k
-                for k, biv in ours.coeffs.items()
-                for (a, b), c in biv.terms.items()
-            )
-            assert sympy.expand(mine - theirs) == 0
+            assert sympy.expand(_to_sympy(sympy, ours) - theirs) == 0
+
+
+def _to_sympy(sympy, poly: LaurentPoly):
+    z, lam, mu = sympy.symbols("z lam mu")
+    return sum(
+        c * lam**a * mu**b * z**k
+        for k, biv in poly.coeffs.items()
+        for (a, b), c in biv.terms.items()
+    )
+
+
+@pytest.mark.parametrize("ell", [5, 6])
+def test_first_integral_sympy_oracle(ell):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    quad = diagonal(ell)
+    p, q, r, s = (_to_sympy(sympy, poly) for poly in quad.as_tuple())
+    expected = sympy.expand((p * s - q * r) * z ** (2 * (1 - ell)))
+    assert sympy.expand(_to_sympy(sympy, LaurentPoly({0: first_integral(quad)})) - expected) == 0
 
 
 def test_d_plus_minus_ell1_closed_form():
