@@ -3,6 +3,7 @@
 from .circle import (
     BoundaryValues,
     CircleFunction,
+    CirclePair,
     CoverPoint,
     boundary_values,
     phi_on_circle,
@@ -63,9 +64,7 @@ from .sqrtmono import (
     ShortcutSet,
     SqrtMonodromyTransform,
     ThetaBPair,
-    build_phi_B,
     build_shortcuts,
-    build_theta_B_pair,
     transform_from_path,
     verify_theorem2,
 )

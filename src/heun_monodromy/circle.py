@@ -81,42 +81,64 @@ def psi_sqrt_on_circle(path: PhasePath) -> CircleFunction:
     return CircleFunction("PsiSqrt", path, lambda t: np.exp(0.5 * path.P(t)))
 
 
-def half_power_factors(path: PhasePath, t: np.ndarray):
-    """The four half-power products used by every transform formula.
+class CirclePair:
+    """The four half-power products of a circle pair and their t-derivatives.
 
-    Returns (S, R, Rrec, Srec) with, in circle coordinates,
+    ``phi_at`` and ``P_at`` take a float array of times and return the
+    continuous phase and the quadrature.  In circle coordinates
 
         S    = Psi(z)^1/2   Phi(z)^1/2    = exp((P(t) + i phi(t))/2)
         R    = Psi(1/z)^1/2 Phi(1/z)^-1/2 = exp((P(-t) - i phi(-t))/2)
         Rrec = Psi(z)^1/2   Phi(z)^-1/2   = exp((P(t) - i phi(t))/2)
         Srec = Psi(1/z)^1/2 Phi(1/z)^1/2  = exp((P(-t) + i phi(-t))/2)
+
+    One call evaluates (phi, P) once, on t and -t together; the derivatives
+    follow from the phase equation, dphi/dt = B + A cos(omega t) - sin(phi)
+    and dP/dt = cos(phi).  The reciprocal point is a swap:
+    S(-t) = Srec(t) and R(-t) = Rrec(t).
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    ph, P = path.eval(t)
-    phm, Pm = path.eval(-t)
-    S = np.exp(0.5 * (P + 1j * ph))
-    R = np.exp(0.5 * (Pm - 1j * phm))
-    Rrec = np.exp(0.5 * (P - 1j * ph))
-    Srec = np.exp(0.5 * (Pm + 1j * phm))
-    return S, R, Rrec, Srec
+
+    def __init__(self, phi_at, P_at, params: ModelParams):
+        self.params = params
+        self._values = lambda u: (phi_at(u), P_at(u))
+
+    @classmethod
+    def on_path(cls, path: PhasePath) -> "CirclePair":
+        """The solved pair, with phi and P from one ``PhasePath.eval``."""
+        pair = cls(path.phi, path.P, path.params)
+        pair._values = path.eval
+        return pair
+
+    def __call__(self, t):
+        """((S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd)) at the times t."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        n = t.shape[0]
+        p = self.params
+        u = np.concatenate((t, -t))
+        ph, P = self._values(u)
+        dph = p.Bdrive + p.A * np.cos(p.omega * u) - np.sin(ph)
+        c = np.cos(ph)
+        plus = np.exp(0.5 * (P + 1j * ph))
+        minus = np.exp(0.5 * (P - 1j * ph))
+        S, Srec = plus[:n], plus[n:]
+        Rrec, R = minus[:n], minus[n:]
+        dots = (
+            0.5 * (c[:n] + 1j * dph[:n]) * S,
+            0.5 * (-c[n:] + 1j * dph[n:]) * R,
+            0.5 * (c[:n] - 1j * dph[:n]) * Rrec,
+            0.5 * (-c[n:] - 1j * dph[n:]) * Srec,
+        )
+        return (S, R, Rrec, Srec), dots
+
+
+def half_power_factors(path: PhasePath, t: np.ndarray):
+    """(S, R, Rrec, Srec) of the solved pair at t; see ``CirclePair``."""
+    return CirclePair.on_path(path)(t)[0]
 
 
 def half_power_factor_dots(path: PhasePath, t: np.ndarray):
     """Analytic d/dt of the four half-power products (same order)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    ph, P = path.eval(t)
-    phm, Pm = path.eval(-t)
-    S = np.exp(0.5 * (P + 1j * ph))
-    R = np.exp(0.5 * (Pm - 1j * phm))
-    Rrec = np.exp(0.5 * (P - 1j * ph))
-    Srec = np.exp(0.5 * (Pm + 1j * phm))
-    dph = path.phidot(t, ph)
-    dphm = path.phidot(-t, phm)
-    Sd = 0.5 * (np.cos(ph) + 1j * dph) * S
-    Rd = 0.5 * (-np.cos(phm) + 1j * dphm) * R
-    Rrecd = 0.5 * (np.cos(ph) - 1j * dph) * Rrec
-    Srecd = 0.5 * (-np.cos(phm) - 1j * dphm) * Srec
-    return Sd, Rd, Rrecd, Srecd
+    return CirclePair.on_path(path)(t)[1]
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ def cmd_sqrt_monodromy(args) -> int:
     d_plus_minus(quad, params)  # raises GenericityViolated before any solve
     nq = NumericQuad(quad, params)
     path = solve_phase(params, args.phi0, tol=args.tol)
-    rep, failures = check_theorem2(path, nq, args.grid, args.tol)
+    rep, failures = check_theorem2(path, nq, args.grid)
     sys.stdout.write(canonical_json({"theorem2": rep}) + "\n")
     return _battery_exit(failures)
 

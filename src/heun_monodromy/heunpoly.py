@@ -16,6 +16,7 @@ the numeric evaluation helpers at the bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -260,7 +261,8 @@ class NumericQuad:
         self.p1 = float(quad.p.at_one().evaluate(lam, mu))
         self.r1 = float(quad.r.at_one().evaluate(lam, mu))
         self.d_plus, self.d_minus, self.generic = d_plus_minus(quad, params, check=False)
-        self.D = float(first_integral(quad).evaluate(lam, mu))
+        # exact at the float point, rounded once: independent of the term order
+        self.D = float(first_integral(quad).evaluate(Fraction(lam), Fraction(mu)))
 
     def __call__(self, name: str, z):
         """Evaluate p, q, r, s or a primed variant at complex z (vectorized)."""

@@ -15,9 +15,9 @@ import numpy as np
 from .circle import (
     BoundaryValues,
     CircleFunction,
+    CirclePair,
     boundary_values,
     continue_riccati_path,
-    half_power_factors,
     riccati_circle_residual,
 )
 from .errors import DenominatorVanished, WindowTooSmall
@@ -74,20 +74,8 @@ def monodromy_algebraic(
     path = phi_fn.path
     if abs(abs(complex(np.exp(1j * path.phi0))) - 1.0) > 1e-12:
         raise ValueError("normalization |Phi(1)| = 1 violated")  # pragma: no cover
-    cp, sm = _algebraic_coefficients(bv)
-
-    def fn(t):
-        S, R, Rrec, Srec = half_power_factors(path, t)
-        num = cp * S + 1j * sm * R
-        den = cp * Rrec - 1j * sm * Srec
-        bad = np.abs(den) < DENOMINATOR_FLOOR
-        if bad.any():
-            raise DenominatorVanished(
-                "monodromy denominator vanished", t=float(np.atleast_1d(t)[bad][0])
-            )
-        return num / den
-
-    return CircleFunction("PhiM", path, fn)
+    pair = CirclePair.on_path(path)
+    return CircleFunction("PhiM", path, lambda t: _algebraic_values(pair, bv, t)[0])
 
 
 @dataclass
@@ -112,18 +100,20 @@ class MonodromyReport:
         }
 
 
-def _algebraic_derivative(path: PhasePath, bv: BoundaryValues, t: np.ndarray) -> np.ndarray:
-    """Analytic d/dt of the algebraic monodromy values (chain rule, no FD)."""
-    from .circle import half_power_factor_dots
-
+def _algebraic_values(pair: CirclePair, bv: BoundaryValues, t) -> tuple[np.ndarray, np.ndarray]:
+    """Algebraic monodromy values and their analytic d/dt from one pair evaluation."""
     cp, sm = _algebraic_coefficients(bv)
-    S, R, Rrec, Srec = half_power_factors(path, t)
-    Sd, Rd, Rrecd, Srecd = half_power_factor_dots(path, t)
+    (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd) = pair(t)
     num = cp * S + 1j * sm * R
     den = cp * Rrec - 1j * sm * Srec
+    bad = np.abs(den) < DENOMINATOR_FLOOR
+    if bad.any():
+        raise DenominatorVanished(
+            "monodromy denominator vanished", t=float(np.atleast_1d(t)[bad][0])
+        )
     num_d = cp * Sd + 1j * sm * Rd
     den_d = cp * Rrecd - 1j * sm * Srecd
-    return (num_d * den - num * den_d) / den**2
+    return num / den, (num_d * den - num * den_d) / den**2
 
 
 def verify_monodromy(
@@ -144,20 +134,17 @@ def verify_monodromy(
     params = path.params
     T = params.T
     bv = boundary_values(path)
-    from .circle import phi_on_circle, psi_on_circle
-
-    alg = monodromy_algebraic(phi_on_circle(path), psi_on_circle(path), bv)
+    pair = CirclePair.on_path(path)
     direct = monodromy_direct(path)
 
     t = np.linspace(-T / 2, T / 2, grid_size)
-    a = alg(t)
+    a, a_dot = _algebraic_values(pair, bv, t)
     d = direct(t)
     sup_circle = float(np.max(np.abs(a - d)))
-    boundary = float(abs(alg(np.array([-T / 2]))[0] - np.exp(1j * bv.phi_plus)))
+    at_cut, at_one = _algebraic_values(pair, bv, np.array([-T / 2, 0.0]))[0]
+    boundary = float(abs(at_cut - np.exp(1j * bv.phi_plus)))
     unimod = float(np.max(np.abs(np.abs(a) - 1.0)))
-    ric = float(
-        np.max(np.abs(riccati_circle_residual(params, t, a, _algebraic_derivative(path, bv, t))))
-    )
+    ric = float(np.max(np.abs(riccati_circle_residual(params, t, a, a_dot))))
 
     ray_residuals: list[tuple[float, float]] = []
     for rho in rhos or []:
@@ -171,7 +158,7 @@ def verify_monodromy(
         # route B: algebraic Phi_M from z=1 radially, then the lower arc
         vb, _, _ = continue_riccati_path(
             params,
-            complex(alg(np.array([0.0]))[0]),
+            complex(at_one),
             [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, -np.pi)],
             tol=tol,
         )

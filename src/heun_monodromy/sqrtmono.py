@@ -28,20 +28,17 @@ route-equivalence requirement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .circle import BoundaryValues, CircleFunction, boundary_values
-from .errors import DegenerateAtOne, DenominatorVanished, WindowTooSmall
+from .circle import BoundaryValues, CirclePair, boundary_values, riccati_circle_residual
+from .errors import DegenerateAtOne, DenominatorVanished, OutOfWindow, WindowTooSmall
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
 from .heunpoly import NumericQuad
 from .monodromy import DENOMINATOR_FLOOR, monodromy_direct
 from .params import ModelParams
 from .phase import PhasePath
-from .rk import DenseTable, dop853
 
 SHORTCUT_MAPPING = "u/v/w-default"
 THETA_B_ORIENTATION = "mirror (difference/2i equals 1/Psi_B)"
@@ -143,172 +140,174 @@ def _formula_constants(sc: ShortcutSet):
     return K1, K2, X, n2
 
 
-PhiFunc = Callable[[np.ndarray], np.ndarray]
+#: Half-width of the panel table, in units of T: the span verify_theorem2 uses.
+TABLE_SPAN = 0.55
+#: Gauss-Legendre panels per side of t = 0.
+_PANELS = 400
 
-#: Margin, in units of T, the branch grid keeps beyond every requested time.
-_BRANCH_MARGIN = 0.05
+#: Positive nodes and their weights of the 10-point Gauss-Legendre rule on
+#: [-1, 1] (Abramowitz & Stegun, table 25.4).  Literals rather than
+#: Golub-Welsch: the first LAPACK call keeps about 1 MB for the whole run.
+_GL_POSITIVE = np.array([
+    (0.1488743389816312108848260, 0.2955242247147528701738930),
+    (0.4333953941292471907992659, 0.2692667193099963550912269),
+    (0.6794095682990244062343274, 0.2190863625159820439955349),
+    (0.8650633666889845107320967, 0.1494513491505805931457763),
+    (0.9739065285171717200779640, 0.0666713443086881375935688),
+])
+_GL_X = np.concatenate((-_GL_POSITIVE[::-1, 0], _GL_POSITIVE[:, 0]))
+_GL_W = np.concatenate((_GL_POSITIVE[::-1, 1], _GL_POSITIVE[:, 1]))
+_NODES = len(_GL_X)
+
+
+def _legendre(x: np.ndarray, n: int) -> np.ndarray:
+    """(n + 1, len(x)) values P_0..P_n from the three-term recurrence."""
+    P = np.empty((n + 1,) + x.shape)
+    P[0] = 1.0
+    P[1] = x
+    for k in range(1, n):
+        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
+    return P
+
+
+class PanelTable:
+    """Running integrals y_i(0) + int_0^t f_i on [-span, span].
+
+    Composite Gauss-Legendre with ``panels`` panels on each side of 0, one
+    vectorized call of ``f`` for all nodes.  On each panel the interpolant of
+    the node values is kept as Legendre coefficients c_k and integrated in
+    closed form (Trefethen, *ATAP*, ch. 19): with P_-1 = -1,
+    int_{-1}^x P_k = (P_{k+1}(x) - P_{k-1}(x)) / (2k + 1), exactly 0 at x = -1.
+    Times outside the table raise OutOfWindow.
+    """
+
+    def __init__(self, span: float, panels: int, f, y0: tuple[float, ...]):
+        self.span, self.panels = span, panels
+        self.h = span / panels
+        x, w = _GL_X, _GL_W
+        left = np.arange(-panels, panels) * self.h
+        nodes = (left[:, None] + 0.5 * self.h * (x + 1.0)).ravel()
+        # c_k = (2k + 1)/2 sum_j w_j f(x_j) P_k(x_j), exact for the interpolant
+        proj = (w * _legendre(x, _NODES - 1)).T * (np.arange(_NODES) + 0.5)
+        self.coeffs = [vals.reshape(2 * panels, _NODES) @ proj for vals in f(nodes)]
+        self.starts = []  # y_i at the left end of each panel
+        for c, y in zip(self.coeffs, y0):
+            integral = self.h * c[:, 0]
+            before = -np.cumsum(integral[:panels][::-1])[::-1]
+            after = np.concatenate(([0.0], np.cumsum(integral[panels:-1])))
+            self.starts.append(y + np.concatenate((before, after)))
+
+    def __call__(self, i: int, t) -> np.ndarray:
+        """y_i at each time t."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.size and not (np.min(t) >= -self.span and np.max(t) <= self.span):
+            raise OutOfWindow(f"t range [{np.min(t)}, {np.max(t)}] outside +-{self.span}")
+        k = np.clip(np.floor(t / self.h).astype(int) + self.panels, 0, 2 * self.panels - 1)
+        x = (t - (k - self.panels) * self.h) * (2.0 / self.h) - 1.0
+        P = np.concatenate((-np.ones((1,) + x.shape), _legendre(x, _NODES)))
+        integrals = (P[2:] - P[:-2]) / (2.0 * np.arange(_NODES) + 1.0)[:, None]
+        partial = np.einsum("nk,kn->n", self.coeffs[i][k], integrals)
+        return self.starts[i][k] + 0.5 * self.h * partial
 
 
 class SqrtMonodromyTransform:
-    """One application of the transform to a circle pair given as callables.
+    """One application of the transform to a circle pair.
 
-    ``phi_at`` and ``P_at`` must accept a float array of times and return the
-    continuous phase and quadrature values; the boundary scalars in ``sc``
-    must belong to the same pair.
+    ``sc`` holds the boundary scalars of the same pair.
     """
 
-    def __init__(self, phi_at: PhiFunc, P_at: PhiFunc, sc: ShortcutSet, params: ModelParams):
+    def __init__(self, pair: CirclePair, sc: ShortcutSet):
         _require_nondegenerate(sc)
-        self.phi_at = phi_at
-        self.P_at = P_at
+        self.pair = pair
         self.sc = sc
-        self.params = params
+        self.params = pair.params
         self.K1, self.K2, self._X, self._n2 = _formula_constants(sc)
-        n0 = self._nhat_dden(np.array([0.0]))
-        self.k_norm = complex(-n0[0][0] * n0[1][0])
-        self._branch_grid: tuple[np.ndarray, np.ndarray] | None = None
-        #: number of branch-grid builds; verify_theorem2 needs exactly one
-        self.branch_builds = 0
+        num, den = self._nhat_dden(pair(np.array([0.0]))[0])
+        self.k_norm = complex(-num[0] * den[0])
+        self._table: PanelTable | None = None
 
-    # ---- factor plumbing ----
-    def _factors(self, t: np.ndarray):
-        ph = self.phi_at(t)
-        P = self.P_at(t)
-        phm = self.phi_at(-t)
-        Pm = self.P_at(-t)
-        S = np.exp(0.5 * (P + 1j * ph))
-        R = np.exp(0.5 * (Pm - 1j * phm))
-        Rrec = np.exp(0.5 * (P - 1j * ph))
-        Srec = np.exp(0.5 * (Pm + 1j * phm))
-        return S, R, Rrec, Srec
-
-    def _factor_dots(self, t: np.ndarray):
-        p = self.params
-        ph = self.phi_at(t)
-        phm = self.phi_at(-t)
-        drive = p.Bdrive + p.A * np.cos(p.omega * t)
-        dph = drive - np.sin(ph)
-        dphm = drive - np.sin(phm)
-        S, R, Rrec, Srec = self._factors(t)
-        return (
-            0.5 * (np.cos(ph) + 1j * dph) * S,
-            0.5 * (-np.cos(phm) + 1j * dphm) * R,
-            0.5 * (np.cos(ph) - 1j * dph) * Rrec,
-            0.5 * (-np.cos(phm) - 1j * dphm) * Srec,
-        )
-
-    def _nhat_dden(self, t: np.ndarray):
-        S, R, Rrec, Srec = self._factors(t)
+    def _nhat_dden(self, factors):
+        """(Nhat, Dden) from the four half-power factors; linear, so the
+        factors' t-derivatives give theirs."""
+        S, R, Rrec, Srec = factors
         return 2j * self.K1 * S + self.K2 * R, -2j * self.K1 * Rrec + self.K2 * Srec
 
-    def _nhat_dden_dots(self, t: np.ndarray):
-        Sd, Rd, Rrecd, Srecd = self._factor_dots(t)
-        return 2j * self.K1 * Sd + self.K2 * Rd, -2j * self.K1 * Rrecd + self.K2 * Srecd
-
     # ---- transformed pair ----
-    def phi_B(self, t) -> np.ndarray:
+    def values(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(Phi_B, dPhi_B/dt, Psi_B, dPsi_B/dt) along the circle from one
+        pair evaluation; Psi_B = -Nhat*Dden is normalized to 1 at t = 0."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        num, den = self._nhat_dden(t)
+        factors, dots = self.pair(t)
+        (num, den), (numd, dend) = self._nhat_dden(factors), self._nhat_dden(dots)
         bad = np.abs(den) < DENOMINATOR_FLOOR
         if bad.any():
             raise DenominatorVanished("Phi_B denominator vanished", t=float(t[bad][0]))
-        return -num / den
+        return (
+            -num / den,
+            -(numd * den - num * dend) / den**2,
+            -num * den / self.k_norm,
+            -(numd * den + num * dend) / self.k_norm,
+        )
 
-    def phi_B_dot(self, t) -> np.ndarray:
-        """Analytic d/dt of Phi_B along the circle."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        num, den = self._nhat_dden(t)
-        numd, dend = self._nhat_dden_dots(t)
-        return -(numd * den - num * dend) / den**2
+    def phi_B(self, t) -> np.ndarray:
+        return self.values(t)[0]
 
     def psi_B(self, t) -> np.ndarray:
         """The quadrature partner: -Nhat*Dden normalized to 1 at t = 0."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        num, den = self._nhat_dden(t)
-        return -num * den / self.k_norm
-
-    def psi_B_dot(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        num, den = self._nhat_dden(t)
-        numd, dend = self._nhat_dden_dots(t)
-        return -(numd * den + num * dend) / self.k_norm
+        return self.values(t)[2]
 
     # ---- continuous phase and quadrature of the transformed pair ----
-    def _ensure_branch(self, lo: float, hi: float, n: int = 8193):
-        """Make the branch grid cover [lo, hi]; a rebuild only ever widens it."""
-        if self._branch_grid is not None:
-            ts, _ = self._branch_grid
-            if ts[0] <= lo and ts[-1] >= hi:
-                return
-            lo, hi = min(lo, ts[0]), max(hi, ts[-1])
-        ts = np.linspace(lo, hi, n)
-        ph = np.unwrap(np.angle(self.phi_B(ts)))
-        # anchor: principal argument at t = 0, then continuity
-        i0 = int(np.argmin(np.abs(ts)))
-        anchor = float(np.angle(self.phi_B(np.array([0.0]))[0]))
-        ph -= 2 * np.pi * np.round((ph[i0] - anchor) / (2 * np.pi))
-        self._branch_grid = (ts, ph)
-        self.branch_builds += 1
+    def _build_table(self) -> PanelTable:
+        """P_B = int_0^t cos(phi_B), with cos(phi_B) = Re Phi_B (|Phi_B| = 1 is
+        certified), and the continuous phase phi_B(0) + int_0^t Im(conj(Phi_B) Phi_B')
+        on one table over +-TABLE_SPAN*T."""
+
+        def integrands(nodes):
+            F, F_dot, _, _ = self.values(nodes)
+            return F.real, (np.conj(F) * F_dot).imag
+
+        phase_at_0 = float(np.angle(self.phi_B(0.0)[0]))
+        return PanelTable(TABLE_SPAN * self.params.T, _PANELS, integrands, (0.0, phase_at_0))
+
+    @property
+    def table(self) -> PanelTable:
+        """The panel table, built on first use."""
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
 
     def phase(self, t) -> np.ndarray:
         """Continuous phi_B(t): the principal argument of Phi_B(t) moved by
-        the multiple of 2*pi nearest the branch grid's value.
+        the multiple of 2*pi nearest the table's continuous phase.
 
-        The grid only picks the branch, so the result does not depend on
-        the grid's last bits.
+        The table only picks the branch, so the result does not depend on
+        its last bits; at t = 0 it is the principal argument.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        lo = min(-_BRANCH_MARGIN * self.params.T + float(np.min(t)), 0.0)
-        hi = max(_BRANCH_MARGIN * self.params.T + float(np.max(t)), 0.0)
-        self._ensure_branch(lo, hi)
-        ts, ph = self._branch_grid
-        base = np.interp(t, ts, ph)
+        base = self.table(1, t)
         a = np.angle(self.phi_B(t))
         return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
 
-    def quadrature(self, span: float, tol: float = 1e-12):
-        """P_B on [-span, span] by integrating cos(phi_B); returns a callable."""
-        # one grid for every window phase() is asked for on [-span, span]
-        reach = span + _BRANCH_MARGIN * self.params.T
-        self._ensure_branch(-reach, reach)
-
-        def rhs(t, y):
-            return (math.cos(self.phase(np.array([t]))[0]),)
-
-        rtol = max(tol, 1e-13)
-        fwd, bwd = (
-            DenseTable(dop853(rhs, 0.0, (0.0,), t_bound, rtol, rtol * 1e-2, dense=True))
-            for t_bound in (span, -span)
-        )
-
-        def P_B(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.empty_like(t)
-            m = t >= 0
-            if m.any():
-                out[m] = fwd(t[m])[0]
-            if (~m).any():
-                out[~m] = bwd(t[~m])[0]
-            return out
-
-        return P_B
+    def quadrature(self, span: float):
+        """P_B = int_0^t cos(phi_B) as a callable valid on [-span, span]."""
+        table = self.table
+        if span > table.span:
+            raise OutOfWindow(f"span {span} exceeds the table's {table.span}")
+        return lambda t: table(0, t)
 
     # ---- residuals ----
     def riccati_residual(self, t) -> float:
-        from .circle import riccati_circle_residual
-
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        F = self.phi_B(t)
-        return float(np.max(np.abs(riccati_circle_residual(self.params, t, F, self.phi_B_dot(t)))))
+        F, F_dot, _, _ = self.values(t)
+        return float(np.max(np.abs(riccati_circle_residual(self.params, t, F, F_dot))))
 
     def unimodularity_residual(self, t) -> float:
         return float(np.max(np.abs(np.abs(self.phi_B(t)) - 1.0)))
 
     def psi_equation_residual(self, t) -> float:
         """Residual of the quadrature equation for Psi_B with Phi_B."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        F = self.phi_B(t)
-        return float(np.max(np.abs(self.psi_B_dot(t) - 0.5 * (F + 1.0 / F) * self.psi_B(t))))
+        F, _, psi, psi_dot = self.values(t)
+        return float(np.max(np.abs(psi_dot - 0.5 * (F + 1.0 / F) * psi)))
 
 
 @dataclass
@@ -317,52 +316,39 @@ class ThetaBPair:
 
     transform: SqrtMonodromyTransform
 
-    def theta_B(self, t) -> np.ndarray:
+    def _theta(self, t):
+        """(Theta_B, ThetaTilde_B) and their t-derivatives from one pair evaluation."""
         tr = self.transform
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        _, _, Rrec, Srec = tr._factors(t)
-        _, den = tr._nhat_dden(t)
-        n1 = -1j * tr._X
-        return (n1 * Rrec + tr._n2 * Srec) / (tr.sc.cos_phi0 * den)
+        factors, dots = tr.pair(t)
+        (num, den), (numd, dend) = tr._nhat_dden(factors), tr._nhat_dden(dots)
+        S, R, Rrec, Srec = factors
+        Sd, Rd, Rrecd, Srecd = dots
+        n1, m1, n2, c0 = -1j * tr._X, 1j * tr._X, tr._n2, tr.sc.cos_phi0
+        top, topd = n1 * Rrec + n2 * Srec, n1 * Rrecd + n2 * Srecd
+        tilde, tilded = m1 * S + n2 * R, m1 * Sd + n2 * Rd
+        return (
+            top / (c0 * den),
+            tilde / (c0 * num),
+            (topd * den - top * dend) / (c0 * den**2),
+            (tilded * num - tilde * numd) / (c0 * num**2),
+        )
+
+    def theta_B(self, t) -> np.ndarray:
+        return self._theta(t)[0]
 
     def theta_tilde_B(self, t) -> np.ndarray:
-        tr = self.transform
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        S, R, _, _ = tr._factors(t)
-        num, _ = tr._nhat_dden(t)
-        m1 = 1j * tr._X
-        return (m1 * S + tr._n2 * R) / (tr.sc.cos_phi0 * num)
+        return self._theta(t)[1]
 
     def theta_B_dot(self, t) -> np.ndarray:
-        tr = self.transform
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        _, _, Rrec, Srec = tr._factors(t)
-        _, _, Rrecd, Srecd = tr._factor_dots(t)
-        _, den = tr._nhat_dden(t)
-        _, dend = tr._nhat_dden_dots(t)
-        n1 = -1j * tr._X
-        num = n1 * Rrec + tr._n2 * Srec
-        numd = n1 * Rrecd + tr._n2 * Srecd
-        return (numd * den - num * dend) / (tr.sc.cos_phi0 * den**2)
+        return self._theta(t)[2]
 
     def theta_tilde_B_dot(self, t) -> np.ndarray:
-        tr = self.transform
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        S, R, _, _ = tr._factors(t)
-        Sd, Rd, _, _ = tr._factor_dots(t)
-        num, _ = tr._nhat_dden(t)
-        numd, _ = tr._nhat_dden_dots(t)
-        m1 = 1j * tr._X
-        top = m1 * S + tr._n2 * R
-        topd = m1 * Sd + tr._n2 * Rd
-        return (topd * num - top * numd) / (tr.sc.cos_phi0 * num**2)
+        return self._theta(t)[3]
 
     def initial_condition_residual(self) -> tuple[float, float]:
-        t0 = np.array([0.0])
-        return (
-            float(abs(self.theta_B(t0)[0] - 1j)),
-            float(abs(self.theta_tilde_B(t0)[0] + 1j)),
-        )
+        theta, tilde, _, _ = self._theta(0.0)
+        return float(abs(theta[0] - 1j)), float(abs(tilde[0] + 1j))
 
     def mirror_system_residual(self, t) -> float:
         """Residual of the system the displayed formulas satisfy.
@@ -372,15 +358,16 @@ class ThetaBPair:
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         F = self.transform.phi_B(t)
-        delta = self.theta_B(t) - self.theta_tilde_B(t)
-        r1 = 2.0 * self.theta_B_dot(t) + F * delta
-        r2 = 2.0 * self.theta_tilde_B_dot(t) - delta / F
+        theta, tilde, theta_dot, tilde_dot = self._theta(t)
+        delta = theta - tilde
+        r1 = 2.0 * theta_dot + F * delta
+        r2 = 2.0 * tilde_dot - delta / F
         return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
     def psi_reciprocal_residual(self, t) -> float:
         """sup |(Theta_B - ThetaTilde_B)/(2i) * Psi_B - 1|."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        mirror = (self.theta_B(t) - self.theta_tilde_B(t)) / 2j
+        theta, tilde, _, _ = self._theta(t)
+        mirror = (theta - tilde) / 2j
         return float(np.max(np.abs(mirror * self.transform.psi_B(t) - 1.0)))
 
 
@@ -388,34 +375,13 @@ def transform_from_path(path: PhasePath, nq: NumericQuad) -> SqrtMonodromyTransf
     """First application of the transform, built on the solved circle pair."""
     bv = boundary_values(path)
     sc = build_shortcuts(bv, nq, path.params)
-    return SqrtMonodromyTransform(
-        phi_at=lambda t: path.phi(t), P_at=lambda t: path.P(t), sc=sc, params=path.params
-    )
-
-
-def build_phi_B(
-    phi_fn: CircleFunction, psi_fn: CircleFunction, sc: ShortcutSet
-) -> SqrtMonodromyTransform:
-    """Transform of the circle pair given as CircleFunctions (literal display)."""
-    path = phi_fn.path
-    return SqrtMonodromyTransform(
-        phi_at=lambda t: path.phi(t), P_at=lambda t: path.P(t), sc=sc, params=path.params
-    )
-
-
-def build_theta_B_pair(
-    phi_fn: CircleFunction, psi_fn: CircleFunction, sc: ShortcutSet
-) -> tuple[ThetaBPair, SqrtMonodromyTransform]:
-    """Literal theta pair plus the transform carrying Psi_B."""
-    tr = build_phi_B(phi_fn, psi_fn, sc)
-    return ThetaBPair(tr), tr
+    return SqrtMonodromyTransform(CirclePair.on_path(path), sc)
 
 
 def verify_theorem2(
     path: PhasePath,
     nq: NumericQuad,
     grid_size: int = 1001,
-    tol: float = 1e-12,
 ) -> dict:
     """Full certification battery for the square-root property.
 
@@ -433,34 +399,30 @@ def verify_theorem2(
     t = np.linspace(-T / 2, T / 2, grid_size)
 
     first = transform_from_path(path, nq)
-    span = 0.55 * T
     phase_B = first.phase
-    P_B = first.quadrature(span, tol=tol)
+    P_B = first.quadrature(TABLE_SPAN * T)
 
     # second application on the transformed pair
+    edges = np.array([T / 2, -T / 2, 0.0])
+    (ph_plus, ph_minus, ph_0), (P_plus, P_minus, _) = phase_B(edges), P_B(edges)
     sc2 = _shortcuts_from_scalars(
-        float(phase_B(np.array([T / 2]))[0]),
-        float(phase_B(np.array([-T / 2]))[0]),
-        float(phase_B(np.array([0.0]))[0]),
-        float(P_B(np.array([T / 2]))[0]),
-        float(P_B(np.array([-T / 2]))[0]),
-        nq,
+        float(ph_plus), float(ph_minus), float(ph_0), float(P_plus), float(P_minus), nq
     )
-    second = SqrtMonodromyTransform(phi_at=phase_B, P_at=P_B, sc=sc2, params=p)
+    second = SqrtMonodromyTransform(CirclePair(phase_B, P_B, p), sc2)
 
     direct = monodromy_direct(path)
     b_squared = float(np.max(np.abs(second.phi_B(t) - direct(t))))
 
     # transformed phase solves the drive equation (analytic derivative)
-    F = first.phi_B(t)
-    phiB_dot = (np.conj(F) * first.phi_B_dot(t)).imag
+    F, F_dot, psi, _ = first.values(t)
+    phiB_dot = (np.conj(F) * F_dot).imag
     phase_eq_res = float(
         np.max(np.abs(phiB_dot + np.sin(phase_B(t)) - p.Bdrive - p.A * np.cos(p.omega * t)))
     )
 
     theta_pair = ThetaBPair(first)
     ic1, ic2 = theta_pair.initial_condition_residual()
-    psi_quad_res = float(np.max(np.abs(first.psi_B(t) - np.exp(P_B(t)))))
+    psi_quad_res = float(np.max(np.abs(psi - np.exp(P_B(t)))))
 
     return {
         "sup_phi_residual": first.riccati_residual(t),

@@ -174,14 +174,12 @@ def _phi_alpha_battery(hb, grid_size: int) -> tuple[dict, list[str]]:
     p = hb.params
     T = p.T
     t = np.linspace(-T / 2, T / 2, grid_size)
-    h = 1e-6
+    heun_mod.require_real_basis(hb)
+    b = hb.at(t)
     for alpha in PHI_ALPHA_VALUES:
-        fn = heun_mod.phi_alpha(hb, alpha)
-        vals = fn(t)
+        vals, dvals = heun_mod.phi_alpha_values(b, alpha)
         uni = float(np.max(np.abs(np.abs(vals) - 1)))
         _record(report, failures, f"phi_alpha_unimodular[{alpha:.4g}]", uni, "phi_alpha_unimodular")
-        # analytic-grade derivative via small symmetric step of exact values
-        dvals = (fn(t + h) - fn(t - h)) / (2 * h)
         ric = circle_mod.riccati_circle_residual(p, t, vals, dvals)
         _record(
             report,
@@ -190,7 +188,7 @@ def _phi_alpha_battery(hb, grid_size: int) -> tuple[dict, list[str]]:
             float(np.max(np.abs(ric))),
             "phi_alpha_riccati",
         )
-    ident = heun_mod.phi_alpha(hb, np.pi / 2)(t)
+    ident = heun_mod.phi_alpha_values(b, np.pi / 2)[0]
     _record(
         report,
         failures,
@@ -226,19 +224,22 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
     # operator layer: the image of L_B must again solve the second-order
     # equation.  F and F' are closed-form; F'' comes from a symmetric
     # difference of the closed-form F' (floor ~1e-9, far below the budget).
+    # Rows: the images of E+ and of E-.
     omega = path.params.omega
     t_op = np.linspace(-path.params.T / 2, path.params.T / 2, 401)
     z = np.exp(1j * omega * t_op)
     lam, mu, ell = path.params.lam, path.params.mu, hb.ell
     h = 1e-5
-    for coeffs, tag in (((1, 0), "plus"), ((0, 1), "minus")):
-        def Fprime(u):
-            zu = np.exp(1j * omega * u)
-            return heun_mod.apply_B_dot(hb, nq, u, coeffs=coeffs) / (1j * omega * zu)
+    coeffs = (np.array([[1], [0]]), np.array([[0], [1]]))
 
-        vals = heun_mod.apply_B(hb, nq, t_op, coeffs=coeffs)
-        valsp = Fprime(t_op)
-        valspp = (Fprime(t_op + h) - Fprime(t_op - h)) / (2 * h) / (1j * omega * z)
+    def Fprime(u):
+        zu = np.exp(1j * omega * u)
+        return heun_mod.apply_B_dot(hb, nq, u, coeffs=coeffs) / (1j * omega * zu)
+
+    images, images_dot = heun_mod.apply_B_and_dot(hb, nq, t_op, coeffs=coeffs)
+    images_p = images_dot / (1j * omega * z)
+    images_pp = (Fprime(t_op + h) - Fprime(t_op - h)) / (2 * h) / (1j * omega * z)
+    for vals, valsp, valspp, tag in zip(images, images_p, images_pp, ("plus", "minus")):
         res = (
             z**2 * valspp
             + ((ell + 1) * z + mu * (1 - z**2)) * valsp
@@ -291,10 +292,8 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
     return report, failures
 
 
-def check_theorem2(
-    path: PhasePath, nq: NumericQuad, grid_size: int, tol: float
-) -> tuple[dict, list[str]]:
-    rep = sqrt_mod.verify_theorem2(path, nq, grid_size=grid_size, tol=tol)
+def check_theorem2(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, list[str]]:
+    rep = sqrt_mod.verify_theorem2(path, nq, grid_size=grid_size)
     failures: list[str] = []
     pairs = (
         ("sup_phi_residual", "theorem2_phi_riccati"),
@@ -360,7 +359,7 @@ def run_battery(
             report["heun"] = rep
             failures.extend(fail)
         if "theorem2" in checks:
-            rep, fail = check_theorem2(path, nq, grid_size, tol)
+            rep, fail = check_theorem2(path, nq, grid_size)
             report["theorem2"] = rep
             failures.extend(fail)
     report["failures"] = failures

@@ -7,6 +7,7 @@ import pytest
 
 from heun_monodromy.cli import main
 from heun_monodromy.heunpoly import MAX_ELL
+from heun_monodromy.jsonio import canonical_json
 
 # sha256 of `poly --ell L` standard output.  The output is exact integer
 # arithmetic, so a changed digest is a wrong answer, not a rounding change.
@@ -16,9 +17,17 @@ POLY_STDOUT_SHA256 = {
 }
 
 # sha256 of `sqrt-monodromy` standard output at golden point 2 with the
-# default --tol and --grid, recorded before its gate went through
-# `require_integer_order` and `d_plus_minus`.
-SQRT_MONODROMY_G2_SHA256 = "d18ee30a46db7801b0d6e002b866c6fdceae2c8b20d8f4cd37206a55e1a8f55e"
+# default --tol and --grid, recorded with P_B from the Gauss-Legendre panel
+# table.
+SQRT_MONODROMY_G2_SHA256 = "3ceeead637d0eeb3cbfe91384554be26672accfa40fbfd1ad530ffde30087c16"
+# The same report without the two residuals the panel table moved, recorded
+# when P_B came from a DOP853 run on cos(phase(t)): no other byte moved.
+SQRT_MONODROMY_G2_REST_SHA256 = "2048c6b5ac723239dc346c683e89f353f64a0893be98f443eb2661ba0cca991d"
+# Those two residuals as they were with the DOP853 P_B; both must stay below.
+SQRT_MONODROMY_G2_DOP853 = {
+    "b_squared_residual": 5.675490289945347e-12,
+    "psi_quadrature_residual": 4.2443826246232195e-13,
+}
 
 
 def run(capsys, *argv):
@@ -118,6 +127,11 @@ def test_sqrt_monodromy_golden_2_stdout_is_pinned(capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SQRT_MONODROMY_G2_SHA256
+    report = json.loads(out)
+    for key, before in SQRT_MONODROMY_G2_DOP853.items():
+        assert report["theorem2"].pop(key) < before
+    rest = canonical_json(report) + "\n"
+    assert hashlib.sha256(rest.encode()).hexdigest() == SQRT_MONODROMY_G2_REST_SHA256
 
 
 def test_sqrt_monodromy_degenerate_point_is_gated_before_the_solve(capsys, monkeypatch):

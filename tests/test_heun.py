@@ -19,10 +19,12 @@ from heun_monodromy.heun import (
     matrix_action_residual,
     pair_ode_residual,
     phi_alpha,
+    phi_alpha_values,
     radial_continue_E,
     wronskian_at_one,
 )
 from heun_monodromy.heunpoly import NumericQuad, diagonal
+from heun_monodromy.verify import check_heun
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,25 @@ def test_phi_alpha_unimodular_and_riccati(hb, alpha):
     h = 1e-6
     dvals = (fn(t + h) - fn(t - h)) / (2 * h)
     assert np.max(np.abs(riccati_circle_residual(hb.params, t, vals, dvals))) < 1e-7
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 2.1])
+def test_phi_alpha_derivative_matches_fd(hb, alpha):
+    T = hb.params.T
+    t = np.linspace(-T / 2, T / 2, 201)
+    vals, dvals = phi_alpha_values(hb.at(t), alpha)
+    fn = phi_alpha(hb, alpha)
+    assert np.array_equal(vals, fn(t))
+    h = 1e-6
+    assert np.max(np.abs(dvals - (fn(t + h) - fn(t - h)) / (2 * h))) < 1e-7
+
+
+def test_phi_alpha_riccati_uses_the_analytic_derivative(golden_path, golden_quad):
+    # a symmetric difference with h = 1e-6 left about 1e-9 here
+    report, failures = check_heun(golden_path, golden_quad, 1001)
+    riccati = [v for k, v in report.items() if k.startswith("phi_alpha_riccati")]
+    assert len(riccati) == 4 and max(riccati) <= 1e-12
+    assert failures == []
 
 
 def test_radial_identity(hb):

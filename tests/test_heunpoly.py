@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from heun_monodromy import GenericityViolated, ModelParams
-from heun_monodromy.exactpoly import LaurentPoly
+from heun_monodromy.exactpoly import BivariateCoeff, LaurentPoly
 from heun_monodromy.heunpoly import (
     NumericQuad,
     check_ode_system,
@@ -174,3 +176,22 @@ def test_first_integral_ell2_closed_form():
         1, mu_pow=2
     ) - LaurentPoly.monomial(1, lam_pow=2)
     assert LaurentPoly({0: D}) == expected
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_numeric_D_is_correctly_rounded_and_free_of_term_order(ell, monkeypatch):
+    import heun_monodromy.heunpoly as heunpoly_mod
+
+    quad = diagonal(ell)
+    D = first_integral(quad)
+    reversed_D = BivariateCoeff(dict(reversed(list(D.terms.items()))))
+    assert list(reversed_D.terms) == list(D.terms)[::-1]
+    rng = np.random.default_rng(6000 + ell)
+    for _ in range(25):
+        params = ModelParams(ell=ell, mu=rng.uniform(0.05, 1.5), omega=rng.uniform(0.3, 2.0))
+        lam, mu = Fraction(params.lam), Fraction(params.mu)
+        exact = sum(Fraction(c) * lam**a * mu**b for (a, b), c in D.terms.items())
+        assert NumericQuad(quad, params).D == float(exact)
+        with monkeypatch.context() as m:
+            m.setattr(heunpoly_mod, "first_integral", lambda q: reversed_D)
+            assert NumericQuad(quad, params).D == float(exact)

@@ -3,16 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import heun_monodromy.sqrtmono as sqrt_mod
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy.circle import boundary_values, phi_on_circle, psi_on_circle
-from heun_monodromy.errors import DegenerateAtOne, GenericityViolated
+from heun_monodromy.circle import boundary_values
+from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
+from heun_monodromy.rk import DenseTable, dop853
 from heun_monodromy.sqrtmono import (
     ThetaBPair,
     _shortcuts_from_scalars,
-    build_phi_B,
     build_shortcuts,
-    build_theta_B_pair,
     transform_from_path,
     verify_theorem2,
 )
@@ -85,9 +85,7 @@ def test_phi_B_unimodular_and_riccati(golden_transform, golden_path):
 
 
 def test_phi_B_build_entry_point(golden_path, golden_quad):
-    bv = boundary_values(golden_path)
-    sc = build_shortcuts(bv, golden_quad, golden_path.params)
-    tr = build_phi_B(phi_on_circle(golden_path), psi_on_circle(golden_path), sc)
+    tr = transform_from_path(golden_path, golden_quad)
     t = grid(golden_path, 101)
     assert np.max(np.abs(tr.phi_B(t))) == pytest.approx(1.0, abs=1e-8)
 
@@ -115,9 +113,8 @@ def test_theta_pair_mirror_system(golden_transform, golden_path):
 
 
 def test_theta_pair_entry_point(golden_path, golden_quad):
-    bv = boundary_values(golden_path)
-    sc = build_shortcuts(bv, golden_quad, golden_path.params)
-    pair, tr = build_theta_B_pair(phi_on_circle(golden_path), psi_on_circle(golden_path), sc)
+    tr = transform_from_path(golden_path, golden_quad)
+    pair = ThetaBPair(tr)
     assert complex(pair.theta_B(np.array([0.0]))[0]) == pytest.approx(1j, abs=1e-10)
     assert complex(pair.theta_tilde_B(np.array([0.0]))[0]) == pytest.approx(-1j, abs=1e-10)
     # Psi_B from the transform equals (2i)^-1 difference inverted
@@ -145,37 +142,97 @@ def test_phase_reconstruction_anchoring(golden_transform):
     assert np.max(np.abs(np.diff(ph))) < 0.1  # continuous, no 2 pi jumps
 
 
-def test_phase_and_P_B_do_not_depend_on_the_branch_grid(golden2_path, golden2_quad, monkeypatch):
-    # the grid only selects the branch: grids over different windows give
-    # the same bits, and so the same quadrature steps for P_B
-    import heun_monodromy.sqrtmono as sqrt_mod
+def branch_grid_phase(tr, t, margin=0.05, n=8193):
+    """phase() as it was computed from an unwrapped 8193-point branch grid."""
+    T = tr.params.T
+    ts = np.linspace(min(-margin * T + t.min(), 0.0), max(margin * T + t.max(), 0.0), n)
+    ph = np.unwrap(np.angle(tr.phi_B(ts)))
+    anchor = float(np.angle(tr.phi_B(np.array([0.0]))[0]))
+    ph -= 2 * np.pi * np.round((ph[np.argmin(np.abs(ts))] - anchor) / (2 * np.pi))
+    base = np.interp(t, ts, ph)
+    a = np.angle(tr.phi_B(t))
+    return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
 
+
+def dop853_P_B(tr, span):
+    """P_B as it was computed: DOP853 on cos(phase(t)), one point per call."""
+
+    def rhs(t, y):
+        return (np.cos(tr.phase(np.array([t]))[0]),)
+
+    fwd, bwd = (
+        DenseTable(dop853(rhs, 0.0, (0.0,), bound, 1e-12, 1e-14, dense=True))
+        for bound in (span, -span)
+    )
+    return lambda t: np.where(t >= 0, fwd(t)[0], bwd(t)[0])
+
+
+def test_phase_equals_the_branch_grid_phase(golden2_path, golden2_quad):
+    T = golden2_path.params.T
+    t = np.linspace(-0.55 * T, 0.55 * T, 20001)
+    tr = transform_from_path(golden2_path, golden2_quad)
+    assert np.array_equal(tr.phase(t), branch_grid_phase(tr, t))
+
+
+@pytest.mark.parametrize(
+    "point", [(2, 0.3, 1.0, 0.5), (1, 0.2, 1.3, 1.0), (5, 0.3375, 0.9352, 0.6573)]
+)
+def test_panel_P_B_agrees_with_the_dop853_quadrature(point):
+    ell, mu, omega, phi0 = point
+    params = ModelParams(ell=ell, mu=mu, omega=omega)
+    path = solve_phase(params, phi0, tol=1e-12)
+    tr = transform_from_path(path, NumericQuad(diagonal(ell), params))
+    span = 0.55 * params.T
+    t = np.linspace(-span, span, 2001)
+    assert np.max(np.abs(tr.quadrature(span)(t) - dop853_P_B(tr, span)(t))) < 1e-11
+
+
+def test_gauss_legendre_literals():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(10)
+    assert np.max(np.abs(sqrt_mod._GL_X - x)) <= 1e-15
+    assert np.max(np.abs(sqrt_mod._GL_W - w)) <= 1e-15
+
+
+def test_panel_table_is_converged(golden2_path, golden2_quad, monkeypatch):
     T = golden2_path.params.T
     t = np.linspace(-0.55 * T, 0.55 * T, 20001)
     runs = []
-    for margin in (0.05, 0.06, 0.07):
-        monkeypatch.setattr(sqrt_mod, "_BRANCH_MARGIN", margin)
+    for panels in (400, 800):
+        monkeypatch.setattr(sqrt_mod, "_PANELS", panels)
         tr = transform_from_path(golden2_path, golden2_quad)
-        P_B = tr.quadrature(0.55 * T)
-        runs.append((tr.phase(t), P_B(t)))
-    for phase, P in runs[1:]:
-        assert np.array_equal(phase, runs[0][0])
-        assert np.array_equal(P, runs[0][1])
+        runs.append((tr.phase(t), tr.quadrature(0.55 * T)(t), tr.table(1, t)))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.max(np.abs(runs[0][1] - runs[1][1])) <= 1e-14
+    assert np.max(np.abs(runs[0][2] - runs[1][2])) <= 1e-14
+
+
+def test_panel_table_never_extrapolates(golden_transform, golden_path):
+    span = 0.55 * golden_path.params.T
+    P_B = golden_transform.quadrature(span)
+    assert P_B(np.array([0.0]))[0] == 0.0
+    for t in (np.array([span * (1 + 1e-12)]), np.array([0.0, -span * 1.01]), np.array([np.nan])):
+        with pytest.raises(OutOfWindow):
+            P_B(t)
+        with pytest.raises(OutOfWindow):
+            golden_transform.phase(t)
+    with pytest.raises(OutOfWindow):
+        golden_transform.quadrature(span * 1.01)
 
 
 def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
-    import heun_monodromy.sqrtmono as sqrt_mod
+    builds = []
+    build = sqrt_mod.SqrtMonodromyTransform._build_table
 
-    built = []
+    def counting_build(self):
+        builds.append(id(self))
+        return build(self)
 
-    def capture(path, nq):
-        built.append(transform_from_path(path, nq))
-        return built[-1]
-
-    monkeypatch.setattr(sqrt_mod, "transform_from_path", capture)
+    monkeypatch.setattr(sqrt_mod.SqrtMonodromyTransform, "_build_table", counting_build)
     rep = verify_theorem2(golden_path, golden_quad, grid_size=1001)
-    # the branch grid is built once, covering every window phase() needs
-    assert [tr.branch_builds for tr in built] == [1]
+    # one table, built once by the first transform; the second never needs one
+    assert len(builds) == 1
     assert rep["b_squared_residual"] < 1e-6
     assert rep["sup_phi_residual"] < 1e-7
     assert rep["unimodularity_residual"] < 1e-8
