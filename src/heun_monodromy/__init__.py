@@ -63,7 +63,6 @@ from .phase import PhasePath, eval_phase, solve_phase
 from .sqrtmono import (
     ShortcutSet,
     SqrtMonodromyTransform,
-    ThetaBPair,
     build_shortcuts,
     transform_from_path,
     verify_theorem2,

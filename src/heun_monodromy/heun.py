@@ -80,7 +80,7 @@ class BasisValues:
 
     def __init__(self, hb: HeunBasisPath, t: np.ndarray):
         p = hb.params
-        self.t, self.ell, self.params = t, hb.ell, p
+        self.t, self.ell, self.params, self.phi0 = t, hb.ell, p, hb.path.phi0
         self._n = n = t.shape[0]
         (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd) = hb.pair(t)
         u = np.concatenate((t, -t))
@@ -140,14 +140,15 @@ def build_E(phi_fn: CircleFunction, psi_fn: CircleFunction) -> HeunBasisPath:
     return HeunBasisPath(params=path.params, path=path, ell=ell)
 
 
-def boundary_E_values(hb: HeunBasisPath, s: int) -> tuple[float, float]:
-    """(formula value, closed boundary form) of E at z = 1.
+def boundary_E_values(b0: BasisValues, s: int) -> tuple[float, float]:
+    """(formula value, closed boundary form) of E at z = 1, from the basis
+    evaluated at t = 0.
 
     The closed form is -+ sin((phi(0) -+ pi/2)/2); comparing the two is the
     standard anti-sign-error check.
     """
-    direct = complex(hb.E(np.array([0.0]), s)[0])
-    closed = -s * np.sin(0.5 * (hb.path.phi0 - s * np.pi / 2.0))
+    direct = complex(b0.E(s)[0])
+    closed = -s * np.sin(0.5 * (b0.phi0 - s * np.pi / 2.0))
     return float(direct.real), float(closed)
 
 
@@ -158,34 +159,34 @@ def wronskian_at_one(hb: HeunBasisPath) -> float:
     return float(val.real)
 
 
-def pair_ode_residual(hb: HeunBasisPath, t=None) -> float:
-    """sup over the grid of the first-order-pair residual for both signs."""
-    if t is None:
-        T = hb.params.T
-        t = np.linspace(max(hb.path.t_min, -1.4 * T), min(hb.path.t_max, 1.4 * T), 2001)
-    b = hb.at(t)
-    p = hb.params
-    zpow = np.exp(-1j * (hb.ell + 1) * p.omega * b.t)
-    worst = 0.0
-    for s in (+1, -1):
-        res = b.Eprime_chain(s) - s / (2.0 * p.omega) * zpow * b.E(s, -1) - p.mu * b.E(s)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+def residual_grid(hb: HeunBasisPath) -> np.ndarray:
+    """The 2001-point grid of the pair and second-order residuals: +-1.4T,
+    clipped to the window."""
+    T = hb.params.T
+    return np.linspace(max(hb.path.t_min, -1.4 * T), min(hb.path.t_max, 1.4 * T), 2001)
 
 
-def dche_residual(hb: HeunBasisPath, t=None, coeffs: tuple[complex, complex] | None = None) -> float:
-    """sup residual of the second-order equation (analytic derivatives).
+def pair_ode_residual(b: BasisValues) -> float:
+    """sup over the grid of ``b`` of the first-order-pair residual for both signs."""
+    p = b.params
+    zpow = np.exp(-1j * (b.ell + 1) * p.omega * b.t)
+    res = [
+        b.Eprime_chain(s) - s / (2.0 * p.omega) * zpow * b.E(s, -1) - p.mu * b.E(s)
+        for s in (+1, -1)
+    ]
+    return float(np.max(np.abs(res)))
+
+
+def dche_residual(b: BasisValues, coeffs: tuple[complex, complex] | None = None) -> float:
+    """sup residual of the second-order equation on the grid of ``b``
+    (analytic derivatives).
 
     With ``coeffs`` the residual is evaluated for the linear combination
     c+ E+ + c- E- instead of the two basis elements separately.
     """
-    if t is None:
-        T = hb.params.T
-        t = np.linspace(max(hb.path.t_min, -1.4 * T), min(hb.path.t_max, 1.4 * T), 2001)
-    b = hb.at(t)
-    p = hb.params
+    p = b.params
     z = np.exp(1j * p.omega * b.t)
-    lam, mu, ell = p.lam, p.mu, hb.ell
+    lam, mu, ell = p.lam, p.mu, b.ell
 
     def residual_for(E, Ep, Epp):
         return z**2 * Epp + ((ell + 1) * z + mu * (1 - z**2)) * Ep + (lam - mu * (ell + 1) * z) * E
@@ -196,18 +197,14 @@ def dche_residual(hb: HeunBasisPath, t=None, coeffs: tuple[complex, complex] | N
         Ep = cp * b.Eprime(+1) + cm * b.Eprime(-1)
         Epp = cp * b.Esecond(+1) + cm * b.Esecond(-1)
         return float(np.max(np.abs(residual_for(E, Ep, Epp))))
-    worst = 0.0
-    for s in (+1, -1):
-        res = residual_for(b.E(s), b.Eprime(s), b.Esecond(s))
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    res = [residual_for(b.E(s), b.Eprime(s), b.Esecond(s)) for s in (+1, -1)]
+    return float(np.max(np.abs(res)))
 
 
-def require_real_basis(hb: HeunBasisPath):
-    """Gate of the alpha family: E+-(1) must be real."""
-    b = hb.at(0.0)
+def require_real_basis(b0: BasisValues):
+    """Gate of the alpha family: E+-(1) must be real (``b0`` is the basis at t = 0)."""
     for s in (+1, -1):
-        if abs(b.E(s)[0].imag) > 1e-10:
+        if abs(b0.E(s)[0].imag) > 1e-10:
             raise DegenerateAtOne("Im E(1) != 0; basis not real-normalized")
 
 
@@ -232,7 +229,7 @@ def phi_alpha(hb: HeunBasisPath, alpha: float) -> CircleFunction:
 
     alpha = pi/2 reproduces the original Phi identically.
     """
-    require_real_basis(hb)
+    require_real_basis(hb.at(0.0))
     return CircleFunction(
         f"PhiAlpha[{alpha}]", hb.path, lambda t: phi_alpha_values(hb.at(t), alpha)[0]
     )
@@ -448,19 +445,11 @@ def check_B_squared(
 
 @dataclass
 class BMatrix:
-    """Matrix of L_B in the (E+, E-) basis (columns are the images).
-
-    The scalar prefactor and the diagonal factors of the displayed matrix
-    form are kept alongside for audit; the matrix itself is assembled from
-    boundary values at z = 1 and validated against the action of L_B.
-    """
+    """Matrix of L_B in the (E+, E-) basis (columns are the images),
+    assembled from boundary values at z = 1 and validated against the action
+    of L_B."""
 
     matrix: np.ndarray
-    prefactor: complex
-    diag: tuple[complex, complex]
-    d_plus: float
-    d_minus: float
-    wronskian_at_1: float
     lift_convention: str
 
     @property
@@ -577,21 +566,7 @@ def build_matrix_B(bv: BoundaryValues, nq: NumericQuad, params: ModelParams) -> 
         )
         cols.append(np.linalg.solve(V, np.array([lb_val, lb_prime], dtype=complex)))
 
-    matrix = np.stack(cols, axis=1)
-    prefactor = (1j**ell) / (2.0 * omega)  # e^{-P(0)/2} = 1 kept implicit
-    diag = (
-        complex(-np.exp(-1j * np.pi / 4) * nq.d_plus / np.cos(0.5 * bv.phi_at_0 - np.pi / 4)),
-        complex(np.exp(1j * np.pi / 4) * nq.d_minus / np.cos(0.5 * bv.phi_at_0 + np.pi / 4)),
-    )
-    return BMatrix(
-        matrix=matrix,
-        prefactor=prefactor,
-        diag=diag,
-        d_plus=nq.d_plus,
-        d_minus=nq.d_minus,
-        wronskian_at_1=-float(c0) / (2.0 * omega),
-        lift_convention=MINUS_Z_LIFT,
-    )
+    return BMatrix(matrix=np.stack(cols, axis=1), lift_convention=MINUS_Z_LIFT)
 
 
 def operation_report(
@@ -615,9 +590,9 @@ def matrix_action_residual(
     t = np.linspace(-0.3 * T, 0.3 * T, grid_size)
     direct = apply_B(hb, nq, t, coeffs=(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])))
     b = hb.at(t)
-    worst = 0.0
+    res = []
     for col in (0, 1):
         via_matrix = bmat.matrix[0, col] * b.E(+1) + bmat.matrix[1, col] * b.E(-1)
         scale = float(np.max(np.abs(direct[col])))
-        worst = max(worst, float(np.max(np.abs(direct[col] - via_matrix))) / max(scale, 1e-300))
-    return worst
+        res.append(float(np.max(np.abs(direct[col] - via_matrix))) / max(scale, 1e-300))
+    return float(np.max(res))

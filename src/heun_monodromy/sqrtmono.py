@@ -232,29 +232,12 @@ class SqrtMonodromyTransform:
         S, R, Rrec, Srec = factors
         return 2j * self.K1 * S + self.K2 * R, -2j * self.K1 * Rrec + self.K2 * Srec
 
-    # ---- transformed pair ----
-    def values(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(Phi_B, dPhi_B/dt, Psi_B, dPsi_B/dt) along the circle from one
-        pair evaluation; Psi_B = -Nhat*Dden is normalized to 1 at t = 0."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        factors, dots = self.pair(t)
-        (num, den), (numd, dend) = self._nhat_dden(factors), self._nhat_dden(dots)
-        bad = np.abs(den) < DENOMINATOR_FLOOR
-        if bad.any():
-            raise DenominatorVanished("Phi_B denominator vanished", t=float(t[bad][0]))
-        return (
-            -num / den,
-            -(numd * den - num * dend) / den**2,
-            -num * den / self.k_norm,
-            -(numd * den + num * dend) / self.k_norm,
-        )
+    def at(self, t) -> "TransformValues":
+        """The transformed pair and its theta companions at t, from one pair evaluation."""
+        return TransformValues(self, np.atleast_1d(np.asarray(t, dtype=float)))
 
     def phi_B(self, t) -> np.ndarray:
-        return self.values(t)[0]
-
-    def psi_B(self, t) -> np.ndarray:
-        """The quadrature partner: -Nhat*Dden normalized to 1 at t = 0."""
-        return self.values(t)[2]
+        return self.at(t).phi
 
     # ---- continuous phase and quadrature of the transformed pair ----
     def _build_table(self) -> PanelTable:
@@ -263,8 +246,8 @@ class SqrtMonodromyTransform:
         on one table over +-TABLE_SPAN*T."""
 
         def integrands(nodes):
-            F, F_dot, _, _ = self.values(nodes)
-            return F.real, (np.conj(F) * F_dot).imag
+            b = self.at(nodes)
+            return b.phi.real, (np.conj(b.phi) * b.phi_dot).imag
 
         phase_at_0 = float(np.angle(self.phi_B(0.0)[0]))
         return PanelTable(TABLE_SPAN * self.params.T, _PANELS, integrands, (0.0, phase_at_0))
@@ -277,16 +260,11 @@ class SqrtMonodromyTransform:
         return self._table
 
     def phase(self, t) -> np.ndarray:
-        """Continuous phi_B(t): the principal argument of Phi_B(t) moved by
-        the multiple of 2*pi nearest the table's continuous phase.
-
-        The table only picks the branch, so the result does not depend on
-        its last bits; at t = 0 it is the principal argument.
-        """
+        """Continuous phi_B(t); see ``TransformValues.phase``.  A time outside
+        the table raises OutOfWindow before the pair is evaluated."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         base = self.table(1, t)
-        a = np.angle(self.phi_B(t))
-        return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
+        return _on_branch(np.angle(self.phi_B(t)), base)
 
     def quadrature(self, span: float):
         """P_B = int_0^t cos(phi_B) as a callable valid on [-span, span]."""
@@ -295,80 +273,52 @@ class SqrtMonodromyTransform:
             raise OutOfWindow(f"span {span} exceeds the table's {table.span}")
         return lambda t: table(0, t)
 
-    # ---- residuals ----
-    def riccati_residual(self, t) -> float:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        F, F_dot, _, _ = self.values(t)
-        return float(np.max(np.abs(riccati_circle_residual(self.params, t, F, F_dot))))
 
-    def unimodularity_residual(self, t) -> float:
-        return float(np.max(np.abs(np.abs(self.phi_B(t)) - 1.0)))
+class TransformValues:
+    """Phi_B, Psi_B, Theta_B, ThetaTilde_B and their t-derivatives at the
+    times t, built from one ``CirclePair`` call.
 
-    def psi_equation_residual(self, t) -> float:
-        """Residual of the quadrature equation for Psi_B with Phi_B."""
-        F, _, psi, psi_dot = self.values(t)
-        return float(np.max(np.abs(psi_dot - 0.5 * (F + 1.0 / F) * psi)))
+    Psi_B = -Nhat*Dden is normalized to 1 at t = 0.  The theta pair is taken
+    literally from the displayed formulas (mirror orientation, see the module
+    docstring).
+    """
 
-
-@dataclass
-class ThetaBPair:
-    """Algebraic theta pair of the transform plus its certificates."""
-
-    transform: SqrtMonodromyTransform
-
-    def _theta(self, t):
-        """(Theta_B, ThetaTilde_B) and their t-derivatives from one pair evaluation."""
-        tr = self.transform
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def __init__(self, tr: SqrtMonodromyTransform, t: np.ndarray):
+        self.t, self._tr = t, tr
         factors, dots = tr.pair(t)
         (num, den), (numd, dend) = tr._nhat_dden(factors), tr._nhat_dden(dots)
+        bad = np.abs(den) < DENOMINATOR_FLOOR
+        if bad.any():
+            raise DenominatorVanished("Phi_B denominator vanished", t=float(t[bad][0]))
+        self.phi = -num / den
+        self.phi_dot = -(numd * den - num * dend) / den**2
+        self.psi = -num * den / tr.k_norm
+        self.psi_dot = -(numd * den + num * dend) / tr.k_norm
+
         S, R, Rrec, Srec = factors
         Sd, Rd, Rrecd, Srecd = dots
         n1, m1, n2, c0 = -1j * tr._X, 1j * tr._X, tr._n2, tr.sc.cos_phi0
         top, topd = n1 * Rrec + n2 * Srec, n1 * Rrecd + n2 * Srecd
         tilde, tilded = m1 * S + n2 * R, m1 * Sd + n2 * Rd
-        return (
-            top / (c0 * den),
-            tilde / (c0 * num),
-            (topd * den - top * dend) / (c0 * den**2),
-            (tilded * num - tilde * numd) / (c0 * num**2),
-        )
+        self.theta = top / (c0 * den)
+        self.theta_tilde = tilde / (c0 * num)
+        self.theta_dot = (topd * den - top * dend) / (c0 * den**2)
+        self.theta_tilde_dot = (tilded * num - tilde * numd) / (c0 * num**2)
 
-    def theta_B(self, t) -> np.ndarray:
-        return self._theta(t)[0]
+    @property
+    def phase(self) -> np.ndarray:
+        """Continuous phi_B: the principal argument of Phi_B moved by the
+        multiple of 2*pi nearest the panel table's continuous phase.
 
-    def theta_tilde_B(self, t) -> np.ndarray:
-        return self._theta(t)[1]
-
-    def theta_B_dot(self, t) -> np.ndarray:
-        return self._theta(t)[2]
-
-    def theta_tilde_B_dot(self, t) -> np.ndarray:
-        return self._theta(t)[3]
-
-    def initial_condition_residual(self) -> tuple[float, float]:
-        theta, tilde, _, _ = self._theta(0.0)
-        return float(abs(theta[0] - 1j)), float(abs(tilde[0] + 1j))
-
-    def mirror_system_residual(self, t) -> float:
-        """Residual of the system the displayed formulas satisfy.
-
-        The pair solves the mirror-oriented theta system with Phi_B; see the
-        module docstring for the orientation bookkeeping.
+        The table only picks the branch, so the result does not depend on
+        its last bits; at t = 0 it is the principal argument.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        F = self.transform.phi_B(t)
-        theta, tilde, theta_dot, tilde_dot = self._theta(t)
-        delta = theta - tilde
-        r1 = 2.0 * theta_dot + F * delta
-        r2 = 2.0 * tilde_dot - delta / F
-        return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+        return _on_branch(np.angle(self.phi), self._tr.table(1, self.t))
 
-    def psi_reciprocal_residual(self, t) -> float:
-        """sup |(Theta_B - ThetaTilde_B)/(2i) * Psi_B - 1|."""
-        theta, tilde, _, _ = self._theta(t)
-        mirror = (theta - tilde) / 2j
-        return float(np.max(np.abs(mirror * self.transform.psi_B(t) - 1.0)))
+
+def _on_branch(a: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The angles a moved by the multiple of 2*pi nearest the continuous phase base."""
+    return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
 
 
 def transform_from_path(path: PhasePath, nq: NumericQuad) -> SqrtMonodromyTransform:
@@ -413,27 +363,28 @@ def verify_theorem2(
     direct = monodromy_direct(path)
     b_squared = float(np.max(np.abs(second.phi_B(t) - direct(t))))
 
+    # every other residual from one bundle on the grid and one at t = 0
+    b, b0 = first.at(t), first.at(0.0)
+    F = b.phi
     # transformed phase solves the drive equation (analytic derivative)
-    F, F_dot, psi, _ = first.values(t)
-    phiB_dot = (np.conj(F) * F_dot).imag
+    phiB_dot = (np.conj(F) * b.phi_dot).imag
     phase_eq_res = float(
-        np.max(np.abs(phiB_dot + np.sin(phase_B(t)) - p.Bdrive - p.A * np.cos(p.omega * t)))
+        np.max(np.abs(phiB_dot + np.sin(b.phase) - p.Bdrive - p.A * np.cos(p.omega * t)))
     )
-
-    theta_pair = ThetaBPair(first)
-    ic1, ic2 = theta_pair.initial_condition_residual()
-    psi_quad_res = float(np.max(np.abs(psi - np.exp(P_B(t)))))
+    # the theta pair solves the mirror-oriented system with Phi_B
+    delta = b.theta - b.theta_tilde
+    mirror = (2.0 * b.theta_dot + F * delta, 2.0 * b.theta_tilde_dot - delta / F)
 
     return {
-        "sup_phi_residual": first.riccati_residual(t),
-        "unimodularity_residual": first.unimodularity_residual(t),
+        "sup_phi_residual": float(np.max(np.abs(riccati_circle_residual(p, t, F, b.phi_dot)))),
+        "unimodularity_residual": float(np.max(np.abs(np.abs(F) - 1.0))),
         "phase_equation_residual": phase_eq_res,
-        "psi_equation_residual": first.psi_equation_residual(t),
-        "psi_at_1_residual": float(abs(first.psi_B(np.array([0.0]))[0] - 1.0)),
-        "psi_quadrature_residual": psi_quad_res,
-        "theta_ic_residual": max(ic1, ic2),
-        "theta_system_residual": theta_pair.mirror_system_residual(t),
-        "psi_reciprocal_residual": theta_pair.psi_reciprocal_residual(t),
+        "psi_equation_residual": float(np.max(np.abs(b.psi_dot - 0.5 * (F + 1.0 / F) * b.psi))),
+        "psi_at_1_residual": float(abs(b0.psi[0] - 1.0)),
+        "psi_quadrature_residual": float(np.max(np.abs(b.psi - np.exp(P_B(t))))),
+        "theta_ic_residual": float(np.max(np.abs((b0.theta[0] - 1j, b0.theta_tilde[0] + 1j)))),
+        "theta_system_residual": float(np.max(np.abs(mirror))),
+        "psi_reciprocal_residual": float(np.max(np.abs(delta / 2j * b.psi - 1.0))),
         "b_squared_residual": b_squared,
         "grid_size": grid_size,
         "conventions": {

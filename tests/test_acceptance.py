@@ -28,6 +28,7 @@ from heun_monodromy.heun import (
     matrix_action_residual,
     pair_ode_residual,
     phi_alpha,
+    residual_grid,
 )
 from heun_monodromy.heunpoly import (
     check_ode_system,
@@ -102,12 +103,13 @@ def test_criterion_4_ray_monodromy(golden_path):
 
 def test_criterion_5_heun_layer(golden_path):
     hb = build_E(phi_on_circle(golden_path), psi_on_circle(golden_path))
-    r21 = pair_ode_residual(hb)
+    b = hb.at(residual_grid(hb))
+    r21 = pair_ode_residual(b)
     assert r21 <= 1e-8
-    r22 = dche_residual(hb)
+    r22 = dche_residual(b)
     assert r22 <= 1e-7
     for s in (+1, -1):
-        direct, closed = boundary_E_values(hb, s)
+        direct, closed = boundary_E_values(hb.at(0.0), s)
         assert abs(direct - closed) <= 1e-10
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 1001)

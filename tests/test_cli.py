@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -27,6 +28,15 @@ SQRT_MONODROMY_G2_REST_SHA256 = "2048c6b5ac723239dc346c683e89f353f64a0893be98f44
 SQRT_MONODROMY_G2_DOP853 = {
     "b_squared_residual": 5.675490289945347e-12,
     "psi_quadrature_residual": 4.2443826246232195e-13,
+}
+
+
+# sha256 of `verify` standard output (all checks, default --tol and --grid)
+# at the two golden points, recorded before the theorem-2 values bundle and
+# the shared heun and circle grids: evaluating each grid once moves no byte.
+VERIFY_STDOUT_SHA256 = {
+    ("2", "0.3", "1", "0.5"): "4c243f9b2ce23bed28b2a675f71a2dbe78ae482701782b447330fcfaf9852761",
+    ("1", "0.2", "1.3", "1.0"): "c2dd8efc0589646faa1e0979c0fdb9be3826a128c45ecbef0f63814afe79351f",
 }
 
 
@@ -132,6 +142,40 @@ def test_sqrt_monodromy_golden_2_stdout_is_pinned(capsys):
         assert report["theorem2"].pop(key) < before
     rest = canonical_json(report) + "\n"
     assert hashlib.sha256(rest.encode()).hexdigest() == SQRT_MONODROMY_G2_REST_SHA256
+
+
+@pytest.mark.parametrize("point", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_golden_stdout_is_pinned(capsys, point):
+    ell, mu, omega, phi0 = point
+    code, out, _ = run(
+        capsys, "verify", "--ell", ell, "--mu", mu, "--omega", omega, "--phi0", phi0
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[point]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_verify_nan_residual_fails_with_a_valid_report(capsys):
+    # at omega = 0.004 the half powers e^{P/2} overflow and the heun residuals
+    # are NaN: each fails its budget and is written as the string "nan"
+    code, out, err = run(
+        capsys,
+        "verify", "--ell", "1", "--mu", "0.3", "--omega", "0.004", "--phi0", "0.5",
+        "--tol", "1e-6", "--checks", "heun",
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    report = json.loads(out)
+    heun = report["heun"]
+    assert heun["pair_ode"] == heun["dche"] == heun["dche_combo"] == "nan"
+    assert heun["operations"][0]["sup_residual"] == "nan"
+    assert "pair_ode = nan > 1.0e-08" in report["failures"]
+    assert "dche = nan > 1.0e-07" in report["failures"]
+    for line in report["failures"]:
+        assert re.fullmatch(r"\S+ = \S+ > \d\.\de[-+]\d\d", line), line
+    assert report["passed"] is False
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_json(float("nan"))
 
 
 def test_sqrt_monodromy_degenerate_point_is_gated_before_the_solve(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from heun_monodromy.heun import (
     phi_alpha,
     phi_alpha_values,
     radial_continue_E,
+    residual_grid,
     wronskian_at_one,
 )
 from heun_monodromy.heunpoly import NumericQuad, diagonal
@@ -38,29 +39,31 @@ def hb2(golden2_path):
 
 
 def test_boundary_values_closed_form(hb):
+    b0 = hb.at(0.0)
     for s in (+1, -1):
-        direct, closed = boundary_E_values(hb, s)
+        direct, closed = boundary_E_values(b0, s)
         assert abs(direct - closed) < 1e-10
         assert abs(float(hb.E(np.array([0.0]), s)[0].imag)) < 1e-10
 
 
 def test_pair_ode_residual(hb, hb2):
-    assert pair_ode_residual(hb) < 1e-8
-    assert pair_ode_residual(hb2) < 1e-8
+    assert pair_ode_residual(hb.at(residual_grid(hb))) < 1e-8
+    assert pair_ode_residual(hb2.at(residual_grid(hb2))) < 1e-8
 
 
 def test_pair_ode_residual_grid_refinement(hb):
     T = hb.params.T
-    coarse = pair_ode_residual(hb, np.linspace(-T, T, 1001))
-    fine = pair_ode_residual(hb, np.linspace(-T, T, 2001))
+    coarse = pair_ode_residual(hb.at(np.linspace(-T, T, 1001)))
+    fine = pair_ode_residual(hb.at(np.linspace(-T, T, 2001)))
     assert fine <= max(coarse * 4.0, 1e-12)  # refinement does not blow up
 
 
 def test_dche_residual(hb, hb2, rng):
-    assert dche_residual(hb) < 1e-7
-    assert dche_residual(hb2) < 1e-7
+    b = hb.at(residual_grid(hb))
+    assert dche_residual(b) < 1e-7
+    assert dche_residual(hb2.at(residual_grid(hb2))) < 1e-7
     combo = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-    assert dche_residual(hb, coeffs=combo) < 1e-6
+    assert dche_residual(b, coeffs=combo) < 1e-6
 
 
 def test_wronskian_matches_closed_form(hb):

@@ -5,12 +5,11 @@ import pytest
 
 import heun_monodromy.sqrtmono as sqrt_mod
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy.circle import boundary_values
+from heun_monodromy.circle import boundary_values, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
 from heun_monodromy.rk import DenseTable, dop853
 from heun_monodromy.sqrtmono import (
-    ThetaBPair,
     _shortcuts_from_scalars,
     build_shortcuts,
     transform_from_path,
@@ -79,8 +78,10 @@ def test_gates_produce_no_nan():
 
 def test_phi_B_unimodular_and_riccati(golden_transform, golden_path):
     t = grid(golden_path)
-    assert golden_transform.unimodularity_residual(t) < 1e-8
-    assert golden_transform.riccati_residual(t) < 1e-7
+    b = golden_transform.at(t)
+    assert np.max(np.abs(np.abs(b.phi) - 1.0)) < 1e-8
+    ric = riccati_circle_residual(golden_path.params, t, b.phi, b.phi_dot)
+    assert np.max(np.abs(ric)) < 1e-7
     assert abs(abs(golden_transform.phi_B(np.array([0.0]))[0]) - 1.0) < 1e-9
 
 
@@ -92,45 +93,50 @@ def test_phi_B_build_entry_point(golden_path, golden_quad):
 
 def test_psi_B_properties(golden_transform, golden_path):
     t = grid(golden_path)
-    psi = golden_transform.psi_B(t)
-    assert np.max(np.abs(psi.imag)) < 1e-12
-    assert np.min(psi.real) > 0
-    assert abs(golden_transform.psi_B(np.array([0.0]))[0] - 1.0) < 1e-8
-    assert golden_transform.psi_equation_residual(t) < 1e-6
+    b = golden_transform.at(t)
+    assert np.max(np.abs(b.psi.imag)) < 1e-12
+    assert np.min(b.psi.real) > 0
+    assert abs(golden_transform.at(0.0).psi[0] - 1.0) < 1e-8
+    assert np.max(np.abs(b.psi_dot - 0.5 * (b.phi + 1.0 / b.phi) * b.psi)) < 1e-6
 
 
 def test_theta_pair_initial_conditions(golden_transform):
-    pair = ThetaBPair(golden_transform)
-    ic1, ic2 = pair.initial_condition_residual()
-    assert ic1 < 1e-8 and ic2 < 1e-8
+    b0 = golden_transform.at(0.0)
+    assert abs(b0.theta[0] - 1j) < 1e-8 and abs(b0.theta_tilde[0] + 1j) < 1e-8
 
 
 def test_theta_pair_mirror_system(golden_transform, golden_path):
-    pair = ThetaBPair(golden_transform)
-    t = grid(golden_path)
-    assert pair.mirror_system_residual(t) < 1e-6
-    assert pair.psi_reciprocal_residual(t) < 1e-8
+    b = golden_transform.at(grid(golden_path))
+    delta = b.theta - b.theta_tilde
+    assert np.max(np.abs(2.0 * b.theta_dot + b.phi * delta)) < 1e-6
+    assert np.max(np.abs(2.0 * b.theta_tilde_dot - delta / b.phi)) < 1e-6
+    assert np.max(np.abs(delta / 2j * b.psi - 1.0)) < 1e-8
 
 
 def test_theta_pair_entry_point(golden_path, golden_quad):
     tr = transform_from_path(golden_path, golden_quad)
-    pair = ThetaBPair(tr)
-    assert complex(pair.theta_B(np.array([0.0]))[0]) == pytest.approx(1j, abs=1e-10)
-    assert complex(pair.theta_tilde_B(np.array([0.0]))[0]) == pytest.approx(-1j, abs=1e-10)
+    b0 = tr.at(np.array([0.0]))
+    assert complex(b0.theta[0]) == pytest.approx(1j, abs=1e-10)
+    assert complex(b0.theta_tilde[0]) == pytest.approx(-1j, abs=1e-10)
     # Psi_B from the transform equals (2i)^-1 difference inverted
-    t = grid(golden_path, 101)
-    mirror = (pair.theta_B(t) - pair.theta_tilde_B(t)) / 2j
-    assert np.max(np.abs(mirror * tr.psi_B(t) - 1.0)) < 1e-8
+    b = tr.at(grid(golden_path, 101))
+    mirror = (b.theta - b.theta_tilde) / 2j
+    assert np.max(np.abs(mirror * b.psi - 1.0)) < 1e-8
 
 
 def test_theta_dots_match_fd(golden_transform, golden_path):
-    pair = ThetaBPair(golden_transform)
     t = grid(golden_path, 51)
     h = 1e-6
-    fd = (pair.theta_B(t + h) - pair.theta_B(t - h)) / (2 * h)
-    assert np.max(np.abs(pair.theta_B_dot(t) - fd)) < 1e-7
-    fd2 = (pair.theta_tilde_B(t + h) - pair.theta_tilde_B(t - h)) / (2 * h)
-    assert np.max(np.abs(pair.theta_tilde_B_dot(t) - fd2)) < 1e-7
+    b, b_hi, b_lo = (golden_transform.at(u) for u in (t, t + h, t - h))
+    fd = (b_hi.theta - b_lo.theta) / (2 * h)
+    assert np.max(np.abs(b.theta_dot - fd)) < 1e-7
+    fd2 = (b_hi.theta_tilde - b_lo.theta_tilde) / (2 * h)
+    assert np.max(np.abs(b.theta_tilde_dot - fd2)) < 1e-7
+
+
+def test_bundle_phase_is_the_transform_phase(golden_transform, golden_path):
+    t = grid(golden_path, 101)
+    assert np.array_equal(golden_transform.at(t).phase, golden_transform.phase(t))
 
 
 def test_phase_reconstruction_anchoring(golden_transform):
