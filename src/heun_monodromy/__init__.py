@@ -4,12 +4,9 @@ from .circle import (
     BoundaryValues,
     CircleFunction,
     CirclePair,
-    CoverPoint,
     boundary_values,
     phi_on_circle,
-    phi_sqrt_on_circle,
     psi_on_circle,
-    psi_sqrt_on_circle,
     riccati_continue_ray,
     theta_pair_solve,
 )
@@ -59,7 +56,7 @@ from .monodromy import (
     verify_monodromy,
 )
 from .params import ModelParams, from_physical
-from .phase import PhasePath, eval_phase, solve_phase
+from .phase import PhasePath, solve_phase
 from .sqrtmono import (
     ShortcutSet,
     SqrtMonodromyTransform,

@@ -34,22 +34,6 @@ CHART_LIMIT = 1e6
 RHO_MIN, RHO_MAX = 0.2, 5.0
 
 
-@dataclass(frozen=True)
-class CoverPoint:
-    """Point of the universal cover: radius > 0 and an unreduced angle."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-
-    @property
-    def z(self) -> complex:
-        return self.rho * complex(np.cos(self.theta), np.sin(self.theta))
-
-
 @dataclass
 class CircleFunction:
     """A named function of t along the lifted circle."""
@@ -67,18 +51,9 @@ def phi_on_circle(path: PhasePath) -> CircleFunction:
     return CircleFunction("Phi", path, lambda t: np.exp(1j * path.phi(t)))
 
 
-def phi_sqrt_on_circle(path: PhasePath) -> CircleFunction:
-    """Continuous branch e^{i phi(t)/2} anchored by the unwrapped phase."""
-    return CircleFunction("PhiSqrt", path, lambda t: np.exp(0.5j * path.phi(t)))
-
-
 def psi_on_circle(path: PhasePath) -> CircleFunction:
     """Psi(e^{i omega t}) = e^{P(t)}, normalized to Psi(1) = 1 by P(0) = 0."""
     return CircleFunction("Psi", path, lambda t: np.exp(path.P(t)))
-
-
-def psi_sqrt_on_circle(path: PhasePath) -> CircleFunction:
-    return CircleFunction("PsiSqrt", path, lambda t: np.exp(0.5 * path.P(t)))
 
 
 class CirclePair:
@@ -143,50 +118,13 @@ def half_power_factor_dots(path: PhasePath, t: np.ndarray):
 
 @dataclass(frozen=True)
 class BoundaryValues:
-    """Values of phi, P and the transform building blocks at t = 0, +-T/2."""
+    """Values of phi and P at the cut edges t = +-T/2, and phi at t = 0."""
 
     phi_plus: float
     phi_minus: float
     phi_at_0: float
     P_plus: float
     P_minus: float
-
-    @property
-    def Phi_plus(self) -> complex:
-        return complex(np.exp(1j * self.phi_plus))
-
-    @property
-    def Phi_minus(self) -> complex:
-        return complex(np.exp(1j * self.phi_minus))
-
-    @property
-    def Phi_at_1(self) -> complex:
-        return complex(np.exp(1j * self.phi_at_0))
-
-    @property
-    def Psi_plus(self) -> float:
-        return float(np.exp(self.P_plus))
-
-    @property
-    def Psi_minus(self) -> float:
-        return float(np.exp(self.P_minus))
-
-    # half powers on the continuous branch
-    @property
-    def Phi_plus_sqrt(self) -> complex:
-        return complex(np.exp(0.5j * self.phi_plus))
-
-    @property
-    def Phi_minus_sqrt(self) -> complex:
-        return complex(np.exp(0.5j * self.phi_minus))
-
-    @property
-    def Psi_plus_sqrt(self) -> float:
-        return float(np.exp(0.5 * self.P_plus))
-
-    @property
-    def Psi_minus_sqrt(self) -> float:
-        return float(np.exp(0.5 * self.P_minus))
 
 
 def boundary_values(path: PhasePath) -> BoundaryValues:

@@ -8,10 +8,12 @@ Exit codes: 0 all requested checks pass, 1 a tolerance budget failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
+from .circle import RHO_MAX, RHO_MIN
 from .errors import (
     DegenerateAtOne,
     GenericityViolated,
@@ -49,11 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def finite_float(text: str) -> float:
+    """A float that is neither NaN nor infinite (argparse reports the ValueError)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_point_args(p: argparse.ArgumentParser):
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--phi0", type=float, default=0.0)
+    p.add_argument("--ell", type=finite_float, required=True)
+    p.add_argument("--mu", type=finite_float, required=True)
+    p.add_argument("--omega", type=finite_float, required=True)
+    p.add_argument("--phi0", type=finite_float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--grid", type=int, default=1001)
 
@@ -84,9 +94,12 @@ def _parse_rhos(text: str | None) -> list[float]:
     if not text:
         return [0.8, 1.25]
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        rhos = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --rhos value {text!r}") from exc
+    if not all(RHO_MIN <= rho <= RHO_MAX for rho in rhos):  # NaN fails too
+        raise UsageError(f"--rhos values must lie in [{RHO_MIN}, {RHO_MAX}]")
+    return rhos
 
 
 def cmd_solve(args) -> int:
@@ -187,8 +200,9 @@ def cmd_verify(args) -> int:
 def cmd_monodromy(args) -> int:
     _validate_common(args)
     params = _params(args.ell, args.mu, args.omega)
+    rhos = _parse_rhos(args.rhos)
     path = solve_phase(params, args.phi0, tol=args.tol)
-    report, failures = check_monodromy(path, args.grid, _parse_rhos(args.rhos), args.tol)
+    report, failures = check_monodromy(path, args.grid, rhos, args.tol)
     sys.stdout.write(canonical_json(report) + "\n")
     return _battery_exit(failures)
 
@@ -210,9 +224,9 @@ def _parse_points(text: str) -> list[tuple[dict, ModelParams]]:
     points = []
     for chunk in text.split(";"):
         try:
-            vals = [float(x) for x in chunk.split(",")]
+            vals = [finite_float(x) for x in chunk.split(",")]
         except ValueError as exc:
-            raise UsageError(f"bad sweep point {chunk!r}: values must be numbers") from exc
+            raise UsageError(f"bad sweep point {chunk!r}: values must be finite numbers") from exc
         if len(vals) not in (3, 4):
             raise UsageError("each sweep point is ell,mu,omega[,phi0]")
         point = {

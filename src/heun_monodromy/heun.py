@@ -16,7 +16,10 @@ L_B image in the ``lb_maps_solutions`` check of ``verify.check_heun``.
 For positive integer order the operator L_B maps solutions to solutions and
 its square reproduces the counterclockwise monodromy times the scalar first
 integral; the lift of the argument reflection -z is t -> t + T/2 (the sign is
-pinned by that composition law and recorded in every report).
+pinned by that composition law and recorded in every report).  Its formula is
+written once (``_lb_formula``); its matrix in the (E+, E-) basis is read off
+its action at z = 1, so the matrix, the grid action and the composition law
+share one code path.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import BoundaryValues, CircleFunction, CirclePair
+from .circle import CircleFunction, CirclePair
 from .errors import DegenerateAtOne, DenominatorVanished, WindowTooSmall
 from .heunpoly import NumericQuad
 from .params import ModelParams
@@ -325,6 +328,27 @@ def _lift_shift(params: ModelParams, lift_sign: float = _LIFT_SIGN) -> float:
     return lift_sign * params.T / 2.0
 
 
+#: Coefficients (c+, c-) of E+ and E- as (2, 1) columns: with them
+#: ``apply_B_and_dot`` returns one row per basis element.
+BASIS_COEFFS = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+
+
+def _lb_formula(hb: HeunBasisPath, nq: NumericQuad, t, E, Ep):
+    """L_B at z = e^{i omega t} from the values E and E' at the lift of -z:
+
+        pref(t) * (z^2 r(-z) E' + s(-z) E).
+
+    Returns the value, pref and the bracket (the t-derivative reuses both).
+    """
+    p = hb.params
+    z = np.exp(1j * p.omega * t)
+    pref = (-1.0) ** hb.ell * 2.0 * p.omega * np.exp(1j * (1 - hb.ell) * p.omega * t) * np.exp(
+        2.0 * p.mu * np.cos(p.omega * t)
+    )
+    G = z**2 * nq("r", -z) * Ep + nq("s", -z) * E
+    return pref * G, pref, G
+
+
 def apply_B_and_dot(
     hb: HeunBasisPath,
     nq: NumericQuad,
@@ -344,7 +368,6 @@ def apply_B_and_dot(
         raise GenericityViolated("operator is singular at this parameter point")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = hb.params
-    ell = hb.ell
     ts = t + _lift_shift(p, lift_sign)
     if np.any(ts < hb.path.t_min) or np.any(ts > hb.path.t_max) or np.any(
         -ts < hb.path.t_min
@@ -356,22 +379,19 @@ def apply_B_and_dot(
     Ep = cp * b.Eprime(+1) + cm * b.Eprime(-1)
     Epp = cp * b.Esecond(+1) + cm * b.Esecond(-1)
 
+    F, pref, G = _lb_formula(hb, nq, t, E, Ep)
     z = np.exp(1j * p.omega * t)
     zdot = 1j * p.omega * z
     zs = np.exp(1j * p.omega * ts)
     zsdot = 1j * p.omega * zs
-    pref = (-1.0) ** ell * 2.0 * p.omega * np.exp(1j * (1 - ell) * p.omega * t) * np.exp(
-        2.0 * p.mu * np.cos(p.omega * t)
-    )
-    pref_dot = pref * (1j * (1 - ell) * p.omega - 2.0 * p.mu * p.omega * np.sin(p.omega * t))
-    G = z**2 * nq("r", -z) * Ep + nq("s", -z) * E
+    pref_dot = pref * (1j * (1 - hb.ell) * p.omega - 2.0 * p.mu * p.omega * np.sin(p.omega * t))
     G_dot = (
         (2.0 * z * nq("r", -z) - z**2 * nq("r'", -z)) * zdot * Ep
         + z**2 * nq("r", -z) * Epp * zsdot
         - nq("s'", -z) * zdot * E
         + nq("s", -z) * Ep * zsdot
     )
-    return pref * G, pref_dot * G + pref * G_dot
+    return F, pref_dot * G + pref * G_dot
 
 
 def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0), lift_sign=_LIFT_SIGN):
@@ -382,16 +402,6 @@ def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0), lift_sign=
 def apply_B_dot(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0), lift_sign=_LIFT_SIGN):
     """Analytic d/dt of apply_B (needed for the composition law)."""
     return apply_B_and_dot(hb, nq, t, coeffs, lift_sign)[1]
-
-
-def _lb_from_values(hb: HeunBasisPath, nq: NumericQuad, t, Ev, Epv) -> np.ndarray:
-    p = hb.params
-    ell = hb.ell
-    z = np.exp(1j * p.omega * t)
-    pref = (-1.0) ** ell * 2.0 * p.omega * np.exp(1j * (1 - ell) * p.omega * t) * np.exp(
-        2.0 * p.mu * np.cos(p.omega * t)
-    )
-    return pref * (z**2 * nq("r", -z) * Epv + nq("s", -z) * Ev)
 
 
 def check_B_squared(
@@ -423,7 +433,7 @@ def check_B_squared(
 
     u = t + shift
     F, F_dot = apply_B_and_dot(hb, nq, u, coeffs=(cp, cm), lift_sign=lift_sign)
-    FF = _lb_from_values(hb, nq, t, F, F_dot / (1j * p.omega * np.exp(1j * p.omega * u)))
+    FF = _lb_formula(hb, nq, t, F, F_dot / (1j * p.omega * np.exp(1j * p.omega * u)))[0]
     b = hb.at(t + T)
     target = nq.D * (cp * b.E(+1) + cm * b.E(-1))
     scale = np.maximum(np.max(np.abs(target), axis=1), 1e-300)
@@ -446,8 +456,7 @@ def check_B_squared(
 @dataclass
 class BMatrix:
     """Matrix of L_B in the (E+, E-) basis (columns are the images),
-    assembled from boundary values at z = 1 and validated against the action
-    of L_B."""
+    read off from L_B at z = 1 and validated against the action of L_B."""
 
     matrix: np.ndarray
     lift_convention: str
@@ -461,112 +470,19 @@ class BMatrix:
         return float(abs(self.det**2 - D**2) / D**2)
 
 
-class _BoundaryEAlgebra:
-    """E+- and derivatives at the three special lifts, from boundary data only."""
+def build_matrix_B(hb: HeunBasisPath, nq: NumericQuad) -> BMatrix:
+    """The matrix of L_B from its action at z = 1.
 
-    def __init__(self, bv: BoundaryValues, params: ModelParams, ell: int):
-        self.bv = bv
-        self.p = params
-        self.ell = ell
-        mu = params.mu
-        self._gp = 0.5 * np.exp(-2.0 * mu) * (-1j) ** ell   # prefactor at t = +T/2
-        self._gm = 0.5 * np.exp(-2.0 * mu) * (1j) ** ell    # prefactor at t = -T/2
-        self._pp = bv.Psi_plus_sqrt
-        self._pm = bv.Psi_minus_sqrt
-        self._ep = complex(np.exp(0.5j * bv.phi_plus))
-        self._em = complex(np.exp(0.5j * bv.phi_minus))
-
-    def E(self, where: str, s: int) -> complex:
-        if where == "0":
-            return complex(np.cos(0.5 * self.bv.phi_at_0 + s * np.pi / 4.0))
-        if where == "+":
-            a = self._pp * self._ep
-            b = self._pm / self._em
-            return self._gp * (_quarter(s) * a + _quarter(-s) * b)
-        a = self._pm * self._em
-        b = self._pp / self._ep
-        return self._gm * (_quarter(s) * a + _quarter(-s) * b)
-
-    def Eprime(self, where: str, s: int) -> complex:
-        p = self.p
-        if where == "0":
-            return (s / (2.0 * p.omega) + p.mu) * self.E("0", s)
-        sign = (-1.0) ** (self.ell + 1)  # e^{-+ i (ell+1) pi}
-        if where == "+":
-            return s / (2.0 * p.omega) * sign * self.E("-", s) + p.mu * self.E("+", s)
-        return s / (2.0 * p.omega) * sign * self.E("+", s) + p.mu * self.E("-", s)
-
-    def Esecond(self, where: str, s: int) -> complex:
-        p, ell = self.p, self.ell
-        if where == "+":
-            zk = lambda k: (-1.0) ** k  # z = e^{i pi}
-            rec = "-"
-        elif where == "-":
-            zk = lambda k: (-1.0) ** k  # z = e^{-i pi}: integer powers agree
-            rec = "+"
-        else:
-            zk = lambda k: 1.0
-            rec = "0"
-        return (s / (2.0 * p.omega)) * (
-            -(ell + 1) * zk(-ell - 2) * self.E(rec, s)
-            - zk(-ell - 3) * self.Eprime(rec, s)
-        ) + p.mu * self.Eprime(where, s)
-
-
-def build_matrix_B(bv: BoundaryValues, nq: NumericQuad, params: ModelParams) -> BMatrix:
-    """Assemble the matrix of L_B from boundary values at z = 1.
-
-    The two columns are obtained by expressing L_B[E+-] through the basis
-    values and first derivatives at z = 1; every ingredient is closed-form
-    boundary data (no grids, no fits).
+    A solution is fixed by its value and z-derivative at z = 1, so column s
+    solves [[E+, E-], [E+', E-']] (at z = 1) against L_B[E_s] and its
+    z-derivative there, both from one ``apply_B_and_dot`` call at t = 0
+    (d/dz = (i omega)^-1 d/dt at z = 1).
     """
-    if not nq.generic:
-        from .errors import GenericityViolated
-
-        raise GenericityViolated("operator is singular at this parameter point")
-    c0 = np.cos(bv.phi_at_0)
-    if abs(c0) < COS_PHI0_FLOOR:
-        raise DegenerateAtOne(f"cos(phi(0)) = {c0:.2e}: basis degenerates at z = 1")
-    ell = params.require_integer_order()
-    alg = _BoundaryEAlgebra(bv, params, ell)
-    omega, mu = params.omega, params.mu
-
-    # values of L_B[E_s] and its z-derivative at z = 1 (lift of -z: t = +T/2)
-    sgn = (-1.0) ** ell
-    r_m1 = complex(nq("r", np.array([-1.0 + 0j]))[0])
-    s_m1 = complex(nq("s", np.array([-1.0 + 0j]))[0])
-    rp_m1 = complex(nq("r'", np.array([-1.0 + 0j]))[0])
-    sp_m1 = complex(nq("s'", np.array([-1.0 + 0j]))[0])
-    pref = sgn * 2.0 * omega * np.exp(2.0 * mu)
-    pref_dot = pref * 1j * (1 - ell) * omega  # mu(1 - z^-2) vanishes at z = 1
-
-    cols = []
-    for s in (+1, -1):
-        E_s = alg.E("+", s)
-        Ep_s = alg.Eprime("+", s)
-        Epp_s = alg.Esecond("+", s)
-        G = r_m1 * Ep_s + s_m1 * E_s
-        # d/dt at t=0 of z^2 r(-z) E'(ts) + s(-z) E(ts); z(0)=1, z_s(0)=-1
-        zdot = 1j * omega
-        zsdot = -1j * omega
-        G_dot = (
-            (2.0 * r_m1 - rp_m1) * zdot * Ep_s
-            + r_m1 * Epp_s * zsdot
-            - sp_m1 * zdot * E_s
-            + s_m1 * Ep_s * zsdot
-        )
-        lb_val = pref * G
-        lb_prime = (pref_dot * G + pref * G_dot) / (1j * omega)
-        V = np.array(
-            [
-                [alg.E("0", +1), alg.E("0", -1)],
-                [alg.Eprime("0", +1), alg.Eprime("0", -1)],
-            ],
-            dtype=complex,
-        )
-        cols.append(np.linalg.solve(V, np.array([lb_val, lb_prime], dtype=complex)))
-
-    return BMatrix(matrix=np.stack(cols, axis=1), lift_convention=MINUS_Z_LIFT)
+    images, images_dot = apply_B_and_dot(hb, nq, 0.0, coeffs=BASIS_COEFFS)
+    b0 = hb.at(0.0)
+    V = np.array([[b0.E(+1)[0], b0.E(-1)[0]], [b0.Eprime(+1)[0], b0.Eprime(-1)[0]]])
+    values = np.stack((images[:, 0], images_dot[:, 0] / (1j * hb.params.omega)))
+    return BMatrix(matrix=np.linalg.solve(V, values), lift_convention=MINUS_Z_LIFT)
 
 
 def operation_report(
@@ -588,7 +504,7 @@ def matrix_action_residual(
     """sup relative deviation between L_B and its matrix on a circle grid."""
     T = hb.params.T
     t = np.linspace(-0.3 * T, 0.3 * T, grid_size)
-    direct = apply_B(hb, nq, t, coeffs=(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])))
+    direct = apply_B(hb, nq, t, coeffs=BASIS_COEFFS)
     b = hb.at(t)
     res = []
     for col in (0, 1):

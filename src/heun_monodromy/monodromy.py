@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (
+    RHO_MAX,
+    RHO_MIN,
     BoundaryValues,
     CircleFunction,
     CirclePair,
@@ -35,12 +37,6 @@ def monodromy_direct(path: PhasePath) -> CircleFunction:
             f"got [{path.t_min}, {path.t_max}]"
         )
     return CircleFunction("PhiM", path, lambda t: np.exp(1j * path.phi(t + T)))
-
-
-def monodromy_direct_sqrt(path: PhasePath) -> CircleFunction:
-    """Half power of the shifted solution on the same continuous branch."""
-    T = path.params.T
-    return CircleFunction("PhiMSqrt", path, lambda t: np.exp(0.5j * path.phi(t + T)))
 
 
 def _algebraic_coefficients(bv: BoundaryValues):
@@ -131,6 +127,8 @@ def verify_monodromy(
     """
     if grid_size < 101:
         raise ValueError("grid_size must be >= 101")
+    if not all(RHO_MIN <= rho <= RHO_MAX for rho in rhos or []):
+        raise ValueError(f"every radius must lie in [{RHO_MIN}, {RHO_MAX}]")
     params = path.params
     T = params.T
     bv = boundary_values(path)

@@ -201,8 +201,3 @@ def solve_phase(
         _fwd=fwd,
         _bwd=bwd,
     )
-
-
-def eval_phase(path: PhasePath, t: float) -> tuple[float, float]:
-    """(phi, P) at a single time; raises OutOfWindow outside the window."""
-    return path.at(float(t))

@@ -230,7 +230,7 @@ def dop853(
     ``y_old``, F0..F6).  ``event`` is one terminal event: integration stops
     at the first zero it crosses in the given ``direction`` (+1 rising, -1
     falling, 0 either), located on that step's interpolant.  A step below ten
-    ulps of t raises StepSizeTooSmall.
+    ulps of t, or a NaN step, raises StepSizeTooSmall.
     """
     t = float(t0)
     y = [float(v) for v in y0]
@@ -249,7 +249,7 @@ def dop853(
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step fails too
                 raise StepSizeTooSmall(f"step size fell below 10 ulp at t = {t!r}", t=t)
             t_new = t + h_abs * sign
             if sign * (t_new - t_bound) > 0:

@@ -235,7 +235,7 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
     z = np.exp(1j * omega * t_op)
     lam, mu, ell = path.params.lam, path.params.mu, hb.ell
     h = 1e-5
-    coeffs = (np.array([[1], [0]]), np.array([[0], [1]]))
+    coeffs = heun_mod.BASIS_COEFFS
 
     def Fprime(u):
         zu = np.exp(1j * omega * u)
@@ -255,8 +255,7 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
         lb_maps.append(float(np.max(np.abs(res))) / scale)
         _record(report, failures, f"lb_maps_solutions_{tag}", lb_maps[-1], "lb_maps_solutions")
 
-    bv = circle_mod.boundary_values(path)
-    bmat = heun_mod.build_matrix_B(bv, nq, path.params)
+    bmat = heun_mod.build_matrix_B(hb, nq)
     _record(
         report,
         failures,

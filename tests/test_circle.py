@@ -7,15 +7,12 @@ import pytest
 
 from heun_monodromy import ModelParams, solve_phase
 from heun_monodromy.circle import (
-    CoverPoint,
     boundary_values,
     continue_riccati_path,
     half_power_factor_dots,
     half_power_factors,
     phi_on_circle,
-    phi_sqrt_on_circle,
     psi_on_circle,
-    psi_sqrt_on_circle,
     riccati_circle_residual,
     riccati_continue_ray,
     theta_pair_solve,
@@ -28,17 +25,10 @@ def grid(path, n=501):
     return np.linspace(-T / 2, T / 2, n)
 
 
-def test_cover_point_projection():
-    pt = CoverPoint(rho=2.0, theta=3 * np.pi)  # angle deliberately unreduced
-    assert pt.z == pytest.approx(-2.0 + 0j)
-    with pytest.raises(ValueError):
-        CoverPoint(rho=-1.0, theta=0.0)
-
-
 def test_trivial_phi_and_psi(trivial_path):
     t = grid(trivial_path)
     assert np.max(np.abs(phi_on_circle(trivial_path)(t) - 1.0)) < 1e-12
-    assert np.max(np.abs(phi_sqrt_on_circle(trivial_path)(t) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.exp(0.5j * trivial_path.phi(t)) - 1.0)) < 1e-12
     assert np.max(np.abs(psi_on_circle(trivial_path)(t) - np.exp(t))) < 1e-9
 
 
@@ -47,16 +37,16 @@ def test_branch_anchoring_at_pi():
     t = grid(path, 101)
     # phi == pi throughout, so the continuous half power is e^{i pi/2} = i
     assert np.max(np.abs(phi_on_circle(path)(t) + 1.0)) < 1e-9
-    assert np.max(np.abs(phi_sqrt_on_circle(path)(t) - 1j)) < 1e-9
+    assert np.max(np.abs(np.exp(0.5j * path.phi(t)) - 1j)) < 1e-9
 
 
 def test_unimodularity_and_branch_squares(golden_path):
     t = grid(golden_path, 1001)
     F = phi_on_circle(golden_path)(t)
     assert np.max(np.abs(np.abs(F) - 1.0)) < 1e-10
-    assert np.max(np.abs(phi_sqrt_on_circle(golden_path)(t) ** 2 - F)) < 1e-12
+    assert np.max(np.abs(np.exp(0.5j * golden_path.phi(t)) ** 2 - F)) < 1e-12
     psi = psi_on_circle(golden_path)(t)
-    assert np.max(np.abs(psi_sqrt_on_circle(golden_path)(t) ** 2 - psi)) < 1e-12
+    assert np.max(np.abs(np.exp(0.5 * golden_path.P(t)) ** 2 - psi)) < 1e-12
     assert np.all(psi > 0)
 
 
@@ -83,19 +73,20 @@ def test_riccati_residual_of_phi(golden_path):
 def test_boundary_values_trivial(trivial_path):
     bv = boundary_values(trivial_path)
     T = trivial_path.params.T
-    assert bv.Phi_plus == pytest.approx(1.0)
-    assert bv.Phi_minus == pytest.approx(1.0)
-    assert bv.Phi_at_1 == pytest.approx(1.0)
-    assert bv.Psi_plus == pytest.approx(np.exp(T / 2), rel=1e-9)
-    assert bv.Psi_minus == pytest.approx(np.exp(-T / 2), rel=1e-9)
+    assert np.exp(1j * bv.phi_plus) == pytest.approx(1.0)
+    assert np.exp(1j * bv.phi_minus) == pytest.approx(1.0)
+    assert np.exp(1j * bv.phi_at_0) == pytest.approx(1.0)
+    assert np.exp(bv.P_plus) == pytest.approx(np.exp(T / 2), rel=1e-9)
+    assert np.exp(bv.P_minus) == pytest.approx(np.exp(-T / 2), rel=1e-9)
 
 
 def test_boundary_values_golden(golden_path):
     bv = boundary_values(golden_path)
     # generic solution: the two cut edges carry different values
-    assert abs(bv.Phi_plus - bv.Phi_minus) > 1e-3
-    assert abs(bv.Phi_plus * np.conj(bv.Phi_plus) - 1.0) < 1e-12
-    assert bv.Phi_plus_sqrt**2 == pytest.approx(bv.Phi_plus, rel=1e-12)
+    Phi_plus, Phi_minus = np.exp(1j * bv.phi_plus), np.exp(1j * bv.phi_minus)
+    assert abs(Phi_plus - Phi_minus) > 1e-3
+    assert abs(Phi_plus * np.conj(Phi_plus) - 1.0) < 1e-12
+    assert np.exp(0.5j * bv.phi_plus) ** 2 == pytest.approx(Phi_plus, rel=1e-12)
 
 
 def test_half_power_factor_reciprocal_rule(golden_path):

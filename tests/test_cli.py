@@ -32,11 +32,19 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
-# at the two golden points, recorded before the theorem-2 values bundle and
-# the shared heun and circle grids: evaluating each grid once moves no byte.
+# at the two golden points, recorded with the L_B matrix read off
+# apply_B_and_dot at z = 1.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "4c243f9b2ce23bed28b2a675f71a2dbe78ae482701782b447330fcfaf9852761",
-    ("1", "0.2", "1.3", "1.0"): "c2dd8efc0589646faa1e0979c0fdb9be3826a128c45ecbef0f63814afe79351f",
+    ("2", "0.3", "1", "0.5"): "e3cdcfad1699db1dd92bea9e3fca2795d71903d31dab4f2aab29b3dc77a39c0d",
+    ("1", "0.2", "1.3", "1.0"): "0036592ba60e85d94d4eaff15edd49c763fa89a61dcd9dab783ada62f97ee3c5",
+}
+# The same reports without the three leaves the matrix moves (heun
+# matrix_action, det_relation and the matrix_action operation's
+# sup_residual), recorded when the matrix came from the closed-form boundary
+# algebra: no other byte moved.
+VERIFY_REST_SHA256 = {
+    ("2", "0.3", "1", "0.5"): "1498478293736001034b04b3f3e7e3a3ede657b9b93611fd198ee1293d2db4e0",
+    ("1", "0.2", "1.3", "1.0"): "be30c260d264ad6c9dc1f25c26bafce2d3b25eab811cde709fe4bfbab6ae3dd6",
 }
 
 
@@ -152,6 +160,13 @@ def test_verify_golden_stdout_is_pinned(capsys, point):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[point]
+    report = json.loads(out)
+    heun = report["heun"]
+    (operation,) = (op for op in heun["operations"] if op["check"] == "matrix_action")
+    moved = (heun.pop("matrix_action"), heun.pop("det_relation"), operation.pop("sup_residual"))
+    assert max(moved) < 1e-13
+    rest = canonical_json(report) + "\n"
+    assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_REST_SHA256[point]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -346,6 +361,52 @@ def test_sweep_non_positive_omega_is_usage_error(capsys):
     assert code == 3
     assert out == ""
     assert "omega must be > 0" in err
+
+
+MONODROMY_POINT = ("monodromy", "--ell", "2", "--mu", "0.3", "--omega", "1", "--phi0", "0.5")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        MONODROMY_POINT + ("--rhos", "0"),
+        MONODROMY_POINT + ("--rhos", "-1"),
+        MONODROMY_POINT + ("--rhos", "nan"),
+        MONODROMY_POINT + ("--rhos", "1e9"),
+        MONODROMY_POINT + ("--rhos", "0.8,5.01"),
+        MONODROMY_POINT + ("--phi0", "nan"),
+        MONODROMY_POINT + ("--mu", "nan"),
+        MONODROMY_POINT + ("--ell", "nan"),
+        MONODROMY_POINT + ("--phi0", "inf"),
+        MONODROMY_POINT + ("--omega", "inf"),
+        MONODROMY_POINT + ("--ell", "inf"),
+        ("verify", "--ell", "2", "--mu=-inf", "--omega", "1", "--phi0", "0.5"),
+        ("verify", "--ell", "2", "--mu", "0.3", "--omega", "1", "--rhos", "nan"),
+        ("sweep", "--points", "2,0.3,1,nan"),
+        ("sweep", "--points", "2,0.3,1,0.5;inf,0.3,1"),
+    ],
+)
+def test_non_finite_or_out_of_annulus_input_is_usage_error(capsys, monkeypatch, argv):
+    # rejected before any solve: these inputs used to hang in the integrator
+    # or end in a traceback
+    import heun_monodromy.cli as cli_mod
+    import heun_monodromy.verify as verify_mod
+
+    def no_solve(*args, **kw):
+        raise AssertionError("solve_phase ran on malformed input")
+
+    monkeypatch.setattr(cli_mod, "solve_phase", no_solve)
+    monkeypatch.setattr(verify_mod, "solve_phase", no_solve)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+def test_annulus_bounds_are_accepted(capsys):
+    code, out, _ = run(capsys, *MONODROMY_POINT, "--tol", "1e-10", "--grid", "201",
+                       "--rhos", "0.2,5")
+    assert code == 0
+    assert [rho for rho, _ in json.loads(out)["ray_residuals"]] == [0.2, 5.0]
 
 
 def test_verify_tolerance_failure_exit_code(capsys, monkeypatch):

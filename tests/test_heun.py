@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy.circle import boundary_values, phi_on_circle, psi_on_circle, riccati_circle_residual
+from heun_monodromy.circle import phi_on_circle, psi_on_circle, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, NonIntegerOrder
 from heun_monodromy.heun import (
     MINUS_Z_LIFT,
@@ -201,41 +201,49 @@ def test_b_squared_opposite_lift_matches_inverse_monodromy(hb, golden_quad):
             1j * hb.params.omega * zu
         )
 
-    from heun_monodromy.heun import _lb_from_values
+    from heun_monodromy.heun import _lb_formula
 
-    FF = _lb_from_values(hb, golden_quad, t, Fval(t + shift), Fprime(t + shift))
+    FF = _lb_formula(hb, golden_quad, t, Fval(t + shift), Fprime(t + shift))[0]
     inverse = golden_quad.D * hb.E(t - T, +1)
     forward = golden_quad.D * hb.E(t + T, +1)
     assert np.max(np.abs(FF - inverse)) < 1e-10
     assert np.max(np.abs(FF - forward)) > 1e-2
 
 
-def test_matrix_action(hb, golden_quad, golden_path):
-    bmat = build_matrix_B(boundary_values(golden_path), golden_quad, golden_path.params)
+def test_matrix_action(hb, golden_quad):
+    bmat = build_matrix_B(hb, golden_quad)
     assert matrix_action_residual(hb, golden_quad, bmat) < 1e-6
     assert bmat.det_relation_residual(golden_quad.D) < 1e-6
     assert abs(abs(bmat.det) - abs(golden_quad.D)) / abs(golden_quad.D) < 1e-5
     assert bmat.lift_convention == "t+T/2"
 
 
-def test_matrix_cross_validates_boundary_algebra(hb, golden_quad, golden_path):
-    # the path-free boundary algebra must agree with the path-backed basis
-    from heun_monodromy.heun import _BoundaryEAlgebra
+# The L_B matrix at the two golden points as the closed-form boundary
+# algebra at z = 1 gave it, before the matrix was read off apply_B_and_dot.
+BOUNDARY_ALGEBRA_MATRIX = {
+    "golden_1": [
+        [-5.4403120004266726e-17 - 0.20569793447805618j, 0.6840566498520275 + 0.0j],
+        [0.2661890061164527 - 1.61357324793846e-17j, -1.290858598350768e-16 - 0.20569793447805615j],
+    ],
+    "golden_2": [
+        [0.0 + 0.14786916618466572j, -0.21946608229723655 + 0.0j],
+        [-0.3921503627067557 - 5.640497454137342e-17j, 9.400829090228904e-18 + 0.14786916618466578j],
+    ],
+}
 
-    bv = boundary_values(golden_path)
-    alg = _BoundaryEAlgebra(bv, golden_path.params, hb.ell)
-    T = golden_path.params.T
-    for where, tval in (("0", 0.0), ("+", T / 2), ("-", -T / 2)):
-        for s in (+1, -1):
-            assert abs(alg.E(where, s) - complex(hb.E(np.array([tval]), s)[0])) < 1e-12
-            assert abs(alg.Eprime(where, s) - complex(hb.Eprime(np.array([tval]), s)[0])) < 1e-12
+
+def test_matrix_matches_the_boundary_algebra(hb, golden_quad, hb2, golden2_quad):
+    for key, basis, quad in (("golden_1", hb, golden_quad), ("golden_2", hb2, golden2_quad)):
+        ref = np.array(BOUNDARY_ALGEBRA_MATRIX[key])
+        matrix = build_matrix_B(basis, quad).matrix
+        assert np.max(np.abs(matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_matrix_degenerate_gate(golden_quad):
     params = ModelParams(ell=2, mu=0.3, omega=1.0)
     path = solve_phase(params, np.pi / 2, tol=1e-10)
     with pytest.raises(DegenerateAtOne):
-        build_matrix_B(boundary_values(path), golden_quad, params)
+        build_matrix_B(build_E(phi_on_circle(path), psi_on_circle(path)), golden_quad)
 
 
 def test_apply_B_genericity_gate():

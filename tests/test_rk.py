@@ -7,6 +7,7 @@ program.
 from __future__ import annotations
 
 import math
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as ref
 
 import heun_monodromy
-from heun_monodromy import ModelParams, ToleranceNotMet, solve_phase
+from heun_monodromy import ModelParams, StepSizeTooSmall, ToleranceNotMet, solve_phase
 from heun_monodromy import rk
 from heun_monodromy.circle import CHART_SWITCH_UP, riccati_rhs
 from tests.conftest import GOLDEN_1, GOLDEN_2
@@ -111,6 +112,23 @@ def test_step_too_small_raises_tolerance_not_met():
     with pytest.raises(ToleranceNotMet) as info:
         rk.dop853(lambda t, y: (y[0] * y[0],), 0.0, (1.0,), 2.0, 1e-10, 1e-12)
     assert abs(info.value.t - 1.0) < 1e-3
+
+
+def test_nan_right_hand_side_raises_step_too_small():
+    # a NaN slope makes the step size NaN, which `h < min_step` never
+    # rejects: the integrator would loop forever, so the test runs under a
+    # 10 s alarm and fails instead of hanging
+    def expire(signum, frame):
+        raise TimeoutError("dop853 still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(StepSizeTooSmall):
+            rk.dop853(lambda t, y: (math.nan,), 0.0, (1.0,), 1.0, 1e-10, 1e-12)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_program_imports_no_scipy():
