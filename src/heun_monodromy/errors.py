@@ -24,7 +24,7 @@ class OutOfWindow(HeunMonodromyError):
 
 
 class ToleranceNotMet(HeunMonodromyError):
-    """Refinement disagreement exceeded the allowed budget."""
+    """The global error estimate propagated from the defect exceeded its budget."""
 
 
 class StepSizeTooSmall(ToleranceNotMet):

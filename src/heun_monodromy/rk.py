@@ -166,6 +166,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, sign, rtol, atol) -> float
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if h0 == 0.0:  # an infinite slope scale leaves no first trial step
+        raise StepSizeTooSmall(f"initial step size is zero at t = {t0!r}", t=t0)
     f1 = fun(t0 + h0 * sign, [v + h0 * sign * f for v, f in zip(y0, f0)])
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -230,7 +232,7 @@ def dop853(
     ``y_old``, F0..F6).  ``event`` is one terminal event: integration stops
     at the first zero it crosses in the given ``direction`` (+1 rising, -1
     falling, 0 either), located on that step's interpolant.  A step below ten
-    ulps of t, or a NaN step, raises StepSizeTooSmall.
+    ulps of t, a NaN step, or a zero initial step raises StepSizeTooSmall.
     """
     t = float(t0)
     y = [float(v) for v in y0]
@@ -305,14 +307,30 @@ def dop853(
             return Solution(t, y, ts, rows, False)
 
 
+def _nested(F: np.ndarray, x: np.ndarray, derivative: bool):
+    """The nested x / (1 - x) recurrence over F6..F0 (the last axis of F) at
+    the fractions x, which broadcast against F's other axes, without y_old;
+    with ``derivative`` also its d/dx, else None."""
+    y = np.zeros(np.broadcast_shapes(F.shape[:-1], x.shape))
+    dy = np.zeros_like(y) if derivative else None
+    for i in range(F.shape[-1]):
+        y += F[..., i]
+        m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
+        if derivative:
+            dy = dy * m + dm * y
+        y *= m
+    return y, dy
+
+
 class DenseTable:
     """The dense output of one integration, evaluated from its rows.
 
     ``__call__`` runs the nested ``x``/``(1 - x)`` recurrence of every row
     for an array of times at once; ``at`` runs it for one time in plain
-    floats, with the same operations, so both give equal values.  A time on
-    a step boundary belongs to the step that ends there, counted in the
-    direction of integration; times beyond the ends use the end steps.
+    floats, with the same operations, so both give equal values; ``sample``
+    runs it at the same fractions of every row.  A time on a step boundary
+    belongs to the step that ends there, counted in the direction of
+    integration; times beyond the ends use the end steps.
     """
 
     def __init__(self, sol: Solution):
@@ -339,20 +357,20 @@ class DenseTable:
         """(ny, n) values at the times t, or their d/dt with ``derivative``."""
         k = self._segments(t)
         h = self.h[k][:, None]
-        x = (t - self.t_old[k])[:, None] / h
-        F = self.F[k]
-        y = np.zeros((t.size, F.shape[1]))
-        dy = np.zeros_like(y)
-        for i in range(F.shape[2]):
-            y += F[..., i]
-            m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
-            if derivative:
-                dy = dy * m + dm * y
-            y *= m
+        y, dy = _nested(self.F[k], (t - self.t_old[k])[:, None] / h, derivative)
         if derivative:
             return (dy / h).T
         y += self.y_old[k]
         return y.T
+
+    def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Times (n, q), values and d/dt (each (ny, n, q)) at the fractions x
+        of every row, in the order of integration."""
+        y, dy = _nested(self.F[:, None], x[:, None], True)
+        t = self.t_old[:, None] + x * self.h[:, None]
+        y += self.y_old[:, None]
+        dy /= self.h[:, None, None]
+        return t, y.transpose(2, 0, 1), dy.transpose(2, 0, 1)
 
     def at(self, t: float) -> list[float]:
         """The components at one time, by bisection and float arithmetic."""

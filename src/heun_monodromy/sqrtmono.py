@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gauss
 from .circle import BoundaryValues, CirclePair, boundary_values, riccati_circle_residual
 from .errors import DegenerateAtOne, DenominatorVanished, OutOfWindow, WindowTooSmall
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
@@ -145,30 +146,6 @@ TABLE_SPAN = 0.55
 #: Gauss-Legendre panels per side of t = 0.
 _PANELS = 400
 
-#: Positive nodes and their weights of the 10-point Gauss-Legendre rule on
-#: [-1, 1] (Abramowitz & Stegun, table 25.4).  Literals rather than
-#: Golub-Welsch: the first LAPACK call keeps about 1 MB for the whole run.
-_GL_POSITIVE = np.array([
-    (0.1488743389816312108848260, 0.2955242247147528701738930),
-    (0.4333953941292471907992659, 0.2692667193099963550912269),
-    (0.6794095682990244062343274, 0.2190863625159820439955349),
-    (0.8650633666889845107320967, 0.1494513491505805931457763),
-    (0.9739065285171717200779640, 0.0666713443086881375935688),
-])
-_GL_X = np.concatenate((-_GL_POSITIVE[::-1, 0], _GL_POSITIVE[:, 0]))
-_GL_W = np.concatenate((_GL_POSITIVE[::-1, 1], _GL_POSITIVE[:, 1]))
-_NODES = len(_GL_X)
-
-
-def _legendre(x: np.ndarray, n: int) -> np.ndarray:
-    """(n + 1, len(x)) values P_0..P_n from the three-term recurrence."""
-    P = np.empty((n + 1,) + x.shape)
-    P[0] = 1.0
-    P[1] = x
-    for k in range(1, n):
-        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
-    return P
-
 
 class PanelTable:
     """Running integrals y_i(0) + int_0^t f_i on [-span, span].
@@ -176,20 +153,16 @@ class PanelTable:
     Composite Gauss-Legendre with ``panels`` panels on each side of 0, one
     vectorized call of ``f`` for all nodes.  On each panel the interpolant of
     the node values is kept as Legendre coefficients c_k and integrated in
-    closed form (Trefethen, *ATAP*, ch. 19): with P_-1 = -1,
-    int_{-1}^x P_k = (P_{k+1}(x) - P_{k-1}(x)) / (2k + 1), exactly 0 at x = -1.
+    closed form (``gauss.legendre_integrals``).
     Times outside the table raise OutOfWindow.
     """
 
     def __init__(self, span: float, panels: int, f, y0: tuple[float, ...]):
         self.span, self.panels = span, panels
         self.h = span / panels
-        x, w = _GL_X, _GL_W
         left = np.arange(-panels, panels) * self.h
-        nodes = (left[:, None] + 0.5 * self.h * (x + 1.0)).ravel()
-        # c_k = (2k + 1)/2 sum_j w_j f(x_j) P_k(x_j), exact for the interpolant
-        proj = (w * _legendre(x, _NODES - 1)).T * (np.arange(_NODES) + 0.5)
-        self.coeffs = [vals.reshape(2 * panels, _NODES) @ proj for vals in f(nodes)]
+        nodes = (left[:, None] + 0.5 * self.h * (gauss.X + 1.0)).ravel()
+        self.coeffs = [vals.reshape(2 * panels, gauss.NODES) @ gauss.PROJECTION for vals in f(nodes)]
         self.starts = []  # y_i at the left end of each panel
         for c, y in zip(self.coeffs, y0):
             integral = self.h * c[:, 0]
@@ -204,9 +177,7 @@ class PanelTable:
             raise OutOfWindow(f"t range [{np.min(t)}, {np.max(t)}] outside +-{self.span}")
         k = np.clip(np.floor(t / self.h).astype(int) + self.panels, 0, 2 * self.panels - 1)
         x = (t - (k - self.panels) * self.h) * (2.0 / self.h) - 1.0
-        P = np.concatenate((-np.ones((1,) + x.shape), _legendre(x, _NODES)))
-        integrals = (P[2:] - P[:-2]) / (2.0 * np.arange(_NODES) + 1.0)[:, None]
-        partial = np.einsum("nk,kn->n", self.coeffs[i][k], integrals)
+        partial = np.einsum("nk,kn->n", self.coeffs[i][k], gauss.legendre_integrals(x))
         return self.starts[i][k] + 0.5 * self.h * partial
 
 

@@ -32,19 +32,18 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
-# at the two golden points, recorded with the L_B matrix read off
-# apply_B_and_dot at z = 1.
+# at the two golden points, recorded with err_est propagated from the dense
+# output's defect.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "e3cdcfad1699db1dd92bea9e3fca2795d71903d31dab4f2aab29b3dc77a39c0d",
-    ("1", "0.2", "1.3", "1.0"): "0036592ba60e85d94d4eaff15edd49c763fa89a61dcd9dab783ada62f97ee3c5",
+    ("2", "0.3", "1", "0.5"): "1502b519047e15f3da3fe19f9849daf31c795d48049e9be2ad4b63c0bb5fc073",
+    ("1", "0.2", "1.3", "1.0"): "b5392d32997a11e9356c51db1c491511fb4c93f189fe3d03371e6545db2fc95a",
 }
-# The same reports without the three leaves the matrix moves (heun
-# matrix_action, det_relation and the matrix_action operation's
-# sup_residual), recorded when the matrix came from the closed-form boundary
-# algebra: no other byte moved.
+# The same reports without ode.err_est, the one leaf the defect estimate
+# moves, recorded when err_est came from a re-solve at tol/100: no other byte
+# moved.
 VERIFY_REST_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "1498478293736001034b04b3f3e7e3a3ede657b9b93611fd198ee1293d2db4e0",
-    ("1", "0.2", "1.3", "1.0"): "be30c260d264ad6c9dc1f25c26bafce2d3b25eab811cde709fe4bfbab6ae3dd6",
+    ("2", "0.3", "1", "0.5"): "edab45762889aa8ce8413c9a16b551acb7a76b76ae74be1b6e8a6a4fd20cfb38",
+    ("1", "0.2", "1.3", "1.0"): "16c85f1014ea8e44b368606a2139c4d15116375d595b5c84e23ece5d1e49e856",
 }
 
 
@@ -161,10 +160,7 @@ def test_verify_golden_stdout_is_pinned(capsys, point):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[point]
     report = json.loads(out)
-    heun = report["heun"]
-    (operation,) = (op for op in heun["operations"] if op["check"] == "matrix_action")
-    moved = (heun.pop("matrix_action"), heun.pop("det_relation"), operation.pop("sup_residual"))
-    assert max(moved) < 1e-13
+    assert 0.0 < report["ode"].pop("err_est") < 1e-13
     rest = canonical_json(report) + "\n"
     assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_REST_SHA256[point]
 
@@ -191,6 +187,31 @@ def test_verify_nan_residual_fails_with_a_valid_report(capsys):
     assert report["passed"] is False
     with pytest.raises(ValueError, match="non-finite"):
         canonical_json(float("nan"))
+
+
+def test_verify_ode_holds_at_high_order(capsys):
+    # at ell = 12 the phase turns about 13 radians per unit time: with the
+    # step capped at T/200 alone, h*rate was 0.42 and the interpolant's
+    # derivative missed the budget (ode_residual 9.85e-11, exit 1)
+    code, out, _ = run(
+        capsys,
+        "verify", "--ell", "12", "--mu", "0.2", "--omega", "1", "--phi0", "0.3",
+        "--checks", "ode",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == []
+    assert report["ode"]["ode_residual"] < 1e-11
+
+
+@pytest.mark.parametrize("argv", [("--mu", "1e300", "--omega", "1"),
+                                  ("--mu", "0.3", "--omega", "1e300")])
+def test_zero_initial_step_is_a_typed_error(capsys, argv):
+    # an infinite slope scale made the first trial step 0 and _initial_step
+    # divided by it (ZeroDivisionError, a traceback)
+    code, out, err = run(capsys, "monodromy", "--ell", "2", *argv, "--phi0", "0.5")
+    assert (code, out) == (1, "")
+    assert err == "tolerance failure: initial step size is zero at t = 0.0\n"
 
 
 def test_sqrt_monodromy_degenerate_point_is_gated_before_the_solve(capsys, monkeypatch):

@@ -44,17 +44,19 @@ def test_tableau_is_scipys_exactly():
 
 @pytest.mark.parametrize("point", [GOLDEN_1, GOLDEN_2, OFF_GOLDEN], ids=["G1", "G2", "off"])
 def test_phase_solve_matches_scipy(point):
-    # solve_phase's own settings at tol = 1e-12: rtol 2.5e-14, max step T/200
+    # solve_phase's own settings at tol = 1e-12: rtol 2.5e-14, max step
+    # min(T/200, 0.12/(|B| + |A| + 1)); the second cap binds at OFF_GOLDEN
     params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
     path = solve_phase(params, point["phi0"], tol=1e-12)
     A, Bd, omega, T = params.A, params.Bdrive, params.omega, params.T
+    max_step = min(T / 200, 0.12 / (abs(Bd) + abs(A) + 1))
 
     def rhs(t, y):
         return (Bd + A * np.cos(omega * t) - np.sin(y[0]), np.cos(y[0]))
 
     sols = [
         solve_ivp(rhs, (0.0, t_bound), (point["phi0"], 0.0), method="DOP853", rtol=2.5e-14,
-                  atol=2.5e-16, max_step=T / 200, dense_output=True)
+                  atol=2.5e-16, max_step=max_step, dense_output=True)
         for t_bound in (path.t_max, path.t_min)
     ]
     assert len(path.step_times) - 1 == sum(len(s.t) - 1 for s in sols)
@@ -112,6 +114,13 @@ def test_step_too_small_raises_tolerance_not_met():
     with pytest.raises(ToleranceNotMet) as info:
         rk.dop853(lambda t, y: (y[0] * y[0],), 0.0, (1.0,), 2.0, 1e-10, 1e-12)
     assert abs(info.value.t - 1.0) < 1e-3
+
+
+def test_zero_initial_step_raises_step_too_small():
+    # a slope that overflows the error scale leaves no first trial step
+    with pytest.raises(StepSizeTooSmall) as info:
+        rk.dop853(lambda t, y: (1e300,), 0.0, (1.0,), 1.0, 1e-14, 1e-16)
+    assert info.value.t == 0.0
 
 
 def test_nan_right_hand_side_raises_step_too_small():

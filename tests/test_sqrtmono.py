@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heun_monodromy.sqrtmono as sqrt_mod
-from heun_monodromy import ModelParams, solve_phase
+from heun_monodromy import ModelParams, gauss, solve_phase
 from heun_monodromy.circle import boundary_values, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
@@ -197,8 +197,8 @@ def test_gauss_legendre_literals():
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(10)
-    assert np.max(np.abs(sqrt_mod._GL_X - x)) <= 1e-15
-    assert np.max(np.abs(sqrt_mod._GL_W - w)) <= 1e-15
+    assert np.max(np.abs(gauss.X - x)) <= 1e-15
+    assert np.max(np.abs(gauss.W - w)) <= 1e-15
 
 
 def test_panel_table_is_converged(golden2_path, golden2_quad, monkeypatch):
