@@ -20,7 +20,9 @@ from .errors import (
     NonIntegerOrder,
     NonPositiveOmega,
     NotConstant,
+    NotConverged,
     OutOfWindow,
+    StepCeilingExceeded,
     StepSizeTooSmall,
     ToleranceNotMet,
     WindowTooSmall,

@@ -120,12 +120,11 @@ def cmd_solve(args) -> int:
     if args.circle_out:
         from .circle import theta_pair_solve
 
-        pair = theta_pair_solve(path, tol=args.tol)
+        pair = theta_pair_solve(path)
         tc = np.linspace(-params.T / 2, params.T / 2, args.grid)
         F = np.exp(1j * path.phi(tc))
         psi = np.exp(path.P(tc))
-        th = pair.theta(tc)
-        tht = pair.theta_tilde(tc)
+        th, tht = pair.values(tc)
         rows = ["t,re_phi,im_phi,psi,re_theta,im_theta,re_theta_tilde,im_theta_tilde"]
         for i, ti in enumerate(tc):
             rows.append(

@@ -35,6 +35,14 @@ class StepSizeTooSmall(ToleranceNotMet):
         self.t = t
 
 
+class StepCeilingExceeded(ToleranceNotMet):
+    """The window needs more steps, at the capped step size, than the solver allows."""
+
+
+class NotConverged(ToleranceNotMet):
+    """A fixed-point iteration did not settle within its sweep cap."""
+
+
 class NonAnalyticOnRay(HeunMonodromyError):
     """Analytic continuation failed in both charts (pole/zero collision)."""
 

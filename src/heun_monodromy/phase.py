@@ -193,7 +193,9 @@ def solve_phase(
 
     The global error estimate propagates the dense output's defect along the
     linearised equation (``_error_estimate``); an estimate beyond 1e3*tol
-    raises ToleranceNotMet.
+    raises ToleranceNotMet.  A direction that needs more than
+    ``rk.MAX_STEPS`` steps at the capped step raises StepCeilingExceeded
+    before it starts.
     """
     T = params.T
     if t_min is None:

@@ -5,16 +5,19 @@ import pytest
 
 from heun_monodromy import ModelParams, solve_phase
 from heun_monodromy.heunpoly import NumericQuad, diagonal
+from tests.oracle_values import ORACLE
 
 # Two reference parameter points used throughout: the order-2 set drives most
 # derivations; the order-1 set pins global sign conventions a second time.
 GOLDEN_1 = dict(ell=2, mu=0.3, omega=1.0, phi0=0.5)
 GOLDEN_2 = dict(ell=1, mu=0.2, omega=1.3, phi0=1.0)
+GOLDENS = ((2.0, 0.3, 1.0, 0.5), (1.0, 0.2, 1.3, 1.0))
+# perfbench's FIXED_SWEEP_POINTS, the two off-golden points of every sweep
+FIXED_SWEEP_POINTS = ((3.0, 0.3, 1.0, 0.5), (2.0, 0.25, 1.1, 0.4))
 
-# Frozen by dual-integrator agreement (DOP853 at 1e-12 vs 1e-14 and Radau):
-# deltas were ~2e-13, far inside the 1e-10 band asserted in the tests.
-GOLDEN_1_PHI_AT_T = 11.236686855190676
-GOLDEN_2_PHI_AT_T = 2.8340603087795717
+# phi(T) from the 30-digit mpmath oracle, rounded to the nearest float.
+GOLDEN_1_PHI_AT_T = float(ORACLE[(2.0, 0.3, 1.0, 0.5)][1.0][0])
+GOLDEN_2_PHI_AT_T = float(ORACLE[(1.0, 0.2, 1.3, 1.0)][1.0][0])
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import cmath
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
-from heun_monodromy import ModelParams, solve_phase
+import heun_monodromy.circle as circle_mod
+from heun_monodromy import ModelParams, NotConverged, OutOfWindow, solve_phase
 from heun_monodromy.circle import (
     boundary_values,
     continue_riccati_path,
@@ -18,6 +21,8 @@ from heun_monodromy.circle import (
     theta_pair_solve,
 )
 from heun_monodromy.errors import WindowTooSmall
+from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
+from tests.reference_theta_solve import reference_theta_pair
 
 
 def grid(path, n=501):
@@ -120,6 +125,47 @@ def test_theta_pair_trivial(trivial_path):
 def test_theta_route_equivalence_golden(golden_path):
     pair = theta_pair_solve(golden_path)
     assert pair.route_equivalence_residual(grid(golden_path, 1001)) < 1e-9
+
+
+@pytest.mark.parametrize("point", GOLDENS + FIXED_SWEEP_POINTS)
+def test_theta_pair_matches_the_scalar_reference(point):
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    t = grid(path, 1001)
+    pair = theta_pair_solve(path)
+    theta, theta_tilde = pair.theta(t), pair.theta_tilde(t)
+    ref_theta, ref_theta_tilde = reference_theta_pair(path)(t)
+    scale = np.max(np.abs(theta))
+    assert np.max(np.abs(theta - ref_theta)) <= 1e-9 * scale
+    assert np.max(np.abs(theta_tilde - ref_theta_tilde)) <= 1e-9 * scale
+
+
+def test_theta_pair_outside_the_half_period_is_out_of_window(golden_path):
+    pair = theta_pair_solve(golden_path)
+    half = golden_path.params.T / 2
+    pair.theta(np.array([-half, half]))
+    for t in (np.nextafter(half, np.inf), -np.nextafter(half, np.inf), np.nan):
+        with pytest.raises(OutOfWindow):
+            pair.theta(np.array([0.0, t]))
+        with pytest.raises(OutOfWindow):
+            pair.psi_route(np.array([t]))
+
+
+def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
+    # each sweep contracts by at most 0.12, so one sweep cannot settle
+    monkeypatch.setattr(circle_mod, "PICARD_MAX_SWEEPS", 1)
+    with pytest.raises(NotConverged):
+        theta_pair_solve(golden_path)
+
+
+@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+def test_theta_pair_nan_phase_raises_not_converged(golden_path):
+    # a NaN row never settles: it hits the sweep cap instead of looping
+    fwd = copy.copy(golden_path._fwd)
+    fwd.F = fwd.F.copy()
+    fwd.F[3] = np.nan
+    with pytest.raises(NotConverged):
+        theta_pair_solve(dataclasses.replace(golden_path, _fwd=fwd))
 
 
 def test_ray_identity_at_rho_one(golden_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import signal
 
 import pytest
 
@@ -32,18 +33,18 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
-# at the two golden points, recorded with err_est propagated from the dense
-# output's defect.
+# at the two golden points, recorded with the theta pair from Gauss
+# collocation on the phase path's rows.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "1502b519047e15f3da3fe19f9849daf31c795d48049e9be2ad4b63c0bb5fc073",
-    ("1", "0.2", "1.3", "1.0"): "b5392d32997a11e9356c51db1c491511fb4c93f189fe3d03371e6545db2fc95a",
+    ("2", "0.3", "1", "0.5"): "d2e854dff21f61d315e002e053899569588f88afdbde35c8de3b7de54bdc6338",
+    ("1", "0.2", "1.3", "1.0"): "f3c07dad9a4511d2d24db8b49d8c395efe3f65c9a01b1332d4ce7f0b952605e1",
 }
-# The same reports without ode.err_est, the one leaf the defect estimate
-# moves, recorded when err_est came from a re-solve at tol/100: no other byte
-# moved.
+# The same reports without ode.route_equivalence, the one leaf the
+# collocation moves, recorded when the theta pair came from a scalar DOP853
+# solve: no other byte moved.
 VERIFY_REST_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "edab45762889aa8ce8413c9a16b551acb7a76b76ae74be1b6e8a6a4fd20cfb38",
-    ("1", "0.2", "1.3", "1.0"): "16c85f1014ea8e44b368606a2139c4d15116375d595b5c84e23ece5d1e49e856",
+    ("2", "0.3", "1", "0.5"): "3efa543e8134d774090d433e2d93b57a854f7169263f5309edde8aa51a7da01a",
+    ("1", "0.2", "1.3", "1.0"): "79a8d60367e32c80e61012611061ac6d8195a3cf62ca887d12778c0646f1d6a4",
 }
 
 
@@ -77,8 +78,14 @@ def test_solve_circle_csv(capsys, tmp_path):
         "--tol", "1e-10", "--grid", "101", "--out", str(out), "--circle-out", str(circ),
     )
     assert code == 0
-    header = circ.read_text().splitlines()[0]
+    header, *rows = circ.read_text().splitlines()
     assert header == "t,re_phi,im_phi,psi,re_theta,im_theta,re_theta_tilde,im_theta_tilde"
+    assert len(rows) == 101
+    # the theta route reproduces the quadrature column row by row
+    for row in rows:
+        _, _, _, psi, re_th, im_th, re_tht, im_tht = map(float, row.split(","))
+        route = (complex(re_th, im_th) - complex(re_tht, im_tht)) / 2j
+        assert abs(route - psi) <= 1e-12
 
 
 def test_solve_usage_errors(capsys):
@@ -160,7 +167,7 @@ def test_verify_golden_stdout_is_pinned(capsys, point):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[point]
     report = json.loads(out)
-    assert 0.0 < report["ode"].pop("err_est") < 1e-13
+    assert report["ode"].pop("route_equivalence") <= 1e-13
     rest = canonical_json(report) + "\n"
     assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_REST_SHA256[point]
 
@@ -202,6 +209,37 @@ def test_verify_ode_holds_at_high_order(capsys):
     report = json.loads(out)
     assert report["failures"] == []
     assert report["ode"]["ode_residual"] < 1e-11
+
+
+def test_verify_ode_holds_where_e_to_the_P_is_large(capsys):
+    # max|e^P| is 230 here (1.8 at G1): the scalar theta solve left
+    # route_equivalence at 4.4e-9 against its 1e-9 budget (exit 1)
+    code, out, _ = run(
+        capsys,
+        "verify", "--ell", "1", "--mu", "1.256", "--omega", "0.4074", "--phi0", "0.0428",
+        "--tol", "1e-12", "--checks", "ode",
+    )
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+
+
+def test_step_ceiling_refuses_a_vast_window(capsys):
+    # T = 2*pi/omega is about 6e300: the window needed about 1e302 steps and
+    # the solve never returned
+    def expire(signum, frame):
+        raise AssertionError("the solve ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code, out, err = run(capsys, "monodromy", "--ell", "2", "--mu", "0.3",
+                             "--omega", "1e-300", "--phi0", "0.5")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (1, "")
+    assert err.startswith("tolerance failure: ") and "needs more than 100000 steps" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [("--mu", "1e300", "--omega", "1"),

@@ -11,12 +11,9 @@ import pytest
 
 import heun_monodromy.phase as phase_mod
 from heun_monodromy import ModelParams, ToleranceNotMet, solve_phase
+from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
 from tests.oracle_values import ORACLE
 from tests.reference_resolve import resolve_disagreement
-
-# perfbench's FIXED_SWEEP_POINTS, the two off-golden points of every sweep
-FIXED_SWEEP_POINTS = ((3.0, 0.3, 1.0, 0.5), (2.0, 0.25, 1.1, 0.4))
-GOLDENS = ((2.0, 0.3, 1.0, 0.5), (1.0, 0.2, 1.3, 1.0))
 
 
 def _solve(point, tol=1e-12):

@@ -46,8 +46,10 @@ def counts(monkeypatch):
 
 def test_check_circle_evaluations(golden_path, counts):
     check_circle(golden_path, 1001)
-    # the "at" calls are the scalar theta-pair solve of route_equivalence
-    assert counts == {"eval": 1, "points": 2002, "derivative": 1, "at": 3226}
+    # route_equivalence collocates the theta pair on the path's own rows and
+    # evaluates the path nowhere (the scalar solve it replaced made 3226
+    # one-point "at" calls)
+    assert counts == {"eval": 1, "points": 2002, "derivative": 1, "at": 0}
 
 
 def test_check_heun_evaluations(golden_path, golden_quad, counts):

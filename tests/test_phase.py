@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, solve_phase
-from tests.conftest import GOLDEN_1_PHI_AT_T
+from tests.conftest import GOLDEN_1_PHI_AT_T, GOLDEN_2_PHI_AT_T
 
 
 def test_zero_equilibrium(trivial_path):
@@ -20,9 +20,11 @@ def test_unstable_equilibrium():
     assert np.max(np.abs(path.P(t) + t)) < 1e-9
 
 
-def test_golden_phi_at_T(golden_path):
-    T = golden_path.params.T
-    assert abs(float(golden_path.phi(T)[0]) - GOLDEN_1_PHI_AT_T) < 1e-10
+def test_golden_phi_at_T(golden_path, golden2_path):
+    # the solved phi(T) sits within 1.8e-15 (G1) and 4.4e-16 (G2) of the oracle
+    for path, expected in ((golden_path, GOLDEN_1_PHI_AT_T), (golden2_path, GOLDEN_2_PHI_AT_T)):
+        T = path.params.T
+        assert abs(float(path.phi(T)[0]) - expected) < 1e-13
 
 
 def test_initial_conditions_exact(golden_path):

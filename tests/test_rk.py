@@ -18,7 +18,13 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as ref
 
 import heun_monodromy
-from heun_monodromy import ModelParams, StepSizeTooSmall, ToleranceNotMet, solve_phase
+from heun_monodromy import (
+    ModelParams,
+    StepCeilingExceeded,
+    StepSizeTooSmall,
+    ToleranceNotMet,
+    solve_phase,
+)
 from heun_monodromy import rk
 from heun_monodromy.circle import CHART_SWITCH_UP, riccati_rhs
 from tests.conftest import GOLDEN_1, GOLDEN_2
@@ -138,6 +144,18 @@ def test_nan_right_hand_side_raises_step_too_small():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_step_ceiling_refuses_before_the_first_step():
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return (0.0,)
+
+    with pytest.raises(StepCeilingExceeded):
+        rk.dop853(fun, 0.0, (1.0,), 2.0 * rk.MAX_STEPS, 1e-10, 1e-12, max_step=1.0)
+    assert len(calls) == 2  # the initial-step probe only
 
 
 def test_program_imports_no_scipy():
