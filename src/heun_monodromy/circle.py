@@ -6,9 +6,9 @@ half-power branches anchored by the continuous unwrapped phase.  The
 reciprocal point 1/z on the circle is the lift t -> -t.
 
 The theta pair is the circle's second route to Psi = e^P: its linear system
-is solved by 10-node Gauss collocation (Hairer, Norsett & Wanner, *Solving
-ODEs I*, Sec. II.7) on the rows of the phase path's own dense tables that
-cover |t| <= T/2, with phi at the nodes from the interpolant and P unread.
+is solved by the 10-node Gauss collocation kernel of ``gauss`` on the phase
+path's own rows that cover |t| <= T/2, with e^{i phi} at the nodes taken
+from those rows and P unread.
 
 Off-circle values are produced by integrating the Riccati equation along
 radial rays and arcs, with a 1/Phi chart switch around poles.
@@ -23,10 +23,10 @@ from typing import Callable
 import numpy as np
 
 from . import gauss
-from .errors import NonAnalyticOnRay, NotConverged, OutOfWindow, StepSizeTooSmall, WindowTooSmall
+from .errors import NonAnalyticOnRay, OutOfWindow, StepSizeTooSmall, WindowTooSmall
 from .params import ModelParams
-from .phase import PhasePath
-from .rk import EPS, DenseTable, _nested, dop853
+from .phase import PhasePath, _Rows
+from .rk import dop853
 
 #: |Phi| at which continuation switches to the W = 1/Phi chart.
 CHART_SWITCH_UP = 1e3
@@ -160,76 +160,32 @@ def boundary_values(path: PhasePath) -> BoundaryValues:
 #: the quadrature e^{P(t)} (route equivalence pins the sign).
 THETA_ORIENTATION = "d/dt realization: 2 i omega z d/dz |-> -2 d/dt on theta displays"
 
-#: Rows collocated together, so a block's node arrays stay at 41 kB however
-#: long the window (one side at omega = 0.004 has about 13k rows).
-BLOCK_ROWS = 64
-#: Picard sweeps per block before the collocation gives up.  Each sweep
-#: contracts by at most 0.12 (derived in CHANGES.md), so 17 always settle;
-#: 6 to 8 is usual.
-PICARD_MAX_SWEEPS = 40
-
-# 10-node Gauss collocation on a row [t_old, t_old + h]: the nodes as
-# fractions of the row, the stage matrix a_ij and the weights b_j, all in
-# units of h.
-_NODES = 0.5 * (gauss.X + 1.0)
-_A = 0.5 * gauss.CUMULATIVE.T
-_B = 0.5 * gauss.W[None]
-_EYE = np.eye(2)[:, :, None]
-
-
-def _node_sum(C: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """sum_j C[i, j] G[j] over the leading (node) axis of a complex array, as
-    one real 2-D einsum: numpy's fast path, and no BLAS call."""
-    out = np.einsum("ij,jk->ik", C, G.view(float).reshape(len(G), -1))
-    return out.reshape((len(C),) + G.shape[1:-1] + (2 * G.shape[-1],)).view(complex)
-
-
-def _row_propagators(phi: np.ndarray, h: np.ndarray):
-    """Collocate y' = M y on n rows of signed widths h, with phi (NODES, n)
-    at the nodes.  Returns M U at the nodes (NODES, 2, 2, n), U being the
-    node propagators from the row start, and the row propagators (2, 2, n).
-    U solves U_i = I + h sum_j a_ij M_j U_j by Picard sweeps from U = I,
-    stopped when a sweep moves no entry by more than 4 ulps of 1."""
-    Phi = np.exp(1j * phi)
-    up, down = 0.5 * Phi, 0.5 / Phi
-    M = np.stack((np.stack((up, -up), 1), np.stack((-down, down), 1)), 1)
-    U = np.broadcast_to(_EYE, M.shape)
-    for _ in range(PICARD_MAX_SWEEPS):
-        G = M[:, :, 0, None] * U[:, None, 0] + M[:, :, 1, None] * U[:, None, 1]
-        U_next = _EYE + h * _node_sum(_A, G)
-        change = np.max(np.abs(U_next - U))
-        U = U_next
-        if change <= 4 * EPS:  # a NaN never settles
-            return G, _EYE + h * _node_sum(_B, G)[0]
-    raise NotConverged(f"theta collocation: Picard sweeps still moved by {change:.3e} "
-                       f"after {PICARD_MAX_SWEEPS}")
-
-
-def _collocate(table: DenseTable, rows: int):
-    """The theta pair on the first ``rows`` rows of one phase table, from
-    (i, -i) at t = 0: each row's start value (rows, 2) and the Legendre
-    coefficients of y' on it (NODES, rows, 2).  Rows go in blocks; the row
-    propagators are chained in floats."""
+def _collocate(rows: _Rows, count: int):
+    """The theta pair on the first ``count`` rows of one direction of the
+    phase path, from (i, -i) at t = 0: each row's start value (count, 2) and
+    the coefficients of y' on it in powers of the row fraction
+    (NODES, count, 2).  Phi at the nodes comes straight from the phase rows;
+    rows go in blocks, and the row propagators are chained in floats."""
     a, b = 1j, -1j
     starts, coefs = [], []
-    for lo in range(0, rows, BLOCK_ROWS):
-        blk = slice(lo, min(lo + BLOCK_ROWS, rows))
-        phi = _nested(table.F[blk, 0], _NODES[:, None], False)[0] + table.y_old[blk, 0]
-        G, R = _row_propagators(phi, table.h[blk])
+    for lo in range(0, count, gauss.BLOCK_ROWS):
+        Phi = rows.Phi_nodes[:, lo:min(lo + gauss.BLOCK_ROWS, count)]
+        up, down = 0.5 * Phi, 0.5 / Phi
+        M = np.stack((np.stack((up, -up), 1), np.stack((-down, down), 1)), 1)
+        _, G, R = gauss.row_propagators(M, rows.h)
         y0 = []
         for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
             y0.append((a, b))
             a, b = r00 * a + r01 * b, r10 * a + r11 * b
         y0 = np.array(y0)
         starts.append(y0)
-        dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
-        coefs.append(_node_sum(gauss.PROJECTION.T, dy).transpose(0, 2, 1))
+        coefs.append(gauss.derivative_coefficients(G, y0))
     return np.concatenate(starts), np.concatenate(coefs, 1)
 
 
 class ThetaPair:
     """Theta, ThetaTilde on [-T/2, T/2] with Theta(1) = i, ThetaTilde(1) = -i,
-    collocated on the rows of the path's dense tables (``theta_pair_solve``)."""
+    collocated on the phase path's own rows (``theta_pair_solve``)."""
 
     def __init__(self, path: PhasePath):
         self.path = path
@@ -237,14 +193,14 @@ class ThetaPair:
         # rows counted from t = 0 until one reaches |t| = T/2, kept in
         # ascending time
         fwd, bwd = path._fwd, path._bwd
-        n_fwd, n_bwd = (min(int(np.searchsorted(np.abs(tab.ts), half)), tab.n)
-                        for tab in (fwd, bwd))
+        n_fwd, n_bwd = (min(int(np.searchsorted(np.abs(rows.ts), half)), rows.n)
+                        for rows in (fwd, bwd))
         (y_f, c_f), (y_b, c_b) = _collocate(fwd, n_fwd), _collocate(bwd, n_bwd)
         self._left = np.concatenate((bwd.ts[n_bwd:0:-1], fwd.ts[:n_fwd]))
-        self._t_old = np.concatenate((bwd.t_old[n_bwd - 1::-1], fwd.t_old[:n_fwd]))
-        self._h = np.concatenate((bwd.h[n_bwd - 1::-1], fwd.h[:n_fwd]))
+        self._t_old = np.concatenate((bwd.ts[n_bwd - 1::-1], fwd.ts[:n_fwd]))
+        self._h = np.concatenate((np.full(n_bwd, bwd.h), np.full(n_fwd, fwd.h)))
         self._y0 = np.concatenate((y_b[::-1], y_f))
-        self._coef = np.ascontiguousarray(np.concatenate((c_b[:, ::-1], c_f), 1)).view(float)
+        self._rise = gauss.rise_coefficients(np.concatenate((c_b[:, ::-1], c_f), 1), self._h)
         self.theta = CircleFunction("Theta", path, lambda t: self.values(t)[0])
         self.theta_tilde = CircleFunction("ThetaTilde", path, lambda t: self.values(t)[1])
 
@@ -255,10 +211,8 @@ class ThetaPair:
             raise OutOfWindow(f"theta pair evaluated outside [-T/2, T/2] = "
                               f"[{-self._half}, {self._half}]")
         k = np.clip(np.searchsorted(self._left, t, side="right") - 1, 0, len(self._h) - 1)
-        h = self._h[k]
-        x = 2.0 * (t - self._t_old[k]) / h - 1.0
-        rise = np.einsum("mpk,mp->pk", self._coef[:, k], gauss.legendre_integrals(x))
-        return (self._y0[k] + 0.5 * h[:, None] * rise.view(complex)).T
+        s = ((t - self._t_old[k]) / self._h[k])[:, None]
+        return (self._y0[k] + (gauss.horner(self._rise, k, s) * s).view(complex)).T
 
     def psi_route(self, t) -> np.ndarray:
         """(Theta - ThetaTilde) / (2i): equals e^{P(t)} on the circle."""
@@ -272,10 +226,10 @@ class ThetaPair:
 def theta_pair_solve(path: PhasePath) -> ThetaPair:
     """Collocate the theta subsystem from t = 0 both ways over [-T/2, T/2].
 
-    The collocation runs on the rows of the path's own dense tables, with
-    phi at the nodes from the interpolant; P is never read.  Evaluating the
-    pair outside [-T/2, T/2] raises OutOfWindow, and a block whose Picard
-    sweeps do not settle raises NotConverged.
+    The collocation runs on the phase path's own rows, with e^{i phi} at the
+    nodes taken from them; P is never read.  Evaluating the pair outside
+    [-T/2, T/2] raises OutOfWindow, and a block whose Picard sweeps do not
+    settle raises NotConverged.
     """
     return ThetaPair(path)
 

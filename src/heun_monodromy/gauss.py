@@ -1,13 +1,21 @@
-"""The 10-point Gauss-Legendre rule on [-1, 1] and its Legendre helpers.
+"""The 10-point Gauss-Legendre rule on [-1, 1], its Legendre helpers, and
+10-node Gauss collocation of linear systems y' = M(t) y.
 
-One table serves the P_B panel table of ``sqrtmono`` and the defect sampler
-of ``phase``.  The nodes and weights are literals rather than Golub-Welsch:
-the first LAPACK call keeps about 1 MB for the whole run.
+One table serves the P_B panel table of ``sqrtmono`` and the one collocation
+kernel, ``row_propagators``, that solves both the phase path's linear system
+(``phase``) and the theta pair (``circle``).  The nodes and weights are
+literals rather than Golub-Welsch: the first LAPACK call keeps about 1 MB for
+the whole run.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
+
+from .errors import NotConverged
+from .rk import EPS
 
 #: Positive nodes and their weights (Abramowitz & Stegun, table 25.4).
 _POSITIVE = np.array([
@@ -48,3 +56,88 @@ PROJECTION = (W * legendre(X, NODES - 1)).T * (np.arange(NODES) + 0.5)
 #: is sum_j f(x_j) * CUMULATIVE[j, i].  einsum, not @: a BLAS call at import
 #: would raise the peak memory of every run, poly-only runs too.
 CUMULATIVE = np.einsum("jk,ki->ji", PROJECTION, legendre_integrals(X))
+
+#: (k, i): P_k(2s - 1) = sum_i SHIFTED[k, i] s^i in the fraction
+#: s = (x + 1)/2 of the interval, SHIFTED[k, i] = (-1)^(k + i) C(k, i) C(k + i, i),
+#: exact integers.  Legendre coefficients that decay convert to powers of s
+#: without cancellation; node values, through a rounded product of this
+#: with PROJECTION, would not.
+SHIFTED = np.array([[(-1) ** (k + i) * comb(k, i) * comb(k + i, i) for i in range(NODES)]
+                    for k in range(NODES)], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Gauss collocation of y' = M(t) y (Hairer, Norsett & Wanner, *Solving ODEs
+# I*, Sec. II.7)
+# ---------------------------------------------------------------------------
+
+#: Rows collocated together, so a block's node arrays stay at 82 kB however
+#: long the window (the phase's forward side at omega = 0.004 has 29.7k).
+BLOCK_ROWS = 128
+#: Picard sweeps per block before the collocation gives up.  Each sweep
+#: contracts by at most 0.12 (derived in CHANGES.md), so 17 always settle;
+#: 6 to 8 is usual.
+PICARD_MAX_SWEEPS = 40
+
+#: The nodes as fractions of a row [t_old, t_old + h]; the stage matrix a_ij
+#: and the weights b_j in units of h.
+NODE_FRACTIONS = 0.5 * (X + 1.0)
+_A = 0.5 * CUMULATIVE.T
+_B = 0.5 * W[None]
+_EYE = np.eye(2)[:, :, None]
+
+
+def node_sum(C: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """sum_j C[i, j] G[j] over the leading (node) axis of a complex array, as
+    one real 2-D einsum: numpy's fast path, and no BLAS call."""
+    out = np.einsum("ij,jk->ik", C, G.view(float).reshape(len(G), -1))
+    return out.reshape((len(C),) + G.shape[1:-1] + (2 * G.shape[-1],)).view(complex)
+
+
+def row_propagators(M: np.ndarray, h):
+    """Collocate y' = M y on n rows of signed widths h, with M (NODES, 2, 2, n)
+    at the nodes.  Returns the node propagators U from the row start
+    (NODES, 2, 2, n), M U at the nodes and the row propagators (2, 2, n).
+    U solves U_i = I + h sum_j a_ij M_j U_j by Picard sweeps from U = I,
+    stopped when a sweep moves no entry by more than 4 ulps of 1, or after
+    PICARD_MAX_SWEEPS sweeps with NotConverged."""
+    U = np.broadcast_to(_EYE, M.shape)
+    for _ in range(PICARD_MAX_SWEEPS):
+        G = M[:, :, 0, None] * U[:, None, 0] + M[:, :, 1, None] * U[:, None, 1]
+        U_next = _EYE + h * node_sum(_A, G)
+        change = np.max(np.abs(U_next - U))
+        U = U_next
+        if change <= 4 * EPS:  # a NaN never settles
+            return U, G, _EYE + h * node_sum(_B, G)[0]
+    raise NotConverged(f"Gauss collocation: Picard sweeps still moved by {change:.3e} "
+                       f"after {PICARD_MAX_SWEEPS}")
+
+
+def derivative_coefficients(G: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """(NODES, n, 2) coefficients c_i of y' = sum_i c_i s^i on each row, in
+    powers of the row fraction s, from M U at the nodes and the rows' start
+    values y0 (n, 2); by way of the Legendre coefficients (see SHIFTED)."""
+    dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
+    return node_sum(SHIFTED.T, node_sum(PROJECTION.T, dy)).transpose(0, 2, 1)
+
+
+def rise_coefficients(coef: np.ndarray, h) -> np.ndarray:
+    """(NODES, n, 4) real coefficients of (y - y_k) / s = sum_i h c_i s^i / (i + 1)
+    on rows of width h (one, or one per row), from the coefficients c_i of
+    y' (NODES, n, 2)."""
+    h = np.broadcast_to(h, coef.shape[1])
+    return np.ascontiguousarray(coef * (h[:, None] / np.arange(1.0, NODES + 1.0)[:, None, None])
+                                ).view(float)
+
+
+def horner(C: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_i C[i, k] s^i for a real (NODES, n, m) coefficient array, the rows
+    k and fractions s (len(k), 1), by Horner's rule elementwise, so a value
+    does not depend on how many are evaluated together."""
+    C = np.take(C, k, axis=1)
+    acc = C[-1] * s
+    for i in range(NODES - 2, 0, -1):
+        acc += C[i]
+        acc *= s
+    acc += C[0]
+    return acc

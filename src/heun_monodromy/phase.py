@@ -1,14 +1,25 @@
-"""High-accuracy integration of the driven phase equation.
+"""High-accuracy solution of the driven phase equation.
 
-The augmented system
+With Phi = e^{i phi}, the phase equation dphi/dt = b(t) - sin(phi),
+b = B + A*cos(omega*t), is a Riccati equation: the projectivisation of the
+linear system
 
-    dphi/dt = B + A*cos(omega*t) - sin(phi),    dP/dt = cos(phi)
+    y' = M(t) y,    y = (u, v),    M = [[-i b/2, 1/2], [1/2, i b/2]],
 
-is integrated forward and backward from t = 0 with an order-8 embedded
-Runge-Kutta pair and dense output.  The phase is stored unwrapped: the
-half-power branches downstream need the continuous lift, never phi mod 2*pi.
-The global error bar comes from the dense output's own defect, propagated
-along the linearised equation, so each direction is integrated once.
+with Phi = v/u, and since Re(u'/u) = cos(phi)/2 the quadrature
+P = int cos(phi) is 2 log|u| (Buchstaber & Tertychnyi, *Theor. Math. Phys.*
+176, 2013).  M depends on t alone, so every row of the window is collocated
+at once with the 10-node Gauss kernel of ``gauss``, forward and backward
+from t = 0 on uniform rows.  Each row restarts from y = (1, Phi_k); the row
+propagators, chained in floats, give the row starts, and inside a row
+
+    phi = phi_k + arg(v / (u Phi_k)),    P = P_k + 2 log|u|,
+
+so the phase is stored unwrapped: the half-power branches downstream need
+the continuous lift, never phi mod 2*pi.  Derivatives are those of the
+collocation polynomial itself.  The global error bar propagates the
+polynomial's defect, sampled off the collocation nodes, along the
+linearised equation, plus the rounding of the chained row starts.
 """
 
 from __future__ import annotations
@@ -20,9 +31,9 @@ from itertools import accumulate
 import numpy as np
 
 from . import gauss
-from .errors import OutOfWindow, ToleranceNotMet, WindowTooSmall
+from .errors import OutOfWindow, StepCeilingExceeded, ToleranceNotMet, WindowTooSmall
 from .params import ModelParams
-from .rk import EPS, DenseTable, dop853
+from .rk import EPS, MAX_STEPS
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 
@@ -30,15 +41,70 @@ TOL_MIN, TOL_MAX = 1e-14, 1e-4
 #: application (needs phi on +-3T/2 plus margin) and the monodromy shift.
 DEFAULT_WINDOW = (-1.75, 2.25)
 
+NODES = gauss.NODES
 
-def _rhs(params: ModelParams):
-    A, Bd, omega = params.A, params.Bdrive, params.omega
-    cos, sin = math.cos, math.sin
 
-    def rhs(t, y):
-        return (Bd + A * cos(omega * t) - sin(y[0]), cos(y[0]))
+@dataclass
+class _Rows:
+    """The collocation rows of one direction from t = 0.
 
-    return rhs
+    Row k spans ``ts[k]..ts[k + 1]`` (in the order of integration, width
+    ``h``) and starts from y = (1, Phi_k).  ``coef[:, k]`` holds the
+    collocation polynomial's y' in powers of the row fraction
+    s = (t - ts[k]) / h, so y = y_k + h sum_i coef[i, k] s^(i + 1) / (i + 1).
+    The phase and the quadrature at the row edges are kept as float pairs
+    ``phi + phi_lo`` and ``P + P_lo``.  A time on a row edge belongs to the
+    row that ends there, counted in the direction of integration; times
+    beyond the ends use the end rows.
+    """
+
+    ts: np.ndarray  # (n + 1,)
+    h: float
+    phi: np.ndarray  # (n + 1,)
+    phi_lo: np.ndarray
+    P: np.ndarray
+    P_lo: np.ndarray
+    Phi: np.ndarray  # (n + 1,) complex, e^{i phi} at the row edges
+    coef: np.ndarray  # (NODES, n, 2) complex
+    Phi_nodes: np.ndarray  # (NODES, n) complex: e^{i phi} at the Gauss nodes
+
+    def __post_init__(self):
+        self.n = self.coef.shape[1]
+        self.ascending = self.h > 0
+        self.side = "left" if self.ascending else "right"
+        self.ts_sorted = self.ts if self.ascending else self.ts[::-1]
+        # (NODES, n, 4) real coefficients for the evaluation, of y' and of
+        # (y - y_k) / s
+        self._dy = self.coef.view(float)
+        self._y = gauss.rise_coefficients(self.coef, self.h)
+
+    def _segments(self, t: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(self.ts_sorted, t, side=self.side) - 1
+        np.clip(k, 0, self.n - 1, out=k)
+        return k if self.ascending else self.n - 1 - k
+
+    def values(self, k: np.ndarray, s: np.ndarray, derivative: bool = False):
+        """(u, v) on the rows k at the fractions s, and (u', v') or None."""
+        s = s[:, None]
+        y = gauss.horner(self._y, k, s)
+        y *= s
+        y = y.view(complex)
+        u = y[:, 0] + 1.0
+        v = y[:, 1] + self.Phi[k]
+        dy = gauss.horner(self._dy, k, s).view(complex) if derivative else None
+        return u, v, dy
+
+    def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """(2, n) values of (phi, P) at the times t, or their d/dt."""
+        k = self._segments(t)
+        u, v, dy = self.values(k, (t - self.ts[k]) / self.h, derivative)
+        if derivative:
+            du, dv = dy[:, 0] / u, dy[:, 1] / v
+            return np.array((dv.imag - du.imag, 2.0 * du.real))
+        w = v * u.conj() * self.Phi[k].conj()
+        phi = self.phi[k] + (self.phi_lo[k] + np.arctan2(w.imag, w.real))
+        P = self.P[k] + (self.P_lo[k] + np.log(u.real * u.real + u.imag * u.imag))
+        return np.array((phi, P))
 
 
 @dataclass
@@ -51,8 +117,8 @@ class PhasePath:
     t_max: float
     tol: float
     err_est: float
-    _fwd: DenseTable = field(repr=False)
-    _bwd: DenseTable = field(repr=False)
+    _fwd: _Rows = field(repr=False)
+    _bwd: _Rows = field(repr=False)
 
     def _check_window(self, lo: float, hi: float):
         slack = 1e-9 * self.params.T
@@ -75,22 +141,13 @@ class PhasePath:
         return out
 
     def at(self, t: float) -> tuple[float, float]:
-        """(phi, P) at one time as floats, for the scalar right-hand sides."""
-        self._check_window(t, t)
-        phi, P = (self._fwd if t >= 0 else self._bwd).at(t)
+        """(phi, P) at one time as floats."""
+        phi, P = self._split(t, derivative=False)[:, 0].tolist()
         return phi, P
 
     def eval(self, t) -> np.ndarray:
         """(2, n) array of (phi, P) values; vectorized over t."""
-        if isinstance(t, float):
-            s = t
-        elif isinstance(t, np.ndarray) and t.shape == (1,):
-            s = float(t[0])
-        else:
-            return self._split(t, derivative=False)
-        # one point: skip the array machinery
-        phi, P = self.at(s)
-        return np.array(((phi,), (P,)))
+        return self._split(t, derivative=False)
 
     def phi(self, t):
         return self.eval(t)[0]
@@ -107,11 +164,12 @@ class PhasePath:
         return p.Bdrive + p.A * np.cos(p.omega * t) - np.sin(phi_val)
 
     def derivative(self, t) -> np.ndarray:
-        """Exact (2, n) derivative of the dense interpolant itself."""
+        """Exact (2, n) derivative of the collocation polynomial itself:
+        Im(v'/v - u'/u) and 2 Re(u'/u), never M y."""
         return self._split(t, derivative=True)
 
     def ode_residual(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """|interpolant' - rhs| for the phi and P components at samples t."""
+        """|polynomial' - rhs| for the phi and P components at samples t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         d = self.derivative(t)
         phi_val, _ = self.eval(t)
@@ -139,47 +197,168 @@ class PhasePath:
 
     @property
     def step_times(self) -> np.ndarray:
-        """Accepted step endpoints (ascending)."""
+        """Row edges (ascending)."""
         return np.concatenate([self._bwd.ts[::-1], self._fwd.ts[1:]])
 
 
 def _max_step(params: ModelParams) -> float:
-    """Step cap: T/200, and 0.12 over the phase's turning rate |B| + |A| + 1,
-    which bounds the order-7 dense output's derivative error (see CHANGES.md)."""
+    """Row-width cap: T/200, and 0.12 over the phase's turning rate
+    |B| + |A| + 1.  The second bound keeps each row's phase change
+    |dphi| <= 0.12 < pi, so the arg increments that chain the rows are
+    unambiguous, and it keeps the theta pair's Picard sweeps contracting by
+    q <= 0.1184 (see CHANGES.md)."""
     return min(params.T / 200.0, 0.12 / (abs(params.Bdrive) + abs(params.A) + 1.0))
 
 
-def _error_estimate(table: DenseTable, params: ModelParams) -> float:
-    """Global error estimate of one table (derived in CHANGES.md).
+def _node_matrices(params: ModelParams, t: np.ndarray) -> np.ndarray:
+    """M(t) = [[-i b/2, 1/2], [1/2, i b/2]] at the times t, as (2, 2) + t.shape."""
+    half_b = 0.5j * (params.Bdrive + params.A * np.cos(params.omega * t))
+    M = np.empty((2, 2) + t.shape, dtype=complex)
+    M[0, 0], M[0, 1], M[1, 0], M[1, 1] = -half_b, 0.5, 0.5, half_b
+    return M
 
-    The error e = interpolant - solution is propagated from the defect
-    d = interpolant' - rhs along the linearised equation
+
+def _running_sum(start: float, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """start + steps[0] + ... + steps[k - 1] for every k, as (hi, lo): hi is
+    the float running sum and lo the accumulated rounding of its additions
+    (Knuth's TwoSum), so hi + lo is off by a few ulps of the small lo."""
+    s = np.concatenate(([start], steps))
+    hi = np.cumsum(s)  # one float addition after the other
+    before, after = hi[:-1], hi[1:]
+    added = after - before
+    err = (before - (after - added)) + (s[1:] - added)
+    return hi, np.concatenate(([0.0], np.cumsum(err)))
+
+
+def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
+    """The rows from t = 0 to t_bound, collocated block by block.
+
+    Rows are uniform, h = t_bound / ceil(|t_bound| / _max_step).  Each row's
+    propagator maps (1, Phi_k) to (u, v) at its end, and Phi_{k+1} is v/u
+    rescaled to |Phi| = 1; the arg increments and 2 log|u| at the row ends
+    are summed with their rounding carried along.
+    """
+    max_step = _max_step(params)
+    # compared before the division: a huge drive makes max_step tiny or 0,
+    # and the quotient inf or a ZeroDivisionError
+    if not abs(t_bound) <= MAX_STEPS * max_step:
+        raise StepCeilingExceeded(
+            f"[0.0, {t_bound!r}] needs more than {MAX_STEPS} steps of at most {max_step:.3g}")
+    rows = math.ceil(abs(t_bound) / max_step)
+    h = t_bound / rows
+    ts = np.arange(rows + 1) * h
+    ts[-1] = t_bound
+    Phi = complex(math.cos(phi0), math.sin(phi0))
+    starts = np.empty(rows + 1, dtype=complex)
+    rise = np.empty(rows)
+    coef = np.empty((NODES, rows, 2), dtype=complex)
+    Phi_nodes = np.empty((NODES, rows), dtype=complex)
+    for lo in range(0, rows, gauss.BLOCK_ROWS):
+        blk = slice(lo, min(lo + gauss.BLOCK_ROWS, rows))
+        U, G, R = gauss.row_propagators(
+            _node_matrices(params, ts[blk] + h * gauss.NODE_FRACTIONS[:, None]
+                           ).transpose(2, 0, 1, 3), h)
+        (r00, r01), (r10, r11) = R.tolist()
+        for k, a, b, c, d in zip(range(lo, blk.stop), r00, r01, r10, r11):
+            starts[k] = Phi
+            Phi = (c + d * Phi) / (a + b * Phi)
+            Phi /= abs(Phi)
+        S = starts[blk]
+        u_end = R[0, 0] + R[0, 1] * S
+        rise[blk] = np.log(u_end.real * u_end.real + u_end.imag * u_end.imag)
+        coef[:, blk] = gauss.derivative_coefficients(G, np.stack((np.ones_like(S), S), 1))
+        y = U[:, :, 0] + U[:, :, 1] * S
+        ratio = y[:, 1] / y[:, 0]
+        Phi_nodes[:, blk] = ratio / np.abs(ratio)
+    starts[rows] = Phi
+    turn = np.angle(starts[1:] * starts[:-1].conj())
+    phi, phi_lo = _running_sum(phi0, turn)
+    P, P_lo = _running_sum(0.0, rise)
+    return _Rows(ts=ts, h=h, phi=phi, phi_lo=phi_lo, P=P, P_lo=P_lo, Phi=starts,
+                 coef=coef, Phi_nodes=Phi_nodes)
+
+
+# The defect is sampled at the 10-point Gauss nodes of each half row, which
+# miss the row's own nodes (where it vanishes): the fractions, the powers
+# s^i that give y' there and s^(i + 1) / (i + 1) that give (y - y_k) / h,
+# and the quadrature of a sampled integrand over the row (weights) and up to
+# each sample (cumulative), in units of h.  No matrix product at import.
+_SAMPLE_FRACTIONS = np.concatenate((0.5 * gauss.NODE_FRACTIONS, 0.5 + 0.5 * gauss.NODE_FRACTIONS))
+_SAMPLE_POWERS = _SAMPLE_FRACTIONS[:, None] ** np.arange(NODES)
+_SAMPLE_RISES = _SAMPLE_POWERS * _SAMPLE_FRACTIONS[:, None] / np.arange(1.0, NODES + 1.0)
+_SAMPLE_WEIGHTS = 0.25 * np.concatenate((gauss.W, gauss.W))
+_SAMPLE_CUMULATIVE = 0.25 * np.block([
+    [gauss.CUMULATIVE, np.broadcast_to(gauss.W[:, None], (NODES, NODES))],
+    [np.zeros((NODES, NODES)), gauss.CUMULATIVE],
+])
+
+#: Factor on the sampled rounding of one chained step.  The sample (a row's
+#: end from its polynomial against the next row's start) is the difference
+#: of two roundings of one value, about sqrt(2) times either, so 2 covers
+#: about 2.8 standard deviations of the start's own rounding (CHANGES.md).
+ROW_ROUNDING = 2.0
+
+
+def _defect_samples(rows: _Rows, params: ModelParams, blk: slice):
+    """The defect d = polynomial' - rhs on the rows blk at _SAMPLE_FRACTIONS,
+    as (d_phi, d_P), with P - P_k and sin(phi) there, each (rows, S)."""
+    h = rows.h
+    coef = rows.coef[:, blk]
+    y = gauss.node_sum(_SAMPLE_RISES, coef)  # (S, rows, 2)
+    y *= h
+    u, v = (y[:, :, 0] + 1.0).T, (y[:, :, 1] + rows.Phi[blk]).T
+    dy = gauss.node_sum(_SAMPLE_POWERS, coef)
+    M = _node_matrices(params, rows.ts[blk, None] + h * _SAMPLE_FRACTIONS)
+    du = (dy[:, :, 0].T - (M[0, 0] * u + M[0, 1] * v)) / u
+    dv = (dy[:, :, 1].T - (M[1, 0] * u + M[1, 1] * v)) / v
+    ratio = v / u
+    return (dv.imag - du.imag, 2.0 * du.real, np.log(u.real * u.real + u.imag * u.imag),
+            (ratio / np.abs(ratio)).imag)
+
+
+def _error_estimate(rows: _Rows, params: ModelParams) -> float:
+    """Global error estimate of one direction (derived in CHANGES.md).
+
+    The defect d = polynomial' - rhs is sampled at ``_SAMPLE_FRACTIONS`` of
+    every row and propagated along the linearised equation
 
         e_phi' = -cos(phi) e_phi + d_phi,    e_P' = -sin(phi) e_phi + d_P,
 
-    from e(0) = 0, so e_phi(t) = exp(-P(t)) int_0^t exp(P(s)) d_phi(s) ds, with
-    exp(P) taken relative to each row's start so nothing overflows.  The
-    integrals are 10-point Gauss-Legendre on every row, cumulative up to each
-    node.  Returns sup |e_phi|, |e_P| over the nodes and the row ends, plus
-    EPS * max|y| for the rounding of an evaluated value."""
-    t, (phi, P), (dphi, dP) = table.sample(0.5 * (gauss.X + 1.0))
-    d_phi = dphi - (params.Bdrive + params.A * np.cos(params.omega * t) - np.sin(phi))
-    d_P = dP - np.cos(phi)
-    half = 0.5 * table.h[:, None]
-    P0 = table.y_old[:, 1:]
-    g = np.exp(P - P0) * d_phi
-    # e_phi at each row's end, one multiply-add per row
-    decay = np.exp(-table.F[:, 1, -1])  # F0 is the row's increment
-    full = half[:, 0] * (g @ gauss.W)
-    ends = list(accumulate(zip(decay.tolist(), full.tolist()),
-                           lambda e, step: step[0] * (e + step[1]), initial=0.0))
-    e_phi = np.exp(P0 - P) * (np.array(ends[:-1])[:, None] + half * (g @ gauss.CUMULATIVE))
-    q = d_P - np.sin(phi) * e_phi
-    e_P_ends = np.cumsum(half[:, 0] * (q @ gauss.W))
-    e_P = np.concatenate(([0.0], e_P_ends[:-1]))[:, None] + half * (q @ gauss.CUMULATIVE)
-    sup = max(np.max(np.abs(e_phi)), np.max(np.abs(ends)),
-              np.max(np.abs(e_P)), np.max(np.abs(e_P_ends)))
-    return float(sup + EPS * max(np.max(np.abs(phi)), np.max(np.abs(P))))
+    from e(0) = 0, with exp(P) taken relative to each row's start so nothing
+    overflows; rows go in blocks, so memory stays bounded on long windows.
+    The chained row starts add a random walk: each row's end, from its
+    polynomial, against the next row's start samples the rounding of one
+    chained step; ROW_ROUNDING times those samples are carried by the same
+    equation as independent errors.  Returns sup |e_phi|, |e_P| over the
+    samples and the row ends, plus the walk, plus EPS * max|y| for the
+    rounding of an evaluated value."""
+    n, h = rows.n, rows.h
+    rise = np.diff(rows.P) + np.diff(rows.P_lo)  # P over each row
+    decay = np.exp(-rise)
+    sup, e_phi_end, e_P_end = 0.0, 0.0, 0.0
+    for lo in range(0, n, gauss.BLOCK_ROWS):
+        blk = slice(lo, min(lo + gauss.BLOCK_ROWS, n))
+        d_phi, d_P, rel_P, sin_phi = _defect_samples(rows, params, blk)
+        # e_phi at each row's end, one multiply-add per row
+        g = np.exp(rel_P) * d_phi
+        full = h * (g @ _SAMPLE_WEIGHTS)
+        ends = list(accumulate(zip(decay[blk].tolist(), full.tolist()),
+                               lambda e, step: step[0] * (e + step[1]), initial=e_phi_end))
+        e_phi = np.exp(-rel_P) * (np.array(ends[:-1])[:, None] + h * (g @ _SAMPLE_CUMULATIVE))
+        q = d_P - sin_phi * e_phi
+        e_P_ends = e_P_end + np.cumsum(h * (q @ _SAMPLE_WEIGHTS))
+        e_P = np.concatenate(([e_P_end], e_P_ends[:-1]))[:, None] + h * (q @ _SAMPLE_CUMULATIVE)
+        sup = max(sup, np.max(np.abs(e_phi)), np.max(np.abs(ends)),
+                  np.max(np.abs(e_P)), np.max(np.abs(e_P_ends)))
+        e_phi_end, e_P_end = ends[-1], float(e_P_ends[-1])
+    u_end, v_end, _ = rows.values(np.arange(n), np.ones(n))
+    jump_phi = np.angle(v_end * u_end.conj() * rows.Phi[1:].conj())
+    jump_P = np.log(u_end.real * u_end.real + u_end.imag * u_end.imag) - rise
+    walk = list(accumulate(zip(decay.tolist(), (jump_phi * jump_phi).tolist()),
+                           lambda var, step: step[0] * step[0] * var + step[1], initial=0.0))
+    rounding = ROW_ROUNDING * math.sqrt(max(max(walk), float(np.sum(jump_P * jump_P))))
+    y_max = max(np.max(np.abs(rows.phi)), np.max(np.abs(rows.P)))
+    return float(sup + rounding + EPS * y_max)
 
 
 def solve_phase(
@@ -189,13 +368,14 @@ def solve_phase(
     t_max: float | None = None,
     tol: float = 1e-12,
 ) -> PhasePath:
-    """Integrate the augmented phase system over a window containing [-T, T].
+    """Solve the phase system over a window containing [-T, T].
 
-    The global error estimate propagates the dense output's defect along the
-    linearised equation (``_error_estimate``); an estimate beyond 1e3*tol
-    raises ToleranceNotMet.  A direction that needs more than
-    ``rk.MAX_STEPS`` steps at the capped step raises StepCeilingExceeded
-    before it starts.
+    The global error estimate propagates the collocation polynomial's defect
+    along the linearised equation and adds the rounding of the chained row
+    starts (``_error_estimate``); an estimate beyond 1e3*tol raises
+    ToleranceNotMet.  A direction that needs more than ``rk.MAX_STEPS`` rows
+    at the capped width raises StepCeilingExceeded before it allocates
+    anything.
     """
     T = params.T
     if t_min is None:
@@ -207,16 +387,7 @@ def solve_phase(
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
-    rhs = _rhs(params)
-    # the solver runs two decades below the requested tolerance (with a
-    # bounded step) so that the *interpolant derivative* also honors the
-    # 10*tol residual contract, not just the node values
-    rtol = max(tol * 1e-2, 2.5e-14)
-    fwd, bwd = (
-        DenseTable(dop853(rhs, 0.0, (phi0, 0.0), t_bound, rtol, rtol * 1e-2,
-                          max_step=_max_step(params), dense=True))
-        for t_bound in (t_max, t_min)
-    )
+    fwd, bwd = (_collocate(params, phi0, t_bound) for t_bound in (t_max, t_min))
     err_est = max(_error_estimate(fwd, params), _error_estimate(bwd, params))
     if err_est > 1e3 * tol:
         raise ToleranceNotMet(

@@ -1,4 +1,4 @@
-"""The DOP853 integrator on plain Python floats, and its dense-output table.
+"""The DOP853 integrator on plain Python floats.
 
 One explicit Runge-Kutta pair of order 8 with the 5th/3rd-order error
 estimate and the 7th-order dense output of Hairer, Norsett & Wanner,
@@ -11,20 +11,17 @@ of the current time.
 The systems integrated here have one to four real components, so the state
 is a list of floats, the stages are kept per component and every linear
 combination is one ``sum(map(mul, coefficients, stages))``; no array is
-built inside the loop.  ``DenseTable`` evaluates the rows a dense run leaves
-behind, for arrays of times with numpy and for one time in floats.
+built inside the loop.  It serves the Riccati continuation off the circle
+and the DCHE continuation of ``heun``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import StepCeilingExceeded, StepSizeTooSmall
 
@@ -38,9 +35,8 @@ N_STAGES = 12
 
 #: Step ceiling of one run: a span that needs more steps than this at its
 #: ``max_step`` is refused before the first step (checked after the initial
-#: step, so a zero one still reports itself).  The largest phase solve in
-#: the tests (omega = 0.004) needs 29.6k steps forward and 23.1k backward,
-#: at about 90 us and 1.8 kB per step.
+#: step, so a zero one still reports itself).  ``phase`` holds each
+#: direction of its collocation to the same number of rows.
 MAX_STEPS = 100_000
 
 C = (
@@ -317,74 +313,3 @@ def dop853(
         ts.append(t)
         if sign * (t - t_bound) >= 0:
             return Solution(t, y, ts, rows, False)
-
-
-def _nested(F: np.ndarray, x: np.ndarray, derivative: bool):
-    """The nested x / (1 - x) recurrence over F6..F0 (the last axis of F) at
-    the fractions x, which broadcast against F's other axes, without y_old;
-    with ``derivative`` also its d/dx, else None."""
-    y = np.zeros(np.broadcast_shapes(F.shape[:-1], x.shape))
-    dy = np.zeros_like(y) if derivative else None
-    for i in range(F.shape[-1]):
-        y += F[..., i]
-        m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
-        if derivative:
-            dy = dy * m + dm * y
-        y *= m
-    return y, dy
-
-
-class DenseTable:
-    """The dense output of one integration, evaluated from its rows.
-
-    ``__call__`` runs the nested ``x``/``(1 - x)`` recurrence of every row
-    for an array of times at once; ``at`` runs it for one time in plain
-    floats, with the same operations, so both give equal values; ``sample``
-    runs it at the same fractions of every row.  A time on a step boundary
-    belongs to the step that ends there, counted in the direction of
-    integration; times beyond the ends use the end steps.
-    """
-
-    def __init__(self, sol: Solution):
-        self.rows = rows = sol.rows
-        self.n = len(rows)
-        self.ts = np.asarray(sol.ts)  # in the order of integration
-        self.ascending = sol.ts[-1] >= sol.ts[0]
-        self.side = "left" if self.ascending else "right"
-        self.ts_sorted = self.ts if self.ascending else self.ts[::-1]
-        self._bisect = bisect_left if self.ascending else bisect_right
-        self._ts_list = self.ts_sorted.tolist()
-        t_old, h, y_old, F = zip(*rows)
-        self.t_old = np.array(t_old)
-        self.h = np.array(h)
-        self.y_old = np.array(y_old)  # (n, ny)
-        self.F = np.array(F)  # (n, ny, 7), F6 first
-
-    def _segments(self, t: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(self.ts_sorted, t, side=self.side) - 1
-        np.clip(k, 0, self.n - 1, out=k)
-        return k if self.ascending else self.n - 1 - k
-
-    def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
-        """(ny, n) values at the times t, or their d/dt with ``derivative``."""
-        k = self._segments(t)
-        h = self.h[k][:, None]
-        y, dy = _nested(self.F[k], (t - self.t_old[k])[:, None] / h, derivative)
-        if derivative:
-            return (dy / h).T
-        y += self.y_old[k]
-        return y.T
-
-    def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Times (n, q), values and d/dt (each (ny, n, q)) at the fractions x
-        of every row, in the order of integration."""
-        y, dy = _nested(self.F[:, None], x[:, None], True)
-        t = self.t_old[:, None] + x * self.h[:, None]
-        y += self.y_old[:, None]
-        dy /= self.h[:, None, None]
-        return t, y.transpose(2, 0, 1), dy.transpose(2, 0, 1)
-
-    def at(self, t: float) -> list[float]:
-        """The components at one time, by bisection and float arithmetic."""
-        k = min(max(self._bisect(self._ts_list, t) - 1, 0), self.n - 1)
-        return _interpolate(self.rows[k if self.ascending else self.n - 1 - k], t)

@@ -90,7 +90,7 @@ def _record(
 
 
 def check_ode(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
-    """Dense-output residuals plus the period-shift property."""
+    """Collocation-polynomial residuals plus the period-shift property."""
     report: dict = {}
     failures: list[str] = []
     t = np.linspace(path.t_min + 0.01, path.t_max - 0.01, grid_size)
@@ -117,7 +117,7 @@ def check_circle(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
     branch = (np.abs(np.exp(0.5j * phi) ** 2 - F), np.abs(np.exp(0.5 * P) ** 2 - psi))
     _record(report, failures, "branch_squares", np.max(branch), "branch_squares")
 
-    # quadrature equation along the circle, derivative from the interpolant
+    # quadrature equation along the circle, derivative from the polynomial
     dP = path.derivative(t)[1]
     res_psi = np.abs(2.0 * dP * psi - (F + 1.0 / F) * psi)
     _record(report, failures, "psi_ode_residual", np.max(res_psi), "psi_ode_residual")

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import cmath
-import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 import heun_monodromy.circle as circle_mod
+from heun_monodromy import gauss
 from heun_monodromy import ModelParams, NotConverged, OutOfWindow, solve_phase
 from heun_monodromy.circle import (
     boundary_values,
@@ -153,7 +153,7 @@ def test_theta_pair_outside_the_half_period_is_out_of_window(golden_path):
 
 def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
     # each sweep contracts by at most 0.12, so one sweep cannot settle
-    monkeypatch.setattr(circle_mod, "PICARD_MAX_SWEEPS", 1)
+    monkeypatch.setattr(gauss, "PICARD_MAX_SWEEPS", 1)
     with pytest.raises(NotConverged):
         theta_pair_solve(golden_path)
 
@@ -161,9 +161,9 @@ def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
 def test_theta_pair_nan_phase_raises_not_converged(golden_path):
     # a NaN row never settles: it hits the sweep cap instead of looping
-    fwd = copy.copy(golden_path._fwd)
-    fwd.F = fwd.F.copy()
-    fwd.F[3] = np.nan
+    Phi_nodes = golden_path._fwd.Phi_nodes.copy()
+    Phi_nodes[:, 3] = np.nan
+    fwd = dataclasses.replace(golden_path._fwd, Phi_nodes=Phi_nodes)
     with pytest.raises(NotConverged):
         theta_pair_solve(dataclasses.replace(golden_path, _fwd=fwd))
 

@@ -20,11 +20,10 @@ POLY_STDOUT_SHA256 = {
 
 # sha256 of `sqrt-monodromy` standard output at golden point 2 with the
 # default --tol and --grid, recorded with P_B from the Gauss-Legendre panel
-# table.
-SQRT_MONODROMY_G2_SHA256 = "3ceeead637d0eeb3cbfe91384554be26672accfa40fbfd1ad530ffde30087c16"
-# The same report without the two residuals the panel table moved, recorded
-# when P_B came from a DOP853 run on cos(phase(t)): no other byte moved.
-SQRT_MONODROMY_G2_REST_SHA256 = "2048c6b5ac723239dc346c683e89f353f64a0893be98f443eb2661ba0cca991d"
+# table and the phase path from Gauss collocation of its linear system.
+SQRT_MONODROMY_G2_SHA256 = "2d410cf8e727e5ca1b8037c66dea15a4126e1adf7c44d3dd3637eaf17c71eb7e"
+# The same report without the two residuals the panel table moved.
+SQRT_MONODROMY_G2_REST_SHA256 = "435feacaf056c3d4a45401ad71d7c1a48326d5f83689dab961448fbe7f1ec9d8"
 # Those two residuals as they were with the DOP853 P_B; both must stay below.
 SQRT_MONODROMY_G2_DOP853 = {
     "b_squared_residual": 5.675490289945347e-12,
@@ -33,18 +32,16 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
-# at the two golden points, recorded with the theta pair from Gauss
-# collocation on the phase path's rows.
+# at the two golden points, recorded with the phase path and the theta pair
+# both from Gauss collocation of their linear systems.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "d2e854dff21f61d315e002e053899569588f88afdbde35c8de3b7de54bdc6338",
-    ("1", "0.2", "1.3", "1.0"): "f3c07dad9a4511d2d24db8b49d8c395efe3f65c9a01b1332d4ce7f0b952605e1",
+    ("2", "0.3", "1", "0.5"): "07ec42052de192014e5200196ac1d34fa82209121c141a868c6bb0e8291c3282",
+    ("1", "0.2", "1.3", "1.0"): "a40ae44478b3bf88fd80c44718b8f683f6b588499c583913b131a7faaa11f367",
 }
-# The same reports without ode.route_equivalence, the one leaf the
-# collocation moves, recorded when the theta pair came from a scalar DOP853
-# solve: no other byte moved.
+# The same reports without ode.route_equivalence.
 VERIFY_REST_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "3efa543e8134d774090d433e2d93b57a854f7169263f5309edde8aa51a7da01a",
-    ("1", "0.2", "1.3", "1.0"): "79a8d60367e32c80e61012611061ac6d8195a3cf62ca887d12778c0646f1d6a4",
+    ("2", "0.3", "1", "0.5"): "5a7df079a73297f45058d58d0e80e2c63b984865cc6709cf194686e9f8efd179",
+    ("1", "0.2", "1.3", "1.0"): "45c276d219af209d2d7d972f10be7b56111b615e457efd2693be050e3320cb0f",
 }
 
 
@@ -242,14 +239,40 @@ def test_step_ceiling_refuses_a_vast_window(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [("--mu", "1e300", "--omega", "1"),
-                                  ("--mu", "0.3", "--omega", "1e300")])
+# What the two inputs whose slope scale once overflowed DOP853's initial step
+# print now: at mu = 1e300 the row cap is 6e-302, so the window needs about
+# 2e302 rows and is refused before anything is allocated; at omega = 1e300
+# the window is 800 rows, the solve succeeds, and the report fails its
+# Riccati budget (the residual scales with omega).
+ZERO_INITIAL_STEP_EXITS = {
+    ("--mu", "1e300", "--omega", "1"): (
+        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 steps "
+               "of at most 6e-302\n"),
+    ("--mu", "0.3", "--omega", "1e300"): (
+        1, '{"sup_residual_circle": 4.8495273725283183e-15, "boundary_residual": '
+           '8.473409486550036e-16, "unimodularity_residual": 4.4408920985006262e-16, '
+           '"riccati_residual": 1.5010080448573983e+285, "ray_residuals": '
+           '[[0.80000000000000004, 3.3621089818922919e-13], [1.25, 2.2677943375296873e-13]], '
+           '"grid_size": 1001, "tol": 9.9999999999999998e-13}\n', ""),
+    # a slope scale of 2e307 makes the row count inf, one of inf makes the
+    # row cap 0: both must hit the ceiling before any division
+    ("--mu", "1e307", "--omega", "1"): (
+        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 steps "
+               "of at most 6e-309\n"),
+    ("--mu", "1e308", "--omega", "1"): (
+        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 steps "
+               "of at most 0\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ZERO_INITIAL_STEP_EXITS))
 def test_zero_initial_step_is_a_typed_error(capsys, argv):
-    # an infinite slope scale made the first trial step 0 and _initial_step
-    # divided by it (ZeroDivisionError, a traceback)
+    # an infinite slope scale made DOP853's first trial step 0 and
+    # _initial_step divided by it (ZeroDivisionError, a traceback); the phase
+    # takes no initial step any more
     code, out, err = run(capsys, "monodromy", "--ell", "2", *argv, "--phi0", "0.5")
-    assert (code, out) == (1, "")
-    assert err == "tolerance failure: initial step size is zero at t = 0.0\n"
+    assert (code, out, err) == ZERO_INITIAL_STEP_EXITS[argv]
+    assert "Traceback" not in err
 
 
 def test_sqrt_monodromy_degenerate_point_is_gated_before_the_solve(capsys, monkeypatch):

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, solve_phase
-from tests.conftest import GOLDEN_1_PHI_AT_T, GOLDEN_2_PHI_AT_T
+from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, gauss, solve_phase
+from tests.conftest import FIXED_SWEEP_POINTS, GOLDEN_1_PHI_AT_T, GOLDEN_2_PHI_AT_T, GOLDENS
 
 
 def test_zero_equilibrium(trivial_path):
@@ -94,21 +94,24 @@ def test_reaches_window_ends(golden_path):
         assert np.all(np.isfinite(vals))
 
 
-def _row_value(table, t):
-    """One time from the kernel's own rows, one row at a time: the first step
-    in the order of integration whose closed interval holds t, then for each
-    component the nested x / (1 - x) recurrence over F6..F0."""
-    ts = table.ts
-    i = next(i for i in range(table.n) if min(ts[i], ts[i + 1]) <= t <= max(ts[i], ts[i + 1]))
-    t_old, h, y_old, F = table.rows[i]
-    x = (t - t_old) / h
-    out = []
-    for coeffs, y0 in zip(F, y_old):
-        a = 0.0
-        for j, f in enumerate(coeffs):
-            a = (a + f) * (x if j % 2 == 0 else 1 - x)
-        out.append(a + y0)
-    return out
+def _row_value(rows, t):
+    """One time from the solver's own rows, one row at a time: the first row
+    in the order of integration whose closed interval holds t, then Horner's
+    rule over its powers of the row fraction on one-element arrays, and the
+    phase and quadrature from (u, v) relative to the row start."""
+    ts = rows.ts
+    i = next(i for i in range(rows.n) if min(ts[i], ts[i + 1]) <= t <= max(ts[i], ts[i + 1]))
+    s = ((np.array([t]) - ts[i]) / rows.h)[:, None]
+    C = rows._y[:, i:i + 1]  # (powers, 1, 4): Re u, Im u, Re v, Im v
+    acc = C[-1] * s
+    for power in range(gauss.NODES - 2, 0, -1):
+        acc = (acc + C[power]) * s
+    acc = ((acc + C[0]) * s).view(complex)
+    u, v = acc[:, 0] + 1.0, acc[:, 1] + rows.Phi[i]
+    w = v * u.conj() * rows.Phi[i].conj()
+    phi = rows.phi[i] + (rows.phi_lo[i] + np.arctan2(w.imag, w.real))
+    P = rows.P[i] + (rows.P_lo[i] + np.log(u.real * u.real + u.imag * u.imag))
+    return [float(phi[0]), float(P[0])]
 
 
 def _row_reference(path, t):
@@ -132,16 +135,31 @@ def test_eval_is_bit_identical_to_dense_output(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["golden_path", "golden2_path"])
 def test_derivative_matches_rhs_at_step_nodes(fixture, request):
-    # DOP853's dense output reproduces f at both ends of every step
+    # the collocation polynomial satisfies the linear system at every row's
+    # Gauss nodes, so there its own derivative is the phase equation's
     path = request.getfixturevalue(fixture)
-    ts = path.step_times
-    d = path.derivative(ts)
-    phi = path.phi(ts)
-    assert np.max(np.abs(d[0] - path.phidot(ts, phi))) <= 1e-13
-    assert np.max(np.abs(d[1] - np.cos(phi))) <= 1e-13
+    for rows in (path._fwd, path._bwd):
+        t = (rows.ts[:-1, None] + rows.h * gauss.NODE_FRACTIONS).ravel()
+        d = path.derivative(t)
+        phi = path.phi(t)
+        assert np.max(np.abs(d[0] - path.phidot(t, phi))) <= 1e-13
+        assert np.max(np.abs(d[1] - np.cos(phi))) <= 1e-13
 
 
 def test_golden_ode_residual_tight(golden_path):
     t = np.linspace(golden_path.t_min + 0.01, golden_path.t_max - 0.01, 1001)
     res_phi, res_p = golden_path.ode_residual(t)
     assert max(float(np.max(res_phi)), float(np.max(res_p))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "point", GOLDENS + FIXED_SWEEP_POINTS + ((12.0, 0.2, 1.0, 0.3), (1.0, 1.256, 0.4074, 0.0428))
+)
+def test_phase_certificates_hold_to_1e_13(point):
+    # the DOP853 interpolant's derivative left 9.0e-13 at G1 and 2.4e-12 at
+    # ell = 12; the collocation polynomial's own derivative stays at rounding
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    t = np.linspace(path.t_min + 0.01, path.t_max - 0.01, 1001)
+    assert max(float(np.max(res)) for res in path.ode_residual(t)) <= 1e-13
+    assert path.time_translation_residual(1001) <= 1e-13

@@ -27,7 +27,9 @@ from heun_monodromy import (
 )
 from heun_monodromy import rk
 from heun_monodromy.circle import CHART_SWITCH_UP, riccati_rhs
+from heun_monodromy.phase import DEFAULT_WINDOW, _max_step
 from tests.conftest import GOLDEN_1, GOLDEN_2
+from tests.dense_table import phase_rhs
 
 OFF_GOLDEN = dict(ell=5.647393, mu=0.089889, omega=0.807236, phi0=0.759566)
 
@@ -48,27 +50,41 @@ def test_tableau_is_scipys_exactly():
     assert np.array_equal(np.array(rk.D), ref.D)
 
 
-@pytest.mark.parametrize("point", [GOLDEN_1, GOLDEN_2, OFF_GOLDEN], ids=["G1", "G2", "off"])
-def test_phase_solve_matches_scipy(point):
-    # solve_phase's own settings at tol = 1e-12: rtol 2.5e-14, max step
-    # min(T/200, 0.12/(|B| + |A| + 1)); the second cap binds at OFF_GOLDEN
-    params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
-    path = solve_phase(params, point["phi0"], tol=1e-12)
-    A, Bd, omega, T = params.A, params.Bdrive, params.omega, params.T
-    max_step = min(T / 200, 0.12 / (abs(Bd) + abs(A) + 1))
+def _scipy_phase(params, phi0, t_bound, max_step):
+    # the settings solve_phase used with DOP853 at tol = 1e-12: rtol 2.5e-14
+    # and max step min(T/200, 0.12/(|B| + |A| + 1)); the second cap binds at
+    # OFF_GOLDEN
+    A, Bd, omega = params.A, params.Bdrive, params.omega
 
     def rhs(t, y):
         return (Bd + A * np.cos(omega * t) - np.sin(y[0]), np.cos(y[0]))
 
-    sols = [
-        solve_ivp(rhs, (0.0, t_bound), (point["phi0"], 0.0), method="DOP853", rtol=2.5e-14,
-                  atol=2.5e-16, max_step=max_step, dense_output=True)
-        for t_bound in (path.t_max, path.t_min)
-    ]
-    assert len(path.step_times) - 1 == sum(len(s.t) - 1 for s in sols)
+    return solve_ivp(rhs, (0.0, t_bound), (phi0, 0.0), method="DOP853", rtol=2.5e-14,
+                     atol=2.5e-16, max_step=max_step, dense_output=True)
+
+
+@pytest.mark.parametrize("point", [GOLDEN_1, GOLDEN_2, OFF_GOLDEN], ids=["G1", "G2", "off"])
+def test_phase_solve_matches_scipy(point):
+    params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
+    path = solve_phase(params, point["phi0"], tol=1e-12)
+    sols = [_scipy_phase(params, point["phi0"], t_bound, _max_step(params))
+            for t_bound in (path.t_max, path.t_min)]
     t = np.random.default_rng(5).uniform(path.t_min, path.t_max, 5000)
     expect = np.where(t >= 0, sols[0].sol(t), sols[1].sol(t))
     assert np.max(np.abs(path.eval(t) - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("point", [GOLDEN_1, GOLDEN_2, OFF_GOLDEN], ids=["G1", "G2", "off"])
+def test_dop853_phase_steps_match_scipy(point):
+    # the kernel still serves the Riccati and DCHE continuations: on the
+    # phase system it takes scipy's steps exactly
+    params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
+    T, max_step = params.T, _max_step(params)
+    for t_bound in (DEFAULT_WINDOW[1] * T, DEFAULT_WINDOW[0] * T):
+        sol = rk.dop853(phase_rhs(params), 0.0, (point["phi0"], 0.0), t_bound, 2.5e-14,
+                        2.5e-16, max_step=max_step)
+        ref = _scipy_phase(params, point["phi0"], t_bound, max_step)
+        assert len(sol.ts) == len(ref.t)
 
 
 def _scipy_event(fun, t_span, y0, event, direction, rtol):
