@@ -16,7 +16,6 @@ from .errors import (
     DenominatorVanished,
     GenericityViolated,
     HeunMonodromyError,
-    NonAnalyticOnRay,
     NonIntegerOrder,
     NonPositiveOmega,
     NotConstant,

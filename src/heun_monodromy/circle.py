@@ -10,8 +10,10 @@ is solved by the 10-node Gauss collocation kernel of ``gauss`` on the phase
 path's own rows that cover |t| <= T/2, with e^{i phi} at the nodes taken
 from those rows and P unread.
 
-Off-circle values are produced by integrating the Riccati equation along
-radial rays and arcs, with a 1/Phi chart switch around poles.
+Off the circle, Phi = v/u is continued through the linear system behind its
+Riccati equation, collocated by the same kernel on uniform rows along radial
+rays and arcs (``continue_linear``, which ``heun`` shares for the DCHE); the
+system is analytic on the annulus, so poles of Phi need no chart switch.
 """
 
 from __future__ import annotations
@@ -23,17 +25,9 @@ from typing import Callable
 import numpy as np
 
 from . import gauss
-from .errors import NonAnalyticOnRay, OutOfWindow, StepSizeTooSmall, WindowTooSmall
+from .errors import OutOfWindow, StepCeilingExceeded, WindowTooSmall
 from .params import ModelParams
 from .phase import PhasePath, _Rows
-from .rk import dop853
-
-#: |Phi| at which continuation switches to the W = 1/Phi chart.
-CHART_SWITCH_UP = 1e3
-#: |Phi| at which the W chart hands back to the Phi chart (hysteresis band).
-CHART_SWITCH_DOWN = 1e2
-#: Both-charts blow-up bound: beyond this the point is reported non-analytic.
-CHART_LIMIT = 1e6
 
 #: Annulus guard for off-circle continuation.
 RHO_MIN, RHO_MAX = 0.2, 5.0
@@ -235,22 +229,8 @@ def theta_pair_solve(path: PhasePath) -> ThetaPair:
 
 
 # ---------------------------------------------------------------------------
-# Riccati continuation off the circle
+# Continuation off the circle
 # ---------------------------------------------------------------------------
-
-
-def riccati_rhs(params: ModelParams, z: complex, F: complex) -> complex:
-    """Right-hand side of the Riccati equation in the Phi chart."""
-    return (1.0 - F * F) / (2j * params.omega * z) + (
-        params.ell / z + params.mu * (1.0 + z**-2)
-    ) * F
-
-
-def riccati_rhs_inverse(params: ModelParams, z: complex, W: complex) -> complex:
-    """Mirrored equation satisfied by W = 1/Phi (linear term sign flipped)."""
-    return (1.0 - W * W) / (2j * params.omega * z) - (
-        params.ell / z + params.mu * (1.0 + z**-2)
-    ) * W
 
 
 def riccati_circle_residual(params: ModelParams, t, F, Fdot) -> np.ndarray:
@@ -267,103 +247,98 @@ def riccati_circle_residual(params: ModelParams, t, F, Fdot) -> np.ndarray:
 Segment = tuple  # ("radial", theta, rho0, rho1) | ("arc", rho, theta0, theta1)
 
 
-def _segment_funcs(seg: Segment):
+def _segment(seg: Segment):
+    """z(s) and dz/ds on arrays of the segment's variable s, its ends s0 and
+    s1, its least radius and |dz/ds|."""
     if seg[0] == "radial":
         _, theta, s0, s1 = seg
         e = complex(math.cos(theta), math.sin(theta))
-        return (lambda s: s * e), (lambda s: e), s0, s1
+        return (lambda s: s * e), (lambda z: e), s0, s1, min(s0, s1), 1.0
     if seg[0] == "arc":
         _, rho, th0, th1 = seg
-        return (
-            lambda s: rho * complex(math.cos(s), math.sin(s)),
-            lambda s: 1j * rho * complex(math.cos(s), math.sin(s)),
-            th0,
-            th1,
-        )
+        return (lambda s: rho * np.exp(1j * s)), (lambda z: 1j * z), th0, th1, rho, rho
     raise ValueError(f"unknown segment kind {seg[0]!r}")
+
+
+def continue_linear(matrix, norm_bound, y, segments: list[Segment]):
+    """Continue a solution y = (y0, y1) of dy/dz = M(z) y along the segments
+    with the Gauss collocation kernel.
+
+    ``matrix(z)`` gives M on an array of points, shaped (2, 2) + z.shape, and
+    ``norm_bound(r)`` bounds ||M(z)||_inf over |z| >= r.  Each segment gets
+    uniform rows of width ROW_RATE / rate in its variable s, where rate =
+    norm_bound(least radius) * |dz/ds| bounds the norm of dy/ds = M dz/ds y
+    (derivation in CHANGES.md); if one needs more than MAX_STEPS rows,
+    StepCeilingExceeded is raised before anything is allocated.  Rows go in
+    blocks, their propagators are chained in floats, and before each block
+    the pair is rescaled by an exact power of two, so nothing overflows.
+    Returns (y, exponent): the end value is y * 2**exponent.
+    """
+    rows_of = []
+    for seg in segments:
+        z_of, dz_ds, s0, s1, r_min, speed = _segment(seg)
+        if s0 == s1:
+            continue
+        if not r_min > 0:
+            raise ValueError(f"segment {seg} reaches z = 0")
+        max_step = gauss.ROW_RATE / (norm_bound(r_min) * speed)
+        # compared before the division, as in phase._collocate
+        if not abs(s1 - s0) <= gauss.MAX_STEPS * max_step:
+            raise StepCeilingExceeded(f"segment {seg} needs more than {gauss.MAX_STEPS} rows "
+                                      f"of at most {max_step:.3g}")
+        rows = math.ceil(abs(s1 - s0) / max_step)
+        rows_of.append((z_of, dz_ds, s0, rows, (s1 - s0) / rows))
+    y = np.array(y, dtype=complex)
+    exponent = 0
+    for z_of, dz_ds, s0, rows, h in rows_of:
+        for lo in range(0, rows, gauss.BLOCK_ROWS):
+            k = np.arange(lo, min(lo + gauss.BLOCK_ROWS, rows))
+            z = z_of(s0 + h * (k + gauss.NODE_FRACTIONS[:, None]))
+            _, _, R = gauss.row_propagators((matrix(z) * dz_ds(z)).transpose(2, 0, 1, 3), h)
+            shift = math.frexp(float(np.max(np.abs(y))))[1]
+            exponent += shift
+            a, b = np.ldexp(y.view(float), -shift).view(complex).tolist()
+            for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
+                a, b = r00 * a + r01 * b, r10 * a + r11 * b
+            y = np.array((a, b))
+    return y, exponent
 
 
 def continue_riccati_path(
     params: ModelParams,
     F0: complex,
     segments: list[Segment],
-    tol: float = 1e-12,
-) -> tuple[complex, bool, int]:
-    """Continue a Riccati solution along a piecewise path.
+) -> tuple[complex, bool]:
+    """Continue a Riccati solution, F = F0 at the start, along a piecewise path.
 
-    Returns (value, pole_flag, chart_switches).  The continuation runs in the
-    Phi chart until |Phi| reaches 1e3, then in the W = 1/Phi chart until
-    |Phi| falls back to 1e2 (hysteresis).  If a chart value passes 1e6 with
-    the other chart unusable, the target is flagged non-analytic.
+    F = v/u for the linear system
+
+        u' = -(c/2) u + v / (2 i omega z),    v' = u / (2 i omega z) + (c/2) v,
+
+    c = ell/z + mu (1 + z^-2), carried from (1, F0) by ``continue_linear``.
+    Its coefficients are analytic on the annulus, so (u, v) passes through
+    a pole of F with no change of chart.  Returns (v/u, pole_flag), where the
+    flag marks an end at (numerically) a pole, |u| < |v| / 1e6.
     """
-    value = complex(F0)
-    chart = "phi"  # or "inv"
-    switches = 0
-    rtol = max(tol, 1e-13)
+    ell, mu, omega = params.ell, params.mu, params.omega
 
-    for seg in segments:
-        zfun, dzfun, s0, s1 = _segment_funcs(seg)
-        if s0 == s1:
-            continue
-        s = s0
-        while True:
-            # the Phi chart hands over when |Phi| reaches CHART_SWITCH_UP, the
-            # W chart when |W| rises back to 1/CHART_SWITCH_DOWN
-            chart_rhs, bound, direction = (
-                (riccati_rhs, CHART_SWITCH_UP, 0.0)
-                if chart == "phi"
-                else (riccati_rhs_inverse, 1.0 / CHART_SWITCH_DOWN, 1.0)
-            )
+    def matrix(z):
+        half_c = 0.5 * (ell / z + mu * (1.0 + z**-2))
+        off = 1.0 / (2j * omega * z)
+        return np.array(((-half_c, off), (off, half_c)))
 
-            def f(s_, y):
-                d = chart_rhs(params, zfun(s_), complex(y[0], y[1])) * dzfun(s_)
-                return (d.real, d.imag)
+    def norm_bound(r):
+        return 0.5 * (abs(ell) / r + abs(mu) * (1.0 + r**-2) + 1.0 / (omega * r))
 
-            def switch(s_, y):
-                return y[0] ** 2 + y[1] ** 2 - bound**2
-
-            try:
-                sol = dop853(f, s, (value.real, value.imag), s1, rtol, rtol * 1e-2,
-                             event=switch, direction=direction)
-            except StepSizeTooSmall as exc:
-                raise NonAnalyticOnRay(
-                    f"continuation failed on segment {seg} near s={exc.t:.6g}",
-                    rho=abs(zfun(exc.t)),
-                ) from exc
-            value = complex(*sol.y)
-            if sol.terminated:  # chart switch event
-                s = sol.t
-                if abs(value) == 0 or abs(value) > CHART_LIMIT:
-                    raise NonAnalyticOnRay(
-                        f"both charts unusable on segment {seg} at s={s:.6g}",
-                        rho=abs(zfun(s)),
-                    )
-                value = 1.0 / value
-                chart = "inv" if chart == "phi" else "phi"
-                switches += 1
-                if s == s1:  # event landed on the segment end
-                    break
-                continue
-            break
-
-    pole_flag = False
-    if chart == "inv":
-        if abs(value) < 1.0 / CHART_LIMIT:
-            pole_flag = True  # endpoint sits (numerically) on a pole of Phi
-            value = complex(np.inf, np.inf) if value == 0 else 1.0 / value
-        else:
-            value = 1.0 / value
-    else:
-        if abs(value) > CHART_LIMIT:
-            pole_flag = True
-    return value, pole_flag, switches
+    y, _ = continue_linear(matrix, norm_bound, (1.0, F0), segments)
+    u, v = y.tolist()
+    return (v / u if u else complex(math.inf, math.inf)), abs(u) < abs(v) / 1e6
 
 
 def riccati_continue_ray(
     path: PhasePath,
     theta: float,
     rho_target: float,
-    tol: float = 1e-12,
 ) -> tuple[complex, bool]:
     """Value of Phi at rho_target * e^{i theta}, continued radially from the circle.
 
@@ -379,7 +354,4 @@ def riccati_continue_ray(
     F0 = complex(np.exp(1j * path.phi(t0)[0]))
     if rho_target == 1.0:
         return F0, False
-    value, pole, _ = continue_riccati_path(
-        params, F0, [("radial", theta, 1.0, rho_target)], tol=tol
-    )
-    return value, pole
+    return continue_riccati_path(params, F0, [("radial", theta, 1.0, rho_target)])

@@ -43,14 +43,6 @@ class NotConverged(ToleranceNotMet):
     """A fixed-point iteration did not settle within its sweep cap."""
 
 
-class NonAnalyticOnRay(HeunMonodromyError):
-    """Analytic continuation failed in both charts (pole/zero collision)."""
-
-    def __init__(self, message: str, rho: float | None = None):
-        super().__init__(message)
-        self.rho = rho
-
-
 class DenominatorVanished(HeunMonodromyError):
     """A formula denominator dropped below the safe threshold."""
 

@@ -2,20 +2,23 @@
 10-node Gauss collocation of linear systems y' = M(t) y.
 
 One table serves the P_B panel table of ``sqrtmono`` and the one collocation
-kernel, ``row_propagators``, that solves both the phase path's linear system
-(``phase``) and the theta pair (``circle``).  The nodes and weights are
-literals rather than Golub-Welsch: the first LAPACK call keeps about 1 MB for
-the whole run.
+kernel, ``row_propagators``, that solves every linear system of the program:
+the phase path's (``phase``), the theta pair and the Riccati continuation off
+the circle (``circle``), and the DCHE continuation (``heun``).  The nodes and
+weights are literals rather than Golub-Welsch: the first LAPACK call keeps
+about 1 MB for the whole run.
 """
 
 from __future__ import annotations
 
+import sys
 from math import comb
 
 import numpy as np
 
 from .errors import NotConverged
-from .rk import EPS
+
+EPS = sys.float_info.epsilon
 
 #: Positive nodes and their weights (Abramowitz & Stegun, table 25.4).
 _POSITIVE = np.array([
@@ -71,6 +74,14 @@ SHIFTED = np.array([[(-1) ** (k + i) * comb(k, i) * comb(k + i, i) for i in rang
 # I*, Sec. II.7)
 # ---------------------------------------------------------------------------
 
+#: The largest |h| * rate a row may take, where rate bounds ||M||_inf (in the
+#: row's own variable) over the row: each Picard sweep then contracts by
+#: q <= 0.12 * 0.98695 = 0.1184, and the local error, about (h rate)^21
+#: times 5.7e-31 at the row end, stays below rounding (CHANGES.md).
+ROW_RATE = 0.12
+#: Row ceiling of one run: a span that needs more rows than this at its row
+#: width is refused before anything is allocated.
+MAX_STEPS = 100_000
 #: Rows collocated together, so a block's node arrays stay at 82 kB however
 #: long the window (the phase's forward side at omega = 0.004 has 29.7k).
 BLOCK_ROWS = 128

@@ -11,7 +11,10 @@ and hence the double confluent Heun equation
 
 All derivatives used below are closed-form (chain rule through the phase
 equation).  The one finite difference left is the second derivative of the
-L_B image in the ``lb_maps_solutions`` check of ``verify.check_heun``.
+L_B image in the ``lb_maps_solutions`` check of ``verify.check_heun``.  Off
+the circle, a solution is continued radially as the first-order system for
+(E, E'), collocated by the kernel that ``circle`` uses for the Riccati
+continuation (``continue_dche_ray``).
 
 For positive integer order the operator L_B maps solutions to solutions and
 its square reproduces the counterclockwise monodromy times the scalar first
@@ -29,12 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction, CirclePair
+from .circle import CircleFunction, CirclePair, continue_linear
 from .errors import DegenerateAtOne, DenominatorVanished, WindowTooSmall
 from .heunpoly import NumericQuad
 from .params import ModelParams
 from .phase import PhasePath
-from .rk import dop853
 
 #: cos(phi(0)) threshold below which E+ and E- degenerate at z = 1.
 COS_PHI0_FLOOR = 1e-8
@@ -250,40 +252,55 @@ def continue_dche_ray(
     rho: float,
     E0: complex,
     Ep0: complex,
-    tol: float = 1e-12,
 ) -> tuple[complex, complex]:
     """Continue one solution (value, derivative) of the linear equation
-    radially from the circle point e^{i theta} to rho e^{i theta}."""
+    radially from the circle point e^{i theta} to rho e^{i theta}.
+
+    With E'' = a E + b E', a = -(lam - mu (ell+1) z) / z^2 and
+    b = -((ell+1) z + mu (1 - z^2)) / z^2, the pair (E, E' / kappa) solves
+    y' = M(z) y, M = [[0, kappa], [a / kappa, b]], collocated by
+    ``circle.continue_linear``.  kappa is the power of two nearest
+    sqrt(max |a|) on the ray, which balances the rows of M: its norm is then
+    about 2 sqrt|a| + |b| rather than |a| + |b|, and the rows widen to match.
+    """
     if rho == 1.0:
         return E0, Ep0
-    eith = complex(math.cos(theta), math.sin(theta))
-    lam, mu = params.lam, params.mu
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    lam, mu, m = params.lam, params.mu, ell + 1
 
-    def rhs(s, y):
-        z = s * eith
-        E = complex(y[0], y[1])
-        Ep = complex(y[2], y[3])
-        Epp = -(((ell + 1) * z + mu * (1 - z * z)) * Ep + (lam - mu * (ell + 1) * z) * E) / (z * z)
-        dE = Ep * eith
-        dEp = Epp * eith
-        return (dE.real, dE.imag, dEp.real, dEp.imag)
+    def coefficient_bounds(r):
+        """Bounds of |a| and |b| over |z| >= r."""
+        return (abs(lam) + abs(mu * m) * r) / r**2, abs(m) / r + abs(mu) * (1.0 + r**-2)
 
-    rtol = max(tol, 1e-13)
-    y = dop853(rhs, 1.0, (E0.real, E0.imag, Ep0.real, Ep0.imag), float(rho), rtol, rtol * 1e-2).y
-    return complex(y[0], y[1]), complex(y[2], y[3])
+    k = round(0.5 * math.log2(max(1.0, coefficient_bounds(min(1.0, rho))[0])))
+    kappa = 2.0**k
+
+    def matrix(z):
+        zz = z * z
+        return np.array(((np.zeros_like(z), np.full_like(z, kappa)),
+                         (-(lam - mu * m * z) / (zz * kappa), -(m * z + mu * (1 - zz)) / zz)))
+
+    def norm_bound(r):
+        a, b = coefficient_bounds(r)
+        return max(kappa, a / kappa + b)
+
+    y, exponent = continue_linear(matrix, norm_bound, (E0, Ep0 / kappa),
+                                  [("radial", theta, 1.0, float(rho))])
+    E, Ep = np.ldexp(y.view(float), [exponent, exponent, exponent + k, exponent + k]
+                     ).view(complex).tolist()
+    return E, Ep
 
 
 def radial_continue_E(
     hb: HeunBasisPath,
     theta: float,
     rho_grid,
-    tol: float = 1e-12,
 ) -> dict[int, np.ndarray]:
     """Continue E+- radially from the circle along theta.
 
-    Returns {+1: values, -1: values} on the rho grid (values of E only).
-    The second-order equation is integrated as a first-order system with the
-    exact circle data as initial conditions.
+    Returns {+1: values, -1: values} on the rho grid (values of E only),
+    each continued from the exact circle data by ``continue_dche_ray``.
     """
     p = hb.params
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
@@ -297,19 +314,19 @@ def radial_continue_E(
         Ep0 = complex(b.Eprime(s)[0])
         vals = np.empty(rho_grid.shape, dtype=complex)
         for i, rho in enumerate(rho_grid):
-            vals[i], _ = continue_dche_ray(p, hb.ell, theta, float(rho), E0, Ep0, tol)
+            vals[i], _ = continue_dche_ray(p, hb.ell, theta, float(rho), E0, Ep0)
         out[s] = vals
     return out
 
 
-def phi_from_basis(hb: HeunBasisPath, theta: float, rho: float, tol: float = 1e-12) -> complex:
+def phi_from_basis(hb: HeunBasisPath, theta: float, rho: float) -> complex:
     """Phi(rho e^{i theta}) reconstructed through the linear basis.
 
     Uses the identity-map member of the alpha family, which requires the
     basis at both the target point and its reciprocal.
     """
-    Ez = radial_continue_E(hb, theta, [rho], tol)
-    Erec = radial_continue_E(hb, -theta, [1.0 / rho], tol)
+    Ez = radial_continue_E(hb, theta, [rho])
+    Erec = radial_continue_E(hb, -theta, [1.0 / rho])
     c = np.cos(np.pi / 4.0)
     z = rho * complex(np.cos(theta), np.sin(theta))
     num = c * Ez[+1][0] + 1j * c * Ez[-1][0]

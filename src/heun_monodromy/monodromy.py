@@ -147,18 +147,16 @@ def verify_monodromy(
     ray_residuals: list[tuple[float, float]] = []
     for rho in rhos or []:
         # route A: Phi from z=1 radially out to rho, then the upper arc to the cut
-        va, _, _ = continue_riccati_path(
+        va, _ = continue_riccati_path(
             params,
             complex(np.exp(1j * path.phi0)),
             [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, np.pi)],
-            tol=tol,
         )
         # route B: algebraic Phi_M from z=1 radially, then the lower arc
-        vb, _, _ = continue_riccati_path(
+        vb, _ = continue_riccati_path(
             params,
             complex(at_one),
             [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, -np.pi)],
-            tol=tol,
         )
         ray_residuals.append((float(rho), float(abs(va - vb))))
 

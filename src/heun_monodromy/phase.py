@@ -32,8 +32,8 @@ import numpy as np
 
 from . import gauss
 from .errors import OutOfWindow, StepCeilingExceeded, ToleranceNotMet, WindowTooSmall
+from .gauss import EPS, MAX_STEPS
 from .params import ModelParams
-from .rk import EPS, MAX_STEPS
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 
@@ -202,12 +202,16 @@ class PhasePath:
 
 
 def _max_step(params: ModelParams) -> float:
-    """Row-width cap: T/200, and 0.12 over the phase's turning rate
-    |B| + |A| + 1.  The second bound keeps each row's phase change
-    |dphi| <= 0.12 < pi, so the arg increments that chain the rows are
-    unambiguous, and it keeps the theta pair's Picard sweeps contracting by
-    q <= 0.1184 (see CHANGES.md)."""
-    return min(params.T / 200.0, 0.12 / (abs(params.Bdrive) + abs(params.A) + 1.0))
+    """Row-width cap: T/200, and ROW_RATE over the phase's turning rate
+    |B| + |A| + 1, the row rule of every collocation (CHANGES.md).  The
+    second bound keeps each row's phase change |dphi| <= 0.12 < pi, so the
+    arg increments that chain the rows are unambiguous, and it keeps the
+    Picard sweeps of the phase rows and of the theta pair on them contracting
+    by q <= 0.1184.  No derivation needs T/200, which binds at both golden
+    points; it stays because without it the ode residual rose (at G1 from
+    6.2e-15 to 7.1e-15, and at 8 of 44 region points by up to 1.6x), while
+    the other phase certificates and the oracle error held or fell."""
+    return min(params.T / 200.0, gauss.ROW_RATE / (abs(params.Bdrive) + abs(params.A) + 1.0))
 
 
 def _node_matrices(params: ModelParams, t: np.ndarray) -> np.ndarray:
@@ -373,7 +377,7 @@ def solve_phase(
     The global error estimate propagates the collocation polynomial's defect
     along the linearised equation and adds the rounding of the chained row
     starts (``_error_estimate``); an estimate beyond 1e3*tol raises
-    ToleranceNotMet.  A direction that needs more than ``rk.MAX_STEPS`` rows
+    ToleranceNotMet.  A direction that needs more than ``gauss.MAX_STEPS`` rows
     at the capped width raises StepCeilingExceeded before it allocates
     anything.
     """

@@ -1,5 +1,5 @@
 """DOP853 dense output as numpy arrays, for the test references that still
-integrate the phase or the theta pair with ``rk.dop853``.
+integrate the phase or the theta pair with ``tests.dop853``.
 
 ``DenseTable`` evaluates the rows a dense ``dop853`` run leaves behind: the
 nested x / (1 - x) recurrence of every row for an array of times at once.
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from heun_monodromy.params import ModelParams
-from heun_monodromy.rk import Solution
+from tests.dop853 import Solution
 
 
 def phase_rhs(params: ModelParams):

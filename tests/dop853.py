@@ -1,4 +1,5 @@
-"""The DOP853 integrator on plain Python floats.
+"""The DOP853 integrator on plain Python floats, the reference integrator of
+the tests.
 
 One explicit Runge-Kutta pair of order 8 with the 5th/3rd-order error
 estimate and the 7th-order dense output of Hairer, Norsett & Wanner,
@@ -11,33 +12,27 @@ of the current time.
 The systems integrated here have one to four real components, so the state
 is a list of floats, the stages are kept per component and every linear
 combination is one ``sum(map(mul, coefficients, stages))``; no array is
-built inside the loop.  It serves the Riccati continuation off the circle
-and the DCHE continuation of ``heun``.
+built inside the loop.  The program integrates with Gauss collocation
+(``heun_monodromy.gauss``); this integrator is the independent reference
+that ``reference_resolve``, ``reference_theta_solve``, ``dense_table``,
+``test_sqrtmono`` and ``test_rk`` compare it against.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
-from .errors import StepCeilingExceeded, StepSizeTooSmall
-
-EPS = sys.float_info.epsilon
+from heun_monodromy.errors import StepCeilingExceeded, StepSizeTooSmall
+from heun_monodromy.gauss import EPS, MAX_STEPS
 
 SAFETY = 0.9
 MIN_FACTOR, MAX_FACTOR = 0.2, 10.0
 EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
 N_STAGES = 12
-
-#: Step ceiling of one run: a span that needs more steps than this at its
-#: ``max_step`` is refused before the first step (checked after the initial
-#: step, so a zero one still reports itself).  ``phase`` holds each
-#: direction of its collocation to the same number of rows.
-MAX_STEPS = 100_000
 
 C = (
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
@@ -154,7 +149,6 @@ class Solution:
     y: list[float]
     ts: list[float]
     rows: list[Row] | None
-    terminated: bool  # the terminal event fired
 
 
 def _rms(x: Sequence[float]) -> float:
@@ -195,28 +189,6 @@ def _dense_row(fun, K, t_old, h, y_old, y, f_old, f) -> Row:
     return t_old, h, tuple(y_old), F
 
 
-def _interpolate(row: Row, t: float) -> list[float]:
-    """The row's interpolant at t, by the nested x / (1 - x) recurrence."""
-    t_old, h, y_old, F = row
-    x = (t - t_old) / h
-    u = 1 - x
-    return [((((((c6 * x + c5) * u + c4) * x + c3) * u + c2) * x + c1) * u + c0) * x + v
-            for (c6, c5, c4, c3, c2, c1, c0), v in zip(F, y_old)]
-
-
-def _event_time(event, row: Row, a: float, b: float) -> float:
-    """Zero of event(t, y(t)) on [a, b], bisected on the step's interpolant
-    until the bracket is within 4*EPS (absolute plus relative)."""
-    neg_a = event(a, _interpolate(row, a)) < 0
-    while abs(b - a) > 4 * EPS * (1 + max(abs(a), abs(b))):
-        m = a + 0.5 * (b - a)
-        if (event(m, _interpolate(row, m)) < 0) == neg_a:
-            a = m
-        else:
-            b = m
-    return a + 0.5 * (b - a)
-
-
 def dop853(
     fun: Callable[[float, list[float]], Sequence[float]],
     t0: float,
@@ -226,25 +198,22 @@ def dop853(
     atol: float,
     max_step: float = math.inf,
     dense: bool = False,
-    event: Callable[[float, list[float]], float] | None = None,
-    direction: float = 0.0,
 ) -> Solution:
     """Integrate y' = fun(t, y) from t0 to t_bound.
 
     With ``dense`` every accepted step leaves its row (``t_old``, ``h``,
-    ``y_old``, F0..F6).  ``event`` is one terminal event: integration stops
-    at the first zero it crosses in the given ``direction`` (+1 rising, -1
-    falling, 0 either), located on that step's interpolant.  A step below ten
+    ``y_old``, F0..F6).  A step below ten
     ulps of t, a NaN step, or a zero initial step raises StepSizeTooSmall.  A
     span that needs more than ``MAX_STEPS`` steps of at most ``max_step``
-    raises StepCeilingExceeded before the first step.
+    raises StepCeilingExceeded before the first step (checked after the
+    initial step, so a zero one still reports itself).
     """
     t = float(t0)
     y = [float(v) for v in y0]
     ts = [t]
     rows: list[Row] | None = [] if dense else None
     if t == t_bound:
-        return Solution(t, y, ts, rows, False)
+        return Solution(t, y, ts, rows)
     sign = 1.0 if t_bound > t else -1.0
     rtol = max(rtol, 100 * EPS)
     f = fun(t, y)
@@ -253,7 +222,6 @@ def dop853(
         raise StepCeilingExceeded(
             f"[{t!r}, {t_bound!r}] needs more than {MAX_STEPS} steps of at most {max_step:.3g}")
     K = [[0.0] * 16 for _ in y]  # stages by component
-    g = event(t, y) if event else 0.0
     while True:
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -295,21 +263,9 @@ def dop853(
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**EXPONENT)
             rejected = True
 
-        t_old, y_old, f_old = t, y, f
-        t, y, f = t_new, y_new, f_new
-        row = None
         if dense:
-            row = _dense_row(fun, K, t_old, h, y_old, y, f_old, f)
-            rows.append(row)
-        if event:
-            g_new = event(t, y)
-            if (direction >= 0 and g <= 0 <= g_new) or (direction <= 0 and g >= 0 >= g_new):
-                row = row or _dense_row(fun, K, t_old, h, y_old, y, f_old, f)
-                t = _event_time(event, row, t_old, t)
-                y = _interpolate(row, t)
-                ts.append(t)
-                return Solution(t, y, ts, rows, True)
-            g = g_new
+            rows.append(_dense_row(fun, K, t, h, y, y_new, f, f_new))
+        t, y, f = t_new, y_new, f_new
         ts.append(t)
         if sign * (t - t_bound) >= 0:
-            return Solution(t, y, ts, rows, False)
+            return Solution(t, y, ts, rows)

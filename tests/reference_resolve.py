@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from heun_monodromy.phase import PhasePath, _max_step
-from heun_monodromy.rk import dop853
+from tests.dop853 import dop853
 from tests.dense_table import DenseTable, phase_rhs
 
 REFINE = 100.0

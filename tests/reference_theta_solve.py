@@ -13,7 +13,7 @@ import cmath
 import numpy as np
 
 from heun_monodromy.phase import PhasePath
-from heun_monodromy.rk import dop853
+from tests.dop853 import dop853
 from tests.dense_table import DenseTable
 
 RTOL = 1e-12

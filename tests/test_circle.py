@@ -6,12 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-import heun_monodromy.circle as circle_mod
 from heun_monodromy import gauss
 from heun_monodromy import ModelParams, NotConverged, OutOfWindow, solve_phase
 from heun_monodromy.circle import (
     boundary_values,
-    continue_riccati_path,
     half_power_factor_dots,
     half_power_factors,
     phi_on_circle,
@@ -193,7 +191,8 @@ def test_ray_agrees_with_basis_reconstruction(golden_path):
     direct, pole = riccati_continue_ray(golden_path, theta, rho)
     assert not pole
     recon = phi_from_basis(hb, theta, rho)
-    assert abs(direct - recon) < 1e-7
+    # both routes are collocated by the one kernel: 6.9e-16 apart
+    assert abs(direct - recon) < 1e-10
 
 
 # --- pole handling: an exactly solvable continuation with a pole on the ray
@@ -214,15 +213,8 @@ def _exact_pole_solution(rho: float) -> complex:
 def test_continuation_through_pole(pole_path):
     val, pole = riccati_continue_ray(pole_path, 0.0, 0.2)
     assert not pole
-    assert abs(val - _exact_pole_solution(0.2)) < 1e-7 * abs(_exact_pole_solution(0.2))
-
-
-def test_chart_switch_engaged(pole_path):
-    value, pole, switches = continue_riccati_path(
-        pole_path.params, 1j, [("radial", 0.0, 1.0, 0.2)]
-    )
-    assert switches >= 2  # in and back out of the inverse chart
-    assert not pole
+    # (u, v) passes the pole at e^{-pi/2} with no chart: 3.1e-15 relative
+    assert abs(val - _exact_pole_solution(0.2)) < 1e-12 * abs(_exact_pole_solution(0.2))
 
 
 def test_endpoint_on_pole_flagged(pole_path):
@@ -235,4 +227,5 @@ def test_exact_values_before_pole(pole_path):
     for rho in (0.5, 0.25):
         val, pole = riccati_continue_ray(pole_path, 0.0, rho)
         assert not pole
-        assert abs(val - _exact_pole_solution(rho)) < 1e-8 * max(1, abs(_exact_pole_solution(rho)))
+        # 2.2e-16 and 1.0e-15
+        assert abs(val - _exact_pole_solution(rho)) < 1e-12 * max(1, abs(_exact_pole_solution(rho)))

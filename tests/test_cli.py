@@ -32,16 +32,17 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
-# at the two golden points, recorded with the phase path and the theta pair
-# both from Gauss collocation of their linear systems.
+# at the two golden points, recorded with the phase path, the theta pair and
+# the continuations off the circle all from Gauss collocation of their linear
+# systems.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "07ec42052de192014e5200196ac1d34fa82209121c141a868c6bb0e8291c3282",
-    ("1", "0.2", "1.3", "1.0"): "a40ae44478b3bf88fd80c44718b8f683f6b588499c583913b131a7faaa11f367",
+    ("2", "0.3", "1", "0.5"): "acca279dafb48648a9902a568dbd23f31e3dc06045e5d0807e8deb18847a2259",
+    ("1", "0.2", "1.3", "1.0"): "f7f6150f99dc4236e368b0435480194e4dc0e46ab766f375f6bed547ca618744",
 }
-# The same reports without ode.route_equivalence.
+# The same reports without ode.route_equivalence and monodromy.ray_residuals.
 VERIFY_REST_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "5a7df079a73297f45058d58d0e80e2c63b984865cc6709cf194686e9f8efd179",
-    ("1", "0.2", "1.3", "1.0"): "45c276d219af209d2d7d972f10be7b56111b615e457efd2693be050e3320cb0f",
+    ("2", "0.3", "1", "0.5"): "b5a3f7f1e9c6ef52a132f377968e2f8c43e97ebb1f98d044ddd6a951927f2b06",
+    ("1", "0.2", "1.3", "1.0"): "8898161f8fe70a96d7d913b377afdc6f8b1a18b4274595f15224191fd428c0cf",
 }
 
 
@@ -165,6 +166,9 @@ def test_verify_golden_stdout_is_pinned(capsys, point):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[point]
     report = json.loads(out)
     assert report["ode"].pop("route_equivalence") <= 1e-13
+    rays = report["monodromy"].pop("ray_residuals")
+    assert [rho for rho, _ in rays] == [0.8, 1.25]
+    assert max(residual for _, residual in rays) <= 1e-13
     rest = canonical_json(report) + "\n"
     assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_REST_SHA256[point]
 
@@ -252,7 +256,7 @@ ZERO_INITIAL_STEP_EXITS = {
         1, '{"sup_residual_circle": 4.8495273725283183e-15, "boundary_residual": '
            '8.473409486550036e-16, "unimodularity_residual": 4.4408920985006262e-16, '
            '"riccati_residual": 1.5010080448573983e+285, "ray_residuals": '
-           '[[0.80000000000000004, 3.3621089818922919e-13], [1.25, 2.2677943375296873e-13]], '
+           '[[0.80000000000000004, 2.2204460492503131e-16], [1.25, 2.2204460492503131e-16]], '
            '"grid_size": 1001, "tol": 9.9999999999999998e-13}\n', ""),
     # a slope scale of 2e307 makes the row count inf, one of inf makes the
     # row cap 0: both must hit the ceiling before any division

@@ -1,0 +1,131 @@
+"""The continuations off the circle against scipy's DOP853, an integrator
+the program does not use, and the ray certificate they feed.
+
+The Riccati reference integrates F itself, in the Phi chart, along the two
+routes of ``verify_monodromy``; the DCHE reference integrates (E, E') along
+one ray.  Neither shares code with the collocation they check.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from heun_monodromy import ModelParams, StepCeilingExceeded, gauss, solve_phase
+from heun_monodromy.circle import (
+    CirclePair,
+    boundary_values,
+    continue_riccati_path,
+    phi_on_circle,
+    psi_on_circle,
+)
+from heun_monodromy.heun import build_E, continue_dche_ray
+from heun_monodromy.monodromy import _algebraic_values, verify_monodromy
+from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
+
+POINTS = GOLDENS + FIXED_SWEEP_POINTS
+RHOS = (0.2, 0.8, 1.25, 5.0)
+RTOL = 1e-13
+
+
+@pytest.fixture(scope="module", params=POINTS, ids=["G1", "G2", "sweep1", "sweep2"])
+def point_path(request):
+    ell, mu, omega, phi0 = request.param
+    return solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+
+
+def _segment(seg):
+    kind, a, s0, s1 = seg
+    if kind == "radial":
+        e = np.exp(1j * a)
+        return (lambda s: s * e), (lambda s: e), s0, s1
+    return (lambda s: a * np.exp(1j * s)), (lambda s: 1j * a * np.exp(1j * s)), s0, s1
+
+
+def _scipy_riccati(params, F0, segments):
+    """F at the end of the segments, from dF/dz = (1 - F^2)/(2 i omega z) + c F."""
+    F = complex(F0)
+    for seg in segments:
+        z_of, dz_ds, s0, s1 = _segment(seg)
+
+        def rhs(s, y):
+            z, F = z_of(s), y[0]
+            c = params.ell / z + params.mu * (1.0 + z**-2)
+            return [((1.0 - F * F) / (2j * params.omega * z) + c * F) * dz_ds(s)]
+
+        F = solve_ivp(rhs, (s0, s1), [F], method="DOP853", rtol=RTOL, atol=1e-15).y[0, -1]
+    return F
+
+
+def test_riccati_continuation_matches_scipy(point_path):
+    params = point_path.params
+    bv = boundary_values(point_path)
+    at_one = _algebraic_values(CirclePair.on_path(point_path), bv, np.array([0.0]))[0][0]
+    for rho in RHOS:
+        # route A from the period-shift Phi over the upper arc, route B from
+        # the algebraic Phi_M over the lower one
+        for F0, end in ((np.exp(1j * point_path.phi0), np.pi), (at_one, -np.pi)):
+            segments = [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, end)]
+            value, pole = continue_riccati_path(params, F0, segments)
+            reference = _scipy_riccati(params, F0, segments)
+            assert not pole
+            assert abs(value - reference) <= 1e-10 * abs(reference), (rho, end)
+
+
+def _scipy_dche(params, ell, theta, rho, E0, Ep0):
+    """(E, E') at rho e^{i theta} from z^2 E'' + ((ell+1) z + mu (1 - z^2)) E'
+    + (lam - mu (ell+1) z) E = 0, integrated radially from z = e^{i theta}."""
+    lam, mu, e = params.lam, params.mu, np.exp(1j * theta)
+
+    def rhs(r, y):
+        z, (E, Ep) = r * e, y
+        Epp = -(((ell + 1) * z + mu * (1 - z * z)) * Ep + (lam - mu * (ell + 1) * z) * E) / (z * z)
+        return [Ep * e, Epp * e]
+
+    y0 = [complex(E0), complex(Ep0)]
+    return solve_ivp(rhs, (1.0, rho), y0, method="DOP853", rtol=RTOL, atol=1e-15).y[:, -1]
+
+
+def test_dche_ray_matches_scipy(point_path):
+    p = point_path.params
+    hb = build_E(phi_on_circle(point_path), psi_on_circle(point_path))
+    theta, rho = 0.7, 0.2
+    t0 = np.array([theta / p.omega])
+    for s in (+1, -1):
+        E0, Ep0 = complex(hb.E(t0, s)[0]), complex(hb.Eprime(t0, s)[0])
+        reference = _scipy_dche(p, hb.ell, theta, rho, E0, Ep0)
+        for value, ref in zip(continue_dche_ray(p, hb.ell, theta, rho, E0, Ep0), reference):
+            assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("omega", [0.05, 0.01])
+def test_dche_ray_at_small_omega(omega):
+    # lam = 1/(4 omega^2) - mu^2 is 2500 at omega = 0.01: unbalanced, (E, E')
+    # would need 4.2e5 rows to reach rho = 0.2 and hit the row ceiling; the
+    # balanced pair needs about 2e3
+    params = ModelParams(ell=1.0, mu=0.3, omega=omega)
+    reference = _scipy_dche(params, 1, 0.7, 0.2, 1.0, 0.5)
+    for value, ref in zip(continue_dche_ray(params, 1, 0.7, 0.2, 1.0, 0.5), reference):
+        assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+def test_ray_residuals_hold_to_1e_13(point_path):
+    # the two routes meet at the cut to rounding level: 2.3e-14 at most here,
+    # where the chart-switching DOP853 continuation left up to 5.4e-12
+    report = verify_monodromy(point_path, rhos=list(RHOS))
+    assert [rho for rho, _ in report.ray_residuals] == list(RHOS)
+    for rho, residual in report.ray_residuals:
+        assert residual <= 1e-13, rho
+
+
+def test_step_ceiling_is_checked_before_any_row(monkeypatch):
+    # an arc of 1e7 radians needs about 1.5e8 rows: it is refused before the
+    # cheap first segment is collocated
+    def no_rows(*args):
+        raise AssertionError("a row was collocated")
+
+    monkeypatch.setattr(gauss, "row_propagators", no_rows)
+    params = ModelParams(ell=2.0, mu=0.3, omega=1.0)
+    with pytest.raises(StepCeilingExceeded, match="needs more than 100000 rows"):
+        continue_riccati_path(params, 1j, [("radial", 0.0, 1.0, 0.9), ("arc", 0.9, 0.0, 1e7)])

@@ -8,7 +8,7 @@ from heun_monodromy import ModelParams, gauss, solve_phase
 from heun_monodromy.circle import boundary_values, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
-from heun_monodromy.rk import dop853
+from tests.dop853 import dop853
 from heun_monodromy.sqrtmono import (
     _shortcuts_from_scalars,
     build_shortcuts,
