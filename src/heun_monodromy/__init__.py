@@ -22,7 +22,6 @@ from .errors import (
     NotConverged,
     OutOfWindow,
     StepCeilingExceeded,
-    StepSizeTooSmall,
     ToleranceNotMet,
     WindowTooSmall,
 )

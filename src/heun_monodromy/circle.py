@@ -144,15 +144,15 @@ def boundary_values(path: PhasePath) -> BoundaryValues:
 # Theta pair
 # ---------------------------------------------------------------------------
 
-#: Orientation of the theta subsystem realized on the circle.  With
-#: y = (Theta, ThetaTilde) the paired equations read y' = M(t) y,
-#:
-#:     M = [[ Phi/2,       -Phi/2     ],
-#:          [ -1/(2 Phi),   1/(2 Phi) ]],    Phi = e^{i phi(t)},
-#:
-#: the unique orientation under which (Theta - ThetaTilde)/(2i) reproduces
-#: the quadrature e^{P(t)} (route equivalence pins the sign).
-THETA_ORIENTATION = "d/dt realization: 2 i omega z d/dz |-> -2 d/dt on theta displays"
+# Orientation of the theta subsystem realized on the circle.  With
+# y = (Theta, ThetaTilde) the paired equations read y' = M(t) y,
+#
+#     M = [[ Phi/2,       -Phi/2     ],
+#          [ -1/(2 Phi),   1/(2 Phi) ]],    Phi = e^{i phi(t)},
+#
+# the unique orientation under which (Theta - ThetaTilde)/(2i) reproduces
+# the quadrature e^{P(t)} (route equivalence pins the sign).
+
 
 def _collocate(rows: _Rows, count: int):
     """The theta pair on the first ``count`` rows of one direction of the

@@ -27,14 +27,6 @@ class ToleranceNotMet(HeunMonodromyError):
     """The global error estimate propagated from the defect exceeded its budget."""
 
 
-class StepSizeTooSmall(ToleranceNotMet):
-    """The adaptive step fell below ten ulps of the current time."""
-
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message)
-        self.t = t
-
-
 class StepCeilingExceeded(ToleranceNotMet):
     """The window needs more steps, at the capped step size, than the solver allows."""
 

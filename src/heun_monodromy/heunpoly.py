@@ -258,8 +258,6 @@ class NumericQuad:
             self._polys[name] = (lo, np.asarray(dense))
             dlo, ddense = poly.diff_z().coeff_arrays(lam, mu)
             self._polys[name + "'"] = (dlo, np.asarray(ddense))
-        self.p1 = float(quad.p.at_one().evaluate(lam, mu))
-        self.r1 = float(quad.r.at_one().evaluate(lam, mu))
         self.d_plus, self.d_minus, self.generic = d_plus_minus(quad, params, check=False)
         # exact at the float point, rounded once: independent of the term order
         self.D = float(first_integral(quad).evaluate(Fraction(lam), Fraction(mu)))

@@ -173,8 +173,7 @@ class PhasePath:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         d = self.derivative(t)
         phi_val, _ = self.eval(t)
-        p = self.params
-        res_phi = np.abs(d[0] - (p.Bdrive + p.A * np.cos(p.omega * t) - np.sin(phi_val)))
+        res_phi = np.abs(d[0] - self.phidot(t, phi_val))
         res_p = np.abs(d[1] - np.cos(phi_val))
         return res_phi, res_p
 

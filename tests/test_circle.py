@@ -20,7 +20,7 @@ from heun_monodromy.circle import (
 )
 from heun_monodromy.errors import WindowTooSmall
 from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
-from tests.reference_theta_solve import reference_theta_pair
+from tests.scipy_reference import reference_theta_pair
 
 
 def grid(path, n=501):

@@ -14,7 +14,7 @@ import heun_monodromy.phase as phase_mod
 from heun_monodromy import ModelParams, ToleranceNotMet, solve_phase
 from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
 from tests.oracle_values import ORACLE
-from tests.reference_resolve import resolve_disagreement
+from tests.scipy_reference import resolve_disagreement
 
 
 def _solve(point, tol=1e-12):

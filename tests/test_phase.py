@@ -1,10 +1,28 @@
 from __future__ import annotations
 
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import heun_monodromy
 from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, gauss, solve_phase
-from tests.conftest import FIXED_SWEEP_POINTS, GOLDEN_1_PHI_AT_T, GOLDEN_2_PHI_AT_T, GOLDENS
+from heun_monodromy.phase import _max_step
+from tests.conftest import (
+    FIXED_SWEEP_POINTS,
+    GOLDEN_1,
+    GOLDEN_1_PHI_AT_T,
+    GOLDEN_2,
+    GOLDEN_2_PHI_AT_T,
+    GOLDENS,
+)
+from tests.scipy_reference import phase_rhs
+
+OFF_GOLDEN = dict(ell=5.647393, mu=0.089889, omega=0.807236, phi0=0.759566)
 
 
 def test_zero_equilibrium(trivial_path):
@@ -163,3 +181,54 @@ def test_phase_certificates_hold_to_1e_13(point):
     t = np.linspace(path.t_min + 0.01, path.t_max - 0.01, 1001)
     assert max(float(np.max(res)) for res in path.ode_residual(t)) <= 1e-13
     assert path.time_translation_residual(1001) <= 1e-13
+
+
+def _scipy_phase(params, phi0, t_bound, max_step):
+    # the settings solve_phase used with DOP853 at tol = 1e-12: rtol 2.5e-14
+    # and max step min(T/200, 0.12/(|B| + |A| + 1)); the second cap binds at
+    # OFF_GOLDEN
+    return solve_ivp(phase_rhs(params), (0.0, t_bound), (phi0, 0.0), method="DOP853",
+                     rtol=2.5e-14, atol=2.5e-16, max_step=max_step, dense_output=True)
+
+
+@pytest.mark.parametrize("point", [GOLDEN_1, GOLDEN_2, OFF_GOLDEN], ids=["G1", "G2", "off"])
+def test_phase_solve_matches_scipy(point):
+    params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
+    path = solve_phase(params, point["phi0"], tol=1e-12)
+    sols = [_scipy_phase(params, point["phi0"], t_bound, _max_step(params))
+            for t_bound in (path.t_max, path.t_min)]
+    t = np.random.default_rng(5).uniform(path.t_min, path.t_max, 5000)
+    expect = np.where(t >= 0, sols[0].sol(t), sols[1].sol(t))
+    assert np.max(np.abs(path.eval(t) - expect)) <= 1e-12
+
+
+def test_program_imports_no_scipy():
+    src = str(Path(heun_monodromy.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import heun_monodromy.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_program_defines_or_imports_no_dop853():
+    # the program integrates with Gauss collocation only: no module of the
+    # package may import the rk module or a name containing dop853, or
+    # define a function or class of such a name
+    package = Path(heun_monodromy.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert "rk.py" not in {m.name for m in modules}
+    for module in modules:
+        tree = ast.parse(module.read_text(), filename=str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                continue
+            for name in names:
+                assert "dop853" not in name.lower() and name.split(".")[-1] != "rk", (
+                    f"{module.name}:{node.lineno} refers to {name}")

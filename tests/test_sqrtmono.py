@@ -8,14 +8,13 @@ from heun_monodromy import ModelParams, gauss, solve_phase
 from heun_monodromy.circle import boundary_values, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
-from tests.dop853 import dop853
 from heun_monodromy.sqrtmono import (
     _shortcuts_from_scalars,
     build_shortcuts,
     transform_from_path,
     verify_theorem2,
 )
-from tests.dense_table import DenseTable
+from tests.scipy_reference import reference_P_B
 
 
 @pytest.fixture(scope="module")
@@ -161,19 +160,6 @@ def branch_grid_phase(tr, t, margin=0.05, n=8193):
     return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
 
 
-def dop853_P_B(tr, span):
-    """P_B as it was computed: DOP853 on cos(phase(t)), one point per call."""
-
-    def rhs(t, y):
-        return (np.cos(tr.phase(np.array([t]))[0]),)
-
-    fwd, bwd = (
-        DenseTable(dop853(rhs, 0.0, (0.0,), bound, 1e-12, 1e-14, dense=True))
-        for bound in (span, -span)
-    )
-    return lambda t: np.where(t >= 0, fwd(t)[0], bwd(t)[0])
-
-
 def test_phase_equals_the_branch_grid_phase(golden2_path, golden2_quad):
     T = golden2_path.params.T
     t = np.linspace(-0.55 * T, 0.55 * T, 20001)
@@ -191,7 +177,7 @@ def test_panel_P_B_agrees_with_the_dop853_quadrature(point):
     tr = transform_from_path(path, NumericQuad(diagonal(ell), params))
     span = 0.55 * params.T
     t = np.linspace(-span, span, 2001)
-    assert np.max(np.abs(tr.quadrature(span)(t) - dop853_P_B(tr, span)(t))) < 1e-11
+    assert np.max(np.abs(tr.quadrature(span)(t) - reference_P_B(tr, span)(t))) < 1e-11
 
 
 def test_gauss_legendre_literals():
