@@ -8,7 +8,7 @@ reciprocal point 1/z on the circle is the lift t -> -t.
 The theta pair is the circle's second route to Psi = e^P: its linear system
 is solved by the 10-node Gauss collocation kernel of ``gauss`` on the phase
 path's own rows that cover |t| <= T/2, with e^{i phi} at the nodes taken
-from those rows and P unread.
+from those rows and P unread, and kept as ``gauss.Rows`` each way.
 
 Off the circle, Phi = v/u is continued through the linear system behind its
 Riccati equation, collocated by the same kernel on uniform rows along radial
@@ -35,9 +35,8 @@ RHO_MIN, RHO_MAX = 0.2, 5.0
 
 @dataclass
 class CircleFunction:
-    """A named function of t along the lifted circle."""
+    """A function of t along the lifted circle, with the path it is built on."""
 
-    kind: str
     path: PhasePath
     fn: Callable[[np.ndarray], np.ndarray]
 
@@ -47,12 +46,12 @@ class CircleFunction:
 
 def phi_on_circle(path: PhasePath) -> CircleFunction:
     """Phi(e^{i omega t}) = e^{i phi(t)}."""
-    return CircleFunction("Phi", path, lambda t: np.exp(1j * path.phi(t)))
+    return CircleFunction(path, lambda t: np.exp(1j * path.phi(t)))
 
 
 def psi_on_circle(path: PhasePath) -> CircleFunction:
     """Psi(e^{i omega t}) = e^{P(t)}, normalized to Psi(1) = 1 by P(0) = 0."""
-    return CircleFunction("Psi", path, lambda t: np.exp(path.P(t)))
+    return CircleFunction(path, lambda t: np.exp(path.P(t)))
 
 
 class CirclePair:
@@ -154,12 +153,11 @@ def boundary_values(path: PhasePath) -> BoundaryValues:
 # the quadrature e^{P(t)} (route equivalence pins the sign).
 
 
-def _collocate(rows: _Rows, count: int):
+def _collocate(rows: _Rows, count: int) -> gauss.Rows:
     """The theta pair on the first ``count`` rows of one direction of the
-    phase path, from (i, -i) at t = 0: each row's start value (count, 2) and
-    the coefficients of y' on it in powers of the row fraction
-    (NODES, count, 2).  Phi at the nodes comes straight from the phase rows;
-    rows go in blocks, and the row propagators are chained in floats."""
+    phase path, from (i, -i) at t = 0.  Phi at the nodes comes straight from
+    the phase rows; rows go in blocks, and the row propagators are chained
+    in floats."""
     a, b = 1j, -1j
     starts, coefs = [], []
     for lo in range(0, count, gauss.BLOCK_ROWS):
@@ -173,8 +171,10 @@ def _collocate(rows: _Rows, count: int):
             a, b = r00 * a + r01 * b, r10 * a + r11 * b
         y0 = np.array(y0)
         starts.append(y0)
-        coefs.append(gauss.derivative_coefficients(G, y0))
-    return np.concatenate(starts), np.concatenate(coefs, 1)
+        dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
+        coefs.append(gauss.power_coefficients(dy).transpose(0, 2, 1))
+    return gauss.Rows(ts=rows.ts[:count + 1], h=rows.h, y0=np.concatenate(starts),
+                      coef=np.concatenate(coefs, 1))
 
 
 class ThetaPair:
@@ -184,19 +184,12 @@ class ThetaPair:
     def __init__(self, path: PhasePath):
         self.path = path
         self._half = half = 0.5 * path.params.T
-        # rows counted from t = 0 until one reaches |t| = T/2, kept in
-        # ascending time
-        fwd, bwd = path._fwd, path._bwd
-        n_fwd, n_bwd = (min(int(np.searchsorted(np.abs(rows.ts), half)), rows.n)
-                        for rows in (fwd, bwd))
-        (y_f, c_f), (y_b, c_b) = _collocate(fwd, n_fwd), _collocate(bwd, n_bwd)
-        self._left = np.concatenate((bwd.ts[n_bwd:0:-1], fwd.ts[:n_fwd]))
-        self._t_old = np.concatenate((bwd.ts[n_bwd - 1::-1], fwd.ts[:n_fwd]))
-        self._h = np.concatenate((np.full(n_bwd, bwd.h), np.full(n_fwd, fwd.h)))
-        self._y0 = np.concatenate((y_b[::-1], y_f))
-        self._rise = gauss.rise_coefficients(np.concatenate((c_b[:, ::-1], c_f), 1), self._h)
-        self.theta = CircleFunction("Theta", path, lambda t: self.values(t)[0])
-        self.theta_tilde = CircleFunction("ThetaTilde", path, lambda t: self.values(t)[1])
+        # rows counted from t = 0 until one reaches |t| = T/2
+        self._fwd, self._bwd = (
+            _collocate(rows, min(int(np.searchsorted(np.abs(rows.ts), half)), rows.n))
+            for rows in (path._fwd, path._bwd))
+        self.theta = CircleFunction(path, lambda t: self.values(t)[0])
+        self.theta_tilde = CircleFunction(path, lambda t: self.values(t)[1])
 
     def values(self, t) -> np.ndarray:
         """(2, n) values of (Theta, ThetaTilde) at the times t."""
@@ -204,9 +197,7 @@ class ThetaPair:
         if t.size and not (t.min() >= -self._half and t.max() <= self._half):  # NaN fails
             raise OutOfWindow(f"theta pair evaluated outside [-T/2, T/2] = "
                               f"[{-self._half}, {self._half}]")
-        k = np.clip(np.searchsorted(self._left, t, side="right") - 1, 0, len(self._h) - 1)
-        s = ((t - self._t_old[k]) / self._h[k])[:, None]
-        return (self._y0[k] + (gauss.horner(self._rise, k, s) * s).view(complex)).T
+        return gauss.two_sided(t, self._fwd, self._bwd, np.empty((2,) + t.shape, dtype=complex))
 
     def psi_route(self, t) -> np.ndarray:
         """(Theta - ThetaTilde) / (2i): equals e^{P(t)} on the circle."""

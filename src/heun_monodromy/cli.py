@@ -40,6 +40,8 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_DEGENERATE = 2
 EXIT_USAGE = 3
+#: Gate errors: the parameter point is outside the theory, exit EXIT_DEGENERATE.
+GATE_ERRORS = (GenericityViolated, DegenerateAtOne, NonIntegerOrder)
 
 
 class UsageError(Exception):
@@ -244,7 +246,7 @@ def _sweep_one(point: dict, params: ModelParams, tol: float, grid: int, checks: 
             params, point["phi0"], tol=tol, grid_size=grid, checks=checks
         )
         code = _battery_exit(failures)
-    except (GenericityViolated, DegenerateAtOne, NonIntegerOrder) as exc:
+    except GATE_ERRORS as exc:
         report = {"params": point, "error": str(exc)}
         code = EXIT_DEGENERATE
     except HeunMonodromyError as exc:
@@ -320,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (GenericityViolated, DegenerateAtOne, NonIntegerOrder) as exc:
+    except GATE_ERRORS as exc:
         sys.stderr.write(f"degenerate parameter point: {exc}\n")
         return EXIT_DEGENERATE
     except ToleranceNotMet as exc:

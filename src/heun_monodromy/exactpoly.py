@@ -103,10 +103,6 @@ class BivariateCoeff:
         object.__setattr__(self, "terms", _trim_bivar(dict(self.terms)))
 
     @classmethod
-    def const(cls, c: int) -> "BivariateCoeff":
-        return cls({(0, 0): c})
-
-    @classmethod
     def monomial(cls, c: int, lam_pow: int = 0, mu_pow: int = 0) -> "BivariateCoeff":
         return cls({(lam_pow, mu_pow): c})
 

@@ -1,17 +1,20 @@
-"""The 10-point Gauss-Legendre rule on [-1, 1], its Legendre helpers, and
-10-node Gauss collocation of linear systems y' = M(t) y.
+"""The 10-point Gauss-Legendre rule on [-1, 1], its Legendre helpers,
+10-node Gauss collocation of linear systems y' = M(t) y, and the one type of
+dense output, ``Rows``.
 
-One table serves the P_B panel table of ``sqrtmono`` and the one collocation
-kernel, ``row_propagators``, that solves every linear system of the program:
-the phase path's (``phase``), the theta pair and the Riccati continuation off
-the circle (``circle``), and the DCHE continuation (``heun``).  The nodes and
-weights are literals rather than Golub-Welsch: the first LAPACK call keeps
-about 1 MB for the whole run.
+One table serves the one collocation kernel, ``row_propagators``, that
+solves every linear system of the program: the phase path's (``phase``), the
+theta pair and the Riccati continuation off the circle (``circle``), and the
+DCHE continuation (``heun``).  Every dense output is a ``Rows`` each way from
+t = 0: the phase path, the theta pair and the P_B panel table of
+``sqrtmono``.  The nodes and weights are literals rather than Golub-Welsch:
+the first LAPACK call keeps about 1 MB for the whole run.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -124,21 +127,11 @@ def row_propagators(M: np.ndarray, h):
                        f"after {PICARD_MAX_SWEEPS}")
 
 
-def derivative_coefficients(G: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """(NODES, n, 2) coefficients c_i of y' = sum_i c_i s^i on each row, in
-    powers of the row fraction s, from M U at the nodes and the rows' start
-    values y0 (n, 2); by way of the Legendre coefficients (see SHIFTED)."""
-    dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
-    return node_sum(SHIFTED.T, node_sum(PROJECTION.T, dy)).transpose(0, 2, 1)
-
-
-def rise_coefficients(coef: np.ndarray, h) -> np.ndarray:
-    """(NODES, n, 4) real coefficients of (y - y_k) / s = sum_i h c_i s^i / (i + 1)
-    on rows of width h (one, or one per row), from the coefficients c_i of
-    y' (NODES, n, 2)."""
-    h = np.broadcast_to(h, coef.shape[1])
-    return np.ascontiguousarray(coef * (h[:, None] / np.arange(1.0, NODES + 1.0)[:, None, None])
-                                ).view(float)
+def power_coefficients(dy: np.ndarray) -> np.ndarray:
+    """Coefficients c_i (NODES, ...) of y' = sum_i c_i s^i on each row, in
+    powers of the row fraction s, from the values dy (NODES, ...) of y' at the
+    row's nodes; by way of the Legendre coefficients (see SHIFTED)."""
+    return node_sum(SHIFTED.T, node_sum(PROJECTION.T, dy))
 
 
 def horner(C: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -152,3 +145,65 @@ def horner(C: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
         acc *= s
     acc += C[0]
     return acc
+
+
+@dataclass
+class Rows:
+    """Uniform rows of a dense output y (m complex components) from t = 0
+    in one direction.
+
+    Row k spans ``ts[k]..ts[k + 1]`` (in the order of integration, signed
+    width ``h``) and starts from ``y0[k]``; ``coef[:, k]`` holds y' in powers
+    of the row fraction s = (t - ts[k]) / h, so
+    y = y0[k] + h sum_i coef[i, k] s^(i + 1) / (i + 1).  A time on a row edge
+    belongs to the row that ends there, counted in the direction of
+    integration; times beyond the ends use the end rows.
+    """
+
+    ts: np.ndarray  # (n + 1,)
+    h: float
+    y0: np.ndarray  # (n, m) complex
+    coef: np.ndarray  # (NODES, n, m) complex
+
+    def __post_init__(self):
+        self.n = self.coef.shape[1]
+        # (NODES, n, 2m) real coefficients for the evaluation, of y' and of
+        # (y - y0) / s
+        self._dy = np.ascontiguousarray(self.coef).view(float)
+        self._rise = np.ascontiguousarray(
+            self.coef * (self.h / np.arange(1.0, NODES + 1.0))[:, None, None]).view(float)
+
+    def locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows k that hold the times t, and the fractions s there."""
+        ascending = self.h > 0
+        edges = self.ts if ascending else self.ts[::-1]
+        k = np.searchsorted(edges, t, side="left" if ascending else "right") - 1
+        np.clip(k, 0, self.n - 1, out=k)
+        if not ascending:
+            k = self.n - 1 - k
+        return k, (t - self.ts[k]) / self.h
+
+    def values(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """(len(k), m) values of y on the rows k at the fractions s."""
+        s = s[:, None]
+        return self.y0[k] + (horner(self._rise, k, s) * s).view(complex)
+
+    def slopes(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """(len(k), m) values of y' on the rows k at the fractions s."""
+        return horner(self._dy, k, s[:, None]).view(complex)
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """(m, len(t)) values of y at the times t."""
+        return self.values(*self.locate(t)).T
+
+
+def two_sided(t: np.ndarray, fwd, bwd, out: np.ndarray) -> np.ndarray:
+    """A dense output kept as rows each way from t = 0: out[..., i] is
+    fwd(t_i) where t_i >= 0 and bwd(t_i) elsewhere (NaN included).  fwd and
+    bwd take a 1-d array of times and return values along their last axis."""
+    ahead = t >= 0
+    if ahead.any():
+        out[..., ahead] = fwd(t[ahead])
+    if not ahead.all():
+        out[..., ~ahead] = bwd(t[~ahead])
+    return out

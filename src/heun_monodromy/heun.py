@@ -45,6 +45,8 @@ COS_PHI0_FLOOR = 1e-8
 #: -z on the cover is taken as t -> t + T/2.  With this choice the double
 #: application reproduces the counterclockwise monodromy E(t + T).
 MINUS_Z_LIFT = "t+T/2"
+#: The sign of that shift, read at each call; -1 gives the mirrored lift
+#: t -> t - T/2, under which the composition lands on E(t - T).
 _LIFT_SIGN = +1.0
 
 
@@ -182,6 +184,13 @@ def pair_ode_residual(b: BasisValues) -> float:
     return float(np.max(np.abs(res)))
 
 
+def dche_operator(params: ModelParams, ell: int, z, E, Ep, Epp):
+    """z^2 E'' + ((ell+1) z + mu (1 - z^2)) E' + (lam - mu (ell+1) z) E at
+    the points z, from the values E, E' and E'' there."""
+    lam, mu = params.lam, params.mu
+    return z**2 * Epp + ((ell + 1) * z + mu * (1 - z**2)) * Ep + (lam - mu * (ell + 1) * z) * E
+
+
 def dche_residual(b: BasisValues, coeffs: tuple[complex, complex] | None = None) -> float:
     """sup residual of the second-order equation on the grid of ``b``
     (analytic derivatives).
@@ -189,20 +198,14 @@ def dche_residual(b: BasisValues, coeffs: tuple[complex, complex] | None = None)
     With ``coeffs`` the residual is evaluated for the linear combination
     c+ E+ + c- E- instead of the two basis elements separately.
     """
-    p = b.params
-    z = np.exp(1j * p.omega * b.t)
-    lam, mu, ell = p.lam, p.mu, b.ell
-
-    def residual_for(E, Ep, Epp):
-        return z**2 * Epp + ((ell + 1) * z + mu * (1 - z**2)) * Ep + (lam - mu * (ell + 1) * z) * E
-
+    z = np.exp(1j * b.params.omega * b.t)
     if coeffs is not None:
         cp, cm = coeffs
         E = cp * b.E(+1) + cm * b.E(-1)
         Ep = cp * b.Eprime(+1) + cm * b.Eprime(-1)
         Epp = cp * b.Esecond(+1) + cm * b.Esecond(-1)
-        return float(np.max(np.abs(residual_for(E, Ep, Epp))))
-    res = [residual_for(b.E(s), b.Eprime(s), b.Esecond(s)) for s in (+1, -1)]
+        return float(np.max(np.abs(dche_operator(b.params, b.ell, z, E, Ep, Epp))))
+    res = [dche_operator(b.params, b.ell, z, b.E(s), b.Eprime(s), b.Esecond(s)) for s in (+1, -1)]
     return float(np.max(np.abs(res)))
 
 
@@ -235,9 +238,7 @@ def phi_alpha(hb: HeunBasisPath, alpha: float) -> CircleFunction:
     alpha = pi/2 reproduces the original Phi identically.
     """
     require_real_basis(hb.at(0.0))
-    return CircleFunction(
-        f"PhiAlpha[{alpha}]", hb.path, lambda t: phi_alpha_values(hb.at(t), alpha)[0]
-    )
+    return CircleFunction(hb.path, lambda t: phi_alpha_values(hb.at(t), alpha)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +342,8 @@ def phi_from_basis(hb: HeunBasisPath, theta: float, rho: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _lift_shift(params: ModelParams, lift_sign: float = _LIFT_SIGN) -> float:
-    return lift_sign * params.T / 2.0
+def _lift_shift(params: ModelParams) -> float:
+    return _LIFT_SIGN * params.T / 2.0
 
 
 #: Coefficients (c+, c-) of E+ and E- as (2, 1) columns: with them
@@ -371,7 +372,6 @@ def apply_B_and_dot(
     nq: NumericQuad,
     t,
     coeffs: tuple = (1.0, 0.0),
-    lift_sign: float = _LIFT_SIGN,
 ) -> tuple[np.ndarray, np.ndarray]:
     """L_B applied to c+ E+ + c- E- on the lifted circle grid t, and its
     analytic d/dt, from one basis evaluation.
@@ -385,7 +385,7 @@ def apply_B_and_dot(
         raise GenericityViolated("operator is singular at this parameter point")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = hb.params
-    ts = t + _lift_shift(p, lift_sign)
+    ts = t + _lift_shift(p)
     if np.any(ts < hb.path.t_min) or np.any(ts > hb.path.t_max) or np.any(
         -ts < hb.path.t_min
     ) or np.any(-ts > hb.path.t_max):
@@ -411,21 +411,20 @@ def apply_B_and_dot(
     return F, pref_dot * G + pref * G_dot
 
 
-def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0), lift_sign=_LIFT_SIGN):
+def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0)):
     """L_B applied to c+ E+ + c- E- on the lifted circle grid t."""
-    return apply_B_and_dot(hb, nq, t, coeffs, lift_sign)[0]
+    return apply_B_and_dot(hb, nq, t, coeffs)[0]
 
 
-def apply_B_dot(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0), lift_sign=_LIFT_SIGN):
+def apply_B_dot(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0)):
     """Analytic d/dt of apply_B (needed for the composition law)."""
-    return apply_B_and_dot(hb, nq, t, coeffs, lift_sign)[1]
+    return apply_B_and_dot(hb, nq, t, coeffs)[1]
 
 
 def check_B_squared(
     hb: HeunBasisPath,
     nq: NumericQuad,
     grid_size: int = 401,
-    lift_sign: float = _LIFT_SIGN,
     rng: np.random.Generator | None = None,
 ) -> dict:
     """Certify the composition law L_B(L_B(E)) = D * E(t + T).
@@ -441,7 +440,7 @@ def check_B_squared(
             "composition check needs the window to cover [-3T/2, 3T/2] plus margin"
         )
     t = np.linspace(-T / 2, T / 2, grid_size)
-    shift = _lift_shift(p, lift_sign)
+    shift = _lift_shift(p)
     rng = rng or np.random.default_rng(20270101)
     c_rand = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
     # rows: E+, E-, one random combination
@@ -449,7 +448,7 @@ def check_B_squared(
     cm = np.array([0.0j, 1.0 + 0.0j, c_rand[1]])[:, None]
 
     u = t + shift
-    F, F_dot = apply_B_and_dot(hb, nq, u, coeffs=(cp, cm), lift_sign=lift_sign)
+    F, F_dot = apply_B_and_dot(hb, nq, u, coeffs=(cp, cm))
     FF = _lb_formula(hb, nq, t, F, F_dot / (1j * p.omega * np.exp(1j * p.omega * u)))[0]
     b = hb.at(t + T)
     target = nq.D * (cp * b.E(+1) + cm * b.E(-1))
@@ -459,7 +458,7 @@ def check_B_squared(
         "residual_e_plus": results[0],
         "residual_e_minus": results[1],
         "residual_random_combo": results[2],
-        "lift_convention": MINUS_Z_LIFT if lift_sign > 0 else "t-T/2",
+        "lift_convention": MINUS_Z_LIFT if _LIFT_SIGN > 0 else "t-T/2",
         "grid_size": grid_size,
         "D": nq.D,
     }

@@ -36,7 +36,7 @@ def monodromy_direct(path: PhasePath) -> CircleFunction:
             "monodromy_direct needs the window to cover [-T/2, 3T/2]; "
             f"got [{path.t_min}, {path.t_max}]"
         )
-    return CircleFunction("PhiM", path, lambda t: np.exp(1j * path.phi(t + T)))
+    return CircleFunction(path, lambda t: np.exp(1j * path.phi(t + T)))
 
 
 def _algebraic_coefficients(bv: BoundaryValues):
@@ -71,7 +71,7 @@ def monodromy_algebraic(
     if abs(abs(complex(np.exp(1j * path.phi0))) - 1.0) > 1e-12:
         raise ValueError("normalization |Phi(1)| = 1 violated")  # pragma: no cover
     pair = CirclePair.on_path(path)
-    return CircleFunction("PhiM", path, lambda t: _algebraic_values(pair, bv, t)[0])
+    return CircleFunction(path, lambda t: _algebraic_values(pair, bv, t)[0])
 
 
 @dataclass

@@ -45,60 +45,28 @@ NODES = gauss.NODES
 
 
 @dataclass
-class _Rows:
-    """The collocation rows of one direction from t = 0.
+class _Rows(gauss.Rows):
+    """The collocation rows of one direction from t = 0, for y = (u, v).
 
-    Row k spans ``ts[k]..ts[k + 1]`` (in the order of integration, width
-    ``h``) and starts from y = (1, Phi_k).  ``coef[:, k]`` holds the
-    collocation polynomial's y' in powers of the row fraction
-    s = (t - ts[k]) / h, so y = y_k + h sum_i coef[i, k] s^(i + 1) / (i + 1).
-    The phase and the quadrature at the row edges are kept as float pairs
-    ``phi + phi_lo`` and ``P + P_lo``.  A time on a row edge belongs to the
-    row that ends there, counted in the direction of integration; times
-    beyond the ends use the end rows.
+    Row k starts from y0[k] = (1, Phi_k).  On top of the rows this keeps
+    their lift: the phase and the quadrature at the row edges as float pairs
+    ``phi + phi_lo`` and ``P + P_lo``, and e^{i phi} at the row edges and at
+    the Gauss nodes.
     """
 
-    ts: np.ndarray  # (n + 1,)
-    h: float
     phi: np.ndarray  # (n + 1,)
     phi_lo: np.ndarray
     P: np.ndarray
     P_lo: np.ndarray
     Phi: np.ndarray  # (n + 1,) complex, e^{i phi} at the row edges
-    coef: np.ndarray  # (NODES, n, 2) complex
     Phi_nodes: np.ndarray  # (NODES, n) complex: e^{i phi} at the Gauss nodes
-
-    def __post_init__(self):
-        self.n = self.coef.shape[1]
-        self.ascending = self.h > 0
-        self.side = "left" if self.ascending else "right"
-        self.ts_sorted = self.ts if self.ascending else self.ts[::-1]
-        # (NODES, n, 4) real coefficients for the evaluation, of y' and of
-        # (y - y_k) / s
-        self._dy = self.coef.view(float)
-        self._y = gauss.rise_coefficients(self.coef, self.h)
-
-    def _segments(self, t: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(self.ts_sorted, t, side=self.side) - 1
-        np.clip(k, 0, self.n - 1, out=k)
-        return k if self.ascending else self.n - 1 - k
-
-    def values(self, k: np.ndarray, s: np.ndarray, derivative: bool = False):
-        """(u, v) on the rows k at the fractions s, and (u', v') or None."""
-        s = s[:, None]
-        y = gauss.horner(self._y, k, s)
-        y *= s
-        y = y.view(complex)
-        u = y[:, 0] + 1.0
-        v = y[:, 1] + self.Phi[k]
-        dy = gauss.horner(self._dy, k, s).view(complex) if derivative else None
-        return u, v, dy
 
     def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
         """(2, n) values of (phi, P) at the times t, or their d/dt."""
-        k = self._segments(t)
-        u, v, dy = self.values(k, (t - self.ts[k]) / self.h, derivative)
+        k, s = self.locate(t)
+        u, v = self.values(k, s).T
         if derivative:
+            dy = self.slopes(k, s)
             du, dv = dy[:, 0] / u, dy[:, 1] / v
             return np.array((dv.imag - du.imag, 2.0 * du.real))
         w = v * u.conj() * self.Phi[k].conj()
@@ -132,13 +100,8 @@ class PhasePath:
         if t.size:
             # NaN-ignoring extremes, so a NaN never hides an out-of-window time
             self._check_window(np.fmin.reduce(t, axis=None), np.fmax.reduce(t, axis=None))
-        out = np.empty((2,) + t.shape)
-        m = t >= 0
-        if m.any():
-            out[:, m] = self._fwd(t[m], derivative)
-        if not m.all():
-            out[:, ~m] = self._bwd(t[~m], derivative)
-        return out
+        return gauss.two_sided(t, lambda u: self._fwd(u, derivative),
+                               lambda u: self._bwd(u, derivative), np.empty((2,) + t.shape))
 
     def at(self, t: float) -> tuple[float, float]:
         """(phi, P) at one time as floats."""
@@ -269,7 +232,8 @@ def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
         S = starts[blk]
         u_end = R[0, 0] + R[0, 1] * S
         rise[blk] = np.log(u_end.real * u_end.real + u_end.imag * u_end.imag)
-        coef[:, blk] = gauss.derivative_coefficients(G, np.stack((np.ones_like(S), S), 1))
+        dy = G[:, :, 0] + G[:, :, 1] * S
+        coef[:, blk] = gauss.power_coefficients(dy).transpose(0, 2, 1)
         y = U[:, :, 0] + U[:, :, 1] * S
         ratio = y[:, 1] / y[:, 0]
         Phi_nodes[:, blk] = ratio / np.abs(ratio)
@@ -277,8 +241,8 @@ def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
     turn = np.angle(starts[1:] * starts[:-1].conj())
     phi, phi_lo = _running_sum(phi0, turn)
     P, P_lo = _running_sum(0.0, rise)
-    return _Rows(ts=ts, h=h, phi=phi, phi_lo=phi_lo, P=P, P_lo=P_lo, Phi=starts,
-                 coef=coef, Phi_nodes=Phi_nodes)
+    return _Rows(ts=ts, h=h, y0=np.stack((np.ones(rows), starts[:-1]), 1), coef=coef,
+                 phi=phi, phi_lo=phi_lo, P=P, P_lo=P_lo, Phi=starts, Phi_nodes=Phi_nodes)
 
 
 # The defect is sampled at the 10-point Gauss nodes of each half row, which
@@ -354,7 +318,7 @@ def _error_estimate(rows: _Rows, params: ModelParams) -> float:
         sup = max(sup, np.max(np.abs(e_phi)), np.max(np.abs(ends)),
                   np.max(np.abs(e_P)), np.max(np.abs(e_P_ends)))
         e_phi_end, e_P_end = ends[-1], float(e_P_ends[-1])
-    u_end, v_end, _ = rows.values(np.arange(n), np.ones(n))
+    u_end, v_end = rows.values(np.arange(n), np.ones(n)).T
     jump_phi = np.angle(v_end * u_end.conj() * rows.Phi[1:].conj())
     jump_P = np.log(u_end.real * u_end.real + u_end.imag * u_end.imag) - rise
     walk = list(accumulate(zip(decay.tolist(), (jump_phi * jump_phi).tolist()),

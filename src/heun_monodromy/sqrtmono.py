@@ -29,6 +29,7 @@ route-equivalence requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,38 +148,24 @@ TABLE_SPAN = 0.55
 _PANELS = 400
 
 
-class PanelTable:
-    """Running integrals y_i(0) + int_0^t f_i on [-span, span].
-
-    Composite Gauss-Legendre with ``panels`` panels on each side of 0, one
-    vectorized call of ``f`` for all nodes.  On each panel the interpolant of
-    the node values is kept as Legendre coefficients c_k and integrated in
-    closed form (``gauss.legendre_integrals``).
-    Times outside the table raise OutOfWindow.
-    """
-
-    def __init__(self, span: float, panels: int, f, y0: tuple[float, ...]):
-        self.span, self.panels = span, panels
-        self.h = span / panels
-        left = np.arange(-panels, panels) * self.h
-        nodes = (left[:, None] + 0.5 * self.h * (gauss.X + 1.0)).ravel()
-        self.coeffs = [vals.reshape(2 * panels, gauss.NODES) @ gauss.PROJECTION for vals in f(nodes)]
-        self.starts = []  # y_i at the left end of each panel
-        for c, y in zip(self.coeffs, y0):
-            integral = self.h * c[:, 0]
-            before = -np.cumsum(integral[:panels][::-1])[::-1]
-            after = np.concatenate(([0.0], np.cumsum(integral[panels:-1])))
-            self.starts.append(y + np.concatenate((before, after)))
-
-    def __call__(self, i: int, t) -> np.ndarray:
-        """y_i at each time t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.size and not (np.min(t) >= -self.span and np.max(t) <= self.span):
-            raise OutOfWindow(f"t range [{np.min(t)}, {np.max(t)}] outside +-{self.span}")
-        k = np.clip(np.floor(t / self.h).astype(int) + self.panels, 0, 2 * self.panels - 1)
-        x = (t - (k - self.panels) * self.h) * (2.0 / self.h) - 1.0
-        partial = np.einsum("nk,kn->n", self.coeffs[i][k], gauss.legendre_integrals(x))
-        return self.starts[i][k] + 0.5 * self.h * partial
+def _panel_rows(f, span: float, y_at_0: complex) -> tuple[gauss.Rows, gauss.Rows]:
+    """Rows of y' = f from y(0) = y_at_0 to t = span and to t = -span, with
+    ``_PANELS`` uniform rows each way and one vectorized call of ``f`` at
+    every row's Gauss nodes.  On each row y' is the interpolant of the node
+    values, integrated in closed form, and each row starts where the one
+    before it ends."""
+    widths = np.array((span, -span)) / _PANELS
+    ts = widths[:, None] * np.arange(_PANELS + 1)
+    ts[:, -1] = span, -span
+    nodes = ts[:, None, :-1] + widths[:, None, None] * gauss.NODE_FRACTIONS[:, None]
+    vals = f(nodes.ravel()).reshape(nodes.shape)  # (side, node, panel)
+    rows = []
+    for edges, h, dy in zip(ts, widths, vals):
+        coef = gauss.power_coefficients(dy)
+        rise = h * (coef / np.arange(1.0, gauss.NODES + 1.0)[:, None]).sum(0)
+        y0 = y_at_0 + np.concatenate(([0.0], np.cumsum(rise[:-1])))
+        rows.append(gauss.Rows(ts=edges, h=h, y0=y0[:, None], coef=coef[:, :, None]))
+    return tuple(rows)
 
 
 class SqrtMonodromyTransform:
@@ -195,7 +182,7 @@ class SqrtMonodromyTransform:
         self.K1, self.K2, self._X, self._n2 = _formula_constants(sc)
         num, den = self._nhat_dden(pair(np.array([0.0]))[0])
         self.k_norm = complex(-num[0] * den[0])
-        self._table: PanelTable | None = None
+        self.span = TABLE_SPAN * self.params.T  # of the panel table
 
     def _nhat_dden(self, factors):
         """(Nhat, Dden) from the four half-power factors; linear, so the
@@ -211,38 +198,45 @@ class SqrtMonodromyTransform:
         return self.at(t).phi
 
     # ---- continuous phase and quadrature of the transformed pair ----
-    def _build_table(self) -> PanelTable:
-        """P_B = int_0^t cos(phi_B), with cos(phi_B) = Re Phi_B (|Phi_B| = 1 is
-        certified), and the continuous phase phi_B(0) + int_0^t Im(conj(Phi_B) Phi_B')
-        on one table over +-TABLE_SPAN*T."""
+    @cached_property
+    def table(self) -> tuple[gauss.Rows, gauss.Rows]:
+        """The panel table, built on first use: forward and backward rows of
+        y = P_B + i phi_B over +-span.  y' is cos(phi_B) + i dphi_B/dt,
+        with cos(phi_B) = Re Phi_B (|Phi_B| = 1 is certified) and
+        dphi_B/dt = Im(conj(Phi_B) Phi_B'), from P_B(0) = 0 and phi_B(0) the
+        principal argument."""
 
-        def integrands(nodes):
+        def integrand(nodes):
             b = self.at(nodes)
-            return b.phi.real, (np.conj(b.phi) * b.phi_dot).imag
+            return b.phi.real + 1j * (np.conj(b.phi) * b.phi_dot).imag
 
         phase_at_0 = float(np.angle(self.phi_B(0.0)[0]))
-        return PanelTable(TABLE_SPAN * self.params.T, _PANELS, integrands, (0.0, phase_at_0))
+        return _panel_rows(integrand, self.span, 1j * phase_at_0)
 
-    @property
-    def table(self) -> PanelTable:
-        """The panel table, built on first use."""
-        if self._table is None:
-            self._table = self._build_table()
-        return self._table
+    def integrals(self, t) -> np.ndarray:
+        """P_B + i phi_B at the times t, from the panel table; the imaginary
+        part is the continuous phase that picks phi_B's branch.  Times
+        outside the table raise OutOfWindow."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.size and not (np.min(t) >= -self.span and np.max(t) <= self.span):
+            raise OutOfWindow(f"t range [{np.min(t)}, {np.max(t)}] outside +-{self.span}")
+        fwd, bwd = self.table
+        return gauss.two_sided(t, fwd, bwd, np.empty((1,) + t.shape, dtype=complex))[0]
 
     def phase(self, t) -> np.ndarray:
         """Continuous phi_B(t); see ``TransformValues.phase``.  A time outside
         the table raises OutOfWindow before the pair is evaluated."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        base = self.table(1, t)
+        base = self.integrals(t).imag
         return _on_branch(np.angle(self.phi_B(t)), base)
 
     def quadrature(self, span: float):
-        """P_B = int_0^t cos(phi_B) as a callable valid on [-span, span]."""
-        table = self.table
-        if span > table.span:
-            raise OutOfWindow(f"span {span} exceeds the table's {table.span}")
-        return lambda t: table(0, t)
+        """P_B = int_0^t cos(phi_B) as a callable valid on [-span, span]; the
+        panel table is built here, if it is not yet."""
+        if span > self.span:
+            raise OutOfWindow(f"span {span} exceeds the table's {self.span}")
+        self.table  # built now, not on the first call of the result
+        return lambda t: self.integrals(t).real
 
 
 class TransformValues:
@@ -284,7 +278,7 @@ class TransformValues:
         The table only picks the branch, so the result does not depend on
         its last bits; at t = 0 it is the principal argument.
         """
-        return _on_branch(np.angle(self.phi), self._tr.table(1, self.t))
+        return _on_branch(np.angle(self.phi), self._tr.integrals(self.t).imag)
 
 
 def _on_branch(a: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -233,7 +233,6 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
     omega = path.params.omega
     t_op = np.linspace(-path.params.T / 2, path.params.T / 2, 401)
     z = np.exp(1j * omega * t_op)
-    lam, mu, ell = path.params.lam, path.params.mu, hb.ell
     h = 1e-5
     coeffs = heun_mod.BASIS_COEFFS
 
@@ -246,11 +245,7 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
     images_pp = (Fprime(t_op + h) - Fprime(t_op - h)) / (2 * h) / (1j * omega * z)
     lb_maps = []
     for vals, valsp, valspp, tag in zip(images, images_p, images_pp, ("plus", "minus")):
-        res = (
-            z**2 * valspp
-            + ((ell + 1) * z + mu * (1 - z**2)) * valsp
-            + (lam - mu * (ell + 1) * z) * vals
-        )
+        res = heun_mod.dche_operator(path.params, hb.ell, z, vals, valsp, valspp)
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         lb_maps.append(float(np.max(np.abs(res))) / scale)
         _record(report, failures, f"lb_maps_solutions_{tag}", lb_maps[-1], "lb_maps_solutions")

@@ -149,6 +149,28 @@ def test_theta_pair_outside_the_half_period_is_out_of_window(golden_path):
             pair.psi_route(np.array([t]))
 
 
+def test_theta_pair_one_point_is_bit_identical_to_the_array(golden_path):
+    pair = theta_pair_solve(golden_path)
+    half = golden_path.params.T / 2
+    edges = np.concatenate((pair._fwd.ts, pair._bwd.ts))
+    t = np.concatenate([np.random.default_rng(29).uniform(-half, half, 500),
+                        edges[np.abs(edges) <= half], [0.0, -half, half]])
+    one = np.array([pair.values(float(x))[:, 0] for x in t]).T
+    assert np.array_equal(one, pair.values(t))
+
+
+def test_theta_pair_row_edge_belongs_to_the_row_ending_there(golden_path):
+    # the phase path's own edge rule: the value at path._fwd.ts[k + 1] is row
+    # k's at its end, s = (ts[k + 1] - ts[k]) / h (1 up to rounding), not row
+    # k + 1's start
+    pair = theta_pair_solve(golden_path)
+    half = golden_path.params.T / 2
+    for rows, path_rows in ((pair._fwd, golden_path._fwd), (pair._bwd, golden_path._bwd)):
+        k = np.flatnonzero(np.abs(path_rows.ts[1:rows.n + 1]) <= half)
+        t = path_rows.ts[k + 1]
+        assert np.array_equal(pair.values(t), rows.values(k, (t - rows.ts[k]) / rows.h).T)
+
+
 def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
     # each sweep contracts by at most 0.12, so one sweep cannot settle
     monkeypatch.setattr(gauss, "PICARD_MAX_SWEEPS", 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heun_monodromy import ModelParams, solve_phase
+from heun_monodromy import heun as heun_mod
 from heun_monodromy.circle import phi_on_circle, psi_on_circle, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, NonIntegerOrder
 from heun_monodromy.heun import (
@@ -184,20 +185,21 @@ def test_b_squared_is_monodromy(hb, golden_quad, hb2, golden2_quad):
         assert rep["residual_random_combo"] < 1e-6
 
 
-def test_b_squared_opposite_lift_matches_inverse_monodromy(hb, golden_quad):
+def test_b_squared_opposite_lift_matches_inverse_monodromy(hb, golden_quad, monkeypatch):
     # with the t - T/2 lift the composition lands on E(t - T) instead: the
     # two conventions are mirror images, which is why one global choice is
     # pinned and recorded
+    monkeypatch.setattr(heun_mod, "_LIFT_SIGN", -1.0)
     T = hb.params.T
     t = np.linspace(-T / 4, T / 4, 101)
     shift = -T / 2
 
     def Fval(u):
-        return apply_B(hb, golden_quad, u, coeffs=(1, 0), lift_sign=-1)
+        return apply_B(hb, golden_quad, u, coeffs=(1, 0))
 
     def Fprime(u):
         zu = np.exp(1j * hb.params.omega * u)
-        return apply_B_dot(hb, golden_quad, u, coeffs=(1, 0), lift_sign=-1) / (
+        return apply_B_dot(hb, golden_quad, u, coeffs=(1, 0)) / (
             1j * hb.params.omega * zu
         )
 

@@ -120,12 +120,11 @@ def _row_value(rows, t):
     ts = rows.ts
     i = next(i for i in range(rows.n) if min(ts[i], ts[i + 1]) <= t <= max(ts[i], ts[i + 1]))
     s = ((np.array([t]) - ts[i]) / rows.h)[:, None]
-    C = rows._y[:, i:i + 1]  # (powers, 1, 4): Re u, Im u, Re v, Im v
+    C = rows._rise[:, i:i + 1]  # (powers, 1, 4): Re u, Im u, Re v, Im v
     acc = C[-1] * s
     for power in range(gauss.NODES - 2, 0, -1):
         acc = (acc + C[power]) * s
-    acc = ((acc + C[0]) * s).view(complex)
-    u, v = acc[:, 0] + 1.0, acc[:, 1] + rows.Phi[i]
+    u, v = (rows.y0[i] + ((acc + C[0]) * s).view(complex)).T
     w = v * u.conj() * rows.Phi[i].conj()
     phi = rows.phi[i] + (rows.phi_lo[i] + np.arctan2(w.imag, w.real))
     P = rows.P[i] + (rows.P_lo[i] + np.log(u.real * u.real + u.imag * u.imag))
@@ -232,3 +231,18 @@ def test_program_defines_or_imports_no_dop853():
             for name in names:
                 assert "dop853" not in name.lower() and name.split(".")[-1] != "rk", (
                     f"{module.name}:{node.lineno} refers to {name}")
+
+
+def test_only_gauss_evaluates_dense_rows():
+    # every dense output evaluates through gauss.Rows: no other module of the
+    # package may call the row evaluators, so no second evaluator reappears
+    package = Path(heun_monodromy.__file__).resolve().parent
+    evaluators = {"horner", "rise_coefficients", "legendre_integrals"}
+    for module in sorted(package.glob("*.py")):
+        if module.name == "gauss.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name not in evaluators, f"{module.name}:{node.lineno} calls {name}"

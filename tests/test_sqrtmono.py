@@ -195,10 +195,23 @@ def test_panel_table_is_converged(golden2_path, golden2_quad, monkeypatch):
     for panels in (400, 800):
         monkeypatch.setattr(sqrt_mod, "_PANELS", panels)
         tr = transform_from_path(golden2_path, golden2_quad)
-        runs.append((tr.phase(t), tr.quadrature(0.55 * T)(t), tr.table(1, t)))
+        runs.append((tr.phase(t), tr.quadrature(0.55 * T)(t), tr.integrals(t).imag))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.max(np.abs(runs[0][1] - runs[1][1])) <= 1e-14
     assert np.max(np.abs(runs[0][2] - runs[1][2])) <= 1e-14
+
+
+def test_panel_table_one_point_is_bit_identical_to_the_array(golden_transform, golden_path):
+    span = 0.55 * golden_path.params.T
+    fwd, bwd = golden_transform.table
+    t = np.concatenate([np.random.default_rng(17).uniform(-span, span, 500), fwd.ts, bwd.ts])
+    ref = golden_transform.integrals(t)
+    assert np.array_equal(np.array([golden_transform.integrals(float(x))[0] for x in t]), ref)
+    # a time on a row edge belongs to the row that ends there
+    for rows in (fwd, bwd):
+        k, t = np.arange(rows.n), rows.ts[1:]
+        assert np.array_equal(golden_transform.integrals(t),
+                              rows.values(k, (t - rows.ts[k]) / rows.h)[:, 0])
 
 
 def test_panel_table_never_extrapolates(golden_transform, golden_path):
@@ -216,13 +229,13 @@ def test_panel_table_never_extrapolates(golden_transform, golden_path):
 
 def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
     builds = []
-    build = sqrt_mod.SqrtMonodromyTransform._build_table
+    build = sqrt_mod._panel_rows
 
-    def counting_build(self):
-        builds.append(id(self))
-        return build(self)
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(sqrt_mod.SqrtMonodromyTransform, "_build_table", counting_build)
+    monkeypatch.setattr(sqrt_mod, "_panel_rows", counting_build)
     rep = verify_theorem2(golden_path, golden_quad, grid_size=1001)
     # one table, built once by the first transform; the second never needs one
     assert len(builds) == 1
