@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveOmega,
     ToleranceNotMet,
 )
+from .exactpoly import LaurentPoly
 from .heunpoly import (
     MAX_ELL,
     NumericQuad,
@@ -155,10 +156,7 @@ def cmd_poly(args) -> int:
     out = []
     for name, poly in zip(names, quad.as_tuple()):
         out.append(f"{name} = {poly.canonical_text()}")
-    D = first_integral(quad)
-    from .exactpoly import LaurentPoly
-
-    d_poly = LaurentPoly({0: D})
+    d_poly = LaurentPoly.constant(first_integral(quad))
     out.append(f"D = {d_poly.canonical_text()}")
     sys.stdout.write("\n".join(out) + "\n")
     obj = {name: poly.to_json_obj() for name, poly in zip(names, quad.as_tuple())}

@@ -1,20 +1,22 @@
-"""Exact Laurent polynomials in z with integer-coefficient bivariate entries.
+"""Exact Laurent polynomials in z with coefficients in Z[lam, mu].
 
-A coefficient is a polynomial in the two parameters (lam, mu) with arbitrary
-precision integer coefficients, stored as ``{(lam_pow, mu_pow): int}``.  A
-Laurent polynomial maps z-powers (possibly negative) to such coefficients.
-Canonical form keeps no zero entries anywhere.
-
-These are the only number types used by the recurrence layer; every identity
-check there is performed with this exact arithmetic, never in floating point.
+A Laurent polynomial is one flat dict ``{(z_pow, lam_pow, mu_pow): int}`` with
+no zero entries; a ``BivariateCoeff`` is one ``{(lam_pow, mu_pow): int}``.
+Two kernels do all the arithmetic: ``combine`` sums monomial multiples of
+polynomials (or of their z-derivatives, reflections z -> -z and values at
+z = 1) in one dict pass, and ``_product`` sums products in one numpy
+object-array accumulator.  Every identity check of the recurrence layer uses
+this exact arithmetic, never floating point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,48 +25,38 @@ import numpy as np
 _BOX_SLOTS_PER_PAIR = 32
 
 
-def _trim_bivar(d: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    return {k: v for k, v in d.items() if v != 0}
+def _product(pairs) -> dict[tuple[int, ...], int]:
+    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in canonical form.
 
-
-def _flat_terms(coeffs: dict[int, "BivariateCoeff"]) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent triples (n, 3) and object-dtype coefficients of a Laurent dict."""
-    bivs = coeffs.values()
-    counts = [len(v.terms) for v in bivs]
-    n = sum(counts)
-    exps = np.empty((n, 3), dtype=np.int64)
-    exps[:, 0] = np.repeat(list(coeffs), counts)
-    lam_mu = chain.from_iterable(chain.from_iterable(v.terms for v in bivs))
-    exps[:, 1:] = np.fromiter(lam_mu, dtype=np.int64, count=2 * n).reshape(n, 2)
-    values = np.fromiter(chain.from_iterable(v.terms.values() for v in bivs), object, n)
-    return exps, values
-
-
-def _product(
-    x: dict[int, "BivariateCoeff"], y: dict[int, "BivariateCoeff"]
-) -> dict[int, "BivariateCoeff"]:
-    """Exact product of two Laurent coefficient dicts, in canonical form.
-
-    Every exponent triple (z, lam, mu) of the product gets a slot in one
-    accumulator.  The coefficients sit in numpy object arrays, so they stay
-    Python ints (exact at any size).  The products ``c_i * y`` of one term of
-    the shorter operand land on distinct slots, so one fancy-index ``+=`` per
-    term is exact.  Only the nonzero slots are decoded, ascending in
-    (z, lam, mu).
+    ``x`` and ``y`` are term dicts keyed by exponent tuples of one length.
+    Every exponent tuple of the sum gets a slot in one accumulator.  The
+    coefficients sit in numpy object arrays, so they stay Python ints (exact
+    at any size).  The products ``c * x_i * y`` of one term of the shorter
+    operand land on distinct slots, so one fancy-index ``+=`` per term is
+    exact.  Only the nonzero slots are decoded, ascending in the exponents.
     """
-    (xe, xc), (ye, yc) = _flat_terms(x), _flat_terms(y)
-    if not len(xc) or not len(yc):
+    ops = []
+    for c, x, y in pairs:
+        if len(x) > len(y):
+            x, y = y, x
+        if x:
+            xe, ye = np.array(list(x), dtype=np.int64), np.array(list(y), dtype=np.int64)
+            yc = np.fromiter(y.values(), object, len(y))
+            ops.append((xe, [c * v for v in x.values()], ye, yc))
+    if not ops:
         return {}
-    if len(xc) > len(yc):
-        xe, xc, ye, yc = ye, yc, xe, xc
-    lo = xe.min(0) + ye.min(0)
-    span = tuple((xe.max(0) + ye.max(0) - lo + 1).tolist())
+    lo = np.min([xe.min(0) + ye.min(0) for xe, _, ye, _ in ops], axis=0)
+    hi = np.max([xe.max(0) + ye.max(0) for xe, _, ye, _ in ops], axis=0)
+    span = tuple((hi - lo + 1).tolist())
     size = math.prod(span)
-    if size <= _BOX_SLOTS_PER_PAIR * len(xc) * len(yc):
-        # Flat index in the dense box of the product's span.
-        kx = np.ravel_multi_index(tuple((xe - xe.min(0)).T), span)
-        ky = np.ravel_multi_index(tuple((ye - ye.min(0)).T), span)
-        rows = (ky + k for k in kx.tolist())
+    if size <= _BOX_SLOTS_PER_PAIR * sum(len(xc) * len(yc) for _, xc, _, yc in ops):
+        # Flat index in the dense box of the sum's span: the x part counts
+        # from x's least exponents, the y part from the rest of lo.
+        rows = []
+        for xe, _, ye, _ in ops:
+            kx = np.ravel_multi_index(tuple((xe - xe.min(0)).T), span)
+            ky = np.ravel_multi_index(tuple((ye + xe.min(0) - lo).T), span)
+            rows.append(map(ky.__add__, kx.tolist()))
         acc = np.zeros(size, dtype=object)
 
         def decode(nz):
@@ -72,35 +64,30 @@ def _product(
 
     else:
         # Sparse operands: number the distinct exponent sums instead.
-        keys, inverse = np.unique((xe[:, None] + ye).reshape(-1, 3), axis=0, return_inverse=True)
-        rows = inverse.reshape(len(xc), len(yc))
+        sums = [(xe[:, None] + ye).reshape(-1, len(span)) for xe, _, ye, _ in ops]
+        keys, inverse = np.unique(np.concatenate(sums), axis=0, return_inverse=True)
+        rows = np.split(inverse.reshape(-1), np.cumsum([len(s) for s in sums])[:-1])
+        rows = [r.reshape(len(xc), -1) for r, (_, xc, _, _) in zip(rows, ops)]
         acc = np.zeros(len(keys), dtype=object)
 
         def decode(nz):
             return keys[nz]
 
-    for row, c in zip(rows, xc.tolist()):
-        acc[row] += c * yc
+    for (_, xc, _, yc), op_rows in zip(ops, rows):
+        for row, c in zip(op_rows, xc):
+            acc[row] += c * yc
     nz = np.flatnonzero(acc)
-    z, lam, mu = decode(nz).T
-    starts = np.flatnonzero(np.diff(z, prepend=z[:1] - 1)).tolist()
-    z_pows = z.tolist()
-    lam_mu = list(zip(lam.tolist(), mu.tolist()))
-    values = acc[nz].tolist()
-    return {
-        z_pows[i]: BivariateCoeff(dict(zip(lam_mu[i:j], values[i:j])))
-        for i, j in zip(starts, starts[1:] + [len(nz)])
-    }
+    return dict(zip(zip(*decode(nz).T.tolist()), acc[nz].tolist()))
 
 
 @dataclass(frozen=True)
 class BivariateCoeff:
-    """Exact polynomial in (lam, mu) over the integers."""
+    """Exact polynomial in (lam, mu) over the integers, with nonnegative powers."""
 
     terms: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _trim_bivar(dict(self.terms)))
+        object.__setattr__(self, "terms", {k: v for k, v in self.terms.items() if v})
 
     @classmethod
     def monomial(cls, c: int, lam_pow: int = 0, mu_pow: int = 0) -> "BivariateCoeff":
@@ -109,47 +96,31 @@ class BivariateCoeff:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "BivariateCoeff") -> "BivariateCoeff":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BivariateCoeff(out)
-
-    def __neg__(self) -> "BivariateCoeff":
-        return BivariateCoeff({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "BivariateCoeff") -> "BivariateCoeff":
-        return self + (-other)
-
     def __mul__(self, other: "BivariateCoeff") -> "BivariateCoeff":
-        return _product({0: self}, {0: other}).get(0, BivariateCoeff())
-
-    def scaled(self, c: int, dlam: int = 0, dmu: int = 0) -> "BivariateCoeff":
-        """Multiply by the monomial c * lam**dlam * mu**dmu."""
-        if c == 0:
-            return BivariateCoeff()
-        return BivariateCoeff({(a + dlam, b + dmu): c * v for (a, b), v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariateCoeff):
-            return NotImplemented
-        return self.terms == other.terms
+        return BivariateCoeff(_product([(1, self.terms, other.terms)]))
 
     def evaluate(self, lam, mu):
         """Numeric (or Fraction) value at the given parameter point."""
         return sum(c * lam**a * mu**b for (a, b), c in self.terms.items())
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
-        # lam-power descending, then mu-power ascending; see canonical_text.
-        return sorted(self.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+    def value_at(self, lam: float, mu: float) -> float:
+        """Value at a float point, exact and rounded once: free of the term order."""
+        if not self.terms:
+            return 0.0
+        (nl, dl), (nm, dm) = lam.as_integer_ratio(), mu.as_integer_ratio()
+        top_a, top_b = max(a for a, _ in self.terms), max(b for _, b in self.terms)
+        # every term over the common denominator dl**top_a * dm**top_b
+        lam_pows = [nl**a * dl ** (top_a - a) for a in range(top_a + 1)]
+        mu_pows = [nm**b * dm ** (top_b - b) for b in range(top_b + 1)]
+        num = sum(c * lam_pows[a] * mu_pows[b] for (a, b), c in self.terms.items())
+        return num / (dl**top_a * dm**top_b)  # int / int rounds correctly
 
     def __repr__(self) -> str:
         return f"BivariateCoeff({self.terms!r})"
 
 
-def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> tuple[str, str]:
-    """Return (sign, magnitude-text) for one monomial."""
-    sign = "-" if coeff < 0 else "+"
+def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> str:
+    """Sign and magnitude text of one monomial, as in ``- 3*lam*z^2``."""
     factors = []
     mag = abs(coeff)
     for name, p in (("lam", lam_pow), ("mu", mu_pow), ("z", z_pow)):
@@ -159,104 +130,149 @@ def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> tuple[s
             factors.append(f"{name}^{p}")
     if mag != 1 or not factors:
         factors.insert(0, str(mag))
-    return sign, "*".join(factors)
+    return ("- " if coeff < 0 else "+ ") + "*".join(factors)
 
 
-@dataclass(frozen=True)
+#: Operators a piece may apply to its polynomial (d/dz, z -> -z, z -> 1): each
+#: maps a term's z-power and the piece's factor c to its new z-power and weight.
+PRIME, REFLECT, AT_ONE = (
+    lambda z, c: (z - 1, c * z),
+    lambda z, c: (z, -c if z & 1 else c),
+    lambda z, c: (0, c),
+)
+
+
+class Piece(NamedTuple):
+    """The summand ``c * z**dz * lam**dlam * mu**dmu * op(x)`` of ``combine``."""
+
+    c: int
+    x: "LaurentPoly"
+    dz: int = 0
+    dlam: int = 0
+    dmu: int = 0
+    op: Callable[[int, int], tuple[int, int]] | None = None
+
+
+def combine(pieces: Iterable[Piece]) -> "LaurentPoly":
+    """Exact sum of the pieces, accumulated in one dict (trimmed once, by the constructor)."""
+    out: dict[tuple[int, int, int], int] = {}
+    get = out.get
+    for c, x, dz, dlam, dmu, op in pieces:
+        if op is None:
+            for (z, a, b), v in x.terms.items():
+                key = (z + dz, a + dlam, b + dmu)
+                out[key] = get(key, 0) + c * v
+            continue
+        moves = {z: op(z, c) for z in {z for z, _, _ in x.terms}}
+        for (z, a, b), v in x.terms.items():
+            z, w = moves[z]
+            key = (z + dz, a + dlam, b + dmu)
+            out[key] = get(key, 0) + w * v
+    return LaurentPoly(out)
+
+
+def product_sum(pairs: Iterable[tuple[int, "LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
+    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one product accumulator."""
+    return LaurentPoly(_product([(c, x.terms, y.terms) for c, x, y in pairs]))
+
+
 class LaurentPoly:
-    """Laurent polynomial in z with BivariateCoeff coefficients."""
+    """Laurent polynomial in z over Z[lam, mu]: nonzero ``terms[z, lam, mu]``."""
 
-    coeffs: dict[int, BivariateCoeff] = field(default_factory=dict)
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {k: v for k, v in self.coeffs.items() if not v.is_zero()}
-        )
+    def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls({})
+        return cls()
 
     @classmethod
     def monomial(cls, c: int, z_pow: int = 0, lam_pow: int = 0, mu_pow: int = 0) -> "LaurentPoly":
-        return cls({z_pow: BivariateCoeff.monomial(c, lam_pow, mu_pow)})
+        return cls({(z_pow, lam_pow, mu_pow): c})
+
+    @classmethod
+    def constant(cls, b: BivariateCoeff) -> "LaurentPoly":
+        """``b`` as a polynomial of z-degree 0."""
+        return cls({(0, lam, mu): v for (lam, mu), v in b.terms.items()})
+
+    @property
+    def coeffs(self) -> Mapping[int, BivariateCoeff]:
+        """Read-only view of the terms by z-power: z -> BivariateCoeff."""
+        by_z: dict[int, dict[tuple[int, int], int]] = {}
+        for (z, a, b), v in self.terms.items():
+            by_z.setdefault(z, {})[a, b] = v
+        return MappingProxyType({z: BivariateCoeff(t) for z, t in by_z.items()})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @property
     def min_degree(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
+        return min(z for z, _, _ in self.terms) if self.terms else None
 
     @property
     def max_degree(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
+        return max(z for z, _, _ in self.terms) if self.terms else None
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return LaurentPoly(out)
+        return combine([Piece(1, self), Piece(1, other)])
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self.coeffs.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return combine([Piece(1, self), Piece(-1, other)])
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(_product(self.coeffs, other.coeffs))
+        return product_sum([(1, self, other)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def scaled(self, c: int, dz: int = 0, dlam: int = 0, dmu: int = 0) -> "LaurentPoly":
         """Multiply by the monomial c * z**dz * lam**dlam * mu**dmu."""
-        if c == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly({k + dz: v.scaled(c, dlam, dmu) for k, v in self.coeffs.items()})
-
-    def mul_bivar(self, b: BivariateCoeff) -> "LaurentPoly":
-        return self * LaurentPoly({0: b})
+        return combine([Piece(c, self, dz, dlam, dmu)])
 
     def diff_z(self) -> "LaurentPoly":
         """Formal d/dz (exact on Laurent monomials)."""
-        return LaurentPoly({k - 1: v.scaled(k) for k, v in self.coeffs.items() if k != 0})
+        return combine([Piece(1, self, op=PRIME)])
 
     def substitute_neg_z(self) -> "LaurentPoly":
         """z -> -z."""
-        return LaurentPoly({k: v.scaled(1 if k % 2 == 0 else -1) for k, v in self.coeffs.items()})
+        return combine([Piece(1, self, op=REFLECT)])
 
     def at_one(self) -> BivariateCoeff:
         """Exact value at z = 1 (a bivariate polynomial in lam, mu)."""
-        out = BivariateCoeff()
-        for v in self.coeffs.values():
-            out = out + v
-        return out
+        return combine([Piece(1, self, op=AT_ONE)]).coeffs.get(0, BivariateCoeff())
 
     def evaluate(self, z, lam, mu):
         """Numeric value; z may be complex or a numpy array."""
         return sum(c.evaluate(lam, mu) * z**k for k, c in self.coeffs.items())
 
     def evaluate_exact(self, z: Fraction, lam: Fraction, mu: Fraction) -> Fraction:
-        return sum(
-            Fraction(0)
-            if c.is_zero()
-            else Fraction(sum(v * lam**a * mu**b for (a, b), v in c.terms.items())) * z**k
-            for k, c in self.coeffs.items()
-        )
+        return sum((v * lam**a * mu**b * z**k for (k, a, b), v in self.terms.items()), Fraction(0))
 
     def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
-        """(min_degree, dense ascending coefficient list) at numeric (lam, mu)."""
-        if not self.coeffs:
+        """(min_degree, dense ascending coefficient list) at numeric (lam, mu).
+
+        Each coefficient is exact at the float point and rounded once.
+        """
+        if not self.terms:
             return 0, [0.0]
-        lo, hi = min(self.coeffs), max(self.coeffs)
+        coeffs = self.coeffs
+        lo, hi = min(coeffs), max(coeffs)
         dense = [0.0] * (hi - lo + 1)
-        for k, c in self.coeffs.items():
-            dense[k - lo] = float(c.evaluate(lam, mu))
+        for k, c in coeffs.items():
+            dense[k - lo] = c.value_at(lam, mu)
         return lo, dense
+
+    def _sorted_terms(self) -> list[tuple[tuple[int, int, int], int]]:
+        # z-power ascending, then lam-power descending, then mu-power ascending
+        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], -kv[0][1], kv[0][2]))
 
     def canonical_text(self) -> str:
         """Deterministic text form.
@@ -267,26 +283,12 @@ class LaurentPoly:
         """
         if self.is_zero():
             return "0"
-        items: list[tuple[tuple[int, int, int], int]] = []
-        for z_pow in sorted(self.coeffs):
-            for (a, b), c in self.coeffs[z_pow].sorted_terms():
-                items.append(((z_pow, a, b), c))
-        pieces: list[str] = []
-        for (z_pow, a, b), c in items:
-            sign, text = _monomial_text(c, a, b, z_pow)
-            if not pieces:
-                pieces.append(text if sign == "+" else "-" + text)
-            else:
-                pieces.append(f"{sign} {text}")
-        return " ".join(pieces)
+        text = " ".join(_monomial_text(c, a, b, z) for (z, a, b), c in self._sorted_terms())
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def to_json_obj(self) -> list[list]:
         """Lossless JSON form: [[z_pow, lam_pow, mu_pow, coeff], ...] sorted."""
-        out = []
-        for z_pow in sorted(self.coeffs):
-            for (a, b), c in self.coeffs[z_pow].sorted_terms():
-                out.append([z_pow, a, b, c])
-        return out
+        return [[z_pow, a, b, c] for (z_pow, a, b), c in self._sorted_terms()]
 
     def __repr__(self) -> str:
         return f"LaurentPoly<{self.canonical_text()}>"

@@ -10,23 +10,26 @@ quadruple of degrees (2*ell-2, 2*ell, 2*ell-2, 2*ell); those "diagonal"
 polynomials carry the symmetry operator of the Heun layer.
 
 Everything here is exact integer arithmetic; floating point appears only in
-the numeric evaluation helpers at the bottom.
+the numeric evaluation helpers at the bottom.  Each recurrence step and each
+identity residual is one ``combine`` of monomial multiples (multiplying by
+lam + mu^2 is two of them); only ``first_integral`` forms products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegreeClaimViolated, GenericityViolated, NotConstant
-from .exactpoly import LAM_PLUS_MUSQ, BivariateCoeff, LaurentPoly
+from .exactpoly import (
+    AT_ONE, PRIME, REFLECT, BivariateCoeff, LaurentPoly, Piece, combine, product_sum,
+)
 from .params import ModelParams
 
 #: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
-#: about 4.4 s on a 2-vCPU Xeon, most of it in the two products of
-#: ``first_integral``.
+#: 1.7 to 3.2 s of CPU on a shared 2-vCPU Xeon, most of it in the product
+#: accumulator of ``first_integral``.
 MAX_ELL = 32
 
 #: Relative threshold below which a D factor counts as degenerate.
@@ -60,27 +63,22 @@ def initial_quadruple(ell: int) -> PolyQuadruple:
 
 
 def recurrence_step(quad: PolyQuadruple) -> PolyQuadruple:
-    """Advance the quadruple one level (output index k = quad.k + 1)."""
+    """Advance the quadruple one level (output index k = quad.k + 1).
+
+    ``Piece(c, x, dz, dlam, dmu)`` is ``c * z**dz * lam**dlam * mu**dmu * x``.
+    """
     ell, k = quad.ell, quad.k + 1
     p, q, r, s = quad.as_tuple()
-
-    p_new = p.scaled(1 - ell, dz=1) + q + p.diff_z().scaled(1, dz=2)
-    q_new = (
-        p.scaled(-1, dz=2, dlam=1)
-        + p.scaled(ell + 1, dz=3, dmu=1)
-        + q.scaled(1, dmu=1)
-        + q.scaled(-1, dz=2, dmu=1)
-        + q.diff_z().scaled(1, dz=2)
-    )
-    r_new = r.scaled(2 * (k - 2), dz=1) - s - r.diff_z().scaled(1, dz=2)
-    s_new = (
-        r.scaled(1, dz=2, dlam=1)
-        + r.scaled(-(ell + 1), dz=3, dmu=1)
-        + s.scaled(2 * k - ell - 3, dz=1)
-        + s.scaled(1, dz=2, dmu=1)
-        + s.scaled(-1, dmu=1)
-        - s.diff_z().scaled(1, dz=2)
-    )
+    # (1 - ell) z p + q + z^2 p'
+    p_new = combine([Piece(1 - ell, p, 1), Piece(1, q), Piece(1, p, 2, op=PRIME)])
+    # -lam z^2 p + (ell + 1) mu z^3 p + mu q - mu z^2 q + z^2 q'
+    q_new = combine([Piece(-1, p, 2, 1), Piece(ell + 1, p, 3, 0, 1), Piece(1, q, 0, 0, 1),
+                     Piece(-1, q, 2, 0, 1), Piece(1, q, 2, op=PRIME)])
+    # 2 (k - 2) z r - s - z^2 r'
+    r_new = combine([Piece(2 * (k - 2), r, 1), Piece(-1, s), Piece(-1, r, 2, op=PRIME)])
+    # lam z^2 r - (ell + 1) mu z^3 r + (2k - ell - 3) z s + mu z^2 s - mu s - z^2 s'
+    s_new = combine([Piece(1, r, 2, 1), Piece(-(ell + 1), r, 3, 0, 1), Piece(2 * k - ell - 3, s, 1),
+                     Piece(1, s, 2, 0, 1), Piece(-1, s, 0, 0, 1), Piece(-1, s, 2, op=PRIME)])
     return PolyQuadruple(k=k, ell=ell, p=p_new, q=q_new, r=r_new, s=s_new)
 
 
@@ -103,9 +101,13 @@ def diagonal(ell: int) -> PolyQuadruple:
 
 
 def _first_nonzero_monomial(poly: LaurentPoly) -> str:
-    z_pow = min(poly.coeffs)
-    (a, b), c = sorted(poly.coeffs[z_pow].terms.items())[0]
+    (z_pow, a, b), c = min(poly.terms.items())
     return f"{c}*lam^{a}*mu^{b}*z^{z_pow}"
+
+
+def _times_lam_plus_musq(c: int, x: LaurentPoly, dz: int = 0, dmu: int = 0, op=None):
+    """The two pieces of (lam + mu^2) * c * z**dz * mu**dmu * op(x)."""
+    return Piece(c, x, dz, 1, dmu, op), Piece(c, x, dz, 0, dmu + 2, op)
 
 
 def check_parity(quad: PolyQuadruple) -> tuple[bool, str | None]:
@@ -118,17 +120,19 @@ def check_parity(quad: PolyQuadruple) -> tuple[bool, str | None]:
     ell = quad.ell
     p, q, r, s = quad.as_tuple()
     sgn = (-1) ** (ell + 1)
-    mu_z2_r_plus_s = r.scaled(1, dz=2, dmu=1) + s
-
     residuals = {
-        "p": p.substitute_neg_z().mul_bivar(LAM_PLUS_MUSQ) - mu_z2_r_plus_s.scaled(sgn),
-        "q": q.substitute_neg_z().mul_bivar(LAM_PLUS_MUSQ)
-        - (p.scaled(1, dz=2, dmu=1) + q).mul_bivar(LAM_PLUS_MUSQ)
-        - mu_z2_r_plus_s.scaled(-sgn, dz=2, dmu=1),
-        "r": r.substitute_neg_z() - r,
-        "s": s.substitute_neg_z() - p.mul_bivar(LAM_PLUS_MUSQ).scaled(sgn) + r.scaled(1, dz=2, dmu=1),
+        # (lam + mu^2) p(-z) - sgn (mu z^2 r + s)
+        "p": [*_times_lam_plus_musq(1, p, op=REFLECT), Piece(-sgn, r, 2, 0, 1), Piece(-sgn, s)],
+        # (lam + mu^2) (q(-z) - mu z^2 p - q) + sgn mu z^2 (mu z^2 r + s)
+        "q": [*_times_lam_plus_musq(1, q, op=REFLECT), *_times_lam_plus_musq(-1, p, 2, 1),
+              *_times_lam_plus_musq(-1, q), Piece(sgn, r, 4, 0, 2), Piece(sgn, s, 2, 0, 1)],
+        # r(-z) - r
+        "r": [Piece(1, r, op=REFLECT), Piece(-1, r)],
+        # s(-z) - sgn (lam + mu^2) p + mu z^2 r
+        "s": [Piece(1, s, op=REFLECT), *_times_lam_plus_musq(-sgn, p), Piece(1, r, 2, 0, 1)],
     }
-    for name, res in residuals.items():
+    for name, pieces in residuals.items():
+        res = combine(pieces)
         if not res.is_zero():
             return False, f"{name}-relation fails at {_first_nonzero_monomial(res)}"
     return True, None
@@ -139,38 +143,22 @@ def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
     ell = quad.ell
     p, q, r, s = quad.as_tuple()
     sgn_l = (-1) ** ell
-    sgn_l1 = (-1) ** (ell + 1)
-
-    res1 = (
-        p.diff_z().scaled(1, dz=2)
-        - p.scaled(1, dmu=1)
-        - p.scaled(ell - 1, dz=1)
-        + q
-        - r.scaled(sgn_l, dz=2)
+    residuals = (
+        # z^2 p' - mu p - (ell - 1) z p + q - sgn_l z^2 r
+        [Piece(1, p, 2, op=PRIME), Piece(-1, p, 0, 0, 1), Piece(1 - ell, p, 1), Piece(1, q),
+         Piece(-sgn_l, r, 2)],
+        # q' - lam p + (ell + 1) mu z p - mu q - sgn_l s
+        [Piece(1, q, op=PRIME), Piece(-1, p, 0, 1), Piece(ell + 1, p, 1, 0, 1),
+         Piece(-1, q, 0, 0, 1), Piece(-sgn_l, s)],
+        # z^2 r' + sgn_l (lam + mu^2) p - 2 (ell - 1) z r + mu z^2 r + s
+        [Piece(1, r, 2, op=PRIME), *_times_lam_plus_musq(sgn_l, p), Piece(2 - 2 * ell, r, 1),
+         Piece(1, r, 2, 0, 1), Piece(1, s)],
+        # z^2 s' + sgn_l (lam + mu^2) q - lam z^2 r + (ell + 1) mu z^3 r - (ell - 1) z s + mu s
+        [Piece(1, s, 2, op=PRIME), *_times_lam_plus_musq(sgn_l, q), Piece(-1, r, 2, 1),
+         Piece(ell + 1, r, 3, 0, 1), Piece(1 - ell, s, 1), Piece(1, s, 0, 0, 1)],
     )
-    res2 = (
-        q.diff_z()
-        - p.scaled(1, dlam=1)
-        + p.scaled(ell + 1, dz=1, dmu=1)
-        - q.scaled(1, dmu=1)
-        - s.scaled(sgn_l)
-    )
-    res3 = (
-        r.diff_z().scaled(1, dz=2)
-        - p.mul_bivar(LAM_PLUS_MUSQ).scaled(sgn_l1)
-        - r.scaled(2 * (ell - 1), dz=1)
-        + r.scaled(1, dz=2, dmu=1)
-        + s
-    )
-    res4 = (
-        s.diff_z().scaled(1, dz=2)
-        - q.mul_bivar(LAM_PLUS_MUSQ).scaled(sgn_l1)
-        - r.scaled(1, dz=2, dlam=1)
-        + r.scaled(ell + 1, dz=3, dmu=1)
-        - s.scaled(ell - 1, dz=1)
-        + s.scaled(1, dmu=1)
-    )
-    for name, res in zip(("p", "q", "r", "s"), (res1, res2, res3, res4)):
+    for name, pieces in zip("pqrs", residuals):
+        res = combine(pieces)
         if not res.is_zero():
             return False, f"{name}-equation fails at {_first_nonzero_monomial(res)}"
     return True, None
@@ -181,20 +169,17 @@ def first_integral(quad: PolyQuadruple) -> BivariateCoeff:
 
     Asserts exact z-independence, then verifies the boundary form
     D = (lam + mu^2) * p(1)**2 - r(1)**2 as an exact bivariate identity.
+    Each side is one product accumulator.
     """
-    ell = quad.ell
-    combo = (quad.p * quad.s - quad.q * quad.r).scaled(1, dz=2 * (1 - ell))
-    powers = set(combo.coeffs)
-    if powers - {0}:
-        raise NotConstant(f"first integral carries z-powers {sorted(powers - {0})}")
-    D = combo.coeffs.get(0, BivariateCoeff())
-
-    p1 = quad.p.at_one()
-    r1 = quad.r.at_one()
-    boundary_form = LAM_PLUS_MUSQ * p1 * p1 - r1 * r1
-    if not (D - boundary_form).is_zero():
+    p, q, r, s = quad.as_tuple()
+    combo = product_sum([(1, p, s), (-1, q, r)]).scaled(1, dz=2 * (1 - quad.ell))
+    powers = {z for z, _, _ in combo.terms} - {0}
+    if powers:
+        raise NotConstant(f"first integral carries z-powers {sorted(powers)}")
+    p1, r1 = (combine([Piece(1, x, op=AT_ONE)]) for x in (p, r))
+    if combo != product_sum([(1, combine(_times_lam_plus_musq(1, p1)), p1), (-1, r1, r1)]):
         raise NotConstant("first integral disagrees with its z=1 boundary form")
-    return D
+    return combo.coeffs.get(0, BivariateCoeff())
 
 
 def d_plus_minus(
@@ -206,8 +191,8 @@ def d_plus_minus(
     pass ``check=False`` to inspect the flag instead.
     """
     lam, mu, omega = params.lam, params.mu, params.omega
-    p1 = float(quad.p.at_one().evaluate(lam, mu))
-    r1 = float(quad.r.at_one().evaluate(lam, mu))
+    p1 = quad.p.at_one().value_at(lam, mu)
+    r1 = quad.r.at_one().value_at(lam, mu)
     d_plus = p1 + 2.0 * omega * r1
     d_minus = p1 - 2.0 * omega * r1
     scale = max(1.0, abs(p1))
@@ -246,7 +231,11 @@ def first_integral_numeric_residual(
 
 
 class NumericQuad:
-    """Float-coefficient view of a diagonal quadruple at a parameter point."""
+    """Float-coefficient view of a diagonal quadruple at a parameter point.
+
+    Every value is exact at the float point and rounded once, so none depends
+    on the order of the terms.
+    """
 
     def __init__(self, quad: PolyQuadruple, params: ModelParams):
         lam, mu = params.lam, params.mu
@@ -259,8 +248,7 @@ class NumericQuad:
             dlo, ddense = poly.diff_z().coeff_arrays(lam, mu)
             self._polys[name + "'"] = (dlo, np.asarray(ddense))
         self.d_plus, self.d_minus, self.generic = d_plus_minus(quad, params, check=False)
-        # exact at the float point, rounded once: independent of the term order
-        self.D = float(first_integral(quad).evaluate(Fraction(lam), Fraction(mu)))
+        self.D = first_integral(quad).value_at(lam, mu)
 
     def __call__(self, name: str, z):
         """Evaluate p, q, r, s or a primed variant at complex z (vectorized)."""

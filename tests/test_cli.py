@@ -13,7 +13,14 @@ from heun_monodromy.jsonio import canonical_json
 
 # sha256 of `poly --ell L` standard output.  The output is exact integer
 # arithmetic, so a changed digest is a wrong answer, not a rounding change.
+# Orders 1..6 are the ones `verify`'s poly-exact suite runs.
 POLY_STDOUT_SHA256 = {
+    1: "31f8a36f0a41e5b4e1cccd81ee8d9920d7a2da7a91ae0afc1745a67ddf44784d",
+    2: "975d1dac2e46d75464244c716e10e654938decda3ae4b9e6e79697c8709635de",
+    3: "a5724aeacddbd38164ff24cd80ee600601fd0473626f7044646de06fccf1c6d5",
+    4: "1bcc1ea283297d36ce78f4a32b184816e43eb80dd449f878f171f1ece457bec4",
+    5: "85ad56e3a6eea48a4c74c6c4d72187eaf445de6157b664dc35b91ad9a22f9d32",
+    6: "35c1f7937a10a9d312fa134577f5592e9126809827419dcd85e804d552ed6216",
     10: "835adfabd85104790f06db8165c60d0ca4f4beb5ad8d29b4d7288a99433b8d12",
     16: "d4687a2729f6b4d3103522a12f629c8d5f2a0c9b844929eb5a271cb9e1ad7047",
 }

@@ -5,8 +5,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heun_monodromy.exactpoly import LAM_PLUS_MUSQ, BivariateCoeff, LaurentPoly
-from heun_monodromy.heunpoly import diagonal
+import heun_monodromy.exactpoly as exactpoly
+from heun_monodromy.exactpoly import (
+    AT_ONE,
+    LAM_PLUS_MUSQ,
+    PRIME,
+    REFLECT,
+    BivariateCoeff,
+    LaurentPoly,
+    Piece,
+    combine,
+    product_sum,
+)
+from heun_monodromy.heunpoly import (
+    _times_lam_plus_musq,
+    check_ode_system,
+    check_parity,
+    diagonal,
+    first_integral,
+)
 
 coeff_st = st.integers(-8, 8)
 pow_st = st.integers(0, 3)
@@ -27,19 +44,36 @@ def laurent(draw, max_terms=5, coeffs=coeff_st, z_pows=zpow_st):
 
 
 def reference_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Schoolbook product over the nested dicts, one term pair at a time."""
+    """Schoolbook product over the term dicts, one term pair at a time."""
+    out: dict[tuple[int, int, int], int] = {}
+    for (z1, a1, b1), v1 in a.terms.items():
+        for (z2, a2, b2), v2 in b.terms.items():
+            key = (z1 + z2, a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return LaurentPoly(out)
+
+
+def reference_combine(pieces) -> LaurentPoly:
+    """Each piece term by term into nested z -> {(lam, mu): int} dicts."""
     out: dict[int, dict[tuple[int, int], int]] = {}
-    for k1, c1 in a.coeffs.items():
-        for k2, c2 in b.coeffs.items():
-            acc = out.setdefault(k1 + k2, {})
-            for (a1, b1), v1 in c1.terms.items():
-                for (a2, b2), v2 in c2.terms.items():
-                    key = (a1 + a2, b1 + b2)
-                    acc[key] = acc.get(key, 0) + v1 * v2
-    return LaurentPoly({k: BivariateCoeff(t) for k, t in out.items()})
+    for c, x, dz, dlam, dmu, op in pieces:
+        for k, biv in x.coeffs.items():
+            if op is PRIME:
+                k, w = k - 1, c * k
+            elif op is REFLECT:
+                w = c * (-1) ** (k % 2)
+            elif op is AT_ONE:
+                k, w = 0, c
+            else:
+                w = c
+            acc = out.setdefault(k + dz, {})
+            for (a, b), v in biv.terms.items():
+                acc[a + dlam, b + dmu] = acc.get((a + dlam, b + dmu), 0) + w * v
+    return LaurentPoly({(k, a, b): v for k, t in out.items() for (a, b), v in t.items()})
 
 
 def assert_canonical(poly: LaurentPoly):
+    assert all(v != 0 for v in poly.terms.values())
     assert all(not c.is_zero() for c in poly.coeffs.values())
     assert all(v != 0 for c in poly.coeffs.values() for v in c.terms.values())
 
@@ -48,6 +82,7 @@ def test_canonical_trim():
     p = LaurentPoly.monomial(1, z_pow=2) - LaurentPoly.monomial(1, z_pow=2)
     assert p.is_zero()
     assert p.coeffs == {}
+    assert p.terms == {}
 
 
 def test_min_max_degree():
@@ -120,7 +155,7 @@ def test_bivariate_arithmetic():
     a = BivariateCoeff.monomial(2, 1, 0)
     b = BivariateCoeff.monomial(3, 0, 2)
     assert (a * b).terms == {(1, 2): 6}
-    assert (a + (-a)).is_zero()
+    assert (a * BivariateCoeff()).is_zero()
 
 
 wide_laurent = laurent(max_terms=8, coeffs=wide_coeff_st)
@@ -175,3 +210,60 @@ def test_diagonal_products_match_reference():
     quad = diagonal(16)
     assert quad.p * quad.s == reference_product(quad.p, quad.s)
     assert quad.q * quad.r == reference_product(quad.q, quad.r)
+
+
+@st.composite
+def pieces(draw):
+    """Up to five pieces over wide polynomials; in some draws each is also
+    subtracted again, so that the sum cancels to exactly zero."""
+    out = [
+        Piece(
+            draw(wide_coeff_st), draw(wide_laurent), draw(st.integers(-3, 3)),
+            draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+            draw(st.sampled_from([None, PRIME, REFLECT, AT_ONE])),
+        )
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    if draw(st.booleans()):
+        out += [p._replace(c=-p.c) for p in out]
+    return out
+
+
+@given(pieces())
+@settings(max_examples=200, deadline=None)
+def test_combine_matches_nested_reference(ps):
+    out = combine(ps)
+    assert out == reference_combine(ps)
+    assert_canonical(out)
+
+
+@given(wide_laurent)
+@settings(max_examples=60, deadline=None)
+def test_lam_plus_musq_combination_is_the_product(a):
+    assert combine(_times_lam_plus_musq(1, a)) == a * LaurentPoly.constant(LAM_PLUS_MUSQ)
+
+
+def test_one_accumulator_matches_two_products():
+    quad = diagonal(16)
+    p, q, r, s = quad.as_tuple()
+    combo = product_sum([(1, p, s), (-1, q, r)])
+    assert combo == p * s - q * r
+    assert_canonical(combo)
+
+
+def test_products_stay_in_first_integral(monkeypatch):
+    calls = []
+    product = exactpoly._product
+
+    def counted(pairs):
+        calls.append(1)
+        return product(pairs)
+
+    monkeypatch.setattr(exactpoly, "_product", counted)
+    for ell in range(1, 7):
+        quad = diagonal(ell)
+        assert check_parity(quad) == (True, None)
+        assert check_ode_system(quad) == (True, None)
+    assert calls == []
+    first_integral(diagonal(3))
+    assert calls  # the counter sees the products it is meant to see

@@ -9,6 +9,7 @@ from heun_monodromy import GenericityViolated, ModelParams
 from heun_monodromy.exactpoly import BivariateCoeff, LaurentPoly
 from heun_monodromy.heunpoly import (
     NumericQuad,
+    PolyQuadruple,
     check_ode_system,
     check_parity,
     d_plus_minus,
@@ -124,7 +125,7 @@ def test_first_integral_sympy_oracle(ell):
     quad = diagonal(ell)
     p, q, r, s = (_to_sympy(sympy, poly) for poly in quad.as_tuple())
     expected = sympy.expand((p * s - q * r) * z ** (2 * (1 - ell)))
-    assert sympy.expand(_to_sympy(sympy, LaurentPoly({0: first_integral(quad)})) - expected) == 0
+    assert sympy.expand(_to_sympy(sympy, LaurentPoly.constant(first_integral(quad))) - expected) == 0
 
 
 def test_d_plus_minus_ell1_closed_form():
@@ -175,7 +176,7 @@ def test_first_integral_ell2_closed_form():
     expected = LaurentPoly.monomial(1, lam_pow=1) + LaurentPoly.monomial(
         1, mu_pow=2
     ) - LaurentPoly.monomial(1, lam_pow=2)
-    assert LaurentPoly({0: D}) == expected
+    assert LaurentPoly.constant(D) == expected
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
@@ -186,12 +187,28 @@ def test_numeric_D_is_correctly_rounded_and_free_of_term_order(ell, monkeypatch)
     D = first_integral(quad)
     reversed_D = BivariateCoeff(dict(reversed(list(D.terms.items()))))
     assert list(reversed_D.terms) == list(D.terms)[::-1]
+    # the same quadruple with every term dict in reverse order
+    reversed_quad = PolyQuadruple(
+        quad.k, ell, *(LaurentPoly(dict(reversed(list(x.terms.items())))) for x in quad.as_tuple())
+    )
+    assert list(reversed_quad.s.terms) == list(quad.s.terms)[::-1]
     rng = np.random.default_rng(6000 + ell)
     for _ in range(25):
         params = ModelParams(ell=ell, mu=rng.uniform(0.05, 1.5), omega=rng.uniform(0.3, 2.0))
         lam, mu = Fraction(params.lam), Fraction(params.mu)
         exact = sum(Fraction(c) * lam**a * mu**b for (a, b), c in D.terms.items())
-        assert NumericQuad(quad, params).D == float(exact)
+        nq = NumericQuad(quad, params)
+        assert nq.D == float(exact)
+        p1, r1 = (
+            float(sum(Fraction(c) * lam**a * mu**b for (_, a, b), c in x.terms.items()))
+            for x in (quad.p, quad.r)
+        )
+        assert (nq.d_plus, nq.d_minus) == (p1 + 2.0 * params.omega * r1, p1 - 2.0 * params.omega * r1)
+        nq_reversed = NumericQuad(reversed_quad, params)
+        assert (nq_reversed.d_plus, nq_reversed.d_minus, nq_reversed.D) == (nq.d_plus, nq.d_minus, nq.D)
+        for name, (lo, dense) in nq._polys.items():
+            lo_r, dense_r = nq_reversed._polys[name]
+            assert lo_r == lo and dense_r.tobytes() == dense.tobytes()
         with monkeypatch.context() as m:
             m.setattr(heunpoly_mod, "first_integral", lambda q: reversed_D)
             assert NumericQuad(quad, params).D == float(exact)
