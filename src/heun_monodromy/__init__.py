@@ -4,7 +4,6 @@ from .circle import (
     BoundaryValues,
     CircleFunction,
     CirclePair,
-    boundary_values,
     phi_on_circle,
     psi_on_circle,
     riccati_continue_ray,
@@ -50,7 +49,6 @@ from .heunpoly import (
     recurrence_step,
 )
 from .monodromy import (
-    MonodromyReport,
     monodromy_algebraic,
     monodromy_direct,
     verify_monodromy,
@@ -58,9 +56,7 @@ from .monodromy import (
 from .params import ModelParams, from_physical
 from .phase import PhasePath, solve_phase
 from .sqrtmono import (
-    ShortcutSet,
     SqrtMonodromyTransform,
-    build_shortcuts,
     transform_from_path,
     verify_theorem2,
 )

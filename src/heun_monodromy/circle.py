@@ -25,12 +25,14 @@ from typing import Callable
 import numpy as np
 
 from . import gauss
-from .errors import OutOfWindow, StepCeilingExceeded, WindowTooSmall
+from .errors import DenominatorVanished, OutOfWindow, StepCeilingExceeded, WindowTooSmall
 from .params import ModelParams
 from .phase import PhasePath, _Rows
 
 #: Annulus guard for off-circle continuation.
 RHO_MIN, RHO_MAX = 0.2, 5.0
+#: A Moebius denominator below this raises DenominatorVanished.
+DENOMINATOR_FLOOR = 1e-10
 
 
 @dataclass
@@ -68,7 +70,10 @@ class CirclePair:
     One call evaluates (phi, P) once, on t and -t together; the derivatives
     follow from the phase equation, dphi/dt = B + A cos(omega t) - sin(phi)
     and dP/dt = cos(phi).  The reciprocal point is a swap:
-    S(-t) = Srec(t) and R(-t) = Rrec(t).
+    S(-t) = Srec(t) and R(-t) = Rrec(t).  The pair also gives its own
+    boundary data (``boundary``); ``quotient`` combines the four products
+    into the Moebius quotient that the monodromy and the square-root
+    transform share.
     """
 
     def __init__(self, phi_at, P_at, params: ModelParams):
@@ -103,6 +108,14 @@ class CirclePair:
         )
         return (S, R, Rrec, Srec), dots
 
+    def boundary(self) -> "BoundaryValues":
+        """phi and P at the cut edges e^{+-i pi} (t = +-T/2), and phi at z = 1,
+        from one evaluation of the pair's (phi, P)."""
+        T = self.params.T
+        ph, P = self._values(np.array([T / 2, -T / 2, 0.0]))
+        (php, phm, ph0), (Pp, Pm, _) = ph.tolist(), P.tolist()
+        return BoundaryValues(phi_plus=php, phi_minus=phm, phi_at_0=ph0, P_plus=Pp, P_minus=Pm)
+
 
 def half_power_factors(path: PhasePath, t: np.ndarray):
     """(S, R, Rrec, Srec) of the solved pair at t; see ``CirclePair``."""
@@ -125,18 +138,27 @@ class BoundaryValues:
     P_minus: float
 
 
-def boundary_values(path: PhasePath) -> BoundaryValues:
-    """Boundary data at the cut edges e^{+-i pi} and at z = 1."""
-    T = path.params.T
-    php, Pp = (float(v[0]) for v in path.eval(T / 2))
-    phm, Pm = (float(v[0]) for v in path.eval(-T / 2))
-    return BoundaryValues(
-        phi_plus=php,
-        phi_minus=phm,
-        phi_at_0=path.phi0,
-        P_plus=Pp,
-        P_minus=Pm,
-    )
+def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
+    """The Moebius quotient (alpha S + beta R) / (alpha Rrec - beta Srec) of
+    the four half-power products at the times t, as ((num, den), (num_dot,
+    den_dot), (value, dot)): its two parts, their t-derivatives, and the
+    quotient itself with its t-derivative.
+
+    ``factors`` and ``dots`` are one ``CirclePair`` call at t.  The explicit
+    monodromy and both applications of the square-root transform have this
+    shape; only the constants differ.  A denominator below DENOMINATOR_FLOOR
+    raises DenominatorVanished, naming ``what`` and the first such time.
+    """
+    (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd) = factors, dots
+    num = alpha * S + beta * R
+    den = alpha * Rrec - beta * Srec
+    bad = np.abs(den) < DENOMINATOR_FLOOR
+    if bad.any():
+        raise DenominatorVanished(f"{what} denominator vanished",
+                                  t=float(np.atleast_1d(t)[bad][0]))
+    num_dot = alpha * Sd + beta * Rd
+    den_dot = alpha * Rrecd - beta * Srecd
+    return (num, den), (num_dot, den_dot), (num / den, (num_dot * den - num * den_dot) / den**2)
 
 
 # ---------------------------------------------------------------------------

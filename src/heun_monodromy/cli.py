@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .circle import RHO_MAX, RHO_MIN
+from .circle import RHO_MAX, RHO_MIN, theta_pair_solve
 from .errors import (
     DegenerateAtOne,
     GenericityViolated,
@@ -121,12 +121,10 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.circle_out:
-        from .circle import theta_pair_solve
-
         pair = theta_pair_solve(path)
         tc = np.linspace(-params.T / 2, params.T / 2, args.grid)
-        F = np.exp(1j * path.phi(tc))
-        psi = np.exp(path.P(tc))
+        phi_c, P_c = path.eval(tc)
+        F, psi = np.exp(1j * phi_c), np.exp(P_c)
         th, tht = pair.values(tc)
         rows = ["t,re_phi,im_phi,psi,re_theta,im_theta,re_theta_tilde,im_theta_tilde"]
         for i, ti in enumerate(tc):

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleFunction, CirclePair, continue_linear
-from .errors import DegenerateAtOne, DenominatorVanished, WindowTooSmall
+from .circle import RHO_MAX, RHO_MIN, CircleFunction, CirclePair, continue_linear
+from .errors import DegenerateAtOne, DenominatorVanished, GenericityViolated, WindowTooSmall
 from .heunpoly import NumericQuad
 from .params import ModelParams
 from .phase import PhasePath
@@ -305,8 +305,8 @@ def radial_continue_E(
     """
     p = hb.params
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    if np.any(rho_grid < 0.2) or np.any(rho_grid > 5.0):
-        raise ValueError("rho grid outside the guarded annulus [0.2, 5]")
+    if not np.all((rho_grid >= RHO_MIN) & (rho_grid <= RHO_MAX)):  # NaN fails
+        raise ValueError(f"rho grid outside the guarded annulus [{RHO_MIN}, {RHO_MAX}]")
     t0 = theta / p.omega
     out: dict[int, np.ndarray] = {}
     b = hb.at(t0)
@@ -380,8 +380,6 @@ def apply_B_and_dot(
     per combination.
     """
     if not nq.generic:
-        from .errors import GenericityViolated
-
         raise GenericityViolated("operator is singular at this parameter point")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = hb.params

@@ -8,8 +8,6 @@ explicit monodromy representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circle import (
@@ -18,14 +16,12 @@ from .circle import (
     BoundaryValues,
     CircleFunction,
     CirclePair,
-    boundary_values,
     continue_riccati_path,
+    quotient,
     riccati_circle_residual,
 )
-from .errors import DenominatorVanished, WindowTooSmall
+from .errors import WindowTooSmall
 from .phase import PhasePath
-
-DENOMINATOR_FLOOR = 1e-10
 
 
 def monodromy_direct(path: PhasePath) -> CircleFunction:
@@ -51,11 +47,7 @@ def _algebraic_coefficients(bv: BoundaryValues):
     return float(c_plus), float(s_mixed)
 
 
-def monodromy_algebraic(
-    phi_fn: CircleFunction,
-    psi_fn: CircleFunction,
-    bv: BoundaryValues,
-) -> CircleFunction:
+def monodromy_algebraic(path: PhasePath) -> CircleFunction:
     """Monodromy from boundary data and half powers, no period shift.
 
     Implements
@@ -67,49 +59,15 @@ def monodromy_algebraic(
     sm = e^{P(-T/2)/2} sin((phi(T/2) - phi(-T/2))/2), all half powers on the
     continuous branches through t = 0.
     """
-    path = phi_fn.path
-    if abs(abs(complex(np.exp(1j * path.phi0))) - 1.0) > 1e-12:
-        raise ValueError("normalization |Phi(1)| = 1 violated")  # pragma: no cover
     pair = CirclePair.on_path(path)
+    bv = pair.boundary()
     return CircleFunction(path, lambda t: _algebraic_values(pair, bv, t)[0])
-
-
-@dataclass
-class MonodromyReport:
-    sup_residual_circle: float
-    boundary_residual: float
-    unimodularity_residual: float
-    riccati_residual: float
-    ray_residuals: list[tuple[float, float]]
-    grid_size: int
-    tol: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "sup_residual_circle": self.sup_residual_circle,
-            "boundary_residual": self.boundary_residual,
-            "unimodularity_residual": self.unimodularity_residual,
-            "riccati_residual": self.riccati_residual,
-            "ray_residuals": [[r, v] for r, v in self.ray_residuals],
-            "grid_size": self.grid_size,
-            "tol": self.tol,
-        }
 
 
 def _algebraic_values(pair: CirclePair, bv: BoundaryValues, t) -> tuple[np.ndarray, np.ndarray]:
     """Algebraic monodromy values and their analytic d/dt from one pair evaluation."""
     cp, sm = _algebraic_coefficients(bv)
-    (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd) = pair(t)
-    num = cp * S + 1j * sm * R
-    den = cp * Rrec - 1j * sm * Srec
-    bad = np.abs(den) < DENOMINATOR_FLOOR
-    if bad.any():
-        raise DenominatorVanished(
-            "monodromy denominator vanished", t=float(np.atleast_1d(t)[bad][0])
-        )
-    num_d = cp * Sd + 1j * sm * Rd
-    den_d = cp * Rrecd - 1j * sm * Srecd
-    return num / den, (num_d * den - num * den_d) / den**2
+    return quotient(cp, 1j * sm, *pair(t), t, "monodromy")[2]
 
 
 def verify_monodromy(
@@ -117,13 +75,14 @@ def verify_monodromy(
     grid_size: int = 1001,
     rhos: list[float] | None = None,
     tol: float = 1e-12,
-) -> MonodromyReport:
+) -> dict:
     """Certify the algebraic monodromy against the period shift.
 
     Grid comparison on [-T/2, T/2], the boundary identity at the cut, the
     unimodularity and Riccati residuals of the algebraic values, and - for
     each requested radius - a two-route continuation meeting the cut from
-    opposite sides (the ray form of the monodromy identity).
+    opposite sides (the ray form of the monodromy identity).  Returns a flat
+    report dict.
     """
     if grid_size < 101:
         raise ValueError("grid_size must be >= 101")
@@ -131,8 +90,8 @@ def verify_monodromy(
         raise ValueError(f"every radius must lie in [{RHO_MIN}, {RHO_MAX}]")
     params = path.params
     T = params.T
-    bv = boundary_values(path)
     pair = CirclePair.on_path(path)
+    bv = pair.boundary()
     direct = monodromy_direct(path)
 
     t = np.linspace(-T / 2, T / 2, grid_size)
@@ -144,7 +103,7 @@ def verify_monodromy(
     unimod = float(np.max(np.abs(np.abs(a) - 1.0)))
     ric = float(np.max(np.abs(riccati_circle_residual(params, t, a, a_dot))))
 
-    ray_residuals: list[tuple[float, float]] = []
+    ray_residuals = []
     for rho in rhos or []:
         # route A: Phi from z=1 radially out to rho, then the upper arc to the cut
         va, _ = continue_riccati_path(
@@ -158,14 +117,14 @@ def verify_monodromy(
             complex(at_one),
             [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, -np.pi)],
         )
-        ray_residuals.append((float(rho), float(abs(va - vb))))
+        ray_residuals.append([float(rho), float(abs(va - vb))])
 
-    return MonodromyReport(
-        sup_residual_circle=sup_circle,
-        boundary_residual=boundary,
-        unimodularity_residual=unimod,
-        riccati_residual=ric,
-        ray_residuals=ray_residuals,
-        grid_size=grid_size,
-        tol=tol,
-    )
+    return {
+        "sup_residual_circle": sup_circle,
+        "boundary_residual": boundary,
+        "unimodularity_residual": unimod,
+        "riccati_residual": ric,
+        "ray_residuals": ray_residuals,
+        "grid_size": grid_size,
+        "tol": tol,
+    }

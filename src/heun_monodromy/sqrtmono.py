@@ -1,17 +1,23 @@
 """The transform whose double application is the monodromy.
 
 Everything here is algebraic in the circle data: the transformed pair is
-built from the four half-power products and a handful of boundary constants.
-The two numerator/denominator combinations
+built from the four half-power products and a handful of constants taken
+from the pair's own boundary data (``CirclePair.boundary``).  The two
+numerator/denominator combinations
 
     Nhat = 2i K1 S + K2 R,        Dden = -2i K1 Rrec + K2 Srec
 
 satisfy the same two-by-two linear system along the circle as (S, Rrec)
-themselves, which is why
+themselves, which is why Phi_B = -Nhat / Dden and Psi_B = -Nhat Dden / k,
+with k = -Nhat(0) Dden(0), solve the Riccati pair with Psi_B(1) = 1.  In the
+code Phi_B is the ``circle.quotient`` with alpha = 2i K1 and beta = K2, the
+shape of the explicit monodromy, whose denominator is den = -Dden exactly:
 
-    Phi_B = -Nhat / Dden,         Psi_B = -Nhat * Dden / k,
+    Phi_B = Nhat / den,           Psi_B = Nhat den / k,    k = Nhat(0) den(0).
 
-with k = -Nhat(0) Dden(0), solve the Riccati pair with Psi_B(1) = 1.
+Negation is exact in floating point, so the two forms agree bit for bit.
+Theorem 2 is then the same constructor applied twice: the second time to
+the continuous phase and quadrature of the first.
 
 The companion theta pair is taken literally from the displayed formulas.  As
 extracted, those formulas produce the mirror-oriented pair: they satisfy
@@ -28,111 +34,40 @@ route-equivalence requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import gauss
-from .circle import BoundaryValues, CirclePair, boundary_values, riccati_circle_residual
-from .errors import DegenerateAtOne, DenominatorVanished, OutOfWindow, WindowTooSmall
+from .circle import BoundaryValues, CirclePair, quotient, riccati_circle_residual
+from .errors import DegenerateAtOne, GenericityViolated, OutOfWindow, WindowTooSmall
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
 from .heunpoly import NumericQuad
-from .monodromy import DENOMINATOR_FLOOR, monodromy_direct
-from .params import ModelParams
+from .monodromy import monodromy_direct
 from .phase import PhasePath
 
 SHORTCUT_MAPPING = "u/v/w-default"
 THETA_B_ORIENTATION = "mirror (difference/2i equals 1/Psi_B)"
 
 
-@dataclass(frozen=True)
-class ShortcutSet:
-    """Boundary coefficients of the transform formulas."""
-
-    u_plus: complex
-    u_minus: complex
-    v_plus: complex
-    v_minus: complex
-    w_plus: complex
-    w_minus: complex
-    D_plus: float
-    D_minus: float
-    exp_half_P_plus: float
-    exp_half_P_minus: float
-    phi_at_0: float
-    ell: int
-
-    @property
-    def cos_phi0(self) -> float:
-        return float(np.cos(self.phi_at_0))
-
-    @property
-    def sin_phi0(self) -> float:
-        return float(np.sin(self.phi_at_0))
-
-    def modulus_spot_check(self) -> float:
-        """max |.|^2 over the six shortcuts; each is a sum of two unit phases."""
-        vals = [self.u_plus, self.u_minus, self.v_plus, self.v_minus, self.w_plus, self.w_minus]
-        return float(max(abs(v) ** 2 for v in vals))
-
-
-def _shortcuts_from_scalars(
-    phi_plus: float,
-    phi_minus: float,
-    phi_at_0: float,
-    P_plus: float,
-    P_minus: float,
-    nq: NumericQuad,
-) -> ShortcutSet:
-    ell = nq.ell
+def _shortcuts(bv: BoundaryValues, ell: int) -> tuple[complex, ...]:
+    """(u+, u-, v+, v-, w+, w-): the sums and differences of two unit phases
+    in the transform formulas, on the continuous branch."""
     sgn = (-1.0) ** ell
-    ep = np.exp(0.5j * phi_plus)
-    em = np.exp(0.5j * phi_minus)
-    return ShortcutSet(
-        u_plus=complex(sgn * ep + 1j / ep),
-        u_minus=complex(sgn * ep - 1j / ep),
-        v_plus=complex(em + 1j * sgn / em),
-        v_minus=complex(em - 1j * sgn / em),
-        w_plus=complex(np.exp(0.5j * phi_at_0) + 1j * np.exp(-0.5j * phi_at_0)),
-        w_minus=complex(np.exp(0.5j * phi_at_0) - 1j * np.exp(-0.5j * phi_at_0)),
-        D_plus=nq.d_plus,
-        D_minus=nq.d_minus,
-        exp_half_P_plus=float(np.exp(0.5 * P_plus)),
-        exp_half_P_minus=float(np.exp(0.5 * P_minus)),
-        phi_at_0=phi_at_0,
-        ell=ell,
-    )
+    ep = np.exp(0.5j * bv.phi_plus)
+    em = np.exp(0.5j * bv.phi_minus)
+    w, w_bar = np.exp(0.5j * bv.phi_at_0), 1j * np.exp(-0.5j * bv.phi_at_0)
+    return tuple(complex(v) for v in (sgn * ep + 1j / ep, sgn * ep - 1j / ep,
+                                      em + 1j * sgn / em, em - 1j * sgn / em,
+                                      w + w_bar, w - w_bar))
 
 
-def build_shortcuts(bv: BoundaryValues, nq: NumericQuad, params: ModelParams) -> ShortcutSet:
-    """Literal evaluation of the coefficient shortcuts on the continuous branch."""
-    if not nq.generic:
-        from .errors import GenericityViolated
-
-        raise GenericityViolated(
-            f"D+={nq.d_plus:.3e}, D-={nq.d_minus:.3e}: transform undefined here"
-        )
-    params.require_integer_order()
-    return _shortcuts_from_scalars(
-        bv.phi_plus, bv.phi_minus, bv.phi_at_0, bv.P_plus, bv.P_minus, nq
-    )
-
-
-def _require_nondegenerate(sc: ShortcutSet):
-    if abs(sc.cos_phi0) < COS_PHI0_FLOOR:
-        raise DegenerateAtOne(
-            f"cos(phi(0)) = {sc.cos_phi0:.2e}: transform formulas singular at z = 1"
-        )
-
-
-def _formula_constants(sc: ShortcutSet):
+def _formula_constants(bv: BoundaryValues, nq: NumericQuad):
     """K1, K2 of the Phi_B display plus the theta numerator constants."""
-    pp, pm = sc.exp_half_P_plus, sc.exp_half_P_minus
-    Dp, Dm = sc.D_plus, sc.D_minus
-    up, um, vp, vm = sc.u_plus, sc.u_minus, sc.v_plus, sc.v_minus
-    wp, wm = sc.w_plus, sc.w_minus
-    s0 = sc.sin_phi0
+    pp, pm = float(np.exp(0.5 * bv.P_plus)), float(np.exp(0.5 * bv.P_minus))
+    Dp, Dm = nq.d_plus, nq.d_minus
+    up, um, vp, vm, wp, wm = _shortcuts(bv, nq.ell)
+    s0 = float(np.sin(bv.phi_at_0))
     K1 = pp * (Dp * wm * um + Dm * wp * up)
     K2 = -Dp * wm * (pp * um + pm * vm) + Dm * wp * (pp * up + pm * vp)
     X = Dm * wp * ((2 * s0 - 1) * pp * up - pm * vp) + Dp * wm * ((2 * s0 + 1) * pp * um + pm * vm)
@@ -169,26 +104,33 @@ def _panel_rows(f, span: float, y_at_0: complex) -> tuple[gauss.Rows, gauss.Rows
 
 
 class SqrtMonodromyTransform:
-    """One application of the transform to a circle pair.
+    """One application of the transform to a circle pair, with the constants
+    of its formulas taken from the pair's own boundary data.
 
-    ``sc`` holds the boundary scalars of the same pair.
+    Raises GenericityViolated where D+ or D- vanishes, NonIntegerOrder off
+    integer ell and DegenerateAtOne where cos(phi(0)) vanishes.
     """
 
-    def __init__(self, pair: CirclePair, sc: ShortcutSet):
-        _require_nondegenerate(sc)
+    def __init__(self, pair: CirclePair, nq: NumericQuad):
+        if not nq.generic:
+            raise GenericityViolated(
+                f"D+={nq.d_plus:.3e}, D-={nq.d_minus:.3e}: transform undefined here"
+            )
+        pair.params.require_integer_order()
+        bv = pair.boundary()
+        self.cos_phi0 = float(np.cos(bv.phi_at_0))
+        if abs(self.cos_phi0) < COS_PHI0_FLOOR:
+            raise DegenerateAtOne(
+                f"cos(phi(0)) = {self.cos_phi0:.2e}: transform formulas singular at z = 1"
+            )
         self.pair = pair
-        self.sc = sc
         self.params = pair.params
-        self.K1, self.K2, self._X, self._n2 = _formula_constants(sc)
-        num, den = self._nhat_dden(pair(np.array([0.0]))[0])
-        self.k_norm = complex(-num[0] * den[0])
+        K1, K2, self._X, self._n2 = _formula_constants(bv, nq)
+        # Phi_B as a circle.quotient: num = Nhat, den = -Dden (module docstring)
+        self.alpha, self.beta = 2j * K1, K2
+        (num, den), _, _ = quotient(self.alpha, self.beta, *pair(0.0), 0.0, "Phi_B")
+        self.k_norm = complex(num[0] * den[0])
         self.span = TABLE_SPAN * self.params.T  # of the panel table
-
-    def _nhat_dden(self, factors):
-        """(Nhat, Dden) from the four half-power factors; linear, so the
-        factors' t-derivatives give theirs."""
-        S, R, Rrec, Srec = factors
-        return 2j * self.K1 * S + self.K2 * R, -2j * self.K1 * Rrec + self.K2 * Srec
 
     def at(self, t) -> "TransformValues":
         """The transformed pair and its theta companions at t, from one pair evaluation."""
@@ -243,7 +185,7 @@ class TransformValues:
     """Phi_B, Psi_B, Theta_B, ThetaTilde_B and their t-derivatives at the
     times t, built from one ``CirclePair`` call.
 
-    Psi_B = -Nhat*Dden is normalized to 1 at t = 0.  The theta pair is taken
+    Psi_B = Nhat*den is normalized to 1 at t = 0.  The theta pair is taken
     literally from the displayed formulas (mirror orientation, see the module
     docstring).
     """
@@ -251,23 +193,19 @@ class TransformValues:
     def __init__(self, tr: SqrtMonodromyTransform, t: np.ndarray):
         self.t, self._tr = t, tr
         factors, dots = tr.pair(t)
-        (num, den), (numd, dend) = tr._nhat_dden(factors), tr._nhat_dden(dots)
-        bad = np.abs(den) < DENOMINATOR_FLOOR
-        if bad.any():
-            raise DenominatorVanished("Phi_B denominator vanished", t=float(t[bad][0]))
-        self.phi = -num / den
-        self.phi_dot = -(numd * den - num * dend) / den**2
-        self.psi = -num * den / tr.k_norm
-        self.psi_dot = -(numd * den + num * dend) / tr.k_norm
+        (num, den), (numd, dend), (self.phi, self.phi_dot) = quotient(
+            tr.alpha, tr.beta, factors, dots, t, "Phi_B")
+        self.psi = num * den / tr.k_norm
+        self.psi_dot = (numd * den + num * dend) / tr.k_norm
 
         S, R, Rrec, Srec = factors
         Sd, Rd, Rrecd, Srecd = dots
-        n1, m1, n2, c0 = -1j * tr._X, 1j * tr._X, tr._n2, tr.sc.cos_phi0
+        n1, m1, n2, c0 = -1j * tr._X, 1j * tr._X, tr._n2, tr.cos_phi0
         top, topd = n1 * Rrec + n2 * Srec, n1 * Rrecd + n2 * Srecd
         tilde, tilded = m1 * S + n2 * R, m1 * Sd + n2 * Rd
-        self.theta = top / (c0 * den)
+        self.theta = -top / (c0 * den)
         self.theta_tilde = tilde / (c0 * num)
-        self.theta_dot = (topd * den - top * dend) / (c0 * den**2)
+        self.theta_dot = (top * dend - topd * den) / (c0 * den**2)
         self.theta_tilde_dot = (tilded * num - tilde * numd) / (c0 * num**2)
 
     @property
@@ -288,9 +226,7 @@ def _on_branch(a: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 def transform_from_path(path: PhasePath, nq: NumericQuad) -> SqrtMonodromyTransform:
     """First application of the transform, built on the solved circle pair."""
-    bv = boundary_values(path)
-    sc = build_shortcuts(bv, nq, path.params)
-    return SqrtMonodromyTransform(CirclePair.on_path(path), sc)
+    return SqrtMonodromyTransform(CirclePair.on_path(path), nq)
 
 
 def verify_theorem2(
@@ -317,13 +253,8 @@ def verify_theorem2(
     phase_B = first.phase
     P_B = first.quadrature(TABLE_SPAN * T)
 
-    # second application on the transformed pair
-    edges = np.array([T / 2, -T / 2, 0.0])
-    (ph_plus, ph_minus, ph_0), (P_plus, P_minus, _) = phase_B(edges), P_B(edges)
-    sc2 = _shortcuts_from_scalars(
-        float(ph_plus), float(ph_minus), float(ph_0), float(P_plus), float(P_minus), nq
-    )
-    second = SqrtMonodromyTransform(CirclePair(phase_B, P_B, p), sc2)
+    # second application: the same constructor on the transformed pair
+    second = SqrtMonodromyTransform(CirclePair(phase_B, P_B, p), nq)
 
     direct = monodromy_direct(path)
     b_squared = float(np.max(np.abs(second.phi_B(t) - direct(t))))

@@ -137,8 +137,7 @@ def check_circle(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
 def check_monodromy(
     path: PhasePath, grid_size: int, rhos: list[float], tol: float
 ) -> tuple[dict, list[str]]:
-    rep = monodromy_mod.verify_monodromy(path, grid_size=grid_size, rhos=rhos, tol=tol)
-    report = rep.to_json_obj()
+    report = monodromy_mod.verify_monodromy(path, grid_size=grid_size, rhos=rhos, tol=tol)
     failures: list[str] = []
     pairs = (
         ("sup_residual_circle", "monodromy_sup"),
@@ -150,7 +149,7 @@ def check_monodromy(
         _record(report, failures, key, report[key], budget_key)
     report["ray_residuals"] = [
         [rho, _gate(failures, f"ray_residual(rho={rho})", res, "ray_residual")]
-        for rho, res in rep.ray_residuals
+        for rho, res in report["ray_residuals"]
     ]
     return report, failures
 

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy.circle import (
-    boundary_values,
-    phi_on_circle,
-    psi_on_circle,
-    theta_pair_solve,
-)
+from heun_monodromy.circle import phi_on_circle, psi_on_circle, theta_pair_solve
 from heun_monodromy.cli import main as cli_main
 from heun_monodromy.heun import (
     boundary_E_values,
@@ -78,9 +73,7 @@ def test_criterion_3_monodromy_formula():
     def sup_residual(tol, grid):
         path = solve_phase(params, 0.5, tol=tol)
         t = np.linspace(-params.T / 2, params.T / 2, grid)
-        alg = monodromy_algebraic(
-            phi_on_circle(path), psi_on_circle(path), boundary_values(path)
-        )
+        alg = monodromy_algebraic(path)
         return float(np.max(np.abs(alg(t) - monodromy_direct(path)(t))))
 
     sup1 = sup_residual(1e-12, 1001)
@@ -96,9 +89,9 @@ def test_criterion_3_monodromy_formula():
 
 def test_criterion_4_ray_monodromy(golden_path):
     rep = verify_monodromy(golden_path, grid_size=201, rhos=[0.8, 1.25])
-    for rho, res in rep.ray_residuals:
+    for rho, res in rep["ray_residuals"]:
         assert res <= 1e-7, (rho, res)
-    _report(4, f"cut-edge continuations agree: {rep.ray_residuals}")
+    _report(4, f"cut-edge continuations agree: {rep['ray_residuals']}")
 
 
 def test_criterion_5_heun_layer(golden_path):

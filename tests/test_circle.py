@@ -9,7 +9,7 @@ import pytest
 from heun_monodromy import gauss
 from heun_monodromy import ModelParams, NotConverged, OutOfWindow, solve_phase
 from heun_monodromy.circle import (
-    boundary_values,
+    CirclePair,
     half_power_factor_dots,
     half_power_factors,
     phi_on_circle,
@@ -74,7 +74,7 @@ def test_riccati_residual_of_phi(golden_path):
 
 
 def test_boundary_values_trivial(trivial_path):
-    bv = boundary_values(trivial_path)
+    bv = CirclePair.on_path(trivial_path).boundary()
     T = trivial_path.params.T
     assert np.exp(1j * bv.phi_plus) == pytest.approx(1.0)
     assert np.exp(1j * bv.phi_minus) == pytest.approx(1.0)
@@ -84,12 +84,25 @@ def test_boundary_values_trivial(trivial_path):
 
 
 def test_boundary_values_golden(golden_path):
-    bv = boundary_values(golden_path)
+    bv = CirclePair.on_path(golden_path).boundary()
     # generic solution: the two cut edges carry different values
     Phi_plus, Phi_minus = np.exp(1j * bv.phi_plus), np.exp(1j * bv.phi_minus)
     assert abs(Phi_plus - Phi_minus) > 1e-3
     assert abs(Phi_plus * np.conj(Phi_plus) - 1.0) < 1e-12
     assert np.exp(0.5j * bv.phi_plus) ** 2 == pytest.approx(Phi_plus, rel=1e-12)
+
+
+@pytest.mark.parametrize("point", GOLDENS + ((3.0, 0.5, 0.8, 0.3),))
+def test_boundary_is_the_one_point_eval(point):
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    bv = CirclePair.on_path(path).boundary()
+    T = path.params.T
+    (php,), (Pp,) = path.eval(T / 2)
+    (phm,), (Pm,) = path.eval(-T / 2)
+    assert (bv.phi_plus, bv.P_plus, bv.phi_minus, bv.P_minus) == (php, Pp, phm, Pm)
+    # the first row starts at (1, Phi0), so phi(0) is phi0 itself
+    assert bv.phi_at_0 == path.phi0
 
 
 def test_half_power_factor_reciprocal_rule(golden_path):

@@ -15,7 +15,6 @@ from scipy.integrate import solve_ivp
 from heun_monodromy import ModelParams, StepCeilingExceeded, gauss, solve_phase
 from heun_monodromy.circle import (
     CirclePair,
-    boundary_values,
     continue_riccati_path,
     phi_on_circle,
     psi_on_circle,
@@ -60,8 +59,8 @@ def _scipy_riccati(params, F0, segments):
 
 def test_riccati_continuation_matches_scipy(point_path):
     params = point_path.params
-    bv = boundary_values(point_path)
-    at_one = _algebraic_values(CirclePair.on_path(point_path), bv, np.array([0.0]))[0][0]
+    pair = CirclePair.on_path(point_path)
+    at_one = _algebraic_values(pair, pair.boundary(), np.array([0.0]))[0][0]
     for rho in RHOS:
         # route A from the period-shift Phi over the upper arc, route B from
         # the algebraic Phi_M over the lower one
@@ -114,8 +113,8 @@ def test_ray_residuals_hold_to_1e_13(point_path):
     # the two routes meet at the cut to rounding level: 2.3e-14 at most here,
     # where the chart-switching DOP853 continuation left up to 5.4e-12
     report = verify_monodromy(point_path, rhos=list(RHOS))
-    assert [rho for rho, _ in report.ray_residuals] == list(RHOS)
-    for rho, residual in report.ray_residuals:
+    assert [rho for rho, _ in report["ray_residuals"]] == list(RHOS)
+    for rho, residual in report["ray_residuals"]:
         assert residual <= 1e-13, rho
 
 

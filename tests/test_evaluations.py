@@ -62,6 +62,7 @@ def test_check_heun_evaluations(golden_path, golden_quad, counts):
 
 def test_check_theorem2_evaluations(golden_path, golden_quad, counts):
     check_theorem2(golden_path, golden_quad, 1001)
-    # its two one-point evaluations (the boundary values) each also made one
-    # "at" call while a one-point eval had its own float path
-    assert counts == {"eval": 11, "points": 23025, "derivative": 0, "at": 0}
+    # the boundary values are one 3-point evaluation at (T/2, -T/2, 0); they
+    # were two one-point evaluations (each also one "at" call while a
+    # one-point eval had its own float path)
+    assert counts == {"eval": 10, "points": 23026, "derivative": 0, "at": 0}

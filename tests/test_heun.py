@@ -131,6 +131,12 @@ def test_radial_identity(hb):
         assert out[s][0] == pytest.approx(complex(hb.E(np.array([0.4]), s)[0]))
 
 
+@pytest.mark.parametrize("rho", [np.nan, 0.1, 5.5])
+def test_radial_rho_outside_the_annulus_is_rejected(hb, rho):
+    with pytest.raises(ValueError, match="annulus"):
+        radial_continue_E(hb, 0.4, [1.0, rho])
+
+
 def test_radial_linearity(hb, rng):
     theta, rho = 0.3, 1.2
     t0 = np.array([theta / hb.params.omega])

@@ -3,19 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import heun_monodromy.monodromy as monodromy_mod
+import heun_monodromy.circle as circle_mod
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy.circle import boundary_values, phi_on_circle, psi_on_circle
+from heun_monodromy.circle import CirclePair
 from heun_monodromy.errors import DenominatorVanished, WindowTooSmall
-from heun_monodromy.monodromy import (
-    monodromy_algebraic,
-    monodromy_direct,
-    verify_monodromy,
-)
-
-
-def _algebraic(path):
-    return monodromy_algebraic(phi_on_circle(path), psi_on_circle(path), boundary_values(path))
+from heun_monodromy.monodromy import monodromy_algebraic, monodromy_direct, verify_monodromy
+from heun_monodromy.sqrtmono import transform_from_path
 
 
 def test_direct_trivial_fixed_point(trivial_path):
@@ -28,7 +21,7 @@ def test_direct_equals_algebraic_on_periodic_orbit():
     # vanishes and the formula collapses to the identity
     path = solve_phase(ModelParams(ell=0.0, mu=0.0, omega=1.0), np.pi, tol=1e-12)
     t = np.linspace(-np.pi, np.pi, 101)
-    alg = _algebraic(path)(t)
+    alg = monodromy_algebraic(path)(t)
     assert np.max(np.abs(alg - np.exp(1j * path.phi(t)))) < 1e-8
     assert np.max(np.abs(alg - monodromy_direct(path)(t))) < 1e-8
 
@@ -50,36 +43,36 @@ def test_window_guard():
 def test_algebraic_vs_direct_golden(golden_path):
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 1001)
-    res = np.abs(_algebraic(golden_path)(t) - monodromy_direct(golden_path)(t))
+    res = np.abs(monodromy_algebraic(golden_path)(t) - monodromy_direct(golden_path)(t))
     assert float(np.max(res)) < 1e-8
 
 
 def test_algebraic_boundary_limit(golden_path):
     T = golden_path.params.T
-    bv = boundary_values(golden_path)
+    bv = CirclePair.on_path(golden_path).boundary()
     t = np.linspace(-T / 2, -T / 2 + 0.02 * T, 50)
-    vals = _algebraic(golden_path)(t)
+    vals = monodromy_algebraic(golden_path)(t)
     assert abs(vals[0] - np.exp(1j * bv.phi_plus)) < 1e-8
 
 
 def test_algebraic_unimodular_and_riccati(golden_path):
     rep = verify_monodromy(golden_path, grid_size=801, rhos=[])
-    assert rep.unimodularity_residual < 1e-9
-    assert rep.riccati_residual < 1e-7
-    assert rep.ray_residuals == []
+    assert rep["unimodularity_residual"] < 1e-9
+    assert rep["riccati_residual"] < 1e-7
+    assert rep["ray_residuals"] == []
 
 
 def test_ray_monodromy_golden(golden_path):
     rep = verify_monodromy(golden_path, grid_size=201, rhos=[0.8, 1.25])
-    for rho, res in rep.ray_residuals:
+    for rho, res in rep["ray_residuals"]:
         assert res < 1e-7, (rho, res)
 
 
 def test_trivial_all_residuals_small(trivial_path):
     rep = verify_monodromy(trivial_path, grid_size=101, rhos=[0.8])
-    assert rep.sup_residual_circle < 1e-12
-    assert rep.boundary_residual < 1e-12
-    assert rep.ray_residuals[0][1] < 1e-10
+    assert rep["sup_residual_circle"] < 1e-12
+    assert rep["boundary_residual"] < 1e-12
+    assert rep["ray_residuals"][0][1] < 1e-10
 
 
 def test_grid_size_guard(golden_path):
@@ -87,16 +80,18 @@ def test_grid_size_guard(golden_path):
         verify_monodromy(golden_path, grid_size=50)
 
 
-def test_denominator_guard_fires(golden_path, monkeypatch):
-    monkeypatch.setattr(monodromy_mod, "DENOMINATOR_FLOOR", 1e10)
-    with pytest.raises(DenominatorVanished) as err:
-        _algebraic(golden_path)(np.linspace(-1, 1, 11))
-    assert err.value.t is not None
+def test_denominator_guard_fires(golden_path, golden_quad, monkeypatch):
+    # one floor in circle gates the monodromy and Phi_B alike
+    tr = transform_from_path(golden_path, golden_quad)
+    monkeypatch.setattr(circle_mod, "DENOMINATOR_FLOOR", 1e10)
+    for values, what in ((monodromy_algebraic(golden_path), "monodromy"), (tr.phi_B, "Phi_B")):
+        with pytest.raises(DenominatorVanished, match=what) as err:
+            values(np.linspace(-1, 1, 11))
+        assert err.value.t == -1.0
 
 
 def test_report_json_contract(golden_path):
-    rep = verify_monodromy(golden_path, grid_size=101, rhos=[0.8])
-    obj = rep.to_json_obj()
+    obj = verify_monodromy(golden_path, grid_size=101, rhos=[0.8])
     assert list(obj) == [
         "sup_residual_circle",
         "boundary_residual",

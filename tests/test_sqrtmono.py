@@ -5,12 +5,12 @@ import pytest
 
 import heun_monodromy.sqrtmono as sqrt_mod
 from heun_monodromy import ModelParams, gauss, solve_phase
-from heun_monodromy.circle import boundary_values, riccati_circle_residual
+from heun_monodromy.circle import BoundaryValues, CirclePair, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
 from heun_monodromy.sqrtmono import (
-    _shortcuts_from_scalars,
-    build_shortcuts,
+    SqrtMonodromyTransform,
+    _shortcuts,
     transform_from_path,
     verify_theorem2,
 )
@@ -27,26 +27,26 @@ def grid(path, n=801):
     return np.linspace(-T / 2, T / 2, n)
 
 
-def test_shortcuts_trivial_values(golden_quad):
-    sc = _shortcuts_from_scalars(0.0, 0.0, 0.0, 0.0, 0.0, golden_quad)  # ell = 2
-    assert sc.u_plus == pytest.approx(1 + 1j)
-    assert sc.u_minus == pytest.approx(1 - 1j)
-    assert sc.v_plus == pytest.approx(1 + 1j)
-    assert sc.w_plus == pytest.approx(1 + 1j)
-    assert sc.w_minus == pytest.approx(1 - 1j)
+def test_shortcuts_trivial_values():
+    u_plus, u_minus, v_plus, _, w_plus, w_minus = _shortcuts(BoundaryValues(0, 0, 0, 0, 0), 2)
+    assert u_plus == pytest.approx(1 + 1j)
+    assert u_minus == pytest.approx(1 - 1j)
+    assert v_plus == pytest.approx(1 + 1j)
+    assert w_plus == pytest.approx(1 + 1j)
+    assert w_minus == pytest.approx(1 - 1j)
 
 
-def test_shortcut_recomputation_and_moduli(golden_path, golden_quad):
-    bv = boundary_values(golden_path)
-    sc = build_shortcuts(bv, golden_quad, golden_path.params)
+def test_shortcut_recomputation_and_moduli(golden_path):
+    bv = CirclePair.on_path(golden_path).boundary()
+    sc = _shortcuts(bv, 2)
     sgn = (-1.0) ** 2
     expected_u_plus = sgn * np.exp(0.5j * bv.phi_plus) + 1j * np.exp(-0.5j * bv.phi_plus)
-    assert sc.u_plus == pytest.approx(expected_u_plus, abs=1e-12)
-    assert sc.modulus_spot_check() <= 4.0 + 1e-12
+    assert sc[0] == pytest.approx(expected_u_plus, abs=1e-12)
+    # each is a sum of two unit phases
+    assert max(abs(v) ** 2 for v in sc) <= 4.0 + 1e-12
     # |u+|^2 + |u-|^2 = 4 for a sum/difference of two unit phases
-    assert abs(sc.u_plus) ** 2 + abs(sc.u_minus) ** 2 == pytest.approx(4.0, rel=1e-12)
-    assert abs(sc.v_plus) ** 2 + abs(sc.v_minus) ** 2 == pytest.approx(4.0, rel=1e-12)
-    assert abs(sc.w_plus) ** 2 + abs(sc.w_minus) ** 2 == pytest.approx(4.0, rel=1e-12)
+    for plus, minus in (sc[0:2], sc[2:4], sc[4:6]):
+        assert abs(plus) ** 2 + abs(minus) ** 2 == pytest.approx(4.0, rel=1e-12)
 
 
 def test_genericity_gate():
@@ -54,7 +54,7 @@ def test_genericity_gate():
     path = solve_phase(params, 0.5, tol=1e-10)
     nq = NumericQuad(diagonal(1), params)
     with pytest.raises(GenericityViolated):
-        build_shortcuts(boundary_values(path), nq, params)
+        SqrtMonodromyTransform(CirclePair.on_path(path), nq)
 
 
 def test_degenerate_phase_gate(golden_quad):
@@ -69,7 +69,7 @@ def test_gates_produce_no_nan():
     path = solve_phase(params, 0.5, tol=1e-10)
     nq = NumericQuad(diagonal(1), params)
     try:
-        build_shortcuts(boundary_values(path), nq, params)
+        transform_from_path(path, nq)
     except GenericityViolated as exc:
         assert "nan" not in str(exc).lower()
     else:  # pragma: no cover
@@ -248,6 +248,25 @@ def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
     assert rep["theta_system_residual"] < 1e-6
     assert rep["theta_ic_residual"] < 1e-8
     assert rep["conventions"]["minus_z_lift"] == "t+T/2"
+
+
+def test_theorem2_applies_one_constructor_twice(golden_path, golden_quad, monkeypatch):
+    calls = {"init": 0, "boundary": 0}
+    init, boundary = SqrtMonodromyTransform.__init__, CirclePair.boundary
+
+    def counting_init(self, *args):
+        calls["init"] += 1
+        init(self, *args)
+
+    def counting_boundary(self):
+        calls["boundary"] += 1
+        return boundary(self)
+
+    monkeypatch.setattr(SqrtMonodromyTransform, "__init__", counting_init)
+    monkeypatch.setattr(CirclePair, "boundary", counting_boundary)
+    verify_theorem2(golden_path, golden_quad, grid_size=201)
+    # the first application on the solved pair, the second on the transformed one
+    assert calls == {"init": 2, "boundary": 2}
 
 
 def test_theorem2_golden_set2(golden2_path, golden2_quad):
