@@ -26,7 +26,6 @@ from .errors import (
 )
 from .exactpoly import BivariateCoeff, LaurentPoly
 from .heun import (
-    BMatrix,
     HeunBasisPath,
     apply_B,
     build_E,

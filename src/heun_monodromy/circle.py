@@ -72,8 +72,8 @@ class CirclePair:
     and dP/dt = cos(phi).  The reciprocal point is a swap:
     S(-t) = Srec(t) and R(-t) = Rrec(t).  The pair also gives its own
     boundary data (``boundary``); ``quotient`` combines the four products
-    into the Moebius quotient that the monodromy and the square-root
-    transform share.
+    into the Moebius quotient that the monodromy, the square-root transform
+    and the alpha family of ``heun`` share.
     """
 
     def __init__(self, phi_at, P_at, params: ModelParams):
@@ -145,9 +145,10 @@ def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
     quotient itself with its t-derivative.
 
     ``factors`` and ``dots`` are one ``CirclePair`` call at t.  The explicit
-    monodromy and both applications of the square-root transform have this
-    shape; only the constants differ.  A denominator below DENOMINATOR_FLOOR
-    raises DenominatorVanished, naming ``what`` and the first such time.
+    monodromy, both applications of the square-root transform and the alpha
+    family on the linear basis have this shape; only the constants differ.
+    A denominator below DENOMINATOR_FLOOR raises DenominatorVanished, naming
+    ``what`` and the first such time.
     """
     (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd) = factors, dots
     num = alpha * S + beta * R

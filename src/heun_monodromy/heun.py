@@ -14,7 +14,9 @@ equation).  The one finite difference left is the second derivative of the
 L_B image in the ``lb_maps_solutions`` check of ``verify.check_heun``.  Off
 the circle, a solution is continued radially as the first-order system for
 (E, E'), collocated by the kernel that ``circle`` uses for the Riccati
-continuation (``continue_dche_ray``).
+continuation (``continue_dche_ray``).  E, E' and E'' of a combination
+c+ E+ + c- E- come from one ``BasisValues.combination``, and the alpha family
+on E+- is the circle's one Moebius quotient (``phi_alpha_values``).
 
 For positive integer order the operator L_B maps solutions to solutions and
 its square reproduces the counterclockwise monodromy times the scalar first
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import RHO_MAX, RHO_MIN, CircleFunction, CirclePair, continue_linear
+from .circle import RHO_MAX, RHO_MIN, CircleFunction, CirclePair, continue_linear, quotient
 from .errors import DegenerateAtOne, DenominatorVanished, GenericityViolated, WindowTooSmall
 from .heunpoly import NumericQuad
 from .params import ModelParams
@@ -48,6 +50,11 @@ MINUS_Z_LIFT = "t+T/2"
 #: The sign of that shift, read at each call; -1 gives the mirrored lift
 #: t -> t - T/2, under which the composition lands on E(t - T).
 _LIFT_SIGN = +1.0
+
+#: Coefficients (c+, c-) of E+ and E- as (2, 1) columns: with them a
+#: combination of the basis (``BasisValues.combination``, ``apply_B_and_dot``)
+#: has one row per basis element.
+BASIS_COEFFS = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
 def _quarter(s: int) -> complex:
@@ -68,39 +75,33 @@ class HeunBasisPath:
         self.pair = CirclePair.on_path(self.path)
 
     def at(self, t) -> "BasisValues":
-        """E+-(+-t) and their t-derivatives from one pair evaluation."""
+        """E+-(+-t) and their t-derivatives at t from one pair evaluation."""
         return BasisValues(self, np.atleast_1d(np.asarray(t, dtype=float)))
-
-    def E(self, t, s: int) -> np.ndarray:
-        return self.at(t).E(s)
-
-    def Eprime(self, t, s: int) -> np.ndarray:
-        return self.at(t).Eprime(s)
 
 
 class BasisValues:
-    """E+- and dE+-/dt at t and at -t, built from one ``CirclePair`` call.
+    """E+- at t and at -t and dE+-/dt at t, built from one ``CirclePair`` call.
 
-    Every array runs over u = (t, -t); ``side`` +1 selects t and -1 selects
-    -t.  ``Edot(s, -1)`` is dE/du at u = -t.
+    E runs over u = (t, -t); ``side`` +1 selects t and -1 selects -t.
+    ``z`` is e^{i omega t}.
     """
 
     def __init__(self, hb: HeunBasisPath, t: np.ndarray):
         p = hb.params
         self.t, self.ell, self.params, self.phi0 = t, hb.ell, p, hb.path.phi0
+        self.z = np.exp(1j * p.omega * t)
         self._n = n = t.shape[0]
-        (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd) = hb.pair(t)
+        (S, R, Rrec, Srec), (Sd, Rd, _, _) = hb.pair(t)
         u = np.concatenate((t, -t))
-        # S and R at u, and their derivatives in u: S(-t) = Srec(t), R(-t) = Rrec(t)
+        # S and R at u: S(-t) = Srec(t), R(-t) = Rrec(t)
         X, Y = np.concatenate((S, Srec)), np.concatenate((R, Rrec))
-        Xd, Yd = np.concatenate((Sd, -Srecd)), np.concatenate((Rd, -Rrecd))
         g = 0.5 * np.exp(p.mu * (np.cos(p.omega * u) - 1.0)) * np.exp(-0.5j * hb.ell * p.omega * u)
-        gd_over_g = -p.mu * p.omega * np.sin(p.omega * u) - 0.5j * hb.ell * p.omega
+        gd_over_g = -p.mu * p.omega * np.sin(p.omega * t) - 0.5j * hb.ell * p.omega
         self._E, self._Edot = {}, {}
         for s in (+1, -1):
             comb = _quarter(s) * X + _quarter(-s) * Y
             self._E[s] = g * comb
-            self._Edot[s] = g * (gd_over_g * comb + _quarter(s) * Xd + _quarter(-s) * Yd)
+            self._Edot[s] = g[:n] * (gd_over_g * comb[:n] + _quarter(s) * Sd + _quarter(-s) * Rd)
         self._zpow = np.exp(-1j * (hb.ell + 1) * p.omega * u)
 
     def _side(self, a: np.ndarray, side: int) -> np.ndarray:
@@ -109,13 +110,9 @@ class BasisValues:
     def E(self, s: int, side: int = +1) -> np.ndarray:
         return self._side(self._E[s], side)
 
-    def Edot(self, s: int, side: int = +1) -> np.ndarray:
-        return self._side(self._Edot[s], side)
-
     def Eprime_chain(self, s: int) -> np.ndarray:
         """E'(z) from the t-derivative via d/dz = (i omega z)^-1 d/dt."""
-        z = np.exp(1j * self.params.omega * self.t)
-        return self.Edot(s) / (1j * self.params.omega * z)
+        return self._Edot[s] / (1j * self.params.omega * self.z)
 
     def Eprime(self, s: int, side: int = +1) -> np.ndarray:
         """E'(z) from the first-order pair (the reciprocal-point form)."""
@@ -125,13 +122,17 @@ class BasisValues:
 
     def Esecond(self, s: int) -> np.ndarray:
         """E''(z) at t, from differentiating the first-order pair once more."""
-        p = self.params
-        ell = self.ell
-        z = np.exp(1j * p.omega * self.t)
+        p, ell, z = self.params, self.ell, self.z
         return (s / (2.0 * p.omega)) * (
             -(ell + 1) * z ** (-ell - 2) * self.E(s, -1)
             - z ** (-ell - 3) * self.Eprime(s, -1)
         ) + p.mu * self.Eprime(s)
+
+    def combination(self, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(E, E', E'') at t of c+ E+ + c- E-, for ``coeffs`` = (c+, c-);
+        coefficients of shape (k, 1) give one row per combination."""
+        cp, cm = coeffs
+        return tuple(cp * f(+1) + cm * f(-1) for f in (self.E, self.Eprime, self.Esecond))
 
 
 def build_E(phi_fn: CircleFunction, psi_fn: CircleFunction) -> HeunBasisPath:
@@ -176,7 +177,7 @@ def residual_grid(hb: HeunBasisPath) -> np.ndarray:
 def pair_ode_residual(b: BasisValues) -> float:
     """sup over the grid of ``b`` of the first-order-pair residual for both signs."""
     p = b.params
-    zpow = np.exp(-1j * (b.ell + 1) * p.omega * b.t)
+    zpow = b._side(b._zpow, +1)  # z^-(ell+1)
     res = [
         b.Eprime_chain(s) - s / (2.0 * p.omega) * zpow * b.E(s, -1) - p.mu * b.E(s)
         for s in (+1, -1)
@@ -191,45 +192,26 @@ def dche_operator(params: ModelParams, ell: int, z, E, Ep, Epp):
     return z**2 * Epp + ((ell + 1) * z + mu * (1 - z**2)) * Ep + (lam - mu * (ell + 1) * z) * E
 
 
-def dche_residual(b: BasisValues, coeffs: tuple[complex, complex] | None = None) -> float:
+def dche_residual(b: BasisValues, coeffs=BASIS_COEFFS) -> float:
     """sup residual of the second-order equation on the grid of ``b``
-    (analytic derivatives).
+    (analytic derivatives), for the combinations ``coeffs`` = (c+, c-) of
+    E+ and E-; the default is the two basis elements, one row each."""
+    E, Ep, Epp = b.combination(coeffs)
+    return float(np.max(np.abs(dche_operator(b.params, b.ell, b.z, E, Ep, Epp))))
 
-    With ``coeffs`` the residual is evaluated for the linear combination
-    c+ E+ + c- E- instead of the two basis elements separately.
+
+def phi_alpha_values(factors, dots, t, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """phi_alpha at the times t and its analytic d/dt, from one ``CirclePair``
+    call there (``factors``, ``dots``).
+
+    With E+- = g(u) (q+- S + q-+ R), q+- = (1 +- i)/sqrt(2) and
+    g(t)/g(-t) = e^{-i ell omega t}, the paper's
+    -i z^ell (c E+ + i s E-) / (c E+(1/z) - i s E-(1/z)), c = cos(alpha/2),
+    s = sin(alpha/2), is the circle quotient with alpha' = c + s and
+    beta' = -i (c - s).
     """
-    z = np.exp(1j * b.params.omega * b.t)
-    if coeffs is not None:
-        cp, cm = coeffs
-        E = cp * b.E(+1) + cm * b.E(-1)
-        Ep = cp * b.Eprime(+1) + cm * b.Eprime(-1)
-        Epp = cp * b.Esecond(+1) + cm * b.Esecond(-1)
-        return float(np.max(np.abs(dche_operator(b.params, b.ell, z, E, Ep, Epp))))
-    res = [dche_operator(b.params, b.ell, z, b.E(s), b.Eprime(s), b.Esecond(s)) for s in (+1, -1)]
-    return float(np.max(np.abs(res)))
-
-
-def require_real_basis(b0: BasisValues):
-    """Gate of the alpha family: E+-(1) must be real (``b0`` is the basis at t = 0)."""
-    for s in (+1, -1):
-        if abs(b0.E(s)[0].imag) > 1e-10:
-            raise DegenerateAtOne("Im E(1) != 0; basis not real-normalized")
-
-
-def phi_alpha_values(b: BasisValues, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """phi_alpha on the grid of ``b`` and its analytic d/dt (quotient rule)."""
-    c, sn = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
-    omega, ell = b.params.omega, b.ell
-    zl = np.exp(1j * ell * omega * b.t)
-    num = c * b.E(+1) + 1j * sn * b.E(-1)
-    den = c * b.E(+1, -1) - 1j * sn * b.E(-1, -1)
-    bad = np.abs(den) < 1e-10
-    if bad.any():
-        raise DenominatorVanished("phi_alpha denominator vanished", t=float(b.t[bad][0]))
-    value = -1j * zl * num / den
-    num_d = c * b.Edot(+1) + 1j * sn * b.Edot(-1)
-    den_d = -(c * b.Edot(+1, -1) - 1j * sn * b.Edot(-1, -1))  # d/dt of E(-t)
-    return value, 1j * ell * omega * value - 1j * zl * (num_d * den - num * den_d) / den**2
+    c, s = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
+    return quotient(c + s, -1j * (c - s), factors, dots, t, "phi_alpha")[2]
 
 
 def phi_alpha(hb: HeunBasisPath, alpha: float) -> CircleFunction:
@@ -237,8 +219,7 @@ def phi_alpha(hb: HeunBasisPath, alpha: float) -> CircleFunction:
 
     alpha = pi/2 reproduces the original Phi identically.
     """
-    require_real_basis(hb.at(0.0))
-    return CircleFunction(hb.path, lambda t: phi_alpha_values(hb.at(t), alpha)[0])
+    return CircleFunction(hb.path, lambda t: phi_alpha_values(*hb.pair(t), t, alpha)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +327,6 @@ def _lift_shift(params: ModelParams) -> float:
     return _LIFT_SIGN * params.T / 2.0
 
 
-#: Coefficients (c+, c-) of E+ and E- as (2, 1) columns: with them
-#: ``apply_B_and_dot`` returns one row per basis element.
-BASIS_COEFFS = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
-
-
 def _lb_formula(hb: HeunBasisPath, nq: NumericQuad, t, E, Ep):
     """L_B at z = e^{i omega t} from the values E and E' at the lift of -z:
 
@@ -389,16 +365,12 @@ def apply_B_and_dot(
     ) or np.any(-ts > hb.path.t_max):
         raise WindowTooSmall("window does not cover the shifted arguments of L_B")
     b = hb.at(ts)
-    cp, cm = coeffs
-    E = cp * b.E(+1) + cm * b.E(-1)
-    Ep = cp * b.Eprime(+1) + cm * b.Eprime(-1)
-    Epp = cp * b.Esecond(+1) + cm * b.Esecond(-1)
+    E, Ep, Epp = b.combination(coeffs)
 
     F, pref, G = _lb_formula(hb, nq, t, E, Ep)
     z = np.exp(1j * p.omega * t)
     zdot = 1j * p.omega * z
-    zs = np.exp(1j * p.omega * ts)
-    zsdot = 1j * p.omega * zs
+    zsdot = 1j * p.omega * b.z
     pref_dot = pref * (1j * (1 - hb.ell) * p.omega - 2.0 * p.mu * p.omega * np.sin(p.omega * t))
     G_dot = (
         (2.0 * z * nq("r", -z) - z**2 * nq("r'", -z)) * zdot * Ep
@@ -467,25 +439,9 @@ def check_B_squared(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BMatrix:
-    """Matrix of L_B in the (E+, E-) basis (columns are the images),
-    read off from L_B at z = 1 and validated against the action of L_B."""
-
-    matrix: np.ndarray
-    lift_convention: str
-
-    @property
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.matrix))
-
-    def det_relation_residual(self, D: float) -> float:
-        """|det(B)^2 - D^2| / D^2 (the composition-law determinant identity)."""
-        return float(abs(self.det**2 - D**2) / D**2)
-
-
-def build_matrix_B(hb: HeunBasisPath, nq: NumericQuad) -> BMatrix:
-    """The matrix of L_B from its action at z = 1.
+def build_matrix_B(hb: HeunBasisPath, nq: NumericQuad) -> np.ndarray:
+    """The 2x2 matrix of L_B in the (E+, E-) basis (columns are the images),
+    read off from its action at z = 1.
 
     A solution is fixed by its value and z-derivative at z = 1, so column s
     solves [[E+, E-], [E+', E-']] (at z = 1) against L_B[E_s] and its
@@ -496,7 +452,12 @@ def build_matrix_B(hb: HeunBasisPath, nq: NumericQuad) -> BMatrix:
     b0 = hb.at(0.0)
     V = np.array([[b0.E(+1)[0], b0.E(-1)[0]], [b0.Eprime(+1)[0], b0.Eprime(-1)[0]]])
     values = np.stack((images[:, 0], images_dot[:, 0] / (1j * hb.params.omega)))
-    return BMatrix(matrix=np.linalg.solve(V, values), lift_convention=MINUS_Z_LIFT)
+    return np.linalg.solve(V, values)
+
+
+def det_relation_residual(matrix: np.ndarray, D: float) -> float:
+    """|det(B)^2 - D^2| / D^2 (the composition-law determinant identity)."""
+    return float(abs(complex(np.linalg.det(matrix)) ** 2 - D**2) / D**2)
 
 
 def operation_report(
@@ -513,16 +474,13 @@ def operation_report(
 
 
 def matrix_action_residual(
-    hb: HeunBasisPath, nq: NumericQuad, bmat: BMatrix, grid_size: int = 201
+    hb: HeunBasisPath, nq: NumericQuad, matrix: np.ndarray, grid_size: int = 201
 ) -> float:
     """sup relative deviation between L_B and its matrix on a circle grid."""
     T = hb.params.T
     t = np.linspace(-0.3 * T, 0.3 * T, grid_size)
     direct = apply_B(hb, nq, t, coeffs=BASIS_COEFFS)
     b = hb.at(t)
-    res = []
-    for col in (0, 1):
-        via_matrix = bmat.matrix[0, col] * b.E(+1) + bmat.matrix[1, col] * b.E(-1)
-        scale = float(np.max(np.abs(direct[col])))
-        res.append(float(np.max(np.abs(direct[col] - via_matrix))) / max(scale, 1e-300))
-    return float(np.max(res))
+    via_matrix = matrix[0][:, None] * b.E(+1) + matrix[1][:, None] * b.E(-1)
+    scale = np.maximum(np.max(np.abs(direct), axis=1), 1e-300)
+    return float(np.max(np.max(np.abs(direct - via_matrix), axis=1) / scale))

@@ -171,16 +171,14 @@ def check_poly_exact(ell_max: int = 6) -> tuple[dict, list[str]]:
     return report, failures
 
 
-def _phi_alpha_battery(hb, b0, grid_size: int) -> tuple[dict, list[str]]:
+def _phi_alpha_battery(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
     report: dict = {}
     failures: list[str] = []
-    p = hb.params
-    T = p.T
-    t = np.linspace(-T / 2, T / 2, grid_size)
-    heun_mod.require_real_basis(b0)
-    b = hb.at(t)
+    p = path.params
+    t = np.linspace(-p.T / 2, p.T / 2, grid_size)
+    factors, dots = circle_mod.CirclePair.on_path(path)(t)
     for alpha in PHI_ALPHA_VALUES:
-        vals, dvals = heun_mod.phi_alpha_values(b, alpha)
+        vals, dvals = heun_mod.phi_alpha_values(factors, dots, t, alpha)
         uni = float(np.max(np.abs(np.abs(vals) - 1)))
         _record(report, failures, f"phi_alpha_unimodular[{alpha:.4g}]", uni, "phi_alpha_unimodular")
         ric = circle_mod.riccati_circle_residual(p, t, vals, dvals)
@@ -191,12 +189,12 @@ def _phi_alpha_battery(hb, b0, grid_size: int) -> tuple[dict, list[str]]:
             float(np.max(np.abs(ric))),
             "phi_alpha_riccati",
         )
-    ident = heun_mod.phi_alpha_values(b, np.pi / 2)[0]
+    ident = heun_mod.phi_alpha_values(factors, dots, t, np.pi / 2)[0]
     _record(
         report,
         failures,
         "phi_alpha_identity",
-        float(np.max(np.abs(ident - np.exp(1j * hb.path.phi(t))))),
+        float(np.max(np.abs(ident - np.exp(1j * path.phi(t))))),
         "phi_alpha_identity",
     )
     return report, failures
@@ -221,7 +219,7 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
         e_bound += [abs(direct - closed), abs(float(b0.E(s)[0].imag))]
     _record(report, failures, "boundary_E", np.max(e_bound), "boundary_E")
 
-    rep_a, fail_a = _phi_alpha_battery(hb, b0, grid_size)
+    rep_a, fail_a = _phi_alpha_battery(path, grid_size)
     report.update(rep_a)
     failures.extend(fail_a)
 
@@ -249,17 +247,16 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
         lb_maps.append(float(np.max(np.abs(res))) / scale)
         _record(report, failures, f"lb_maps_solutions_{tag}", lb_maps[-1], "lb_maps_solutions")
 
-    bmat = heun_mod.build_matrix_B(hb, nq)
+    matrix = heun_mod.build_matrix_B(hb, nq)
     _record(
         report,
         failures,
         "matrix_action",
-        heun_mod.matrix_action_residual(hb, nq, bmat),
+        heun_mod.matrix_action_residual(hb, nq, matrix),
         "matrix_action",
     )
-    _record(
-        report, failures, "det_relation", bmat.det_relation_residual(nq.D), "det_relation"
-    )
+    det = heun_mod.det_relation_residual(matrix, nq.D)
+    _record(report, failures, "det_relation", det, "det_relation")
 
     comp = heun_mod.check_B_squared(hb, nq)
     b_sq = (comp["residual_e_plus"], comp["residual_e_minus"], comp["residual_random_combo"])

@@ -141,8 +141,7 @@ def test_criterion_6_operator_law(golden_path, golden_quad, golden2_path, golden
     r_img = float(np.max(np.abs(res)) / np.max(np.abs(vals)))
     assert r_img <= 1e-6
 
-    bmat = build_matrix_B(hb, golden_quad)
-    r_mat = matrix_action_residual(hb, golden_quad, bmat)
+    r_mat = matrix_action_residual(hb, golden_quad, build_matrix_B(hb, golden_quad))
     assert r_mat <= 1e-6
 
     conventions = set()

@@ -41,10 +41,11 @@ SQRT_MONODROMY_G2_DOP853 = {
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
 # at the two golden points, recorded with the phase path, the theta pair and
 # the continuations off the circle all from Gauss collocation of their linear
-# systems, and P_B from the panel table's Gauss rows.
+# systems, P_B from the panel table's Gauss rows, and the alpha family as
+# the circle quotient.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "10649a6c191f5685e390efc96624c9f8fd0e2eefa7fd7124502d7fb06029ba71",
-    ("1", "0.2", "1.3", "1.0"): "f7f6150f99dc4236e368b0435480194e4dc0e46ab766f375f6bed547ca618744",
+    ("2", "0.3", "1", "0.5"): "fd270dc5e41e7a05bc78d4ec19a63a9af2c82d829ed98ed8b36cfc1ed0b19da1",
+    ("1", "0.2", "1.3", "1.0"): "75db0e48647b97cb554d42a32b2f650aa16fb5fffe81566d449202afb896bda2",
 }
 # The theorem2 leaves that moved at rounding level when the panel table
 # became Gauss rows (G1: b_squared 4.02e-15 -> 3.90e-15, psi_quadrature
@@ -53,12 +54,15 @@ VERIFY_MOVED_THEOREM2 = {
     ("2", "0.3", "1", "0.5"): {"b_squared_residual": 1e-13, "psi_quadrature_residual": 1e-13},
     ("1", "0.2", "1.3", "1.0"): {},
 }
-# The same reports without ode.route_equivalence, monodromy.ray_residuals and
-# the moved theorem2 leaves; equal to the digests of the reports from before
-# that change with the same leaves removed.
+# The nine heun.phi_alpha_* leaves, which moved at rounding level when the
+# alpha family became the circle quotient (each <= 1.7e-15 at both points).
+VERIFY_MOVED_PHI_ALPHA_BOUND = 1e-13
+# The same reports without ode.route_equivalence, monodromy.ray_residuals,
+# the moved theorem2 leaves and the phi_alpha leaves; equal to the digests of
+# the reports from before those changes with the same leaves removed.
 VERIFY_REST_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "8a00af002ff2a1f885cb6f13a81b17b840a21f660d9e852d559c0c2ff2e60cd6",
-    ("1", "0.2", "1.3", "1.0"): "8898161f8fe70a96d7d913b377afdc6f8b1a18b4274595f15224191fd428c0cf",
+    ("2", "0.3", "1", "0.5"): "8d065dde53976deb192491d749422258326c938bb5391475d355c1684ff2a263",
+    ("1", "0.2", "1.3", "1.0"): "a99538195814bb35af249c466fac32294e3fd143ecf1b6a081f17f442e05bf6f",
 }
 
 
@@ -187,6 +191,10 @@ def test_verify_golden_stdout_is_pinned(capsys, point):
     assert max(residual for _, residual in rays) <= 1e-13
     for key, bound in VERIFY_MOVED_THEOREM2[point].items():
         assert report["theorem2"].pop(key) <= bound
+    phi_alpha = [key for key in report["heun"] if key.startswith("phi_alpha")]
+    assert len(phi_alpha) == 9
+    for key in phi_alpha:
+        assert report["heun"].pop(key) <= VERIFY_MOVED_PHI_ALPHA_BOUND
     rest = canonical_json(report) + "\n"
     assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_REST_SHA256[point]
 

@@ -90,9 +90,9 @@ def test_dche_ray_matches_scipy(point_path):
     p = point_path.params
     hb = build_E(phi_on_circle(point_path), psi_on_circle(point_path))
     theta, rho = 0.7, 0.2
-    t0 = np.array([theta / p.omega])
+    b = hb.at(theta / p.omega)
     for s in (+1, -1):
-        E0, Ep0 = complex(hb.E(t0, s)[0]), complex(hb.Eprime(t0, s)[0])
+        E0, Ep0 = complex(b.E(s)[0]), complex(b.Eprime(s)[0])
         reference = _scipy_dche(p, hb.ell, theta, rho, E0, Ep0)
         for value, ref in zip(continue_dche_ray(p, hb.ell, theta, rho, E0, Ep0), reference):
             assert abs(value - ref) <= 1e-10 * abs(ref)

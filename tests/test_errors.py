@@ -8,18 +8,31 @@ import heun_monodromy
 from heun_monodromy import errors
 
 
+def _raises():
+    """(module, innermost enclosing function, raised name) of every ``raise``
+    in the package."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.append((module, function, exc.id))
+            elif isinstance(exc, ast.Attribute):
+                found.append((module, function, exc.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module in Path(heun_monodromy.__file__).resolve().parent.glob("*.py"):
+        visit(ast.parse(module.read_text(), filename=str(module)), module.stem, None)
+    return found
+
+
 def _raised_names():
     """The names of everything a ``raise`` in the package raises."""
-    names = set()
-    for module in Path(heun_monodromy.__file__).resolve().parent.glob("*.py"):
-        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    names.add(exc.id)
-                elif isinstance(exc, ast.Attribute):
-                    names.add(exc.attr)
-    return names
+    return {name for _, _, name in _raises()}
 
 
 def test_every_exception_is_raised_or_a_base_of_a_raised_one():
@@ -29,3 +42,12 @@ def test_every_exception_is_raised_or_a_base_of_a_raised_one():
     raised = [cls for cls in classes if cls.__name__ in names]
     for cls in classes:
         assert any(issubclass(r, cls) for r in raised), f"nothing raises {cls.__name__}"
+
+
+def test_denominator_vanished_is_raised_by_the_two_quotients_only():
+    # every Moebius quotient on the circle (the monodromy, the square-root
+    # transform, the alpha family) goes through circle.quotient and its one
+    # floor; the reconstruction off the circle is the one other quotient
+    sites = {(module, function) for module, function, name in _raises()
+             if name == "DenominatorVanished"}
+    assert sites == {("circle", "quotient"), ("heun", "phi_from_basis")}

@@ -5,7 +5,12 @@ import pytest
 
 from heun_monodromy import ModelParams, solve_phase
 from heun_monodromy import heun as heun_mod
-from heun_monodromy.circle import phi_on_circle, psi_on_circle, riccati_circle_residual
+from heun_monodromy.circle import (
+    CirclePair,
+    phi_on_circle,
+    psi_on_circle,
+    riccati_circle_residual,
+)
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, NonIntegerOrder
 from heun_monodromy.heun import (
     MINUS_Z_LIFT,
@@ -17,6 +22,7 @@ from heun_monodromy.heun import (
     check_B_squared,
     continue_dche_ray,
     dche_residual,
+    det_relation_residual,
     matrix_action_residual,
     pair_ode_residual,
     phi_alpha,
@@ -26,7 +32,8 @@ from heun_monodromy.heun import (
     wronskian_at_one,
 )
 from heun_monodromy.heunpoly import NumericQuad, diagonal
-from heun_monodromy.verify import check_heun
+from heun_monodromy.monodromy import _algebraic_coefficients, monodromy_algebraic
+from heun_monodromy.verify import PHI_ALPHA_VALUES, check_heun
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +51,7 @@ def test_boundary_values_closed_form(hb):
     for s in (+1, -1):
         direct, closed = boundary_E_values(b0, s)
         assert abs(direct - closed) < 1e-10
-        assert abs(float(hb.E(np.array([0.0]), s)[0].imag)) < 1e-10
+        assert abs(float(b0.E(s)[0].imag)) < 1e-10
 
 
 def test_pair_ode_residual(hb, hb2):
@@ -110,11 +117,38 @@ def test_phi_alpha_unimodular_and_riccati(hb, alpha):
 def test_phi_alpha_derivative_matches_fd(hb, alpha):
     T = hb.params.T
     t = np.linspace(-T / 2, T / 2, 201)
-    vals, dvals = phi_alpha_values(hb.at(t), alpha)
+    vals, dvals = phi_alpha_values(*hb.pair(t), t, alpha)
     fn = phi_alpha(hb, alpha)
     assert np.array_equal(vals, fn(t))
     h = 1e-6
     assert np.max(np.abs(dvals - (fn(t + h) - fn(t - h)) / (2 * h))) < 1e-7
+
+
+def test_phi_alpha_is_the_papers_display_on_the_basis(hb, hb2):
+    # -i z^ell (c E+ + i s E-) / (c E+(1/z) - i s E-(1/z)), written on E+-
+    # and their values at 1/z (the lift -t), equals the circle quotient
+    for basis in (hb, hb2):
+        T = basis.params.T
+        t = np.linspace(-T / 2, T / 2, 401)
+        b = basis.at(t)
+        zl = np.exp(1j * basis.ell * basis.params.omega * t)
+        for alpha in PHI_ALPHA_VALUES:
+            c, s = np.cos(alpha / 2), np.sin(alpha / 2)
+            display = (-1j * zl * (c * b.E(+1) + 1j * s * b.E(-1))
+                       / (c * b.E(+1, -1) - 1j * s * b.E(-1, -1)))
+            assert np.max(np.abs(display - phi_alpha(basis, alpha)(t))) <= 1e-13
+
+
+def test_monodromy_is_the_alpha_family_member(hb, hb2):
+    # quotient(cp, i sm) is quotient(c + s, -i (c - s)) up to a real factor
+    # when tan(alpha/2) = (cp + sm)/(cp - sm)
+    for basis in (hb, hb2):
+        cp, sm = _algebraic_coefficients(CirclePair.on_path(basis.path).boundary())
+        alpha_m = 2.0 * np.arctan2(cp + sm, cp - sm)
+        T = basis.params.T
+        t = np.linspace(-T / 2, T / 2, 401)
+        member = phi_alpha(basis, alpha_m)(t)
+        assert np.max(np.abs(monodromy_algebraic(basis.path)(t) - member)) <= 1e-13
 
 
 def test_phi_alpha_riccati_uses_the_analytic_derivative(golden_path, golden_quad):
@@ -128,7 +162,7 @@ def test_phi_alpha_riccati_uses_the_analytic_derivative(golden_path, golden_quad
 def test_radial_identity(hb):
     out = radial_continue_E(hb, 0.4, [1.0])
     for s in (+1, -1):
-        assert out[s][0] == pytest.approx(complex(hb.E(np.array([0.4]), s)[0]))
+        assert out[s][0] == pytest.approx(complex(hb.at(0.4).E(s)[0]))
 
 
 @pytest.mark.parametrize("rho", [np.nan, 0.1, 5.5])
@@ -139,9 +173,9 @@ def test_radial_rho_outside_the_annulus_is_rejected(hb, rho):
 
 def test_radial_linearity(hb, rng):
     theta, rho = 0.3, 1.2
-    t0 = np.array([theta / hb.params.omega])
-    E0p, Ep0p = complex(hb.E(t0, +1)[0]), complex(hb.Eprime(t0, +1)[0])
-    E0m, Ep0m = complex(hb.E(t0, -1)[0]), complex(hb.Eprime(t0, -1)[0])
+    b0 = hb.at(theta / hb.params.omega)
+    E0p, Ep0p = complex(b0.E(+1)[0]), complex(b0.Eprime(+1)[0])
+    E0m, Ep0m = complex(b0.E(-1)[0]), complex(b0.Eprime(-1)[0])
     c1, c2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
     vp, _ = continue_dche_ray(hb.params, hb.ell, theta, rho, E0p, Ep0p)
     vm, _ = continue_dche_ray(hb.params, hb.ell, theta, rho, E0m, Ep0m)
@@ -212,18 +246,19 @@ def test_b_squared_opposite_lift_matches_inverse_monodromy(hb, golden_quad, monk
     from heun_monodromy.heun import _lb_formula
 
     FF = _lb_formula(hb, golden_quad, t, Fval(t + shift), Fprime(t + shift))[0]
-    inverse = golden_quad.D * hb.E(t - T, +1)
-    forward = golden_quad.D * hb.E(t + T, +1)
+    inverse = golden_quad.D * hb.at(t - T).E(+1)
+    forward = golden_quad.D * hb.at(t + T).E(+1)
     assert np.max(np.abs(FF - inverse)) < 1e-10
     assert np.max(np.abs(FF - forward)) > 1e-2
 
 
 def test_matrix_action(hb, golden_quad):
-    bmat = build_matrix_B(hb, golden_quad)
-    assert matrix_action_residual(hb, golden_quad, bmat) < 1e-6
-    assert bmat.det_relation_residual(golden_quad.D) < 1e-6
-    assert abs(abs(bmat.det) - abs(golden_quad.D)) / abs(golden_quad.D) < 1e-5
-    assert bmat.lift_convention == "t+T/2"
+    matrix = build_matrix_B(hb, golden_quad)
+    assert matrix.shape == (2, 2)
+    assert matrix_action_residual(hb, golden_quad, matrix) < 1e-6
+    assert det_relation_residual(matrix, golden_quad.D) < 1e-6
+    det = complex(np.linalg.det(matrix))
+    assert abs(abs(det) - abs(golden_quad.D)) / abs(golden_quad.D) < 1e-5
 
 
 # The L_B matrix at the two golden points as the closed-form boundary
@@ -243,7 +278,7 @@ BOUNDARY_ALGEBRA_MATRIX = {
 def test_matrix_matches_the_boundary_algebra(hb, golden_quad, hb2, golden2_quad):
     for key, basis, quad in (("golden_1", hb, golden_quad), ("golden_2", hb2, golden2_quad)):
         ref = np.array(BOUNDARY_ALGEBRA_MATRIX[key])
-        matrix = build_matrix_B(basis, quad).matrix
+        matrix = build_matrix_B(basis, quad)
         assert np.max(np.abs(matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

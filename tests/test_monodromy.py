@@ -5,8 +5,9 @@ import pytest
 
 import heun_monodromy.circle as circle_mod
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy.circle import CirclePair
+from heun_monodromy.circle import CirclePair, phi_on_circle, psi_on_circle
 from heun_monodromy.errors import DenominatorVanished, WindowTooSmall
+from heun_monodromy.heun import build_E, phi_alpha
 from heun_monodromy.monodromy import monodromy_algebraic, monodromy_direct, verify_monodromy
 from heun_monodromy.sqrtmono import transform_from_path
 
@@ -81,10 +82,12 @@ def test_grid_size_guard(golden_path):
 
 
 def test_denominator_guard_fires(golden_path, golden_quad, monkeypatch):
-    # one floor in circle gates the monodromy and Phi_B alike
+    # one floor in circle gates the monodromy, Phi_B and the alpha family alike
     tr = transform_from_path(golden_path, golden_quad)
+    hb = build_E(phi_on_circle(golden_path), psi_on_circle(golden_path))
     monkeypatch.setattr(circle_mod, "DENOMINATOR_FLOOR", 1e10)
-    for values, what in ((monodromy_algebraic(golden_path), "monodromy"), (tr.phi_B, "Phi_B")):
+    for values, what in ((monodromy_algebraic(golden_path), "monodromy"), (tr.phi_B, "Phi_B"),
+                         (phi_alpha(hb, 0.7), "phi_alpha")):
         with pytest.raises(DenominatorVanished, match=what) as err:
             values(np.linspace(-1, 1, 11))
         assert err.value.t == -1.0
