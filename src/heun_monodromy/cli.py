@@ -26,7 +26,6 @@ from .exactpoly import LaurentPoly
 from .heunpoly import (
     MAX_ELL,
     NumericQuad,
-    check_ode_system,
     check_parity,
     d_plus_minus,
     diagonal,
@@ -154,7 +153,7 @@ def cmd_poly(args) -> int:
     out = []
     for name, poly in zip(names, quad.as_tuple()):
         out.append(f"{name} = {poly.canonical_text()}")
-    d_poly = LaurentPoly.constant(first_integral(quad))
+    d_poly = LaurentPoly.constant(first_integral(quad))  # proves the ODE system first
     out.append(f"D = {d_poly.canonical_text()}")
     sys.stdout.write("\n".join(out) + "\n")
     obj = {name: poly.to_json_obj() for name, poly in zip(names, quad.as_tuple())}
@@ -162,9 +161,8 @@ def cmd_poly(args) -> int:
     sys.stdout.write(canonical_json(obj) + "\n")
     if args.check:
         ok_p, wit_p = check_parity(quad)
-        ok_o, wit_o = check_ode_system(quad)
-        if not (ok_p and ok_o):
-            sys.stderr.write(f"exact checks failed: {wit_p or ''} {wit_o or ''}\n")
+        if not ok_p:
+            sys.stderr.write(f"exact checks failed: {wit_p}\n")
             return EXIT_TOLERANCE
         sys.stderr.write("exact checks passed\n")
     return EXIT_OK

@@ -4,9 +4,11 @@ A Laurent polynomial is one flat dict ``{(z_pow, lam_pow, mu_pow): int}`` with
 no zero entries; a ``BivariateCoeff`` is one ``{(lam_pow, mu_pow): int}``.
 Two kernels do all the arithmetic: ``combine`` sums monomial multiples of
 polynomials (or of their z-derivatives, reflections z -> -z and values at
-z = 1) in one dict pass, and ``_product`` sums products in one numpy
-object-array accumulator.  Every identity check of the recurrence layer uses
-this exact arithmetic, never floating point.
+z = 1) in one dict pass, and ``_product`` sums products of bivariate
+coefficients in one numpy object-array accumulator.  No z-dependent
+polynomial is ever multiplied: the recurrence layer's only products are of
+values at z = 1, in ``heunpoly.first_integral``.  Every identity check of the
+recurrence layer uses this exact arithmetic, never floating point.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -97,7 +98,7 @@ class BivariateCoeff:
         return not self.terms
 
     def __mul__(self, other: "BivariateCoeff") -> "BivariateCoeff":
-        return BivariateCoeff(_product([(1, self.terms, other.terms)]))
+        return product_sum([(1, self, other)])
 
     def evaluate(self, lam, mu):
         """Numeric (or Fraction) value at the given parameter point."""
@@ -117,6 +118,11 @@ class BivariateCoeff:
 
     def __repr__(self) -> str:
         return f"BivariateCoeff({self.terms!r})"
+
+
+def product_sum(pairs: Iterable[tuple[int, BivariateCoeff, BivariateCoeff]]) -> BivariateCoeff:
+    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one product accumulator."""
+    return BivariateCoeff(_product([(c, x.terms, y.terms) for c, x, y in pairs]))
 
 
 def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> str:
@@ -171,11 +177,6 @@ def combine(pieces: Iterable[Piece]) -> "LaurentPoly":
     return LaurentPoly(out)
 
 
-def product_sum(pairs: Iterable[tuple[int, "LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
-    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one product accumulator."""
-    return LaurentPoly(_product([(c, x.terms, y.terms) for c, x, y in pairs]))
-
-
 class LaurentPoly:
     """Laurent polynomial in z over Z[lam, mu]: nonzero ``terms[z, lam, mu]``."""
 
@@ -219,31 +220,17 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return combine([Piece(1, self), Piece(1, other)])
 
-    def __neg__(self) -> "LaurentPoly":
-        return self.scaled(-1)
-
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return combine([Piece(1, self), Piece(-1, other)])
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return product_sum([(1, self, other)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
 
-    def scaled(self, c: int, dz: int = 0, dlam: int = 0, dmu: int = 0) -> "LaurentPoly":
-        """Multiply by the monomial c * z**dz * lam**dlam * mu**dmu."""
-        return combine([Piece(c, self, dz, dlam, dmu)])
-
     def diff_z(self) -> "LaurentPoly":
         """Formal d/dz (exact on Laurent monomials)."""
         return combine([Piece(1, self, op=PRIME)])
-
-    def substitute_neg_z(self) -> "LaurentPoly":
-        """z -> -z."""
-        return combine([Piece(1, self, op=REFLECT)])
 
     def at_one(self) -> BivariateCoeff:
         """Exact value at z = 1 (a bivariate polynomial in lam, mu)."""
@@ -252,9 +239,6 @@ class LaurentPoly:
     def evaluate(self, z, lam, mu):
         """Numeric value; z may be complex or a numpy array."""
         return sum(c.evaluate(lam, mu) * z**k for k, c in self.coeffs.items())
-
-    def evaluate_exact(self, z: Fraction, lam: Fraction, mu: Fraction) -> Fraction:
-        return sum((v * lam**a * mu**b * z**k for (k, a, b), v in self.terms.items()), Fraction(0))
 
     def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
         """(min_degree, dense ascending coefficient list) at numeric (lam, mu).

@@ -12,7 +12,9 @@ polynomials carry the symmetry operator of the Heun layer.
 Everything here is exact integer arithmetic; floating point appears only in
 the numeric evaluation helpers at the bottom.  Each recurrence step and each
 identity residual is one ``combine`` of monomial multiples (multiplying by
-lam + mu^2 is two of them); only ``first_integral`` forms products.
+lam + mu^2 is two of them).  Only ``first_integral`` forms products, and only
+of values at z = 1, that is of polynomials in (lam, mu): the verified ODE
+system already fixes the z-dependence of p*s - q*r.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import numpy as np
 
 from .errors import DegreeClaimViolated, GenericityViolated, NotConstant
 from .exactpoly import (
-    AT_ONE, PRIME, REFLECT, BivariateCoeff, LaurentPoly, Piece, combine, product_sum,
+    LAM_PLUS_MUSQ, PRIME, REFLECT, BivariateCoeff, LaurentPoly, Piece, combine, product_sum,
 )
 from .params import ModelParams
 
 #: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
-#: 1.7 to 3.2 s of CPU on a shared 2-vCPU Xeon, most of it in the product
-#: accumulator of ``first_integral``.
+#: about 0.35 s of CPU on a shared 2-vCPU Xeon; half of it is ``diagonal``'s
+#: recurrence, and ``first_integral`` multiplies only values at z = 1.
 MAX_ELL = 32
 
 #: Relative threshold below which a D factor counts as degenerate.
@@ -164,22 +166,29 @@ def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
     return True, None
 
 
-def first_integral(quad: PolyQuadruple) -> BivariateCoeff:
-    """The z-independent combination z**(2(1-ell)) * (p*s - q*r).
+def first_integral(
+    quad: PolyQuadruple, ode: tuple[bool, str | None] | None = None
+) -> BivariateCoeff:
+    """The z-independent combination D = z**(2(1-ell)) * (p*s - q*r), read at z = 1.
 
-    Asserts exact z-independence, then verifies the boundary form
-    D = (lam + mu^2) * p(1)**2 - r(1)**2 as an exact bivariate identity.
-    Each side is one product accumulator.
+    With sgn = (-1)**ell and W = p*s - q*r, the four rows of
+    ``check_ode_system`` put into z^2 W' = (z^2 p') s + p (z^2 s') - (z^2 q') r
+    - q (z^2 r') cancel to z^2 W' = 2 (ell - 1) z W.  So W = D z**(2(ell-1))
+    as a Laurent polynomial and D = W(1) = p(1) s(1) - q(1) r(1).
+
+    ``ode`` is the verdict of ``check_ode_system(quad)`` when the caller has
+    it already; otherwise it is computed here.  Raises NotConstant if the ODE
+    system fails (W is then not proven a monomial) or if D disagrees with the
+    boundary form (lam + mu^2) * p(1)**2 - r(1)**2.
     """
-    p, q, r, s = quad.as_tuple()
-    combo = product_sum([(1, p, s), (-1, q, r)]).scaled(1, dz=2 * (1 - quad.ell))
-    powers = {z for z, _, _ in combo.terms} - {0}
-    if powers:
-        raise NotConstant(f"first integral carries z-powers {sorted(powers)}")
-    p1, r1 = (combine([Piece(1, x, op=AT_ONE)]) for x in (p, r))
-    if combo != product_sum([(1, combine(_times_lam_plus_musq(1, p1)), p1), (-1, r1, r1)]):
+    ok, witness = ode or check_ode_system(quad)
+    if not ok:
+        raise NotConstant(f"first integral unproven: {witness}")
+    p1, q1, r1, s1 = (x.at_one() for x in quad.as_tuple())
+    D = product_sum([(1, p1, s1), (-1, q1, r1)])
+    if D != product_sum([(1, LAM_PLUS_MUSQ * p1, p1), (-1, r1, r1)]):
         raise NotConstant("first integral disagrees with its z=1 boundary form")
-    return combo.coeffs.get(0, BivariateCoeff())
+    return D
 
 
 def d_plus_minus(
@@ -203,31 +212,6 @@ def d_plus_minus(
             "the symmetry operator is not invertible here"
         )
     return d_plus, d_minus, generic
-
-
-def first_integral_numeric_residual(
-    quad: PolyQuadruple, rng: np.random.Generator, n_points: int = 20, n_z: int = 5
-) -> float:
-    """Cross-check D against p*s - q*r at random numeric points.
-
-    Returns the max relative disagreement over ``n_points`` random (lam, mu)
-    and ``n_z`` random complex z.
-    """
-    D = first_integral(quad)
-    worst = 0.0
-    for _ in range(n_points):
-        lam = float(rng.uniform(-2, 2))
-        mu = float(rng.uniform(-2, 2))
-        d_val = complex(D.evaluate(lam, mu))
-        for _ in range(n_z):
-            z = complex(rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-            combo = z ** (2 * (1 - quad.ell)) * (
-                quad.p.evaluate(z, lam, mu) * quad.s.evaluate(z, lam, mu)
-                - quad.q.evaluate(z, lam, mu) * quad.r.evaluate(z, lam, mu)
-            )
-            denom = max(1.0, abs(d_val))
-            worst = max(worst, abs(combo - d_val) / denom)
-    return worst
 
 
 class NumericQuad:

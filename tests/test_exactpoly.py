@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heun_monodromy.cli as cli
 import heun_monodromy.exactpoly as exactpoly
 from heun_monodromy.exactpoly import (
     AT_ONE,
@@ -19,11 +20,10 @@ from heun_monodromy.exactpoly import (
 )
 from heun_monodromy.heunpoly import (
     _times_lam_plus_musq,
-    check_ode_system,
     check_parity,
     diagonal,
-    first_integral,
 )
+from heun_monodromy.verify import check_poly_exact
 
 coeff_st = st.integers(-8, 8)
 pow_st = st.integers(0, 3)
@@ -51,6 +51,20 @@ def reference_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             key = (z1 + z2, a1 + a2, b1 + b2)
             out[key] = out.get(key, 0) + v1 * v2
     return LaurentPoly(out)
+
+
+def substitute_neg_z(poly: LaurentPoly) -> LaurentPoly:
+    """z -> -z."""
+    return combine([Piece(1, poly, op=REFLECT)])
+
+
+def evaluate_exact(poly: LaurentPoly, z: Fraction, lam: Fraction, mu: Fraction) -> Fraction:
+    return sum((v * lam**a * mu**b * z**k for (k, a, b), v in poly.terms.items()), Fraction(0))
+
+
+def bivariate(poly: LaurentPoly) -> BivariateCoeff:
+    """The z**0 coefficient of ``poly``."""
+    return poly.coeffs.get(0, BivariateCoeff())
 
 
 def reference_combine(pieces) -> LaurentPoly:
@@ -98,7 +112,7 @@ def test_diff_z_monomial():
 
 def test_substitute_neg_z():
     p = LaurentPoly.monomial(1, z_pow=3) + LaurentPoly.monomial(2, z_pow=2)
-    q = p.substitute_neg_z()
+    q = substitute_neg_z(p)
     assert q == LaurentPoly.monomial(-1, z_pow=3) + LaurentPoly.monomial(2, z_pow=2)
 
 
@@ -118,30 +132,30 @@ def test_lam_plus_musq_constant():
 @given(laurent(), laurent())
 @settings(max_examples=60, deadline=None)
 def test_product_rule(a, b):
-    lhs = (a * b).diff_z()
-    rhs = a.diff_z() * b + a * b.diff_z()
+    lhs = reference_product(a, b).diff_z()
+    rhs = reference_product(a.diff_z(), b) + reference_product(a, b.diff_z())
     assert lhs == rhs
 
 
 @given(laurent())
 @settings(max_examples=60, deadline=None)
 def test_neg_z_involution(a):
-    assert a.substitute_neg_z().substitute_neg_z() == a
+    assert substitute_neg_z(substitute_neg_z(a)) == a
 
 
 @given(laurent(), laurent(), laurent())
 @settings(max_examples=40, deadline=None)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
+    assert reference_product(a, b) == reference_product(b, a)
+    assert reference_product(a, b + c) == reference_product(a, b) + reference_product(a, c)
 
 
 @given(laurent())
 @settings(max_examples=40, deadline=None)
 def test_exact_vs_float_evaluation(a):
     z, lam, mu = Fraction(3, 2), Fraction(1, 4), Fraction(-2, 3)
-    exact = a.evaluate_exact(z, lam, mu)
+    exact = evaluate_exact(a, z, lam, mu)
     approx = a.evaluate(float(z), float(lam), float(mu))
     assert abs(float(exact) - approx) < 1e-9 * max(1.0, abs(float(exact)))
 
@@ -162,54 +176,47 @@ wide_laurent = laurent(max_terms=8, coeffs=wide_coeff_st)
 wide_bivariate = laurent(max_terms=6, coeffs=wide_coeff_st, z_pows=st.just(0))
 
 
-@given(wide_laurent, wide_laurent)
-@settings(max_examples=150, deadline=None)
-def test_product_matches_reference(a, b):
-    prod = a * b
-    assert prod == reference_product(a, b)
-    assert_canonical(prod)
-
-
-@given(wide_laurent, wide_laurent)
+@given(wide_bivariate, wide_bivariate)
 @settings(max_examples=60, deadline=None)
 def test_cross_terms_cancel(a, b):
-    # (a + b)(a - b): every cross term a*b cancels against b*a
-    prod = (a + b) * (a - b)
-    assert prod == reference_product(a, a) - reference_product(b, b)
-    assert_canonical(prod)
+    # (x + y)(x - y) in one accumulator: every cross term x*y cancels against y*x
+    x, y = bivariate(a), bivariate(b)
+    prod = product_sum([(1, x, x), (-1, x, y), (1, y, x), (-1, y, y)])
+    assert prod == bivariate(reference_product(a, a) - reference_product(b, b))
+    assert all(v != 0 for v in prod.terms.values())
 
 
 @given(wide_bivariate, wide_bivariate)
 @settings(max_examples=100, deadline=None)
 def test_bivariate_product_matches_reference(a, b):
-    x, y = a.coeffs.get(0, BivariateCoeff()), b.coeffs.get(0, BivariateCoeff())
+    x, y = bivariate(a), bivariate(b)
     prod = x * y
-    assert prod == reference_product(a, b).coeffs.get(0, BivariateCoeff())
+    assert prod == bivariate(reference_product(a, b))
     assert all(v != 0 for v in prod.terms.values())
 
 
 def test_empty_and_single_term_operands():
-    one_term = LaurentPoly.monomial(-(2**70), z_pow=-2, lam_pow=1)
-    poly = one_term + LaurentPoly.monomial(3, z_pow=1, mu_pow=2)
-    assert (LaurentPoly.zero() * poly).coeffs == {}
-    assert (poly * LaurentPoly.zero()).coeffs == {}
-    assert (one_term * one_term) == LaurentPoly.monomial(2**140, z_pow=-4, lam_pow=2)
-    assert one_term * poly == reference_product(one_term, poly)
+    one_term = BivariateCoeff.monomial(-(2**70), lam_pow=1)
+    poly = BivariateCoeff({(1, 0): -(2**70), (0, 2): 3})
+    assert (BivariateCoeff() * poly).terms == {}
+    assert (poly * BivariateCoeff()).terms == {}
+    assert (one_term * one_term).terms == {(2, 0): 2**140}
+    assert (one_term * poly).terms == {(2, 0): 2**140, (1, 2): -3 * 2**70}
     assert (BivariateCoeff() * LAM_PLUS_MUSQ).terms == {}
 
 
 def test_sparse_exponents_take_the_compact_path():
-    # the dense (z, lam, mu) box of this product has about 1e9 slots
-    a = LaurentPoly.monomial(1) + LaurentPoly.monomial(-5, z_pow=1000)
-    b = LaurentPoly.monomial(2, lam_pow=1000) + LaurentPoly.monomial(7, z_pow=-3, mu_pow=1000)
-    assert a * b == reference_product(a, b)
-    assert len((a * b).to_json_obj()) == 4
+    # the dense (lam, mu) box of this product has about 2e6 slots
+    a = BivariateCoeff({(0, 0): 1, (1000, 0): -5})
+    b = BivariateCoeff({(1000, 0): 2, (0, 1000): 7})
+    assert a * b == BivariateCoeff({(1000, 0): 2, (0, 1000): 7, (2000, 0): -10, (1000, 1000): -35})
 
 
 def test_diagonal_products_match_reference():
-    quad = diagonal(16)
-    assert quad.p * quad.s == reference_product(quad.p, quad.s)
-    assert quad.q * quad.r == reference_product(quad.q, quad.r)
+    # the operands first_integral multiplies: the diagonal's values at z = 1
+    p1, q1, r1, s1 = (LaurentPoly.constant(x.at_one()) for x in diagonal(16).as_tuple())
+    assert LaurentPoly.constant(p1.at_one() * s1.at_one()) == reference_product(p1, s1)
+    assert LaurentPoly.constant(q1.at_one() * r1.at_one()) == reference_product(q1, r1)
 
 
 @st.composite
@@ -240,30 +247,38 @@ def test_combine_matches_nested_reference(ps):
 @given(wide_laurent)
 @settings(max_examples=60, deadline=None)
 def test_lam_plus_musq_combination_is_the_product(a):
-    assert combine(_times_lam_plus_musq(1, a)) == a * LaurentPoly.constant(LAM_PLUS_MUSQ)
+    lam_plus_musq = LaurentPoly.constant(LAM_PLUS_MUSQ)
+    assert combine(_times_lam_plus_musq(1, a)) == reference_product(a, lam_plus_musq)
 
 
 def test_one_accumulator_matches_two_products():
-    quad = diagonal(16)
-    p, q, r, s = quad.as_tuple()
-    combo = product_sum([(1, p, s), (-1, q, r)])
-    assert combo == p * s - q * r
-    assert_canonical(combo)
+    p1, q1, r1, s1 = (x.at_one() for x in diagonal(16).as_tuple())
+    combo = product_sum([(1, p1, s1), (-1, q1, r1)])
+    assert LaurentPoly.constant(combo) == (
+        LaurentPoly.constant(p1 * s1) - LaurentPoly.constant(q1 * r1)
+    )
+    assert all(v != 0 for v in combo.terms.values())
 
 
-def test_products_stay_in_first_integral(monkeypatch):
-    calls = []
+def test_products_stay_in_first_integral(monkeypatch, capsys):
+    """No product of z-dependent polynomials anywhere: every operand key of the
+    one product kernel is a (lam, mu) pair, with no z-power, in ``poly --check``
+    and in the battery's exact suite; the identity checks multiply nothing."""
+    keys = []
     product = exactpoly._product
 
     def counted(pairs):
-        calls.append(1)
+        pairs = list(pairs)
+        keys.extend(k for _, x, y in pairs for k in (*x, *y))
         return product(pairs)
 
     monkeypatch.setattr(exactpoly, "_product", counted)
     for ell in range(1, 7):
         quad = diagonal(ell)
         assert check_parity(quad) == (True, None)
-        assert check_ode_system(quad) == (True, None)
-    assert calls == []
-    first_integral(diagonal(3))
-    assert calls  # the counter sees the products it is meant to see
+    assert keys == []
+    assert cli.main(["poly", "--ell", "12", "--check"]) == 0
+    assert capsys.readouterr().err == "exact checks passed\n"
+    assert check_poly_exact() == ({f"ell_{ell}": "exact" for ell in range(1, 7)}, [])
+    assert keys  # the counter sees the products it is meant to see
+    assert all(len(k) == 2 for k in keys)

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heun_monodromy import GenericityViolated, ModelParams
-from heun_monodromy.exactpoly import BivariateCoeff, LaurentPoly
+import heun_monodromy.cli as cli
+import heun_monodromy.heunpoly as heunpoly_mod
+import heun_monodromy.verify as verify
+from heun_monodromy import GenericityViolated, ModelParams, NotConstant
+from heun_monodromy.exactpoly import PRIME, BivariateCoeff, LaurentPoly, Piece, combine
 from heun_monodromy.heunpoly import (
     NumericQuad,
     PolyQuadruple,
@@ -15,10 +20,36 @@ from heun_monodromy.heunpoly import (
     d_plus_minus,
     diagonal,
     first_integral,
-    first_integral_numeric_residual,
     initial_quadruple,
     recurrence_step,
 )
+from heun_monodromy.verify import check_poly_exact
+from tests.test_exactpoly import reference_product
+
+
+def first_integral_numeric_residual(
+    quad: PolyQuadruple, rng: np.random.Generator, n_points: int = 20, n_z: int = 5
+) -> float:
+    """Cross-check D against p*s - q*r at random numeric points.
+
+    Returns the max relative disagreement over ``n_points`` random (lam, mu)
+    and ``n_z`` random complex z.
+    """
+    D = first_integral(quad)
+    worst = 0.0
+    for _ in range(n_points):
+        lam = float(rng.uniform(-2, 2))
+        mu = float(rng.uniform(-2, 2))
+        d_val = complex(D.evaluate(lam, mu))
+        for _ in range(n_z):
+            z = complex(rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            combo = z ** (2 * (1 - quad.ell)) * (
+                quad.p.evaluate(z, lam, mu) * quad.s.evaluate(z, lam, mu)
+                - quad.q.evaluate(z, lam, mu) * quad.r.evaluate(z, lam, mu)
+            )
+            denom = max(1.0, abs(d_val))
+            worst = max(worst, abs(combo - d_val) / denom)
+    return worst
 
 
 def test_level_one_hand_values_any_ell():
@@ -212,3 +243,106 @@ def test_numeric_D_is_correctly_rounded_and_free_of_term_order(ell, monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(heunpoly_mod, "first_integral", lambda q: reversed_D)
             assert NumericQuad(quad, params).D == float(exact)
+
+
+def _ode_rows(sympy, p, q, r, s, ell, sgn):
+    """The residuals of ``check_ode_system``, with symbolic order and sign."""
+    z, lam, mu = sympy.symbols("z lam mu")
+    d = lambda f: sympy.diff(f, z)  # noqa: E731
+    return (
+        z**2 * d(p) - mu * p - (ell - 1) * z * p + q - sgn * z**2 * r,
+        d(q) - lam * p + (ell + 1) * mu * z * p - mu * q - sgn * s,
+        z**2 * d(r) + sgn * (lam + mu**2) * p - 2 * (ell - 1) * z * r + mu * z**2 * r + s,
+        z**2 * d(s) + sgn * (lam + mu**2) * q - lam * z**2 * r + (ell + 1) * mu * z**3 * r
+        - (ell - 1) * z * s + mu * s,
+    )
+
+
+def test_ode_rows_make_the_first_integral_a_monomial():
+    """Put the four rows into z^2 W' for W = p*s - q*r: z^2 W' = 2 (ell - 1) z W
+    with symbolic p, q, r, s, ell and sgn, without sgn**2 = 1."""
+    sympy = pytest.importorskip("sympy")
+    z, ell, sgn = sympy.symbols("z ell sgn")
+    p, q, r, s = (sympy.Function(name)(z) for name in "pqrs")
+    rows = _ode_rows(sympy, p, q, r, s, ell, sgn)
+    derivs = {
+        sympy.diff(f, z): sympy.solve(row, sympy.diff(f, z))[0] for f, row in zip((p, q, r, s), rows)
+    }
+    W = p * s - q * r
+    assert sympy.expand((z**2 * sympy.diff(W, z) - 2 * (ell - 1) * z * W).subs(derivs)) == 0
+
+
+@pytest.mark.parametrize("ell", range(1, 5))
+def test_ode_rows_are_the_checked_rows(ell, monkeypatch):
+    """The rows of the derivation are the pieces ``check_ode_system`` sums."""
+    sympy = pytest.importorskip("sympy")
+    z, lam, mu = sympy.symbols("z lam mu")
+    quad = diagonal(ell)
+    funcs = {id(x): sympy.Function(name)(z) for x, name in zip(quad.as_tuple(), "pqrs")}
+    recorded = []
+    monkeypatch.setattr(
+        heunpoly_mod, "combine", lambda pieces: recorded.append(pieces) or combine(pieces)
+    )
+    assert check_ode_system(quad) == (True, None)
+    assert all(op in (None, PRIME) for pieces in recorded for *_, op in pieces)
+
+    def operand(x, op):
+        f = funcs[id(x)]
+        return sympy.diff(f, z) if op is PRIME else f
+
+    code_rows = [
+        sum(c * z**dz * lam**dlam * mu**dmu * operand(x, op) for c, x, dz, dlam, dmu, op in pieces)
+        for pieces in recorded
+    ]
+    derivation = _ode_rows(sympy, *funcs.values(), ell, (-1) ** ell)
+    assert len(code_rows) == 4
+    assert all(sympy.expand(a - b) == 0 for a, b in zip(code_rows, derivation))
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_first_integral_is_the_full_product(ell):
+    quad = diagonal(ell)
+    W = reference_product(quad.p, quad.s) - reference_product(quad.q, quad.r)
+    assert combine([Piece(1, W, 2 * (1 - ell))]) == LaurentPoly.constant(first_integral(quad))
+
+
+def _corrupted_diagonal(ell: int) -> PolyQuadruple:
+    """The diagonal quadruple with one monomial added to s (degrees unchanged)."""
+    quad = diagonal(ell)
+    return dataclasses.replace(quad, s=quad.s + LaurentPoly.monomial(1, z_pow=1))
+
+
+def test_a_corrupted_quadruple_fails_typed_everywhere(monkeypatch, capsys):
+    for ell in (1, 4):
+        with pytest.raises(NotConstant, match="unproven: q-equation fails"):
+            first_integral(_corrupted_diagonal(ell))
+    monkeypatch.setattr(verify, "diagonal", _corrupted_diagonal)
+    report, failures = check_poly_exact()
+    assert all(value.startswith("FAIL ") for value in report.values()) and len(report) == 6
+    assert any("ode system fails at ell=3" in f for f in failures)
+    monkeypatch.setattr(cli, "diagonal", _corrupted_diagonal)
+    for argv in (["poly", "--ell", "5"], ["poly", "--ell", "5", "--check"]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "first integral unproven" in err and "Traceback" not in err
+
+
+def test_the_ode_system_is_checked_once_per_order(monkeypatch, capsys):
+    calls = []
+    check = heunpoly_mod.check_ode_system
+
+    def counted(quad):
+        calls.append(quad.ell)
+        return check(quad)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heun_monodromy") and getattr(module, "check_ode_system", None) is check:
+            monkeypatch.setattr(module, "check_ode_system", counted)
+    for ell in (1, 7, 12):
+        calls.clear()
+        assert cli.main(["poly", "--ell", str(ell), "--check"]) == 0
+        assert calls == [ell]
+    calls.clear()
+    check_poly_exact()
+    assert calls == list(range(1, 7))
