@@ -6,7 +6,6 @@ from .circle import (
     CirclePair,
     phi_on_circle,
     psi_on_circle,
-    riccati_continue_ray,
     theta_pair_solve,
 )
 from .errors import (
@@ -34,8 +33,6 @@ from .heun import (
     dche_residual,
     pair_ode_residual,
     phi_alpha,
-    phi_from_basis,
-    radial_continue_E,
 )
 from .heunpoly import (
     NumericQuad,

@@ -12,8 +12,9 @@ from those rows and P unread, and kept as ``gauss.Rows`` each way.
 
 Off the circle, Phi = v/u is continued through the linear system behind its
 Riccati equation, collocated by the same kernel on uniform rows along radial
-rays and arcs (``continue_linear``, which ``heun`` shares for the DCHE); the
-system is analytic on the annulus, so poles of Phi need no chart switch.
+rays and arcs (``continue_riccati_path``, the one continuation off the
+circle); the system is analytic on the annulus, so poles of Phi need no
+chart switch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import gauss
-from .errors import DenominatorVanished, OutOfWindow, StepCeilingExceeded, WindowTooSmall
+from .errors import DenominatorVanished, OutOfWindow, StepCeilingExceeded
 from .params import ModelParams
 from .phase import PhasePath, _Rows
 
@@ -227,9 +228,6 @@ class ThetaPair:
         theta, theta_tilde = self.values(t)
         return (theta - theta_tilde) / 2j
 
-    def route_equivalence_residual(self, t) -> float:
-        return float(np.max(np.abs(self.psi_route(t) - np.exp(self.path.P(t)))))
-
 
 def theta_pair_solve(path: PhasePath) -> ThetaPair:
     """Collocate the theta subsystem from t = 0 both ways over [-T/2, T/2].
@@ -274,50 +272,6 @@ def _segment(seg: Segment):
     raise ValueError(f"unknown segment kind {seg[0]!r}")
 
 
-def continue_linear(matrix, norm_bound, y, segments: list[Segment]):
-    """Continue a solution y = (y0, y1) of dy/dz = M(z) y along the segments
-    with the Gauss collocation kernel.
-
-    ``matrix(z)`` gives M on an array of points, shaped (2, 2) + z.shape, and
-    ``norm_bound(r)`` bounds ||M(z)||_inf over |z| >= r.  Each segment gets
-    uniform rows of width ROW_RATE / rate in its variable s, where rate =
-    norm_bound(least radius) * |dz/ds| bounds the norm of dy/ds = M dz/ds y
-    (derivation in CHANGES.md); if one needs more than MAX_STEPS rows,
-    StepCeilingExceeded is raised before anything is allocated.  Rows go in
-    blocks, their propagators are chained in floats, and before each block
-    the pair is rescaled by an exact power of two, so nothing overflows.
-    Returns (y, exponent): the end value is y * 2**exponent.
-    """
-    rows_of = []
-    for seg in segments:
-        z_of, dz_ds, s0, s1, r_min, speed = _segment(seg)
-        if s0 == s1:
-            continue
-        if not r_min > 0:
-            raise ValueError(f"segment {seg} reaches z = 0")
-        max_step = gauss.ROW_RATE / (norm_bound(r_min) * speed)
-        # compared before the division, as in phase._collocate
-        if not abs(s1 - s0) <= gauss.MAX_STEPS * max_step:
-            raise StepCeilingExceeded(f"segment {seg} needs more than {gauss.MAX_STEPS} rows "
-                                      f"of at most {max_step:.3g}")
-        rows = math.ceil(abs(s1 - s0) / max_step)
-        rows_of.append((z_of, dz_ds, s0, rows, (s1 - s0) / rows))
-    y = np.array(y, dtype=complex)
-    exponent = 0
-    for z_of, dz_ds, s0, rows, h in rows_of:
-        for lo in range(0, rows, gauss.BLOCK_ROWS):
-            k = np.arange(lo, min(lo + gauss.BLOCK_ROWS, rows))
-            z = z_of(s0 + h * (k + gauss.NODE_FRACTIONS[:, None]))
-            _, _, R = gauss.row_propagators((matrix(z) * dz_ds(z)).transpose(2, 0, 1, 3), h)
-            shift = math.frexp(float(np.max(np.abs(y))))[1]
-            exponent += shift
-            a, b = np.ldexp(y.view(float), -shift).view(complex).tolist()
-            for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
-                a, b = r00 * a + r01 * b, r10 * a + r11 * b
-            y = np.array((a, b))
-    return y, exponent
-
-
 def continue_riccati_path(
     params: ModelParams,
     F0: complex,
@@ -325,47 +279,52 @@ def continue_riccati_path(
 ) -> tuple[complex, bool]:
     """Continue a Riccati solution, F = F0 at the start, along a piecewise path.
 
-    F = v/u for the linear system
+    F = v/u for the linear system y = (u, v), dy/dz = M(z) y,
 
         u' = -(c/2) u + v / (2 i omega z),    v' = u / (2 i omega z) + (c/2) v,
 
-    c = ell/z + mu (1 + z^-2), carried from (1, F0) by ``continue_linear``.
-    Its coefficients are analytic on the annulus, so (u, v) passes through
-    a pole of F with no change of chart.  Returns (v/u, pole_flag), where the
-    flag marks an end at (numerically) a pole, |u| < |v| / 1e6.
+    c = ell/z + mu (1 + z^-2), carried from (1, F0) by the Gauss collocation
+    kernel.  Its coefficients are analytic on the annulus, so (u, v) passes
+    through a pole of F with no change of chart.  Each segment gets uniform
+    rows of width ROW_RATE / rate in its variable s, where rate =
+    norm_bound * |dz/ds| bounds the norm of dy/ds and norm_bound bounds
+    ||M(z)||_inf over |z| >= the segment's least radius (derivation in
+    CHANGES.md); if one needs more than MAX_STEPS rows, StepCeilingExceeded
+    is raised before any row is collocated.  Rows go in blocks, their
+    propagators are chained in floats, and before each block the pair is
+    rescaled by an exact power of two, so nothing overflows and v/u keeps
+    every bit.  Returns (v/u, pole_flag), where the flag marks an end at
+    (numerically) a pole, |u| < |v| / 1e6.
     """
     ell, mu, omega = params.ell, params.mu, params.omega
-
-    def matrix(z):
-        half_c = 0.5 * (ell / z + mu * (1.0 + z**-2))
-        off = 1.0 / (2j * omega * z)
-        return np.array(((-half_c, off), (off, half_c)))
-
-    def norm_bound(r):
-        return 0.5 * (abs(ell) / r + abs(mu) * (1.0 + r**-2) + 1.0 / (omega * r))
-
-    y, _ = continue_linear(matrix, norm_bound, (1.0, F0), segments)
+    rows_of = []
+    for seg in segments:
+        z_of, dz_ds, s0, s1, r, speed = _segment(seg)
+        if s0 == s1:
+            continue
+        if not r > 0:
+            raise ValueError(f"segment {seg} reaches z = 0")
+        norm_bound = 0.5 * (abs(ell) / r + abs(mu) * (1.0 + r**-2) + 1.0 / (omega * r))
+        max_step = gauss.ROW_RATE / (norm_bound * speed)
+        # compared before the division, as in phase._collocate
+        if not abs(s1 - s0) <= gauss.MAX_STEPS * max_step:
+            raise StepCeilingExceeded(f"segment {seg} needs more than {gauss.MAX_STEPS} rows "
+                                      f"of at most {max_step:.3g}")
+        rows = math.ceil(abs(s1 - s0) / max_step)
+        rows_of.append((z_of, dz_ds, s0, rows, (s1 - s0) / rows))
+    y = np.array((1.0, F0), dtype=complex)
+    for z_of, dz_ds, s0, rows, h in rows_of:
+        for lo in range(0, rows, gauss.BLOCK_ROWS):
+            k = np.arange(lo, min(lo + gauss.BLOCK_ROWS, rows))
+            z = z_of(s0 + h * (k + gauss.NODE_FRACTIONS[:, None]))
+            half_c = 0.5 * (ell / z + mu * (1.0 + z**-2))
+            off = 1.0 / (2j * omega * z)
+            M = np.array(((-half_c, off), (off, half_c))) * dz_ds(z)
+            _, _, R = gauss.row_propagators(M.transpose(2, 0, 1, 3), h)
+            shift = math.frexp(float(np.max(np.abs(y))))[1]
+            a, b = np.ldexp(y.view(float), -shift).view(complex).tolist()
+            for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
+                a, b = r00 * a + r01 * b, r10 * a + r11 * b
+            y = np.array((a, b))
     u, v = y.tolist()
     return (v / u if u else complex(math.inf, math.inf)), abs(u) < abs(v) / 1e6
-
-
-def riccati_continue_ray(
-    path: PhasePath,
-    theta: float,
-    rho_target: float,
-) -> tuple[complex, bool]:
-    """Value of Phi at rho_target * e^{i theta}, continued radially from the circle.
-
-    The starting value is the circle value e^{i phi(theta/omega)} on the lift;
-    theta must stay within the lifted window.
-    """
-    params = path.params
-    if not (RHO_MIN <= rho_target <= RHO_MAX):
-        raise ValueError(f"rho_target must lie in [{RHO_MIN}, {RHO_MAX}]")
-    t0 = theta / params.omega
-    if not (path.t_min <= t0 <= path.t_max):
-        raise WindowTooSmall(f"theta={theta} lies outside the lifted window")
-    F0 = complex(np.exp(1j * path.phi(t0)[0]))
-    if rho_target == 1.0:
-        return F0, False
-    return continue_riccati_path(params, F0, [("radial", theta, 1.0, rho_target)])

@@ -77,6 +77,14 @@ def _params(ell: float, mu: float, omega: float) -> ModelParams:
         raise UsageError(str(exc)) from exc
 
 
+def _require_max_ell(params: ModelParams, checks: tuple[str, ...], where: str = ""):
+    """Refuse an integer order past MAX_ELL where ``checks`` include heun or
+    theorem2: both build the polynomial quadruple of that order."""
+    if {"heun", "theorem2"} & set(checks) and (params.ell_int or 0) > MAX_ELL:
+        raise UsageError(f"{where}ell must be an integer in 1..{MAX_ELL} "
+                         "for the heun and theorem2 checks")
+
+
 def _validate_common(args):
     if not (TOL_MIN <= args.tol <= TOL_MAX):
         raise UsageError(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
@@ -176,6 +184,7 @@ def cmd_verify(args) -> int:
     _validate_common(args)
     params = _params(args.ell, args.mu, args.omega)
     checks = _parse_checks(args.checks)
+    _require_max_ell(params, checks)
     report, failures = run_battery(
         params,
         args.phi0,
@@ -205,6 +214,7 @@ def cmd_monodromy(args) -> int:
 def cmd_sqrt_monodromy(args) -> int:
     _validate_common(args)
     params = _params(args.ell, args.mu, args.omega)
+    _require_max_ell(params, ("theorem2",))
     quad = diagonal(params.require_integer_order())
     d_plus_minus(quad, params)  # raises GenericityViolated before any solve
     nq = NumericQuad(quad, params)
@@ -214,8 +224,9 @@ def cmd_sqrt_monodromy(args) -> int:
     return _battery_exit(failures)
 
 
-def _parse_points(text: str) -> list[tuple[dict, ModelParams]]:
-    """Sweep points with their parameters, all validated before any runs."""
+def _parse_points(text: str, checks: tuple[str, ...]) -> list[tuple[dict, ModelParams]]:
+    """Sweep points with their parameters, all validated for ``checks``
+    before any runs."""
     points = []
     for chunk in text.split(";"):
         try:
@@ -230,7 +241,9 @@ def _parse_points(text: str) -> list[tuple[dict, ModelParams]]:
             "omega": vals[2],
             "phi0": vals[3] if len(vals) == 4 else 0.0,
         }
-        points.append((point, _params(vals[0], vals[1], vals[2])))
+        params = _params(vals[0], vals[1], vals[2])
+        _require_max_ell(params, checks, f"sweep point {chunk!r}: ")
+        points.append((point, params))
     return points
 
 
@@ -252,8 +265,8 @@ def _sweep_one(point: dict, params: ModelParams, tol: float, grid: int, checks: 
 
 def cmd_sweep(args) -> int:
     _validate_common(args)
-    points = _parse_points(args.points)
     checks = _parse_checks(args.checks)
+    points = _parse_points(args.points, checks)
     # one point after another: the integrators are pure-Python loops, which
     # threads only serialize on the interpreter lock
     results = [_sweep_one(pt, params, args.tol, args.grid, checks) for pt, params in points]

@@ -100,10 +100,6 @@ class BivariateCoeff:
     def __mul__(self, other: "BivariateCoeff") -> "BivariateCoeff":
         return product_sum([(1, self, other)])
 
-    def evaluate(self, lam, mu):
-        """Numeric (or Fraction) value at the given parameter point."""
-        return sum(c * lam**a * mu**b for (a, b), c in self.terms.items())
-
     def value_at(self, lam: float, mu: float) -> float:
         """Value at a float point, exact and rounded once: free of the term order."""
         if not self.terms:
@@ -235,10 +231,6 @@ class LaurentPoly:
     def at_one(self) -> BivariateCoeff:
         """Exact value at z = 1 (a bivariate polynomial in lam, mu)."""
         return combine([Piece(1, self, op=AT_ONE)]).coeffs.get(0, BivariateCoeff())
-
-    def evaluate(self, z, lam, mu):
-        """Numeric value; z may be complex or a numpy array."""
-        return sum(c.evaluate(lam, mu) * z**k for k, c in self.coeffs.items())
 
     def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
         """(min_degree, dense ascending coefficient list) at numeric (lam, mu).

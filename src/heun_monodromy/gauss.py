@@ -3,12 +3,12 @@
 dense output, ``Rows``.
 
 One table serves the one collocation kernel, ``row_propagators``, that
-solves every linear system of the program: the phase path's (``phase``), the
-theta pair and the Riccati continuation off the circle (``circle``), and the
-DCHE continuation (``heun``).  Every dense output is a ``Rows`` each way from
-t = 0: the phase path, the theta pair and the P_B panel table of
-``sqrtmono``.  The nodes and weights are literals rather than Golub-Welsch:
-the first LAPACK call keeps about 1 MB for the whole run.
+solves every linear system of the program: the phase path's (``phase``), and
+the theta pair and the Riccati continuation off the circle (``circle``).
+Every dense output is a ``Rows`` each way from t = 0: the phase path, the
+theta pair and the P_B panel table of ``sqrtmono``.  The nodes and weights
+are literals rather than Golub-Welsch: the first LAPACK call keeps about
+1 MB for the whole run.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ and hence the double confluent Heun equation
 
 All derivatives used below are closed-form (chain rule through the phase
 equation).  The one finite difference left is the second derivative of the
-L_B image in the ``lb_maps_solutions`` check of ``verify.check_heun``.  Off
-the circle, a solution is continued radially as the first-order system for
-(E, E'), collocated by the kernel that ``circle`` uses for the Riccati
-continuation (``continue_dche_ray``).  E, E' and E'' of a combination
-c+ E+ + c- E- come from one ``BasisValues.combination``, and the alpha family
-on E+- is the circle's one Moebius quotient (``phi_alpha_values``).
+L_B image in the ``lb_maps_solutions`` check of ``verify.check_heun``.
+E, E' and E'' of a combination c+ E+ + c- E- come from one
+``BasisValues.combination``, and the alpha family on E+- is the circle's one
+Moebius quotient (``phi_alpha_values``).  Every certificate here is on the
+circle; the one continuation off it is the Riccati path of ``circle``.
 
 For positive integer order the operator L_B maps solutions to solutions and
 its square reproduces the counterclockwise monodromy times the scalar first
@@ -29,13 +28,12 @@ share one code path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import RHO_MAX, RHO_MIN, CircleFunction, CirclePair, continue_linear, quotient
-from .errors import DegenerateAtOne, DenominatorVanished, GenericityViolated, WindowTooSmall
+from .circle import CircleFunction, CirclePair, quotient
+from .errors import DegenerateAtOne, GenericityViolated, WindowTooSmall
 from .heunpoly import NumericQuad
 from .params import ModelParams
 from .phase import PhasePath
@@ -160,13 +158,6 @@ def boundary_E_values(b0: BasisValues, s: int) -> tuple[float, float]:
     return float(direct.real), float(closed)
 
 
-def wronskian_at_one(hb: HeunBasisPath) -> float:
-    """E+(1) E-'(1) - E-(1) E+'(1) = -cos(phi(0))/(2 omega), real."""
-    b = hb.at(0.0)
-    val = b.E(+1)[0] * b.Eprime(-1)[0] - b.E(-1)[0] * b.Eprime(+1)[0]
-    return float(val.real)
-
-
 def residual_grid(hb: HeunBasisPath) -> np.ndarray:
     """The 2001-point grid of the pair and second-order residuals: +-1.4T,
     clipped to the window."""
@@ -220,102 +211,6 @@ def phi_alpha(hb: HeunBasisPath, alpha: float) -> CircleFunction:
     alpha = pi/2 reproduces the original Phi identically.
     """
     return CircleFunction(hb.path, lambda t: phi_alpha_values(*hb.pair(t), t, alpha)[0])
-
-
-# ---------------------------------------------------------------------------
-# Radial continuation of the linear equation
-# ---------------------------------------------------------------------------
-
-
-def continue_dche_ray(
-    params: ModelParams,
-    ell: int,
-    theta: float,
-    rho: float,
-    E0: complex,
-    Ep0: complex,
-) -> tuple[complex, complex]:
-    """Continue one solution (value, derivative) of the linear equation
-    radially from the circle point e^{i theta} to rho e^{i theta}.
-
-    With E'' = a E + b E', a = -(lam - mu (ell+1) z) / z^2 and
-    b = -((ell+1) z + mu (1 - z^2)) / z^2, the pair (E, E' / kappa) solves
-    y' = M(z) y, M = [[0, kappa], [a / kappa, b]], collocated by
-    ``circle.continue_linear``.  kappa is the power of two nearest
-    sqrt(max |a|) on the ray, which balances the rows of M: its norm is then
-    about 2 sqrt|a| + |b| rather than |a| + |b|, and the rows widen to match.
-    """
-    if rho == 1.0:
-        return E0, Ep0
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    lam, mu, m = params.lam, params.mu, ell + 1
-
-    def coefficient_bounds(r):
-        """Bounds of |a| and |b| over |z| >= r."""
-        return (abs(lam) + abs(mu * m) * r) / r**2, abs(m) / r + abs(mu) * (1.0 + r**-2)
-
-    k = round(0.5 * math.log2(max(1.0, coefficient_bounds(min(1.0, rho))[0])))
-    kappa = 2.0**k
-
-    def matrix(z):
-        zz = z * z
-        return np.array(((np.zeros_like(z), np.full_like(z, kappa)),
-                         (-(lam - mu * m * z) / (zz * kappa), -(m * z + mu * (1 - zz)) / zz)))
-
-    def norm_bound(r):
-        a, b = coefficient_bounds(r)
-        return max(kappa, a / kappa + b)
-
-    y, exponent = continue_linear(matrix, norm_bound, (E0, Ep0 / kappa),
-                                  [("radial", theta, 1.0, float(rho))])
-    E, Ep = np.ldexp(y.view(float), [exponent, exponent, exponent + k, exponent + k]
-                     ).view(complex).tolist()
-    return E, Ep
-
-
-def radial_continue_E(
-    hb: HeunBasisPath,
-    theta: float,
-    rho_grid,
-) -> dict[int, np.ndarray]:
-    """Continue E+- radially from the circle along theta.
-
-    Returns {+1: values, -1: values} on the rho grid (values of E only),
-    each continued from the exact circle data by ``continue_dche_ray``.
-    """
-    p = hb.params
-    rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    if not np.all((rho_grid >= RHO_MIN) & (rho_grid <= RHO_MAX)):  # NaN fails
-        raise ValueError(f"rho grid outside the guarded annulus [{RHO_MIN}, {RHO_MAX}]")
-    t0 = theta / p.omega
-    out: dict[int, np.ndarray] = {}
-    b = hb.at(t0)
-    for s in (+1, -1):
-        E0 = complex(b.E(s)[0])
-        Ep0 = complex(b.Eprime(s)[0])
-        vals = np.empty(rho_grid.shape, dtype=complex)
-        for i, rho in enumerate(rho_grid):
-            vals[i], _ = continue_dche_ray(p, hb.ell, theta, float(rho), E0, Ep0)
-        out[s] = vals
-    return out
-
-
-def phi_from_basis(hb: HeunBasisPath, theta: float, rho: float) -> complex:
-    """Phi(rho e^{i theta}) reconstructed through the linear basis.
-
-    Uses the identity-map member of the alpha family, which requires the
-    basis at both the target point and its reciprocal.
-    """
-    Ez = radial_continue_E(hb, theta, [rho])
-    Erec = radial_continue_E(hb, -theta, [1.0 / rho])
-    c = np.cos(np.pi / 4.0)
-    z = rho * complex(np.cos(theta), np.sin(theta))
-    num = c * Ez[+1][0] + 1j * c * Ez[-1][0]
-    den = c * Erec[+1][0] - 1j * c * Erec[-1][0]
-    if abs(den) < 1e-12:
-        raise DenominatorVanished("basis reconstruction denominator vanished")
-    return -1j * z**hb.ell * num / den
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ views.  All quantities are dimensionless.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -65,14 +64,6 @@ class ModelParams:
                 "the Heun-layer operations are defined only for ell in 1, 2, ..."
             )
         return n
-
-    def to_json(self) -> str:
-        return json.dumps({"ell": self.ell, "mu": self.mu, "omega": self.omega})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        obj = json.loads(text)
-        return cls(ell=float(obj["ell"]), mu=float(obj["mu"]), omega=float(obj["omega"]))
 
 
 def from_physical(A: float, Bdrive: float, omega: float) -> ModelParams:

@@ -212,6 +212,6 @@ def test_criterion_9_route_equivalence(golden_path):
     pair = theta_pair_solve(golden_path)
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 1001)
-    res = pair.route_equivalence_residual(t)
+    res = float(np.max(np.abs(pair.psi_route(t) - np.exp(golden_path.P(t)))))
     assert res <= 1e-9
     _report(9, f"quadrature vs theta-pair agreement {res:.1e}")

@@ -10,15 +10,14 @@ from heun_monodromy import gauss
 from heun_monodromy import ModelParams, NotConverged, OutOfWindow, solve_phase
 from heun_monodromy.circle import (
     CirclePair,
+    continue_riccati_path,
     half_power_factor_dots,
     half_power_factors,
     phi_on_circle,
     psi_on_circle,
     riccati_circle_residual,
-    riccati_continue_ray,
     theta_pair_solve,
 )
-from heun_monodromy.errors import WindowTooSmall
 from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
 from tests.scipy_reference import reference_theta_pair
 
@@ -135,7 +134,8 @@ def test_theta_pair_trivial(trivial_path):
 
 def test_theta_route_equivalence_golden(golden_path):
     pair = theta_pair_solve(golden_path)
-    assert pair.route_equivalence_residual(grid(golden_path, 1001)) < 1e-9
+    t = grid(golden_path, 1001)
+    assert np.max(np.abs(pair.psi_route(t) - np.exp(golden_path.P(t)))) < 1e-9
 
 
 @pytest.mark.parametrize("point", GOLDENS + FIXED_SWEEP_POINTS)
@@ -201,66 +201,38 @@ def test_theta_pair_nan_phase_raises_not_converged(golden_path):
         theta_pair_solve(dataclasses.replace(golden_path, _fwd=fwd))
 
 
-def test_ray_identity_at_rho_one(golden_path):
-    theta = 0.7
-    val, pole = riccati_continue_ray(golden_path, theta, 1.0)
-    assert not pole
-    assert val == pytest.approx(np.exp(1j * golden_path.phi(theta / golden_path.params.omega)[0]))
-
-
-def test_ray_outside_annulus(golden_path):
-    with pytest.raises(ValueError):
-        riccati_continue_ray(golden_path, 0.0, 10.0)
-
-
-def test_ray_outside_window(golden_path):
-    with pytest.raises(WindowTooSmall):
-        riccati_continue_ray(golden_path, 100.0, 1.1)
-
-
-def test_ray_agrees_with_basis_reconstruction(golden_path):
-    from heun_monodromy.heun import build_E, phi_from_basis
-
-    hb = build_E(phi_on_circle(golden_path), psi_on_circle(golden_path))
-    theta, rho = 0.9, 1.1
-    direct, pole = riccati_continue_ray(golden_path, theta, rho)
-    assert not pole
-    recon = phi_from_basis(hb, theta, rho)
-    # both routes are collocated by the one kernel: 6.9e-16 apart
-    assert abs(direct - recon) < 1e-10
-
-
 # --- pole handling: an exactly solvable continuation with a pole on the ray
 
+# drive-free order-zero point started at phi0 = pi/2: along theta = 0 the
+# continued solution is tanh(i pi/4 - i log(rho)/2), with a pole at
+# rho = e^{-pi/2} ~ 0.2079 inside the guarded annulus
+POLE_PARAMS = ModelParams(ell=0.0, mu=0.0, omega=1.0)
 
-@pytest.fixture(scope="module")
-def pole_path():
-    # drive-free order-zero point started at phi0 = pi/2: along theta = 0 the
-    # continued solution is tanh(i pi/4 - i log(rho)/2), with a pole at
-    # rho = e^{-pi/2} ~ 0.2079 inside the guarded annulus
-    return solve_phase(ModelParams(ell=0.0, mu=0.0, omega=1.0), np.pi / 2, tol=1e-12)
+
+def _continue_from_pole_start(rho: float) -> tuple[complex, bool]:
+    return continue_riccati_path(POLE_PARAMS, cmath.exp(0.5j * np.pi), [("radial", 0.0, 1.0, rho)])
 
 
 def _exact_pole_solution(rho: float) -> complex:
     return cmath.tanh(1j * np.pi / 4 - 0.5j * np.log(rho))
 
 
-def test_continuation_through_pole(pole_path):
-    val, pole = riccati_continue_ray(pole_path, 0.0, 0.2)
+def test_continuation_through_pole():
+    val, pole = _continue_from_pole_start(0.2)
     assert not pole
     # (u, v) passes the pole at e^{-pi/2} with no chart: 3.1e-15 relative
     assert abs(val - _exact_pole_solution(0.2)) < 1e-12 * abs(_exact_pole_solution(0.2))
 
 
-def test_endpoint_on_pole_flagged(pole_path):
+def test_endpoint_on_pole_flagged():
     rho_pole = float(np.exp(-np.pi / 2))
-    val, pole = riccati_continue_ray(pole_path, 0.0, rho_pole)
+    val, pole = _continue_from_pole_start(rho_pole)
     assert pole
 
 
-def test_exact_values_before_pole(pole_path):
+def test_exact_values_before_pole():
     for rho in (0.5, 0.25):
-        val, pole = riccati_continue_ray(pole_path, 0.0, rho)
+        val, pole = _continue_from_pole_start(rho)
         assert not pole
         # 2.2e-16 and 1.0e-15
         assert abs(val - _exact_pole_solution(rho)) < 1e-12 * max(1, abs(_exact_pole_solution(rho)))

@@ -163,6 +163,41 @@ def test_poly_past_the_order_limit(capsys):
     assert f"1..{MAX_ELL}" in err
 
 
+PAST_THE_ORDER_LIMIT = {
+    "verify": ("verify", "--ell", "40", "--mu", "0.3", "--omega", "1", "--phi0", "0.5",
+               "--checks", "heun"),
+    "sqrt-monodromy": ("sqrt-monodromy", "--ell", str(MAX_ELL + 1), "--mu", "0.3",
+                       "--omega", "1", "--phi0", "0.5"),
+    "sweep": ("sweep", "--points", "2,0.3,1,0.5;40,0.3,1,0.5", "--checks", "heun"),
+}
+
+
+@pytest.mark.parametrize("command", list(PAST_THE_ORDER_LIMIT))
+def test_order_past_the_limit_is_a_usage_error_before_the_solve(capsys, monkeypatch, command):
+    # the heun and theorem2 checks build the quadruple of the point's order:
+    # past MAX_ELL, diagonal raised a ValueError (exit 1 with a traceback, and
+    # sweep lost every point)
+    import heun_monodromy.cli as cli_mod
+    import heun_monodromy.verify as verify_mod
+
+    def no_solve(*args, **kw):
+        raise AssertionError("solve_phase ran past the order limit")
+
+    monkeypatch.setattr(cli_mod, "solve_phase", no_solve)
+    monkeypatch.setattr(verify_mod, "solve_phase", no_solve)
+    code, out, err = run(capsys, *PAST_THE_ORDER_LIMIT[command])
+    assert (code, out) == (3, "")
+    assert f"1..{MAX_ELL}" in err
+    assert "Traceback" not in err
+
+
+def test_checks_without_the_quadruple_run_past_the_order_limit(capsys):
+    code, out, err = run(capsys, "verify", "--ell", "40", "--mu", "0.3", "--omega", "1",
+                         "--phi0", "0.5", "--checks", "ode,monodromy")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
+
+
 def test_sqrt_monodromy_golden_2_stdout_is_pinned(capsys):
     code, out, _ = run(
         capsys, "sqrt-monodromy", "--ell", "1", "--mu", "0.2", "--omega", "1.3", "--phi0", "1.0"

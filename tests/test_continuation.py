@@ -1,9 +1,8 @@
-"""The continuations off the circle against scipy's DOP853, an integrator
-the program does not use, and the ray certificate they feed.
+"""The continuation off the circle against scipy's DOP853, an integrator
+the program does not use, and the ray certificate it feeds.
 
-The Riccati reference integrates F itself, in the Phi chart, along the two
-routes of ``verify_monodromy``; the DCHE reference integrates (E, E') along
-one ray.  Neither shares code with the collocation they check.
+The reference integrates F itself, in the Phi chart, along the two routes of
+``verify_monodromy``; it shares no code with the collocation it checks.
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from heun_monodromy import ModelParams, StepCeilingExceeded, gauss, solve_phase
-from heun_monodromy.circle import (
-    CirclePair,
-    continue_riccati_path,
-    phi_on_circle,
-    psi_on_circle,
-)
-from heun_monodromy.heun import build_E, continue_dche_ray
+from heun_monodromy.circle import CirclePair, continue_riccati_path
 from heun_monodromy.monodromy import _algebraic_values, verify_monodromy
 from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
 
@@ -70,43 +63,6 @@ def test_riccati_continuation_matches_scipy(point_path):
             reference = _scipy_riccati(params, F0, segments)
             assert not pole
             assert abs(value - reference) <= 1e-10 * abs(reference), (rho, end)
-
-
-def _scipy_dche(params, ell, theta, rho, E0, Ep0):
-    """(E, E') at rho e^{i theta} from z^2 E'' + ((ell+1) z + mu (1 - z^2)) E'
-    + (lam - mu (ell+1) z) E = 0, integrated radially from z = e^{i theta}."""
-    lam, mu, e = params.lam, params.mu, np.exp(1j * theta)
-
-    def rhs(r, y):
-        z, (E, Ep) = r * e, y
-        Epp = -(((ell + 1) * z + mu * (1 - z * z)) * Ep + (lam - mu * (ell + 1) * z) * E) / (z * z)
-        return [Ep * e, Epp * e]
-
-    y0 = [complex(E0), complex(Ep0)]
-    return solve_ivp(rhs, (1.0, rho), y0, method="DOP853", rtol=RTOL, atol=1e-15).y[:, -1]
-
-
-def test_dche_ray_matches_scipy(point_path):
-    p = point_path.params
-    hb = build_E(phi_on_circle(point_path), psi_on_circle(point_path))
-    theta, rho = 0.7, 0.2
-    b = hb.at(theta / p.omega)
-    for s in (+1, -1):
-        E0, Ep0 = complex(b.E(s)[0]), complex(b.Eprime(s)[0])
-        reference = _scipy_dche(p, hb.ell, theta, rho, E0, Ep0)
-        for value, ref in zip(continue_dche_ray(p, hb.ell, theta, rho, E0, Ep0), reference):
-            assert abs(value - ref) <= 1e-10 * abs(ref)
-
-
-@pytest.mark.parametrize("omega", [0.05, 0.01])
-def test_dche_ray_at_small_omega(omega):
-    # lam = 1/(4 omega^2) - mu^2 is 2500 at omega = 0.01: unbalanced, (E, E')
-    # would need 4.2e5 rows to reach rho = 0.2 and hit the row ceiling; the
-    # balanced pair needs about 2e3
-    params = ModelParams(ell=1.0, mu=0.3, omega=omega)
-    reference = _scipy_dche(params, 1, 0.7, 0.2, 1.0, 0.5)
-    for value, ref in zip(continue_dche_ray(params, 1, 0.7, 0.2, 1.0, 0.5), reference):
-        assert abs(value - ref) <= 1e-10 * abs(ref)
 
 
 def test_ray_residuals_hold_to_1e_13(point_path):

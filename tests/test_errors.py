@@ -44,10 +44,9 @@ def test_every_exception_is_raised_or_a_base_of_a_raised_one():
         assert any(issubclass(r, cls) for r in raised), f"nothing raises {cls.__name__}"
 
 
-def test_denominator_vanished_is_raised_by_the_two_quotients_only():
-    # every Moebius quotient on the circle (the monodromy, the square-root
-    # transform, the alpha family) goes through circle.quotient and its one
-    # floor; the reconstruction off the circle is the one other quotient
+def test_denominator_vanished_is_raised_by_the_one_quotient_only():
+    # every Moebius quotient (the monodromy, the square-root transform, the
+    # alpha family) goes through circle.quotient and its one floor
     sites = {(module, function) for module, function, name in _raises()
              if name == "DenominatorVanished"}
-    assert sites == {("circle", "quotient"), ("heun", "phi_from_basis")}
+    assert sites == {("circle", "quotient")}

@@ -20,16 +20,13 @@ from heun_monodromy.heun import (
     build_E,
     build_matrix_B,
     check_B_squared,
-    continue_dche_ray,
     dche_residual,
     det_relation_residual,
     matrix_action_residual,
     pair_ode_residual,
     phi_alpha,
     phi_alpha_values,
-    radial_continue_E,
     residual_grid,
-    wronskian_at_one,
 )
 from heun_monodromy.heunpoly import NumericQuad, diagonal
 from heun_monodromy.monodromy import _algebraic_coefficients, monodromy_algebraic
@@ -75,9 +72,12 @@ def test_dche_residual(hb, hb2, rng):
 
 
 def test_wronskian_matches_closed_form(hb):
+    # E+(1) E-'(1) - E-(1) E+'(1) = -cos(phi(0))/(2 omega), real
+    b = hb.at(0.0)
+    wronskian = float((b.E(+1)[0] * b.Eprime(-1)[0] - b.E(-1)[0] * b.Eprime(+1)[0]).real)
     expected = -np.cos(hb.path.phi0) / (2.0 * hb.params.omega)
-    assert wronskian_at_one(hb) == pytest.approx(expected, rel=1e-10)
-    assert abs(wronskian_at_one(hb)) > 1e-6
+    assert wronskian == pytest.approx(expected, rel=1e-10)
+    assert abs(wronskian) > 1e-6
 
 
 def test_degenerate_at_one_gate():
@@ -157,32 +157,6 @@ def test_phi_alpha_riccati_uses_the_analytic_derivative(golden_path, golden_quad
     riccati = [v for k, v in report.items() if k.startswith("phi_alpha_riccati")]
     assert len(riccati) == 4 and max(riccati) <= 1e-12
     assert failures == []
-
-
-def test_radial_identity(hb):
-    out = radial_continue_E(hb, 0.4, [1.0])
-    for s in (+1, -1):
-        assert out[s][0] == pytest.approx(complex(hb.at(0.4).E(s)[0]))
-
-
-@pytest.mark.parametrize("rho", [np.nan, 0.1, 5.5])
-def test_radial_rho_outside_the_annulus_is_rejected(hb, rho):
-    with pytest.raises(ValueError, match="annulus"):
-        radial_continue_E(hb, 0.4, [1.0, rho])
-
-
-def test_radial_linearity(hb, rng):
-    theta, rho = 0.3, 1.2
-    b0 = hb.at(theta / hb.params.omega)
-    E0p, Ep0p = complex(b0.E(+1)[0]), complex(b0.Eprime(+1)[0])
-    E0m, Ep0m = complex(b0.E(-1)[0]), complex(b0.Eprime(-1)[0])
-    c1, c2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    vp, _ = continue_dche_ray(hb.params, hb.ell, theta, rho, E0p, Ep0p)
-    vm, _ = continue_dche_ray(hb.params, hb.ell, theta, rho, E0m, Ep0m)
-    vc, _ = continue_dche_ray(
-        hb.params, hb.ell, theta, rho, c1 * E0p + c2 * E0m, c1 * Ep0p + c2 * Ep0m
-    )
-    assert abs(vc - (c1 * vp + c2 * vm)) < 1e-10 * max(1.0, abs(vc))
 
 
 def test_apply_B_image_solves_dche(hb, golden_quad):

@@ -24,7 +24,7 @@ from heun_monodromy.heunpoly import (
     recurrence_step,
 )
 from heun_monodromy.verify import check_poly_exact
-from tests.test_exactpoly import reference_product
+from tests.test_exactpoly import evaluate, evaluate_bivariate, reference_product
 
 
 def first_integral_numeric_residual(
@@ -40,12 +40,12 @@ def first_integral_numeric_residual(
     for _ in range(n_points):
         lam = float(rng.uniform(-2, 2))
         mu = float(rng.uniform(-2, 2))
-        d_val = complex(D.evaluate(lam, mu))
+        d_val = complex(evaluate_bivariate(D, lam, mu))
         for _ in range(n_z):
             z = complex(rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             combo = z ** (2 * (1 - quad.ell)) * (
-                quad.p.evaluate(z, lam, mu) * quad.s.evaluate(z, lam, mu)
-                - quad.q.evaluate(z, lam, mu) * quad.r.evaluate(z, lam, mu)
+                evaluate(quad.p, z, lam, mu) * evaluate(quad.s, z, lam, mu)
+                - evaluate(quad.q, z, lam, mu) * evaluate(quad.r, z, lam, mu)
             )
             denom = max(1.0, abs(d_val))
             worst = max(worst, abs(combo - d_val) / denom)
@@ -195,10 +195,10 @@ def test_numeric_quad_evaluation(golden_params):
     nq = NumericQuad(quad, golden_params)
     z = np.array([0.7 + 0.2j, -1.0 + 0j, 1.0 + 0j])
     lam, mu = golden_params.lam, golden_params.mu
-    direct = quad.r.evaluate(z, lam, mu)
+    direct = evaluate(quad.r, z, lam, mu)
     assert np.max(np.abs(nq("r", z) - direct)) < 1e-14
     dr = quad.r.diff_z()
-    assert np.max(np.abs(nq("r'", z) - dr.evaluate(z, lam, mu))) < 1e-14
+    assert np.max(np.abs(nq("r'", z) - evaluate(dr, z, lam, mu))) < 1e-14
 
 
 def test_first_integral_ell2_closed_form():

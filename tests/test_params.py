@@ -51,12 +51,6 @@ def test_lambda_identity():
     assert abs(p.lam + p.mu**2 - 1.0 / (2 * p.omega) ** 2) < 1e-15
 
 
-def test_json_round_trip():
-    p = ModelParams(ell=2, mu=0.3, omega=1.0)
-    q = ModelParams.from_json(p.to_json())
-    assert (q.ell, q.mu, q.omega) == (p.ell, p.mu, p.omega)
-
-
 @given(
     A=st.floats(-5, 5, allow_nan=False),
     Bdrive=st.floats(-5, 5, allow_nan=False),
