@@ -11,10 +11,11 @@ path's own rows that cover |t| <= T/2, with e^{i phi} at the nodes taken
 from those rows and P unread, and kept as ``gauss.Rows`` each way.
 
 Off the circle, Phi = v/u is continued through the linear system behind its
-Riccati equation, collocated by the same kernel on uniform rows along radial
-rays and arcs (``continue_riccati_path``, the one continuation off the
-circle); the system is analytic on the annulus, so poles of Phi need no
-chart switch.
+Riccati equation, collocated by the same kernel along a route of straight
+legs in w = log z, a radial ray being a real leg and an arc an imaginary
+one, each on the rows of ``gauss.uniform_rows`` (``continue_riccati_path``,
+the one continuation off the circle); the system is analytic on the
+annulus, so poles of Phi need no chart switch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import gauss
-from .errors import DenominatorVanished, OutOfWindow, StepCeilingExceeded
+from .errors import DenominatorVanished, OutOfWindow
 from .params import ModelParams
 from .phase import PhasePath, _Rows
 
@@ -212,8 +213,6 @@ class ThetaPair:
         self._fwd, self._bwd = (
             _collocate(rows, min(int(np.searchsorted(np.abs(rows.ts), half)), rows.n))
             for rows in (path._fwd, path._bwd))
-        self.theta = CircleFunction(path, lambda t: self.values(t)[0])
-        self.theta_tilde = CircleFunction(path, lambda t: self.values(t)[1])
 
     def values(self, t) -> np.ndarray:
         """(2, n) values of (Theta, ThetaTilde) at the times t."""
@@ -256,28 +255,14 @@ def riccati_circle_residual(params: ModelParams, t, F, Fdot) -> np.ndarray:
     return Fdot - (0.5 * (1.0 - F * F) + 1j * params.omega * drive * F)
 
 
-Segment = tuple  # ("radial", theta, rho0, rho1) | ("arc", rho, theta0, theta1)
-
-
-def _segment(seg: Segment):
-    """z(s) and dz/ds on arrays of the segment's variable s, its ends s0 and
-    s1, its least radius and |dz/ds|."""
-    if seg[0] == "radial":
-        _, theta, s0, s1 = seg
-        e = complex(math.cos(theta), math.sin(theta))
-        return (lambda s: s * e), (lambda z: e), s0, s1, min(s0, s1), 1.0
-    if seg[0] == "arc":
-        _, rho, th0, th1 = seg
-        return (lambda s: rho * np.exp(1j * s)), (lambda z: 1j * z), th0, th1, rho, rho
-    raise ValueError(f"unknown segment kind {seg[0]!r}")
-
-
 def continue_riccati_path(
     params: ModelParams,
     F0: complex,
-    segments: list[Segment],
+    route: list[complex],
 ) -> tuple[complex, bool]:
-    """Continue a Riccati solution, F = F0 at the start, along a piecewise path.
+    """Continue a Riccati solution, F = F0 at z = exp(route[0]), along the
+    straight legs in w = log z between the vertices of ``route``: a radial
+    ray is a real leg and an arc of a circle |z| = r an imaginary one.
 
     F = v/u for the linear system y = (u, v), dy/dz = M(z) y,
 
@@ -285,42 +270,39 @@ def continue_riccati_path(
 
     c = ell/z + mu (1 + z^-2), carried from (1, F0) by the Gauss collocation
     kernel.  Its coefficients are analytic on the annulus, so (u, v) passes
-    through a pole of F with no change of chart.  Each segment gets uniform
-    rows of width ROW_RATE / rate in its variable s, where rate =
-    norm_bound * |dz/ds| bounds the norm of dy/ds and norm_bound bounds
-    ||M(z)||_inf over |z| >= the segment's least radius (derivation in
-    CHANGES.md); if one needs more than MAX_STEPS rows, StepCeilingExceeded
-    is raised before any row is collocated.  Rows go in blocks, their
-    propagators are chained in floats, and before each block the pair is
-    rescaled by an exact power of two, so nothing overflows and v/u keeps
-    every bit.  Returns (v/u, pole_flag), where the flag marks an end at
-    (numerically) a pole, |u| < |v| / 1e6.
+    through a pole of F with no change of chart.  On the leg
+    z = exp(w0 + s (w1 - w0)), s in [0, 1], dy/ds = (w1 - w0) z M(z) y, and
+
+        ||z M(z)||_inf <= (|ell| + |mu| (r + 1/r) + 1/omega) / 2,    r = |z|,
+
+    where r + 1/r = 2 cosh(log r) is convex in log r = Re w, which is linear
+    in s, so it is largest at an end of the leg; that rate times |w1 - w0|
+    is what the leg states to ``gauss.uniform_rows`` (CHANGES.md), for every
+    leg before any row is collocated.  Rows go in blocks, their propagators
+    are chained in floats, and before each block the pair is rescaled by an
+    exact power of two, so nothing overflows and v/u keeps every bit.
+    Returns (v/u, pole_flag), where the flag marks an end at (numerically) a
+    pole, |u| < |v| / 1e6.
     """
     ell, mu, omega = params.ell, params.mu, params.omega
-    rows_of = []
-    for seg in segments:
-        z_of, dz_ds, s0, s1, r, speed = _segment(seg)
-        if s0 == s1:
+    legs = []
+    for w0, w1 in zip(route[:-1], route[1:]):
+        w0, dw = complex(w0), complex(w1) - complex(w0)
+        if dw == 0:
             continue
-        if not r > 0:
-            raise ValueError(f"segment {seg} reaches z = 0")
-        norm_bound = 0.5 * (abs(ell) / r + abs(mu) * (1.0 + r**-2) + 1.0 / (omega * r))
-        max_step = gauss.ROW_RATE / (norm_bound * speed)
-        # compared before the division, as in phase._collocate
-        if not abs(s1 - s0) <= gauss.MAX_STEPS * max_step:
-            raise StepCeilingExceeded(f"segment {seg} needs more than {gauss.MAX_STEPS} rows "
-                                      f"of at most {max_step:.3g}")
-        rows = math.ceil(abs(s1 - s0) / max_step)
-        rows_of.append((z_of, dz_ds, s0, rows, (s1 - s0) / rows))
+        reach = max(r + 1.0 / r for r in (math.exp(w0.real), math.exp(w0.real + dw.real)))
+        rate = 0.5 * (abs(ell) + abs(mu) * reach + 1.0 / omega) * abs(dw)
+        legs.append((w0, dw, *gauss.uniform_rows(1.0, rate, f"log z leg {w0!r} -> {w0 + dw!r}")))
     y = np.array((1.0, F0), dtype=complex)
-    for z_of, dz_ds, s0, rows, h in rows_of:
+    for w0, dw, rows, h in legs:
         for lo in range(0, rows, gauss.BLOCK_ROWS):
             k = np.arange(lo, min(lo + gauss.BLOCK_ROWS, rows))
-            z = z_of(s0 + h * (k + gauss.NODE_FRACTIONS[:, None]))
-            half_c = 0.5 * (ell / z + mu * (1.0 + z**-2))
-            off = 1.0 / (2j * omega * z)
-            M = np.array(((-half_c, off), (off, half_c))) * dz_ds(z)
-            _, _, R = gauss.row_propagators(M.transpose(2, 0, 1, 3), h)
+            z = np.exp(w0 + dw * (h * (k + gauss.NODE_FRACTIONS[:, None])))
+            # (w1 - w0) z M(z)
+            half_c = 0.5 * dw * (ell + mu * (z + 1.0 / z))
+            off = np.full_like(z, dw / (2j * omega))
+            N = np.array(((-half_c, off), (off, half_c)))
+            _, _, R = gauss.row_propagators(N.transpose(2, 0, 1, 3), h)
             shift = math.frexp(float(np.max(np.abs(y))))[1]
             a, b = np.ldexp(y.view(float), -shift).view(complex).tolist()
             for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():

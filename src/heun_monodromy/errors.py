@@ -28,7 +28,7 @@ class ToleranceNotMet(HeunMonodromyError):
 
 
 class StepCeilingExceeded(ToleranceNotMet):
-    """The window needs more steps, at the capped step size, than the solver allows."""
+    """A span needs more rows under the row rule than the collocation allows."""
 
 
 class NotConverged(ToleranceNotMet):

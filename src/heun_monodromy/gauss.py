@@ -6,20 +6,23 @@ One table serves the one collocation kernel, ``row_propagators``, that
 solves every linear system of the program: the phase path's (``phase``), and
 the theta pair and the Riccati continuation off the circle (``circle``).
 Every dense output is a ``Rows`` each way from t = 0: the phase path, the
-theta pair and the P_B panel table of ``sqrtmono``.  The nodes and weights
-are literals rather than Golub-Welsch: the first LAPACK call keeps about
-1 MB for the whole run.
+theta pair and the P_B panel table of ``sqrtmono``.  One row rule,
+``uniform_rows``, sizes the phase rows (which the theta pair shares), the
+panel table and every leg of the continuation: each caller states only a
+bound on its rate, and the rule is the one place that refuses a span with
+StepCeilingExceeded.  The nodes and weights are literals rather than
+Golub-Welsch: the first LAPACK call keeps about 1 MB for the whole run.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 
-from .errors import NotConverged
+from .errors import NotConverged, StepCeilingExceeded
 
 EPS = sys.float_info.epsilon
 
@@ -82,8 +85,8 @@ SHIFTED = np.array([[(-1) ** (k + i) * comb(k, i) * comb(k + i, i) for i in rang
 #: q <= 0.12 * 0.98695 = 0.1184, and the local error, about (h rate)^21
 #: times 5.7e-31 at the row end, stays below rounding (CHANGES.md).
 ROW_RATE = 0.12
-#: Row ceiling of one run: a span that needs more rows than this at its row
-#: width is refused before anything is allocated.
+#: Row ceiling of one span: a span that needs more rows than this is refused
+#: before anything is allocated (``uniform_rows``).
 MAX_STEPS = 100_000
 #: Rows collocated together, so a block's node arrays stay at 82 kB however
 #: long the window (the phase's forward side at omega = 0.004 has 29.7k).
@@ -99,6 +102,20 @@ NODE_FRACTIONS = 0.5 * (X + 1.0)
 _A = 0.5 * CUMULATIVE.T
 _B = 0.5 * W[None]
 _EYE = np.eye(2)[:, :, None]
+
+
+def uniform_rows(span: float, rate: float, what: str) -> tuple[int, float]:
+    """The row rule of every collocation: the fewest uniform rows n over a
+    signed span, and their signed width h = span / n, with |h| * rate <=
+    ROW_RATE, where rate > 0 bounds ||M||_inf (in the span's own variable)
+    over the span.  A span that needs more than MAX_STEPS rows raises
+    StepCeilingExceeded, naming ``what``; the product is compared before any
+    division, so a rate of inf or NaN is refused too."""
+    if not abs(span) * rate <= MAX_STEPS * ROW_RATE:
+        raise StepCeilingExceeded(f"{what} needs more than {MAX_STEPS} rows "
+                                  f"of at most {ROW_RATE / rate:.3g}")
+    n = max(1, ceil(abs(span) * rate / ROW_RATE))
+    return n, span / n
 
 
 def node_sum(C: np.ndarray, G: np.ndarray) -> np.ndarray:

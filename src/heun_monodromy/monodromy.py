@@ -105,18 +105,14 @@ def verify_monodromy(
 
     ray_residuals = []
     for rho in rhos or []:
-        # route A: Phi from z=1 radially out to rho, then the upper arc to the cut
-        va, _ = continue_riccati_path(
-            params,
-            complex(np.exp(1j * path.phi0)),
-            [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, np.pi)],
-        )
-        # route B: algebraic Phi_M from z=1 radially, then the lower arc
-        vb, _ = continue_riccati_path(
-            params,
-            complex(at_one),
-            [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, -np.pi)],
-        )
+        # route A: Phi from z=1 radially out to rho, then the upper arc to the
+        # cut; route B: algebraic Phi_M on the same ray, then the lower arc
+        # (vertices in w = log z)
+        log_rho = float(np.log(rho))
+        va, _ = continue_riccati_path(params, complex(np.exp(1j * path.phi0)),
+                                      [0.0, log_rho, complex(log_rho, np.pi)])
+        vb, _ = continue_riccati_path(params, complex(at_one),
+                                      [0.0, log_rho, complex(log_rho, -np.pi)])
         ray_residuals.append([float(rho), float(abs(va - vb))])
 
     return {

@@ -10,8 +10,10 @@ with Phi = v/u, and since Re(u'/u) = cos(phi)/2 the quadrature
 P = int cos(phi) is 2 log|u| (Buchstaber & Tertychnyi, *Theor. Math. Phys.*
 176, 2013).  M depends on t alone, so every row of the window is collocated
 at once with the 10-node Gauss kernel of ``gauss``, forward and backward
-from t = 0 on uniform rows.  Each row restarts from y = (1, Phi_k); the row
-propagators, chained in floats, give the row starts, and inside a row
+from t = 0 on the uniform rows of ``gauss.uniform_rows`` at the turning
+rate |B| + |A| + 1, which bounds |dphi/dt|.  Each row restarts from
+y = (1, Phi_k); the row propagators, chained in floats, give the row
+starts, and inside a row
 
     phi = phi_k + arg(v / (u Phi_k)),    P = P_k + 2 log|u|,
 
@@ -31,8 +33,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import gauss
-from .errors import OutOfWindow, StepCeilingExceeded, ToleranceNotMet, WindowTooSmall
-from .gauss import EPS, MAX_STEPS
+from .errors import OutOfWindow, ToleranceNotMet, WindowTooSmall
+from .gauss import EPS
 from .params import ModelParams
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
@@ -103,11 +105,6 @@ class PhasePath:
         return gauss.two_sided(t, lambda u: self._fwd(u, derivative),
                                lambda u: self._bwd(u, derivative), np.empty((2,) + t.shape))
 
-    def at(self, t: float) -> tuple[float, float]:
-        """(phi, P) at one time as floats."""
-        phi, P = self._split(t, derivative=False)[:, 0].tolist()
-        return phi, P
-
     def eval(self, t) -> np.ndarray:
         """(2, n) array of (phi, P) values; vectorized over t."""
         return self._split(t, derivative=False)
@@ -163,17 +160,15 @@ class PhasePath:
         return np.concatenate([self._bwd.ts[::-1], self._fwd.ts[1:]])
 
 
-def _max_step(params: ModelParams) -> float:
-    """Row-width cap: T/200, and ROW_RATE over the phase's turning rate
-    |B| + |A| + 1, the row rule of every collocation (CHANGES.md).  The
-    second bound keeps each row's phase change |dphi| <= 0.12 < pi, so the
-    arg increments that chain the rows are unambiguous, and it keeps the
-    Picard sweeps of the phase rows and of the theta pair on them contracting
-    by q <= 0.1184.  No derivation needs T/200, which binds at both golden
-    points; it stays because without it the ode residual rose (at G1 from
-    6.2e-15 to 7.1e-15, and at 8 of 44 region points by up to 1.6x), while
-    the other phase certificates and the oracle error held or fell."""
-    return min(params.T / 200.0, gauss.ROW_RATE / (abs(params.Bdrive) + abs(params.A) + 1.0))
+def turning_rate(params: ModelParams) -> float:
+    """|B| + |A| + 1: a bound on |dphi/dt| for every solution of the drive
+    equation, and twice ||M||_inf of its linear system.  The phase rows and
+    the P_B panel table of ``sqrtmono`` state it to ``gauss.uniform_rows``;
+    it keeps each row's phase change |dphi| <= ROW_RATE = 0.12 < pi, so the
+    arg increments that chain the rows are unambiguous, and the Picard
+    sweeps of the phase rows and of the theta pair on them contracting by
+    q <= 0.1184 (CHANGES.md)."""
+    return abs(params.Bdrive) + abs(params.A) + 1.0
 
 
 def _node_matrices(params: ModelParams, t: np.ndarray) -> np.ndarray:
@@ -199,19 +194,12 @@ def _running_sum(start: float, steps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
     """The rows from t = 0 to t_bound, collocated block by block.
 
-    Rows are uniform, h = t_bound / ceil(|t_bound| / _max_step).  Each row's
+    The rows are ``gauss.uniform_rows`` at the turning rate.  Each row's
     propagator maps (1, Phi_k) to (u, v) at its end, and Phi_{k+1} is v/u
     rescaled to |Phi| = 1; the arg increments and 2 log|u| at the row ends
     are summed with their rounding carried along.
     """
-    max_step = _max_step(params)
-    # compared before the division: a huge drive makes max_step tiny or 0,
-    # and the quotient inf or a ZeroDivisionError
-    if not abs(t_bound) <= MAX_STEPS * max_step:
-        raise StepCeilingExceeded(
-            f"[0.0, {t_bound!r}] needs more than {MAX_STEPS} steps of at most {max_step:.3g}")
-    rows = math.ceil(abs(t_bound) / max_step)
-    h = t_bound / rows
+    rows, h = gauss.uniform_rows(t_bound, turning_rate(params), f"[0.0, {t_bound!r}]")
     ts = np.arange(rows + 1) * h
     ts[-1] = t_bound
     Phi = complex(math.cos(phi0), math.sin(phi0))
@@ -341,7 +329,7 @@ def solve_phase(
     along the linearised equation and adds the rounding of the chained row
     starts (``_error_estimate``); an estimate beyond 1e3*tol raises
     ToleranceNotMet.  A direction that needs more than ``gauss.MAX_STEPS`` rows
-    at the capped width raises StepCeilingExceeded before it allocates
+    raises StepCeilingExceeded (``gauss.uniform_rows``) before it allocates
     anything.
     """
     T = params.T

@@ -44,7 +44,7 @@ from .errors import DegenerateAtOne, GenericityViolated, OutOfWindow, WindowTooS
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
 from .heunpoly import NumericQuad
 from .monodromy import monodromy_direct
-from .phase import PhasePath
+from .phase import PhasePath, turning_rate
 
 SHORTCUT_MAPPING = "u/v/w-default"
 THETA_B_ORIENTATION = "mirror (difference/2i equals 1/Psi_B)"
@@ -79,18 +79,17 @@ def _formula_constants(bv: BoundaryValues, nq: NumericQuad):
 
 #: Half-width of the panel table, in units of T: the span verify_theorem2 uses.
 TABLE_SPAN = 0.55
-#: Gauss-Legendre panels per side of t = 0.
-_PANELS = 400
 
 
-def _panel_rows(f, span: float, y_at_0: complex) -> tuple[gauss.Rows, gauss.Rows]:
-    """Rows of y' = f from y(0) = y_at_0 to t = span and to t = -span, with
-    ``_PANELS`` uniform rows each way and one vectorized call of ``f`` at
-    every row's Gauss nodes.  On each row y' is the interpolant of the node
-    values, integrated in closed form, and each row starts where the one
-    before it ends."""
-    widths = np.array((span, -span)) / _PANELS
-    ts = widths[:, None] * np.arange(_PANELS + 1)
+def _panel_rows(f, span: float, y_at_0: complex, rate: float) -> tuple[gauss.Rows, gauss.Rows]:
+    """Rows of y' = f from y(0) = y_at_0 to t = span and to t = -span, on the
+    rows of ``gauss.uniform_rows`` at ``rate`` each way, with one vectorized
+    call of ``f`` at every row's Gauss nodes.  On each row y' is the
+    interpolant of the node values, integrated in closed form, and each row
+    starts where the one before it ends."""
+    n, h = gauss.uniform_rows(span, rate, f"P_B table [0.0, {span!r}]")
+    widths = np.array((h, -h))
+    ts = widths[:, None] * np.arange(n + 1)
     ts[:, -1] = span, -span
     nodes = ts[:, None, :-1] + widths[:, None, None] * gauss.NODE_FRACTIONS[:, None]
     vals = f(nodes.ravel()).reshape(nodes.shape)  # (side, node, panel)
@@ -146,14 +145,16 @@ class SqrtMonodromyTransform:
         y = P_B + i phi_B over +-span.  y' is cos(phi_B) + i dphi_B/dt,
         with cos(phi_B) = Re Phi_B (|Phi_B| = 1 is certified) and
         dphi_B/dt = Im(conj(Phi_B) Phi_B'), from P_B(0) = 0 and phi_B(0) the
-        principal argument."""
+        principal argument.  phi_B solves the phase's own drive equation
+        (``phase_equation_residual`` certifies it), so the table takes the
+        phase rows' rate, ``phase.turning_rate`` (CHANGES.md)."""
 
         def integrand(nodes):
             b = self.at(nodes)
             return b.phi.real + 1j * (np.conj(b.phi) * b.phi_dot).imag
 
         phase_at_0 = float(np.angle(self.phi_B(0.0)[0]))
-        return _panel_rows(integrand, self.span, 1j * phase_at_0)
+        return _panel_rows(integrand, self.span, 1j * phase_at_0, turning_rate(self.params))
 
     def integrals(self, t) -> np.ndarray:
         """P_B + i phi_B at the times t, from the panel table; the imaginary

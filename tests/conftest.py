@@ -14,6 +14,9 @@ GOLDEN_2 = dict(ell=1, mu=0.2, omega=1.3, phi0=1.0)
 GOLDENS = ((2.0, 0.3, 1.0, 0.5), (1.0, 0.2, 1.3, 1.0))
 # perfbench's FIXED_SWEEP_POINTS, the two off-golden points of every sweep
 FIXED_SWEEP_POINTS = ((3.0, 0.3, 1.0, 0.5), (2.0, 0.25, 1.1, 0.4))
+# perfbench's SWEEP_REGION, the box of (ell, mu, omega, phi0) its sweeps draw
+# points from (ell non-integer allowed)
+SWEEP_REGION = ((0.5, 6.0), (0.05, 0.5), (0.6, 1.5), (0.0, 1.2))
 
 # phi(T) from the 30-digit mpmath oracle, rounded to the nearest float.
 GOLDEN_1_PHI_AT_T = float(ORACLE[(2.0, 0.3, 1.0, 0.5)][1.0][0])

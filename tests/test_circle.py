@@ -128,8 +128,9 @@ def test_theta_pair_trivial(trivial_path):
     t = np.linspace(0.0, trivial_path.params.T / 2, 51)
     # with Phi == 1 the difference grows like 2i e^t
     assert np.max(np.abs(pair.psi_route(t) - np.exp(t))) < 1e-10
-    assert complex(pair.theta(np.array([0.0]))[0]) == pytest.approx(1j)
-    assert complex(pair.theta_tilde(np.array([0.0]))[0]) == pytest.approx(-1j)
+    theta, theta_tilde = pair.values(np.array([0.0]))[:, 0]
+    assert complex(theta) == pytest.approx(1j)
+    assert complex(theta_tilde) == pytest.approx(-1j)
 
 
 def test_theta_route_equivalence_golden(golden_path):
@@ -144,7 +145,7 @@ def test_theta_pair_matches_the_scalar_reference(point):
     path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
     t = grid(path, 1001)
     pair = theta_pair_solve(path)
-    theta, theta_tilde = pair.theta(t), pair.theta_tilde(t)
+    theta, theta_tilde = pair.values(t)
     ref_theta, ref_theta_tilde = reference_theta_pair(path)(t)
     scale = np.max(np.abs(theta))
     assert np.max(np.abs(theta - ref_theta)) <= 1e-9 * scale
@@ -154,10 +155,10 @@ def test_theta_pair_matches_the_scalar_reference(point):
 def test_theta_pair_outside_the_half_period_is_out_of_window(golden_path):
     pair = theta_pair_solve(golden_path)
     half = golden_path.params.T / 2
-    pair.theta(np.array([-half, half]))
+    pair.values(np.array([-half, half]))
     for t in (np.nextafter(half, np.inf), -np.nextafter(half, np.inf), np.nan):
         with pytest.raises(OutOfWindow):
-            pair.theta(np.array([0.0, t]))
+            pair.values(np.array([0.0, t]))
         with pytest.raises(OutOfWindow):
             pair.psi_route(np.array([t]))
 
@@ -203,36 +204,36 @@ def test_theta_pair_nan_phase_raises_not_converged(golden_path):
 
 # --- pole handling: an exactly solvable continuation with a pole on the ray
 
-# drive-free order-zero point started at phi0 = pi/2: along theta = 0 the
-# continued solution is tanh(i pi/4 - i log(rho)/2), with a pole at
-# rho = e^{-pi/2} ~ 0.2079 inside the guarded annulus
+# drive-free order-zero point started at phi0 = pi/2: along the ray from
+# z = 1, w = log z real, the continued solution is tanh(i pi/4 - i w/2), with
+# a pole at w = -pi/2, rho = e^{-pi/2} ~ 0.2079, inside the guarded annulus
 POLE_PARAMS = ModelParams(ell=0.0, mu=0.0, omega=1.0)
 
 
-def _continue_from_pole_start(rho: float) -> tuple[complex, bool]:
-    return continue_riccati_path(POLE_PARAMS, cmath.exp(0.5j * np.pi), [("radial", 0.0, 1.0, rho)])
+def _continue_from_pole_start(w: float) -> tuple[complex, bool]:
+    return continue_riccati_path(POLE_PARAMS, cmath.exp(0.5j * np.pi), [0.0, w])
 
 
-def _exact_pole_solution(rho: float) -> complex:
-    return cmath.tanh(1j * np.pi / 4 - 0.5j * np.log(rho))
+def _exact_pole_solution(w: float) -> complex:
+    return cmath.tanh(1j * np.pi / 4 - 0.5j * w)
 
 
 def test_continuation_through_pole():
-    val, pole = _continue_from_pole_start(0.2)
+    w = np.log(0.2)
+    val, pole = _continue_from_pole_start(w)
     assert not pole
     # (u, v) passes the pole at e^{-pi/2} with no chart: 3.1e-15 relative
-    assert abs(val - _exact_pole_solution(0.2)) < 1e-12 * abs(_exact_pole_solution(0.2))
+    assert abs(val - _exact_pole_solution(w)) < 1e-12 * abs(_exact_pole_solution(w))
 
 
 def test_endpoint_on_pole_flagged():
-    rho_pole = float(np.exp(-np.pi / 2))
-    val, pole = _continue_from_pole_start(rho_pole)
+    val, pole = _continue_from_pole_start(-np.pi / 2)
     assert pole
 
 
 def test_exact_values_before_pole():
-    for rho in (0.5, 0.25):
-        val, pole = _continue_from_pole_start(rho)
+    for w in np.log((0.5, 0.25)):
+        val, pole = _continue_from_pole_start(w)
         assert not pole
         # 2.2e-16 and 1.0e-15
-        assert abs(val - _exact_pole_solution(rho)) < 1e-12 * max(1, abs(_exact_pole_solution(rho)))
+        assert abs(val - _exact_pole_solution(w)) < 1e-12 * max(1, abs(_exact_pole_solution(w)))

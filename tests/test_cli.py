@@ -26,12 +26,13 @@ POLY_STDOUT_SHA256 = {
 }
 
 # sha256 of `sqrt-monodromy` standard output at golden point 2 with the
-# default --tol and --grid, recorded with P_B from the Gauss-Legendre panel
-# table and the phase path from Gauss collocation of its linear system.
-SQRT_MONODROMY_G2_SHA256 = "2d410cf8e727e5ca1b8037c66dea15a4126e1adf7c44d3dd3637eaf17c71eb7e"
-# The same report without the two residuals the panel table moved.
-SQRT_MONODROMY_G2_REST_SHA256 = "435feacaf056c3d4a45401ad71d7c1a48326d5f83689dab961448fbe7f1ec9d8"
-# Those two residuals as they were with the DOP853 P_B; both must stay below.
+# default --tol and --grid, recorded with every row count from the one row
+# rule, gauss.uniform_rows.
+SQRT_MONODROMY_G2_SHA256 = "af9ea9a09b6f4cf2b1120e6b637a4574c52da89b382aef665df1c9f8bc0b3f4a"
+# The same report with every residual set to null: its keys, order, grid
+# size and conventions.
+SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10a6b485c61905894a30"
+# Two residuals as they were with the DOP853 P_B; both must stay below.
 SQRT_MONODROMY_G2_DOP853 = {
     "b_squared_residual": 5.675490289945347e-12,
     "psi_quadrature_residual": 4.2443826246232195e-13,
@@ -39,31 +40,50 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
-# at the two golden points, recorded with the phase path, the theta pair and
-# the continuations off the circle all from Gauss collocation of their linear
-# systems, P_B from the panel table's Gauss rows, and the alpha family as
-# the circle quotient.
+# at the two golden points, recorded with the phase path, the theta pair,
+# the P_B panel table and the continuations off the circle all on the rows of
+# the one row rule, gauss.uniform_rows.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "fd270dc5e41e7a05bc78d4ec19a63a9af2c82d829ed98ed8b36cfc1ed0b19da1",
-    ("1", "0.2", "1.3", "1.0"): "75db0e48647b97cb554d42a32b2f650aa16fb5fffe81566d449202afb896bda2",
+    ("2", "0.3", "1", "0.5"): "fb0163a8e6addeb3d5c7e77285604e27c183cc63b2770e8efdc99ae653be8fc6",
+    ("1", "0.2", "1.3", "1.0"): "7d290936d4c0e4c735c5aed8512c49c61fc5e16f2cbe376ce8fa724fdb9db4d2",
 }
-# The theorem2 leaves that moved at rounding level when the panel table
-# became Gauss rows (G1: b_squared 4.02e-15 -> 3.90e-15, psi_quadrature
-# 6.00e-15 -> 6.22e-15), each with a bound over ten times its value.
-VERIFY_MOVED_THEOREM2 = {
-    ("2", "0.3", "1", "0.5"): {"b_squared_residual": 1e-13, "psi_quadrature_residual": 1e-13},
-    ("1", "0.2", "1.3", "1.0"): {},
+# The same reports with every residual set to null: their keys, order,
+# strings, grid sizes and radii.
+VERIFY_SHAPE_SHA256 = {
+    ("2", "0.3", "1", "0.5"): "dffa9847fbc56bdbcf669f1141e3f4e58b3aef3df3a8837b03135f8e6e68ee1a",
+    ("1", "0.2", "1.3", "1.0"): "cd040fd8b8067698880216b1c4597773b269f0596242deadd7e8aa7136f1ff89",
 }
-# The nine heun.phi_alpha_* leaves, which moved at rounding level when the
-# alpha family became the circle quotient (each <= 1.7e-15 at both points).
-VERIFY_MOVED_PHI_ALPHA_BOUND = 1e-13
-# The same reports without ode.route_equivalence, monodromy.ray_residuals,
-# the moved theorem2 leaves and the phi_alpha leaves; equal to the digests of
-# the reports from before those changes with the same leaves removed.
-VERIFY_REST_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "8d065dde53976deb192491d749422258326c938bb5391475d355c1684ff2a263",
-    ("1", "0.2", "1.3", "1.0"): "a99538195814bb35af249c466fac32294e3fd143ecf1b6a081f17f442e05bf6f",
-}
+# Every residual of those reports is bounded at over six times the largest
+# (theorem2's b_squared_residual at G2, 1.42e-14), but lb_maps_solutions,
+# which takes F'' from a symmetric difference (3.4e-10).
+RESIDUAL_BOUND = 1e-13
+LB_MAPS_BOUND = 1e-9
+
+
+def _null_residuals(report: dict, sections=("ode", "monodromy", "heun", "theorem2")):
+    """Set every residual of the report's check sections to None, in place,
+    and return them as (name, value): the float leaves other than tol, the
+    rays' residuals and the operations' sup_residual."""
+    taken = []
+    for section in sections:
+        body = report[section]
+        for key, value in body.items():
+            if isinstance(value, float) and key != "tol":
+                taken.append((f"{section}.{key}", value))
+                body[key] = None
+        for ray in body.get("ray_residuals", []):
+            taken.append((f"{section}.ray_residual({ray[0]})", ray[1]))
+            ray[1] = None
+        for op in body.get("operations", []):
+            taken.append((f"{section}.operations.{op['check']}", op["sup_residual"]))
+            op["sup_residual"] = None
+    return taken
+
+
+def _assert_residuals_bounded(residuals):
+    for name, value in residuals:
+        lb_maps = "lb_maps" in name or name.endswith("apply_B_dche")
+        assert value <= (LB_MAPS_BOUND if lb_maps else RESIDUAL_BOUND), name
 
 
 def run(capsys, *argv):
@@ -206,9 +226,10 @@ def test_sqrt_monodromy_golden_2_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SQRT_MONODROMY_G2_SHA256
     report = json.loads(out)
     for key, before in SQRT_MONODROMY_G2_DOP853.items():
-        assert report["theorem2"].pop(key) < before
-    rest = canonical_json(report) + "\n"
-    assert hashlib.sha256(rest.encode()).hexdigest() == SQRT_MONODROMY_G2_REST_SHA256
+        assert report["theorem2"][key] < before
+    _assert_residuals_bounded(_null_residuals(report, ("theorem2",)))
+    shape = canonical_json(report) + "\n"
+    assert hashlib.sha256(shape.encode()).hexdigest() == SQRT_MONODROMY_G2_SHAPE_SHA256
 
 
 @pytest.mark.parametrize("point", sorted(VERIFY_STDOUT_SHA256))
@@ -220,18 +241,11 @@ def test_verify_golden_stdout_is_pinned(capsys, point):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[point]
     report = json.loads(out)
-    assert report["ode"].pop("route_equivalence") <= 1e-13
-    rays = report["monodromy"].pop("ray_residuals")
-    assert [rho for rho, _ in rays] == [0.8, 1.25]
-    assert max(residual for _, residual in rays) <= 1e-13
-    for key, bound in VERIFY_MOVED_THEOREM2[point].items():
-        assert report["theorem2"].pop(key) <= bound
-    phi_alpha = [key for key in report["heun"] if key.startswith("phi_alpha")]
-    assert len(phi_alpha) == 9
-    for key in phi_alpha:
-        assert report["heun"].pop(key) <= VERIFY_MOVED_PHI_ALPHA_BOUND
-    rest = canonical_json(report) + "\n"
-    assert hashlib.sha256(rest.encode()).hexdigest() == VERIFY_REST_SHA256[point]
+    assert [rho for rho, _ in report["monodromy"]["ray_residuals"]] == [0.8, 1.25]
+    assert len([key for key in report["heun"] if key.startswith("phi_alpha")]) == 9
+    _assert_residuals_bounded(_null_residuals(report))
+    shape = canonical_json(report) + "\n"
+    assert hashlib.sha256(shape.encode()).hexdigest() == VERIFY_SHAPE_SHA256[point]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -300,32 +314,33 @@ def test_step_ceiling_refuses_a_vast_window(capsys):
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (1, "")
-    assert err.startswith("tolerance failure: ") and "needs more than 100000 steps" in err
+    assert err.startswith("tolerance failure: ") and "needs more than 100000 rows" in err
     assert "Traceback" not in err
 
 
 # What the two inputs whose slope scale once overflowed DOP853's initial step
 # print now: at mu = 1e300 the row cap is 6e-302, so the window needs about
 # 2e302 rows and is refused before anything is allocated; at omega = 1e300
-# the window is 800 rows, the solve succeeds, and the report fails its
-# Riccati budget (the residual scales with omega).
+# the window is 546 rows, the solve succeeds, and the report fails its
+# Riccati budget (the residual scales with omega).  The stderr lines are the
+# one message of gauss.uniform_rows.
 ZERO_INITIAL_STEP_EXITS = {
     ("--mu", "1e300", "--omega", "1"): (
-        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 steps "
+        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 rows "
                "of at most 6e-302\n"),
     ("--mu", "0.3", "--omega", "1e300"): (
-        1, '{"sup_residual_circle": 4.8495273725283183e-15, "boundary_residual": '
-           '8.473409486550036e-16, "unimodularity_residual": 4.4408920985006262e-16, '
-           '"riccati_residual": 1.5010080448573983e+285, "ray_residuals": '
-           '[[0.80000000000000004, 2.2204460492503131e-16], [1.25, 2.2204460492503131e-16]], '
+        1, '{"sup_residual_circle": 5.2744357860044847e-15, "boundary_residual": '
+           '2.2887833992611187e-16, "unimodularity_residual": 3.3306690738754696e-16, '
+           '"riccati_residual": 1.4870169084777831e+285, "ray_residuals": '
+           '[[0.80000000000000004, 6.2063353831181828e-16], [1.25, 7.0216669371534024e-16]], '
            '"grid_size": 1001, "tol": 9.9999999999999998e-13}\n', ""),
     # a slope scale of 2e307 makes the row count inf, one of inf makes the
     # row cap 0: both must hit the ceiling before any division
     ("--mu", "1e307", "--omega", "1"): (
-        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 steps "
+        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 rows "
                "of at most 6e-309\n"),
     ("--mu", "1e308", "--omega", "1"): (
-        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 steps "
+        1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 rows "
                "of at most 0\n"),
 }
 

@@ -27,26 +27,19 @@ def point_path(request):
     return solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
 
 
-def _segment(seg):
-    kind, a, s0, s1 = seg
-    if kind == "radial":
-        e = np.exp(1j * a)
-        return (lambda s: s * e), (lambda s: e), s0, s1
-    return (lambda s: a * np.exp(1j * s)), (lambda s: 1j * a * np.exp(1j * s)), s0, s1
-
-
-def _scipy_riccati(params, F0, segments):
-    """F at the end of the segments, from dF/dz = (1 - F^2)/(2 i omega z) + c F."""
+def _scipy_riccati(params, F0, route):
+    """F at the end of the route, from dF/dz = (1 - F^2)/(2 i omega z) + c F
+    along each leg z = exp(w0 + s (w1 - w0)), s in [0, 1]."""
     F = complex(F0)
-    for seg in segments:
-        z_of, dz_ds, s0, s1 = _segment(seg)
+    for w0, w1 in zip(route[:-1], route[1:]):
+        dw = w1 - w0
 
         def rhs(s, y):
-            z, F = z_of(s), y[0]
+            z, F = np.exp(w0 + s * dw), y[0]
             c = params.ell / z + params.mu * (1.0 + z**-2)
-            return [((1.0 - F * F) / (2j * params.omega * z) + c * F) * dz_ds(s)]
+            return [((1.0 - F * F) / (2j * params.omega * z) + c * F) * z * dw]
 
-        F = solve_ivp(rhs, (s0, s1), [F], method="DOP853", rtol=RTOL, atol=1e-15).y[0, -1]
+        F = solve_ivp(rhs, (0.0, 1.0), [F], method="DOP853", rtol=RTOL, atol=1e-15).y[0, -1]
     return F
 
 
@@ -58,9 +51,9 @@ def test_riccati_continuation_matches_scipy(point_path):
         # route A from the period-shift Phi over the upper arc, route B from
         # the algebraic Phi_M over the lower one
         for F0, end in ((np.exp(1j * point_path.phi0), np.pi), (at_one, -np.pi)):
-            segments = [("radial", 0.0, 1.0, rho), ("arc", rho, 0.0, end)]
-            value, pole = continue_riccati_path(params, F0, segments)
-            reference = _scipy_riccati(params, F0, segments)
+            route = [0.0, np.log(rho), complex(np.log(rho), end)]
+            value, pole = continue_riccati_path(params, F0, route)
+            reference = _scipy_riccati(params, F0, route)
             assert not pole
             assert abs(value - reference) <= 1e-10 * abs(reference), (rho, end)
 
@@ -76,11 +69,11 @@ def test_ray_residuals_hold_to_1e_13(point_path):
 
 def test_step_ceiling_is_checked_before_any_row(monkeypatch):
     # an arc of 1e7 radians needs about 1.5e8 rows: it is refused before the
-    # cheap first segment is collocated
+    # cheap first leg is collocated
     def no_rows(*args):
         raise AssertionError("a row was collocated")
 
     monkeypatch.setattr(gauss, "row_propagators", no_rows)
     params = ModelParams(ell=2.0, mu=0.3, omega=1.0)
     with pytest.raises(StepCeilingExceeded, match="needs more than 100000 rows"):
-        continue_riccati_path(params, 1j, [("radial", 0.0, 1.0, 0.9), ("arc", 0.9, 0.0, 1e7)])
+        continue_riccati_path(params, 1j, [0.0, np.log(0.9), complex(np.log(0.9), 1e7)])

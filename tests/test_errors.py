@@ -50,3 +50,11 @@ def test_denominator_vanished_is_raised_by_the_one_quotient_only():
     sites = {(module, function) for module, function, name in _raises()
              if name == "DenominatorVanished"}
     assert sites == {("circle", "quotient")}
+
+
+def test_step_ceiling_is_raised_by_the_row_rule_only():
+    # the phase rows, the P_B panel table and every continuation leg are
+    # sized by gauss.uniform_rows, the one place that refuses a span
+    sites = {(module, function) for module, function, name in _raises()
+             if name == "StepCeilingExceeded"}
+    assert sites == {("gauss", "uniform_rows")}

@@ -5,7 +5,7 @@ one ``CirclePair`` call on t and -t together, giving one values bundle per
 grid, and theorem 2 integrates P_B on one Gauss-Legendre panel table.
 Before that, ``check_heun`` made 577 array evaluations over 416k points, and
 ``check_theorem2`` made 151 array evaluations plus 6186 one-point
-``PhasePath.at`` calls from a scalar DOP853 quadrature; later, with one
+evaluations from a scalar DOP853 quadrature; later, with one
 evaluation per residual call, 19 and 20, and ``check_circle`` 7 evaluations
 and 1 derivative of its one grid.
 """
@@ -21,8 +21,8 @@ from heun_monodromy.verify import check_circle, check_heun, check_theorem2
 
 @pytest.fixture()
 def counts(monkeypatch):
-    tally = {"eval": 0, "points": 0, "derivative": 0, "at": 0}
-    evaluate, derivative, at = PhasePath.eval, PhasePath.derivative, PhasePath.at
+    tally = {"eval": 0, "points": 0, "derivative": 0}
+    evaluate, derivative = PhasePath.eval, PhasePath.derivative
 
     def counting_eval(self, t):
         tally["eval"] += 1
@@ -34,13 +34,8 @@ def counts(monkeypatch):
         tally["points"] += np.size(t)
         return derivative(self, t)
 
-    def counting_at(self, t):
-        tally["at"] += 1
-        return at(self, t)
-
     monkeypatch.setattr(PhasePath, "eval", counting_eval)
     monkeypatch.setattr(PhasePath, "derivative", counting_derivative)
-    monkeypatch.setattr(PhasePath, "at", counting_at)
     return tally
 
 
@@ -48,21 +43,21 @@ def test_check_circle_evaluations(golden_path, counts):
     check_circle(golden_path, 1001)
     # route_equivalence collocates the theta pair on the path's own rows and
     # evaluates the path nowhere (the scalar solve it replaced made 3226
-    # one-point "at" calls)
-    assert counts == {"eval": 1, "points": 2002, "derivative": 1, "at": 0}
+    # one-point evaluations)
+    assert counts == {"eval": 1, "points": 2002, "derivative": 1}
 
 
 def test_check_heun_evaluations(golden_path, golden_quad, counts):
     check_heun(golden_path, golden_quad, 1001)
     # the L_B matrix evaluates the basis at t = +-T/2 and t = 0, two points
     # each; the boundary values it was built from before took two one-point
-    # evaluations (each also one "at")
-    assert counts == {"eval": 13, "points": 11825, "derivative": 0, "at": 0}
+    # evaluations
+    assert counts == {"eval": 13, "points": 11825, "derivative": 0}
 
 
 def test_check_theorem2_evaluations(golden_path, golden_quad, counts):
     check_theorem2(golden_path, golden_quad, 1001)
     # the boundary values are one 3-point evaluation at (T/2, -T/2, 0); they
-    # were two one-point evaluations (each also one "at" call while a
-    # one-point eval had its own float path)
-    assert counts == {"eval": 10, "points": 23026, "derivative": 0, "at": 0}
+    # were two one-point evaluations.  The panel table's nodes are 2 sides x
+    # 104 rows x 10 nodes, each evaluated at t and -t: 4160 points
+    assert counts == {"eval": 10, "points": 11186, "derivative": 0}

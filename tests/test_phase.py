@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 import heun_monodromy
 from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, gauss, solve_phase
-from heun_monodromy.phase import _max_step
+from heun_monodromy.phase import turning_rate
 from tests.conftest import (
     FIXED_SWEEP_POINTS,
     GOLDEN_1,
@@ -39,14 +39,15 @@ def test_unstable_equilibrium():
 
 
 def test_golden_phi_at_T(golden_path, golden2_path):
-    # the solved phi(T) sits within 1.8e-15 (G1) and 4.4e-16 (G2) of the oracle
+    # the solved phi(T) is the oracle's nearest float at G1 and within 4.4e-16
+    # of it at G2
     for path, expected in ((golden_path, GOLDEN_1_PHI_AT_T), (golden2_path, GOLDEN_2_PHI_AT_T)):
         T = path.params.T
         assert abs(float(path.phi(T)[0]) - expected) < 1e-13
 
 
 def test_initial_conditions_exact(golden_path):
-    phi, P = golden_path.at(0.0)
+    phi, P = golden_path.eval(0.0)[:, 0]
     assert phi == golden_path.phi0
     assert P == 0.0
 
@@ -55,10 +56,10 @@ def test_eval_at_step_endpoint(golden_path):
     ts = golden_path.step_times
     inner = ts[(ts > golden_path.t_min) & (ts < golden_path.t_max)]
     t = float(inner[len(inner) // 3])
-    phi1, P1 = golden_path.at(t)
+    phi1, P1 = golden_path.eval(t)[:, 0]
     # dense output is exact at accepted steps: re-evaluating nearby and
     # extrapolating cannot change the endpoint value
-    phi2, P2 = golden_path.at(t)
+    phi2, P2 = golden_path.eval(t)[:, 0]
     assert phi1 == phi2 and P1 == P2
 
 
@@ -183,9 +184,8 @@ def test_phase_certificates_hold_to_1e_13(point):
 
 
 def _scipy_phase(params, phi0, t_bound, max_step):
-    # the settings solve_phase used with DOP853 at tol = 1e-12: rtol 2.5e-14
-    # and max step min(T/200, 0.12/(|B| + |A| + 1)); the second cap binds at
-    # OFF_GOLDEN
+    # rtol 2.5e-14, the setting solve_phase used with DOP853 at tol = 1e-12,
+    # and as max step the phase rows' widest row, 0.12/(|B| + |A| + 1)
     return solve_ivp(phase_rhs(params), (0.0, t_bound), (phi0, 0.0), method="DOP853",
                      rtol=2.5e-14, atol=2.5e-16, max_step=max_step, dense_output=True)
 
@@ -194,7 +194,7 @@ def _scipy_phase(params, phi0, t_bound, max_step):
 def test_phase_solve_matches_scipy(point):
     params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
     path = solve_phase(params, point["phi0"], tol=1e-12)
-    sols = [_scipy_phase(params, point["phi0"], t_bound, _max_step(params))
+    sols = [_scipy_phase(params, point["phi0"], t_bound, gauss.ROW_RATE / turning_rate(params))
             for t_bound in (path.t_max, path.t_min)]
     t = np.random.default_rng(5).uniform(path.t_min, path.t_max, 5000)
     expect = np.where(t >= 0, sols[0].sol(t), sols[1].sol(t))
@@ -235,9 +235,13 @@ def test_program_defines_or_imports_no_dop853():
 
 def test_only_gauss_evaluates_dense_rows():
     # every dense output evaluates through gauss.Rows: no other module of the
-    # package may call the row evaluators, so no second evaluator reappears
+    # package may call the row evaluators, so no second evaluator reappears;
+    # each guarded name must be one gauss defines, so the guard cannot go stale
     package = Path(heun_monodromy.__file__).resolve().parent
-    evaluators = {"horner", "rise_coefficients", "legendre_integrals"}
+    evaluators = {"horner", "legendre", "legendre_integrals"}
+    defined = {node.name for node in ast.parse((package / "gauss.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert evaluators <= defined, evaluators - defined
     for module in sorted(package.glob("*.py")):
         if module.name == "gauss.py":
             continue

@@ -189,11 +189,19 @@ def test_gauss_legendre_literals():
 
 
 def test_panel_table_is_converged(golden2_path, golden2_quad, monkeypatch):
+    # the row rule's table (63 rows per side here) against one with twice
+    # the rows
     T = golden2_path.params.T
     t = np.linspace(-0.55 * T, 0.55 * T, 20001)
+    rule = gauss.uniform_rows
+
+    def doubled(span, rate, what):
+        n, _ = rule(span, rate, what)
+        return 2 * n, span / (2 * n)
+
     runs = []
-    for panels in (400, 800):
-        monkeypatch.setattr(sqrt_mod, "_PANELS", panels)
+    for rows in (rule, doubled):
+        monkeypatch.setattr(gauss, "uniform_rows", rows)
         tr = transform_from_path(golden2_path, golden2_quad)
         runs.append((tr.phase(t), tr.quadrature(0.55 * T)(t), tr.integrals(t).imag))
     assert np.array_equal(runs[0][0], runs[1][0])
