@@ -12,6 +12,7 @@ from .errors import (
     DegenerateAtOne,
     DegreeClaimViolated,
     DenominatorVanished,
+    ExponentOutOfRange,
     GenericityViolated,
     HeunMonodromyError,
     NonIntegerOrder,

@@ -57,3 +57,7 @@ class GenericityViolated(HeunMonodromyError):
 
 class DegenerateAtOne(HeunMonodromyError):
     """cos(phi(0)) ~ 0: the two basis functions degenerate at z = 1."""
+
+
+class ExponentOutOfRange(HeunMonodromyError):
+    """An exponent does not fit its field of a polynomial's packed key."""

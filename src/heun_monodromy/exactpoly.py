@@ -1,84 +1,127 @@
 """Exact Laurent polynomials in z with coefficients in Z[lam, mu].
 
-A Laurent polynomial is one flat dict ``{(z_pow, lam_pow, mu_pow): int}`` with
-no zero entries; a ``BivariateCoeff`` is one ``{(lam_pow, mu_pow): int}``.
-Two kernels do all the arithmetic: ``combine`` sums monomial multiples of
-polynomials (or of their z-derivatives, reflections z -> -z and values at
-z = 1) in one dict pass, and ``_product`` sums products of bivariate
-coefficients in one numpy object-array accumulator.  No z-dependent
+A Laurent polynomial is two parallel arrays sorted by key: int64 keys that
+pack the exponents ``(z, lam, mu)``, and the nonzero coefficients as Python
+ints in an object array, so they stay exact at any size.  A
+``BivariateCoeff`` is one ``{(lam_pow, mu_pow): int}`` dict.  One
+accumulator, ``_collect``, does every sum by key: a stable sort, then one
+``np.add.reduceat`` over the runs of equal keys, then the zero sums dropped.
+``combine_rows`` sums monomial multiples of polynomials (or of their
+z-derivatives, reflections z -> -z and values at z = 1) for several rows at
+once, with the row in the key, so one accumulation builds a whole recurrence
+step or all residuals of an identity check; ``_product`` sums outer products
+of keys and coefficients through the same accumulator.  No z-dependent
 polynomial is ever multiplied: the recurrence layer's only products are of
-values at z = 1, in ``heunpoly.first_integral``.  Every identity check of the
-recurrence layer uses this exact arithmetic, never floating point.
+values at z = 1, in ``heunpoly.first_integral``.  Every identity check of
+the recurrence layer uses this exact arithmetic, never floating point.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-#: The dense product box is used while it holds at most this many slots per
-#: term pair; sparser operands number their distinct exponent sums instead.
-_BOX_SLOTS_PER_PAIR = 32
+from .errors import ExponentOutOfRange
+
+# A key packs (row, z, lam, mu) into bit fields of one int64, most
+# significant first: keys sort by row, then z ascending, lam descending and mu
+# ascending, which is the canonical term order.  Each exponent e is stored as
+# e + _BIAS (lam as ~(lam + _BIAS) in the field), so the packing is affine
+# and a monomial shift is the addition of one packed difference.
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_BIAS = 1 << (_FIELD - 1)
+_Z, _LAM, _ROW = 2 * _FIELD, _FIELD, 3 * _FIELD
+_FIELDS = np.array([[_Z], [_LAM], [0]])  # the z, lam and mu shifts, as a column
+_MAX_ROWS = 1 << (63 - _ROW)
+_IN_ROW = (1 << _ROW) - 1  # the exponent fields of a key
+_INT64 = 1 << 63
 
 
-def _product(pairs) -> dict[tuple[int, ...], int]:
-    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in canonical form.
+def _fit(lo: tuple[int, int, int], hi: tuple[int, int, int]) -> int:
+    """How far the (z, lam, mu) exponents ``lo..hi`` stay inside their key
+    fields: each can move that far and still fit.  Raises ExponentOutOfRange
+    unless they fit."""
+    for name, a, b in zip(("z", "lam", "mu"), lo, hi):
+        if a < -_BIAS or b >= _BIAS:
+            raise ExponentOutOfRange(
+                f"{name} exponents {a}..{b} do not fit the key field {-_BIAS}..{_BIAS - 1}"
+            )
+    return min(min(lo) + _BIAS, _BIAS - 1 - max(hi))
 
-    ``x`` and ``y`` are term dicts keyed by exponent tuples of one length.
-    Every exponent tuple of the sum gets a slot in one accumulator.  The
-    coefficients sit in numpy object arrays, so they stay Python ints (exact
-    at any size).  The products ``c * x_i * y`` of one term of the shorter
-    operand land on distinct slots, so one fancy-index ``+=`` per term is
-    exact.  Only the nonzero slots are decoded, ascending in the exponents.
+
+def _shift(dz, dlam, dmu):
+    """The packed difference of a multiplication by z**dz * lam**dlam * mu**dmu
+    (ints or int64 arrays); ``_ORIGIN + _shift(z, lam, mu)`` is the key of a term."""
+    return (dz << _Z) - (dlam << _LAM) + dmu
+
+
+#: The key of the exponents (0, 0, 0) in row 0.
+_ORIGIN = (_BIAS << _Z) + ((_MASK - _BIAS) << _LAM) + _BIAS
+
+
+def _collect(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``vals`` over equal ``keys``: (ascending distinct keys, nonzero sums).
+
+    The one accumulator of the package: a stable sort, one ``np.add.reduceat``
+    over the runs of equal keys, and the zero sums dropped.
     """
-    ops = []
+    if not len(keys):
+        return keys, vals
+    order = keys.argsort(kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.empty(len(keys), dtype=bool)  # each run's first key
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    sums = np.add.reduceat(vals, starts)
+    keep = sums != 0
+    return keys[starts[keep]], sums[keep]
+
+
+def _product(pairs: Iterable[tuple[int, "LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
+    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one accumulation.
+
+    Each pair adds the outer sum of the keys and the outer product of the
+    coefficients.
+    """
+    keys, vals, slack = [], [], _BIAS
     for c, x, y in pairs:
-        if len(x) > len(y):
-            x, y = y, x
-        if x:
-            xe, ye = np.array(list(x), dtype=np.int64), np.array(list(y), dtype=np.int64)
-            yc = np.fromiter(y.values(), object, len(y))
-            ops.append((xe, [c * v for v in x.values()], ye, yc))
-    if not ops:
-        return {}
-    lo = np.min([xe.min(0) + ye.min(0) for xe, _, ye, _ in ops], axis=0)
-    hi = np.max([xe.max(0) + ye.max(0) for xe, _, ye, _ in ops], axis=0)
-    span = tuple((hi - lo + 1).tolist())
-    size = math.prod(span)
-    if size <= _BOX_SLOTS_PER_PAIR * sum(len(xc) * len(yc) for _, xc, _, yc in ops):
-        # Flat index in the dense box of the sum's span: the x part counts
-        # from x's least exponents, the y part from the rest of lo.
-        rows = []
-        for xe, _, ye, _ in ops:
-            kx = np.ravel_multi_index(tuple((xe - xe.min(0)).T), span)
-            ky = np.ravel_multi_index(tuple((ye + xe.min(0) - lo).T), span)
-            rows.append(map(ky.__add__, kx.tolist()))
-        acc = np.zeros(size, dtype=object)
+        if x.is_zero() or y.is_zero():
+            continue
+        # x + y stays inside by x's slack plus y's, less the field's half-width
+        s = x._slack + y._slack - _BIAS
+        if s < 0:  # the slacks may be loose: sum the exact ranges
+            (xlo, xhi), (ylo, yhi) = x._range(0), y._range(0)
+            s = _fit(tuple(map(int.__add__, xlo, ylo)), tuple(map(int.__add__, xhi, yhi)))
+        slack = min(slack, s)
+        keys.append((x._keys[:, None] + (y._keys - _ORIGIN)).ravel())
+        vals.append(np.multiply.outer(x._vals * c, y._vals).ravel())
+    if not keys:
+        return LaurentPoly()
+    keys, vals = _collect(np.concatenate(keys), np.concatenate(vals))
+    return LaurentPoly._from_arrays(keys, vals, slack)
 
-        def decode(nz):
-            return np.column_stack(np.unravel_index(nz, span)) + lo
 
-    else:
-        # Sparse operands: number the distinct exponent sums instead.
-        sums = [(xe[:, None] + ye).reshape(-1, len(span)) for xe, _, ye, _ in ops]
-        keys, inverse = np.unique(np.concatenate(sums), axis=0, return_inverse=True)
-        rows = np.split(inverse.reshape(-1), np.cumsum([len(s) for s in sums])[:-1])
-        rows = [r.reshape(len(xc), -1) for r, (_, xc, _, _) in zip(rows, ops)]
-        acc = np.zeros(len(keys), dtype=object)
-
-        def decode(nz):
-            return keys[nz]
-
-    for (_, xc, _, yc), op_rows in zip(ops, rows):
-        for row, c in zip(op_rows, xc):
-            acc[row] += c * yc
-    nz = np.flatnonzero(acc)
-    return dict(zip(zip(*decode(nz).T.tolist()), acc[nz].tolist()))
+def _values_at(polys: list[list[tuple[int, int, int]]], lam: float, mu: float) -> list[float]:
+    """Value at a float point of each bivariate polynomial, given as
+    ``(lam_pow, mu_pow, coeff)`` terms: exact and rounded once, so free of the
+    term order and of which polynomials are evaluated together."""
+    (nl, dl), (nm, dm) = lam.as_integer_ratio(), mu.as_integer_ratio()
+    top_a = max(a for terms in polys for a, _, _ in terms)
+    top_b = max(b for terms in polys for _, b, _ in terms)
+    # every term over the common denominator dl**top_a * dm**top_b
+    lam_pows = [nl**a * dl ** (top_a - a) for a in range(top_a + 1)]
+    mu_pows = [nm**b * dm ** (top_b - b) for b in range(top_b + 1)]
+    den = dl**top_a * dm**top_b
+    # int / int rounds correctly
+    return [sum(c * lam_pows[a] * mu_pows[b] for a, b, c in terms) / den for terms in polys]
 
 
 @dataclass(frozen=True)
@@ -104,21 +147,22 @@ class BivariateCoeff:
         """Value at a float point, exact and rounded once: free of the term order."""
         if not self.terms:
             return 0.0
-        (nl, dl), (nm, dm) = lam.as_integer_ratio(), mu.as_integer_ratio()
-        top_a, top_b = max(a for a, _ in self.terms), max(b for _, b in self.terms)
-        # every term over the common denominator dl**top_a * dm**top_b
-        lam_pows = [nl**a * dl ** (top_a - a) for a in range(top_a + 1)]
-        mu_pows = [nm**b * dm ** (top_b - b) for b in range(top_b + 1)]
-        num = sum(c * lam_pows[a] * mu_pows[b] for (a, b), c in self.terms.items())
-        return num / (dl**top_a * dm**top_b)  # int / int rounds correctly
+        return _values_at([[(a, b, c) for (a, b), c in self.terms.items()]], lam, mu)[0]
 
     def __repr__(self) -> str:
         return f"BivariateCoeff({self.terms!r})"
 
 
-def product_sum(pairs: Iterable[tuple[int, BivariateCoeff, BivariateCoeff]]) -> BivariateCoeff:
-    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one product accumulator."""
-    return BivariateCoeff(_product([(c, x.terms, y.terms) for c, x, y in pairs]))
+def product_sum(pairs: Iterable[tuple[int, object, object]]) -> BivariateCoeff:
+    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one accumulation.
+
+    ``x`` and ``y`` are polynomials in (lam, mu): ``BivariateCoeff``s, or
+    ``LaurentPoly``s of z-degree 0 such as the rows of ``combine_rows``.
+    """
+    def packed(v):
+        return v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
+
+    return _bivariate(_product([(c, packed(x), packed(y)) for c, x, y in pairs]))
 
 
 def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> str:
@@ -136,50 +180,152 @@ def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> str:
 
 
 #: Operators a piece may apply to its polynomial (d/dz, z -> -z, z -> 1): each
-#: maps a term's z-power and the piece's factor c to its new z-power and weight.
+#: maps the int64 array of a polynomial's z-powers to the change of each
+#: z-power and the integer multiplier of each term (each an int or an array).
 PRIME, REFLECT, AT_ONE = (
-    lambda z, c: (z - 1, c * z),
-    lambda z, c: (z, -c if z & 1 else c),
-    lambda z, c: (0, c),
+    lambda z: (-1, z),
+    lambda z: (0, 1 - 2 * (z & 1)),
+    lambda z: (-z, 1),
 )
 
 
 class Piece(NamedTuple):
-    """The summand ``c * z**dz * lam**dlam * mu**dmu * op(x)`` of ``combine``."""
+    """The summand ``c * z**dz * lam**dlam * mu**dmu * op(x)`` of a row of ``combine_rows``."""
 
     c: int
     x: "LaurentPoly"
     dz: int = 0
     dlam: int = 0
     dmu: int = 0
-    op: Callable[[int, int], tuple[int, int]] | None = None
+    op: Callable[[np.ndarray], tuple] | None = None
+
+
+def combine_rows(rows: Sequence[Iterable[Piece]]) -> list["LaurentPoly"]:
+    """Exact sum of the pieces of each row, all rows in one ``_collect``.
+
+    Every piece's keys move by one packed shift, with the row index in the
+    top field, so the numpy work is a few calls over all pieces at once.  The
+    sorted sums split into the rows at their first keys.  No exponent is
+    packed before it is known to fit.
+    """
+    if len(rows) > _MAX_ROWS:
+        raise ExponentOutOfRange(f"{len(rows)} rows do not fit the key's row field")
+    keys, vals, shifts, factors, slack, spread = [], [], [], [], _BIAS, False
+    for row, pieces in enumerate(rows):
+        for c, x, dz, dlam, dmu, op in pieces:
+            k, v = x._keys, x._vals
+            if not len(k):
+                continue
+            s, step = x._slack - abs(dlam) - abs(dmu), 0
+            if op is not None:
+                step, m = op(x._z())
+                if isinstance(step, int):
+                    dz, step = dz + step, 0
+                else:  # each term's z-power moves by its own step
+                    s -= int(abs(step).max())
+                    k, spread = k + (step << _Z), True
+                if isinstance(m, int):
+                    c *= m
+                else:  # |m| <= 2**_FIELD, so an int64 multiplier is exact
+                    v = v * m
+            s -= abs(dz)
+            if s < 0:  # the slack may be loose: move the exact range
+                (zlo, llo, mlo), (zhi, lhi, mhi) = x._range(step)
+                s = _fit((zlo + dz, llo + dlam, mlo + dmu), (zhi + dz, lhi + dlam, mhi + dmu))
+            if s < slack:
+                slack = s
+            keys.append(k)
+            vals.append(v)
+            shifts.append((row << _ROW) + _shift(dz, dlam, dmu))
+            factors.append(c)
+    if not keys:
+        return [LaurentPoly() for _ in rows]
+    keys, vals = _shifted_weighted(keys, vals, shifts, factors)
+    if len(shifts) > 1 or spread:
+        keys, vals = _collect(keys, vals)
+    else:  # one piece moved as a whole: its keys stay sorted and distinct
+        keep = vals != 0
+        keys, vals = keys[keep], vals[keep]
+    if len(rows) == 1:
+        return [LaurentPoly._from_arrays(keys, vals, slack)]
+    cuts = [0, *keys.searchsorted([row << _ROW for row in range(1, len(rows))]).tolist(), len(keys)]
+    keys = keys & _IN_ROW
+    return [LaurentPoly._from_arrays(keys[a:b], vals[a:b], slack) for a, b in zip(cuts, cuts[1:])]
+
+
+def _shifted_weighted(keys: list, vals: list, shifts: list[int], factors: list[int]):
+    """All pieces' keys plus their shifts and coefficients times their factors,
+    each concatenated.  The factors are int64 while they fit, Python ints
+    otherwise; a coefficient with factor 1 is kept, not copied."""
+    if len(keys) == 1:
+        return keys[0] + shifts[0], vals[0] * factors[0] if factors[0] != 1 else vals[0]
+    sizes = [len(k) for k in keys]
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    if -_INT64 <= min(factors) and max(factors) < _INT64:
+        shifts, factors = np.repeat(np.array([shifts, factors], dtype=np.int64), sizes, axis=1)
+    else:
+        shifts = np.repeat(np.array(shifts, dtype=np.int64), sizes)
+        factors = np.repeat(np.array(factors, dtype=object), sizes)
+    return keys + shifts, np.multiply(vals, factors, out=vals, where=factors != 1)
 
 
 def combine(pieces: Iterable[Piece]) -> "LaurentPoly":
-    """Exact sum of the pieces, accumulated in one dict (trimmed once, by the constructor)."""
-    out: dict[tuple[int, int, int], int] = {}
-    get = out.get
-    for c, x, dz, dlam, dmu, op in pieces:
-        if op is None:
-            for (z, a, b), v in x.terms.items():
-                key = (z + dz, a + dlam, b + dmu)
-                out[key] = get(key, 0) + c * v
-            continue
-        moves = {z: op(z, c) for z in {z for z, _, _ in x.terms}}
-        for (z, a, b), v in x.terms.items():
-            z, w = moves[z]
-            key = (z + dz, a + dlam, b + dmu)
-            out[key] = get(key, 0) + w * v
-    return LaurentPoly(out)
+    """Exact sum of the pieces: the one-row form of ``combine_rows``."""
+    return combine_rows([pieces])[0]
 
 
 class LaurentPoly:
-    """Laurent polynomial in z over Z[lam, mu]: nonzero ``terms[z, lam, mu]``."""
+    """Laurent polynomial in z over Z[lam, mu]: nonzero ``terms[z, lam, mu]``,
+    stored as ascending packed keys and their Python-int coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_keys", "_vals", "_zs", "_slack")
 
     def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        terms = terms or {}
+        self._zs, self._slack = None, _BIAS
+        if terms:
+            powers = list(zip(*terms))
+            self._slack = _fit(tuple(map(min, powers)), tuple(map(max, powers)))
+        z, lam, mu = np.array(list(terms), dtype=np.int64).reshape(-1, 3).T
+        keys = _ORIGIN + _shift(z, lam, mu)
+        vals = np.fromiter(terms.values(), dtype=object, count=len(terms))
+        self._keys, self._vals = _collect(keys, vals)
+
+    @classmethod
+    def _from_arrays(cls, keys: np.ndarray, vals: np.ndarray, slack: int) -> "LaurentPoly":
+        """Wrap sorted distinct row-0 keys and their nonzero coefficients.
+
+        ``slack`` is at most how far every exponent stays inside its key
+        field (a sum's is the least of its pieces', so it may be loose).
+        """
+        poly = cls.__new__(cls)
+        poly._keys, poly._vals, poly._zs, poly._slack = keys, vals, None, slack
+        return poly
+
+    def _exponents(self) -> np.ndarray:
+        """The (3, n) array of the z, lam and mu exponents, in key order."""
+        exps = ((self._keys >> _FIELDS) & _MASK) - _BIAS
+        np.invert(exps[1], out=exps[1])  # lam is stored as ~lam
+        return exps
+
+    def _z(self) -> np.ndarray:
+        """The z exponents, in key order, so ascending (computed once)."""
+        if self._zs is None:
+            self._zs = (self._keys >> _Z) - _BIAS  # the row field of a stored key is 0
+        return self._zs
+
+    def _range(self, step) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """The least and greatest (z, lam, mu) exponents once each z-power
+        moves by ``step`` (an int, or one per term)."""
+        z, lam, mu = self._exponents()
+        z = z + step
+        return ((int(z.min()), int(lam.min()), int(mu.min())),
+                (int(z.max()), int(lam.max()), int(mu.max())))
+
+    @property
+    def terms(self) -> dict[tuple[int, int, int], int]:
+        """The terms as a ``{(z, lam, mu): int}`` dict, in canonical order."""
+        return {(z, a, b): c for z, a, b, c in self._rows()}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -198,20 +344,20 @@ class LaurentPoly:
     def coeffs(self) -> Mapping[int, BivariateCoeff]:
         """Read-only view of the terms by z-power: z -> BivariateCoeff."""
         by_z: dict[int, dict[tuple[int, int], int]] = {}
-        for (z, a, b), v in self.terms.items():
+        for z, a, b, v in self._rows():
             by_z.setdefault(z, {})[a, b] = v
         return MappingProxyType({z: BivariateCoeff(t) for z, t in by_z.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self._keys)
 
     @property
     def min_degree(self) -> int | None:
-        return min(z for z, _, _ in self.terms) if self.terms else None
+        return int(self._z()[0]) if len(self._keys) else None
 
     @property
     def max_degree(self) -> int | None:
-        return max(z for z, _, _ in self.terms) if self.terms else None
+        return int(self._z()[-1]) if len(self._keys) else None
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return combine([Piece(1, self), Piece(1, other)])
@@ -222,7 +368,7 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return np.array_equal(self._keys, other._keys) and bool((self._vals == other._vals).all())
 
     def diff_z(self) -> "LaurentPoly":
         """Formal d/dz (exact on Laurent monomials)."""
@@ -230,25 +376,27 @@ class LaurentPoly:
 
     def at_one(self) -> BivariateCoeff:
         """Exact value at z = 1 (a bivariate polynomial in lam, mu)."""
-        return combine([Piece(1, self, op=AT_ONE)]).coeffs.get(0, BivariateCoeff())
+        return _bivariate(combine([Piece(1, self, op=AT_ONE)]))
 
     def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
         """(min_degree, dense ascending coefficient list) at numeric (lam, mu).
 
         Each coefficient is exact at the float point and rounded once.
         """
-        if not self.terms:
+        if self.is_zero():
             return 0, [0.0]
-        coeffs = self.coeffs
-        lo, hi = min(coeffs), max(coeffs)
+        by_z = [(z, [(a, b, c) for _, a, b, c in terms])
+                for z, terms in groupby(self._rows(), key=itemgetter(0))]
+        lo, hi = by_z[0][0], by_z[-1][0]
         dense = [0.0] * (hi - lo + 1)
-        for k, c in coeffs.items():
-            dense[k - lo] = c.value_at(lam, mu)
+        for (z, _), value in zip(by_z, _values_at([terms for _, terms in by_z], lam, mu)):
+            dense[z - lo] = value
         return lo, dense
 
-    def _sorted_terms(self) -> list[tuple[tuple[int, int, int], int]]:
-        # z-power ascending, then lam-power descending, then mu-power ascending
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], -kv[0][1], kv[0][2]))
+    def _rows(self) -> Iterable[tuple[int, int, int, int]]:
+        """(z, lam, mu, coeff) of each term, in canonical order: z-power
+        ascending, then lam-power descending, then mu-power ascending."""
+        return zip(*self._exponents().tolist(), self._vals.tolist())
 
     def canonical_text(self) -> str:
         """Deterministic text form.
@@ -259,15 +407,20 @@ class LaurentPoly:
         """
         if self.is_zero():
             return "0"
-        text = " ".join(_monomial_text(c, a, b, z) for (z, a, b), c in self._sorted_terms())
+        text = " ".join(_monomial_text(c, a, b, z) for z, a, b, c in self._rows())
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def to_json_obj(self) -> list[list]:
         """Lossless JSON form: [[z_pow, lam_pow, mu_pow, coeff], ...] sorted."""
-        return [[z_pow, a, b, c] for (z_pow, a, b), c in self._sorted_terms()]
+        return [list(row) for row in self._rows()]
 
     def __repr__(self) -> str:
         return f"LaurentPoly<{self.canonical_text()}>"
+
+
+def _bivariate(poly: LaurentPoly) -> BivariateCoeff:
+    """A polynomial of z-degree 0 as the ``BivariateCoeff`` of its terms."""
+    return BivariateCoeff({(a, b): c for _, a, b, c in poly._rows()})
 
 
 #: lam + mu^2, the combination cleared out of the parity identities.

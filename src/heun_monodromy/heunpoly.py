@@ -10,11 +10,12 @@ quadruple of degrees (2*ell-2, 2*ell, 2*ell-2, 2*ell); those "diagonal"
 polynomials carry the symmetry operator of the Heun layer.
 
 Everything here is exact integer arithmetic; floating point appears only in
-the numeric evaluation helpers at the bottom.  Each recurrence step and each
-identity residual is one ``combine`` of monomial multiples (multiplying by
-lam + mu^2 is two of them).  Only ``first_integral`` forms products, and only
-of values at z = 1, that is of polynomials in (lam, mu): the verified ODE
-system already fixes the z-dependence of p*s - q*r.
+the numeric evaluation helpers at the bottom.  Each recurrence step, the four
+residuals of each identity check and the values at z = 1 are each one
+``combine_rows`` of monomial multiples, one row per polynomial (multiplying
+by lam + mu^2 is two of them).  Only ``first_integral`` forms products, and
+only of values at z = 1, that is of polynomials in (lam, mu): the verified
+ODE system already fixes the z-dependence of p*s - q*r.
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ import numpy as np
 
 from .errors import DegreeClaimViolated, GenericityViolated, NotConstant
 from .exactpoly import (
-    LAM_PLUS_MUSQ, PRIME, REFLECT, BivariateCoeff, LaurentPoly, Piece, combine, product_sum,
+    AT_ONE, LAM_PLUS_MUSQ, PRIME, REFLECT, BivariateCoeff, LaurentPoly, Piece, combine_rows,
+    product_sum,
 )
 from .params import ModelParams
 
 #: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
-#: about 0.35 s of CPU on a shared 2-vCPU Xeon; half of it is ``diagonal``'s
-#: recurrence, and ``first_integral`` multiplies only values at z = 1.
+#: about 0.21 s in process on a shared 2-vCPU Xeon: two fifths of it is
+#: ``diagonal``'s recurrence, about as much the text and JSON output, and
+#: ``first_integral`` multiplies only values at z = 1.  The largest exponents
+#: there (z-power 64) are far inside the 16-bit key fields of ``exactpoly``.
 MAX_ELL = 32
 
 #: Relative threshold below which a D factor counts as degenerate.
@@ -53,15 +57,17 @@ class PolyQuadruple:
         return self.p, self.q, self.r, self.s
 
 
+#: (p0, q0, r0, s0) = (0, 1, z**-2, -mu), the same for every order.
+_LEVEL_ZERO = (
+    LaurentPoly.zero(),
+    LaurentPoly.monomial(1),
+    LaurentPoly.monomial(1, z_pow=-2),
+    LaurentPoly.monomial(-1, mu_pow=1),
+)
+
+
 def initial_quadruple(ell: int) -> PolyQuadruple:
-    return PolyQuadruple(
-        k=0,
-        ell=ell,
-        p=LaurentPoly.zero(),
-        q=LaurentPoly.monomial(1),
-        r=LaurentPoly.monomial(1, z_pow=-2),
-        s=LaurentPoly.monomial(-1, mu_pow=1),
-    )
+    return PolyQuadruple(0, ell, *_LEVEL_ZERO)
 
 
 def recurrence_step(quad: PolyQuadruple) -> PolyQuadruple:
@@ -71,16 +77,18 @@ def recurrence_step(quad: PolyQuadruple) -> PolyQuadruple:
     """
     ell, k = quad.ell, quad.k + 1
     p, q, r, s = quad.as_tuple()
-    # (1 - ell) z p + q + z^2 p'
-    p_new = combine([Piece(1 - ell, p, 1), Piece(1, q), Piece(1, p, 2, op=PRIME)])
-    # -lam z^2 p + (ell + 1) mu z^3 p + mu q - mu z^2 q + z^2 q'
-    q_new = combine([Piece(-1, p, 2, 1), Piece(ell + 1, p, 3, 0, 1), Piece(1, q, 0, 0, 1),
-                     Piece(-1, q, 2, 0, 1), Piece(1, q, 2, op=PRIME)])
-    # 2 (k - 2) z r - s - z^2 r'
-    r_new = combine([Piece(2 * (k - 2), r, 1), Piece(-1, s), Piece(-1, r, 2, op=PRIME)])
-    # lam z^2 r - (ell + 1) mu z^3 r + (2k - ell - 3) z s + mu z^2 s - mu s - z^2 s'
-    s_new = combine([Piece(1, r, 2, 1), Piece(-(ell + 1), r, 3, 0, 1), Piece(2 * k - ell - 3, s, 1),
-                     Piece(1, s, 2, 0, 1), Piece(-1, s, 0, 0, 1), Piece(-1, s, 2, op=PRIME)])
+    p_new, q_new, r_new, s_new = combine_rows([
+        # (1 - ell) z p + q + z^2 p'
+        [Piece(1 - ell, p, 1), Piece(1, q), Piece(1, p, 2, op=PRIME)],
+        # -lam z^2 p + (ell + 1) mu z^3 p + mu q - mu z^2 q + z^2 q'
+        [Piece(-1, p, 2, 1), Piece(ell + 1, p, 3, 0, 1), Piece(1, q, 0, 0, 1),
+         Piece(-1, q, 2, 0, 1), Piece(1, q, 2, op=PRIME)],
+        # 2 (k - 2) z r - s - z^2 r'
+        [Piece(2 * (k - 2), r, 1), Piece(-1, s), Piece(-1, r, 2, op=PRIME)],
+        # lam z^2 r - (ell + 1) mu z^3 r + (2k - ell - 3) z s + mu z^2 s - mu s - z^2 s'
+        [Piece(1, r, 2, 1), Piece(-(ell + 1), r, 3, 0, 1), Piece(2 * k - ell - 3, s, 1),
+         Piece(1, s, 2, 0, 1), Piece(-1, s, 0, 0, 1), Piece(-1, s, 2, op=PRIME)],
+    ])
     return PolyQuadruple(k=k, ell=ell, p=p_new, q=q_new, r=r_new, s=s_new)
 
 
@@ -102,14 +110,19 @@ def diagonal(ell: int) -> PolyQuadruple:
     return quad
 
 
-def _first_nonzero_monomial(poly: LaurentPoly) -> str:
-    (z_pow, a, b), c = min(poly.terms.items())
-    return f"{c}*lam^{a}*mu^{b}*z^{z_pow}"
+def _verdict(residuals: list[LaurentPoly], what: str) -> tuple[bool, str | None]:
+    """(ok, witness) of the residuals of p, q, r, s: the witness names the
+    least monomial of the first nonzero one."""
+    for name, res in zip("pqrs", residuals):
+        if not res.is_zero():
+            (z_pow, a, b), c = min(res.terms.items())
+            return False, f"{name}-{what} fails at {c}*lam^{a}*mu^{b}*z^{z_pow}"
+    return True, None
 
 
 def _times_lam_plus_musq(c: int, x: LaurentPoly, dz: int = 0, dmu: int = 0, op=None):
     """The two pieces of (lam + mu^2) * c * z**dz * mu**dmu * op(x)."""
-    return Piece(c, x, dz, 1, dmu, op), Piece(c, x, dz, 0, dmu + 2, op)
+    return tuple(Piece(c * v, x, dz, a, dmu + b, op) for (a, b), v in LAM_PLUS_MUSQ.terms.items())
 
 
 def check_parity(quad: PolyQuadruple) -> tuple[bool, str | None]:
@@ -122,22 +135,18 @@ def check_parity(quad: PolyQuadruple) -> tuple[bool, str | None]:
     ell = quad.ell
     p, q, r, s = quad.as_tuple()
     sgn = (-1) ** (ell + 1)
-    residuals = {
+    residuals = combine_rows([
         # (lam + mu^2) p(-z) - sgn (mu z^2 r + s)
-        "p": [*_times_lam_plus_musq(1, p, op=REFLECT), Piece(-sgn, r, 2, 0, 1), Piece(-sgn, s)],
+        [*_times_lam_plus_musq(1, p, op=REFLECT), Piece(-sgn, r, 2, 0, 1), Piece(-sgn, s)],
         # (lam + mu^2) (q(-z) - mu z^2 p - q) + sgn mu z^2 (mu z^2 r + s)
-        "q": [*_times_lam_plus_musq(1, q, op=REFLECT), *_times_lam_plus_musq(-1, p, 2, 1),
-              *_times_lam_plus_musq(-1, q), Piece(sgn, r, 4, 0, 2), Piece(sgn, s, 2, 0, 1)],
+        [*_times_lam_plus_musq(1, q, op=REFLECT), *_times_lam_plus_musq(-1, p, 2, 1),
+         *_times_lam_plus_musq(-1, q), Piece(sgn, r, 4, 0, 2), Piece(sgn, s, 2, 0, 1)],
         # r(-z) - r
-        "r": [Piece(1, r, op=REFLECT), Piece(-1, r)],
+        [Piece(1, r, op=REFLECT), Piece(-1, r)],
         # s(-z) - sgn (lam + mu^2) p + mu z^2 r
-        "s": [Piece(1, s, op=REFLECT), *_times_lam_plus_musq(-sgn, p), Piece(1, r, 2, 0, 1)],
-    }
-    for name, pieces in residuals.items():
-        res = combine(pieces)
-        if not res.is_zero():
-            return False, f"{name}-relation fails at {_first_nonzero_monomial(res)}"
-    return True, None
+        [Piece(1, s, op=REFLECT), *_times_lam_plus_musq(-sgn, p), Piece(1, r, 2, 0, 1)],
+    ])
+    return _verdict(residuals, "relation")
 
 
 def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
@@ -145,7 +154,7 @@ def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
     ell = quad.ell
     p, q, r, s = quad.as_tuple()
     sgn_l = (-1) ** ell
-    residuals = (
+    residuals = combine_rows([
         # z^2 p' - mu p - (ell - 1) z p + q - sgn_l z^2 r
         [Piece(1, p, 2, op=PRIME), Piece(-1, p, 0, 0, 1), Piece(1 - ell, p, 1), Piece(1, q),
          Piece(-sgn_l, r, 2)],
@@ -158,12 +167,8 @@ def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
         # z^2 s' + sgn_l (lam + mu^2) q - lam z^2 r + (ell + 1) mu z^3 r - (ell - 1) z s + mu s
         [Piece(1, s, 2, op=PRIME), *_times_lam_plus_musq(sgn_l, q), Piece(-1, r, 2, 1),
          Piece(ell + 1, r, 3, 0, 1), Piece(1 - ell, s, 1), Piece(1, s, 0, 0, 1)],
-    )
-    for name, pieces in zip("pqrs", residuals):
-        res = combine(pieces)
-        if not res.is_zero():
-            return False, f"{name}-equation fails at {_first_nonzero_monomial(res)}"
-    return True, None
+    ])
+    return _verdict(residuals, "equation")
 
 
 def first_integral(
@@ -184,9 +189,11 @@ def first_integral(
     ok, witness = ode or check_ode_system(quad)
     if not ok:
         raise NotConstant(f"first integral unproven: {witness}")
-    p1, q1, r1, s1 = (x.at_one() for x in quad.as_tuple())
+    # p(1), q(1), r(1), s(1) and (lam + mu^2) p(1), in one accumulation
+    p1, q1, r1, s1, lp1 = combine_rows([*([Piece(1, x, op=AT_ONE)] for x in quad.as_tuple()),
+                                        _times_lam_plus_musq(1, quad.p, op=AT_ONE)])
     D = product_sum([(1, p1, s1), (-1, q1, r1)])
-    if D != product_sum([(1, LAM_PLUS_MUSQ * p1, p1), (-1, r1, r1)]):
+    if D != product_sum([(1, lp1, p1), (-1, r1, r1)]):
         raise NotConstant("first integral disagrees with its z=1 boundary form")
     return D
 

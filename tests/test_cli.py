@@ -23,6 +23,11 @@ POLY_STDOUT_SHA256 = {
     6: "35c1f7937a10a9d312fa134577f5592e9126809827419dcd85e804d552ed6216",
     10: "835adfabd85104790f06db8165c60d0ca4f4beb5ad8d29b4d7288a99433b8d12",
     16: "d4687a2729f6b4d3103522a12f629c8d5f2a0c9b844929eb5a271cb9e1ad7047",
+    # coefficients of 66, 94 and 113 bits: past int64, so these pin exact
+    # arithmetic on Python ints
+    22: "f1c936ced8e192ea036f250608e6a12e58ffd885cfbb0217a9bd118d5b34cf08",
+    28: "4c20b5abf845138db97623ab991262464c76ad5174caaa1f299b7f7369ec828e",
+    32: "c1514e05047e9cec57ce568a1cff445762c9d781b303df0a7997acdff93007c3",
 }
 
 # sha256 of `sqrt-monodromy` standard output at golden point 2 with the

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,10 @@ from heun_monodromy.exactpoly import (
     LaurentPoly,
     Piece,
     combine,
+    combine_rows,
     product_sum,
 )
+from heun_monodromy.errors import ExponentOutOfRange
 from heun_monodromy.heunpoly import (
     _times_lam_plus_musq,
     check_parity,
@@ -216,7 +220,7 @@ def test_empty_and_single_term_operands():
 
 
 def test_sparse_exponents_take_the_compact_path():
-    # the dense (lam, mu) box of this product has about 2e6 slots
+    # exponents a thousand apart: the sum's (lam, mu) box would have about 2e6 slots
     a = BivariateCoeff({(0, 0): 1, (1000, 0): -5})
     b = BivariateCoeff({(1000, 0): 2, (0, 1000): 7})
     assert a * b == BivariateCoeff({(1000, 0): 2, (0, 1000): 7, (2000, 0): -10, (1000, 1000): -35})
@@ -271,15 +275,16 @@ def test_one_accumulator_matches_two_products():
 
 
 def test_products_stay_in_first_integral(monkeypatch, capsys):
-    """No product of z-dependent polynomials anywhere: every operand key of the
-    one product kernel is a (lam, mu) pair, with no z-power, in ``poly --check``
-    and in the battery's exact suite; the identity checks multiply nothing."""
+    """No product of z-dependent polynomials anywhere: every operand of the
+    one product kernel is a (lam, mu) polynomial, each term with z-power 0, in
+    ``poly --check`` and in the battery's exact suite; the identity checks
+    multiply nothing."""
     keys = []
     product = exactpoly._product
 
     def counted(pairs):
         pairs = list(pairs)
-        keys.extend(k for _, x, y in pairs for k in (*x, *y))
+        keys.extend(k for _, x, y in pairs for k in (*x.terms, *y.terms))
         return product(pairs)
 
     monkeypatch.setattr(exactpoly, "_product", counted)
@@ -291,4 +296,109 @@ def test_products_stay_in_first_integral(monkeypatch, capsys):
     assert capsys.readouterr().err == "exact checks passed\n"
     assert check_poly_exact() == ({f"ell_{ell}": "exact" for ell in range(1, 7)}, [])
     assert keys  # the counter sees the products it is meant to see
-    assert all(len(k) == 2 for k in keys)
+    assert all(z == 0 for z, _, _ in keys)
+
+
+@given(st.lists(pieces(), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_each_batched_row_matches_the_reference(rows):
+    out = combine_rows(rows)
+    assert len(out) == len(rows)
+    for poly, row in zip(out, rows):
+        assert poly == reference_combine(row)
+        assert_canonical(poly)
+
+
+@pytest.mark.parametrize("op", [None, PRIME, REFLECT, AT_ONE])
+def test_a_factor_outside_int64_takes_object_weights(op):
+    x = LaurentPoly({(-3, 1, 0): 5, (2, 0, 2): -(2**90), (7, 2, 1): 1})
+    for c in (2**100, -(2**63), 2**47 + 1):
+        pieces = [Piece(c, x, 1, 0, 1, op), Piece(-1, x, op=op)]
+        assert combine(pieces) == reference_combine(pieces)
+
+
+HIGH = exactpoly._BIAS - 1  # the largest exponent a key field holds
+
+
+@pytest.mark.parametrize(
+    "exps", [(HIGH + 1, 0, 0), (0, -HIGH - 2, 0), (0, 0, HIGH + 1), (2**70, 0, 0)]
+)
+def test_a_constructed_exponent_past_its_field_is_refused(exps):
+    with pytest.raises(ExponentOutOfRange):
+        LaurentPoly({exps: 1})
+
+
+def test_a_shift_past_its_field_is_refused_before_packing():
+    edge = LaurentPoly({(HIGH, HIGH, HIGH): 3, (-HIGH - 1, -HIGH - 1, -HIGH - 1): -2})
+    assert edge.terms == {(-HIGH - 1, -HIGH - 1, -HIGH - 1): -2, (HIGH, HIGH, HIGH): 3}
+    for piece in (Piece(1, edge, 1), Piece(1, edge, 0, 1), Piece(1, edge, 0, 0, 1),
+                  Piece(1, edge, -1), Piece(1, edge, 0, -1), Piece(1, edge, 0, 0, -1),
+                  Piece(1, edge, op=PRIME)):
+        with pytest.raises(ExponentOutOfRange):
+            combine([piece])
+    # in range, the edge terms move without wrapping into the next field
+    top = LaurentPoly({(HIGH - 1, HIGH - 1, HIGH - 1): 3})
+    assert combine([Piece(1, top, 1, 1, 1)]).terms == {(HIGH, HIGH, HIGH): 3}
+    bottom = LaurentPoly({(-HIGH, -HIGH, -HIGH): 1})
+    assert combine([Piece(2, bottom, -1, -1, -1)]).terms == {(-HIGH - 1,) * 3: 2}
+    assert bottom.diff_z().terms == {(-HIGH - 1, -HIGH, -HIGH): -HIGH}
+    square = BivariateCoeff.monomial(1, lam_pow=HIGH // 2 + 1)
+    with pytest.raises(ExponentOutOfRange):
+        square * square
+    with pytest.raises(ExponentOutOfRange):
+        combine_rows([[]] * (exactpoly._MAX_ROWS + 1))
+
+
+def test_a_cancelled_edge_term_does_not_refuse_a_shift():
+    # a sum's slack is the least of its pieces', so it may be loose; a shift
+    # it does not clear is checked against the exact exponents instead
+    edge = LaurentPoly({(HIGH, HIGH, 0): 1, (0, 0, 0): 1})
+    one = combine([Piece(1, edge), Piece(-1, edge), Piece(1, LaurentPoly.monomial(1))])
+    assert one == LaurentPoly.monomial(1) and one._slack == 0
+    assert combine([Piece(3, one, 5, 4, 1, PRIME)]).is_zero()
+    assert combine([Piece(3, one, 5, 4, 1)]).terms == {(5, 4, 1): 3}
+    assert product_sum([(2, one, one)]).terms == {(0, 0): 2}
+    lam_edge = LaurentPoly({(0, HIGH, 0): 1, (0, 0, 0): 1})
+    with pytest.raises(ExponentOutOfRange):
+        product_sum([(1, lam_edge, lam_edge)])
+
+
+def _sums_by_key(tree: ast.AST, module: str):
+    """(module, innermost enclosing function, form) of every sum by key in
+    ``tree``: a call of ``reduceat``, ``unique``, ``bincount`` or ``add.at``, a
+    ``d.get(key, 0) + ...`` term and a ``+=`` into a subscript."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, owner = node.func.attr, node.func.value
+            if name in ("reduceat", "unique", "bincount") or (
+                name == "at" and isinstance(owner, ast.Attribute) and owner.attr == "add"
+            ):
+                found.append((module, function, name))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            for side in (node.left, node.right):
+                if (isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute)
+                        and side.func.attr == "get" and len(side.args) == 2
+                        and isinstance(side.args[1], ast.Constant) and side.args[1].value == 0):
+                    found.append((module, function, "get"))
+        if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                and isinstance(node.target, ast.Subscript)):
+            found.append((module, function, "+="))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_collect_is_the_one_accumulator():
+    # every sum of coefficients by key in the package (each recurrence step,
+    # identity residual, value at z = 1 and product) goes through one
+    # stable sort and one reduceat, in exactpoly._collect
+    package = Path(exactpoly.__file__).resolve().parent
+    found = [site for module in sorted(package.glob("*.py"))
+             for site in _sums_by_key(ast.parse(module.read_text()), module.stem)]
+    assert found == [("exactpoly", "_collect", "reduceat")]

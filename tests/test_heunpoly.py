@@ -11,7 +11,9 @@ import heun_monodromy.cli as cli
 import heun_monodromy.heunpoly as heunpoly_mod
 import heun_monodromy.verify as verify
 from heun_monodromy import GenericityViolated, ModelParams, NotConstant
-from heun_monodromy.exactpoly import PRIME, BivariateCoeff, LaurentPoly, Piece, combine
+from heun_monodromy.exactpoly import (
+    PRIME, BivariateCoeff, LaurentPoly, Piece, combine, combine_rows,
+)
 from heun_monodromy.heunpoly import (
     NumericQuad,
     PolyQuadruple,
@@ -218,11 +220,12 @@ def test_numeric_D_is_correctly_rounded_and_free_of_term_order(ell, monkeypatch)
     D = first_integral(quad)
     reversed_D = BivariateCoeff(dict(reversed(list(D.terms.items()))))
     assert list(reversed_D.terms) == list(D.terms)[::-1]
-    # the same quadruple with every term dict in reverse order
+    # the same quadruple built from every term dict in reverse order: the
+    # packed storage holds the terms in canonical order whatever the input order
     reversed_quad = PolyQuadruple(
         quad.k, ell, *(LaurentPoly(dict(reversed(list(x.terms.items())))) for x in quad.as_tuple())
     )
-    assert list(reversed_quad.s.terms) == list(quad.s.terms)[::-1]
+    assert list(reversed_quad.s.terms) == list(quad.s.terms)
     rng = np.random.default_rng(6000 + ell)
     for _ in range(25):
         params = ModelParams(ell=ell, mu=rng.uniform(0.05, 1.5), omega=rng.uniform(0.3, 2.0))
@@ -274,16 +277,19 @@ def test_ode_rows_make_the_first_integral_a_monomial():
 
 @pytest.mark.parametrize("ell", range(1, 5))
 def test_ode_rows_are_the_checked_rows(ell, monkeypatch):
-    """The rows of the derivation are the pieces ``check_ode_system`` sums."""
+    """The rows of the derivation are the rows ``check_ode_system`` sums, all
+    four in one ``combine_rows`` call."""
     sympy = pytest.importorskip("sympy")
     z, lam, mu = sympy.symbols("z lam mu")
     quad = diagonal(ell)
     funcs = {id(x): sympy.Function(name)(z) for x, name in zip(quad.as_tuple(), "pqrs")}
-    recorded = []
+    calls = []
     monkeypatch.setattr(
-        heunpoly_mod, "combine", lambda pieces: recorded.append(pieces) or combine(pieces)
+        heunpoly_mod, "combine_rows", lambda rows: calls.append(rows) or combine_rows(rows)
     )
     assert check_ode_system(quad) == (True, None)
+    assert len(calls) == 1
+    recorded = calls[0]
     assert all(op in (None, PRIME) for pieces in recorded for *_, op in pieces)
 
     def operand(x, op):
