@@ -24,7 +24,7 @@ from .errors import (
     ToleranceNotMet,
     WindowTooSmall,
 )
-from .exactpoly import BivariateCoeff, LaurentPoly
+from .exactpoly import LaurentPoly
 from .heun import (
     HeunBasisPath,
     apply_B,
@@ -33,7 +33,6 @@ from .heun import (
     check_B_squared,
     dche_residual,
     pair_ode_residual,
-    phi_alpha,
 )
 from .heunpoly import (
     NumericQuad,

@@ -22,7 +22,6 @@ from .errors import (
     NonPositiveOmega,
     ToleranceNotMet,
 )
-from .exactpoly import LaurentPoly
 from .heunpoly import (
     MAX_ELL,
     NumericQuad,
@@ -161,7 +160,7 @@ def cmd_poly(args) -> int:
     out = []
     for name, poly in zip(names, quad.as_tuple()):
         out.append(f"{name} = {poly.canonical_text()}")
-    d_poly = LaurentPoly.constant(first_integral(quad))  # proves the ODE system first
+    d_poly = first_integral(quad)  # proves the ODE system first
     out.append(f"D = {d_poly.canonical_text()}")
     sys.stdout.write("\n".join(out) + "\n")
     obj = {name: poly.to_json_obj() for name, poly in zip(names, quad.as_tuple())}

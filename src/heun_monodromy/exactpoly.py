@@ -2,24 +2,24 @@
 
 A Laurent polynomial is two parallel arrays sorted by key: int64 keys that
 pack the exponents ``(z, lam, mu)``, and the nonzero coefficients as Python
-ints in an object array, so they stay exact at any size.  A
-``BivariateCoeff`` is one ``{(lam_pow, mu_pow): int}`` dict.  One
+ints in an object array, so they stay exact at any size.  A polynomial in
+(lam, mu) alone is a ``LaurentPoly`` whose terms all have z-power 0.  One
 accumulator, ``_collect``, does every sum by key: a stable sort, then one
 ``np.add.reduceat`` over the runs of equal keys, then the zero sums dropped.
 ``combine_rows`` sums monomial multiples of polynomials (or of their
 z-derivatives, reflections z -> -z and values at z = 1) for several rows at
 once, with the row in the key, so one accumulation builds a whole recurrence
-step or all residuals of an identity check; ``_product`` sums outer products
-of keys and coefficients through the same accumulator.  No z-dependent
-polynomial is ever multiplied: the recurrence layer's only products are of
-values at z = 1, in ``heunpoly.first_integral``.  Every identity check of
-the recurrence layer uses this exact arithmetic, never floating point.
+step or all residuals of an identity check.  It is also the one product:
+``times`` writes ``y * x`` as one monomial multiple of ``x`` per term of
+``y``.  No z-dependent polynomial is ever multiplied: the recurrence layer's
+only products are of values at z = 1, in ``heunpoly.first_integral``.  Every
+identity check of the recurrence layer uses this exact arithmetic, never
+floating point.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
@@ -85,32 +85,8 @@ def _collect(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return keys[starts[keep]], sums[keep]
 
 
-def _product(pairs: Iterable[tuple[int, "LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
-    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one accumulation.
-
-    Each pair adds the outer sum of the keys and the outer product of the
-    coefficients.
-    """
-    keys, vals, slack = [], [], _BIAS
-    for c, x, y in pairs:
-        if x.is_zero() or y.is_zero():
-            continue
-        # x + y stays inside by x's slack plus y's, less the field's half-width
-        s = x._slack + y._slack - _BIAS
-        if s < 0:  # the slacks may be loose: sum the exact ranges
-            (xlo, xhi), (ylo, yhi) = x._range(0), y._range(0)
-            s = _fit(tuple(map(int.__add__, xlo, ylo)), tuple(map(int.__add__, xhi, yhi)))
-        slack = min(slack, s)
-        keys.append((x._keys[:, None] + (y._keys - _ORIGIN)).ravel())
-        vals.append(np.multiply.outer(x._vals * c, y._vals).ravel())
-    if not keys:
-        return LaurentPoly()
-    keys, vals = _collect(np.concatenate(keys), np.concatenate(vals))
-    return LaurentPoly._from_arrays(keys, vals, slack)
-
-
 def _values_at(polys: list[list[tuple[int, int, int]]], lam: float, mu: float) -> list[float]:
-    """Value at a float point of each bivariate polynomial, given as
+    """Value at a float point of each polynomial in (lam, mu), given as
     ``(lam_pow, mu_pow, coeff)`` terms: exact and rounded once, so free of the
     term order and of which polynomials are evaluated together."""
     (nl, dl), (nm, dm) = lam.as_integer_ratio(), mu.as_integer_ratio()
@@ -122,47 +98,6 @@ def _values_at(polys: list[list[tuple[int, int, int]]], lam: float, mu: float) -
     den = dl**top_a * dm**top_b
     # int / int rounds correctly
     return [sum(c * lam_pows[a] * mu_pows[b] for a, b, c in terms) / den for terms in polys]
-
-
-@dataclass(frozen=True)
-class BivariateCoeff:
-    """Exact polynomial in (lam, mu) over the integers, with nonnegative powers."""
-
-    terms: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", {k: v for k, v in self.terms.items() if v})
-
-    @classmethod
-    def monomial(cls, c: int, lam_pow: int = 0, mu_pow: int = 0) -> "BivariateCoeff":
-        return cls({(lam_pow, mu_pow): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __mul__(self, other: "BivariateCoeff") -> "BivariateCoeff":
-        return product_sum([(1, self, other)])
-
-    def value_at(self, lam: float, mu: float) -> float:
-        """Value at a float point, exact and rounded once: free of the term order."""
-        if not self.terms:
-            return 0.0
-        return _values_at([[(a, b, c) for (a, b), c in self.terms.items()]], lam, mu)[0]
-
-    def __repr__(self) -> str:
-        return f"BivariateCoeff({self.terms!r})"
-
-
-def product_sum(pairs: Iterable[tuple[int, object, object]]) -> BivariateCoeff:
-    """Exact sum of ``c * x * y`` over ``(c, x, y)``, in one accumulation.
-
-    ``x`` and ``y`` are polynomials in (lam, mu): ``BivariateCoeff``s, or
-    ``LaurentPoly``s of z-degree 0 such as the rows of ``combine_rows``.
-    """
-    def packed(v):
-        return v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
-
-    return _bivariate(_product([(c, packed(x), packed(y)) for c, x, y in pairs]))
 
 
 def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> str:
@@ -274,6 +209,17 @@ def combine(pieces: Iterable[Piece]) -> "LaurentPoly":
     return combine_rows([pieces])[0]
 
 
+def times(c: int, y: "LaurentPoly", x: "LaurentPoly", dz: int = 0, dmu: int = 0,
+          op: Callable | None = None) -> list[Piece]:
+    """The pieces of ``c * y * z**dz * mu**dmu * op(x)``, one per term of ``y``.
+
+    The one form of a product: ``combine_rows`` sums the pieces, and its shift
+    guard refuses a product whose exponents do not fit their key fields.
+    Take ``y`` as the factor with fewer terms.
+    """
+    return [Piece(c * v, x, dz + k, a, dmu + b, op) for k, a, b, v in y._rows()]
+
+
 class LaurentPoly:
     """Laurent polynomial in z over Z[lam, mu]: nonzero ``terms[z, lam, mu]``,
     stored as ascending packed keys and their Python-int coefficients."""
@@ -335,18 +281,19 @@ class LaurentPoly:
     def monomial(cls, c: int, z_pow: int = 0, lam_pow: int = 0, mu_pow: int = 0) -> "LaurentPoly":
         return cls({(z_pow, lam_pow, mu_pow): c})
 
-    @classmethod
-    def constant(cls, b: BivariateCoeff) -> "LaurentPoly":
-        """``b`` as a polynomial of z-degree 0."""
-        return cls({(0, lam, mu): v for (lam, mu), v in b.terms.items()})
-
     @property
-    def coeffs(self) -> Mapping[int, BivariateCoeff]:
-        """Read-only view of the terms by z-power: z -> BivariateCoeff."""
-        by_z: dict[int, dict[tuple[int, int], int]] = {}
-        for z, a, b, v in self._rows():
-            by_z.setdefault(z, {})[a, b] = v
-        return MappingProxyType({z: BivariateCoeff(t) for z, t in by_z.items()})
+    def coeffs(self) -> Mapping[int, "LaurentPoly"]:
+        """Read-only view of the terms by z-power: z -> the coefficient, a
+        polynomial in (lam, mu) whose terms all have z-power 0.  Each is a
+        slice of the arrays with its z-power taken off the keys."""
+        zs = self._z()
+        # the index of each z-power's first term
+        starts = np.flatnonzero(np.diff(zs, prepend=zs[:1] - 1)).tolist()
+        return MappingProxyType({
+            int(zs[a]): LaurentPoly._from_arrays(
+                self._keys[a:b] - (int(zs[a]) << _Z), self._vals[a:b], self._slack)
+            for a, b in zip(starts, starts[1:] + [len(zs)])
+        })
 
     def is_zero(self) -> bool:
         return not len(self._keys)
@@ -374,9 +321,9 @@ class LaurentPoly:
         """Formal d/dz (exact on Laurent monomials)."""
         return combine([Piece(1, self, op=PRIME)])
 
-    def at_one(self) -> BivariateCoeff:
-        """Exact value at z = 1 (a bivariate polynomial in lam, mu)."""
-        return _bivariate(combine([Piece(1, self, op=AT_ONE)]))
+    def at_one(self) -> "LaurentPoly":
+        """Exact value at z = 1, a polynomial in (lam, mu) of z-degree 0."""
+        return combine([Piece(1, self, op=AT_ONE)])
 
     def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
         """(min_degree, dense ascending coefficient list) at numeric (lam, mu).
@@ -418,10 +365,5 @@ class LaurentPoly:
         return f"LaurentPoly<{self.canonical_text()}>"
 
 
-def _bivariate(poly: LaurentPoly) -> BivariateCoeff:
-    """A polynomial of z-degree 0 as the ``BivariateCoeff`` of its terms."""
-    return BivariateCoeff({(a, b): c for _, a, b, c in poly._rows()})
-
-
 #: lam + mu^2, the combination cleared out of the parity identities.
-LAM_PLUS_MUSQ = BivariateCoeff({(1, 0): 1, (0, 2): 1})
+LAM_PLUS_MUSQ = LaurentPoly({(0, 1, 0): 1, (0, 0, 2): 1})

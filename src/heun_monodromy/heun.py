@@ -205,14 +205,6 @@ def phi_alpha_values(factors, dots, t, alpha: float) -> tuple[np.ndarray, np.nda
     return quotient(c + s, -1j * (c - s), factors, dots, t, "phi_alpha")[2]
 
 
-def phi_alpha(hb: HeunBasisPath, alpha: float) -> CircleFunction:
-    """The one-parameter family of unimodular solutions built on E+-.
-
-    alpha = pi/2 reproduces the original Phi identically.
-    """
-    return CircleFunction(hb.path, lambda t: phi_alpha_values(*hb.pair(t), t, alpha)[0])
-
-
 # ---------------------------------------------------------------------------
 # The symmetry operator
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ Everything here is exact integer arithmetic; floating point appears only in
 the numeric evaluation helpers at the bottom.  Each recurrence step, the four
 residuals of each identity check and the values at z = 1 are each one
 ``combine_rows`` of monomial multiples, one row per polynomial (multiplying
-by lam + mu^2 is two of them).  Only ``first_integral`` forms products, and
-only of values at z = 1, that is of polynomials in (lam, mu): the verified
-ODE system already fixes the z-dependence of p*s - q*r.
+by lam + mu^2 is two of them, from ``exactpoly.times``).  Only
+``first_integral`` multiplies two polynomials, and only values at z = 1, that
+is polynomials in (lam, mu) whose terms all have z-power 0: the verified ODE
+system already fixes the z-dependence of p*s - q*r.  Its products are
+``times`` pieces too, so ``combine_rows`` is the one exact kernel.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ import numpy as np
 
 from .errors import DegreeClaimViolated, GenericityViolated, NotConstant
 from .exactpoly import (
-    AT_ONE, LAM_PLUS_MUSQ, PRIME, REFLECT, BivariateCoeff, LaurentPoly, Piece, combine_rows,
-    product_sum,
+    AT_ONE, LAM_PLUS_MUSQ, PRIME, REFLECT, LaurentPoly, Piece, combine_rows, times,
 )
 from .params import ModelParams
 
 #: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
-#: about 0.21 s in process on a shared 2-vCPU Xeon: two fifths of it is
+#: about 0.19 s in process on a shared 2-vCPU Xeon: two fifths of it is
 #: ``diagonal``'s recurrence, about as much the text and JSON output, and
-#: ``first_integral`` multiplies only values at z = 1.  The largest exponents
-#: there (z-power 64) are far inside the 16-bit key fields of ``exactpoly``.
+#: ``first_integral`` (about 15 ms) multiplies only values at z = 1, as the
+#: ``times`` pieces of one ``combine_rows`` call.  The largest exponents
+#: there (z-power 64) are far inside the 16-bit key fields of ``exactpoly``,
+#: and ``combine_rows``' shift guard refuses any product that would not fit.
 MAX_ELL = 32
 
 #: Relative threshold below which a D factor counts as degenerate.
@@ -120,11 +123,6 @@ def _verdict(residuals: list[LaurentPoly], what: str) -> tuple[bool, str | None]
     return True, None
 
 
-def _times_lam_plus_musq(c: int, x: LaurentPoly, dz: int = 0, dmu: int = 0, op=None):
-    """The two pieces of (lam + mu^2) * c * z**dz * mu**dmu * op(x)."""
-    return tuple(Piece(c * v, x, dz, a, dmu + b, op) for (a, b), v in LAM_PLUS_MUSQ.terms.items())
-
-
 def check_parity(quad: PolyQuadruple) -> tuple[bool, str | None]:
     """Exact reflection identities of the diagonal quadruple.
 
@@ -137,14 +135,14 @@ def check_parity(quad: PolyQuadruple) -> tuple[bool, str | None]:
     sgn = (-1) ** (ell + 1)
     residuals = combine_rows([
         # (lam + mu^2) p(-z) - sgn (mu z^2 r + s)
-        [*_times_lam_plus_musq(1, p, op=REFLECT), Piece(-sgn, r, 2, 0, 1), Piece(-sgn, s)],
+        [*times(1, LAM_PLUS_MUSQ, p, op=REFLECT), Piece(-sgn, r, 2, 0, 1), Piece(-sgn, s)],
         # (lam + mu^2) (q(-z) - mu z^2 p - q) + sgn mu z^2 (mu z^2 r + s)
-        [*_times_lam_plus_musq(1, q, op=REFLECT), *_times_lam_plus_musq(-1, p, 2, 1),
-         *_times_lam_plus_musq(-1, q), Piece(sgn, r, 4, 0, 2), Piece(sgn, s, 2, 0, 1)],
+        [*times(1, LAM_PLUS_MUSQ, q, op=REFLECT), *times(-1, LAM_PLUS_MUSQ, p, 2, 1),
+         *times(-1, LAM_PLUS_MUSQ, q), Piece(sgn, r, 4, 0, 2), Piece(sgn, s, 2, 0, 1)],
         # r(-z) - r
         [Piece(1, r, op=REFLECT), Piece(-1, r)],
         # s(-z) - sgn (lam + mu^2) p + mu z^2 r
-        [Piece(1, s, op=REFLECT), *_times_lam_plus_musq(-sgn, p), Piece(1, r, 2, 0, 1)],
+        [Piece(1, s, op=REFLECT), *times(-sgn, LAM_PLUS_MUSQ, p), Piece(1, r, 2, 0, 1)],
     ])
     return _verdict(residuals, "relation")
 
@@ -162,10 +160,10 @@ def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
         [Piece(1, q, op=PRIME), Piece(-1, p, 0, 1), Piece(ell + 1, p, 1, 0, 1),
          Piece(-1, q, 0, 0, 1), Piece(-sgn_l, s)],
         # z^2 r' + sgn_l (lam + mu^2) p - 2 (ell - 1) z r + mu z^2 r + s
-        [Piece(1, r, 2, op=PRIME), *_times_lam_plus_musq(sgn_l, p), Piece(2 - 2 * ell, r, 1),
+        [Piece(1, r, 2, op=PRIME), *times(sgn_l, LAM_PLUS_MUSQ, p), Piece(2 - 2 * ell, r, 1),
          Piece(1, r, 2, 0, 1), Piece(1, s)],
         # z^2 s' + sgn_l (lam + mu^2) q - lam z^2 r + (ell + 1) mu z^3 r - (ell - 1) z s + mu s
-        [Piece(1, s, 2, op=PRIME), *_times_lam_plus_musq(sgn_l, q), Piece(-1, r, 2, 1),
+        [Piece(1, s, 2, op=PRIME), *times(sgn_l, LAM_PLUS_MUSQ, q), Piece(-1, r, 2, 1),
          Piece(ell + 1, r, 3, 0, 1), Piece(1 - ell, s, 1), Piece(1, s, 0, 0, 1)],
     ])
     return _verdict(residuals, "equation")
@@ -173,7 +171,7 @@ def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
 
 def first_integral(
     quad: PolyQuadruple, ode: tuple[bool, str | None] | None = None
-) -> BivariateCoeff:
+) -> LaurentPoly:
     """The z-independent combination D = z**(2(1-ell)) * (p*s - q*r), read at z = 1.
 
     With sgn = (-1)**ell and W = p*s - q*r, the four rows of
@@ -184,16 +182,20 @@ def first_integral(
     ``ode`` is the verdict of ``check_ode_system(quad)`` when the caller has
     it already; otherwise it is computed here.  Raises NotConstant if the ODE
     system fails (W is then not proven a monomial) or if D disagrees with the
-    boundary form (lam + mu^2) * p(1)**2 - r(1)**2.
+    boundary form (lam + mu^2) * p(1)**2 - r(1)**2.  D is a polynomial in
+    (lam, mu): a ``LaurentPoly`` whose terms all have z-power 0.
     """
     ok, witness = ode or check_ode_system(quad)
     if not ok:
         raise NotConstant(f"first integral unproven: {witness}")
     # p(1), q(1), r(1), s(1) and (lam + mu^2) p(1), in one accumulation
     p1, q1, r1, s1, lp1 = combine_rows([*([Piece(1, x, op=AT_ONE)] for x in quad.as_tuple()),
-                                        _times_lam_plus_musq(1, quad.p, op=AT_ONE)])
-    D = product_sum([(1, p1, s1), (-1, q1, r1)])
-    if D != product_sum([(1, lp1, p1), (-1, r1, r1)]):
+                                        times(1, LAM_PLUS_MUSQ, quad.p, op=AT_ONE)])
+    # D and its boundary form as two rows of products, each piece taken from
+    # the factor with fewer terms
+    D, boundary = combine_rows([times(1, p1, s1) + times(-1, r1, q1),
+                                times(1, p1, lp1) + times(-1, r1, r1)])
+    if D != boundary:
         raise NotConstant("first integral disagrees with its z=1 boundary form")
     return D
 
@@ -207,8 +209,8 @@ def d_plus_minus(
     pass ``check=False`` to inspect the flag instead.
     """
     lam, mu, omega = params.lam, params.mu, params.omega
-    p1 = quad.p.at_one().value_at(lam, mu)
-    r1 = quad.r.at_one().value_at(lam, mu)
+    p1 = quad.p.at_one().coeff_arrays(lam, mu)[1][0]
+    r1 = quad.r.at_one().coeff_arrays(lam, mu)[1][0]
     d_plus = p1 + 2.0 * omega * r1
     d_minus = p1 - 2.0 * omega * r1
     scale = max(1.0, abs(p1))
@@ -239,7 +241,7 @@ class NumericQuad:
             dlo, ddense = poly.diff_z().coeff_arrays(lam, mu)
             self._polys[name + "'"] = (dlo, np.asarray(ddense))
         self.d_plus, self.d_minus, self.generic = d_plus_minus(quad, params, check=False)
-        self.D = first_integral(quad).value_at(lam, mu)
+        self.D = first_integral(quad).coeff_arrays(lam, mu)[1][0]
 
     def __call__(self, name: str, z):
         """Evaluate p, q, r, s or a primed variant at complex z (vectorized)."""

@@ -22,7 +22,7 @@ from heun_monodromy.heun import (
     dche_residual,
     matrix_action_residual,
     pair_ode_residual,
-    phi_alpha,
+    phi_alpha_values,
     residual_grid,
 )
 from heun_monodromy.heunpoly import (
@@ -58,7 +58,7 @@ def test_criterion_2_ell1_closed_forms():
     quad = diagonal(1)
     texts = tuple(p.canonical_text() for p in quad.as_tuple())
     assert texts == ("1", "mu - mu*z^2", "mu", "lam + mu^2 - mu^2*z^2")
-    assert first_integral(quad).terms == {(1, 0): 1}  # D = lam exactly
+    assert first_integral(quad).terms == {(0, 1, 0): 1}  # D = lam exactly
     params = ModelParams(ell=1, mu=0.2, omega=1.3)
     dp, dm, _ = d_plus_minus(quad, params)
     assert dp == pytest.approx(1 + params.A, rel=1e-14)
@@ -106,11 +106,11 @@ def test_criterion_5_heun_layer(golden_path):
         assert abs(direct - closed) <= 1e-10
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 1001)
-    ident = phi_alpha(hb, np.pi / 2)(t)
+    ident = phi_alpha_values(*hb.pair(t), t, np.pi / 2)[0]
     r_id = float(np.max(np.abs(ident - np.exp(1j * golden_path.phi(t)))))
     assert r_id <= 1e-9
     for alpha in (0.0, 0.7, np.pi / 2, 2.1):
-        vals = phi_alpha(hb, alpha)(t)
+        vals = phi_alpha_values(*hb.pair(t), t, alpha)[0]
         assert float(np.max(np.abs(np.abs(vals) - 1))) <= 1e-8
     _report(5, f"pair {r21:.1e}, second-order {r22:.1e}, identity {r_id:.1e}")
 

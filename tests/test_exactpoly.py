@@ -9,24 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 import heun_monodromy.cli as cli
 import heun_monodromy.exactpoly as exactpoly
+import heun_monodromy.heunpoly as heunpoly
 from heun_monodromy.exactpoly import (
     AT_ONE,
     LAM_PLUS_MUSQ,
     PRIME,
     REFLECT,
-    BivariateCoeff,
     LaurentPoly,
     Piece,
     combine,
     combine_rows,
-    product_sum,
+    times,
 )
 from heun_monodromy.errors import ExponentOutOfRange
-from heun_monodromy.heunpoly import (
-    _times_lam_plus_musq,
-    check_parity,
-    diagonal,
-)
+from heun_monodromy.heunpoly import check_parity, diagonal
 from heun_monodromy.verify import check_poly_exact
 
 coeff_st = st.integers(-8, 8)
@@ -62,9 +58,10 @@ def substitute_neg_z(poly: LaurentPoly) -> LaurentPoly:
     return combine([Piece(1, poly, op=REFLECT)])
 
 
-def evaluate_bivariate(coeff: BivariateCoeff, lam, mu):
-    """Numeric (or Fraction) value of ``coeff`` at the point (lam, mu)."""
-    return sum(c * lam**a * mu**b for (a, b), c in coeff.terms.items())
+def evaluate_bivariate(coeff: LaurentPoly, lam, mu):
+    """Numeric (or Fraction) value at the point (lam, mu) of ``coeff``, a
+    polynomial in (lam, mu) whose terms all have z-power 0."""
+    return sum(c * lam**a * mu**b for (_, a, b), c in coeff.terms.items())
 
 
 def evaluate(poly: LaurentPoly, z, lam, mu):
@@ -76,9 +73,9 @@ def evaluate_exact(poly: LaurentPoly, z: Fraction, lam: Fraction, mu: Fraction) 
     return sum((v * lam**a * mu**b * z**k for (k, a, b), v in poly.terms.items()), Fraction(0))
 
 
-def bivariate(poly: LaurentPoly) -> BivariateCoeff:
+def bivariate(poly: LaurentPoly) -> LaurentPoly:
     """The z**0 coefficient of ``poly``."""
-    return poly.coeffs.get(0, BivariateCoeff())
+    return poly.coeffs.get(0, LaurentPoly())
 
 
 def reference_combine(pieces) -> LaurentPoly:
@@ -95,7 +92,7 @@ def reference_combine(pieces) -> LaurentPoly:
             else:
                 w = c
             acc = out.setdefault(k + dz, {})
-            for (a, b), v in biv.terms.items():
+            for (_, a, b), v in biv.terms.items():
                 acc[a + dlam, b + dmu] = acc.get((a + dlam, b + dmu), 0) + w * v
     return LaurentPoly({(k, a, b): v for k, t in out.items() for (a, b), v in t.items()})
 
@@ -180,10 +177,10 @@ def test_json_obj_is_sorted():
 
 
 def test_bivariate_arithmetic():
-    a = BivariateCoeff.monomial(2, 1, 0)
-    b = BivariateCoeff.monomial(3, 0, 2)
-    assert (a * b).terms == {(1, 2): 6}
-    assert (a * BivariateCoeff()).is_zero()
+    a = LaurentPoly.monomial(2, lam_pow=1)
+    b = LaurentPoly.monomial(3, mu_pow=2)
+    assert combine(times(1, a, b)).terms == {(0, 1, 2): 6}
+    assert combine(times(1, a, LaurentPoly())).is_zero()
 
 
 wide_laurent = laurent(max_terms=8, coeffs=wide_coeff_st)
@@ -195,42 +192,46 @@ wide_bivariate = laurent(max_terms=6, coeffs=wide_coeff_st, z_pows=st.just(0))
 def test_cross_terms_cancel(a, b):
     # (x + y)(x - y) in one accumulator: every cross term x*y cancels against y*x
     x, y = bivariate(a), bivariate(b)
-    prod = product_sum([(1, x, x), (-1, x, y), (1, y, x), (-1, y, y)])
-    assert prod == bivariate(reference_product(a, a) - reference_product(b, b))
-    assert all(v != 0 for v in prod.terms.values())
+    prod = combine(times(1, x, x) + times(-1, x, y) + times(1, y, x) + times(-1, y, y))
+    assert prod == reference_product(a, a) - reference_product(b, b)
+    assert_canonical(prod)
 
 
-@given(wide_bivariate, wide_bivariate)
+@given(wide_bivariate, wide_laurent, wide_coeff_st, st.integers(-3, 3), st.integers(0, 2),
+       st.sampled_from([None, PRIME, REFLECT, AT_ONE]))
 @settings(max_examples=100, deadline=None)
-def test_bivariate_product_matches_reference(a, b):
-    x, y = bivariate(a), bivariate(b)
-    prod = x * y
-    assert prod == bivariate(reference_product(a, b))
-    assert all(v != 0 for v in prod.terms.values())
+def test_bivariate_product_matches_reference(y, x, c, dz, dmu, op):
+    # the pieces of times(c, y, x, dz, dmu, op) sum to y times that multiple
+    # of op(x), whose z-powers may be negative
+    prod = combine(times(c, y, x, dz, dmu, op))
+    assert prod == reference_product(y, reference_combine([Piece(c, x, dz, 0, dmu, op)]))
+    assert_canonical(prod)
 
 
 def test_empty_and_single_term_operands():
-    one_term = BivariateCoeff.monomial(-(2**70), lam_pow=1)
-    poly = BivariateCoeff({(1, 0): -(2**70), (0, 2): 3})
-    assert (BivariateCoeff() * poly).terms == {}
-    assert (poly * BivariateCoeff()).terms == {}
-    assert (one_term * one_term).terms == {(2, 0): 2**140}
-    assert (one_term * poly).terms == {(2, 0): 2**140, (1, 2): -3 * 2**70}
-    assert (BivariateCoeff() * LAM_PLUS_MUSQ).terms == {}
+    one_term = LaurentPoly.monomial(-(2**70), lam_pow=1)
+    poly = LaurentPoly({(0, 1, 0): -(2**70), (0, 0, 2): 3})
+    assert times(1, LaurentPoly(), poly) == []
+    assert combine(times(1, poly, LaurentPoly())).terms == {}
+    assert combine(times(1, one_term, one_term)).terms == {(0, 2, 0): 2**140}
+    assert combine(times(1, one_term, poly)).terms == {(0, 2, 0): 2**140, (0, 1, 2): -3 * 2**70}
+    assert combine(times(1, LAM_PLUS_MUSQ, LaurentPoly())).terms == {}
 
 
 def test_sparse_exponents_take_the_compact_path():
     # exponents a thousand apart: the sum's (lam, mu) box would have about 2e6 slots
-    a = BivariateCoeff({(0, 0): 1, (1000, 0): -5})
-    b = BivariateCoeff({(1000, 0): 2, (0, 1000): 7})
-    assert a * b == BivariateCoeff({(1000, 0): 2, (0, 1000): 7, (2000, 0): -10, (1000, 1000): -35})
+    a = LaurentPoly({(0, 0, 0): 1, (0, 1000, 0): -5})
+    b = LaurentPoly({(0, 1000, 0): 2, (0, 0, 1000): 7})
+    assert combine(times(1, a, b)) == LaurentPoly(
+        {(0, 1000, 0): 2, (0, 0, 1000): 7, (0, 2000, 0): -10, (0, 1000, 1000): -35}
+    )
 
 
 def test_diagonal_products_match_reference():
     # the operands first_integral multiplies: the diagonal's values at z = 1
-    p1, q1, r1, s1 = (LaurentPoly.constant(x.at_one()) for x in diagonal(16).as_tuple())
-    assert LaurentPoly.constant(p1.at_one() * s1.at_one()) == reference_product(p1, s1)
-    assert LaurentPoly.constant(q1.at_one() * r1.at_one()) == reference_product(q1, r1)
+    p1, q1, r1, s1 = (x.at_one() for x in diagonal(16).as_tuple())
+    assert combine(times(1, p1, s1)) == reference_product(p1, s1)
+    assert combine(times(1, r1, q1)) == reference_product(q1, r1)
 
 
 @st.composite
@@ -261,42 +262,38 @@ def test_combine_matches_nested_reference(ps):
 @given(wide_laurent)
 @settings(max_examples=60, deadline=None)
 def test_lam_plus_musq_combination_is_the_product(a):
-    lam_plus_musq = LaurentPoly.constant(LAM_PLUS_MUSQ)
-    assert combine(_times_lam_plus_musq(1, a)) == reference_product(a, lam_plus_musq)
+    assert combine(times(1, LAM_PLUS_MUSQ, a)) == reference_product(a, LAM_PLUS_MUSQ)
 
 
 def test_one_accumulator_matches_two_products():
     p1, q1, r1, s1 = (x.at_one() for x in diagonal(16).as_tuple())
-    combo = product_sum([(1, p1, s1), (-1, q1, r1)])
-    assert LaurentPoly.constant(combo) == (
-        LaurentPoly.constant(p1 * s1) - LaurentPoly.constant(q1 * r1)
-    )
-    assert all(v != 0 for v in combo.terms.values())
+    combo = combine(times(1, p1, s1) + times(-1, r1, q1))
+    assert combo == reference_product(p1, s1) - reference_product(q1, r1)
+    assert_canonical(combo)
 
 
 def test_products_stay_in_first_integral(monkeypatch, capsys):
-    """No product of z-dependent polynomials anywhere: every operand of the
-    one product kernel is a (lam, mu) polynomial, each term with z-power 0, in
-    ``poly --check`` and in the battery's exact suite; the identity checks
-    multiply nothing."""
-    keys = []
-    product = exactpoly._product
+    """No product of z-dependent polynomials anywhere: the factor ``y`` that
+    ``times`` takes its pieces from is a (lam, mu) polynomial, each term with
+    z-power 0, in ``poly --check`` and in the battery's exact suite; the
+    identity checks multiply only by lam + mu^2."""
+    factors = []
 
-    def counted(pairs):
-        pairs = list(pairs)
-        keys.extend(k for _, x, y in pairs for k in (*x.terms, *y.terms))
-        return product(pairs)
+    def counted(c, y, x, *args, **kwargs):
+        factors.append(y)
+        return times(c, y, x, *args, **kwargs)
 
-    monkeypatch.setattr(exactpoly, "_product", counted)
+    monkeypatch.setattr(heunpoly, "times", counted)
     for ell in range(1, 7):
         quad = diagonal(ell)
         assert check_parity(quad) == (True, None)
-    assert keys == []
+    assert factors and all(y is LAM_PLUS_MUSQ for y in factors)
+    factors.clear()
     assert cli.main(["poly", "--ell", "12", "--check"]) == 0
     assert capsys.readouterr().err == "exact checks passed\n"
     assert check_poly_exact() == ({f"ell_{ell}": "exact" for ell in range(1, 7)}, [])
-    assert keys  # the counter sees the products it is meant to see
-    assert all(z == 0 for z, _, _ in keys)
+    assert any(y is not LAM_PLUS_MUSQ for y in factors)  # first_integral's products
+    assert all(z == 0 for y in factors for z, _, _ in y.terms)
 
 
 @given(st.lists(pieces(), max_size=4))
@@ -342,9 +339,9 @@ def test_a_shift_past_its_field_is_refused_before_packing():
     bottom = LaurentPoly({(-HIGH, -HIGH, -HIGH): 1})
     assert combine([Piece(2, bottom, -1, -1, -1)]).terms == {(-HIGH - 1,) * 3: 2}
     assert bottom.diff_z().terms == {(-HIGH - 1, -HIGH, -HIGH): -HIGH}
-    square = BivariateCoeff.monomial(1, lam_pow=HIGH // 2 + 1)
+    square = LaurentPoly.monomial(1, lam_pow=HIGH // 2 + 1)
     with pytest.raises(ExponentOutOfRange):
-        square * square
+        combine(times(1, square, square))
     with pytest.raises(ExponentOutOfRange):
         combine_rows([[]] * (exactpoly._MAX_ROWS + 1))
 
@@ -357,16 +354,18 @@ def test_a_cancelled_edge_term_does_not_refuse_a_shift():
     assert one == LaurentPoly.monomial(1) and one._slack == 0
     assert combine([Piece(3, one, 5, 4, 1, PRIME)]).is_zero()
     assert combine([Piece(3, one, 5, 4, 1)]).terms == {(5, 4, 1): 3}
-    assert product_sum([(2, one, one)]).terms == {(0, 0): 2}
+    assert combine(times(2, one, one)).terms == {(0, 0, 0): 2}
     lam_edge = LaurentPoly({(0, HIGH, 0): 1, (0, 0, 0): 1})
     with pytest.raises(ExponentOutOfRange):
-        product_sum([(1, lam_edge, lam_edge)])
+        combine(times(1, lam_edge, lam_edge))
 
 
 def _sums_by_key(tree: ast.AST, module: str):
     """(module, innermost enclosing function, form) of every sum by key in
     ``tree``: a call of ``reduceat``, ``unique``, ``bincount`` or ``add.at``, a
-    ``d.get(key, 0) + ...`` term and a ``+=`` into a subscript."""
+    ``d.get(key, 0) + ...`` term and a ``+=`` into a subscript; and of every
+    ``outer`` call (``np.outer``, ``np.multiply.outer``, ``np.add.outer``, ...),
+    which would build a product beside ``combine_rows``."""
     found = []
 
     def visit(node, function):
@@ -374,7 +373,7 @@ def _sums_by_key(tree: ast.AST, module: str):
             function = node.name
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             name, owner = node.func.attr, node.func.value
-            if name in ("reduceat", "unique", "bincount") or (
+            if name in ("reduceat", "unique", "bincount", "outer") or (
                 name == "at" and isinstance(owner, ast.Attribute) and owner.attr == "add"
             ):
                 found.append((module, function, name))
@@ -397,7 +396,8 @@ def _sums_by_key(tree: ast.AST, module: str):
 def test_collect_is_the_one_accumulator():
     # every sum of coefficients by key in the package (each recurrence step,
     # identity residual, value at z = 1 and product) goes through one
-    # stable sort and one reduceat, in exactpoly._collect
+    # stable sort and one reduceat, in exactpoly._collect; no outer sum or
+    # outer product builds a product beside the monomial pieces of times
     package = Path(exactpoly.__file__).resolve().parent
     found = [site for module in sorted(package.glob("*.py"))
              for site in _sums_by_key(ast.parse(module.read_text()), module.stem)]

@@ -11,9 +11,7 @@ import heun_monodromy.cli as cli
 import heun_monodromy.heunpoly as heunpoly_mod
 import heun_monodromy.verify as verify
 from heun_monodromy import GenericityViolated, ModelParams, NotConstant
-from heun_monodromy.exactpoly import (
-    PRIME, BivariateCoeff, LaurentPoly, Piece, combine, combine_rows,
-)
+from heun_monodromy.exactpoly import PRIME, LaurentPoly, Piece, combine, combine_rows
 from heun_monodromy.heunpoly import (
     NumericQuad,
     PolyQuadruple,
@@ -78,7 +76,7 @@ def test_diagonal_ell1_closed_forms():
     assert quad.r.canonical_text() == "mu"
     assert quad.s.canonical_text() == "lam + mu^2 - mu^2*z^2"
     D = first_integral(quad)
-    assert D.terms == {(1, 0): 1}  # D = lam
+    assert D.terms == {(0, 1, 0): 1}  # D = lam
 
 
 @pytest.mark.parametrize("ell", range(1, 7))
@@ -147,7 +145,7 @@ def _to_sympy(sympy, poly: LaurentPoly):
     return sum(
         c * lam**a * mu**b * z**k
         for k, biv in poly.coeffs.items()
-        for (a, b), c in biv.terms.items()
+        for (_, a, b), c in biv.terms.items()
     )
 
 
@@ -158,7 +156,7 @@ def test_first_integral_sympy_oracle(ell):
     quad = diagonal(ell)
     p, q, r, s = (_to_sympy(sympy, poly) for poly in quad.as_tuple())
     expected = sympy.expand((p * s - q * r) * z ** (2 * (1 - ell)))
-    assert sympy.expand(_to_sympy(sympy, LaurentPoly.constant(first_integral(quad))) - expected) == 0
+    assert sympy.expand(_to_sympy(sympy, first_integral(quad)) - expected) == 0
 
 
 def test_d_plus_minus_ell1_closed_form():
@@ -209,7 +207,7 @@ def test_first_integral_ell2_closed_form():
     expected = LaurentPoly.monomial(1, lam_pow=1) + LaurentPoly.monomial(
         1, mu_pow=2
     ) - LaurentPoly.monomial(1, lam_pow=2)
-    assert LaurentPoly.constant(D) == expected
+    assert D == expected
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
@@ -218,10 +216,10 @@ def test_numeric_D_is_correctly_rounded_and_free_of_term_order(ell, monkeypatch)
 
     quad = diagonal(ell)
     D = first_integral(quad)
-    reversed_D = BivariateCoeff(dict(reversed(list(D.terms.items()))))
-    assert list(reversed_D.terms) == list(D.terms)[::-1]
-    # the same quadruple built from every term dict in reverse order: the
+    # D and the quadruple built from every term dict in reverse order: the
     # packed storage holds the terms in canonical order whatever the input order
+    reversed_D = LaurentPoly(dict(reversed(list(D.terms.items()))))
+    assert list(reversed_D.terms) == list(D.terms)
     reversed_quad = PolyQuadruple(
         quad.k, ell, *(LaurentPoly(dict(reversed(list(x.terms.items())))) for x in quad.as_tuple())
     )
@@ -230,7 +228,7 @@ def test_numeric_D_is_correctly_rounded_and_free_of_term_order(ell, monkeypatch)
     for _ in range(25):
         params = ModelParams(ell=ell, mu=rng.uniform(0.05, 1.5), omega=rng.uniform(0.3, 2.0))
         lam, mu = Fraction(params.lam), Fraction(params.mu)
-        exact = sum(Fraction(c) * lam**a * mu**b for (a, b), c in D.terms.items())
+        exact = sum(Fraction(c) * lam**a * mu**b for (_, a, b), c in D.terms.items())
         nq = NumericQuad(quad, params)
         assert nq.D == float(exact)
         p1, r1 = (
@@ -309,7 +307,7 @@ def test_ode_rows_are_the_checked_rows(ell, monkeypatch):
 def test_first_integral_is_the_full_product(ell):
     quad = diagonal(ell)
     W = reference_product(quad.p, quad.s) - reference_product(quad.q, quad.r)
-    assert combine([Piece(1, W, 2 * (1 - ell))]) == LaurentPoly.constant(first_integral(quad))
+    assert combine([Piece(1, W, 2 * (1 - ell))]) == first_integral(quad)
 
 
 def _corrupted_diagonal(ell: int) -> PolyQuadruple:

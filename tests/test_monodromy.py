@@ -7,7 +7,7 @@ import heun_monodromy.circle as circle_mod
 from heun_monodromy import ModelParams, solve_phase
 from heun_monodromy.circle import CirclePair, phi_on_circle, psi_on_circle
 from heun_monodromy.errors import DenominatorVanished, WindowTooSmall
-from heun_monodromy.heun import build_E, phi_alpha
+from heun_monodromy.heun import build_E, phi_alpha_values
 from heun_monodromy.monodromy import monodromy_algebraic, monodromy_direct, verify_monodromy
 from heun_monodromy.sqrtmono import transform_from_path
 
@@ -87,7 +87,7 @@ def test_denominator_guard_fires(golden_path, golden_quad, monkeypatch):
     hb = build_E(phi_on_circle(golden_path), psi_on_circle(golden_path))
     monkeypatch.setattr(circle_mod, "DENOMINATOR_FLOOR", 1e10)
     for values, what in ((monodromy_algebraic(golden_path), "monodromy"), (tr.phi_B, "Phi_B"),
-                         (phi_alpha(hb, 0.7), "phi_alpha")):
+                         (lambda t: phi_alpha_values(*hb.pair(t), t, 0.7)[0], "phi_alpha")):
         with pytest.raises(DenominatorVanished, match=what) as err:
             values(np.linspace(-1, 1, 11))
         assert err.value.t == -1.0

@@ -1,10 +1,12 @@
 """No test-only code in the package: every top-level function, class and
 method is used by the program itself or by the benchmark.
 
-A definition counts as used when its name is referenced (as a name, an
-attribute or a string, such as the benchmark's traced names) from a package
-module other than ``__init__``, or from ``perfbench``, outside the
-definition's own body.  Dunder methods are called by Python itself.
+A definition counts as used when its name is referenced (as a name or an
+attribute) from a package module other than ``__init__``, or from
+``perfbench``, outside the definition's own body.  A string counts only in
+``perfbench``, where the traced names are: in the package a string such as
+``quotient``'s label names a value, not a caller.  Dunder methods are called
+by Python itself.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ ALLOWED = {
 }
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often each name is referenced in ``tree``."""
+def _references(tree: ast.AST, strings: bool = False) -> Counter:
+    """How often each name is referenced in ``tree``, string constants
+    included when ``strings`` is set."""
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -35,7 +38,7 @@ def _references(tree: ast.AST) -> Counter:
             names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rsplit(".", 1)[-1]] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             names[node.value] += 1
     return names
 
@@ -57,8 +60,9 @@ def _unused() -> list[str]:
     modules = {path: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(PACKAGE.glob("*.py"))}
     users = [tree for path, tree in modules.items() if path.name != "__init__.py"]
-    users += [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
     everywhere = sum((_references(tree) for tree in users), Counter())
+    everywhere += sum((_references(ast.parse(path.read_text()), strings=True)
+                       for path in sorted(PERFBENCH.glob("*.py"))), Counter())
     unused = []
     for path, tree in modules.items():
         for qualname, node in _definitions(tree):
