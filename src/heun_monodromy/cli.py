@@ -156,16 +156,11 @@ def cmd_poly(args) -> int:
     if not (1 <= args.ell_int <= MAX_ELL):
         raise UsageError(f"--ell must be an integer in 1..{MAX_ELL}")
     quad = diagonal(args.ell_int)
-    names = ("p", "q", "r", "s")
-    out = []
-    for name, poly in zip(names, quad.as_tuple()):
-        out.append(f"{name} = {poly.canonical_text()}")
     d_poly = first_integral(quad)  # proves the ODE system first
-    out.append(f"D = {d_poly.canonical_text()}")
-    sys.stdout.write("\n".join(out) + "\n")
-    obj = {name: poly.to_json_obj() for name, poly in zip(names, quad.as_tuple())}
-    obj["D"] = d_poly.to_json_obj()
-    sys.stdout.write(canonical_json(obj) + "\n")
+    polys = [*zip("pqrs", quad.as_tuple()), ("D", d_poly)]
+    text = "\n".join(f"{name} = {poly.canonical_text()}" for name, poly in polys)
+    rows = ", ".join(f'"{name}": {poly.json_text()}' for name, poly in polys)
+    sys.stdout.write(f"{text}\n{{{rows}}}\n")
     if args.check:
         ok_p, wit_p = check_parity(quad)
         if not ok_p:

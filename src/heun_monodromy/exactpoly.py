@@ -100,20 +100,6 @@ def _values_at(polys: list[list[tuple[int, int, int]]], lam: float, mu: float) -
     return [sum(c * lam_pows[a] * mu_pows[b] for a, b, c in terms) / den for terms in polys]
 
 
-def _monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> str:
-    """Sign and magnitude text of one monomial, as in ``- 3*lam*z^2``."""
-    factors = []
-    mag = abs(coeff)
-    for name, p in (("lam", lam_pow), ("mu", mu_pow), ("z", z_pow)):
-        if p == 1:
-            factors.append(name)
-        elif p != 0:
-            factors.append(f"{name}^{p}")
-    if mag != 1 or not factors:
-        factors.insert(0, str(mag))
-    return ("- " if coeff < 0 else "+ ") + "*".join(factors)
-
-
 #: Operators a piece may apply to its polynomial (d/dz, z -> -z, z -> 1): each
 #: maps the int64 array of a polynomial's z-powers to the change of each
 #: z-power and the integer multiplier of each term (each an int or an array).
@@ -190,18 +176,19 @@ def combine_rows(rows: Sequence[Iterable[Piece]]) -> list["LaurentPoly"]:
 
 def _shifted_weighted(keys: list, vals: list, shifts: list[int], factors: list[int]):
     """All pieces' keys plus their shifts and coefficients times their factors,
-    each concatenated.  The factors are int64 while they fit, Python ints
-    otherwise; a coefficient with factor 1 is kept, not copied."""
+    each concatenated.  The factors are int64 while they fit, and then a
+    coefficient with factor 1 is kept, not multiplied; past int64 they are
+    Python ints, all multiplied, as a mask would cost more than it saves."""
     if len(keys) == 1:
         return keys[0] + shifts[0], vals[0] * factors[0] if factors[0] != 1 else vals[0]
     sizes = [len(k) for k in keys]
     keys, vals = np.concatenate(keys), np.concatenate(vals)
     if -_INT64 <= min(factors) and max(factors) < _INT64:
         shifts, factors = np.repeat(np.array([shifts, factors], dtype=np.int64), sizes, axis=1)
-    else:
-        shifts = np.repeat(np.array(shifts, dtype=np.int64), sizes)
-        factors = np.repeat(np.array(factors, dtype=object), sizes)
-    return keys + shifts, np.multiply(vals, factors, out=vals, where=factors != 1)
+        return keys + shifts, np.multiply(vals, factors, out=vals, where=factors != 1)
+    shifts = np.repeat(np.array(shifts, dtype=np.int64), sizes)
+    factors = np.repeat(np.array(factors, dtype=object), sizes)
+    return keys + shifts, np.multiply(vals, factors, out=vals)
 
 
 def combine(pieces: Iterable[Piece]) -> "LaurentPoly":
@@ -345,21 +332,39 @@ class LaurentPoly:
         ascending, then lam-power descending, then mu-power ascending."""
         return zip(*self._exponents().tolist(), self._vals.tolist())
 
+    def _decode(self) -> tuple[list[int], list[int], list[int], list[str]]:
+        """The z, lam and mu exponents and the coefficients' decimal texts, in
+        canonical order: the one decode of both output forms."""
+        z, lam, mu = self._exponents().tolist()
+        return z, lam, mu, list(map(str, self._vals.tolist()))
+
     def canonical_text(self) -> str:
         """Deterministic text form.
 
         Monomials are ordered by z-power ascending, then lam-power descending,
         then mu-power ascending, so that e.g. ``lam + mu^2 - mu^2*z^2`` prints
-        in the conventional order.
-        """
+        in the conventional order.  A unit coefficient is written only alone."""
         if self.is_zero():
             return "0"
-        text = " ".join(_monomial_text(c, a, b, z) for z, a, b, c in self._rows())
+        zs, lams, mus, coeffs = self._decode()
+        # each power's factor text, with its leading "*" ("" for power 0)
+        lam_t, mu_t, z_t = (
+            {p: "" if p == 0 else f"*{name}" if p == 1 else f"*{name}^{p}"
+             for p in range(min(ps), max(ps) + 1)}
+            for name, ps in (("lam", lams), ("mu", mus), ("z", zs))
+        )
+        parts = []
+        for c, a, b, k in zip(coeffs, lams, mus, zs):
+            f = lam_t[a] + mu_t[b] + z_t[k]
+            sign, mag = ("- ", c[1:]) if c[0] == "-" else ("+ ", c)
+            parts.append(sign + (f[1:] if mag == "1" and f else mag + f))
+        text = " ".join(parts)
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
-    def to_json_obj(self) -> list[list]:
-        """Lossless JSON form: [[z_pow, lam_pow, mu_pow, coeff], ...] sorted."""
-        return [list(row) for row in self._rows()]
+    def json_text(self) -> str:
+        """Lossless JSON text ``[[z_pow, lam_pow, mu_pow, coeff], ...]`` in
+        canonical order, with the canonical ``", "`` separators."""
+        return "[" + ", ".join(f"[{k}, {a}, {b}, {c}]" for k, a, b, c in zip(*self._decode())) + "]"
 
     def __repr__(self) -> str:
         return f"LaurentPoly<{self.canonical_text()}>"

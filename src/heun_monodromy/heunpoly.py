@@ -33,9 +33,9 @@ from .exactpoly import (
 from .params import ModelParams
 
 #: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
-#: about 0.19 s in process on a shared 2-vCPU Xeon: two fifths of it is
-#: ``diagonal``'s recurrence, about as much the text and JSON output, and
-#: ``first_integral`` (about 15 ms) multiplies only values at z = 1, as the
+#: about 0.12 s in process on a shared 2-vCPU Xeon: three fifths of it is
+#: ``diagonal``'s recurrence, a sixth the text and JSON output, and
+#: ``first_integral`` (about 20 ms) multiplies only values at z = 1, as the
 #: ``times`` pieces of one ``combine_rows`` call.  The largest exponents
 #: there (z-power 64) are far inside the 16-bit key fields of ``exactpoly``,
 #: and ``combine_rows``' shift guard refuses any product that would not fit.

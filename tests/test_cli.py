@@ -11,9 +11,12 @@ from heun_monodromy.cli import main
 from heun_monodromy.heunpoly import MAX_ELL
 from heun_monodromy.jsonio import canonical_json
 
-# sha256 of `poly --ell L` standard output.  The output is exact integer
-# arithmetic, so a changed digest is a wrong answer, not a rounding change.
-# Orders 1..6 are the ones `verify`'s poly-exact suite runs.
+# sha256 of `poly --ell L` standard output, for every order; `--check` adds
+# only its line on standard error.  The output is exact integer arithmetic,
+# so a changed digest is a wrong answer, not a rounding change.  Orders 1..6
+# are the ones `verify`'s poly-exact suite runs; from 22 on the coefficients
+# pass 64 bits (66 at 22, 94 at 28, 113 at 32), so those pin exact
+# arithmetic on Python ints.
 POLY_STDOUT_SHA256 = {
     1: "31f8a36f0a41e5b4e1cccd81ee8d9920d7a2da7a91ae0afc1745a67ddf44784d",
     2: "975d1dac2e46d75464244c716e10e654938decda3ae4b9e6e79697c8709635de",
@@ -21,12 +24,31 @@ POLY_STDOUT_SHA256 = {
     4: "1bcc1ea283297d36ce78f4a32b184816e43eb80dd449f878f171f1ece457bec4",
     5: "85ad56e3a6eea48a4c74c6c4d72187eaf445de6157b664dc35b91ad9a22f9d32",
     6: "35c1f7937a10a9d312fa134577f5592e9126809827419dcd85e804d552ed6216",
+    7: "af889e6fa48e4813dea5dade0956f1abbb7d74921709d162b173637c6dc72683",
+    8: "6461b19c17ef634ef487dec0fb3d94d6c08d6047f5f093fbe4a37d4ad826eeba",
+    9: "ce6785d0e177775c2146eb4fab0f4953e564929ac26344bfc8c254969bec22a7",
     10: "835adfabd85104790f06db8165c60d0ca4f4beb5ad8d29b4d7288a99433b8d12",
+    11: "3ee2469fa4eb34b2cb48b3c25b0a158895d2cba8c8200349210a92a44f5def7b",
+    12: "23091ba5034b77765f4768fc738849e933ca59dccb87f870859a38a27a008c9d",
+    13: "5d44b69accd771a11986ef23382182ccc8140b53060f6e2b9c3835d47a8b828c",
+    14: "901fd27a91467b9689ce2849d4b624edc2af25a4fb5d2c092f179a27b9d04cbe",
+    15: "1bed3a2781cb812eaa442fb79f80127a4b94737a73c4a8e53a4d1e4f3b01b4e0",
     16: "d4687a2729f6b4d3103522a12f629c8d5f2a0c9b844929eb5a271cb9e1ad7047",
-    # coefficients of 66, 94 and 113 bits: past int64, so these pin exact
-    # arithmetic on Python ints
+    17: "6b42d8efbafa7a5f898d7df2064aa04832b1c31d90c459f6ea76ef7707882f2c",
+    18: "7ac1190764d7ab65016bfda208837069260b454ead6c7ba7d2b8df95307ac3a2",
+    19: "5c27b3497699c868759e96fa654769e34db36ce55502cdd38a023f3cee50cf0e",
+    20: "2529b1cfd2e6554293393df23f4c8d415380bb933aa155595174818825fe987b",
+    21: "b98602388cf1a7c09da34aaf471e54c18a1951d8a0324d750f0c0169ed45006d",
     22: "f1c936ced8e192ea036f250608e6a12e58ffd885cfbb0217a9bd118d5b34cf08",
+    23: "41c8d2e2240dd9ec41e49f1a63b701741aaa194f829cb0317aeccc278a4d3c07",
+    24: "b14474e41759faec4f3dcc378b8e1741474325a59b0369f629bb519ec59bfc70",
+    25: "73981d74045b177c3fa0486f409147f86eda0584f093f6358896b533bebeaa98",
+    26: "231cadf83c46a2522d9d23ff8e84305f9308349a00d7095eb0375b6015ba497d",
+    27: "dcb543f4643f34e43044159a103baa677d90c65e5d027e3d2037ae870a4c3172",
     28: "4c20b5abf845138db97623ab991262464c76ad5174caaa1f299b7f7369ec828e",
+    29: "5a6cf2d0fac3114a2d986352f3ba044ce6acfc89b026192c9544a3e2fb184576",
+    30: "03505b93f188d116ce3a825aea15bf31ca6c6f8d443e66de865bdeabfe7f5a88",
+    31: "87d14b938c8a5cf2550d829c589a74ee7600963d23624ca67f25973a6bc1ef06",
     32: "c1514e05047e9cec57ce568a1cff445762c9d781b303df0a7997acdff93007c3",
 }
 
@@ -173,6 +195,42 @@ def test_poly_stdout_bytes_are_pinned(capsys, ell):
     code, out, err = run(capsys, "poly", "--ell", str(ell))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == POLY_STDOUT_SHA256[ell]
+
+
+def test_poly_pins_cover_every_order():
+    assert sorted(POLY_STDOUT_SHA256) == list(range(1, MAX_ELL + 1))
+
+
+@pytest.mark.parametrize("ell", sorted(POLY_STDOUT_SHA256))
+def test_poly_check_output_is_pinned(capsys, ell):
+    code, out, err = run(capsys, "poly", "--ell", str(ell), "--check")
+    assert (code, err) == (0, "exact checks passed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == POLY_STDOUT_SHA256[ell]
+
+
+def test_poly_keeps_the_traced_hooks(capsys, monkeypatch):
+    # the benchmark's tracer wraps LaurentPoly.canonical_text in the class
+    # __dict__ and cli's own name for jsonio.canonical_json; a refactor that
+    # bypasses either stops every traced run
+    import heun_monodromy.cli as cli_mod
+    from heun_monodromy import jsonio
+    from heun_monodromy.exactpoly import LaurentPoly
+
+    assert cli_mod.canonical_json is jsonio.canonical_json
+    original = LaurentPoly.__dict__["canonical_text"]
+    rendered = []
+
+    def counted(self):
+        rendered.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LaurentPoly, "canonical_text", counted)
+    code, out, _ = run(capsys, "poly", "--ell", "2")
+    assert code == 0
+    assert len(rendered) == 5  # p, q, r, s and D
+    assert [line.split(" = ")[1] for line in out.splitlines()[:5]] == [
+        original(poly) for poly in rendered
+    ]
 
 
 def test_poly_at_the_order_limit(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from heun_monodromy.exactpoly import (
 )
 from heun_monodromy.errors import ExponentOutOfRange
 from heun_monodromy.heunpoly import check_parity, diagonal
+from heun_monodromy.jsonio import canonical_json
 from heun_monodromy.verify import check_poly_exact
 
 coeff_st = st.integers(-8, 8)
@@ -171,9 +173,64 @@ def test_exact_vs_float_evaluation(a):
     assert abs(float(exact) - approx) < 1e-9 * max(1.0, abs(float(exact)))
 
 
-def test_json_obj_is_sorted():
+def test_json_text_is_sorted():
     p = LaurentPoly.monomial(2, z_pow=1) + LaurentPoly.monomial(1, z_pow=-1, lam_pow=1)
-    assert p.to_json_obj() == [[-1, 1, 0, 1], [1, 0, 0, 2]]
+    assert p.json_text() == "[[-1, 1, 0, 1], [1, 0, 0, 2]]"
+    assert LaurentPoly().json_text() == "[]"
+
+
+def reference_monomial_text(coeff: int, lam_pow: int, mu_pow: int, z_pow: int) -> str:
+    """Sign and magnitude text of one monomial, as in ``- 3*lam*z^2``: the
+    term-at-a-time rule that ``canonical_text`` renders from its tables."""
+    factors = []
+    mag = abs(coeff)
+    for name, p in (("lam", lam_pow), ("mu", mu_pow), ("z", z_pow)):
+        if p == 1:
+            factors.append(name)
+        elif p != 0:
+            factors.append(f"{name}^{p}")
+    if mag != 1 or not factors:
+        factors.insert(0, str(mag))
+    return ("- " if coeff < 0 else "+ ") + "*".join(factors)
+
+
+def reference_text(poly: LaurentPoly) -> str:
+    if poly.is_zero():
+        return "0"
+    text = " ".join(reference_monomial_text(c, a, b, z) for (z, a, b), c in poly.terms.items())
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+# units next to everything else, and coefficients past 2**100
+render_coeff_st = st.one_of(st.sampled_from([1, -1]), wide_coeff_st)
+
+
+@st.composite
+def rendered(draw):
+    """A polynomial for the renderers: negative and unit powers of every
+    variable, sometimes a bare constant, sometimes no terms at all."""
+    exps = st.tuples(st.integers(-3, 3), st.integers(-2, 3), st.integers(-2, 3))
+    terms = draw(st.dictionaries(exps, render_coeff_st, max_size=8))
+    if draw(st.booleans()):
+        terms[0, 0, 0] = draw(render_coeff_st)
+    return LaurentPoly(terms)
+
+
+@given(rendered())
+@settings(max_examples=200, deadline=None)
+def test_renderers_match_the_term_rules(poly):
+    assert poly.canonical_text() == reference_text(poly)
+    rows = [[z, a, b, c] for (z, a, b), c in poly.terms.items()]
+    assert poly.json_text() == json.dumps(rows) == canonical_json(rows)
+    assert json.loads(poly.json_text()) == rows
+
+
+def test_renderers_on_units_and_constants():
+    p = LaurentPoly({(0, 0, 0): -1, (-1, 0, 1): 1, (2, 1, 0): -1, (0, 2, 0): 2**101})
+    assert p.canonical_text() == f"mu*z^-1 + {2**101}*lam^2 - 1 - lam*z^2"
+    assert p.json_text() == f"[[-1, 0, 1, 1], [0, 2, 0, {2**101}], [0, 0, 0, -1], [2, 1, 0, -1]]"
+    assert LaurentPoly.monomial(-1).canonical_text() == "-1"
+    assert LaurentPoly().canonical_text() == "0"
 
 
 def test_bivariate_arithmetic():
