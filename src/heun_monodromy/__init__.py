@@ -39,7 +39,6 @@ from .heunpoly import (
     PolyQuadruple,
     check_ode_system,
     check_parity,
-    d_plus_minus,
     diagonal,
     first_integral,
     recurrence_step,

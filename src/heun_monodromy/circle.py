@@ -61,8 +61,9 @@ def psi_on_circle(path: PhasePath) -> CircleFunction:
 class CirclePair:
     """The four half-power products of a circle pair and their t-derivatives.
 
-    ``phi_at`` and ``P_at`` take a float array of times and return the
-    continuous phase and the quadrature.  In circle coordinates
+    ``values`` takes a float array of times and returns the continuous
+    phase and the quadrature there as ``(phi, P)``, as ``PhasePath.eval``
+    does.  In circle coordinates
 
         S    = Psi(z)^1/2   Phi(z)^1/2    = exp((P(t) + i phi(t))/2)
         R    = Psi(1/z)^1/2 Phi(1/z)^-1/2 = exp((P(-t) - i phi(-t))/2)
@@ -78,16 +79,9 @@ class CirclePair:
     and the alpha family of ``heun`` share.
     """
 
-    def __init__(self, phi_at, P_at, params: ModelParams):
+    def __init__(self, values, params: ModelParams):
         self.params = params
-        self._values = lambda u: (phi_at(u), P_at(u))
-
-    @classmethod
-    def on_path(cls, path: PhasePath) -> "CirclePair":
-        """The solved pair, with phi and P from one ``PhasePath.eval``."""
-        pair = cls(path.phi, path.P, path.params)
-        pair._values = path.eval
-        return pair
+        self._values = values
 
     def __call__(self, t):
         """((S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd)) at the times t."""
@@ -121,12 +115,12 @@ class CirclePair:
 
 def half_power_factors(path: PhasePath, t: np.ndarray):
     """(S, R, Rrec, Srec) of the solved pair at t; see ``CirclePair``."""
-    return CirclePair.on_path(path)(t)[0]
+    return CirclePair(path.eval, path.params)(t)[0]
 
 
 def half_power_factor_dots(path: PhasePath, t: np.ndarray):
     """Analytic d/dt of the four half-power products (same order)."""
-    return CirclePair.on_path(path)(t)[1]
+    return CirclePair(path.eval, path.params)(t)[1]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .heunpoly import (
     MAX_ELL,
     NumericQuad,
     check_parity,
-    d_plus_minus,
     diagonal,
     first_integral,
 )
@@ -209,9 +208,12 @@ def cmd_sqrt_monodromy(args) -> int:
     _validate_common(args)
     params = _params(args.ell, args.mu, args.omega)
     _require_max_ell(params, ("theorem2",))
-    quad = diagonal(params.require_integer_order())
-    d_plus_minus(quad, params)  # raises GenericityViolated before any solve
-    nq = NumericQuad(quad, params)
+    nq = NumericQuad(diagonal(params.require_integer_order()), params)
+    if not nq.generic:  # before any solve
+        raise GenericityViolated(
+            f"D+={nq.d_plus:.3e}, D-={nq.d_minus:.3e} at (ell={nq.ell}, mu={params.mu}, "
+            f"omega={params.omega}); the symmetry operator is not invertible here"
+        )
     path = solve_phase(params, args.phi0, tol=args.tol)
     rep, failures = check_theorem2(path, nq, args.grid)
     sys.stdout.write(canonical_json({"theorem2": rep}) + "\n")

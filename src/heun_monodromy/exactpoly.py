@@ -304,14 +304,6 @@ class LaurentPoly:
             return NotImplemented
         return np.array_equal(self._keys, other._keys) and bool((self._vals == other._vals).all())
 
-    def diff_z(self) -> "LaurentPoly":
-        """Formal d/dz (exact on Laurent monomials)."""
-        return combine([Piece(1, self, op=PRIME)])
-
-    def at_one(self) -> "LaurentPoly":
-        """Exact value at z = 1, a polynomial in (lam, mu) of z-degree 0."""
-        return combine([Piece(1, self, op=AT_ONE)])
-
     def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
         """(min_degree, dense ascending coefficient list) at numeric (lam, mu).
 

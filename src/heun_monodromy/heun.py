@@ -45,9 +45,6 @@ COS_PHI0_FLOOR = 1e-8
 #: -z on the cover is taken as t -> t + T/2.  With this choice the double
 #: application reproduces the counterclockwise monodromy E(t + T).
 MINUS_Z_LIFT = "t+T/2"
-#: The sign of that shift, read at each call; -1 gives the mirrored lift
-#: t -> t - T/2, under which the composition lands on E(t - T).
-_LIFT_SIGN = +1.0
 
 #: Coefficients (c+, c-) of E+ and E- as (2, 1) columns: with them a
 #: combination of the basis (``BasisValues.combination``, ``apply_B_and_dot``)
@@ -70,7 +67,7 @@ class HeunBasisPath:
     pair: CirclePair = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.pair = CirclePair.on_path(self.path)
+        self.pair = CirclePair(self.path.eval, self.params)
 
     def at(self, t) -> "BasisValues":
         """E+-(+-t) and their t-derivatives at t from one pair evaluation."""
@@ -210,10 +207,6 @@ def phi_alpha_values(factors, dots, t, alpha: float) -> tuple[np.ndarray, np.nda
 # ---------------------------------------------------------------------------
 
 
-def _lift_shift(params: ModelParams) -> float:
-    return _LIFT_SIGN * params.T / 2.0
-
-
 def _lb_formula(hb: HeunBasisPath, nq: NumericQuad, t, E, Ep):
     """L_B at z = e^{i omega t} from the values E and E' at the lift of -z:
 
@@ -246,7 +239,7 @@ def apply_B_and_dot(
         raise GenericityViolated("operator is singular at this parameter point")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = hb.params
-    ts = t + _lift_shift(p)
+    ts = t + p.T / 2  # the lift of -z (MINUS_Z_LIFT)
     if np.any(ts < hb.path.t_min) or np.any(ts > hb.path.t_max) or np.any(
         -ts < hb.path.t_min
     ) or np.any(-ts > hb.path.t_max):
@@ -273,11 +266,6 @@ def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0)):
     return apply_B_and_dot(hb, nq, t, coeffs)[0]
 
 
-def apply_B_dot(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0)):
-    """Analytic d/dt of apply_B (needed for the composition law)."""
-    return apply_B_and_dot(hb, nq, t, coeffs)[1]
-
-
 def check_B_squared(
     hb: HeunBasisPath,
     nq: NumericQuad,
@@ -297,14 +285,13 @@ def check_B_squared(
             "composition check needs the window to cover [-3T/2, 3T/2] plus margin"
         )
     t = np.linspace(-T / 2, T / 2, grid_size)
-    shift = _lift_shift(p)
     rng = rng or np.random.default_rng(20270101)
     c_rand = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
     # rows: E+, E-, one random combination
     cp = np.array([1.0 + 0.0j, 0.0j, c_rand[0]])[:, None]
     cm = np.array([0.0j, 1.0 + 0.0j, c_rand[1]])[:, None]
 
-    u = t + shift
+    u = t + T / 2
     F, F_dot = apply_B_and_dot(hb, nq, u, coeffs=(cp, cm))
     FF = _lb_formula(hb, nq, t, F, F_dot / (1j * p.omega * np.exp(1j * p.omega * u)))[0]
     b = hb.at(t + T)
@@ -315,7 +302,7 @@ def check_B_squared(
         "residual_e_plus": results[0],
         "residual_e_minus": results[1],
         "residual_random_combo": results[2],
-        "lift_convention": MINUS_Z_LIFT if _LIFT_SIGN > 0 else "t-T/2",
+        "lift_convention": MINUS_Z_LIFT,
         "grid_size": grid_size,
         "D": nq.D,
     }

@@ -10,10 +10,10 @@ quadruple of degrees (2*ell-2, 2*ell, 2*ell-2, 2*ell); those "diagonal"
 polynomials carry the symmetry operator of the Heun layer.
 
 Everything here is exact integer arithmetic; floating point appears only in
-the numeric evaluation helpers at the bottom.  Each recurrence step, the four
-residuals of each identity check and the values at z = 1 are each one
-``combine_rows`` of monomial multiples, one row per polynomial (multiplying
-by lam + mu^2 is two of them, from ``exactpoly.times``).  Only
+``NumericQuad`` at the bottom.  Each recurrence step, the four residuals of
+each identity check and the values at z = 1 are each one ``combine_rows`` of
+monomial multiples, one row per polynomial (multiplying by lam + mu^2 is two
+of them, from ``exactpoly.times``).  Only
 ``first_integral`` multiplies two polynomials, and only values at z = 1, that
 is polynomials in (lam, mu) whose terms all have z-power 0: the verified ODE
 system already fixes the z-dependence of p*s - q*r.  Its products are
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeClaimViolated, GenericityViolated, NotConstant
+from .errors import DegreeClaimViolated, NotConstant
 from .exactpoly import (
     AT_ONE, LAM_PLUS_MUSQ, PRIME, REFLECT, LaurentPoly, Piece, combine_rows, times,
 )
@@ -200,31 +200,11 @@ def first_integral(
     return D
 
 
-def d_plus_minus(
-    quad: PolyQuadruple, params: ModelParams, check: bool = True
-) -> tuple[float, float, bool]:
-    """Numeric (D+, D-) = p(1) +- 2*omega*r(1) and the genericity flag.
-
-    With ``check`` (the default) a degenerate point raises GenericityViolated;
-    pass ``check=False`` to inspect the flag instead.
-    """
-    lam, mu, omega = params.lam, params.mu, params.omega
-    p1 = quad.p.at_one().coeff_arrays(lam, mu)[1][0]
-    r1 = quad.r.at_one().coeff_arrays(lam, mu)[1][0]
-    d_plus = p1 + 2.0 * omega * r1
-    d_minus = p1 - 2.0 * omega * r1
-    scale = max(1.0, abs(p1))
-    generic = abs(d_plus) > GENERICITY_RTOL * scale and abs(d_minus) > GENERICITY_RTOL * scale
-    if check and not generic:
-        raise GenericityViolated(
-            f"D+={d_plus:.3e}, D-={d_minus:.3e} at (ell={quad.ell}, mu={mu}, omega={omega}); "
-            "the symmetry operator is not invertible here"
-        )
-    return d_plus, d_minus, generic
-
-
 class NumericQuad:
-    """Float-coefficient view of a diagonal quadruple at a parameter point.
+    """Float view of a diagonal quadruple at a parameter point: r, s, r' and
+    s' as coefficient arrays (what L_B reads), the first integral D, and
+    D+- = p(1) +- 2*omega*r(1) with the genericity flag ``generic``, false
+    where either D factor vanishes relative to max(1, |p(1)|).
 
     Every value is exact at the float point and rounded once, so none depends
     on the order of the terms.
@@ -234,17 +214,24 @@ class NumericQuad:
         lam, mu = params.lam, params.mu
         self.ell = quad.ell
         self.params = params
+        r_prime, s_prime, p_at_1, r_at_1 = combine_rows([
+            [Piece(1, quad.r, op=PRIME)], [Piece(1, quad.s, op=PRIME)],
+            [Piece(1, quad.p, op=AT_ONE)], [Piece(1, quad.r, op=AT_ONE)],
+        ])
         self._polys = {}
-        for name, poly in zip("pqrs", quad.as_tuple()):
+        for name, poly in (("r", quad.r), ("s", quad.s), ("r'", r_prime), ("s'", s_prime)):
             lo, dense = poly.coeff_arrays(lam, mu)
             self._polys[name] = (lo, np.asarray(dense))
-            dlo, ddense = poly.diff_z().coeff_arrays(lam, mu)
-            self._polys[name + "'"] = (dlo, np.asarray(ddense))
-        self.d_plus, self.d_minus, self.generic = d_plus_minus(quad, params, check=False)
+        p1, r1 = (x.coeff_arrays(lam, mu)[1][0] for x in (p_at_1, r_at_1))
+        self.d_plus = p1 + 2.0 * params.omega * r1
+        self.d_minus = p1 - 2.0 * params.omega * r1
+        scale = max(1.0, abs(p1))
+        self.generic = (abs(self.d_plus) > GENERICITY_RTOL * scale
+                        and abs(self.d_minus) > GENERICITY_RTOL * scale)
         self.D = first_integral(quad).coeff_arrays(lam, mu)[1][0]
 
     def __call__(self, name: str, z):
-        """Evaluate p, q, r, s or a primed variant at complex z (vectorized)."""
+        """Evaluate r, s, r' or s' at complex z (vectorized)."""
         lo, dense = self._polys[name]
         z = np.asarray(z)
         acc = np.zeros_like(z, dtype=complex)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
@@ -38,20 +40,15 @@ def canonical_json(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(canonical_json(v) for v in obj) + "]"
-    # numpy scalars and anything float-like
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return _format_float(float(obj))
-        if isinstance(obj, np.complexfloating):
-            return canonical_json([float(obj.real), float(obj.imag)])
-        if isinstance(obj, np.ndarray):
-            return canonical_json(obj.tolist())
-    except ImportError:  # pragma: no cover
-        pass
+    # numpy scalars and arrays
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _format_float(float(obj))
+    if isinstance(obj, np.complexfloating):
+        return canonical_json([float(obj.real), float(obj.imag)])
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist())
     if isinstance(obj, complex):
         return canonical_json([obj.real, obj.imag])
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -14,7 +14,6 @@ from .circle import (
     RHO_MAX,
     RHO_MIN,
     BoundaryValues,
-    CircleFunction,
     CirclePair,
     continue_riccati_path,
     quotient,
@@ -24,15 +23,15 @@ from .errors import WindowTooSmall
 from .phase import PhasePath
 
 
-def monodromy_direct(path: PhasePath) -> CircleFunction:
-    """Phi_M(e^{i omega t}) = e^{i phi(t + T)} on the lifted circle."""
+def monodromy_direct(path: PhasePath, t) -> np.ndarray:
+    """Phi_M(e^{i omega t}) = e^{i phi(t + T)} at the times t of the lifted circle."""
     T = path.params.T
     if path.t_max < 1.5 * T or path.t_min > -0.5 * T:
         raise WindowTooSmall(
             "monodromy_direct needs the window to cover [-T/2, 3T/2]; "
             f"got [{path.t_min}, {path.t_max}]"
         )
-    return CircleFunction(path, lambda t: np.exp(1j * path.phi(t + T)))
+    return np.exp(1j * path.phi(np.atleast_1d(np.asarray(t, dtype=float)) + T))
 
 
 def _algebraic_coefficients(bv: BoundaryValues):
@@ -47,8 +46,9 @@ def _algebraic_coefficients(bv: BoundaryValues):
     return float(c_plus), float(s_mixed)
 
 
-def monodromy_algebraic(path: PhasePath) -> CircleFunction:
-    """Monodromy from boundary data and half powers, no period shift.
+def monodromy_algebraic(path: PhasePath, t) -> np.ndarray:
+    """Monodromy at the times t from boundary data and half powers, no
+    period shift.
 
     Implements
 
@@ -59,9 +59,8 @@ def monodromy_algebraic(path: PhasePath) -> CircleFunction:
     sm = e^{P(-T/2)/2} sin((phi(T/2) - phi(-T/2))/2), all half powers on the
     continuous branches through t = 0.
     """
-    pair = CirclePair.on_path(path)
-    bv = pair.boundary()
-    return CircleFunction(path, lambda t: _algebraic_values(pair, bv, t)[0])
+    pair = CirclePair(path.eval, path.params)
+    return _algebraic_values(pair, pair.boundary(), t)[0]
 
 
 def _algebraic_values(pair: CirclePair, bv: BoundaryValues, t) -> tuple[np.ndarray, np.ndarray]:
@@ -90,13 +89,12 @@ def verify_monodromy(
         raise ValueError(f"every radius must lie in [{RHO_MIN}, {RHO_MAX}]")
     params = path.params
     T = params.T
-    pair = CirclePair.on_path(path)
+    pair = CirclePair(path.eval, params)
     bv = pair.boundary()
-    direct = monodromy_direct(path)
 
     t = np.linspace(-T / 2, T / 2, grid_size)
+    d = monodromy_direct(path, t)
     a, a_dot = _algebraic_values(pair, bv, t)
-    d = direct(t)
     sup_circle = float(np.max(np.abs(a - d)))
     at_cut, at_one = _algebraic_values(pair, bv, np.array([-T / 2, 0.0]))[0]
     boundary = float(abs(at_cut - np.exp(1j * bv.phi_plus)))

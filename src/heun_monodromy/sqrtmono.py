@@ -135,9 +135,6 @@ class SqrtMonodromyTransform:
         """The transformed pair and its theta companions at t, from one pair evaluation."""
         return TransformValues(self, np.atleast_1d(np.asarray(t, dtype=float)))
 
-    def phi_B(self, t) -> np.ndarray:
-        return self.at(t).phi
-
     # ---- continuous phase and quadrature of the transformed pair ----
     @cached_property
     def table(self) -> tuple[gauss.Rows, gauss.Rows]:
@@ -153,7 +150,7 @@ class SqrtMonodromyTransform:
             b = self.at(nodes)
             return b.phi.real + 1j * (np.conj(b.phi) * b.phi_dot).imag
 
-        phase_at_0 = float(np.angle(self.phi_B(0.0)[0]))
+        phase_at_0 = float(np.angle(self.at(0.0).phi[0]))
         return _panel_rows(integrand, self.span, 1j * phase_at_0, turning_rate(self.params))
 
     def integrals(self, t) -> np.ndarray:
@@ -171,7 +168,7 @@ class SqrtMonodromyTransform:
         the table raises OutOfWindow before the pair is evaluated."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         base = self.integrals(t).imag
-        return _on_branch(np.angle(self.phi_B(t)), base)
+        return _on_branch(np.angle(self.at(t).phi), base)
 
     def quadrature(self, span: float):
         """P_B = int_0^t cos(phi_B) as a callable valid on [-span, span]; the
@@ -227,7 +224,7 @@ def _on_branch(a: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 def transform_from_path(path: PhasePath, nq: NumericQuad) -> SqrtMonodromyTransform:
     """First application of the transform, built on the solved circle pair."""
-    return SqrtMonodromyTransform(CirclePair.on_path(path), nq)
+    return SqrtMonodromyTransform(CirclePair(path.eval, path.params), nq)
 
 
 def verify_theorem2(
@@ -255,10 +252,8 @@ def verify_theorem2(
     P_B = first.quadrature(TABLE_SPAN * T)
 
     # second application: the same constructor on the transformed pair
-    second = SqrtMonodromyTransform(CirclePair(phase_B, P_B, p), nq)
-
-    direct = monodromy_direct(path)
-    b_squared = float(np.max(np.abs(second.phi_B(t) - direct(t))))
+    second = SqrtMonodromyTransform(CirclePair(lambda u: (phase_B(u), P_B(u)), p), nq)
+    b_squared = float(np.max(np.abs(second.at(t).phi - monodromy_direct(path, t))))
 
     # every other residual from one bundle on the grid and one at t = 0
     b, b0 = first.at(t), first.at(0.0)

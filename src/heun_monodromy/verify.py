@@ -177,7 +177,7 @@ def _phi_alpha_battery(path: PhasePath, grid_size: int) -> tuple[dict, list[str]
     failures: list[str] = []
     p = path.params
     t = np.linspace(-p.T / 2, p.T / 2, grid_size)
-    factors, dots = circle_mod.CirclePair.on_path(path)(t)
+    factors, dots = circle_mod.CirclePair(path.eval, p)(t)
     for alpha in PHI_ALPHA_VALUES:
         vals, dvals = heun_mod.phi_alpha_values(factors, dots, t, alpha)
         uni = float(np.max(np.abs(np.abs(vals) - 1)))
@@ -236,7 +236,7 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
 
     def Fprime(u):
         zu = np.exp(1j * omega * u)
-        return heun_mod.apply_B_dot(hb, nq, u, coeffs=coeffs) / (1j * omega * zu)
+        return heun_mod.apply_B_and_dot(hb, nq, u, coeffs=coeffs)[1] / (1j * omega * zu)
 
     images, images_dot = heun_mod.apply_B_and_dot(hb, nq, t_op, coeffs=coeffs)
     images_p = images_dot / (1j * omega * z)

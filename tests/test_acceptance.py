@@ -26,9 +26,9 @@ from heun_monodromy.heun import (
     residual_grid,
 )
 from heun_monodromy.heunpoly import (
+    NumericQuad,
     check_ode_system,
     check_parity,
-    d_plus_minus,
     diagonal,
     first_integral,
 )
@@ -60,9 +60,9 @@ def test_criterion_2_ell1_closed_forms():
     assert texts == ("1", "mu - mu*z^2", "mu", "lam + mu^2 - mu^2*z^2")
     assert first_integral(quad).terms == {(0, 1, 0): 1}  # D = lam exactly
     params = ModelParams(ell=1, mu=0.2, omega=1.3)
-    dp, dm, _ = d_plus_minus(quad, params)
-    assert dp == pytest.approx(1 + params.A, rel=1e-14)
-    assert dm == pytest.approx(1 - params.A, rel=1e-14)
+    nq = NumericQuad(quad, params)
+    assert nq.d_plus == pytest.approx(1 + params.A, rel=1e-14)
+    assert nq.d_minus == pytest.approx(1 - params.A, rel=1e-14)
     _report(2, "order-1 quadruple, D = lam and D+- = 1 +- A byte-exact")
 
 
@@ -73,8 +73,8 @@ def test_criterion_3_monodromy_formula():
     def sup_residual(tol, grid):
         path = solve_phase(params, 0.5, tol=tol)
         t = np.linspace(-params.T / 2, params.T / 2, grid)
-        alg = monodromy_algebraic(path)
-        return float(np.max(np.abs(alg(t) - monodromy_direct(path)(t))))
+        alg = monodromy_algebraic(path, t)
+        return float(np.max(np.abs(alg - monodromy_direct(path, t))))
 
     sup1 = sup_residual(1e-12, 1001)
     assert sup1 <= 1e-8
@@ -118,7 +118,7 @@ def test_criterion_5_heun_layer(golden_path):
 def test_criterion_6_operator_law(golden_path, golden_quad, golden2_path, golden2_quad):
     # image solves the equation
     hb = build_E(phi_on_circle(golden_path), psi_on_circle(golden_path))
-    from heun_monodromy.heun import apply_B, apply_B_dot
+    from heun_monodromy.heun import apply_B, apply_B_and_dot
 
     omega = golden_path.params.omega
     T = golden_path.params.T
@@ -129,7 +129,7 @@ def test_criterion_6_operator_law(golden_path, golden_quad, golden2_path, golden
 
     def Fp(u):
         zu = np.exp(1j * omega * u)
-        return apply_B_dot(hb, golden_quad, u) / (1j * omega * zu)
+        return apply_B_and_dot(hb, golden_quad, u)[1] / (1j * omega * zu)
 
     vals = apply_B(hb, golden_quad, t)
     valsp = Fp(t)
@@ -167,8 +167,6 @@ def test_criterion_6_operator_law(golden_path, golden_quad, golden2_path, golden
     ids=["set1", "set2"],
 )
 def test_criterion_7_theorem2(point):
-    from heun_monodromy.heunpoly import NumericQuad
-
     start = time.perf_counter()
     params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
     path = solve_phase(params, point["phi0"], tol=1e-12)

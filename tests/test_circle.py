@@ -73,7 +73,7 @@ def test_riccati_residual_of_phi(golden_path):
 
 
 def test_boundary_values_trivial(trivial_path):
-    bv = CirclePair.on_path(trivial_path).boundary()
+    bv = CirclePair(trivial_path.eval, trivial_path.params).boundary()
     T = trivial_path.params.T
     assert np.exp(1j * bv.phi_plus) == pytest.approx(1.0)
     assert np.exp(1j * bv.phi_minus) == pytest.approx(1.0)
@@ -83,7 +83,7 @@ def test_boundary_values_trivial(trivial_path):
 
 
 def test_boundary_values_golden(golden_path):
-    bv = CirclePair.on_path(golden_path).boundary()
+    bv = CirclePair(golden_path.eval, golden_path.params).boundary()
     # generic solution: the two cut edges carry different values
     Phi_plus, Phi_minus = np.exp(1j * bv.phi_plus), np.exp(1j * bv.phi_minus)
     assert abs(Phi_plus - Phi_minus) > 1e-3
@@ -95,7 +95,7 @@ def test_boundary_values_golden(golden_path):
 def test_boundary_is_the_one_point_eval(point):
     ell, mu, omega, phi0 = point
     path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
-    bv = CirclePair.on_path(path).boundary()
+    bv = CirclePair(path.eval, path.params).boundary()
     T = path.params.T
     (php,), (Pp,) = path.eval(T / 2)
     (phm,), (Pm,) = path.eval(-T / 2)

@@ -45,7 +45,7 @@ def _scipy_riccati(params, F0, route):
 
 def test_riccati_continuation_matches_scipy(point_path):
     params = point_path.params
-    pair = CirclePair.on_path(point_path)
+    pair = CirclePair(point_path.eval, point_path.params)
     at_one = _algebraic_values(pair, pair.boundary(), np.array([0.0]))[0][0]
     for rho in RHOS:
         # route A from the period-shift Phi over the upper arc, route B from

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy import heun as heun_mod
 from heun_monodromy.circle import (
     CirclePair,
     phi_on_circle,
@@ -14,8 +13,9 @@ from heun_monodromy.circle import (
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, NonIntegerOrder
 from heun_monodromy.heun import (
     MINUS_Z_LIFT,
+    _lb_formula,
     apply_B,
-    apply_B_dot,
+    apply_B_and_dot,
     boundary_E_values,
     build_E,
     build_matrix_B,
@@ -142,12 +142,12 @@ def test_monodromy_is_the_alpha_family_member(hb, hb2):
     # quotient(cp, i sm) is quotient(c + s, -i (c - s)) up to a real factor
     # when tan(alpha/2) = (cp + sm)/(cp - sm)
     for basis in (hb, hb2):
-        cp, sm = _algebraic_coefficients(CirclePair.on_path(basis.path).boundary())
+        cp, sm = _algebraic_coefficients(CirclePair(basis.path.eval, basis.params).boundary())
         alpha_m = 2.0 * np.arctan2(cp + sm, cp - sm)
         T = basis.params.T
         t = np.linspace(-T / 2, T / 2, 401)
         member = phi_alpha_values(*basis.pair(t), t, alpha_m)[0]
-        assert np.max(np.abs(monodromy_algebraic(basis.path)(t) - member)) <= 1e-13
+        assert np.max(np.abs(monodromy_algebraic(basis.path, t) - member)) <= 1e-13
 
 
 def test_phi_alpha_riccati_uses_the_analytic_derivative(golden_path, golden_quad):
@@ -168,7 +168,7 @@ def test_apply_B_image_solves_dche(hb, golden_quad):
     for coeffs in ((1, 0), (0, 1), (0.6 + 0.2j, -0.3 + 0.9j)):
         def Fp(u):
             zu = np.exp(1j * omega * u)
-            return apply_B_dot(hb, golden_quad, u, coeffs=coeffs) / (1j * omega * zu)
+            return apply_B_and_dot(hb, golden_quad, u, coeffs=coeffs)[1] / (1j * omega * zu)
 
         vals = apply_B(hb, golden_quad, t, coeffs=coeffs)
         valsp = Fp(t)
@@ -186,7 +186,7 @@ def test_apply_B_dot_matches_fd(hb, golden_quad):
     t = np.linspace(-T / 2, T / 2, 101)
     h = 1e-6
     fd = (apply_B(hb, golden_quad, t + h) - apply_B(hb, golden_quad, t - h)) / (2 * h)
-    assert np.max(np.abs(apply_B_dot(hb, golden_quad, t) - fd)) < 1e-7
+    assert np.max(np.abs(apply_B_and_dot(hb, golden_quad, t)[1] - fd)) < 1e-7
 
 
 def test_b_squared_is_monodromy(hb, golden_quad, hb2, golden2_quad):
@@ -198,27 +198,16 @@ def test_b_squared_is_monodromy(hb, golden_quad, hb2, golden2_quad):
         assert rep["residual_random_combo"] < 1e-6
 
 
-def test_b_squared_opposite_lift_matches_inverse_monodromy(hb, golden_quad, monkeypatch):
+def test_b_squared_opposite_lift_matches_inverse_monodromy(hb, golden_quad):
     # with the t - T/2 lift the composition lands on E(t - T) instead: the
-    # two conventions are mirror images, which is why one global choice is
-    # pinned and recorded
-    monkeypatch.setattr(heun_mod, "_LIFT_SIGN", -1.0)
-    T = hb.params.T
+    # two conventions are mirror images, which is why one choice is pinned
+    # and recorded.  At integer order z and L_B's prefactor are T-periodic in
+    # t, so L_B with the t - T/2 lift at u is ``apply_B_and_dot`` at u - T.
+    T, omega = hb.params.T, hb.params.omega
     t = np.linspace(-T / 4, T / 4, 101)
-    shift = -T / 2
-
-    def Fval(u):
-        return apply_B(hb, golden_quad, u, coeffs=(1, 0))
-
-    def Fprime(u):
-        zu = np.exp(1j * hb.params.omega * u)
-        return apply_B_dot(hb, golden_quad, u, coeffs=(1, 0)) / (
-            1j * hb.params.omega * zu
-        )
-
-    from heun_monodromy.heun import _lb_formula
-
-    FF = _lb_formula(hb, golden_quad, t, Fval(t + shift), Fprime(t + shift))[0]
+    u = t - T / 2
+    F, F_dot = apply_B_and_dot(hb, golden_quad, u - T, coeffs=(1, 0))
+    FF = _lb_formula(hb, golden_quad, t, F, F_dot / (1j * omega * np.exp(1j * omega * u)))[0]
     inverse = golden_quad.D * hb.at(t - T).E(+1)
     forward = golden_quad.D * hb.at(t + T).E(+1)
     assert np.max(np.abs(FF - inverse)) < 1e-10

@@ -17,7 +17,6 @@ from heun_monodromy.heunpoly import (
     PolyQuadruple,
     check_ode_system,
     check_parity,
-    d_plus_minus,
     diagonal,
     first_integral,
     initial_quadruple,
@@ -161,20 +160,23 @@ def test_first_integral_sympy_oracle(ell):
 
 def test_d_plus_minus_ell1_closed_form():
     params = ModelParams(ell=1, mu=0.2, omega=1.3)
-    quad = diagonal(1)
-    dp, dm, generic = d_plus_minus(quad, params)
-    assert dp == pytest.approx(1 + params.A, rel=1e-14)
-    assert dm == pytest.approx(1 - params.A, rel=1e-14)
-    assert generic
+    nq = NumericQuad(diagonal(1), params)
+    assert nq.d_plus == pytest.approx(1 + params.A, rel=1e-14)
+    assert nq.d_minus == pytest.approx(1 - params.A, rel=1e-14)
+    assert nq.generic
 
 
 def test_genericity_violation_at_A_equal_1():
     params = ModelParams(ell=1, mu=0.5, omega=1.0)  # A = 1 so D- = 0
-    quad = diagonal(1)
-    with pytest.raises(GenericityViolated):
-        d_plus_minus(quad, params)
-    _, dm, generic = d_plus_minus(quad, params, check=False)
-    assert abs(dm) < 1e-14 and not generic
+    nq = NumericQuad(diagonal(1), params)
+    assert abs(nq.d_minus) < 1e-14 and not nq.generic
+    # sqrt-monodromy refuses the point from the flag
+    args = cli.build_parser().parse_args(
+        ["sqrt-monodromy", "--ell", "1", "--mu", "0.5", "--omega", "1"])
+    message = (r"^D\+=2\.000e\+00, D-=0\.000e\+00 at \(ell=1, mu=0\.5, omega=1\.0\); "
+               r"the symmetry operator is not invertible here$")
+    with pytest.raises(GenericityViolated, match=message):
+        cli.cmd_sqrt_monodromy(args)
 
 
 def test_first_integral_matches_product_form(golden_params, golden_quad):
@@ -197,7 +199,7 @@ def test_numeric_quad_evaluation(golden_params):
     lam, mu = golden_params.lam, golden_params.mu
     direct = evaluate(quad.r, z, lam, mu)
     assert np.max(np.abs(nq("r", z) - direct)) < 1e-14
-    dr = quad.r.diff_z()
+    dr = combine([Piece(1, quad.r, op=PRIME)])
     assert np.max(np.abs(nq("r'", z) - evaluate(dr, z, lam, mu))) < 1e-14
 
 

@@ -14,7 +14,7 @@ from heun_monodromy.sqrtmono import transform_from_path
 
 def test_direct_trivial_fixed_point(trivial_path):
     t = np.linspace(-np.pi, np.pi, 101)
-    assert np.max(np.abs(monodromy_direct(trivial_path)(t) - 1.0)) < 1e-12
+    assert np.max(np.abs(monodromy_direct(trivial_path, t) - 1.0)) < 1e-12
 
 
 def test_direct_equals_algebraic_on_periodic_orbit():
@@ -22,14 +22,14 @@ def test_direct_equals_algebraic_on_periodic_orbit():
     # vanishes and the formula collapses to the identity
     path = solve_phase(ModelParams(ell=0.0, mu=0.0, omega=1.0), np.pi, tol=1e-12)
     t = np.linspace(-np.pi, np.pi, 101)
-    alg = monodromy_algebraic(path)(t)
+    alg = monodromy_algebraic(path, t)
     assert np.max(np.abs(alg - np.exp(1j * path.phi(t)))) < 1e-8
-    assert np.max(np.abs(alg - monodromy_direct(path)(t))) < 1e-8
+    assert np.max(np.abs(alg - monodromy_direct(path, t))) < 1e-8
 
 
 def test_direct_boundary_is_stored_number(golden_path):
     T = golden_path.params.T
-    lhs = monodromy_direct(golden_path)(np.array([-T / 2]))[0]
+    lhs = monodromy_direct(golden_path, np.array([-T / 2]))[0]
     rhs = np.exp(1j * golden_path.phi(T / 2)[0])
     assert abs(lhs - rhs) < 1e-12
 
@@ -38,21 +38,21 @@ def test_window_guard():
     p = ModelParams(ell=2, mu=0.3, omega=1.0)
     path = solve_phase(p, 0.5, t_min=-1.1 * p.T, t_max=1.2 * p.T, tol=1e-10)
     with pytest.raises(WindowTooSmall):
-        monodromy_direct(path)
+        monodromy_direct(path, 0.0)
 
 
 def test_algebraic_vs_direct_golden(golden_path):
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 1001)
-    res = np.abs(monodromy_algebraic(golden_path)(t) - monodromy_direct(golden_path)(t))
+    res = np.abs(monodromy_algebraic(golden_path, t) - monodromy_direct(golden_path, t))
     assert float(np.max(res)) < 1e-8
 
 
 def test_algebraic_boundary_limit(golden_path):
     T = golden_path.params.T
-    bv = CirclePair.on_path(golden_path).boundary()
+    bv = CirclePair(golden_path.eval, golden_path.params).boundary()
     t = np.linspace(-T / 2, -T / 2 + 0.02 * T, 50)
-    vals = monodromy_algebraic(golden_path)(t)
+    vals = monodromy_algebraic(golden_path, t)
     assert abs(vals[0] - np.exp(1j * bv.phi_plus)) < 1e-8
 
 
@@ -86,7 +86,8 @@ def test_denominator_guard_fires(golden_path, golden_quad, monkeypatch):
     tr = transform_from_path(golden_path, golden_quad)
     hb = build_E(phi_on_circle(golden_path), psi_on_circle(golden_path))
     monkeypatch.setattr(circle_mod, "DENOMINATOR_FLOOR", 1e10)
-    for values, what in ((monodromy_algebraic(golden_path), "monodromy"), (tr.phi_B, "Phi_B"),
+    for values, what in ((lambda t: monodromy_algebraic(golden_path, t), "monodromy"),
+                         (lambda t: tr.at(t).phi, "Phi_B"),
                          (lambda t: phi_alpha_values(*hb.pair(t), t, 0.7)[0], "phi_alpha")):
         with pytest.raises(DenominatorVanished, match=what) as err:
             values(np.linspace(-1, 1, 11))
@@ -113,15 +114,14 @@ def test_direct_sqrt_branch_rule(golden_path):
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 101)
     half = np.exp(0.5j * golden_path.phi(t + T))
-    assert np.max(np.abs(half**2 - monodromy_direct(golden_path)(t))) < 1e-12
+    assert np.max(np.abs(half**2 - monodromy_direct(golden_path, t))) < 1e-12
 
 
 def test_monodromy_idempotence_structure(golden_path):
     # applying the shift twice equals shifting by 2T where the window allows
     T = golden_path.params.T
     t = np.linspace(-T / 2, golden_path.t_max - 2 * T, 101)
-    once = monodromy_direct(golden_path)
-    lhs = once(t + T)
+    lhs = monodromy_direct(golden_path, t + T)
     rhs = np.exp(1j * golden_path.phi(t + 2 * T))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 

@@ -1,12 +1,14 @@
 """No test-only code in the package: every top-level function, class and
 method is used by the program itself or by the benchmark.
 
-A definition counts as used when its name is referenced (as a name or an
-attribute) from a package module other than ``__init__``, or from
-``perfbench``, outside the definition's own body.  A string counts only in
-``perfbench``, where the traced names are: in the package a string such as
-``quotient``'s label names a value, not a caller.  Dunder methods are called
-by Python itself.
+A definition counts as used when its name is referenced from a package
+module other than ``__init__``, or from ``perfbench``, outside the
+definition's own body.  A top-level function or class counts through a bare
+name, an import or an attribute; a method only through an attribute, since a
+bare name of the same spelling (a local variable, say) cannot reach it.  A
+string counts only in ``perfbench``, where the traced names are, and there it
+counts as an attribute: in the package a string such as ``quotient``'s label
+names a value, not a caller.  Dunder methods are called by Python itself.
 """
 
 from __future__ import annotations
@@ -28,19 +30,26 @@ ALLOWED = {
 
 
 def _references(tree: ast.AST, strings: bool = False) -> Counter:
-    """How often each name is referenced in ``tree``, string constants
-    included when ``strings`` is set."""
-    names = Counter()
+    """How often each name is referenced in ``tree``, keyed by ("attr", name)
+    for an attribute and by ("name", name) for a bare name or an import;
+    string constants count as attributes when ``strings`` is set."""
+    refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id] += 1
+            refs["name", node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            refs["attr", node.attr] += 1
         elif isinstance(node, ast.alias):
-            names[node.name.rsplit(".", 1)[-1]] += 1
+            refs["name", node.name.rsplit(".", 1)[-1]] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names[node.value] += 1
-    return names
+            refs["attr", node.value] += 1
+    return refs
+
+
+def _uses(refs: Counter, name: str, method: bool) -> int:
+    """The references in ``refs`` that can reach ``name``: a method's only
+    through an attribute, a top-level definition's through either kind."""
+    return refs["attr", name] + (0 if method else refs["name", name])
 
 
 def _definitions(tree: ast.Module):
@@ -69,7 +78,8 @@ def _unused() -> list[str]:
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if everywhere[name] <= _references(node)[name]:
+            method = "." in qualname
+            if _uses(everywhere, name, method) <= _uses(_references(node), name, method):
                 unused.append(f"{path.stem}.{qualname}")
     return unused
 

@@ -37,7 +37,7 @@ def test_shortcuts_trivial_values():
 
 
 def test_shortcut_recomputation_and_moduli(golden_path):
-    bv = CirclePair.on_path(golden_path).boundary()
+    bv = CirclePair(golden_path.eval, golden_path.params).boundary()
     sc = _shortcuts(bv, 2)
     sgn = (-1.0) ** 2
     expected_u_plus = sgn * np.exp(0.5j * bv.phi_plus) + 1j * np.exp(-0.5j * bv.phi_plus)
@@ -54,7 +54,7 @@ def test_genericity_gate():
     path = solve_phase(params, 0.5, tol=1e-10)
     nq = NumericQuad(diagonal(1), params)
     with pytest.raises(GenericityViolated):
-        SqrtMonodromyTransform(CirclePair.on_path(path), nq)
+        SqrtMonodromyTransform(CirclePair(path.eval, path.params), nq)
 
 
 def test_degenerate_phase_gate(golden_quad):
@@ -82,13 +82,13 @@ def test_phi_B_unimodular_and_riccati(golden_transform, golden_path):
     assert np.max(np.abs(np.abs(b.phi) - 1.0)) < 1e-8
     ric = riccati_circle_residual(golden_path.params, t, b.phi, b.phi_dot)
     assert np.max(np.abs(ric)) < 1e-7
-    assert abs(abs(golden_transform.phi_B(np.array([0.0]))[0]) - 1.0) < 1e-9
+    assert abs(abs(golden_transform.at(0.0).phi[0]) - 1.0) < 1e-9
 
 
 def test_phi_B_build_entry_point(golden_path, golden_quad):
     tr = transform_from_path(golden_path, golden_quad)
     t = grid(golden_path, 101)
-    assert np.max(np.abs(tr.phi_B(t))) == pytest.approx(1.0, abs=1e-8)
+    assert np.max(np.abs(tr.at(t).phi)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_psi_B_properties(golden_transform, golden_path):
@@ -152,11 +152,11 @@ def branch_grid_phase(tr, t, margin=0.05, n=8193):
     """phase() as it was computed from an unwrapped 8193-point branch grid."""
     T = tr.params.T
     ts = np.linspace(min(-margin * T + t.min(), 0.0), max(margin * T + t.max(), 0.0), n)
-    ph = np.unwrap(np.angle(tr.phi_B(ts)))
-    anchor = float(np.angle(tr.phi_B(np.array([0.0]))[0]))
+    ph = np.unwrap(np.angle(tr.at(ts).phi))
+    anchor = float(np.angle(tr.at(0.0).phi[0]))
     ph -= 2 * np.pi * np.round((ph[np.argmin(np.abs(ts))] - anchor) / (2 * np.pi))
     base = np.interp(t, ts, ph)
-    a = np.angle(tr.phi_B(t))
+    a = np.angle(tr.at(t).phi)
     return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
 
 
