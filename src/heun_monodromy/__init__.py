@@ -22,7 +22,6 @@ from .errors import (
     OutOfWindow,
     StepCeilingExceeded,
     ToleranceNotMet,
-    WindowTooSmall,
 )
 from .exactpoly import LaurentPoly
 from .heun import (

@@ -15,10 +15,6 @@ class NonIntegerOrder(HeunMonodromyError):
     """Operation requires the order to be a positive integer."""
 
 
-class WindowTooSmall(HeunMonodromyError):
-    """The solved time window does not cover the requested evaluation range."""
-
-
 class OutOfWindow(HeunMonodromyError):
     """Evaluation time lies outside the solved window."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import CircleFunction, CirclePair, quotient
-from .errors import DegenerateAtOne, GenericityViolated, WindowTooSmall
+from .errors import DegenerateAtOne, GenericityViolated
 from .heunpoly import NumericQuad
 from .params import ModelParams
 from .phase import PhasePath
@@ -50,6 +50,9 @@ MINUS_Z_LIFT = "t+T/2"
 #: combination of the basis (``BasisValues.combination``, ``apply_B_and_dot``)
 #: has one row per basis element.
 BASIS_COEFFS = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+
+#: Grid size of the comparison of L_B with its matrix (``matrix_action_residual``).
+MATRIX_ACTION_GRID = 201
 
 
 def _quarter(s: int) -> complex:
@@ -156,10 +159,9 @@ def boundary_E_values(b0: BasisValues, s: int) -> tuple[float, float]:
 
 
 def residual_grid(hb: HeunBasisPath) -> np.ndarray:
-    """The 2001-point grid of the pair and second-order residuals: +-1.4T,
-    clipped to the window."""
+    """The 2001-point grid of the pair and second-order residuals: +-1.4T."""
     T = hb.params.T
-    return np.linspace(max(hb.path.t_min, -1.4 * T), min(hb.path.t_max, 1.4 * T), 2001)
+    return np.linspace(-1.4 * T, 1.4 * T, 2001)
 
 
 def pair_ode_residual(b: BasisValues) -> float:
@@ -239,12 +241,7 @@ def apply_B_and_dot(
         raise GenericityViolated("operator is singular at this parameter point")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = hb.params
-    ts = t + p.T / 2  # the lift of -z (MINUS_Z_LIFT)
-    if np.any(ts < hb.path.t_min) or np.any(ts > hb.path.t_max) or np.any(
-        -ts < hb.path.t_min
-    ) or np.any(-ts > hb.path.t_max):
-        raise WindowTooSmall("window does not cover the shifted arguments of L_B")
-    b = hb.at(ts)
+    b = hb.at(t + p.T / 2)  # the lift of -z (MINUS_Z_LIFT)
     E, Ep, Epp = b.combination(coeffs)
 
     F, pref, G = _lb_formula(hb, nq, t, E, Ep)
@@ -266,12 +263,7 @@ def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0)):
     return apply_B_and_dot(hb, nq, t, coeffs)[0]
 
 
-def check_B_squared(
-    hb: HeunBasisPath,
-    nq: NumericQuad,
-    grid_size: int = 401,
-    rng: np.random.Generator | None = None,
-) -> dict:
+def check_B_squared(hb: HeunBasisPath, nq: NumericQuad) -> dict:
     """Certify the composition law L_B(L_B(E)) = D * E(t + T).
 
     Evaluated for both basis elements and one random combination on a grid
@@ -279,13 +271,8 @@ def check_B_squared(
     """
     p = hb.params
     T = p.T
-    margin = 0.01 * T
-    if hb.path.t_min > -1.5 * T - margin or hb.path.t_max < 1.5 * T + margin:
-        raise WindowTooSmall(
-            "composition check needs the window to cover [-3T/2, 3T/2] plus margin"
-        )
-    t = np.linspace(-T / 2, T / 2, grid_size)
-    rng = rng or np.random.default_rng(20270101)
+    t = np.linspace(-T / 2, T / 2, 401)
+    rng = np.random.default_rng(20270101)
     c_rand = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
     # rows: E+, E-, one random combination
     cp = np.array([1.0 + 0.0j, 0.0j, c_rand[0]])[:, None]
@@ -303,7 +290,7 @@ def check_B_squared(
         "residual_e_minus": results[1],
         "residual_random_combo": results[2],
         "lift_convention": MINUS_Z_LIFT,
-        "grid_size": grid_size,
+        "grid_size": t.size,
         "D": nq.D,
     }
 
@@ -347,12 +334,10 @@ def operation_report(
     }
 
 
-def matrix_action_residual(
-    hb: HeunBasisPath, nq: NumericQuad, matrix: np.ndarray, grid_size: int = 201
-) -> float:
+def matrix_action_residual(hb: HeunBasisPath, nq: NumericQuad, matrix: np.ndarray) -> float:
     """sup relative deviation between L_B and its matrix on a circle grid."""
     T = hb.params.T
-    t = np.linspace(-0.3 * T, 0.3 * T, grid_size)
+    t = np.linspace(-0.3 * T, 0.3 * T, MATRIX_ACTION_GRID)
     direct = apply_B(hb, nq, t, coeffs=BASIS_COEFFS)
     b = hb.at(t)
     via_matrix = matrix[0][:, None] * b.E(+1) + matrix[1][:, None] * b.E(-1)

@@ -19,19 +19,12 @@ from .circle import (
     quotient,
     riccati_circle_residual,
 )
-from .errors import WindowTooSmall
 from .phase import PhasePath
 
 
 def monodromy_direct(path: PhasePath, t) -> np.ndarray:
     """Phi_M(e^{i omega t}) = e^{i phi(t + T)} at the times t of the lifted circle."""
-    T = path.params.T
-    if path.t_max < 1.5 * T or path.t_min > -0.5 * T:
-        raise WindowTooSmall(
-            "monodromy_direct needs the window to cover [-T/2, 3T/2]; "
-            f"got [{path.t_min}, {path.t_max}]"
-        )
-    return np.exp(1j * path.phi(np.atleast_1d(np.asarray(t, dtype=float)) + T))
+    return np.exp(1j * path.phi(np.atleast_1d(np.asarray(t, dtype=float)) + path.params.T))
 
 
 def _algebraic_coefficients(bv: BoundaryValues):

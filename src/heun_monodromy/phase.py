@@ -33,15 +33,16 @@ from itertools import accumulate
 import numpy as np
 
 from . import gauss
-from .errors import OutOfWindow, ToleranceNotMet, WindowTooSmall
+from .errors import OutOfWindow, ToleranceNotMet
 from .gauss import EPS
 from .params import ModelParams
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 
-#: Default window in units of T, generous enough for the double symmetry
-#: application (needs phi on +-3T/2 plus margin) and the monodromy shift.
-DEFAULT_WINDOW = (-1.75, 2.25)
+#: The solved window in units of T: it covers the monodromy shift
+#: phi(t + T) and the transform applied twice (phi on [-3T/2, 2T]), with
+#: margin.  Every time outside it raises OutOfWindow.
+WINDOW = (-1.75, 2.25)
 
 NODES = gauss.NODES
 
@@ -115,11 +116,10 @@ class PhasePath:
     def P(self, t):
         return self.eval(t)[1]
 
-    def phidot(self, t, phi_val=None):
-        """dphi/dt along the solution (right-hand side, no differencing)."""
+    def phidot(self, t, phi_val):
+        """dphi/dt along the solution at the times t, where phi is phi_val
+        (right-hand side, no differencing)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if phi_val is None:
-            phi_val = self.phi(t)
         p = self.params
         return p.Bdrive + p.A * np.cos(p.omega * t) - np.sin(phi_val)
 
@@ -144,10 +144,7 @@ class PhasePath:
         and t + T inside the window.
         """
         T = self.params.T
-        lo, hi = self.t_min, self.t_max - T
-        if hi <= lo:
-            raise WindowTooSmall("window shorter than one period")
-        t = np.linspace(lo, hi, grid_size)
+        t = np.linspace(self.t_min, self.t_max - T, grid_size)
         d = self.derivative(t + T)
         phi_shift = self.phi(t + T)
         p = self.params
@@ -316,14 +313,8 @@ def _error_estimate(rows: _Rows, params: ModelParams) -> float:
     return float(sup + rounding + EPS * y_max)
 
 
-def solve_phase(
-    params: ModelParams,
-    phi0: float,
-    t_min: float | None = None,
-    t_max: float | None = None,
-    tol: float = 1e-12,
-) -> PhasePath:
-    """Solve the phase system over a window containing [-T, T].
+def solve_phase(params: ModelParams, phi0: float, tol: float = 1e-12) -> PhasePath:
+    """Solve the phase system over the window WINDOW * T.
 
     The global error estimate propagates the collocation polynomial's defect
     along the linearised equation and adds the rounding of the chained row
@@ -332,13 +323,7 @@ def solve_phase(
     raises StepCeilingExceeded (``gauss.uniform_rows``) before it allocates
     anything.
     """
-    T = params.T
-    if t_min is None:
-        t_min = DEFAULT_WINDOW[0] * T
-    if t_max is None:
-        t_max = DEFAULT_WINDOW[1] * T
-    if not (t_min <= -T and t_max >= T):
-        raise WindowTooSmall(f"window [{t_min}, {t_max}] must contain [-T, T] = [{-T}, {T}]")
+    t_min, t_max = WINDOW[0] * params.T, WINDOW[1] * params.T
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import gauss
 from .circle import BoundaryValues, CirclePair, quotient, riccati_circle_residual
-from .errors import DegenerateAtOne, GenericityViolated, OutOfWindow, WindowTooSmall
+from .errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
 from .heunpoly import NumericQuad
 from .monodromy import monodromy_direct
@@ -77,7 +77,7 @@ def _formula_constants(bv: BoundaryValues, nq: NumericQuad):
     return K1, K2, X, n2
 
 
-#: Half-width of the panel table, in units of T: the span verify_theorem2 uses.
+#: Half-width of the panel table, in units of T.
 TABLE_SPAN = 0.55
 
 
@@ -163,18 +163,22 @@ class SqrtMonodromyTransform:
         fwd, bwd = self.table
         return gauss.two_sided(t, fwd, bwd, np.empty((1,) + t.shape, dtype=complex))[0]
 
-    def phase(self, t) -> np.ndarray:
-        """Continuous phi_B(t); see ``TransformValues.phase``.  A time outside
-        the table raises OutOfWindow before the pair is evaluated."""
+    def eval(self, t) -> np.ndarray:
+        """(2, n) array of the continuous (phi_B, P_B) at the times t, from
+        one panel-table lookup: the shape of ``PhasePath.eval``.  phi_B is
+        as in ``TransformValues.phase``.  A time outside the table raises
+        OutOfWindow before the pair is evaluated."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        base = self.integrals(t).imag
-        return _on_branch(np.angle(self.at(t).phi), base)
+        y = self.integrals(t)
+        return np.array((_on_branch(np.angle(self.at(t).phi), y.imag), y.real))
 
-    def quadrature(self, span: float):
-        """P_B = int_0^t cos(phi_B) as a callable valid on [-span, span]; the
+    def phase(self, t) -> np.ndarray:
+        """Continuous phi_B(t); see ``eval``."""
+        return self.eval(t)[0]
+
+    def quadrature(self):
+        """P_B = int_0^t cos(phi_B) as a callable on the table's span; the
         panel table is built here, if it is not yet."""
-        if span > self.span:
-            raise OutOfWindow(f"span {span} exceeds the table's {self.span}")
         self.table  # built now, not on the first call of the result
         return lambda t: self.integrals(t).real
 
@@ -241,18 +245,13 @@ def verify_theorem2(
     """
     p = path.params
     T = p.T
-    if path.t_min > -1.5 * T or path.t_max < 2.0 * T:
-        raise WindowTooSmall(
-            f"verify_theorem2 needs window [-3T/2, 2T]; got [{path.t_min}, {path.t_max}]"
-        )
     t = np.linspace(-T / 2, T / 2, grid_size)
 
     first = transform_from_path(path, nq)
-    phase_B = first.phase
-    P_B = first.quadrature(TABLE_SPAN * T)
+    P_B = first.quadrature()
 
     # second application: the same constructor on the transformed pair
-    second = SqrtMonodromyTransform(CirclePair(lambda u: (phase_B(u), P_B(u)), p), nq)
+    second = SqrtMonodromyTransform(CirclePair(first.eval, p), nq)
     b_squared = float(np.max(np.abs(second.at(t).phi - monodromy_direct(path, t))))
 
     # every other residual from one bundle on the grid and one at t = 0

@@ -154,11 +154,11 @@ def check_monodromy(
     return report, failures
 
 
-def check_poly_exact(ell_max: int = 6) -> tuple[dict, list[str]]:
-    """Exact-arithmetic identity suite for orders 1..ell_max."""
+def check_poly_exact() -> tuple[dict, list[str]]:
+    """Exact-arithmetic identity suite for orders 1..6."""
     report: dict = {}
     failures: list[str] = []
-    for ell in range(1, ell_max + 1):
+    for ell in range(1, 7):
         quad = diagonal(ell)  # raises DegreeClaimViolated on failure
         ok_p, wit_p = check_parity(quad)
         ode = ok_o, wit_o = check_ode_system(quad)
@@ -270,7 +270,9 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
         heun_mod.operation_report(
             "apply_B_dche", path.params, len(t_op), _reportable(float(np.max(lb_maps)))
         ),
-        heun_mod.operation_report("matrix_action", path.params, 201, report["matrix_action"]),
+        heun_mod.operation_report(
+            "matrix_action", path.params, heun_mod.MATRIX_ACTION_GRID, report["matrix_action"]
+        ),
         heun_mod.operation_report(
             "b_squared", path.params, comp["grid_size"], report["b_squared_operator"]
         ),

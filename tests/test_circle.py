@@ -68,7 +68,7 @@ def test_psi_ode_residual_on_circle(golden_path):
 def test_riccati_residual_of_phi(golden_path):
     t = grid(golden_path, 1001)
     F = phi_on_circle(golden_path)(t)
-    Fdot = 1j * golden_path.phidot(t) * F
+    Fdot = 1j * golden_path.phidot(t, golden_path.phi(t)) * F
     assert np.max(np.abs(riccati_circle_residual(golden_path.params, t, F, Fdot))) < 1e-8
 
 

@@ -6,8 +6,8 @@ import pytest
 import heun_monodromy.circle as circle_mod
 from heun_monodromy import ModelParams, solve_phase
 from heun_monodromy.circle import CirclePair, phi_on_circle, psi_on_circle
-from heun_monodromy.errors import DenominatorVanished, WindowTooSmall
-from heun_monodromy.heun import build_E, phi_alpha_values
+from heun_monodromy.errors import DenominatorVanished, OutOfWindow
+from heun_monodromy.heun import apply_B_and_dot, build_E, phi_alpha_values
 from heun_monodromy.monodromy import monodromy_algebraic, monodromy_direct, verify_monodromy
 from heun_monodromy.sqrtmono import transform_from_path
 
@@ -34,11 +34,14 @@ def test_direct_boundary_is_stored_number(golden_path):
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_window_guard():
-    p = ModelParams(ell=2, mu=0.3, omega=1.0)
-    path = solve_phase(p, 0.5, t_min=-1.1 * p.T, t_max=1.2 * p.T, tol=1e-10)
-    with pytest.raises(WindowTooSmall):
-        monodromy_direct(path, 0.0)
+def test_shifted_reads_past_the_window_raise_out_of_window(golden_path, golden_quad):
+    # the period shift and the lift of -z read phi past t_max; the path's own
+    # window check stops both
+    hb = build_E(phi_on_circle(golden_path), psi_on_circle(golden_path))
+    with pytest.raises(OutOfWindow):
+        monodromy_direct(golden_path, [golden_path.t_max])
+    with pytest.raises(OutOfWindow):
+        apply_B_and_dot(hb, golden_quad, [golden_path.t_max])
 
 
 def test_algebraic_vs_direct_golden(golden_path):

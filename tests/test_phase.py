@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import heun_monodromy
-from heun_monodromy import ModelParams, OutOfWindow, WindowTooSmall, gauss, solve_phase
+from heun_monodromy import ModelParams, OutOfWindow, gauss, solve_phase
 from heun_monodromy.phase import turning_rate
 from tests.conftest import (
     FIXED_SWEEP_POINTS,
@@ -66,12 +66,6 @@ def test_eval_at_step_endpoint(golden_path):
 def test_out_of_window(golden_path):
     with pytest.raises(OutOfWindow):
         golden_path.phi(golden_path.t_max + 1.0)
-
-
-def test_window_too_small():
-    p = ModelParams(ell=2, mu=0.3, omega=1.0)
-    with pytest.raises(WindowTooSmall):
-        solve_phase(p, 0.0, t_min=-1.0, t_max=1.0)
 
 
 def test_tol_ladder():

@@ -177,7 +177,7 @@ def test_panel_P_B_agrees_with_the_dop853_quadrature(point):
     tr = transform_from_path(path, NumericQuad(diagonal(ell), params))
     span = 0.55 * params.T
     t = np.linspace(-span, span, 2001)
-    assert np.max(np.abs(tr.quadrature(span)(t) - reference_P_B(tr, span)(t))) < 1e-11
+    assert np.max(np.abs(tr.quadrature()(t) - reference_P_B(tr, span)(t))) < 1e-11
 
 
 def test_gauss_legendre_literals():
@@ -203,7 +203,7 @@ def test_panel_table_is_converged(golden2_path, golden2_quad, monkeypatch):
     for rows in (rule, doubled):
         monkeypatch.setattr(gauss, "uniform_rows", rows)
         tr = transform_from_path(golden2_path, golden2_quad)
-        runs.append((tr.phase(t), tr.quadrature(0.55 * T)(t), tr.integrals(t).imag))
+        runs.append((tr.phase(t), tr.quadrature()(t), tr.integrals(t).imag))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.max(np.abs(runs[0][1] - runs[1][1])) <= 1e-14
     assert np.max(np.abs(runs[0][2] - runs[1][2])) <= 1e-14
@@ -224,15 +224,30 @@ def test_panel_table_one_point_is_bit_identical_to_the_array(golden_transform, g
 
 def test_panel_table_never_extrapolates(golden_transform, golden_path):
     span = 0.55 * golden_path.params.T
-    P_B = golden_transform.quadrature(span)
+    P_B = golden_transform.quadrature()
     assert P_B(np.array([0.0]))[0] == 0.0
     for t in (np.array([span * (1 + 1e-12)]), np.array([0.0, -span * 1.01]), np.array([np.nan])):
         with pytest.raises(OutOfWindow):
             P_B(t)
         with pytest.raises(OutOfWindow):
             golden_transform.phase(t)
-    with pytest.raises(OutOfWindow):
-        golden_transform.quadrature(span * 1.01)
+
+
+def test_eval_is_phase_and_quadrature_from_one_table_lookup(golden_transform, monkeypatch):
+    T = golden_transform.params.T
+    t = np.linspace(-0.55 * T, 0.55 * T, 1001)
+    phase, P_B = golden_transform.phase(t), golden_transform.quadrature()(t)
+    lookups = []
+    integrals = SqrtMonodromyTransform.integrals
+
+    def counting_integrals(self, u):
+        lookups.append(u)
+        return integrals(self, u)
+
+    monkeypatch.setattr(SqrtMonodromyTransform, "integrals", counting_integrals)
+    values = golden_transform.eval(t)
+    assert len(lookups) == 1 and values.shape == (2, t.size)
+    assert np.array_equal(values[0], phase) and np.array_equal(values[1], P_B)
 
 
 def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
@@ -282,12 +297,3 @@ def test_theorem2_golden_set2(golden2_path, golden2_quad):
     assert rep["b_squared_residual"] < 1e-6
     assert rep["theta_system_residual"] < 1e-6
     assert rep["psi_quadrature_residual"] < 1e-8
-
-
-def test_window_guard(golden_params, golden_quad):
-    small = solve_phase(golden_params, 0.5, t_min=-1.2 * golden_params.T,
-                        t_max=1.5 * golden_params.T, tol=1e-10)
-    from heun_monodromy.errors import WindowTooSmall
-
-    with pytest.raises(WindowTooSmall):
-        verify_theorem2(small, golden_quad)
