@@ -15,6 +15,7 @@ from .errors import (
     ExponentOutOfRange,
     GenericityViolated,
     HeunMonodromyError,
+    LimbOverflow,
     NonIntegerOrder,
     NonPositiveOmega,
     NotConstant,

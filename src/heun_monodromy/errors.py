@@ -57,3 +57,7 @@ class DegenerateAtOne(HeunMonodromyError):
 
 class ExponentOutOfRange(HeunMonodromyError):
     """An exponent does not fit its field of a polynomial's packed key."""
+
+
+class LimbOverflow(HeunMonodromyError):
+    """An exact sum or product would pass the int64 bound of its limbs."""

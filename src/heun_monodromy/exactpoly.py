@@ -1,20 +1,29 @@
 """Exact Laurent polynomials in z with coefficients in Z[lam, mu].
 
 A Laurent polynomial is two parallel arrays sorted by key: int64 keys that
-pack the exponents ``(z, lam, mu)``, and the nonzero coefficients as Python
-ints in an object array, so they stay exact at any size.  A polynomial in
-(lam, mu) alone is a ``LaurentPoly`` whose terms all have z-power 0.  One
-accumulator, ``_collect``, does every sum by key: a stable sort, then one
-``np.add.reduceat`` over the runs of equal keys, then the zero sums dropped.
+pack the exponents ``(z, lam, mu)``, and the nonzero coefficients as int64
+limb rows in radix 2**24, an ``(m, n)`` array whose column j holds the
+coefficient sum_i limbs[i, j] * 2**(24 i) of key j.  Every limb but the top
+one is in [0, 2**24), the top one is signed and below 2**23 in size, and
+``m`` is the fewest limbs that hold every coefficient, so equal polynomials
+have equal arrays.  A polynomial in (lam, mu) alone is a ``LaurentPoly``
+whose terms all have z-power 0.  One accumulator, ``_collect``, does every
+sum by key: a stable sort, then one ``np.add.reduceat`` over the runs of
+equal keys on every limb row, then one carry pass and the zero sums dropped.
 ``combine_rows`` sums monomial multiples of polynomials (or of their
 z-derivatives, reflections z -> -z and values at z = 1) for several rows at
 once, with the row in the key, so one accumulation builds a whole recurrence
 step or all residuals of an identity check.  It is also the one product:
 ``times`` writes ``y * x`` as one monomial multiple of ``x`` per term of
-``y``.  No z-dependent polynomial is ever multiplied: the recurrence layer's
-only products are of values at z = 1, in ``heunpoly.first_integral``.  Every
-identity check of the recurrence layer uses this exact arithmetic, never
-floating point.
+``y``; a factor past one limb is split into limbs and applied as a short
+convolution of limb rows.  Every multiply and sum is on int64 under a bound
+that ``_shifted_weighted`` checks before it forms a product, so no value
+wraps; Python ints appear only where coefficients come in (``LaurentPoly``
+from a dict, a piece's factor) and go out (``terms``, the text forms and
+``coeff_arrays``).  No z-dependent polynomial is ever multiplied: the
+recurrence layer's only products are of values at z = 1, in
+``heunpoly.first_integral``.  Every identity check of the recurrence layer
+uses this exact arithmetic, never floating point.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ExponentOutOfRange
+from .errors import ExponentOutOfRange, LimbOverflow
 
 # A key packs (row, z, lam, mu) into bit fields of one int64, most
 # significant first: keys sort by row, then z ascending, lam descending and mu
@@ -41,7 +50,20 @@ _Z, _LAM, _ROW = 2 * _FIELD, _FIELD, 3 * _FIELD
 _FIELDS = np.array([[_Z], [_LAM], [0]])  # the z, lam and mu shifts, as a column
 _MAX_ROWS = 1 << (63 - _ROW)
 _IN_ROW = (1 << _ROW) - 1  # the exponent fields of a key
-_INT64 = 1 << 63
+
+# A coefficient is a column of int64 limbs in radix 2**_RADIX: the low limbs
+# in [0, 2**_RADIX), the top limb signed in [-_HALF, _HALF).  A limb times a
+# limb is below 2**48, so a 24-bit radix leaves 2**14 of int64 headroom for
+# the sums of a convolution and of a run of equal keys; _LIMIT, with a factor
+# 2 to spare for the carry pass, bounds every int64 formed before the carry
+# (the derivation is in CHANGES.md).
+_RADIX = 24
+_DIGIT = (1 << _RADIX) - 1
+_HALF = 1 << (_RADIX - 1)
+_LIMIT = 1 << 62
+#: The largest size of an operator's per-term multiplier: a z-power, which
+#: the key field holds.
+_MULT = _BIAS
 
 
 def _fit(lo: tuple[int, int, int], hi: tuple[int, int, int]) -> int:
@@ -66,23 +88,106 @@ def _shift(dz, dlam, dmu):
 _ORIGIN = (_BIAS << _Z) + ((_MASK - _BIAS) << _LAM) + _BIAS
 
 
-def _collect(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``vals`` over equal ``keys``: (ascending distinct keys, nonzero sums).
+def _limbs(ints: Sequence[int]) -> np.ndarray:
+    """The canonical ``(m, n)`` limb rows of Python ints."""
+    if not ints:
+        return np.zeros((1, 0), dtype=np.int64)
+    bits = max(max(ints), ~min(ints)).bit_length() + 1  # two's complement width
+    m, width = -(-bits // _RADIX), _RADIX // 8
+    # each int as m limbs of little-endian two's complement bytes
+    raw = b"".join(c.to_bytes(width * m, "little", signed=True) for c in ints)
+    u = np.frombuffer(raw, dtype=np.uint8).reshape(-1, m, width).astype(np.int64)
+    limbs = sum(u[..., i] << (8 * i) for i in range(width)).T
+    return np.vstack((limbs[:-1], ((limbs[-1] + _HALF) & _DIGIT) - _HALF))
+
+
+def _ints(limbs: np.ndarray) -> list[int]:
+    """The Python ints of normalised limb rows.
+
+    Two limbs join in int64 (48 bits).  Above that, the value is the signed
+    high part (the limbs from the third up) times 2**48 plus the low 48
+    bits: in int64 where the high part is below 2**14 in size, and in Python
+    for the rest.
+    """
+    if len(limbs) <= 2:
+        return (limbs[0] if len(limbs) == 1 else limbs[0] | limbs[1] << _RADIX).tolist()
+    lo, shift = limbs[0] | limbs[1] << _RADIX, 2 * _RADIX
+    if len(limbs) > 4:  # the high part passes int64: join every value in Python
+        return [hi << shift | low for hi, low in zip(_ints(limbs[2:]), lo.tolist())]
+    hi = limbs[2] if len(limbs) == 3 else limbs[2] | limbs[3] << _RADIX
+    fits = abs(hi) < 1 << (63 - shift)
+    out = ((hi * fits) << shift | lo).tolist()
+    wide = (~fits).nonzero()[0]
+    for i, high, low in zip(wide.tolist(), hi[wide].tolist(), lo[wide].tolist()):
+        out[i] = high << shift | low
+    return out
+
+
+def _trim(limbs: np.ndarray) -> np.ndarray:
+    """Normalised limb rows without the top limbs that only repeat the sign
+    of the limb below them."""
+    if len(limbs) == 1:
+        return limbs
+    rows = _trimmed(list(limbs))
+    return limbs if len(rows) == len(limbs) else np.array(rows)
+
+
+def _trimmed(rows: list) -> list:
+    """``_trim`` on a list of limb rows, in place: each top row dropped while
+    it only repeats the sign of the row below, which becomes the signed top."""
+    while len(rows) > 1 and not (rows[-1] + (rows[-2] >> (_RADIX - 1))).any():
+        rows.pop()
+        rows[-1] = ((rows[-1] + _HALF) & _DIGIT) - _HALF
+    return rows
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """The canonical limb rows of the same values, from limbs of any size
+    below ``_LIMIT``: one pass up the list of limb rows, each keeping its low
+    24 bits and carrying the rest up."""
+    rows, carry = [], 0
+    for row in limbs:
+        row = row + carry
+        rows.append(row & _DIGIT)
+        carry = row >> _RADIX
+    while (((carry >> (_RADIX - 1)) + 1) >> 1).any():  # a carry past one signed limb
+        rows.append(carry & _DIGIT)
+        carry = carry >> _RADIX
+    rows.append(carry)
+    return np.array(_trimmed(rows))
+
+
+def _nonzero(keys: np.ndarray, limbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and canonical limbs of the nonzero sums among ``limbs``."""
+    if len(limbs) == 1:
+        top = np.abs(limbs[0]).max()
+        if not top:  # all sums cancel, as in an identity check
+            return keys[:0], limbs[:, :0]
+        if top < _HALF:  # every sum is one signed limb already
+            keep = limbs[0] != 0
+            return keys[keep], limbs.compress(keep, axis=1)
+    limbs = _carry(limbs)
+    keep = limbs.any(axis=0)
+    return keys[keep], limbs.compress(keep, axis=1)
+
+
+def _collect(keys: np.ndarray, limbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the limb columns over equal ``keys``: (ascending distinct keys,
+    canonical limbs of the nonzero sums).
 
     The one accumulator of the package: a stable sort, one ``np.add.reduceat``
-    over the runs of equal keys, and the zero sums dropped.
+    over the runs of equal keys on every limb row, one carry pass, and the
+    zero sums dropped.  Every limb sum must stay below ``_LIMIT``.
     """
     if not len(keys):
-        return keys, vals
+        return keys, limbs
     order = keys.argsort(kind="stable")
-    keys, vals = keys[order], vals[order]
+    keys, limbs = keys[order], limbs.take(order, axis=1)
     first = np.empty(len(keys), dtype=bool)  # each run's first key
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    sums = np.add.reduceat(vals, starts)
-    keep = sums != 0
-    return keys[starts[keep]], sums[keep]
+    return _nonzero(keys[starts], np.add.reduceat(limbs, starts, axis=1))
 
 
 def _values_at(polys: list[list[tuple[int, int, int]]], lam: float, mu: float) -> list[float]:
@@ -131,8 +236,10 @@ def combine_rows(rows: Sequence[Iterable[Piece]]) -> list["LaurentPoly"]:
     """
     if len(rows) > _MAX_ROWS:
         raise ExponentOutOfRange(f"{len(rows)} rows do not fit the key's row field")
-    keys, vals, shifts, factors, slack, spread = [], [], [], [], _BIAS, False
+    keys, limbs, shifts, factors, slack, spread = [], [], [], [], _BIAS, False
+    mult, merged = 1, 0  # the largest multiplier size; terms that merge within a piece
     for row, pieces in enumerate(rows):
+        base = row << _ROW
         for c, x, dz, dlam, dmu, op in pieces:
             k, v = x._keys, x._vals
             if not len(k):
@@ -142,13 +249,13 @@ def combine_rows(rows: Sequence[Iterable[Piece]]) -> list["LaurentPoly"]:
                 step, m = op(x._z())
                 if isinstance(step, int):
                     dz, step = dz + step, 0
-                else:  # each term's z-power moves by its own step
+                else:  # each term's z-power moves by its own step, so terms may merge
                     s -= int(abs(step).max())
-                    k, spread = k + (step << _Z), True
+                    k, spread, merged = k + (step << _Z), True, merged + len(k) - 1
                 if isinstance(m, int):
                     c *= m
-                else:  # |m| <= 2**_FIELD, so an int64 multiplier is exact
-                    v = v * m
+                else:  # |m| <= _MULT, so the limbs stay far inside int64
+                    v, mult = v * m, _MULT
             s -= abs(dz)
             if s < 0:  # the slack may be loose: move the exact range
                 (zlo, llo, mlo), (zhi, lhi, mhi) = x._range(step)
@@ -156,39 +263,73 @@ def combine_rows(rows: Sequence[Iterable[Piece]]) -> list["LaurentPoly"]:
             if s < slack:
                 slack = s
             keys.append(k)
-            vals.append(v)
-            shifts.append((row << _ROW) + _shift(dz, dlam, dmu))
+            limbs.append(v)
+            shifts.append(base + _shift(dz, dlam, dmu))
             factors.append(c)
     if not keys:
         return [LaurentPoly() for _ in rows]
-    keys, vals = _shifted_weighted(keys, vals, shifts, factors)
+    # one key sums at most one term of each piece, or all of a piece's merged terms
+    keys, limbs = _shifted_weighted(keys, limbs, shifts, factors, mult, len(factors) + merged)
     if len(shifts) > 1 or spread:
-        keys, vals = _collect(keys, vals)
+        keys, limbs = _collect(keys, limbs)
     else:  # one piece moved as a whole: its keys stay sorted and distinct
-        keep = vals != 0
-        keys, vals = keys[keep], vals[keep]
+        keys, limbs = _nonzero(keys, limbs)
     if len(rows) == 1:
-        return [LaurentPoly._from_arrays(keys, vals, slack)]
+        return [LaurentPoly._from_arrays(keys, limbs, slack)]
     cuts = [0, *keys.searchsorted([row << _ROW for row in range(1, len(rows))]).tolist(), len(keys)]
     keys = keys & _IN_ROW
-    return [LaurentPoly._from_arrays(keys[a:b], vals[a:b], slack) for a, b in zip(cuts, cuts[1:])]
+    return [LaurentPoly._from_arrays(keys[a:b], _trim(limbs[:, a:b]), slack)
+            for a, b in zip(cuts, cuts[1:])]
 
 
-def _shifted_weighted(keys: list, vals: list, shifts: list[int], factors: list[int]):
-    """All pieces' keys plus their shifts and coefficients times their factors,
-    each concatenated.  The factors are int64 while they fit, and then a
-    coefficient with factor 1 is kept, not multiplied; past int64 they are
-    Python ints, all multiplied, as a mask would cost more than it saves."""
-    if len(keys) == 1:
-        return keys[0] + shifts[0], vals[0] * factors[0] if factors[0] != 1 else vals[0]
+def _shifted_weighted(keys: list, limbs: list, shifts: list[int], factors: list[int],
+                      mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """All pieces' keys plus their shifts, and their limbs times their
+    factors, each concatenated.
+
+    The limbs are below ``_DIGIT * mult`` in size.  A factor of one limb
+    multiplies them once; past that, every factor is split into limbs and
+    the product is their convolution with the piece's limbs.  Before a
+    product is formed, its limbs times ``count``, the most summands that
+    ``_collect`` adds for one key, are bounded below ``_LIMIT``; where a
+    bound fails, the operand or the products are carried first, and where
+    even that cannot hold it, LimbOverflow is raised.
+    """
     sizes = [len(k) for k in keys]
-    keys, vals = np.concatenate(keys), np.concatenate(vals)
-    if -_INT64 <= min(factors) and max(factors) < _INT64:
-        shifts, factors = np.repeat(np.array([shifts, factors], dtype=np.int64), sizes, axis=1)
-        return keys + shifts, np.multiply(vals, factors, out=vals, where=factors != 1)
-    shifts = np.repeat(np.array(shifts, dtype=np.int64), sizes)
-    factors = np.repeat(np.array(factors, dtype=object), sizes)
-    return keys + shifts, np.multiply(vals, factors, out=vals)
+    try:
+        x = np.concatenate(limbs, axis=1)
+    except ValueError:  # pieces of different widths: zero limbs on the narrower
+        width = max(map(len, limbs))
+        x = np.concatenate([v if len(v) == width else np.vstack(
+            (v, np.zeros((width - len(v), v.shape[1]), dtype=np.int64))) for v in limbs], axis=1)
+    width = len(x)
+    lo, hi = min(factors), max(factors)
+    if -_DIGIT <= lo and hi <= _DIGIT:
+        shift, digits = np.repeat(np.array([shifts, factors], dtype=np.int64), sizes, axis=1)
+        digits, size = digits[None], max(-lo, hi)
+    else:
+        shift = np.repeat(np.array(shifts, dtype=np.int64), sizes)
+        digits, size = np.repeat(_limbs(factors), sizes, axis=1), _DIGIT
+    limb = _DIGIT * mult
+    if limb * size * min(width, len(digits)) >= _LIMIT:
+        x, limb = _carry(x), _DIGIT
+        width = len(x)
+    bound = limb * size * min(width, len(digits))
+    if bound >= _LIMIT:
+        raise LimbOverflow(f"a product of {width} by {len(digits)} limbs does not fit int64")
+    if len(digits) == 1:
+        product = x if lo == hi == 1 else np.multiply(x, digits[0], out=x)
+    else:  # the convolution of each term's limbs with its factor's
+        product = np.array([
+            sum(x[i] * digits[k - i] for i in range(max(0, k - len(digits) + 1), min(width, k + 1)))
+            for k in range(width + len(digits) - 1)
+        ])
+    if bound * count >= _LIMIT:
+        product, bound = _carry(product), _DIGIT
+        if bound * count >= _LIMIT:
+            raise LimbOverflow(f"{count} summands of one key do not fit int64")
+    keys = np.concatenate(keys)
+    return np.add(keys, shift, out=keys), product
 
 
 def combine(pieces: Iterable[Piece]) -> "LaurentPoly":
@@ -209,30 +350,31 @@ def times(c: int, y: "LaurentPoly", x: "LaurentPoly", dz: int = 0, dmu: int = 0,
 
 class LaurentPoly:
     """Laurent polynomial in z over Z[lam, mu]: nonzero ``terms[z, lam, mu]``,
-    stored as ascending packed keys and their Python-int coefficients."""
+    stored as ascending packed keys and the canonical limb rows of their
+    coefficients."""
 
-    __slots__ = ("_keys", "_vals", "_zs", "_slack")
+    __slots__ = ("_keys", "_vals", "_zs", "_slack", "_decoded")
 
     def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
         terms = terms or {}
-        self._zs, self._slack = None, _BIAS
+        self._zs, self._slack, self._decoded = None, _BIAS, None
         if terms:
             powers = list(zip(*terms))
             self._slack = _fit(tuple(map(min, powers)), tuple(map(max, powers)))
         z, lam, mu = np.array(list(terms), dtype=np.int64).reshape(-1, 3).T
         keys = _ORIGIN + _shift(z, lam, mu)
-        vals = np.fromiter(terms.values(), dtype=object, count=len(terms))
-        self._keys, self._vals = _collect(keys, vals)
+        self._keys, self._vals = _collect(keys, _limbs(list(terms.values())))
 
     @classmethod
     def _from_arrays(cls, keys: np.ndarray, vals: np.ndarray, slack: int) -> "LaurentPoly":
-        """Wrap sorted distinct row-0 keys and their nonzero coefficients.
+        """Wrap sorted distinct row-0 keys and the canonical limbs of their
+        nonzero coefficients.
 
         ``slack`` is at most how far every exponent stays inside its key
         field (a sum's is the least of its pieces', so it may be loose).
         """
         poly = cls.__new__(cls)
-        poly._keys, poly._vals, poly._zs, poly._slack = keys, vals, None, slack
+        poly._keys, poly._vals, poly._zs, poly._slack, poly._decoded = keys, vals, None, slack, None
         return poly
 
     def _exponents(self) -> np.ndarray:
@@ -278,7 +420,7 @@ class LaurentPoly:
         starts = np.flatnonzero(np.diff(zs, prepend=zs[:1] - 1)).tolist()
         return MappingProxyType({
             int(zs[a]): LaurentPoly._from_arrays(
-                self._keys[a:b] - (int(zs[a]) << _Z), self._vals[a:b], self._slack)
+                self._keys[a:b] - (int(zs[a]) << _Z), _trim(self._vals[:, a:b]), self._slack)
             for a, b in zip(starts, starts[1:] + [len(zs)])
         })
 
@@ -287,11 +429,11 @@ class LaurentPoly:
 
     @property
     def min_degree(self) -> int | None:
-        return int(self._z()[0]) if len(self._keys) else None
+        return (int(self._keys[0]) >> _Z) - _BIAS if len(self._keys) else None
 
     @property
     def max_degree(self) -> int | None:
-        return int(self._z()[-1]) if len(self._keys) else None
+        return (int(self._keys[-1]) >> _Z) - _BIAS if len(self._keys) else None
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return combine([Piece(1, self), Piece(1, other)])
@@ -302,7 +444,7 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return np.array_equal(self._keys, other._keys) and bool((self._vals == other._vals).all())
+        return np.array_equal(self._keys, other._keys) and np.array_equal(self._vals, other._vals)
 
     def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
         """(min_degree, dense ascending coefficient list) at numeric (lam, mu).
@@ -322,13 +464,15 @@ class LaurentPoly:
     def _rows(self) -> Iterable[tuple[int, int, int, int]]:
         """(z, lam, mu, coeff) of each term, in canonical order: z-power
         ascending, then lam-power descending, then mu-power ascending."""
-        return zip(*self._exponents().tolist(), self._vals.tolist())
+        return zip(*self._decode())
 
-    def _decode(self) -> tuple[list[int], list[int], list[int], list[str]]:
-        """The z, lam and mu exponents and the coefficients' decimal texts, in
-        canonical order: the one decode of both output forms."""
-        z, lam, mu = self._exponents().tolist()
-        return z, lam, mu, list(map(str, self._vals.tolist()))
+    def _decode(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The z, lam and mu exponents and the coefficients as Python ints, in
+        canonical order: the one decode of every read-out, done once, as a
+        polynomial never changes."""
+        if self._decoded is None:
+            self._decoded = (*self._exponents().tolist(), _ints(self._vals))
+        return self._decoded
 
     def canonical_text(self) -> str:
         """Deterministic text form.
@@ -339,6 +483,7 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         zs, lams, mus, coeffs = self._decode()
+        coeffs = list(map(str, coeffs))
         # each power's factor text, with its leading "*" ("" for power 0)
         lam_t, mu_t, z_t = (
             {p: "" if p == 0 else f"*{name}" if p == 1 else f"*{name}^{p}"

@@ -229,7 +229,7 @@ def apply_B_and_dot(
     hb: HeunBasisPath,
     nq: NumericQuad,
     t,
-    coeffs: tuple = (1.0, 0.0),
+    coeffs: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """L_B applied to c+ E+ + c- E- on the lifted circle grid t, and its
     analytic d/dt, from one basis evaluation.
@@ -258,7 +258,7 @@ def apply_B_and_dot(
     return F, pref_dot * G + pref * G_dot
 
 
-def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs=(1.0, 0.0)):
+def apply_B(hb: HeunBasisPath, nq: NumericQuad, t, coeffs):
     """L_B applied to c+ E+ + c- E- on the lifted circle grid t."""
     return apply_B_and_dot(hb, nq, t, coeffs)[0]
 

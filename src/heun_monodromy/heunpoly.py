@@ -9,8 +9,8 @@ output level k).  At level k = ell the quadruple becomes a genuine polynomial
 quadruple of degrees (2*ell-2, 2*ell, 2*ell-2, 2*ell); those "diagonal"
 polynomials carry the symmetry operator of the Heun layer.
 
-Everything here is exact integer arithmetic; floating point appears only in
-``NumericQuad`` at the bottom.  Each recurrence step, the four residuals of
+Everything here is exact integer arithmetic, on the int64 limbs of
+``exactpoly``; floating point appears only in ``NumericQuad`` at the bottom.  Each recurrence step, the four residuals of
 each identity check and the values at z = 1 are each one ``combine_rows`` of
 monomial multiples, one row per polynomial (multiplying by lam + mu^2 is two
 of them, from ``exactpoly.times``).  Only
@@ -33,12 +33,13 @@ from .exactpoly import (
 from .params import ModelParams
 
 #: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
-#: about 0.12 s in process on a shared 2-vCPU Xeon: three fifths of it is
-#: ``diagonal``'s recurrence, a sixth the text and JSON output, and
-#: ``first_integral`` (about 20 ms) multiplies only values at z = 1, as the
-#: ``times`` pieces of one ``combine_rows`` call.  The largest exponents
-#: there (z-power 64) are far inside the 16-bit key fields of ``exactpoly``,
-#: and ``combine_rows``' shift guard refuses any product that would not fit.
+#: about 0.1 s in process on a shared 2-vCPU Xeon: about half of it is
+#: ``diagonal``'s recurrence (45 ms), a fifth the text and JSON output, and
+#: ``first_integral`` (about 10 ms) multiplies only values at z = 1, as the
+#: ``times`` pieces of one ``combine_rows`` call.  The coefficients reach
+#: 113 bits there, five int64 limbs of ``exactpoly``.  The largest exponents
+#: (z-power 64) are far inside the 16-bit key fields, and ``combine_rows``'
+#: shift guard refuses any product that would not fit.
 MAX_ELL = 32
 
 #: Relative threshold below which a D factor counts as degenerate.

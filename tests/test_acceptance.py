@@ -129,9 +129,9 @@ def test_criterion_6_operator_law(golden_path, golden_quad, golden2_path, golden
 
     def Fp(u):
         zu = np.exp(1j * omega * u)
-        return apply_B_and_dot(hb, golden_quad, u)[1] / (1j * omega * zu)
+        return apply_B_and_dot(hb, golden_quad, u, coeffs=(1.0, 0.0))[1] / (1j * omega * zu)
 
-    vals = apply_B(hb, golden_quad, t)
+    vals = apply_B(hb, golden_quad, t, coeffs=(1.0, 0.0))
     valsp = Fp(t)
     valspp = (Fp(t + h) - Fp(t - h)) / (2 * h) / (1j * omega * z)
     res = (

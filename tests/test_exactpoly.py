@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +23,8 @@ from heun_monodromy.exactpoly import (
     combine_rows,
     times,
 )
-from heun_monodromy.errors import ExponentOutOfRange
-from heun_monodromy.heunpoly import check_parity, diagonal
+from heun_monodromy.errors import ExponentOutOfRange, LimbOverflow
+from heun_monodromy.heunpoly import check_ode_system, check_parity, diagonal, first_integral
 from heun_monodromy.jsonio import canonical_json
 from heun_monodromy.verify import check_poly_exact
 
@@ -367,11 +368,165 @@ def test_each_batched_row_matches_the_reference(rows):
 
 
 @pytest.mark.parametrize("op", [None, PRIME, REFLECT, AT_ONE])
-def test_a_factor_outside_int64_takes_object_weights(op):
+def test_a_factor_outside_int64_is_split_into_limbs(op):
     x = LaurentPoly({(-3, 1, 0): 5, (2, 0, 2): -(2**90), (7, 2, 1): 1})
     for c in (2**100, -(2**63), 2**47 + 1):
         pieces = [Piece(c, x, 1, 0, 1, op), Piece(-1, x, op=op)]
         assert combine(pieces) == reference_combine(pieces)
+
+
+OPS = [None, PRIME, REFLECT, AT_ONE]
+# coefficients next to each limb boundary: +-(2**(24k) + d) and the signed
+# top limb's edge +-(2**(24k - 1) + d), for k = 1..5 and d in -1..1
+edge_coeff_st = st.builds(
+    lambda k, top, sign, d: sign * ((1 << (24 * k - top)) + d),
+    st.integers(1, 5), st.sampled_from([0, 1]), st.sampled_from([1, -1]), st.integers(-1, 1),
+)
+edge_laurent = laurent(max_terms=6, coeffs=edge_coeff_st)
+
+
+def assert_limbs(poly: LaurentPoly):
+    """``poly`` holds canonical int64 limb rows: low limbs in [0, 2**24), the
+    top signed below 2**23, and no top limb that only repeats a sign."""
+    limbs = poly._vals
+    assert limbs.dtype == np.int64 and limbs.ndim == 2 and limbs.shape[1] == len(poly._keys)
+    assert ((limbs[:-1] >= 0) & (limbs[:-1] < 1 << 24)).all()
+    assert ((limbs[-1] >= -(1 << 23)) & (limbs[-1] < 1 << 23)).all()
+    values = list(poly.terms.values())
+    bits = max([max(values), ~min(values)]).bit_length() + 1 if values else 1
+    assert len(limbs) == max(1, -(-bits // 24))
+
+
+@given(st.dictionaries(st.tuples(zpow_st, pow_st, pow_st), edge_coeff_st, max_size=8))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_edge_coefficients_round_trip(terms):
+    poly = LaurentPoly(terms)
+    assert poly.terms == dict(sorted(terms.items(), key=lambda t: (t[0][0], -t[0][1], t[0][2])))
+    assert_limbs(poly)
+    assert json.loads(poly.json_text()) == [[z, a, b, c] for (z, a, b), c in poly.terms.items()]
+
+
+@st.composite
+def edge_pieces(draw):
+    return [
+        Piece(draw(edge_coeff_st), draw(edge_laurent), draw(st.integers(-3, 3)),
+              draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.sampled_from(OPS)))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@given(edge_pieces())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_edge_coefficients_combine_exactly(ps):
+    out = combine(ps)
+    assert out == reference_combine(ps)
+    assert_limbs(out)
+
+
+@given(edge_laurent, edge_laurent, edge_coeff_st, st.sampled_from(OPS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_edge_coefficients_multiply_exactly(y, x, c, op):
+    y = bivariate(y)
+    prod = combine(times(c, y, x, 1, 1, op))
+    assert prod == reference_product(y, reference_combine([Piece(c, x, 1, 0, 1, op)]))
+    assert_limbs(prod)
+
+
+@given(st.integers(1, 5), st.integers(1, (1 << 24) - 1), st.sampled_from([1, -1]), coeff_st)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_sums_that_cancel_only_after_the_carry(k, j, sign, small):
+    # limb by limb the three terms sum to 2**24 at limb 0 and -1 at limb 1
+    # (k = 1), so only the carry shows that the sum is zero
+    big = 1 << (24 * k)
+    a = LaurentPoly({(1, 0, 0): sign * (big - j), (0, 0, 0): small})
+    b = LaurentPoly.monomial(sign * j, 1)
+    c = LaurentPoly.monomial(-sign * big, 1)
+    out = combine([Piece(1, a), Piece(1, b), Piece(1, c)])
+    assert out == reference_combine([Piece(1, a), Piece(1, b), Piece(1, c)])
+    assert out.terms == ({(0, 0, 0): small} if small else {})
+    assert out._vals.shape == (1, len(out.terms))
+    assert combine([Piece(1, c), Piece(1, b), Piece(-1, LaurentPoly.monomial(sign * j, 1))]) == (
+        combine([Piece(1, c)]))
+
+
+@pytest.mark.parametrize("op", OPS)
+@given(c=st.integers(1 << 63, 1 << 130), sign=st.sampled_from([1, -1]), x=wide_laurent)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_factors_past_int64_with_every_operator(op, c, sign, x):
+    pieces = [Piece(sign * c, x, 1, 0, 1, op), Piece(3, x, op=op), Piece(-(sign * c) // 7, x, 2, 1, 0, op)]
+    out = combine(pieces)
+    assert out == reference_combine(pieces)
+    assert_limbs(out)
+
+
+@pytest.mark.parametrize("op", [None, PRIME])
+def test_a_row_with_many_pieces(op):
+    # 4000 pieces of five-limb factors on five-limb coefficients: the sum of
+    # one key's products would pass the int64 bound, so they are carried first
+    x = LaurentPoly({(2, 0, 1): 2**113 - 1, (3, 1, 0): -(2**100) + 5, (-1, 0, 0): 7})
+    pieces = [Piece((-1) ** i * (2**112 + 3 * i), x, i % 3, 0, 0, op) for i in range(4000)]
+    out = combine(pieces)
+    assert out == reference_combine(pieces)
+    assert_limbs(out)
+    rows = combine_rows([pieces[:2000], pieces[2000:], [Piece(1, x)]])
+    assert rows == [reference_combine(pieces[:2000]), reference_combine(pieces[2000:]), x]
+
+
+def test_products_and_sums_past_int64_are_carried():
+    # every limb of both operands is 2**24 - 1: one convolution limb of a
+    # product reaches 5 * 2**48, so 10000 equal keys sum past 2**63, and a
+    # z-power of 2**15 - 1 from d/dz takes one product past it alone
+    ones = 2**120 - 1
+    x = LaurentPoly({(0, 0, 0): ones, (1, 0, 0): 2**96 - 1})
+    assert combine([Piece(ones, x)] * 10000).terms == {
+        (0, 0, 0): 10000 * ones * ones, (1, 0, 0): 10000 * ones * (2**96 - 1)}
+    edge = LaurentPoly.monomial(ones, z_pow=HIGH)
+    assert combine([Piece(ones, edge, op=PRIME)]).terms == {(HIGH - 1, 0, 0): HIGH * ones * ones}
+
+
+@pytest.mark.parametrize("limit", [1 << 50, 1 << 56])
+def test_a_lower_int64_bound_takes_the_guarded_paths(monkeypatch, limit):
+    # with the bound lowered, the operands and the products are carried
+    # before they are multiplied and summed, and the sums stay exact
+    quad = diagonal(12)
+    D = first_integral(quad)
+    monkeypatch.setattr(exactpoly, "_LIMIT", limit)
+    x = LaurentPoly({(2, 0, 1): 2**113 - 1, (3, 1, 0): -(2**100) + 5, (-1, 0, 0): 7})
+    for op in OPS:
+        pieces = [Piece(2**90 + i, x, i % 2, 0, 0, op) for i in range(50)] + [Piece(-3, x, op=op)]
+        assert combine(pieces) == reference_combine(pieces)
+    assert diagonal(12).as_tuple() == quad.as_tuple()
+    assert check_parity(quad) == (True, None)
+    assert first_integral(quad) == D
+
+
+def test_a_product_past_the_bound_raises_limb_overflow(monkeypatch):
+    monkeypatch.setattr(exactpoly, "_LIMIT", 1 << 40)
+    x = LaurentPoly.monomial(2**100)
+    with pytest.raises(LimbOverflow):
+        combine([Piece(2**100, x)])
+    monkeypatch.setattr(exactpoly, "_LIMIT", 1 << 24)
+    with pytest.raises(LimbOverflow):  # a carried operand still passes it
+        combine([Piece(3, LaurentPoly.monomial(5), op=PRIME), Piece(1, x)])
+
+
+def test_equal_polynomials_have_equal_limbs_whatever_their_history():
+    small = LaurentPoly({(0, 1, 0): 3, (2, 0, 0): -(2**23)})
+    big = LaurentPoly({(0, 1, 0): 2**119, (1, 0, 0): -(2**97) + 1})
+    # the sum passes through five limbs and comes back to one
+    assert combine([Piece(1, big), Piece(1, small), Piece(-1, big)]) == small
+    # rows of one call are trimmed each to its own width
+    wide, narrow = combine_rows([[Piece(2**90, big)], [Piece(1, small)]])
+    assert narrow == small and narrow._vals.shape == small._vals.shape == (1, 2)
+    assert wide._vals.shape[0] == 9  # 2**209 and its sign take 211 bits
+    assert_limbs(wide)
+    # a coefficient slice drops the limbs its z-power does not need
+    mixed = combine([Piece(1, big), Piece(1, small)])
+    for z, coeff in mixed.coeffs.items():
+        assert coeff == LaurentPoly({(0, a, b): c for (k, a, b), c in mixed.terms.items() if k == z})
+        assert_limbs(coeff)
+    assert LaurentPoly({(0, 0, 0): 2**23}) != LaurentPoly({(0, 0, 0): 2**23 - 2**24})
+    assert combine([Piece(1, big), Piece(-1, big)]) == LaurentPoly()
 
 
 HIGH = exactpoly._BIAS - 1  # the largest exponent a key field holds
@@ -462,3 +617,68 @@ def test_collect_is_the_one_accumulator():
     found = [site for module in sorted(package.glob("*.py"))
              for site in _sums_by_key(ast.parse(module.read_text()), module.stem)]
     assert found == [("exactpoly", "_collect", "reduceat")]
+
+
+#: The functions of ``exactpoly`` where Python ints come in or go out; no
+#: other function may build or convert to an object array.
+INT_BOUNDARY = {"_limbs", "_ints", "_values_at", "__init__", "_rows", "_decode", "coeff_arrays"}
+
+
+def _object_dtypes(tree: ast.AST):
+    """(innermost enclosing function, line) of every object dtype in ``tree``:
+    ``dtype=object`` (or ``"O"``, ``"object"``, ``np.object_``) and
+    ``astype(object)``."""
+    def is_object(node):
+        return ((isinstance(node, ast.Name) and node.id == "object")
+                or (isinstance(node, ast.Attribute) and node.attr == "object_")
+                or (isinstance(node, ast.Constant) and node.value in ("O", "object")))
+
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            args = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr in ("astype", "view"):
+                args += node.args[:1]
+            if any(is_object(a) for a in args):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_object_dtypes_stay_at_the_int_boundary():
+    # the kernel (combine_rows, _shifted_weighted, _collect and the carry)
+    # works on int64 limbs only; Python ints live at the boundary
+    found = _object_dtypes(ast.parse(Path(exactpoly.__file__).read_text()))
+    assert all(function in INT_BOUNDARY for function, _ in found), found
+    sample = ast.parse("a = np.array(x, dtype=object)\nb = y.astype(object)\n"
+                       "def f():\n    return np.zeros(3, dtype='O')")
+    assert _object_dtypes(sample) == [(None, 1), (None, 2), ("f", 4)]
+
+
+def test_every_polynomial_of_the_exact_suite_holds_int64_limbs(monkeypatch):
+    # every combine_rows result of diagonal(32), its identity checks and its
+    # first integral: the recurrence steps, the residuals, the values at
+    # z = 1 and the products
+    made = []
+
+    def recorded(rows):
+        out = combine_rows(rows)
+        made.extend(out)
+        return out
+
+    monkeypatch.setattr(heunpoly, "combine_rows", recorded)
+    quad = diagonal(32)
+    assert check_parity(quad) == (True, None)
+    ode = check_ode_system(quad)
+    assert ode == (True, None)
+    D = first_integral(quad, ode)
+    assert len(made) == 4 * 32 + 4 + 4 + 5 + 2
+    assert any(len(poly._vals) == 5 for poly in made)  # coefficients of 113 bits
+    for poly in [*made, D, *quad.as_tuple()]:
+        assert_limbs(poly)

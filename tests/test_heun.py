@@ -185,8 +185,10 @@ def test_apply_B_dot_matches_fd(hb, golden_quad):
     T = hb.params.T
     t = np.linspace(-T / 2, T / 2, 101)
     h = 1e-6
-    fd = (apply_B(hb, golden_quad, t + h) - apply_B(hb, golden_quad, t - h)) / (2 * h)
-    assert np.max(np.abs(apply_B_and_dot(hb, golden_quad, t)[1] - fd)) < 1e-7
+    fd = (apply_B(hb, golden_quad, t + h, coeffs=(1.0, 0.0))
+          - apply_B(hb, golden_quad, t - h, coeffs=(1.0, 0.0))) / (2 * h)
+    dot = apply_B_and_dot(hb, golden_quad, t, coeffs=(1.0, 0.0))[1]
+    assert np.max(np.abs(dot - fd)) < 1e-7
 
 
 def test_b_squared_is_monodromy(hb, golden_quad, hb2, golden2_quad):
@@ -257,4 +259,4 @@ def test_apply_B_genericity_gate():
     nq = NumericQuad(diagonal(1), params)
     hb = build_E(phi_on_circle(path), psi_on_circle(path))
     with pytest.raises(GenericityViolated):
-        apply_B(hb, nq, np.array([0.0]))
+        apply_B(hb, nq, np.array([0.0]), coeffs=(1.0, 0.0))

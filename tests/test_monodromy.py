@@ -41,7 +41,7 @@ def test_shifted_reads_past_the_window_raise_out_of_window(golden_path, golden_q
     with pytest.raises(OutOfWindow):
         monodromy_direct(golden_path, [golden_path.t_max])
     with pytest.raises(OutOfWindow):
-        apply_B_and_dot(hb, golden_quad, [golden_path.t_max])
+        apply_B_and_dot(hb, golden_quad, [golden_path.t_max], coeffs=(1.0, 0.0))
 
 
 def test_algebraic_vs_direct_golden(golden_path):
