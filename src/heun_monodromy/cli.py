@@ -8,6 +8,7 @@ Exit codes: 0 all requested checks pass, 1 a tolerance budget failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -22,13 +23,7 @@ from .errors import (
     NonPositiveOmega,
     ToleranceNotMet,
 )
-from .heunpoly import (
-    MAX_ELL,
-    NumericQuad,
-    check_parity,
-    diagonal,
-    first_integral,
-)
+from .heunpoly import MAX_ELL, NumericQuad, check_parity, diagonal
 from .jsonio import canonical_json
 from .params import ModelParams
 from .phase import TOL_MAX, TOL_MIN, solve_phase
@@ -155,8 +150,7 @@ def cmd_poly(args) -> int:
     if not (1 <= args.ell_int <= MAX_ELL):
         raise UsageError(f"--ell must be an integer in 1..{MAX_ELL}")
     quad = diagonal(args.ell_int)
-    d_poly = first_integral(quad)  # proves the ODE system first
-    polys = [*zip("pqrs", quad.as_tuple()), ("D", d_poly)]
+    polys = [*zip("pqrs", quad.as_tuple()), ("D", quad.D)]  # D proves the ODE system first
     text = "\n".join(f"{name} = {poly.canonical_text()}" for name, poly in polys)
     rows = ", ".join(f'"{name}": {poly.json_text()}' for name, poly in polys)
     sys.stdout.write(f"{text}\n{{{rows}}}\n")
@@ -276,6 +270,7 @@ def cmd_sweep(args) -> int:
     return worst
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> _Parser:
     parser = _Parser(prog="heun-monodromy")
     sub = parser.add_subparsers(dest="command", required=True)

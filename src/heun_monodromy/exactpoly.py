@@ -190,21 +190,6 @@ def _collect(keys: np.ndarray, limbs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _nonzero(keys[starts], np.add.reduceat(limbs, starts, axis=1))
 
 
-def _values_at(polys: list[list[tuple[int, int, int]]], lam: float, mu: float) -> list[float]:
-    """Value at a float point of each polynomial in (lam, mu), given as
-    ``(lam_pow, mu_pow, coeff)`` terms: exact and rounded once, so free of the
-    term order and of which polynomials are evaluated together."""
-    (nl, dl), (nm, dm) = lam.as_integer_ratio(), mu.as_integer_ratio()
-    top_a = max(a for terms in polys for a, _, _ in terms)
-    top_b = max(b for terms in polys for _, b, _ in terms)
-    # every term over the common denominator dl**top_a * dm**top_b
-    lam_pows = [nl**a * dl ** (top_a - a) for a in range(top_a + 1)]
-    mu_pows = [nm**b * dm ** (top_b - b) for b in range(top_b + 1)]
-    den = dl**top_a * dm**top_b
-    # int / int rounds correctly
-    return [sum(c * lam_pows[a] * mu_pows[b] for a, b, c in terms) / den for terms in polys]
-
-
 #: Operators a piece may apply to its polynomial (d/dz, z -> -z, z -> 1): each
 #: maps the int64 array of a polynomial's z-powers to the change of each
 #: z-power and the integer multiplier of each term (each an int or an array).
@@ -403,10 +388,6 @@ class LaurentPoly:
         return {(z, a, b): c for z, a, b, c in self._rows()}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, c: int, z_pow: int = 0, lam_pow: int = 0, mu_pow: int = 0) -> "LaurentPoly":
         return cls({(z_pow, lam_pow, mu_pow): c})
 
@@ -446,20 +427,35 @@ class LaurentPoly:
             return NotImplemented
         return np.array_equal(self._keys, other._keys) and np.array_equal(self._vals, other._vals)
 
-    def coeff_arrays(self, lam: float, mu: float) -> tuple[int, list[float]]:
-        """(min_degree, dense ascending coefficient list) at numeric (lam, mu).
+    def coeff_arrays(self, lam: float, mu: float
+                     ) -> tuple[tuple[int, list[float]], tuple[int, list[float]]]:
+        """(min_degree, dense ascending coefficient list) at numeric (lam, mu)
+        of the polynomial and of its z-derivative.
 
-        Each coefficient is exact at the float point and rounded once.
+        Each z-power's coefficient is summed exactly once, as an integer over
+        one common denominator, and serves both: the z**(k-1) coefficient of
+        the derivative is k times the z**k one.  Each value is then rounded
+        once (int / int rounds correctly), so none depends on the term order.
         """
-        if self.is_zero():
-            return 0, [0.0]
-        by_z = [(z, [(a, b, c) for _, a, b, c in terms])
-                for z, terms in groupby(self._rows(), key=itemgetter(0))]
-        lo, hi = by_z[0][0], by_z[-1][0]
-        dense = [0.0] * (hi - lo + 1)
-        for (z, _), value in zip(by_z, _values_at([terms for _, terms in by_z], lam, mu)):
-            dense[z - lo] = value
-        return lo, dense
+        (nl, dl), (nm, dm) = lam.as_integer_ratio(), mu.as_integer_ratio()
+        _, lams, mus, _ = self._decode()
+        top_a, top_b = max(lams, default=0), max(mus, default=0)
+        # every term over the common denominator dl**top_a * dm**top_b
+        lam_pows = [nl**a * dl ** (top_a - a) for a in range(top_a + 1)]
+        mu_pows = [nm**b * dm ** (top_b - b) for b in range(top_b + 1)]
+        den = dl**top_a * dm**top_b
+        # each run of one lam-power in a z-power (the canonical order keeps
+        # them together) is one product by that power
+        nums = {z: sum(lam_pows[a] * sum(c * mu_pows[b] for _, _, b, c in run)
+                       for a, run in groupby(terms, key=itemgetter(1)))
+                for z, terms in groupby(self._rows(), key=itemgetter(0))}
+        arrays = []
+        # a z**0 row has no derivative, so the derivative's lowest power is
+        # the lowest nonzero one less one
+        for values in (nums, {z - 1: z * n for z, n in nums.items() if z}):
+            lo, hi = min(values, default=0), max(values, default=0)
+            arrays.append((lo, [values.get(z, 0) / den for z in range(lo, hi + 1)]))
+        return tuple(arrays)
 
     def _rows(self) -> Iterable[tuple[int, int, int, int]]:
         """(z, lam, mu, coeff) of each term, in canonical order: z-power

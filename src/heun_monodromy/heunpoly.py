@@ -18,11 +18,16 @@ of them, from ``exactpoly.times``).  Only
 is polynomials in (lam, mu) whose terms all have z-power 0: the verified ODE
 system already fixes the z-dependence of p*s - q*r.  Its products are
 ``times`` pieces too, so ``combine_rows`` is the one exact kernel.
+
+A quadruple carries its proof: the ODE verdict, the values at z = 1 and D
+(only once the verdict holds) are formed on first use and kept, so the exact
+suite, ``poly`` and the float view share one proof of an order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +39,12 @@ from .params import ModelParams
 
 #: Hard guard on the order.  At the limit, ``poly --ell 32 --check`` takes
 #: about 0.1 s in process on a shared 2-vCPU Xeon: about half of it is
-#: ``diagonal``'s recurrence (45 ms), a fifth the text and JSON output, and
-#: ``first_integral`` (about 10 ms) multiplies only values at z = 1, as the
-#: ``times`` pieces of one ``combine_rows`` call.  The coefficients reach
-#: 113 bits there, five int64 limbs of ``exactpoly``.  The largest exponents
-#: (z-power 64) are far inside the 16-bit key fields, and ``combine_rows``'
-#: shift guard refuses any product that would not fit.
+#: ``diagonal``'s recurrence (42 ms), a fifth the text and JSON output, and
+#: the proof (14 ms) multiplies only values at z = 1, in one ``combine_rows``
+#: call; ``NumericQuad`` adds 12 ms of exact sums.  The coefficients reach 113
+#: bits, five int64 limbs.  The largest exponents (z-power 64) are far inside
+#: the 16-bit key fields, and ``combine_rows``' shift guard refuses any
+#: product that would not fit.
 MAX_ELL = 32
 
 #: Relative threshold below which a D factor counts as degenerate.
@@ -48,7 +53,7 @@ GENERICITY_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class PolyQuadruple:
-    """Level-k members (p, q, r, s) of the recurrence for a given ell."""
+    """Level-k members (p, q, r, s) of the recurrence for a given ell, with its proof."""
 
     k: int
     ell: int
@@ -60,10 +65,26 @@ class PolyQuadruple:
     def as_tuple(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
         return self.p, self.q, self.r, self.s
 
+    @cached_property
+    def ode(self) -> tuple[bool, str | None]:
+        """The verdict of ``check_ode_system``."""
+        return check_ode_system(self)
+
+    @cached_property
+    def at_one(self) -> list[LaurentPoly]:
+        """p(1), q(1), r(1), s(1) and (lam + mu^2) p(1), in one accumulation."""
+        return combine_rows([*([Piece(1, x, op=AT_ONE)] for x in self.as_tuple()),
+                             times(1, LAM_PLUS_MUSQ, self.p, op=AT_ONE)])
+
+    @cached_property
+    def D(self) -> LaurentPoly:
+        """The first integral (see ``first_integral``)."""
+        return first_integral(self)
+
 
 #: (p0, q0, r0, s0) = (0, 1, z**-2, -mu), the same for every order.
 _LEVEL_ZERO = (
-    LaurentPoly.zero(),
+    LaurentPoly(),
     LaurentPoly.monomial(1),
     LaurentPoly.monomial(1, z_pow=-2),
     LaurentPoly.monomial(-1, mu_pow=1),
@@ -170,9 +191,7 @@ def check_ode_system(quad: PolyQuadruple) -> tuple[bool, str | None]:
     return _verdict(residuals, "equation")
 
 
-def first_integral(
-    quad: PolyQuadruple, ode: tuple[bool, str | None] | None = None
-) -> LaurentPoly:
+def first_integral(quad: PolyQuadruple) -> LaurentPoly:
     """The z-independent combination D = z**(2(1-ell)) * (p*s - q*r), read at z = 1.
 
     With sgn = (-1)**ell and W = p*s - q*r, the four rows of
@@ -180,18 +199,16 @@ def first_integral(
     - q (z^2 r') cancel to z^2 W' = 2 (ell - 1) z W.  So W = D z**(2(ell-1))
     as a Laurent polynomial and D = W(1) = p(1) s(1) - q(1) r(1).
 
-    ``ode`` is the verdict of ``check_ode_system(quad)`` when the caller has
-    it already; otherwise it is computed here.  Raises NotConstant if the ODE
-    system fails (W is then not proven a monomial) or if D disagrees with the
-    boundary form (lam + mu^2) * p(1)**2 - r(1)**2.  D is a polynomial in
-    (lam, mu): a ``LaurentPoly`` whose terms all have z-power 0.
+    It reads the verdict and the values at z = 1 that the quadruple keeps;
+    ``quad.D`` keeps D.  Raises NotConstant if the ODE system fails (W is then
+    not proven a monomial) or if D disagrees with the boundary form
+    (lam + mu^2) * p(1)**2 - r(1)**2.  D is a polynomial in (lam, mu): a
+    ``LaurentPoly`` whose terms all have z-power 0.
     """
-    ok, witness = ode or check_ode_system(quad)
+    ok, witness = quad.ode
     if not ok:
         raise NotConstant(f"first integral unproven: {witness}")
-    # p(1), q(1), r(1), s(1) and (lam + mu^2) p(1), in one accumulation
-    p1, q1, r1, s1, lp1 = combine_rows([*([Piece(1, x, op=AT_ONE)] for x in quad.as_tuple()),
-                                        times(1, LAM_PLUS_MUSQ, quad.p, op=AT_ONE)])
+    p1, q1, r1, s1, lp1 = quad.at_one
     # D and its boundary form as two rows of products, each piece taken from
     # the factor with fewer terms
     D, boundary = combine_rows([times(1, p1, s1) + times(-1, r1, q1),
@@ -207,29 +224,24 @@ class NumericQuad:
     D+- = p(1) +- 2*omega*r(1) with the genericity flag ``generic``, false
     where either D factor vanishes relative to max(1, |p(1)|).
 
-    Every value is exact at the float point and rounded once, so none depends
-    on the order of the terms.
+    Every value is read from the quadruple's proof, exact at the float point
+    and rounded once, so none depends on the order of the terms.
     """
 
     def __init__(self, quad: PolyQuadruple, params: ModelParams):
         lam, mu = params.lam, params.mu
         self.ell = quad.ell
         self.params = params
-        r_prime, s_prime, p_at_1, r_at_1 = combine_rows([
-            [Piece(1, quad.r, op=PRIME)], [Piece(1, quad.s, op=PRIME)],
-            [Piece(1, quad.p, op=AT_ONE)], [Piece(1, quad.r, op=AT_ONE)],
-        ])
-        self._polys = {}
-        for name, poly in (("r", quad.r), ("s", quad.s), ("r'", r_prime), ("s'", s_prime)):
-            lo, dense = poly.coeff_arrays(lam, mu)
-            self._polys[name] = (lo, np.asarray(dense))
-        p1, r1 = (x.coeff_arrays(lam, mu)[1][0] for x in (p_at_1, r_at_1))
+        # D first, so that an unproven quadruple raises before any float work
+        self.D, p1, r1 = (x.coeff_arrays(lam, mu)[0][1][0]  # each a z**0 coefficient
+                          for x in (quad.D, quad.at_one[0], quad.at_one[2]))
+        self._polys = dict(zip(("r", "r'", "s", "s'"),
+                               (*quad.r.coeff_arrays(lam, mu), *quad.s.coeff_arrays(lam, mu))))
         self.d_plus = p1 + 2.0 * params.omega * r1
         self.d_minus = p1 - 2.0 * params.omega * r1
         scale = max(1.0, abs(p1))
         self.generic = (abs(self.d_plus) > GENERICITY_RTOL * scale
                         and abs(self.d_minus) > GENERICITY_RTOL * scale)
-        self.D = first_integral(quad).coeff_arrays(lam, mu)[1][0]
 
     def __call__(self, name: str, z):
         """Evaluate r, s, r' or s' at complex z (vectorized)."""

@@ -318,10 +318,10 @@ def solve_phase(params: ModelParams, phi0: float, tol: float = 1e-12) -> PhasePa
 
     The global error estimate propagates the collocation polynomial's defect
     along the linearised equation and adds the rounding of the chained row
-    starts (``_error_estimate``); an estimate beyond 1e3*tol raises
-    ToleranceNotMet.  A direction that needs more than ``gauss.MAX_STEPS`` rows
-    raises StepCeilingExceeded (``gauss.uniform_rows``) before it allocates
-    anything.
+    starts (``_error_estimate``).  ``tol`` gates that estimate and does not
+    refine the solve: an estimate beyond 1e3*tol raises ToleranceNotMet.  A
+    direction that needs more than ``gauss.MAX_STEPS`` rows raises
+    StepCeilingExceeded (``gauss.uniform_rows``) before it allocates anything.
     """
     t_min, t_max = WINDOW[0] * params.T, WINDOW[1] * params.T
     if not (TOL_MIN <= tol <= TOL_MAX):

@@ -16,7 +16,7 @@ from . import circle as circle_mod
 from . import heun as heun_mod
 from . import monodromy as monodromy_mod
 from . import sqrtmono as sqrt_mod
-from .heunpoly import NumericQuad, check_ode_system, check_parity, diagonal, first_integral
+from .heunpoly import NumericQuad, PolyQuadruple, check_parity, diagonal
 from .params import ModelParams
 from .phase import PhasePath, solve_phase
 
@@ -69,24 +69,18 @@ def _reportable(value: float) -> float | str:
     return value if math.isfinite(value) else str(value)
 
 
-def _gate(failures: list[str], name: str, value: float, budget_key: str, floor: float = 0.0):
-    """Fail ``value`` unless it is within budget (a NaN fails); return it as
-    the report writes it.
-
-    The budget is ``BUDGETS[budget_key]``, raised to ``floor`` where a check
-    scales it with the path tolerance.
-    """
-    budget = max(BUDGETS[budget_key], floor)
+def _gate(failures: list[str], name: str, value: float, budget_key: str):
+    """Fail ``value`` unless it is within ``BUDGETS[budget_key]`` (a NaN
+    fails); return it as the report writes it."""
+    budget = BUDGETS[budget_key]
     value = float(value)
     if not value <= budget:
         failures.append(f"{name} = {value:.3e} > {budget:.1e}")
     return _reportable(value)
 
 
-def _record(
-    report: dict, failures: list[str], name: str, value: float, budget_key: str, floor: float = 0.0
-):
-    report[name] = _gate(failures, name, value, budget_key, floor)
+def _record(report: dict, failures: list[str], name: str, value: float, budget_key: str):
+    report[name] = _gate(failures, name, value, budget_key)
 
 
 def check_ode(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
@@ -94,13 +88,10 @@ def check_ode(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
     report: dict = {}
     failures: list[str] = []
     t = np.linspace(path.t_min + 0.01, path.t_max - 0.01, grid_size)
-    # the two residual floors apply below tol = 1e-12, where the 10*tol
-    # contract meets round-off
-    floor = 10.0 * path.tol
-    _record(report, failures, "ode_residual", np.max(path.ode_residual(t)), "ode_residual", floor)
+    _record(report, failures, "ode_residual", np.max(path.ode_residual(t)), "ode_residual")
     report["err_est"] = path.err_est
     tt = path.time_translation_residual(grid_size)
-    _record(report, failures, "time_translation_residual", tt, "time_translation_residual", floor)
+    _record(report, failures, "time_translation_residual", tt, "time_translation_residual")
     return report, failures
 
 
@@ -127,10 +118,8 @@ def check_circle(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
     ric = circle_mod.riccati_circle_residual(path.params, t, F, Fdot)
     _record(report, failures, "riccati_circle", np.max(np.abs(ric)), "riccati_circle")
 
-    # the two routes are both limited by the path accuracy, so the pinned
-    # budget applies at the reference tolerance and scales above it
     route = np.max(np.abs(circle_mod.theta_pair_solve(path).psi_route(t) - psi))
-    _record(report, failures, "route_equivalence", route, "route_equivalence", 50.0 * path.tol)
+    _record(report, failures, "route_equivalence", route, "route_equivalence")
     return report, failures
 
 
@@ -154,22 +143,22 @@ def check_monodromy(
     return report, failures
 
 
-def check_poly_exact() -> tuple[dict, list[str]]:
-    """Exact-arithmetic identity suite for orders 1..6."""
+def check_poly_exact() -> tuple[dict, list[str], dict[int, PolyQuadruple]]:
+    """Exact-arithmetic identity suite for orders 1..6, and its quadruples by order."""
     report: dict = {}
     failures: list[str] = []
-    for ell in range(1, 7):
-        quad = diagonal(ell)  # raises DegreeClaimViolated on failure
+    quads = {ell: diagonal(ell) for ell in range(1, 7)}  # raises DegreeClaimViolated
+    for ell, quad in quads.items():
         ok_p, wit_p = check_parity(quad)
-        ode = ok_o, wit_o = check_ode_system(quad)
+        ok_o, wit_o = quad.ode
         if ok_p and ok_o:
-            first_integral(quad, ode)  # raises NotConstant if D misses its boundary form
+            quad.D  # raises NotConstant if D misses its boundary form
         report[f"ell_{ell}"] = "exact" if (ok_p and ok_o) else f"FAIL {wit_p or ''} {wit_o or ''}"
         if not ok_p:
             failures.append(f"parity identities fail at ell={ell}: {wit_p}")
         if not ok_o:
             failures.append(f"ode system fails at ell={ell}: {wit_o}")
-    return report, failures
+    return report, failures, quads
 
 
 def _phi_alpha_battery(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
@@ -321,6 +310,7 @@ def run_battery(
     failures: list[str] = []
     rhos = list(rhos) if rhos is not None else [0.8, 1.25]
 
+    quads = {}  # the quadruples proven in this run, by order
     needs_path = any(c in checks for c in ("ode", "monodromy", "heun", "theorem2"))
     path = solve_phase(params, phi0, tol=tol) if needs_path else None
 
@@ -335,12 +325,12 @@ def run_battery(
         report["monodromy"] = rep
         failures.extend(fail)
     if "poly-exact" in checks:
-        rep, fail = check_poly_exact()
+        rep, fail, quads = check_poly_exact()
         report["poly_exact"] = rep
         failures.extend(fail)
     if "heun" in checks or "theorem2" in checks:
         ell = params.require_integer_order()
-        nq = NumericQuad(diagonal(ell), params)
+        nq = NumericQuad(quads[ell] if ell in quads else diagonal(ell), params)
         if "heun" in checks:
             rep, fail = check_heun(path, nq, grid_size)
             report["heun"] = rep

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -242,10 +243,49 @@ def test_numeric_D_is_correctly_rounded_and_free_of_term_order(ell, monkeypatch)
         assert (nq_reversed.d_plus, nq_reversed.d_minus, nq_reversed.D) == (nq.d_plus, nq.d_minus, nq.D)
         for name, (lo, dense) in nq._polys.items():
             lo_r, dense_r = nq_reversed._polys[name]
-            assert lo_r == lo and dense_r.tobytes() == dense.tobytes()
-        with monkeypatch.context() as m:
+            assert lo_r == lo and np.array(dense_r).tobytes() == np.array(dense).tobytes()
+        with monkeypatch.context() as m:  # a fresh, unproven copy reads D anew
             m.setattr(heunpoly_mod, "first_integral", lambda q: reversed_D)
-            assert NumericQuad(quad, params).D == float(exact)
+            assert NumericQuad(dataclasses.replace(quad), params).D == float(exact)
+
+
+# sha256 over ell = 1..32 of the bits of NumericQuad's r, s, r' and s' (lowest
+# power and dense coefficients), D, D+ and D-, at (mu, omega) of golden
+# points 1 and 2 and of (1.5, 0.3): recorded when r' and s' were summed from
+# their own exact polynomials, so reading them from the numerators of r and s
+# changes no bit, -0.0 included.
+NUMERIC_QUAD_BITS_SHA256 = {
+    (0.3, 1.0): "cf8ac96b2ce444fa25279eb8723aa820330081b5ffc25f62102841a36db1fc17",
+    (0.2, 1.3): "3309ecae524f74e3de9a67eb5cfbeb1de0652d3389187c4ca670446fd01ecccc",
+    (1.5, 0.3): "f0a163f01f424d3b4e4eee33883a9c827f0fdbeb9d06228f7fd926e5bd997f77",
+}
+
+
+def test_numeric_quad_bits_are_pinned():
+    quads = [diagonal(ell) for ell in range(1, 33)]
+    for (mu, omega), expected in NUMERIC_QUAD_BITS_SHA256.items():
+        digest = hashlib.sha256()
+        for quad in quads:
+            nq = NumericQuad(quad, ModelParams(ell=quad.ell, mu=mu, omega=omega))
+            for name in ("r", "s", "r'", "s'"):
+                lo, dense = nq._polys[name]
+                digest.update(np.int64(lo).tobytes())
+                digest.update(np.asarray(dense, dtype=np.float64).tobytes())
+            digest.update(np.array([nq.D, nq.d_plus, nq.d_minus]).tobytes())
+        assert digest.hexdigest() == expected, (mu, omega)
+
+
+def test_the_derivative_starts_at_the_lowest_moving_power():
+    # r at ell = 2 has no z**1 term, so r' starts at z**1, not z**-1; a
+    # constant has the zero derivative; a z**0 row between others drops out
+    quad = diagonal(2)
+    assert 1 not in quad.r.coeffs and quad.r.min_degree == 0
+    (lo, _), (lo_prime, dense_prime) = quad.r.coeff_arrays(0.3, 0.2)
+    assert (lo, lo_prime) == (0, 1) and len(dense_prime) == 1
+    assert LaurentPoly.monomial(5).coeff_arrays(0.3, 0.2) == ((0, [5.0]), (0, [0.0]))
+    poly = LaurentPoly({(-1, 1, 0): 2, (0, 0, 1): 7, (2, 0, 0): 3})
+    assert poly.coeff_arrays(0.5, 0.25) == ((-1, [1.0, 1.75, 0.0, 3.0]),
+                                            (-2, [-1.0, 0.0, 0.0, 6.0]))
 
 
 def _ode_rows(sympy, p, q, r, s, ell, sgn):
@@ -323,7 +363,7 @@ def test_a_corrupted_quadruple_fails_typed_everywhere(monkeypatch, capsys):
         with pytest.raises(NotConstant, match="unproven: q-equation fails"):
             first_integral(_corrupted_diagonal(ell))
     monkeypatch.setattr(verify, "diagonal", _corrupted_diagonal)
-    report, failures = check_poly_exact()
+    report, failures, _ = check_poly_exact()
     assert all(value.startswith("FAIL ") for value in report.values()) and len(report) == 6
     assert any("ode system fails at ell=3" in f for f in failures)
     monkeypatch.setattr(cli, "diagonal", _corrupted_diagonal)
@@ -335,20 +375,26 @@ def test_a_corrupted_quadruple_fails_typed_everywhere(monkeypatch, capsys):
 
 
 def test_the_ode_system_is_checked_once_per_order(monkeypatch, capsys):
+    """One operation builds and proves each of its orders once: ``verify``'s
+    exact suite (orders 1..6) hands the point's order to the float view."""
     calls = []
-    check = heunpoly_mod.check_ode_system
 
-    def counted(quad):
-        calls.append(quad.ell)
-        return check(quad)
+    def counting(function):
+        def counted(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("heun_monodromy") and getattr(module, "check_ode_system", None) is check:
-            monkeypatch.setattr(module, "check_ode_system", counted)
-    for ell in (1, 7, 12):
+    for function in (heunpoly_mod.diagonal, heunpoly_mod.check_ode_system):
+        name = function.__name__
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("heun_monodromy") and getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counting(function))
+    g1 = ["--ell", "2", "--mu", "0.3", "--omega", "1", "--phi0", "0.5"]
+    g2 = ["--ell", "1", "--mu", "0.2", "--omega", "1.3", "--phi0", "1.0"]
+    polys = [(["poly", "--ell", str(ell), "--check"], 1) for ell in (1, 7, 12, 22)]
+    for argv, orders in ((["verify", *g1], 6), (["sqrt-monodromy", *g2], 1), *polys):
         calls.clear()
-        assert cli.main(["poly", "--ell", str(ell), "--check"]) == 0
-        assert calls == [ell]
-    calls.clear()
-    check_poly_exact()
-    assert calls == list(range(1, 7))
+        assert cli.main(argv) == 0
+        assert (calls.count("diagonal"), calls.count("check_ode_system")) == (orders, orders), argv
+    capsys.readouterr()

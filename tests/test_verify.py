@@ -1,17 +1,17 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 
-from heun_monodromy import ModelParams, verify
+from heun_monodromy import ModelParams, cli, verify
 from tests.conftest import FIXED_SWEEP_POINTS, SWEEP_REGION
 
 
 def test_every_failure_line_names_its_budget(golden_path, golden_quad, monkeypatch):
-    # every budget out of reach, including the tolerance-scaled floors
+    # every budget out of reach
     for key in verify.BUDGETS:
         monkeypatch.setitem(verify.BUDGETS, key, 1e-30)
-    monkeypatch.setattr(golden_path, "tol", 1e-32)
     failures = (
         verify.check_ode(golden_path, 101)[1]
         + verify.check_circle(golden_path, 101)[1]
@@ -32,6 +32,18 @@ def test_every_failure_line_names_its_budget(golden_path, golden_quad, monkeypat
         "b_squared_residual",
     ):
         assert name in names
+
+
+def test_tol_loosens_no_budget(monkeypatch, capsys):
+    # --tol gates the error estimate only: at a loose tol the failure line
+    # still names the BUDGETS value, not a budget scaled by tol
+    monkeypatch.setitem(verify.BUDGETS, "ode_residual", 1e-16)
+    argv = ["verify", "--ell", "2", "--mu", "0.3", "--omega", "1", "--phi0", "0.5",
+            "--checks", "ode", "--tol", "1e-6"]
+    assert cli.main(argv) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert len(failures) == 1
+    assert re.fullmatch(r"ode_residual = \d\.\d{3}e-\d\d > 1\.0e-16", failures[0]), failures
 
 
 def _region_points(rng, count):
