@@ -8,14 +8,17 @@ reciprocal point 1/z on the circle is the lift t -> -t.
 The theta pair is the circle's second route to Psi = e^P: its linear system
 is solved by the 10-node Gauss collocation kernel of ``gauss`` on the phase
 path's own rows that cover |t| <= T/2, with e^{i phi} at the nodes taken
-from those rows and P unread, and kept as ``gauss.Rows`` each way.
+from those rows and P unread, chained by ``gauss.chain`` and kept as
+``gauss.Rows`` each way, as mantissas with a power-of-two exponent per row,
+so the rows stay finite however large e^P grows.
 
 Off the circle, Phi = v/u is continued through the linear system behind its
 Riccati equation, collocated by the same kernel along a route of straight
 legs in w = log z, a radial ray being a real leg and an arc an imaginary
-one, each on the rows of ``gauss.uniform_rows`` (``continue_riccati_path``,
-the one continuation off the circle); the system is analytic on the
-annulus, so poles of Phi need no chart switch.
+one, each on the rows of ``gauss.uniform_rows`` and chained by the same
+``gauss.chain`` (``continue_riccati_path``, the one continuation off the
+circle); the system is analytic on the annulus, so poles of Phi need no
+chart switch.
 """
 
 from __future__ import annotations
@@ -175,25 +178,22 @@ def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
 def _collocate(rows: _Rows, count: int) -> gauss.Rows:
     """The theta pair on the first ``count`` rows of one direction of the
     phase path, from (i, -i) at t = 0.  Phi at the nodes comes straight from
-    the phase rows; rows go in blocks, and the row propagators are chained
-    in floats."""
-    a, b = 1j, -1j
-    starts, coefs = [], []
+    the phase rows; rows go in blocks, chained by ``gauss.chain``, and the
+    rows keep its mantissas and exponents."""
+    y, e = (1j, -1j), 0
+    starts, exponents, coefs = [], [], []
     for lo in range(0, count, gauss.BLOCK_ROWS):
         Phi = rows.Phi_nodes[:, lo:min(lo + gauss.BLOCK_ROWS, count)]
         up, down = 0.5 * Phi, 0.5 / Phi
         M = np.stack((np.stack((up, -up), 1), np.stack((-down, down), 1)), 1)
         _, G, R = gauss.row_propagators(M, rows.h)
-        y0 = []
-        for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
-            y0.append((a, b))
-            a, b = r00 * a + r01 * b, r10 * a + r11 * b
-        y0 = np.array(y0)
+        y0, y, e = gauss.chain(R, y, e)
         starts.append(y0)
+        exponents.append(np.full(len(y0), e))
         dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
         coefs.append(gauss.power_coefficients(dy).transpose(0, 2, 1))
     return gauss.Rows(ts=rows.ts[:count + 1], h=rows.h, y0=np.concatenate(starts),
-                      coef=np.concatenate(coefs, 1))
+                      coef=np.concatenate(coefs, 1), exponent=np.concatenate(exponents))
 
 
 class ThetaPair:
@@ -272,9 +272,9 @@ def continue_riccati_path(
     where r + 1/r = 2 cosh(log r) is convex in log r = Re w, which is linear
     in s, so it is largest at an end of the leg; that rate times |w1 - w0|
     is what the leg states to ``gauss.uniform_rows`` (CHANGES.md), for every
-    leg before any row is collocated.  Rows go in blocks, their propagators
-    are chained in floats, and before each block the pair is rescaled by an
-    exact power of two, so nothing overflows and v/u keeps every bit.
+    leg before any row is collocated.  Rows go in blocks, chained by
+    ``gauss.chain``, which rescales the pair by an exact power of two before
+    each block, so nothing overflows and v/u keeps every bit.
     Returns (v/u, pole_flag), where the flag marks an end at (numerically) a
     pole, |u| < |v| / 1e6.
     """
@@ -287,7 +287,7 @@ def continue_riccati_path(
         reach = max(r + 1.0 / r for r in (math.exp(w0.real), math.exp(w0.real + dw.real)))
         rate = 0.5 * (abs(ell) + abs(mu) * reach + 1.0 / omega) * abs(dw)
         legs.append((w0, dw, *gauss.uniform_rows(1.0, rate, f"log z leg {w0!r} -> {w0 + dw!r}")))
-    y = np.array((1.0, F0), dtype=complex)
+    y, e = (1.0 + 0j, complex(F0)), 0
     for w0, dw, rows, h in legs:
         for lo in range(0, rows, gauss.BLOCK_ROWS):
             k = np.arange(lo, min(lo + gauss.BLOCK_ROWS, rows))
@@ -297,10 +297,6 @@ def continue_riccati_path(
             off = np.full_like(z, dw / (2j * omega))
             N = np.array(((-half_c, off), (off, half_c)))
             _, _, R = gauss.row_propagators(N.transpose(2, 0, 1, 3), h)
-            shift = math.frexp(float(np.max(np.abs(y))))[1]
-            a, b = np.ldexp(y.view(float), -shift).view(complex).tolist()
-            for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
-                a, b = r00 * a + r01 * b, r10 * a + r11 * b
-            y = np.array((a, b))
-    u, v = y.tolist()
+            _, y, e = gauss.chain(R, y, e)
+    u, v = y
     return (v / u if u else complex(math.inf, math.inf)), abs(u) < abs(v) / 1e6

@@ -5,6 +5,10 @@ dense output, ``Rows``.
 One table serves the one collocation kernel, ``row_propagators``, that
 solves every linear system of the program: the phase path's (``phase``), and
 the theta pair and the Riccati continuation off the circle (``circle``).
+One chain, ``chain``, carries a linear pair across a block of row
+propagators, rescaled by an exact power of two: the theta pair and the
+continuation both go through it, and it is the one place of the program that
+rescales (the phase path renormalises its own Moebius chain instead).
 Every dense output is a ``Rows`` each way from t = 0: the phase path, the
 theta pair and the P_B panel table of ``sqrtmono``.  One row rule,
 ``uniform_rows``, sizes the phase rows (which the theta pair shares), the
@@ -17,8 +21,8 @@ Golub-Welsch: the first LAPACK call keeps about 1 MB for the whole run.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from math import ceil, comb
+from dataclasses import dataclass, field
+from math import ceil, comb, frexp, ldexp
 
 import numpy as np
 
@@ -144,6 +148,26 @@ def row_propagators(M: np.ndarray, h):
                        f"after {PICARD_MAX_SWEEPS}")
 
 
+def chain(R: np.ndarray, y: tuple[complex, complex], e: int):
+    """Carry the pair 2^e y across one block's row propagators R (2, 2, n).
+
+    The pair is first rescaled by an exact power of two, so that its larger
+    modulus lies in [1/2, 1) (``frexp``), and then carried as
+    y_{k+1} = R_k y_k in Python floats.  Returns the n row starts as
+    mantissas (n, 2), the end pair and their one exponent e': row k starts
+    from 2^e' starts[k].  Scaling by 2^e' commutes with every rounding that
+    neither under- nor overflows, so a ratio of the two components, or a
+    value formed from the mantissas and then scaled, keeps every bit.
+    """
+    shift = frexp(max(abs(y[0]), abs(y[1])))[1]
+    a, b = (complex(ldexp(c.real, -shift), ldexp(c.imag, -shift)) for c in y)
+    starts = []
+    for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
+        starts.append((a, b))
+        a, b = r00 * a + r01 * b, r10 * a + r11 * b
+    return np.array(starts), (a, b), e + shift
+
+
 def power_coefficients(dy: np.ndarray) -> np.ndarray:
     """Coefficients c_i (NODES, ...) of y' = sum_i c_i s^i on each row, in
     powers of the row fraction s, from the values dy (NODES, ...) of y' at the
@@ -174,13 +198,17 @@ class Rows:
     of the row fraction s = (t - ts[k]) / h, so
     y = y0[k] + h sum_i coef[i, k] s^(i + 1) / (i + 1).  A time on a row edge
     belongs to the row that ends there, counted in the direction of
-    integration; times beyond the ends use the end rows.
+    integration; times beyond the ends use the end rows.  Rows chained by
+    ``chain`` keep y0 and coef as mantissas and their power-of-two
+    ``exponent`` per row: values and slopes are formed from the mantissas,
+    then scaled by 2^exponent[k].
     """
 
     ts: np.ndarray  # (n + 1,)
     h: float
     y0: np.ndarray  # (n, m) complex
     coef: np.ndarray  # (NODES, n, m) complex
+    exponent: np.ndarray | None = field(default=None, kw_only=True)  # (n,) int
 
     def __post_init__(self):
         self.n = self.coef.shape[1]
@@ -203,11 +231,17 @@ class Rows:
     def values(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
         """(len(k), m) values of y on the rows k at the fractions s."""
         s = s[:, None]
-        return self.y0[k] + (horner(self._rise, k, s) * s).view(complex)
+        return self._scaled(k, self.y0[k] + (horner(self._rise, k, s) * s).view(complex))
 
     def slopes(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
         """(len(k), m) values of y' on the rows k at the fractions s."""
-        return horner(self._dy, k, s[:, None]).view(complex)
+        return self._scaled(k, horner(self._dy, k, s[:, None]).view(complex))
+
+    def _scaled(self, k: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The (len(k), m) mantissas y on the rows k times 2^exponent[k]."""
+        if self.exponent is None:
+            return y
+        return np.ldexp(y.view(float), self.exponent[k][:, None]).view(complex)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """(m, len(t)) values of y at the times t."""

@@ -214,15 +214,17 @@ def _lb_formula(hb: HeunBasisPath, nq: NumericQuad, t, E, Ep):
 
         pref(t) * (z^2 r(-z) E' + s(-z) E).
 
-    Returns the value, pref and the bracket (the t-derivative reuses both).
+    Returns the value, pref, the bracket and (z, r(-z), s(-z)): the
+    t-derivative reuses them all.
     """
     p = hb.params
     z = np.exp(1j * p.omega * t)
     pref = (-1.0) ** hb.ell * 2.0 * p.omega * np.exp(1j * (1 - hb.ell) * p.omega * t) * np.exp(
         2.0 * p.mu * np.cos(p.omega * t)
     )
-    G = z**2 * nq("r", -z) * Ep + nq("s", -z) * E
-    return pref * G, pref, G
+    r, s = nq("r", -z), nq("s", -z)
+    G = z**2 * r * Ep + s * E
+    return pref * G, pref, G, (z, r, s)
 
 
 def apply_B_and_dot(
@@ -244,16 +246,15 @@ def apply_B_and_dot(
     b = hb.at(t + p.T / 2)  # the lift of -z (MINUS_Z_LIFT)
     E, Ep, Epp = b.combination(coeffs)
 
-    F, pref, G = _lb_formula(hb, nq, t, E, Ep)
-    z = np.exp(1j * p.omega * t)
+    F, pref, G, (z, r, s) = _lb_formula(hb, nq, t, E, Ep)
     zdot = 1j * p.omega * z
     zsdot = 1j * p.omega * b.z
     pref_dot = pref * (1j * (1 - hb.ell) * p.omega - 2.0 * p.mu * p.omega * np.sin(p.omega * t))
     G_dot = (
-        (2.0 * z * nq("r", -z) - z**2 * nq("r'", -z)) * zdot * Ep
-        + z**2 * nq("r", -z) * Epp * zsdot
+        (2.0 * z * r - z**2 * nq("r'", -z)) * zdot * Ep
+        + z**2 * r * Epp * zsdot
         - nq("s'", -z) * zdot * E
-        + nq("s", -z) * Ep * zsdot
+        + s * Ep * zsdot
     )
     return F, pref_dot * G + pref * G_dot
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +192,45 @@ def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
     monkeypatch.setattr(gauss, "PICARD_MAX_SWEEPS", 1)
     with pytest.raises(NotConverged):
         theta_pair_solve(golden_path)
+
+
+# sha256 of the bytes of ThetaPair.values(t), then of psi_route(t), on the
+# 1001-point grid over [-T/2, T/2], recorded with the unscaled float chain:
+# the exact power-of-two rescale of gauss.chain keeps every bit.
+THETA_PAIR_SHA256 = {
+    GOLDENS[0]: "d2d7e70a55b8836de83570985830b3d0b03b32cfb4d498bfd8481311ec37ace8",
+    GOLDENS[1]: "f74145373fe7e8e57ec4758e889c1ec932975466722b427fa6a635a1776943fa",
+    FIXED_SWEEP_POINTS[0]: "1f77fd683820895b6ca9c23b39a076e3a60dec3c2d399e9d1873880777644ab2",
+}
+
+
+@pytest.mark.parametrize("point", list(THETA_PAIR_SHA256))
+def test_theta_pair_values_are_pinned_bit_for_bit(point):
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    t = grid(path, 1001)
+    pair = theta_pair_solve(path)
+    digest = hashlib.sha256(pair.values(t).tobytes() + pair.psi_route(t).tobytes())
+    assert digest.hexdigest() == THETA_PAIR_SHA256[point]
+
+
+def test_theta_pair_rows_stay_finite_where_e_P_overflows():
+    # at omega = 0.004, P reaches 785 at t = +-T/2, past the float range of
+    # e^P; the chain rescales each block by a power of two, so the collocation
+    # warns of nothing and every stored row start and coefficient is finite
+    path = solve_phase(ModelParams(ell=1.0, mu=0.3, omega=0.004), 0.5, tol=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = theta_pair_solve(path)
+    for rows in (pair._fwd, pair._bwd):
+        assert np.isfinite(rows.y0).all() and np.isfinite(rows.coef).all()
+        assert rows.exponent.max() > 1024  # the scale alone leaves the float range
+    # where e^P fits, the route meets it to the rounding of some 6600 chained
+    # rows (7.4e-14)
+    t = grid(path, 1001)
+    P = path.P(t)
+    t, P = t[P < 700], P[P < 700]
+    assert np.max(np.abs(pair.psi_route(t) / np.exp(P) - 1.0)) <= 1e-11
 
 
 @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")

@@ -7,11 +7,13 @@ The reference integrates F itself, in the Phi chart, along the two routes of
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from heun_monodromy import ModelParams, StepCeilingExceeded, gauss, solve_phase
+from heun_monodromy import ModelParams, StepCeilingExceeded, gauss, monodromy, solve_phase
 from heun_monodromy.circle import CirclePair, continue_riccati_path
 from heun_monodromy.monodromy import _algebraic_values, verify_monodromy
 from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
@@ -65,6 +67,33 @@ def test_ray_residuals_hold_to_1e_13(point_path):
     assert [rho for rho, _ in report["ray_residuals"]] == list(RHOS)
     for rho, residual in report["ray_residuals"]:
         assert residual <= 1e-13, rho
+
+
+# sha256 of the four continuations of verify's ray routes (radii 0.8 and
+# 1.25): the bytes of the values, then the pole flags, recorded with the
+# rescale written out in circle before gauss.chain took it over.
+RAY_SHA256 = {
+    GOLDENS[0]: "bfadc15f1d1b646608cc234f7af6c679fb0340915f500496952b3056bdd9bbb5",
+    GOLDENS[1]: "7a3f297b2598473489bd64a515be5c1b65f01d0e5d1b38a4e82efa41b7807592",
+}
+
+
+@pytest.mark.parametrize("point", GOLDENS, ids=["G1", "G2"])
+def test_ray_continuations_are_pinned_bit_for_bit(point, monkeypatch):
+    ends = []
+
+    def recording(*args):
+        ends.append(continue_riccati_path(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(monodromy, "continue_riccati_path", recording)
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    verify_monodromy(path, rhos=[0.8, 1.25])
+    assert len(ends) == 4
+    digest = hashlib.sha256(np.array([value for value, _ in ends]).tobytes()
+                            + bytes(pole for _, pole in ends))
+    assert digest.hexdigest() == RAY_SHA256[point]
 
 
 def test_step_ceiling_is_checked_before_any_row(monkeypatch):

@@ -227,6 +227,23 @@ def test_program_defines_or_imports_no_dop853():
                     f"{module.name}:{node.lineno} refers to {name}")
 
 
+def _calls(module: Path):
+    """(name, line) of every call in a module, by the attribute or bare name
+    called."""
+    for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None), node.lineno
+
+
+def _assert_only_gauss_calls(guarded: set[str]):
+    package = Path(heun_monodromy.__file__).resolve().parent
+    for module in sorted(package.glob("*.py")):
+        if module.name != "gauss.py":
+            for name, line in _calls(module):
+                assert name not in guarded, f"{module.name}:{line} calls {name}"
+
+
 def test_only_gauss_evaluates_dense_rows():
     # every dense output evaluates through gauss.Rows: no other module of the
     # package may call the row evaluators, so no second evaluator reappears;
@@ -236,11 +253,16 @@ def test_only_gauss_evaluates_dense_rows():
     defined = {node.name for node in ast.parse((package / "gauss.py").read_text()).body
                if isinstance(node, ast.FunctionDef)}
     assert evaluators <= defined, evaluators - defined
-    for module in sorted(package.glob("*.py")):
-        if module.name == "gauss.py":
-            continue
-        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                assert name not in evaluators, f"{module.name}:{node.lineno} calls {name}"
+    _assert_only_gauss_calls(evaluators)
+
+
+def test_only_gauss_rescales_by_powers_of_two():
+    # the exact power-of-two rescale has one home, gauss.chain and the Rows it
+    # fills: no other module may call frexp or ldexp, so no second rescale
+    # reappears beside the chain; each guarded name must be one gauss calls,
+    # so the guard cannot go stale
+    package = Path(heun_monodromy.__file__).resolve().parent
+    rescales = {"frexp", "ldexp"}
+    called = {name for name, _ in _calls(package / "gauss.py")}
+    assert rescales <= called, rescales - called
+    _assert_only_gauss_calls(rescales)
