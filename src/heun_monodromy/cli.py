@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
+import os
+import pickle
 import sys
+import threading
+import warnings
 
 import numpy as np
 
@@ -35,6 +40,8 @@ EXIT_DEGENERATE = 2
 EXIT_USAGE = 3
 #: Gate errors: the parameter point is outside the theory, exit EXIT_DEGENERATE.
 GATE_ERRORS = (GenericityViolated, DegenerateAtOne, NonIntegerOrder)
+#: signal.SIGKILL, without importing ``signal`` (which nothing else here needs)
+_SIGKILL = 9
 
 
 class UsageError(Exception):
@@ -253,13 +260,123 @@ def _sweep_one(point: dict, params: ModelParams, tol: float, grid: int, checks: 
     return report, code
 
 
+def _workers(points: int) -> int:
+    """How many processes share a sweep: one per CPU this process may run
+    on, at most one per point, and one alone where forking is not safe (no
+    ``fork``, or another thread alive, which a child would not have)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return 1
+    return min(points, len(os.sched_getaffinity(0)))
+
+
+def _fork_chunk(run, chunk: list) -> tuple[int, int]:
+    """Fork a child that runs ``chunk`` and pickles its results, warnings and
+    printed text into a pipe: (pid, read end).
+
+    The child writes nothing to the streams it inherits and leaves by
+    ``os._exit``, so it flushes no inherited buffer and runs no exit hook.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            results = run(chunk)
+        shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((results, shown, out.getvalue(), err.getvalue()), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, fd: int):
+    """A child's shipment, or None where the child failed (nonzero status, a
+    signal, a short or unreadable pipe); the child is reaped either way."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    except OSError:  # an unreadable pipe
+        data = b""
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data) if status == 0 else None
+    except Exception:  # a short pipe
+        return None
+
+
+def _replay(shown: list, out: str, err: str):
+    """Emit a child's warnings and text here, as its points would have.
+
+    Each warning goes through this process's filters and the registry of the
+    module it came from, so one already shown here is shown no second time,
+    as in one process."""
+    files = {getattr(m, "__file__", None): m for m in list(sys.modules.values())} if shown else {}
+    for text, category, filename, lineno in shown:
+        scope = vars(files[filename]) if filename in files else {}
+        warnings.warn_explicit(text, category, filename, lineno, scope.get("__name__"),
+                               scope.setdefault("__warningregistry__", {}))
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+
+
+def _sweep_all(points: list, tol: float, grid: int, checks: tuple[str, ...]) -> list:
+    """``_sweep_one`` of every point, in input order.
+
+    The points share nothing, so k processes run k contiguous chunks of them:
+    this process runs the first, and a forked child each of the others.  The
+    children's results, warnings and text are taken in chunk order after the
+    first chunk, so every output is the one-process loop's.  A chunk whose
+    child failed runs again here, with that loop's outcome.
+    """
+    def run(chunk):
+        return [_sweep_one(pt, params, tol, grid, checks) for pt, params in chunk]
+
+    k = _workers(len(points))
+    if k <= 1:
+        return run(points)
+    n = len(points)
+    chunks = [points[i * n // k:(i + 1) * n // k] for i in range(k)]
+    children = []  # (pid, read end) of each child not yet reaped, in chunk order
+    try:
+        try:
+            for chunk in chunks[1:]:
+                children.append(_fork_chunk(run, chunk))
+        except OSError:  # no more processes: the unforked chunks run here
+            pass
+        results = run(chunks[0])
+        for chunk in chunks[1:]:
+            shipped = _receive(*children.pop(0)) if children else None
+            if shipped is None:
+                results += run(chunk)
+            else:
+                results += shipped[0]
+                _replay(*shipped[1:])
+        return results
+    finally:
+        for pid, fd in children:  # this process raised: stop and reap the rest
+            os.kill(pid, _SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+
 def cmd_sweep(args) -> int:
     _validate_common(args)
     checks = _parse_checks(args.checks)
     points = _parse_points(args.points, checks)
-    # one point after another: the integrators are pure-Python loops, which
-    # threads only serialize on the interpreter lock
-    results = [_sweep_one(pt, params, args.tol, args.grid, checks) for pt, params in points]
+    results = _sweep_all(points, args.tol, args.grid, checks)
     report = {"points": [r for r, _ in results]}
     text = canonical_json(report) + "\n"
     if args.out:

@@ -62,8 +62,8 @@ _DIGIT = (1 << _RADIX) - 1
 _HALF = 1 << (_RADIX - 1)
 _LIMIT = 1 << 62
 #: The largest size of an operator's per-term multiplier: a z-power, which
-#: the key field holds.
-_MULT = _BIAS
+#: the key field holds, plus at most as much again (``theta``).
+_MULT = 2 * _BIAS
 
 
 def _fit(lo: tuple[int, int, int], hi: tuple[int, int, int]) -> int:
@@ -198,6 +198,14 @@ PRIME, REFLECT, AT_ONE = (
     lambda z: (0, 1 - 2 * (z & 1)),
     lambda z: (-z, 1),
 )
+
+
+def theta(c: int) -> Callable[[np.ndarray], tuple]:
+    """The operator z d/dz + c: each term keeps its z-power k and is
+    multiplied by k + c (|c| <= _BIAS, so the multiplier stays within _MULT)."""
+    if abs(c) > _BIAS:
+        raise ExponentOutOfRange(f"theta shift {c} is past the key field")
+    return lambda z: (0, z + c)
 
 
 class Piece(NamedTuple):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegreeClaimViolated, NotConstant
 from .exactpoly import (
-    AT_ONE, LAM_PLUS_MUSQ, PRIME, REFLECT, LaurentPoly, Piece, combine_rows, times,
+    AT_ONE, LAM_PLUS_MUSQ, PRIME, REFLECT, LaurentPoly, Piece, combine_rows, theta, times,
 )
 from .params import ModelParams
 
@@ -99,20 +99,22 @@ def recurrence_step(quad: PolyQuadruple) -> PolyQuadruple:
     """Advance the quadruple one level (output index k = quad.k + 1).
 
     ``Piece(c, x, dz, dlam, dmu)`` is ``c * z**dz * lam**dlam * mu**dmu * x``.
+    A term ``a z x + z^2 x'`` is one piece, ``z (theta + a) x`` with
+    theta = z d/dz.
     """
     ell, k = quad.ell, quad.k + 1
     p, q, r, s = quad.as_tuple()
     p_new, q_new, r_new, s_new = combine_rows([
         # (1 - ell) z p + q + z^2 p'
-        [Piece(1 - ell, p, 1), Piece(1, q), Piece(1, p, 2, op=PRIME)],
+        [Piece(1, p, 1, op=theta(1 - ell)), Piece(1, q)],
         # -lam z^2 p + (ell + 1) mu z^3 p + mu q - mu z^2 q + z^2 q'
         [Piece(-1, p, 2, 1), Piece(ell + 1, p, 3, 0, 1), Piece(1, q, 0, 0, 1),
          Piece(-1, q, 2, 0, 1), Piece(1, q, 2, op=PRIME)],
         # 2 (k - 2) z r - s - z^2 r'
-        [Piece(2 * (k - 2), r, 1), Piece(-1, s), Piece(-1, r, 2, op=PRIME)],
+        [Piece(-1, r, 1, op=theta(4 - 2 * k)), Piece(-1, s)],
         # lam z^2 r - (ell + 1) mu z^3 r + (2k - ell - 3) z s + mu z^2 s - mu s - z^2 s'
-        [Piece(1, r, 2, 1), Piece(-(ell + 1), r, 3, 0, 1), Piece(2 * k - ell - 3, s, 1),
-         Piece(1, s, 2, 0, 1), Piece(-1, s, 0, 0, 1), Piece(-1, s, 2, op=PRIME)],
+        [Piece(1, r, 2, 1), Piece(-(ell + 1), r, 3, 0, 1),
+         Piece(-1, s, 1, op=theta(ell + 3 - 2 * k)), Piece(1, s, 2, 0, 1), Piece(-1, s, 0, 0, 1)],
     ])
     return PolyQuadruple(k=k, ell=ell, p=p_new, q=q_new, r=r_new, s=s_new)
 

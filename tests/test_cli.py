@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import os
 import re
 import signal
+import threading
+import time
+import warnings
+from pathlib import Path
 
 import pytest
 
+import heun_monodromy
+import heun_monodromy.cli as cli_mod
 from heun_monodromy.cli import main
 from heun_monodromy.heunpoly import MAX_ELL
 from heun_monodromy.jsonio import canonical_json
+from tests.conftest import FIXED_SWEEP_POINTS, SWEEP_REGION
 
 # sha256 of `poly --ell L` standard output, for every order; `--check` adds
 # only its line on standard error.  The output is exact integer arithmetic,
@@ -586,6 +595,176 @@ def test_sweep_non_positive_omega_is_usage_error(capsys):
     assert code == 3
     assert out == ""
     assert "omega must be > 0" in err
+
+
+# A sweep splits its points into contiguous chunks, one per CPU, and forks a
+# child for every chunk but the first.  These tests set the CPU count through
+# os.sched_getaffinity, so they fork on a one-CPU machine too.
+def _cpus(monkeypatch, n: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _points_text(points) -> str:
+    return ";".join(",".join(repr(x) for x in p) for p in points)
+
+
+# the two fixed sweep points, and a region point with its mirror through the
+# centre of the region, as the benchmark's sweeps draw them
+_REGION_POINT = tuple(round(lo + 0.3 * (hi - lo), 6) for lo, hi in SWEEP_REGION)
+SWEEP_POINTS = FIXED_SWEEP_POINTS + (
+    _REGION_POINT, tuple(round(lo + hi - v, 6) for v, (lo, hi) in zip(_REGION_POINT, SWEEP_REGION)))
+
+
+def test_sweep_forked_output_is_the_serial_output(capsys, monkeypatch):
+    argv = ("sweep", "--points", _points_text(SWEEP_POINTS), "--checks", "ode,monodromy",
+            "--grid", "201")
+    _cpus(monkeypatch, 1)
+    serial = run(capsys, *argv)
+    _cpus(monkeypatch, 2)
+    forked = run(capsys, *argv)
+    _assert_no_child()
+    assert forked == serial
+    assert serial[0] == 0 and len(json.loads(serial[1])["points"]) == 4
+
+
+def test_sweep_reruns_the_chunk_of_a_failed_child(capsys, monkeypatch):
+    argv = ("sweep", "--points", _points_text(SWEEP_POINTS[:3]), "--checks", "ode",
+            "--grid", "101")
+    _cpus(monkeypatch, 1)
+    serial = run(capsys, *argv)
+    sweep_one, pid = cli_mod._sweep_one, os.getpid()
+
+    def fails_in_a_child(*args):
+        if os.getpid() != pid:
+            raise RuntimeError("lost child")
+        return sweep_one(*args)
+
+    monkeypatch.setattr(cli_mod, "_sweep_one", fails_in_a_child)
+    _cpus(monkeypatch, 2)
+    assert run(capsys, *argv) == serial
+    _assert_no_child()
+
+
+def _fake_point(point, params, tol, grid, checks):
+    return {"params": point}, 0
+
+
+@pytest.mark.parametrize("chunk", ["parent", "child"])
+def test_sweep_untyped_error_propagates_as_in_the_serial_loop(capsys, monkeypatch, chunk):
+    # the error is raised at the first point (the parent's chunk) or the last
+    # (the child's) in every process; a child still working when the parent
+    # raises is killed, not waited for
+    bad, pid = (1.0 if chunk == "parent" else 3.0), os.getpid()
+
+    def fails_at_one_point(point, *args):
+        if point["ell"] == bad:
+            raise RuntimeError(f"boom at {bad}")
+        if chunk == "parent" and os.getpid() != pid:
+            time.sleep(30)
+        return _fake_point(point, *args)
+
+    monkeypatch.setattr(cli_mod, "_sweep_one", fails_at_one_point)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"boom at {bad}"):
+            main(["sweep", "--points", "1,0.3,1;2,0.3,1;3,0.3,1", "--checks", "ode"])
+        _assert_no_child()
+        assert time.perf_counter() - start < 15
+    assert capsys.readouterr() == ("", "")
+
+
+def test_sweep_forks_one_child_per_chunk_but_the_first(capsys, monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli_mod, "_sweep_one", _fake_point)
+    _cpus(monkeypatch, 64)
+    expected = []
+    for points, children in (("1,0.3,1;2,0.3,1;3,0.3,1", 2), ("1,0.3,1", 0)):
+        forks.clear()
+        code, out, _ = run(capsys, "sweep", "--points", points, "--checks", "ode")
+        _assert_no_child()
+        assert len(forks) == children
+        expected.append(code)
+        assert [p["params"]["ell"] for p in json.loads(out)["points"]] == [
+            float(x.split(",")[0]) for x in points.split(";")]
+    assert expected == [0, 0]
+    # another thread alive: no fork, since a child would not have it
+    forks.clear()
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert run(capsys, "sweep", "--points", "1,0.3,1;2,0.3,1", "--checks", "ode")[0] == 0
+    finally:
+        done.set()
+        other.join()
+    assert forks == []
+
+
+def _warning_point(point, params, tol, grid, checks):
+    warnings.warn(f"point {point['ell']}", RuntimeWarning)
+    warnings.warn("every point", RuntimeWarning)
+    print(f"err {point['ell']}", file=os.sys.stderr)
+    return _fake_point(point, params, tol, grid, checks)
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_sweep_child_warnings_and_text_reach_the_parent(capsys, monkeypatch, action):
+    # each child's warnings come after those of the parent's chunk, once, in
+    # point order; under "default" a warning the parent has shown is not
+    # shown again, as in one process
+    monkeypatch.setattr(cli_mod, "_sweep_one", _warning_point)
+    argv = ["sweep", "--points", "1,0.3,1;2,0.3,1;3,0.3,1;4,0.3,1", "--checks", "ode"]
+    seen = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main(argv)
+        seen[cpus] = code, [(str(w.message), w.category, w.lineno) for w in caught], \
+            capsys.readouterr()
+        _assert_no_child()
+    assert seen[2] == seen[1]
+    messages = [m for m, *_ in seen[1][1]]
+    if action == "always":
+        assert messages == [m for k in range(1, 5) for m in (f"point {k}.0", "every point")]
+    else:
+        assert messages == ["point 1.0", "every point", "point 2.0", "point 3.0", "point 4.0"]
+    assert seen[1][2].err == "".join(f"err {k}.0\n" for k in range(1, 5))
+
+
+def test_only_cli_forks():
+    # process concurrency has one home, the sweep in cli: no other module of
+    # the package may fork, none may import multiprocessing or
+    # concurrent.futures, and cli must call fork, so the guard cannot go stale
+    package = Path(heun_monodromy.__file__).resolve().parent
+    forking = set()
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("fork", "forkpty"):
+                    forking.add(module.name)
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            for name in names:
+                assert name.split(".")[0] not in ("multiprocessing", "concurrent"), (
+                    f"{module.name}:{node.lineno} imports {name}")
+    assert forking == {"cli.py"}
 
 
 MONODROMY_POINT = ("monodromy", "--ell", "2", "--mu", "0.3", "--omega", "1", "--phi0", "0.5")
