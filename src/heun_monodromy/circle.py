@@ -36,6 +36,8 @@ from .phase import PhasePath, _Rows
 
 #: Annulus guard for off-circle continuation.
 RHO_MIN, RHO_MAX = 0.2, 5.0
+#: The radii of the ray certificate where none are given.
+DEFAULT_RHOS = (0.8, 1.25)
 #: A Moebius denominator below this raises DenominatorVanished.
 DENOMINATOR_FLOOR = 1e-10
 

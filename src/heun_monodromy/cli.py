@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .circle import RHO_MAX, RHO_MIN, theta_pair_solve
+from .circle import DEFAULT_RHOS, RHO_MAX, RHO_MIN, theta_pair_solve
 from .errors import (
     DegenerateAtOne,
     GenericityViolated,
@@ -28,11 +28,11 @@ from .errors import (
     NonPositiveOmega,
     ToleranceNotMet,
 )
-from .heunpoly import MAX_ELL, NumericQuad, check_parity, diagonal
+from .heunpoly import MAX_ELL, check_parity, diagonal
 from .jsonio import canonical_json
 from .params import ModelParams
 from .phase import TOL_MAX, TOL_MIN, solve_phase
-from .verify import ALL_CHECKS, check_monodromy, check_theorem2, run_battery
+from .verify import ALL_CHECKS, run_battery
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -100,13 +100,15 @@ def _parse_checks(text: str | None) -> tuple[str, ...]:
     return checks
 
 
-def _parse_rhos(text: str | None) -> list[float]:
-    if not text:
-        return [0.8, 1.25]
+def _parse_rhos(text: str | None) -> tuple[float, ...]:
+    if text is None:
+        return DEFAULT_RHOS
     try:
-        rhos = [float(x) for x in text.split(",") if x.strip()]
+        rhos = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise UsageError(f"bad --rhos value {text!r}") from exc
+    if not rhos:  # the ray certificate would vanish from the report
+        raise UsageError(f"--rhos value {text!r} names no radius")
     if not all(RHO_MIN <= rho <= RHO_MAX for rho in rhos):  # NaN fails too
         raise UsageError(f"--rhos values must lie in [{RHO_MIN}, {RHO_MAX}]")
     return rhos
@@ -174,7 +176,10 @@ def _battery_exit(failures: list[str]) -> int:
     return EXIT_OK if not failures else EXIT_TOLERANCE
 
 
-def cmd_verify(args) -> int:
+def cmd_battery(args) -> int:
+    """``verify``, ``monodromy`` and ``sqrt-monodromy``: the battery of the
+    command's checks at one point, written as the command's ``view`` of the
+    report."""
     _validate_common(args)
     params = _params(args.ell, args.mu, args.omega)
     checks = _parse_checks(args.checks)
@@ -187,37 +192,11 @@ def cmd_verify(args) -> int:
         rhos=_parse_rhos(args.rhos),
         checks=checks,
     )
-    text = canonical_json(report) + "\n"
+    text = canonical_json(args.view(report)) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    return _battery_exit(failures)
-
-
-def cmd_monodromy(args) -> int:
-    _validate_common(args)
-    params = _params(args.ell, args.mu, args.omega)
-    rhos = _parse_rhos(args.rhos)
-    path = solve_phase(params, args.phi0, tol=args.tol)
-    report, failures = check_monodromy(path, args.grid, rhos, args.tol)
-    sys.stdout.write(canonical_json(report) + "\n")
-    return _battery_exit(failures)
-
-
-def cmd_sqrt_monodromy(args) -> int:
-    _validate_common(args)
-    params = _params(args.ell, args.mu, args.omega)
-    _require_max_ell(params, ("theorem2",))
-    nq = NumericQuad(diagonal(params.require_integer_order()), params)
-    if not nq.generic:  # before any solve
-        raise GenericityViolated(
-            f"D+={nq.d_plus:.3e}, D-={nq.d_minus:.3e} at (ell={nq.ell}, mu={params.mu}, "
-            f"omega={params.omega}); the symmetry operator is not invertible here"
-        )
-    path = solve_phase(params, args.phi0, tol=args.tol)
-    rep, failures = check_theorem2(path, nq, args.grid)
-    sys.stdout.write(canonical_json({"theorem2": rep}) + "\n")
     return _battery_exit(failures)
 
 
@@ -403,21 +382,25 @@ def build_parser() -> _Parser:
     p.add_argument("--check", action="store_true")
     p.set_defaults(fn=cmd_poly)
 
+    # verify, monodromy and sqrt-monodromy: one battery, each with its checks
+    # and its view of the report; only verify chooses its checks and --out
     p = sub.add_parser("verify", help="run the verification battery")
     _add_point_args(p)
     p.add_argument("--rhos", type=str, default=None)
     p.add_argument("--checks", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_battery, view=lambda report: report)
 
     p = sub.add_parser("monodromy", help="monodromy report only")
     _add_point_args(p)
     p.add_argument("--rhos", type=str, default=None)
-    p.set_defaults(fn=cmd_monodromy)
+    p.set_defaults(fn=cmd_battery, checks="monodromy", out=None,
+                   view=lambda report: report["monodromy"])
 
     p = sub.add_parser("sqrt-monodromy", help="square-root-of-monodromy report")
     _add_point_args(p)
-    p.set_defaults(fn=cmd_sqrt_monodromy)
+    p.set_defaults(fn=cmd_battery, checks="theorem2", rhos=None, out=None,
+                   view=lambda report: {"theorem2": report["theorem2"]})
 
     p = sub.add_parser("sweep", help="verify several parameter points")
     p.add_argument("--points", type=str, required=True, help="ell,mu,omega[,phi0];...")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import CircleFunction, CirclePair, quotient
-from .errors import DegenerateAtOne, GenericityViolated
+from .errors import DegenerateAtOne
 from .heunpoly import NumericQuad
 from .params import ModelParams
 from .phase import PhasePath
@@ -239,8 +239,6 @@ def apply_B_and_dot(
     ``coeffs`` may hold arrays of shape (k, 1): the result then has one row
     per combination.
     """
-    if not nq.generic:
-        raise GenericityViolated("operator is singular at this parameter point")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     p = hb.params
     b = hb.at(t + p.T / 2)  # the lift of -z (MINUS_Z_LIFT)

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegreeClaimViolated, NotConstant
+from .errors import DegreeClaimViolated, GenericityViolated, NotConstant
 from .exactpoly import (
     AT_ONE, LAM_PLUS_MUSQ, PRIME, REFLECT, LaurentPoly, Piece, combine_rows, theta, times,
 )
@@ -223,11 +223,13 @@ def first_integral(quad: PolyQuadruple) -> LaurentPoly:
 class NumericQuad:
     """Float view of a diagonal quadruple at a parameter point: r, s, r' and
     s' as coefficient arrays (what L_B reads), the first integral D, and
-    D+- = p(1) +- 2*omega*r(1) with the genericity flag ``generic``, false
-    where either D factor vanishes relative to max(1, |p(1)|).
+    D+- = p(1) +- 2*omega*r(1).
 
-    Every value is read from the quadruple's proof, exact at the float point
-    and rounded once, so none depends on the order of the terms.
+    It is the one genericity gate: it raises GenericityViolated where either
+    D factor vanishes relative to max(1, |p(1)|), since the symmetry operator
+    is not invertible there.  Every value is read from the quadruple's proof,
+    exact at the float point and rounded once, so none depends on the order
+    of the terms.
     """
 
     def __init__(self, quad: PolyQuadruple, params: ModelParams):
@@ -241,9 +243,12 @@ class NumericQuad:
                                (*quad.r.coeff_arrays(lam, mu), *quad.s.coeff_arrays(lam, mu))))
         self.d_plus = p1 + 2.0 * params.omega * r1
         self.d_minus = p1 - 2.0 * params.omega * r1
-        scale = max(1.0, abs(p1))
-        self.generic = (abs(self.d_plus) > GENERICITY_RTOL * scale
-                        and abs(self.d_minus) > GENERICITY_RTOL * scale)
+        floor = GENERICITY_RTOL * max(1.0, abs(p1))
+        if not (abs(self.d_plus) > floor and abs(self.d_minus) > floor):  # a NaN fails too
+            raise GenericityViolated(
+                f"D+={self.d_plus:.3e}, D-={self.d_minus:.3e} at (ell={self.ell}, "
+                f"mu={mu}, omega={params.omega}); the symmetry operator is not invertible here"
+            )
 
     def __call__(self, name: str, z):
         """Evaluate r, s, r' or s' at complex z (vectorized)."""

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import gauss
 from .circle import BoundaryValues, CirclePair, quotient, riccati_circle_residual
-from .errors import DegenerateAtOne, GenericityViolated, OutOfWindow
+from .errors import DegenerateAtOne, OutOfWindow
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
 from .heunpoly import NumericQuad
 from .monodromy import monodromy_direct
@@ -106,15 +106,11 @@ class SqrtMonodromyTransform:
     """One application of the transform to a circle pair, with the constants
     of its formulas taken from the pair's own boundary data.
 
-    Raises GenericityViolated where D+ or D- vanishes, NonIntegerOrder off
-    integer ell and DegenerateAtOne where cos(phi(0)) vanishes.
+    Raises NonIntegerOrder off integer ell and DegenerateAtOne where
+    cos(phi(0)) vanishes; where D+ or D- vanishes there is no ``nq``.
     """
 
     def __init__(self, pair: CirclePair, nq: NumericQuad):
-        if not nq.generic:
-            raise GenericityViolated(
-                f"D+={nq.d_plus:.3e}, D-={nq.d_minus:.3e}: transform undefined here"
-            )
         pair.params.require_integer_order()
         bv = pair.boundary()
         self.cos_phi0 = float(np.cos(bv.phi_at_0))

@@ -124,7 +124,7 @@ def check_circle(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
 
 
 def check_monodromy(
-    path: PhasePath, grid_size: int, rhos: list[float], tol: float
+    path: PhasePath, grid_size: int, rhos: tuple[float, ...], tol: float
 ) -> tuple[dict, list[str]]:
     report = monodromy_mod.verify_monodromy(path, grid_size=grid_size, rhos=rhos, tol=tol)
     failures: list[str] = []
@@ -294,12 +294,16 @@ def run_battery(
     phi0: float,
     tol: float = 1e-12,
     grid_size: int = 1001,
-    rhos: list[float] | None = None,
+    rhos: tuple[float, ...] = circle_mod.DEFAULT_RHOS,
     checks: tuple[str, ...] = ALL_CHECKS,
 ) -> tuple[dict, list[str]]:
     """Run the requested checks at one parameter point.
 
-    Returns (report, failures); failures empty means every budget held.
+    The point is gated before anything is solved: the heun and theorem2
+    checks need an integer order and the float view of its quadruple, which
+    refuses a non-generic point.  The exact suite needs no path, so it runs
+    first and hands that view the quadruple it proved.  Returns (report,
+    failures); failures empty means every budget held.
     """
     report: dict = {
         "params": {"ell": params.ell, "mu": params.mu, "omega": params.omega},
@@ -308,12 +312,15 @@ def run_battery(
         "grid_size": grid_size,
     }
     failures: list[str] = []
-    rhos = list(rhos) if rhos is not None else [0.8, 1.25]
-
     quads = {}  # the quadruples proven in this run, by order
+    if "poly-exact" in checks:
+        exact, exact_failures, quads = check_poly_exact()
+    if "heun" in checks or "theorem2" in checks:
+        ell = params.require_integer_order()
+        nq = NumericQuad(quads[ell] if ell in quads else diagonal(ell), params)
+
     needs_path = any(c in checks for c in ("ode", "monodromy", "heun", "theorem2"))
     path = solve_phase(params, phi0, tol=tol) if needs_path else None
-
     if "ode" in checks:
         rep, fail = check_ode(path, grid_size)
         rep_c, fail_c = check_circle(path, grid_size)
@@ -324,21 +331,17 @@ def run_battery(
         rep, fail = check_monodromy(path, grid_size, rhos, tol)
         report["monodromy"] = rep
         failures.extend(fail)
-    if "poly-exact" in checks:
-        rep, fail, quads = check_poly_exact()
-        report["poly_exact"] = rep
+    if "poly-exact" in checks:  # in the report's order, though it ran first
+        report["poly_exact"] = exact
+        failures.extend(exact_failures)
+    if "heun" in checks:
+        rep, fail = check_heun(path, nq, grid_size)
+        report["heun"] = rep
         failures.extend(fail)
-    if "heun" in checks or "theorem2" in checks:
-        ell = params.require_integer_order()
-        nq = NumericQuad(quads[ell] if ell in quads else diagonal(ell), params)
-        if "heun" in checks:
-            rep, fail = check_heun(path, nq, grid_size)
-            report["heun"] = rep
-            failures.extend(fail)
-        if "theorem2" in checks:
-            rep, fail = check_theorem2(path, nq, grid_size)
-            report["theorem2"] = rep
-            failures.extend(fail)
+    if "theorem2" in checks:
+        rep, fail = check_theorem2(path, nq, grid_size)
+        report["theorem2"] = rep
+        failures.extend(fail)
     report["failures"] = failures
     report["passed"] = not failures
     return report, failures

@@ -68,6 +68,16 @@ SQRT_MONODROMY_G2_SHA256 = "af9ea9a09b6f4cf2b1120e6b637a4574c52da89b382aef665df1
 # The same report with every residual set to null: its keys, order, grid
 # size and conventions.
 SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10a6b485c61905894a30"
+# sha256 of `monodromy` standard output at the two golden points with the
+# default --tol, --grid and --rhos, recorded when it had a command function
+# of its own (it is now run_battery's monodromy section).
+MONODROMY_STDOUT_SHA256 = {
+    ("2", "0.3", "1", "0.5"): "0a166f0d55386db4a091d8ae676704938175984c1abcbff8fb4557f53d8f57fe",
+    ("1", "0.2", "1.3", "1.0"): "9e88d089e4e407d6f7b284a2e7e31c7705909b2163cb2fecf3419401bf016c13",
+}
+# The one genericity message, NumericQuad's, at (1, 0.5, 1, 0.5) where D- = 0.
+GENERICITY_MESSAGE = ("D+=2.000e+00, D-=0.000e+00 at (ell=1, mu=0.5, omega=1.0); "
+                      "the symmetry operator is not invertible here")
 # Two residuals as they were with the DOP853 P_B; both must stay below.
 SQRT_MONODROMY_G2_DOP853 = {
     "b_squared_residual": 5.675490289945347e-12,
@@ -304,6 +314,16 @@ def test_sqrt_monodromy_golden_2_stdout_is_pinned(capsys):
     assert hashlib.sha256(shape.encode()).hexdigest() == SQRT_MONODROMY_G2_SHAPE_SHA256
 
 
+@pytest.mark.parametrize("point", sorted(MONODROMY_STDOUT_SHA256))
+def test_monodromy_golden_stdout_is_pinned(capsys, point):
+    ell, mu, omega, phi0 = point
+    code, out, err = run(
+        capsys, "monodromy", "--ell", ell, "--mu", mu, "--omega", omega, "--phi0", phi0
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == MONODROMY_STDOUT_SHA256[point]
+
+
 @pytest.mark.parametrize("point", sorted(VERIFY_STDOUT_SHA256))
 def test_verify_golden_stdout_is_pinned(capsys, point):
     ell, mu, omega, phi0 = point
@@ -427,19 +447,34 @@ def test_zero_initial_step_is_a_typed_error(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_sqrt_monodromy_degenerate_point_is_gated_before_the_solve(capsys, monkeypatch):
-    # order 1 with A = 1 has D- = 0: exit 2 before the phase is solved
-    import heun_monodromy.cli as cli_mod
+NON_GENERIC_POINT = ("--ell", "1", "--mu", "0.5", "--omega", "1", "--phi0", "0.5")
+NON_GENERIC_COMMANDS = {
+    "sqrt-monodromy": ("sqrt-monodromy", *NON_GENERIC_POINT),
+    "verify": ("verify", *NON_GENERIC_POINT),
+    "verify-heun": ("verify", *NON_GENERIC_POINT, "--checks", "heun"),
+    "verify-theorem2": ("verify", *NON_GENERIC_POINT, "--checks", "theorem2"),
+    "sweep-heun": ("sweep", "--points", "1,0.5,1,0.5", "--checks", "heun"),
+}
+
+
+@pytest.mark.parametrize("command", list(NON_GENERIC_COMMANDS))
+def test_non_generic_point_is_gated_before_the_solve(capsys, monkeypatch, command):
+    # order 1 with A = 1 has D- = 0: every command that needs the symmetry
+    # operator exits 2 with NumericQuad's one message, before the phase is
+    # solved; sweep writes it into the point's record
+    import heun_monodromy.verify as verify_mod
 
     def no_solve(*args, **kw):
         raise AssertionError("solve_phase ran at a degenerate point")
 
     monkeypatch.setattr(cli_mod, "solve_phase", no_solve)
-    code, out, err = run(
-        capsys, "sqrt-monodromy", "--ell", "1", "--mu", "0.5", "--omega", "1", "--phi0", "0.5"
-    )
-    assert (code, out) == (2, "")
-    assert "D-=0.000e+00" in err
+    monkeypatch.setattr(verify_mod, "solve_phase", no_solve)
+    code, out, err = run(capsys, *NON_GENERIC_COMMANDS[command])
+    if command == "sweep-heun":
+        assert (code, err) == (2, "")
+        assert json.loads(out)["points"][0]["error"] == GENERICITY_MESSAGE
+    else:
+        assert (code, out, err) == (2, "", f"degenerate parameter point: {GENERICITY_MESSAGE}\n")
 
 
 def test_sqrt_monodromy_non_integer_order(capsys):
@@ -788,11 +823,14 @@ MONODROMY_POINT = ("monodromy", "--ell", "2", "--mu", "0.3", "--omega", "1", "--
         ("verify", "--ell", "2", "--mu", "0.3", "--omega", "1", "--rhos", "nan"),
         ("sweep", "--points", "2,0.3,1,nan"),
         ("sweep", "--points", "2,0.3,1,0.5;inf,0.3,1"),
+        MONODROMY_POINT + ("--rhos", ","),
+        ("verify", "--ell", "2", "--mu", "0.3", "--omega", "1", "--rhos", ""),
     ],
 )
 def test_non_finite_or_out_of_annulus_input_is_usage_error(capsys, monkeypatch, argv):
     # rejected before any solve: these inputs used to hang in the integrator
-    # or end in a traceback
+    # or end in a traceback, and a --rhos naming no radius dropped the ray
+    # certificate from the report
     import heun_monodromy.cli as cli_mod
     import heun_monodromy.verify as verify_mod
 

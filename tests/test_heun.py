@@ -254,9 +254,7 @@ def test_matrix_degenerate_gate(golden_quad):
 
 
 def test_apply_B_genericity_gate():
+    # L_B reads a NumericQuad, which a non-generic point does not have
     params = ModelParams(ell=1, mu=0.5, omega=1.0)  # A = 1: D- = 0
-    path = solve_phase(params, 0.5, tol=1e-10)
-    nq = NumericQuad(diagonal(1), params)
-    hb = build_E(phi_on_circle(path), psi_on_circle(path))
     with pytest.raises(GenericityViolated):
-        apply_B(hb, nq, np.array([0.0]), coeffs=(1.0, 0.0))
+        NumericQuad(diagonal(1), params)

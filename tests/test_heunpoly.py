@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from heun_monodromy.heunpoly import (
 )
 from heun_monodromy.verify import check_poly_exact
 from tests.test_exactpoly import evaluate, evaluate_bivariate, reference_product
+from tests.test_phase import _assert_only_called_in, _calls
 
 
 def first_integral_numeric_residual(
@@ -163,21 +165,24 @@ def test_d_plus_minus_ell1_closed_form():
     params = ModelParams(ell=1, mu=0.2, omega=1.3)
     nq = NumericQuad(diagonal(1), params)
     assert nq.d_plus == pytest.approx(1 + params.A, rel=1e-14)
-    assert nq.d_minus == pytest.approx(1 - params.A, rel=1e-14)
-    assert nq.generic
+    assert nq.d_minus == pytest.approx(1 - params.A, rel=1e-14)  # generic: nq exists
 
 
 def test_genericity_violation_at_A_equal_1():
     params = ModelParams(ell=1, mu=0.5, omega=1.0)  # A = 1 so D- = 0
-    nq = NumericQuad(diagonal(1), params)
-    assert abs(nq.d_minus) < 1e-14 and not nq.generic
-    # sqrt-monodromy refuses the point from the flag
-    args = cli.build_parser().parse_args(
-        ["sqrt-monodromy", "--ell", "1", "--mu", "0.5", "--omega", "1"])
+    # the float view is the one gate: it refuses the point, naming D+-
     message = (r"^D\+=2\.000e\+00, D-=0\.000e\+00 at \(ell=1, mu=0\.5, omega=1\.0\); "
                r"the symmetry operator is not invertible here$")
     with pytest.raises(GenericityViolated, match=message):
-        cli.cmd_sqrt_monodromy(args)
+        NumericQuad(diagonal(1), params)
+
+
+def test_only_heunpoly_raises_genericity_violated():
+    # the genericity gate has one home, NumericQuad: no other module may raise
+    # GenericityViolated, and heunpoly must, so the guard cannot go stale
+    package = Path(heunpoly_mod.__file__).resolve().parent
+    assert "GenericityViolated" in {name for name, _ in _calls(package / "heunpoly.py")}
+    _assert_only_called_in("heunpoly.py", {"GenericityViolated"})
 
 
 def test_first_integral_matches_product_form(golden_params, golden_quad):

@@ -236,10 +236,11 @@ def _calls(module: Path):
             yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None), node.lineno
 
 
-def _assert_only_gauss_calls(guarded: set[str]):
+def _assert_only_called_in(home: str, guarded: set[str]):
+    """No module of the package but ``home`` calls a name in ``guarded``."""
     package = Path(heun_monodromy.__file__).resolve().parent
     for module in sorted(package.glob("*.py")):
-        if module.name != "gauss.py":
+        if module.name != home:
             for name, line in _calls(module):
                 assert name not in guarded, f"{module.name}:{line} calls {name}"
 
@@ -253,7 +254,7 @@ def test_only_gauss_evaluates_dense_rows():
     defined = {node.name for node in ast.parse((package / "gauss.py").read_text()).body
                if isinstance(node, ast.FunctionDef)}
     assert evaluators <= defined, evaluators - defined
-    _assert_only_gauss_calls(evaluators)
+    _assert_only_called_in("gauss.py", evaluators)
 
 
 def test_only_gauss_rescales_by_powers_of_two():
@@ -265,4 +266,4 @@ def test_only_gauss_rescales_by_powers_of_two():
     rescales = {"frexp", "ldexp"}
     called = {name for name, _ in _calls(package / "gauss.py")}
     assert rescales <= called, rescales - called
-    _assert_only_gauss_calls(rescales)
+    _assert_only_called_in("gauss.py", rescales)
