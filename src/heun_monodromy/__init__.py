@@ -1,7 +1,6 @@
 """Monodromy and square-root-of-monodromy toolkit for the driven phase equation."""
 
 from .circle import (
-    BoundaryValues,
     CircleFunction,
     CirclePair,
     phi_on_circle,

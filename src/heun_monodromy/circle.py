@@ -1,16 +1,18 @@
 """Functions on (a neighborhood of) the punctured unit circle.
 
 The circle is parametrized by real time through z = exp(i*omega*t); every
-on-circle evaluation reduces to a PhasePath lookup, which keeps all
-half-power branches anchored by the continuous unwrapped phase.  The
-reciprocal point 1/z on the circle is the lift t -> -t.
+on-circle evaluation reduces to a PhasePath lookup.  The reciprocal point
+1/z on the circle is the lift t -> -t.  A circle pair is one solution
+(u, v) of the phase equation's linear system, given by a callable
+(``CirclePair``): the four half-power products are its components at t
+and -t, on the continuous branches through t = 0 by construction, and
+their derivatives are the system itself.
 
 The theta pair is the circle's second route to Psi = e^P: its linear system
-is solved by the 10-node Gauss collocation kernel of ``gauss`` on the phase
-path's own rows that cover |t| <= T/2, with e^{i phi} at the nodes taken
-from those rows and P unread, chained by ``gauss.chain`` and kept as
-``gauss.Rows`` each way, as mantissas with a power-of-two exponent per row,
-so the rows stay finite however large e^P grows.
+is collocated by ``gauss.collocate`` on the phase path's own rows that cover
+|t| <= T/2, with e^{i phi} = conj(u)/u at the nodes taken from those rows,
+and kept as ``gauss.Rows`` each way, as mantissas with a power-of-two
+exponent per row, so the rows stay finite however large e^P grows.
 
 Off the circle, Phi = v/u is continued through the linear system behind its
 Riccati equation, collocated by the same kernel along a route of straight
@@ -32,7 +34,7 @@ import numpy as np
 from . import gauss
 from .errors import DenominatorVanished, OutOfWindow
 from .params import ModelParams
-from .phase import PhasePath, _Rows
+from .phase import PhasePath, _Rows, system_matrix
 
 #: Annulus guard for off-circle continuation.
 RHO_MIN, RHO_MAX = 0.2, 5.0
@@ -66,18 +68,18 @@ def psi_on_circle(path: PhasePath) -> CircleFunction:
 class CirclePair:
     """The four half-power products of a circle pair and their t-derivatives.
 
-    ``values`` takes a float array of times and returns the continuous
-    phase and the quadrature there as ``(phi, P)``, as ``PhasePath.eval``
-    does.  In circle coordinates
+    ``values`` takes a float array of times and returns there, as (2, n),
+    the solution (u, v) of the linear system y' = M y of ``phase`` behind
+    the pair (``PhasePath.solution`` does).  Its components are the
+    half-power products themselves: in circle coordinates
 
-        S    = Psi(z)^1/2   Phi(z)^1/2    = exp((P(t) + i phi(t))/2)
-        R    = Psi(1/z)^1/2 Phi(1/z)^-1/2 = exp((P(-t) - i phi(-t))/2)
-        Rrec = Psi(z)^1/2   Phi(z)^-1/2   = exp((P(t) - i phi(t))/2)
-        Srec = Psi(1/z)^1/2 Phi(1/z)^1/2  = exp((P(-t) + i phi(-t))/2)
+        S    = Psi(z)^1/2   Phi(z)^1/2    = v(t)
+        R    = Psi(1/z)^1/2 Phi(1/z)^-1/2 = u(-t)
+        Rrec = Psi(z)^1/2   Phi(z)^-1/2   = u(t)
+        Srec = Psi(1/z)^1/2 Phi(1/z)^1/2  = v(-t)
 
-    One call evaluates (phi, P) once, on t and -t together; the derivatives
-    follow from the phase equation, dphi/dt = B + A cos(omega t) - sin(phi)
-    and dP/dt = cos(phi).  The reciprocal point is a swap:
+    One call evaluates (u, v) once, on t and -t together; the derivatives
+    are M y itself, negated on -t.  The reciprocal point is a swap:
     S(-t) = Srec(t) and R(-t) = Rrec(t).  The pair also gives its own
     boundary data (``boundary``); ``quotient`` combines the four products
     into the Moebius quotient that the monodromy, the square-root transform
@@ -92,51 +94,29 @@ class CirclePair:
         """((S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd)) at the times t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         n = t.shape[0]
-        p = self.params
         u = np.concatenate((t, -t))
-        ph, P = self._values(u)
-        dph = p.Bdrive + p.A * np.cos(p.omega * u) - np.sin(ph)
-        c = np.cos(ph)
-        plus = np.exp(0.5 * (P + 1j * ph))
-        minus = np.exp(0.5 * (P - 1j * ph))
-        S, Srec = plus[:n], plus[n:]
-        Rrec, R = minus[:n], minus[n:]
-        dots = (
-            0.5 * (c[:n] + 1j * dph[:n]) * S,
-            0.5 * (-c[n:] + 1j * dph[n:]) * R,
-            0.5 * (c[:n] - 1j * dph[:n]) * Rrec,
-            0.5 * (-c[n:] - 1j * dph[n:]) * Srec,
-        )
-        return (S, R, Rrec, Srec), dots
+        y = self._values(u)
+        M = system_matrix(self.params, u)
+        dy = M[:, 0] * y[0] + M[:, 1] * y[1]
+        (Rrec, S), (R, Srec) = y[:, :n], y[:, n:]
+        (Rrecd, Sd), (Rd, Srecd) = dy[:, :n], -dy[:, n:]
+        return (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd)
 
-    def boundary(self) -> "BoundaryValues":
-        """phi and P at the cut edges e^{+-i pi} (t = +-T/2), and phi at z = 1,
-        from one evaluation of the pair's (phi, P)."""
+    def boundary(self) -> tuple[complex, complex, complex]:
+        """S at the cut edges e^{+-i pi} (t = +-T/2) and at z = 1, from one
+        evaluation of the pair: e^{P/2} = |S| and e^{i phi/2} = S/|S|."""
         T = self.params.T
-        ph, P = self._values(np.array([T / 2, -T / 2, 0.0]))
-        (php, phm, ph0), (Pp, Pm, _) = ph.tolist(), P.tolist()
-        return BoundaryValues(phi_plus=php, phi_minus=phm, phi_at_0=ph0, P_plus=Pp, P_minus=Pm)
+        return tuple(self._values(np.array([T / 2, -T / 2, 0.0]))[1].tolist())
 
 
 def half_power_factors(path: PhasePath, t: np.ndarray):
     """(S, R, Rrec, Srec) of the solved pair at t; see ``CirclePair``."""
-    return CirclePair(path.eval, path.params)(t)[0]
+    return CirclePair(path.solution, path.params)(t)[0]
 
 
 def half_power_factor_dots(path: PhasePath, t: np.ndarray):
     """Analytic d/dt of the four half-power products (same order)."""
-    return CirclePair(path.eval, path.params)(t)[1]
-
-
-@dataclass(frozen=True)
-class BoundaryValues:
-    """Values of phi and P at the cut edges t = +-T/2, and phi at t = 0."""
-
-    phi_plus: float
-    phi_minus: float
-    phi_at_0: float
-    P_plus: float
-    P_minus: float
+    return CirclePair(path.solution, path.params)(t)[1]
 
 
 def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
@@ -179,23 +159,18 @@ def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
 
 def _collocate(rows: _Rows, count: int) -> gauss.Rows:
     """The theta pair on the first ``count`` rows of one direction of the
-    phase path, from (i, -i) at t = 0.  Phi at the nodes comes straight from
-    the phase rows; rows go in blocks, chained by ``gauss.chain``, and the
-    rows keep its mantissas and exponents."""
-    y, e = (1j, -1j), 0
-    starts, exponents, coefs = [], [], []
-    for lo in range(0, count, gauss.BLOCK_ROWS):
-        Phi = rows.Phi_nodes[:, lo:min(lo + gauss.BLOCK_ROWS, count)]
-        up, down = 0.5 * Phi, 0.5 / Phi
-        M = np.stack((np.stack((up, -up), 1), np.stack((-down, down), 1)), 1)
-        _, G, R = gauss.row_propagators(M, rows.h)
-        y0, y, e = gauss.chain(R, y, e)
-        starts.append(y0)
-        exponents.append(np.full(len(y0), e))
-        dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
-        coefs.append(gauss.power_coefficients(dy).transpose(0, 2, 1))
-    return gauss.Rows(ts=rows.ts[:count + 1], h=rows.h, y0=np.concatenate(starts),
-                      coef=np.concatenate(coefs, 1), exponent=np.concatenate(exponents))
+    phase path, from (i, -i) at t = 0, chained by ``gauss.collocate``.
+    Phi = conj(u)/u at the nodes comes from the phase rows' own polynomial."""
+    fractions = gauss.NODE_FRACTIONS[:, None]
+
+    def matrices(blk: slice) -> np.ndarray:
+        k = np.arange(blk.start, blk.stop)
+        s = np.broadcast_to(fractions, (gauss.NODES, len(k)))
+        u = rows.values(np.tile(k, gauss.NODES), s.ravel())[:, 0].reshape(s.shape)
+        up, down = 0.5 * u.conj() / u, 0.5 * u / u.conj()
+        return np.stack((np.stack((up, -up), 1), np.stack((-down, down), 1)), 1)
+
+    return gauss.collocate(matrices, rows.ts[:count + 1], rows.h, (1j, -1j))
 
 
 class ThetaPair:
@@ -298,7 +273,7 @@ def continue_riccati_path(
             half_c = 0.5 * dw * (ell + mu * (z + 1.0 / z))
             off = np.full_like(z, dw / (2j * omega))
             N = np.array(((-half_c, off), (off, half_c)))
-            _, _, R = gauss.row_propagators(N.transpose(2, 0, 1, 3), h)
+            _, R = gauss.row_propagators(N.transpose(2, 0, 1, 3), h)
             _, y, e = gauss.chain(R, y, e)
     u, v = y
     return (v / u if u else complex(math.inf, math.inf)), abs(u) < abs(v) / 1e6

@@ -103,12 +103,10 @@ def _parse_checks(text: str | None) -> tuple[str, ...]:
 def _parse_rhos(text: str | None) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_RHOS
-    try:
-        rhos = tuple(float(x) for x in text.split(",") if x.strip())
+    try:  # an empty field is no radius: the ray certificate would vanish
+        rhos = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --rhos value {text!r}") from exc
-    if not rhos:  # the ray certificate would vanish from the report
-        raise UsageError(f"--rhos value {text!r} names no radius")
     if not all(RHO_MIN <= rho <= RHO_MAX for rho in rhos):  # NaN fails too
         raise UsageError(f"--rhos values must lie in [{RHO_MIN}, {RHO_MAX}]")
     return rhos

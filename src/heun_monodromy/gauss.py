@@ -6,9 +6,10 @@ One table serves the one collocation kernel, ``row_propagators``, that
 solves every linear system of the program: the phase path's (``phase``), and
 the theta pair and the Riccati continuation off the circle (``circle``).
 One chain, ``chain``, carries a linear pair across a block of row
-propagators, rescaled by an exact power of two: the theta pair and the
-continuation both go through it, and it is the one place of the program that
-rescales (the phase path renormalises its own Moebius chain instead).
+propagators, rescaled by an exact power of two: every collocation goes
+through it, and it is the one place of the program that rescales.  One
+loop, ``collocate``, keeps the chained rows of a linear pair as ``Rows``:
+the phase path and the theta pair differ only in the matrices they give it.
 Every dense output is a ``Rows`` each way from t = 0: the phase path, the
 theta pair and the P_B panel table of ``sqrtmono``.  One row rule,
 ``uniform_rows``, sizes the phase rows (which the theta pair shares), the
@@ -131,8 +132,8 @@ def node_sum(C: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def row_propagators(M: np.ndarray, h):
     """Collocate y' = M y on n rows of signed widths h, with M (NODES, 2, 2, n)
-    at the nodes.  Returns the node propagators U from the row start
-    (NODES, 2, 2, n), M U at the nodes and the row propagators (2, 2, n).
+    at the nodes.  Returns M U at the nodes (NODES, 2, 2, n), for the node
+    propagators U from the row start, and the row propagators (2, 2, n).
     U solves U_i = I + h sum_j a_ij M_j U_j by Picard sweeps from U = I,
     stopped when a sweep moves no entry by more than 4 ulps of 1, or after
     PICARD_MAX_SWEEPS sweeps with NotConverged."""
@@ -143,7 +144,7 @@ def row_propagators(M: np.ndarray, h):
         change = np.max(np.abs(U_next - U))
         U = U_next
         if change <= 4 * EPS:  # a NaN never settles
-            return U, G, _EYE + h * node_sum(_B, G)[0]
+            return G, _EYE + h * node_sum(_B, G)[0]
     raise NotConverged(f"Gauss collocation: Picard sweeps still moved by {change:.3e} "
                        f"after {PICARD_MAX_SWEEPS}")
 
@@ -166,6 +167,25 @@ def chain(R: np.ndarray, y: tuple[complex, complex], e: int):
         starts.append((a, b))
         a, b = r00 * a + r01 * b, r10 * a + r11 * b
     return np.array(starts), (a, b), e + shift
+
+
+def collocate(matrices, ts: np.ndarray, h: float, y: tuple[complex, complex]) -> "Rows":
+    """The rows of a linear pair y' = M y from y at ts[0], on the rows of
+    signed width h with edges ts, collocated block by block: ``matrices(blk)``
+    gives M at the nodes of the rows ``blk`` (a slice) as (NODES, 2, 2, rows).
+    Each block's row propagators carry the pair through ``chain``, and the
+    rows keep its mantissas and exponents."""
+    n = len(ts) - 1
+    e, starts, exponents, coefs = 0, [], [], []
+    for lo in range(0, n, BLOCK_ROWS):
+        G, R = row_propagators(matrices(slice(lo, min(lo + BLOCK_ROWS, n))), h)
+        y0, y, e = chain(R, y, e)
+        starts.append(y0)
+        exponents.append(np.full(len(y0), e))
+        dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
+        coefs.append(power_coefficients(dy).transpose(0, 2, 1))
+    return Rows(ts=ts, h=h, y0=np.concatenate(starts), coef=np.concatenate(coefs, 1),
+                exponent=np.concatenate(exponents))
 
 
 def power_coefficients(dy: np.ndarray) -> np.ndarray:
@@ -200,8 +220,8 @@ class Rows:
     belongs to the row that ends there, counted in the direction of
     integration; times beyond the ends use the end rows.  Rows chained by
     ``chain`` keep y0 and coef as mantissas and their power-of-two
-    ``exponent`` per row: values and slopes are formed from the mantissas,
-    then scaled by 2^exponent[k].
+    ``exponent`` per row: ``values`` and ``slopes`` give the mantissas, and
+    a call scales them by 2^exponent[k].
     """
 
     ts: np.ndarray  # (n + 1,)
@@ -229,23 +249,22 @@ class Rows:
         return k, (t - self.ts[k]) / self.h
 
     def values(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """(len(k), m) values of y on the rows k at the fractions s."""
+        """(len(k), m) mantissas of y on the rows k at the fractions s."""
         s = s[:, None]
-        return self._scaled(k, self.y0[k] + (horner(self._rise, k, s) * s).view(complex))
+        return self.y0[k] + (horner(self._rise, k, s) * s).view(complex)
 
     def slopes(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """(len(k), m) values of y' on the rows k at the fractions s."""
-        return self._scaled(k, horner(self._dy, k, s[:, None]).view(complex))
-
-    def _scaled(self, k: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The (len(k), m) mantissas y on the rows k times 2^exponent[k]."""
-        if self.exponent is None:
-            return y
-        return np.ldexp(y.view(float), self.exponent[k][:, None]).view(complex)
+        """(len(k), m) mantissas of y' on the rows k at the fractions s."""
+        return horner(self._dy, k, s[:, None]).view(complex)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        """(m, len(t)) values of y at the times t."""
-        return self.values(*self.locate(t)).T
+        """(m, len(t)) values of y at the times t: the mantissas times
+        2^exponent[k]."""
+        k, s = self.locate(t)
+        y = self.values(k, s)
+        if self.exponent is not None:
+            y = np.ldexp(y.view(float), self.exponent[k][:, None]).view(complex)
+        return y.T
 
 
 def two_sided(t: np.ndarray, fwd, bwd, out: np.ndarray) -> np.ndarray:

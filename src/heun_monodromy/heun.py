@@ -9,9 +9,10 @@ and hence the double confluent Heun equation
 
     z^2 E'' + ((ell+1) z + mu (1 - z^2)) E' + (lam - mu (ell+1) z) E = 0.
 
-All derivatives used below are closed-form (chain rule through the phase
-equation).  The one finite difference left is the second derivative of the
-L_B image in the ``lb_maps_solutions`` check of ``verify.check_heun``.
+All derivatives used below are closed-form (the pair's are its linear
+system's, ``CirclePair``).  The one finite difference left is the second
+derivative of the L_B image in the ``lb_maps_solutions`` check of
+``verify.check_heun``.
 E, E' and E'' of a combination c+ E+ + c- E- come from one
 ``BasisValues.combination``, and the alpha family on E+- is the circle's one
 Moebius quotient (``phi_alpha_values``).  Every certificate here is on the
@@ -70,7 +71,7 @@ class HeunBasisPath:
     pair: CirclePair = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.pair = CirclePair(self.path.eval, self.params)
+        self.pair = CirclePair(self.path.solution, self.params)
 
     def at(self, t) -> "BasisValues":
         """E+-(+-t) and their t-derivatives at t from one pair evaluation."""

@@ -13,7 +13,6 @@ import numpy as np
 from .circle import (
     RHO_MAX,
     RHO_MIN,
-    BoundaryValues,
     CirclePair,
     continue_riccati_path,
     quotient,
@@ -27,16 +26,18 @@ def monodromy_direct(path: PhasePath, t) -> np.ndarray:
     return np.exp(1j * path.phi(np.atleast_1d(np.asarray(t, dtype=float)) + path.params.T))
 
 
-def _algebraic_coefficients(bv: BoundaryValues):
-    """Constants of the explicit monodromy formula.
+def _algebraic_coefficients(edges: tuple[complex, complex, complex]):
+    """Constants of the explicit monodromy formula, from the pair's
+    ``boundary``: S = e^{(P + i phi)/2} at t = T/2, -T/2 (and 0, unread).
 
     The cosine coefficient is cos(phi(T/2)) - evaluating the formula at the
     cut edge e^{-i pi} forces this value (any half-angle variant breaks the
-    boundary identity Phi_M(e^{-i pi}) = Phi(e^{i pi})).
+    boundary identity Phi_M(e^{-i pi}) = Phi(e^{i pi})).  With S+ and S-
+    at the two edges, e^{P(T/2)/2} cos(phi(T/2)) = Re(S+^2) / |S+| and
+    e^{P(-T/2)/2} sin((phi(T/2) - phi(-T/2))/2) = Im(S+ conj(S-)) / |S+|.
     """
-    c_plus = np.exp(0.5 * bv.P_plus) * np.cos(bv.phi_plus)
-    s_mixed = np.exp(0.5 * bv.P_minus) * np.sin(0.5 * (bv.phi_plus - bv.phi_minus))
-    return float(c_plus), float(s_mixed)
+    S_plus, S_minus, _ = edges
+    return (S_plus * S_plus).real / abs(S_plus), (S_plus * S_minus.conjugate()).imag / abs(S_plus)
 
 
 def monodromy_algebraic(path: PhasePath, t) -> np.ndarray:
@@ -52,13 +53,13 @@ def monodromy_algebraic(path: PhasePath, t) -> np.ndarray:
     sm = e^{P(-T/2)/2} sin((phi(T/2) - phi(-T/2))/2), all half powers on the
     continuous branches through t = 0.
     """
-    pair = CirclePair(path.eval, path.params)
+    pair = CirclePair(path.solution, path.params)
     return _algebraic_values(pair, pair.boundary(), t)[0]
 
 
-def _algebraic_values(pair: CirclePair, bv: BoundaryValues, t) -> tuple[np.ndarray, np.ndarray]:
+def _algebraic_values(pair: CirclePair, edges, t) -> tuple[np.ndarray, np.ndarray]:
     """Algebraic monodromy values and their analytic d/dt from one pair evaluation."""
-    cp, sm = _algebraic_coefficients(bv)
+    cp, sm = _algebraic_coefficients(edges)
     return quotient(cp, 1j * sm, *pair(t), t, "monodromy")[2]
 
 
@@ -82,15 +83,15 @@ def verify_monodromy(
         raise ValueError(f"every radius must lie in [{RHO_MIN}, {RHO_MAX}]")
     params = path.params
     T = params.T
-    pair = CirclePair(path.eval, params)
-    bv = pair.boundary()
+    pair = CirclePair(path.solution, params)
+    edges = pair.boundary()
 
     t = np.linspace(-T / 2, T / 2, grid_size)
     d = monodromy_direct(path, t)
-    a, a_dot = _algebraic_values(pair, bv, t)
+    a, a_dot = _algebraic_values(pair, edges, t)
     sup_circle = float(np.max(np.abs(a - d)))
-    at_cut, at_one = _algebraic_values(pair, bv, np.array([-T / 2, 0.0]))[0]
-    boundary = float(abs(at_cut - np.exp(1j * bv.phi_plus)))
+    at_cut, at_one = _algebraic_values(pair, edges, np.array([-T / 2, 0.0]))[0]
+    boundary = float(abs(at_cut - (edges[0] / abs(edges[0])) ** 2))  # e^{i phi(T/2)}
     unimod = float(np.max(np.abs(np.abs(a) - 1.0)))
     ric = float(np.max(np.abs(riccati_circle_residual(params, t, a, a_dot))))
 

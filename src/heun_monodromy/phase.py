@@ -6,22 +6,27 @@ linear system
 
     y' = M(t) y,    y = (u, v),    M = [[-i b/2, 1/2], [1/2, i b/2]],
 
-with Phi = v/u, and since Re(u'/u) = cos(phi)/2 the quadrature
-P = int cos(phi) is 2 log|u| (Buchstaber & Tertychnyi, *Theor. Math. Phys.*
-176, 2013).  M depends on t alone, so every row of the window is collocated
-at once with the 10-node Gauss kernel of ``gauss``, forward and backward
-from t = 0 on the uniform rows of ``gauss.uniform_rows`` at the turning
-rate |B| + |A| + 1, which bounds |dphi/dt|.  Each row restarts from
-y = (1, Phi_k); the row propagators, chained in floats, give the row
-starts, and inside a row
+with Phi = v/u (Buchstaber & Tertychnyi, *Theor. Math. Phys.* 176, 2013).
+With (u, v) the system also solves (conj v, conj u), so from
+y(0) = (e^{-i phi0/2}, e^{i phi0/2}) it keeps v = conj(u): then
+Phi = conj(u)/u, and since Re(u'/u) = cos(phi)/2 the quadrature
+P = int cos(phi) is 2 log|u|.  The four half powers of the circle pair are
+this solution itself (``circle.CirclePair``).  M depends on t alone, so
+every row of the window is collocated at once with the 10-node Gauss kernel
+of ``gauss``, forward and backward from t = 0 on the uniform rows of
+``gauss.uniform_rows`` at the turning rate |B| + |A| + 1, which bounds
+|dphi/dt|.  The rows chain y through ``gauss.collocate`` and keep its
+mantissas with one power-of-two exponent per block, so y stays finite
+however large e^P grows; inside row k, from its start u_k,
 
-    phi = phi_k + arg(v / (u Phi_k)),    P = P_k + 2 log|u|,
+    phi = phi_k + 2 arg(u_k conj(u)),    P = 2 log|u|,
 
-so the phase is stored unwrapped: the half-power branches downstream need
-the continuous lift, never phi mod 2*pi.  Derivatives are those of the
-collocation polynomial itself.  The global error bar propagates the
-polynomial's defect, sampled off the collocation nodes, along the
-linearised equation, plus the rounding of the chained row starts.
+with phi_k the running sum of the row turns and P read from the mantissa
+and its exponent.  The phase is stored unwrapped: the half-power branches
+downstream need the continuous lift, never phi mod 2*pi.  Derivatives are
+those of the collocation polynomial itself.  The global error bar
+propagates the polynomial's defect, sampled off the collocation nodes,
+along the linearised equation, plus the rounding of the chained row starts.
 """
 
 from __future__ import annotations
@@ -39,43 +44,46 @@ from .params import ModelParams
 
 TOL_MIN, TOL_MAX = 1e-14, 1e-4
 
-#: The solved window in units of T: it covers the monodromy shift
-#: phi(t + T) and the transform applied twice (phi on [-3T/2, 2T]), with
-#: margin.  Every time outside it raises OutOfWindow.
+#: The solved window in units of T: it covers, with margin, the span
+#: [-3T/2, 3T/2] that the heun grids and the period shift phi(t + T) read.
+#: Every time outside it raises OutOfWindow.
 WINDOW = (-1.75, 2.25)
 
 NODES = gauss.NODES
 
+#: ln 4: P = 2 log|u| gains LN4 per unit of the rows' power-of-two exponent.
+LN4 = 2.0 * math.log(2.0)
+
+
+def _log_norm(u: np.ndarray) -> np.ndarray:
+    """log|u|^2, without a square root."""
+    return np.log(u.real * u.real + u.imag * u.imag)
+
 
 @dataclass
 class _Rows(gauss.Rows):
-    """The collocation rows of one direction from t = 0, for y = (u, v).
+    """The collocation rows of one direction from t = 0, for y = (u, v),
+    chained by ``gauss.collocate`` from y(0) = (e^{-i phi0/2}, e^{i phi0/2}).
 
-    Row k starts from y0[k] = (1, Phi_k).  On top of the rows this keeps
-    their lift: the phase and the quadrature at the row edges as float pairs
-    ``phi + phi_lo`` and ``P + P_lo``, and e^{i phi} at the row edges and at
-    the Gauss nodes.
+    On top of the rows this keeps their lift: the phase at the row starts as
+    float pairs ``phi + phi_lo``, and per row the ``log_scale`` that turns a
+    mantissa m of u into P = log|m|^2 + log_scale[k], exactly 0 at t = 0.
     """
 
-    phi: np.ndarray  # (n + 1,)
+    phi: np.ndarray  # (n,)
     phi_lo: np.ndarray
-    P: np.ndarray
-    P_lo: np.ndarray
-    Phi: np.ndarray  # (n + 1,) complex, e^{i phi} at the row edges
-    Phi_nodes: np.ndarray  # (NODES, n) complex: e^{i phi} at the Gauss nodes
+    log_scale: np.ndarray  # (n,)
 
-    def __call__(self, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+    def lift(self, t: np.ndarray, derivative: bool) -> np.ndarray:
         """(2, n) values of (phi, P) at the times t, or their d/dt."""
         k, s = self.locate(t)
-        u, v = self.values(k, s).T
+        u = self.values(k, s)[:, 0]
         if derivative:
-            dy = self.slopes(k, s)
-            du, dv = dy[:, 0] / u, dy[:, 1] / v
-            return np.array((dv.imag - du.imag, 2.0 * du.real))
-        w = v * u.conj() * self.Phi[k].conj()
-        phi = self.phi[k] + (self.phi_lo[k] + np.arctan2(w.imag, w.real))
-        P = self.P[k] + (self.P_lo[k] + np.log(u.real * u.real + u.imag * u.imag))
-        return np.array((phi, P))
+            du = self.slopes(k, s)[:, 0] / u
+            return np.array((-2.0 * du.imag, 2.0 * du.real))
+        w = self.y0[k, 0] * u.conj()
+        phi = self.phi[k] + (self.phi_lo[k] + 2.0 * np.arctan2(w.imag, w.real))
+        return np.array((phi, self.log_scale[k] + _log_norm(u)))
 
 
 @dataclass
@@ -91,24 +99,34 @@ class PhasePath:
     _fwd: _Rows = field(repr=False)
     _bwd: _Rows = field(repr=False)
 
-    def _check_window(self, lo: float, hi: float):
-        slack = 1e-9 * self.params.T
-        if lo < self.t_min - slack or hi > self.t_max + slack:
-            raise OutOfWindow(
-                f"t range [{lo}, {hi}] outside window [{self.t_min}, {self.t_max}]"
-            )
-
-    def _split(self, t, derivative: bool) -> np.ndarray:
+    def _times(self, t) -> np.ndarray:
+        """t as a float array, every time inside the window."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.size:
             # NaN-ignoring extremes, so a NaN never hides an out-of-window time
-            self._check_window(np.fmin.reduce(t, axis=None), np.fmax.reduce(t, axis=None))
-        return gauss.two_sided(t, lambda u: self._fwd(u, derivative),
-                               lambda u: self._bwd(u, derivative), np.empty((2,) + t.shape))
+            lo, hi = np.fmin.reduce(t, axis=None), np.fmax.reduce(t, axis=None)
+            slack = 1e-9 * self.params.T
+            if lo < self.t_min - slack or hi > self.t_max + slack:
+                raise OutOfWindow(
+                    f"t range [{lo}, {hi}] outside window [{self.t_min}, {self.t_max}]"
+                )
+        return t
+
+    def _split(self, t, derivative: bool) -> np.ndarray:
+        t = self._times(t)
+        return gauss.two_sided(t, lambda u: self._fwd.lift(u, derivative),
+                               lambda u: self._bwd.lift(u, derivative), np.empty((2,) + t.shape))
 
     def eval(self, t) -> np.ndarray:
         """(2, n) array of (phi, P) values; vectorized over t."""
         return self._split(t, derivative=False)
+
+    def solution(self, t) -> np.ndarray:
+        """(2, n) complex values of the linear pair (u, v) at the times t,
+        v = conj(u): the rows' mantissas times their power of two, which
+        overflows where P passes about 1419."""
+        t = self._times(t)
+        return gauss.two_sided(t, self._fwd, self._bwd, np.empty((2,) + t.shape, dtype=complex))
 
     def phi(self, t):
         return self.eval(t)[0]
@@ -125,7 +143,7 @@ class PhasePath:
 
     def derivative(self, t) -> np.ndarray:
         """Exact (2, n) derivative of the collocation polynomial itself:
-        Im(v'/v - u'/u) and 2 Re(u'/u), never M y."""
+        -2 Im(u'/u) and 2 Re(u'/u), never M y."""
         return self._split(t, derivative=True)
 
     def ode_residual(self, t) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +186,7 @@ def turning_rate(params: ModelParams) -> float:
     return abs(params.Bdrive) + abs(params.A) + 1.0
 
 
-def _node_matrices(params: ModelParams, t: np.ndarray) -> np.ndarray:
+def system_matrix(params: ModelParams, t: np.ndarray) -> np.ndarray:
     """M(t) = [[-i b/2, 1/2], [1/2, i b/2]] at the times t, as (2, 2) + t.shape."""
     half_b = 0.5j * (params.Bdrive + params.A * np.cos(params.omega * t))
     M = np.empty((2, 2) + t.shape, dtype=complex)
@@ -189,45 +207,24 @@ def _running_sum(start: float, steps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
-    """The rows from t = 0 to t_bound, collocated block by block.
-
-    The rows are ``gauss.uniform_rows`` at the turning rate.  Each row's
-    propagator maps (1, Phi_k) to (u, v) at its end, and Phi_{k+1} is v/u
-    rescaled to |Phi| = 1; the arg increments and 2 log|u| at the row ends
-    are summed with their rounding carried along.
-    """
-    rows, h = gauss.uniform_rows(t_bound, turning_rate(params), f"[0.0, {t_bound!r}]")
-    ts = np.arange(rows + 1) * h
+    """The rows from t = 0 to t_bound: ``gauss.uniform_rows`` at the turning
+    rate, chained by ``gauss.collocate`` from (e^{-i phi0/2}, e^{i phi0/2}).
+    The turns 2 arg(u_k conj(u_{k+1})) between the chained row starts are
+    summed with their rounding carried along."""
+    n, h = gauss.uniform_rows(t_bound, turning_rate(params), f"[0.0, {t_bound!r}]")
+    ts = np.arange(n + 1) * h
     ts[-1] = t_bound
-    Phi = complex(math.cos(phi0), math.sin(phi0))
-    starts = np.empty(rows + 1, dtype=complex)
-    rise = np.empty(rows)
-    coef = np.empty((NODES, rows, 2), dtype=complex)
-    Phi_nodes = np.empty((NODES, rows), dtype=complex)
-    for lo in range(0, rows, gauss.BLOCK_ROWS):
-        blk = slice(lo, min(lo + gauss.BLOCK_ROWS, rows))
-        U, G, R = gauss.row_propagators(
-            _node_matrices(params, ts[blk] + h * gauss.NODE_FRACTIONS[:, None]
-                           ).transpose(2, 0, 1, 3), h)
-        (r00, r01), (r10, r11) = R.tolist()
-        for k, a, b, c, d in zip(range(lo, blk.stop), r00, r01, r10, r11):
-            starts[k] = Phi
-            Phi = (c + d * Phi) / (a + b * Phi)
-            Phi /= abs(Phi)
-        S = starts[blk]
-        u_end = R[0, 0] + R[0, 1] * S
-        rise[blk] = np.log(u_end.real * u_end.real + u_end.imag * u_end.imag)
-        dy = G[:, :, 0] + G[:, :, 1] * S
-        coef[:, blk] = gauss.power_coefficients(dy).transpose(0, 2, 1)
-        y = U[:, :, 0] + U[:, :, 1] * S
-        ratio = y[:, 1] / y[:, 0]
-        Phi_nodes[:, blk] = ratio / np.abs(ratio)
-    starts[rows] = Phi
-    turn = np.angle(starts[1:] * starts[:-1].conj())
-    phi, phi_lo = _running_sum(phi0, turn)
-    P, P_lo = _running_sum(0.0, rise)
-    return _Rows(ts=ts, h=h, y0=np.stack((np.ones(rows), starts[:-1]), 1), coef=coef,
-                 phi=phi, phi_lo=phi_lo, P=P, P_lo=P_lo, Phi=starts, Phi_nodes=Phi_nodes)
+    nodes = h * gauss.NODE_FRACTIONS[:, None]
+    half = complex(math.cos(0.5 * phi0), math.sin(0.5 * phi0))
+    rows = gauss.collocate(
+        lambda blk: system_matrix(params, ts[blk] + nodes).transpose(2, 0, 1, 3),
+        ts, h, (half.conjugate(), half))
+    starts = rows.y0[:, 0]
+    w = starts[:-1] * starts[1:].conj()
+    phi, phi_lo = _running_sum(phi0, 2.0 * np.arctan2(w.imag, w.real))
+    log_scale = LN4 * (rows.exponent - rows.exponent[0]) - _log_norm(starts[0])
+    return _Rows(ts, h, rows.y0, rows.coef, exponent=rows.exponent,
+                 phi=phi, phi_lo=phi_lo, log_scale=log_scale)
 
 
 # The defect is sampled at the 10-point Gauss nodes of each half row, which
@@ -253,19 +250,15 @@ ROW_ROUNDING = 2.0
 
 def _defect_samples(rows: _Rows, params: ModelParams, blk: slice):
     """The defect d = polynomial' - rhs on the rows blk at _SAMPLE_FRACTIONS,
-    as (d_phi, d_P), with P - P_k and sin(phi) there, each (rows, S)."""
+    as (d_phi, d_P), with P - P_k and sin(phi) there, each (rows, S).  Only u
+    is read: v = conj(u) exactly."""
     h = rows.h
-    coef = rows.coef[:, blk]
-    y = gauss.node_sum(_SAMPLE_RISES, coef)  # (S, rows, 2)
-    y *= h
-    u, v = (y[:, :, 0] + 1.0).T, (y[:, :, 1] + rows.Phi[blk]).T
-    dy = gauss.node_sum(_SAMPLE_POWERS, coef)
-    M = _node_matrices(params, rows.ts[blk, None] + h * _SAMPLE_FRACTIONS)
-    du = (dy[:, :, 0].T - (M[0, 0] * u + M[0, 1] * v)) / u
-    dv = (dy[:, :, 1].T - (M[1, 0] * u + M[1, 1] * v)) / v
-    ratio = v / u
-    return (dv.imag - du.imag, 2.0 * du.real, np.log(u.real * u.real + u.imag * u.imag),
-            (ratio / np.abs(ratio)).imag)
+    coef = np.ascontiguousarray(rows.coef[:, blk, 0])
+    u = (h * gauss.node_sum(_SAMPLE_RISES, coef) + rows.y0[blk, 0]).T
+    M = system_matrix(params, rows.ts[blk, None] + h * _SAMPLE_FRACTIONS)
+    du = (gauss.node_sum(_SAMPLE_POWERS, coef).T - (M[0, 0] * u + M[0, 1] * u.conj())) / u
+    rel_P = _log_norm(u) - _log_norm(rows.y0[blk, 0])[:, None]
+    return -2.0 * du.imag, 2.0 * du.real, rel_P, (u.conj() / u).imag
 
 
 def _error_estimate(rows: _Rows, params: ModelParams) -> float:
@@ -285,8 +278,9 @@ def _error_estimate(rows: _Rows, params: ModelParams) -> float:
     samples and the row ends, plus the walk, plus EPS * max|y| for the
     rounding of an evaluated value."""
     n, h = rows.n, rows.h
-    rise = np.diff(rows.P) + np.diff(rows.P_lo)  # P over each row
-    decay = np.exp(-rise)
+    u_start, u_end = rows.y0[:, 0], rows.values(np.arange(n), np.ones(n))[:, 0]
+    start_P, end_P = _log_norm(u_start), _log_norm(u_end)
+    decay = np.exp(start_P - end_P)  # e^-P over each row
     sup, e_phi_end, e_P_end = 0.0, 0.0, 0.0
     for lo in range(0, n, gauss.BLOCK_ROWS):
         blk = slice(lo, min(lo + gauss.BLOCK_ROWS, n))
@@ -303,13 +297,15 @@ def _error_estimate(rows: _Rows, params: ModelParams) -> float:
         sup = max(sup, np.max(np.abs(e_phi)), np.max(np.abs(ends)),
                   np.max(np.abs(e_P)), np.max(np.abs(e_P_ends)))
         e_phi_end, e_P_end = ends[-1], float(e_P_ends[-1])
-    u_end, v_end = rows.values(np.arange(n), np.ones(n)).T
-    jump_phi = np.angle(v_end * u_end.conj() * rows.Phi[1:].conj())
-    jump_P = np.log(u_end.real * u_end.real + u_end.imag * u_end.imag) - rise
+    # each row after the first starts where the one before it ends, to the
+    # rounding of one chained step
+    w = u_end[:-1] * u_start[1:].conj()
+    jump_phi = 2.0 * np.arctan2(w.imag, w.real)
+    jump_P = start_P[1:] - end_P[:-1] + LN4 * np.diff(rows.exponent)
     walk = list(accumulate(zip(decay.tolist(), (jump_phi * jump_phi).tolist()),
                            lambda var, step: step[0] * step[0] * var + step[1], initial=0.0))
     rounding = ROW_ROUNDING * math.sqrt(max(max(walk), float(np.sum(jump_P * jump_P))))
-    y_max = max(np.max(np.abs(rows.phi)), np.max(np.abs(rows.P)))
+    y_max = max(np.max(np.abs(rows.phi)), np.max(np.abs(rows.log_scale + start_P)))
     return float(sup + rounding + EPS * y_max)
 
 

@@ -2,8 +2,9 @@
 
 Everything here is algebraic in the circle data: the transformed pair is
 built from the four half-power products and a handful of constants taken
-from the pair's own boundary data (``CirclePair.boundary``).  The two
-numerator/denominator combinations
+from the pair's own boundary data (``CirclePair.boundary``, where
+e^{i phi/2} = S/|S| and e^{P/2} = |S|).  The two numerator/denominator
+combinations
 
     Nhat = 2i K1 S + K2 R,        Dden = -2i K1 Rrec + K2 Srec
 
@@ -16,8 +17,13 @@ shape of the explicit monodromy, whose denominator is den = -Dden exactly:
     Phi_B = Nhat / den,           Psi_B = Nhat den / k,    k = Nhat(0) den(0).
 
 Negation is exact in floating point, so the two forms agree bit for bit.
-Theorem 2 is then the same constructor applied twice: the second time to
-the continuous phase and quadrature of the first.
+(den, num) is (Rrec, S) times alpha plus (-Srec, R) times beta, and both
+solve the phase path's linear system, so sigma (den, num) / sqrt(k) is the
+transformed pair's own solution (u_B, v_B): v_B^2 = Psi_B Phi_B, with the
+sign sigma = +-1 that puts phi_B(0) on its principal branch.  Theorem 2 is
+then the same constructor applied twice: the second time to that solution.
+The P_B panel table, a quadrature of cos(phi_B), serves only the
+``psi_quadrature_residual`` route and the continuous ``phase``.
 
 The companion theta pair is taken literally from the displayed formulas.  As
 extracted, those formulas produce the mirror-oriented pair: they satisfy
@@ -34,12 +40,13 @@ route-equivalence requirement.
 
 from __future__ import annotations
 
+import cmath
 from functools import cached_property
 
 import numpy as np
 
 from . import gauss
-from .circle import BoundaryValues, CirclePair, quotient, riccati_circle_residual
+from .circle import CirclePair, quotient, riccati_circle_residual
 from .errors import DegenerateAtOne, OutOfWindow
 from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
 from .heunpoly import NumericQuad
@@ -50,24 +57,24 @@ SHORTCUT_MAPPING = "u/v/w-default"
 THETA_B_ORIENTATION = "mirror (difference/2i equals 1/Psi_B)"
 
 
-def _shortcuts(bv: BoundaryValues, ell: int) -> tuple[complex, ...]:
+def _shortcuts(edges: tuple[complex, complex, complex], ell: int) -> tuple[complex, ...]:
     """(u+, u-, v+, v-, w+, w-): the sums and differences of two unit phases
-    in the transform formulas, on the continuous branch."""
+    in the transform formulas, on the continuous branch: e^{i phi/2} = S/|S|
+    at t = T/2, -T/2 and 0, from the pair's ``boundary``."""
     sgn = (-1.0) ** ell
-    ep = np.exp(0.5j * bv.phi_plus)
-    em = np.exp(0.5j * bv.phi_minus)
-    w, w_bar = np.exp(0.5j * bv.phi_at_0), 1j * np.exp(-0.5j * bv.phi_at_0)
-    return tuple(complex(v) for v in (sgn * ep + 1j / ep, sgn * ep - 1j / ep,
-                                      em + 1j * sgn / em, em - 1j * sgn / em,
-                                      w + w_bar, w - w_bar))
+    ep, em, w = (S / abs(S) for S in edges)
+    w_bar = 1j * w.conjugate()
+    return (sgn * ep + 1j / ep, sgn * ep - 1j / ep, em + 1j * sgn / em, em - 1j * sgn / em,
+            w + w_bar, w - w_bar)
 
 
-def _formula_constants(bv: BoundaryValues, nq: NumericQuad):
-    """K1, K2 of the Phi_B display plus the theta numerator constants."""
-    pp, pm = float(np.exp(0.5 * bv.P_plus)), float(np.exp(0.5 * bv.P_minus))
+def _formula_constants(edges: tuple[complex, complex, complex], nq: NumericQuad):
+    """K1, K2 of the Phi_B display plus the theta numerator constants;
+    e^{P/2} at t = +-T/2 is |S| there, and sin(phi(0)) = Im(S^2) / |S|^2 at 0."""
+    pp, pm, S0 = abs(edges[0]), abs(edges[1]), edges[2]
     Dp, Dm = nq.d_plus, nq.d_minus
-    up, um, vp, vm, wp, wm = _shortcuts(bv, nq.ell)
-    s0 = float(np.sin(bv.phi_at_0))
+    up, um, vp, vm, wp, wm = _shortcuts(edges, nq.ell)
+    s0 = (S0 * S0).imag / abs(S0) ** 2
     K1 = pp * (Dp * wm * um + Dm * wp * up)
     K2 = -Dp * wm * (pp * um + pm * vm) + Dm * wp * (pp * up + pm * vp)
     X = Dm * wp * ((2 * s0 - 1) * pp * up - pm * vp) + Dp * wm * ((2 * s0 + 1) * pp * um + pm * vm)
@@ -112,24 +119,42 @@ class SqrtMonodromyTransform:
 
     def __init__(self, pair: CirclePair, nq: NumericQuad):
         pair.params.require_integer_order()
-        bv = pair.boundary()
-        self.cos_phi0 = float(np.cos(bv.phi_at_0))
+        edges = pair.boundary()
+        self.cos_phi0 = (edges[2] * edges[2]).real / abs(edges[2]) ** 2
         if abs(self.cos_phi0) < COS_PHI0_FLOOR:
             raise DegenerateAtOne(
                 f"cos(phi(0)) = {self.cos_phi0:.2e}: transform formulas singular at z = 1"
             )
         self.pair = pair
         self.params = pair.params
-        K1, K2, self._X, self._n2 = _formula_constants(bv, nq)
+        K1, K2, self._X, self._n2 = _formula_constants(edges, nq)
         # Phi_B as a circle.quotient: num = Nhat, den = -Dden (module docstring)
         self.alpha, self.beta = 2j * K1, K2
         (num, den), _, _ = quotient(self.alpha, self.beta, *pair(0.0), 0.0, "Phi_B")
         self.k_norm = complex(num[0] * den[0])
+        # S_B(0) = sigma num(0) / sqrt(k) is e^{i phi_B(0)/2} on the principal
+        # branch of phi_B(0): its argument lies in (-pi/2, pi/2]
+        root = cmath.sqrt(self.k_norm)
+        self._scale = (1.0 if -0.5 * np.pi < cmath.phase(num[0] / root) <= 0.5 * np.pi
+                       else -1.0) / root
         self.span = TABLE_SPAN * self.params.T  # of the panel table
 
     def at(self, t) -> "TransformValues":
         """The transformed pair and its theta companions at t, from one pair evaluation."""
         return TransformValues(self, np.atleast_1d(np.asarray(t, dtype=float)))
+
+    def solution(self, t) -> np.ndarray:
+        """(2, n) values of the transformed pair's linear solution,
+        (u_B, v_B) = sigma (den, num) / sqrt(k), at the times t.
+
+        Phi_B = num/den and Psi_B = num den / k, so v_B^2 = Psi_B Phi_B and
+        u_B^2 = Psi_B / Phi_B: these are the transformed pair's half powers
+        S_B and Rrec_B, and (den, num) solves the phase path's linear system
+        (module docstring).  sigma = +-1 puts phi_B(0) on its principal
+        branch."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        (num, den), _, _ = quotient(self.alpha, self.beta, *self.pair(t), t, "Phi_B")
+        return self._scale * np.array((den, num))
 
     # ---- continuous phase and quadrature of the transformed pair ----
     @cached_property
@@ -159,18 +184,16 @@ class SqrtMonodromyTransform:
         fwd, bwd = self.table
         return gauss.two_sided(t, fwd, bwd, np.empty((1,) + t.shape, dtype=complex))[0]
 
-    def eval(self, t) -> np.ndarray:
-        """(2, n) array of the continuous (phi_B, P_B) at the times t, from
-        one panel-table lookup: the shape of ``PhasePath.eval``.  phi_B is
-        as in ``TransformValues.phase``.  A time outside the table raises
-        OutOfWindow before the pair is evaluated."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        y = self.integrals(t)
-        return np.array((_on_branch(np.angle(self.at(t).phi), y.imag), y.real))
-
     def phase(self, t) -> np.ndarray:
-        """Continuous phi_B(t); see ``eval``."""
-        return self.eval(t)[0]
+        """Continuous phi_B(t): the principal argument of Phi_B moved by the
+        multiple of 2*pi nearest the panel table's continuous phase.  The
+        table only picks the branch, so the result does not depend on its
+        last bits; at t = 0 it is the principal argument.  A time outside
+        the table raises OutOfWindow before the pair is evaluated."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        base = self.integrals(t).imag
+        a = np.angle(self.at(t).phi)
+        return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
 
     def quadrature(self):
         """P_B = int_0^t cos(phi_B) as a callable on the table's span; the
@@ -189,7 +212,6 @@ class TransformValues:
     """
 
     def __init__(self, tr: SqrtMonodromyTransform, t: np.ndarray):
-        self.t, self._tr = t, tr
         factors, dots = tr.pair(t)
         (num, den), (numd, dend), (self.phi, self.phi_dot) = quotient(
             tr.alpha, tr.beta, factors, dots, t, "Phi_B")
@@ -206,25 +228,10 @@ class TransformValues:
         self.theta_dot = (top * dend - topd * den) / (c0 * den**2)
         self.theta_tilde_dot = (tilded * num - tilde * numd) / (c0 * num**2)
 
-    @property
-    def phase(self) -> np.ndarray:
-        """Continuous phi_B: the principal argument of Phi_B moved by the
-        multiple of 2*pi nearest the panel table's continuous phase.
-
-        The table only picks the branch, so the result does not depend on
-        its last bits; at t = 0 it is the principal argument.
-        """
-        return _on_branch(np.angle(self.phi), self._tr.integrals(self.t).imag)
-
-
-def _on_branch(a: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """The angles a moved by the multiple of 2*pi nearest the continuous phase base."""
-    return a + 2 * np.pi * np.round((base - a) / (2 * np.pi))
-
 
 def transform_from_path(path: PhasePath, nq: NumericQuad) -> SqrtMonodromyTransform:
     """First application of the transform, built on the solved circle pair."""
-    return SqrtMonodromyTransform(CirclePair(path.eval, path.params), nq)
+    return SqrtMonodromyTransform(CirclePair(path.solution, path.params), nq)
 
 
 def verify_theorem2(
@@ -247,16 +254,17 @@ def verify_theorem2(
     P_B = first.quadrature()
 
     # second application: the same constructor on the transformed pair
-    second = SqrtMonodromyTransform(CirclePair(first.eval, p), nq)
+    second = SqrtMonodromyTransform(CirclePair(first.solution, p), nq)
     b_squared = float(np.max(np.abs(second.at(t).phi - monodromy_direct(path, t))))
 
     # every other residual from one bundle on the grid and one at t = 0
     b, b0 = first.at(t), first.at(0.0)
     F = b.phi
-    # transformed phase solves the drive equation (analytic derivative)
+    # transformed phase solves the drive equation (analytic derivative),
+    # with sin(phi_B) = Im(Phi_B) / |Phi_B|
     phiB_dot = (np.conj(F) * b.phi_dot).imag
     phase_eq_res = float(
-        np.max(np.abs(phiB_dot + np.sin(b.phase) - p.Bdrive - p.A * np.cos(p.omega * t)))
+        np.max(np.abs(phiB_dot + F.imag / np.abs(F) - p.Bdrive - p.A * np.cos(p.omega * t)))
     )
     # the theta pair solves the mirror-oriented system with Phi_B
     delta = b.theta - b.theta_tilde

@@ -166,7 +166,7 @@ def _phi_alpha_battery(path: PhasePath, grid_size: int) -> tuple[dict, list[str]
     failures: list[str] = []
     p = path.params
     t = np.linspace(-p.T / 2, p.T / 2, grid_size)
-    factors, dots = circle_mod.CirclePair(path.eval, p)(t)
+    factors, dots = circle_mod.CirclePair(path.solution, p)(t)
     for alpha in PHI_ALPHA_VALUES:
         vals, dvals = heun_mod.phi_alpha_values(factors, dots, t, alpha)
         uni = float(np.max(np.abs(np.abs(vals) - 1)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from heun_monodromy.circle import (
     theta_pair_solve,
 )
 from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
+from tests.oracle_values import ORACLE
 from tests.scipy_reference import reference_theta_pair
 
 
@@ -75,35 +77,66 @@ def test_riccati_residual_of_phi(golden_path):
 
 
 def test_boundary_values_trivial(trivial_path):
-    bv = CirclePair(trivial_path.eval, trivial_path.params).boundary()
+    # phi = 0 and P = t: S = e^{t/2} at the cut edges and 1 at t = 0
+    S_plus, S_minus, S_at_0 = CirclePair(trivial_path.solution, trivial_path.params).boundary()
     T = trivial_path.params.T
-    assert np.exp(1j * bv.phi_plus) == pytest.approx(1.0)
-    assert np.exp(1j * bv.phi_minus) == pytest.approx(1.0)
-    assert np.exp(1j * bv.phi_at_0) == pytest.approx(1.0)
-    assert np.exp(bv.P_plus) == pytest.approx(np.exp(T / 2), rel=1e-9)
-    assert np.exp(bv.P_minus) == pytest.approx(np.exp(-T / 2), rel=1e-9)
+    assert S_plus == pytest.approx(np.exp(T / 4), rel=1e-9)
+    assert S_minus == pytest.approx(np.exp(-T / 4), rel=1e-9)
+    assert S_at_0 == 1.0
 
 
 def test_boundary_values_golden(golden_path):
-    bv = CirclePair(golden_path.eval, golden_path.params).boundary()
+    S_plus, S_minus, _ = CirclePair(golden_path.solution, golden_path.params).boundary()
     # generic solution: the two cut edges carry different values
-    Phi_plus, Phi_minus = np.exp(1j * bv.phi_plus), np.exp(1j * bv.phi_minus)
+    Phi_plus, Phi_minus = (S_plus / abs(S_plus)) ** 2, (S_minus / abs(S_minus)) ** 2
     assert abs(Phi_plus - Phi_minus) > 1e-3
     assert abs(Phi_plus * np.conj(Phi_plus) - 1.0) < 1e-12
-    assert np.exp(0.5j * bv.phi_plus) ** 2 == pytest.approx(Phi_plus, rel=1e-12)
+    T = golden_path.params.T
+    assert Phi_plus == pytest.approx(np.exp(1j * golden_path.phi(T / 2)[0]), rel=1e-12)
+    assert abs(S_plus) ** 2 == pytest.approx(np.exp(golden_path.P(T / 2)[0]), rel=1e-12)
 
 
 @pytest.mark.parametrize("point", GOLDENS + ((3.0, 0.5, 0.8, 0.3),))
 def test_boundary_is_the_one_point_eval(point):
     ell, mu, omega, phi0 = point
     path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
-    bv = CirclePair(path.eval, path.params).boundary()
+    edges = CirclePair(path.solution, path.params).boundary()
     T = path.params.T
-    (php,), (Pp,) = path.eval(T / 2)
-    (phm,), (Pm,) = path.eval(-T / 2)
-    assert (bv.phi_plus, bv.P_plus, bv.phi_minus, bv.P_minus) == (php, Pp, phm, Pm)
-    # the first row starts at (1, Phi0), so phi(0) is phi0 itself
-    assert bv.phi_at_0 == path.phi0
+    # S at the cut edges and at t = 0, one evaluation of the solution
+    assert edges == tuple(path.solution(np.array([T / 2, -T / 2, 0.0]))[1])
+    # the rows start at (e^{-i phi0/2}, e^{i phi0/2}), so S(0) is e^{i phi0/2} itself
+    assert edges[2] == complex(math.cos(0.5 * phi0), math.sin(0.5 * phi0))
+
+
+def _exp_of_the_lift(path, t):
+    """(S, R, Rrec, Srec) as exp((P +- i phi)/2) from ``PhasePath.eval`` at t
+    and -t, and their d/dt from the phase equation: the form ``CirclePair``
+    had before it read the linear solution."""
+    p = path.params
+    u = np.concatenate((t, -t))
+    phi, P = path.eval(u)
+    dphi = p.Bdrive + p.A * np.cos(p.omega * u) - np.sin(phi)
+    plus, minus = np.exp(0.5 * (P + 1j * phi)), np.exp(0.5 * (P - 1j * phi))
+    dplus, dminus = 0.5 * (np.cos(phi) + 1j * dphi) * plus, 0.5 * (np.cos(phi) - 1j * dphi) * minus
+    n = len(t)
+    return ((plus[:n], minus[n:], minus[:n], plus[n:]),
+            (dplus[:n], -dminus[n:], dminus[:n], -dplus[n:]))
+
+
+@pytest.mark.parametrize("point", sorted(ORACLE))
+def test_pair_products_are_the_exp_of_the_lift(point):
+    # the four products are the solution (u, v) itself; they equal the exp
+    # of the lifted (phi, P) to 8.9e-16 relative, and their derivatives, M y,
+    # equal the phase equation's to 1.1e-15
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    t = grid(path, 1001)
+    factors, dots = CirclePair(path.solution, path.params)(t)
+    ref_factors, ref_dots = _exp_of_the_lift(path, t)
+    for got, ref in zip(factors, ref_factors):
+        assert np.max(np.abs(got / ref - 1.0)) <= 2e-15
+    for got, ref in zip(dots, ref_dots):
+        assert np.max(np.abs(got - ref)) <= 4e-15
 
 
 def test_half_power_factor_reciprocal_rule(golden_path):
@@ -184,7 +217,9 @@ def test_theta_pair_row_edge_belongs_to_the_row_ending_there(golden_path):
     for rows, path_rows in ((pair._fwd, golden_path._fwd), (pair._bwd, golden_path._bwd)):
         k = np.flatnonzero(np.abs(path_rows.ts[1:rows.n + 1]) <= half)
         t = path_rows.ts[k + 1]
-        assert np.array_equal(pair.values(t), rows.values(k, (t - rows.ts[k]) / rows.h).T)
+        mantissas = rows.values(k, (t - rows.ts[k]) / rows.h)
+        scaled = np.ldexp(mantissas.view(float), rows.exponent[k][:, None]).view(complex)
+        assert np.array_equal(pair.values(t), scaled.T)
 
 
 def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
@@ -195,12 +230,12 @@ def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
 
 
 # sha256 of the bytes of ThetaPair.values(t), then of psi_route(t), on the
-# 1001-point grid over [-T/2, T/2], recorded with the unscaled float chain:
-# the exact power-of-two rescale of gauss.chain keeps every bit.
+# 1001-point grid over [-T/2, T/2], recorded with e^{i phi} = conj(u)/u at the
+# nodes read off the phase rows' polynomial, both chained by gauss.collocate.
 THETA_PAIR_SHA256 = {
-    GOLDENS[0]: "d2d7e70a55b8836de83570985830b3d0b03b32cfb4d498bfd8481311ec37ace8",
-    GOLDENS[1]: "f74145373fe7e8e57ec4758e889c1ec932975466722b427fa6a635a1776943fa",
-    FIXED_SWEEP_POINTS[0]: "1f77fd683820895b6ca9c23b39a076e3a60dec3c2d399e9d1873880777644ab2",
+    GOLDENS[0]: "95cd47b7f383c7b772f4ed7ee206ee14028b2d7bdba454b5183f981e4ee3b38e",
+    GOLDENS[1]: "017ee27fc2917d022383cf614a45afff987c7ea4e867ef64f2171b4d2b074e27",
+    FIXED_SWEEP_POINTS[0]: "8f30884b957db7b466bcc7049e2c56eb937a410728f9f3377fca4ec3bf907ba2",
 }
 
 
@@ -236,9 +271,9 @@ def test_theta_pair_rows_stay_finite_where_e_P_overflows():
 @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
 def test_theta_pair_nan_phase_raises_not_converged(golden_path):
     # a NaN row never settles: it hits the sweep cap instead of looping
-    Phi_nodes = golden_path._fwd.Phi_nodes.copy()
-    Phi_nodes[:, 3] = np.nan
-    fwd = dataclasses.replace(golden_path._fwd, Phi_nodes=Phi_nodes)
+    coef = golden_path._fwd.coef.copy()
+    coef[:, 3] = np.nan
+    fwd = dataclasses.replace(golden_path._fwd, coef=coef)
     with pytest.raises(NotConverged):
         theta_pair_solve(dataclasses.replace(golden_path, _fwd=fwd))
 

@@ -62,18 +62,18 @@ POLY_STDOUT_SHA256 = {
 }
 
 # sha256 of `sqrt-monodromy` standard output at golden point 2 with the
-# default --tol and --grid, recorded with every row count from the one row
-# rule, gauss.uniform_rows.
-SQRT_MONODROMY_G2_SHA256 = "af9ea9a09b6f4cf2b1120e6b637a4574c52da89b382aef665df1c9f8bc0b3f4a"
+# default --tol and --grid, recorded with the phase rows chained as the
+# linear pair (u, conj u) and the second application on the first's solution.
+SQRT_MONODROMY_G2_SHA256 = "9e8600686db751b8f9b034075f79568480c669ee5ab2a271a3ca1147a959afbd"
 # The same report with every residual set to null: its keys, order, grid
 # size and conventions.
 SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10a6b485c61905894a30"
 # sha256 of `monodromy` standard output at the two golden points with the
-# default --tol, --grid and --rhos, recorded when it had a command function
-# of its own (it is now run_battery's monodromy section).
+# default --tol, --grid and --rhos (run_battery's monodromy section),
+# recorded with the circle pair read off the linear solution (u, conj u).
 MONODROMY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "0a166f0d55386db4a091d8ae676704938175984c1abcbff8fb4557f53d8f57fe",
-    ("1", "0.2", "1.3", "1.0"): "9e88d089e4e407d6f7b284a2e7e31c7705909b2163cb2fecf3419401bf016c13",
+    ("2", "0.3", "1", "0.5"): "3dc4b494862309de4eb35207dcf67f665a24845fc78c408a1e92bdc54129cc15",
+    ("1", "0.2", "1.3", "1.0"): "ff7613c7c606d4e1b9fbd5cce2db27d4f65d00913883316e2ae56187c926330f",
 }
 # The one genericity message, NumericQuad's, at (1, 0.5, 1, 0.5) where D- = 0.
 GENERICITY_MESSAGE = ("D+=2.000e+00, D-=0.000e+00 at (ell=1, mu=0.5, omega=1.0); "
@@ -86,12 +86,12 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
-# at the two golden points, recorded with the phase path, the theta pair,
-# the P_B panel table and the continuations off the circle all on the rows of
-# the one row rule, gauss.uniform_rows.
+# at the two golden points, recorded with the phase rows chained as the
+# linear pair (u, conj u) through gauss.collocate, every circle pair read off
+# a linear solution, and the second application on the first's solution.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "fb0163a8e6addeb3d5c7e77285604e27c183cc63b2770e8efdc99ae653be8fc6",
-    ("1", "0.2", "1.3", "1.0"): "7d290936d4c0e4c735c5aed8512c49c61fc5e16f2cbe376ce8fa724fdb9db4d2",
+    ("2", "0.3", "1", "0.5"): "a175fb609477b87e79bc76fb2f6babe0750c893ead59aef0cf352aebb86298f8",
+    ("1", "0.2", "1.3", "1.0"): "e62f0541bac1fb2fa83582f6fe6f0215b6de5a8d37173b7e7438bf6595378235",
 }
 # The same reports with every residual set to null: their keys, order,
 # strings, grid sizes and radii.
@@ -421,10 +421,10 @@ ZERO_INITIAL_STEP_EXITS = {
         1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 rows "
                "of at most 6e-302\n"),
     ("--mu", "0.3", "--omega", "1e300"): (
-        1, '{"sup_residual_circle": 5.2744357860044847e-15, "boundary_residual": '
-           '2.2887833992611187e-16, "unimodularity_residual": 3.3306690738754696e-16, '
-           '"riccati_residual": 1.4870169084777831e+285, "ray_residuals": '
-           '[[0.80000000000000004, 6.2063353831181828e-16], [1.25, 7.0216669371534024e-16]], '
+        1, '{"sup_residual_circle": 5.4672143489065709e-15, "boundary_residual": '
+           '5.5511151231257827e-17, "unimodularity_residual": 4.4408920985006262e-16, '
+           '"riccati_residual": 1.4871330771360971e+285, "ray_residuals": '
+           '[[0.80000000000000004, 1.1060518526157679e-15], [1.25, 0.0]], '
            '"grid_size": 1001, "tol": 9.9999999999999998e-13}\n', ""),
     # a slope scale of 2e307 makes the row count inf, one of inf makes the
     # row cap 0: both must hit the ceiling before any division
@@ -825,12 +825,14 @@ MONODROMY_POINT = ("monodromy", "--ell", "2", "--mu", "0.3", "--omega", "1", "--
         ("sweep", "--points", "2,0.3,1,0.5;inf,0.3,1"),
         MONODROMY_POINT + ("--rhos", ","),
         ("verify", "--ell", "2", "--mu", "0.3", "--omega", "1", "--rhos", ""),
+        MONODROMY_POINT + ("--rhos", "0.8,,1.25"),
     ],
 )
 def test_non_finite_or_out_of_annulus_input_is_usage_error(capsys, monkeypatch, argv):
     # rejected before any solve: these inputs used to hang in the integrator
-    # or end in a traceback, and a --rhos naming no radius dropped the ray
-    # certificate from the report
+    # or end in a traceback, a --rhos naming no radius dropped the ray
+    # certificate from the report, and an empty field between radii was
+    # skipped
     import heun_monodromy.cli as cli_mod
     import heun_monodromy.verify as verify_mod
 

@@ -47,7 +47,7 @@ def _scipy_riccati(params, F0, route):
 
 def test_riccati_continuation_matches_scipy(point_path):
     params = point_path.params
-    pair = CirclePair(point_path.eval, point_path.params)
+    pair = CirclePair(point_path.solution, point_path.params)
     at_one = _algebraic_values(pair, pair.boundary(), np.array([0.0]))[0][0]
     for rho in RHOS:
         # route A from the period-shift Phi over the upper arc, route B from
@@ -70,11 +70,11 @@ def test_ray_residuals_hold_to_1e_13(point_path):
 
 
 # sha256 of the four continuations of verify's ray routes (radii 0.8 and
-# 1.25): the bytes of the values, then the pole flags, recorded with the
-# rescale written out in circle before gauss.chain took it over.
+# 1.25): the bytes of the values, then the pole flags, recorded with route
+# B starting from the algebraic monodromy of the pair read off (u, conj u).
 RAY_SHA256 = {
-    GOLDENS[0]: "bfadc15f1d1b646608cc234f7af6c679fb0340915f500496952b3056bdd9bbb5",
-    GOLDENS[1]: "7a3f297b2598473489bd64a515be5c1b65f01d0e5d1b38a4e82efa41b7807592",
+    GOLDENS[0]: "254254a6462c3a3d2e92967d6eca9ae76b7ac7061b37e799642c96efee29cd0e",
+    GOLDENS[1]: "28bc677081c01f6d6f9725fa2df01038ba67ce2d350a0445116341432924b3a6",
 }
 
 

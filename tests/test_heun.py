@@ -142,7 +142,7 @@ def test_monodromy_is_the_alpha_family_member(hb, hb2):
     # quotient(cp, i sm) is quotient(c + s, -i (c - s)) up to a real factor
     # when tan(alpha/2) = (cp + sm)/(cp - sm)
     for basis in (hb, hb2):
-        cp, sm = _algebraic_coefficients(CirclePair(basis.path.eval, basis.params).boundary())
+        cp, sm = _algebraic_coefficients(CirclePair(basis.path.solution, basis.params).boundary())
         alpha_m = 2.0 * np.arctan2(cp + sm, cp - sm)
         T = basis.params.T
         t = np.linspace(-T / 2, T / 2, 401)

@@ -53,10 +53,10 @@ def test_algebraic_vs_direct_golden(golden_path):
 
 def test_algebraic_boundary_limit(golden_path):
     T = golden_path.params.T
-    bv = CirclePair(golden_path.eval, golden_path.params).boundary()
+    S_plus = CirclePair(golden_path.solution, golden_path.params).boundary()[0]
     t = np.linspace(-T / 2, -T / 2 + 0.02 * T, 50)
     vals = monodromy_algebraic(golden_path, t)
-    assert abs(vals[0] - np.exp(1j * bv.phi_plus)) < 1e-8
+    assert abs(vals[0] - (S_plus / abs(S_plus)) ** 2) < 1e-8
 
 
 def test_algebraic_unimodular_and_riccati(golden_path):

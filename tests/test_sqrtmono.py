@@ -5,7 +5,7 @@ import pytest
 
 import heun_monodromy.sqrtmono as sqrt_mod
 from heun_monodromy import ModelParams, gauss, solve_phase
-from heun_monodromy.circle import BoundaryValues, CirclePair, riccati_circle_residual
+from heun_monodromy.circle import CirclePair, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
 from heun_monodromy.sqrtmono import (
@@ -28,7 +28,8 @@ def grid(path, n=801):
 
 
 def test_shortcuts_trivial_values():
-    u_plus, u_minus, v_plus, _, w_plus, w_minus = _shortcuts(BoundaryValues(0, 0, 0, 0, 0), 2)
+    # phi = P = 0 at both cut edges and at t = 0: S = 1 there
+    u_plus, u_minus, v_plus, _, w_plus, w_minus = _shortcuts((1.0, 1.0, 1.0), 2)
     assert u_plus == pytest.approx(1 + 1j)
     assert u_minus == pytest.approx(1 - 1j)
     assert v_plus == pytest.approx(1 + 1j)
@@ -37,10 +38,12 @@ def test_shortcuts_trivial_values():
 
 
 def test_shortcut_recomputation_and_moduli(golden_path):
-    bv = CirclePair(golden_path.eval, golden_path.params).boundary()
-    sc = _shortcuts(bv, 2)
+    edges = CirclePair(golden_path.solution, golden_path.params).boundary()
+    sc = _shortcuts(edges, 2)
     sgn = (-1.0) ** 2
-    expected_u_plus = sgn * np.exp(0.5j * bv.phi_plus) + 1j * np.exp(-0.5j * bv.phi_plus)
+    # e^{i phi/2} from the path's own phase at the cut edge t = T/2
+    phi_plus = golden_path.phi(golden_path.params.T / 2)[0]
+    expected_u_plus = sgn * np.exp(0.5j * phi_plus) + 1j * np.exp(-0.5j * phi_plus)
     assert sc[0] == pytest.approx(expected_u_plus, abs=1e-12)
     # each is a sum of two unit phases
     assert max(abs(v) ** 2 for v in sc) <= 4.0 + 1e-12
@@ -128,9 +131,35 @@ def test_theta_dots_match_fd(golden_transform, golden_path):
     assert np.max(np.abs(b.theta_tilde_dot - fd2)) < 1e-7
 
 
-def test_bundle_phase_is_the_transform_phase(golden_transform, golden_path):
+def test_sine_of_phi_B_needs_no_branch(golden_transform, golden_path):
+    # phase_equation_residual reads sin(phi_B) as Im(Phi_B) / |Phi_B|, which
+    # is the sine of the continuous phase to rounding
     t = grid(golden_path, 101)
-    assert np.array_equal(golden_transform.at(t).phase, golden_transform.phase(t))
+    F = golden_transform.at(t).phi
+    assert np.max(np.abs(F.imag / np.abs(F) - np.sin(golden_transform.phase(t)))) <= 1e-15
+
+
+@pytest.mark.parametrize("point, sigma", [((2, 0.3, 1.0, 0.5), 1.0), ((1, 0.2, 1.3, 1.0), -1.0),
+                                          ((3, 0.7, 0.6, 0.2), 1.0)])
+def test_transformed_pair_products_are_the_exp_of_the_panel_table(point, sigma):
+    # the second application reads sigma (den, num) / sqrt(k); its four
+    # products equal exp((P_B +- i phi_B)/2) of the panel table's continuous
+    # phase and quadrature to 1.6e-15 relative, with sigma = -1 at G2
+    ell, mu, omega, phi0 = point
+    params = ModelParams(ell=ell, mu=mu, omega=omega)
+    tr = transform_from_path(solve_phase(params, phi0, tol=1e-12),
+                             NumericQuad(diagonal(ell), params))
+    root = np.sqrt(tr.k_norm)
+    assert tr._scale * root == sigma
+    t = np.linspace(-params.T / 2, params.T / 2, 1001)
+    P_B = tr.quadrature()
+    u = np.concatenate((t, -t))
+    plus = np.exp(0.5 * (P_B(u) + 1j * tr.phase(u)))
+    minus = plus.conj()
+    n = len(t)
+    reference = (plus[:n], minus[n:], minus[:n], plus[n:])
+    for got, ref in zip(CirclePair(tr.solution, params)(t)[0], reference):
+        assert np.max(np.abs(got / ref - 1.0)) <= 4e-15
 
 
 def test_phase_reconstruction_anchoring(golden_transform):
@@ -227,10 +256,9 @@ def test_panel_table_never_extrapolates(golden_transform, golden_path):
             golden_transform.phase(t)
 
 
-def test_eval_is_phase_and_quadrature_from_one_table_lookup(golden_transform, monkeypatch):
+def test_phase_is_one_table_lookup(golden_transform, monkeypatch):
     T = golden_transform.params.T
     t = np.linspace(-0.55 * T, 0.55 * T, 1001)
-    phase, P_B = golden_transform.phase(t), golden_transform.quadrature()(t)
     lookups = []
     integrals = SqrtMonodromyTransform.integrals
 
@@ -239,9 +267,10 @@ def test_eval_is_phase_and_quadrature_from_one_table_lookup(golden_transform, mo
         return integrals(self, u)
 
     monkeypatch.setattr(SqrtMonodromyTransform, "integrals", counting_integrals)
-    values = golden_transform.eval(t)
-    assert len(lookups) == 1 and values.shape == (2, t.size)
-    assert np.array_equal(values[0], phase) and np.array_equal(values[1], P_B)
+    phase = golden_transform.phase(t)
+    assert len(lookups) == 1 and phase.shape == t.shape
+    # the table's continuous phase only picks the branch
+    assert np.max(np.abs(phase - integrals(golden_transform, t).imag)) <= 1e-13
 
 
 def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
