@@ -10,9 +10,10 @@ their derivatives are the system itself.
 
 The theta pair is the circle's second route to Psi = e^P: its linear system
 is collocated by ``gauss.collocate`` on the phase path's own rows that cover
-|t| <= T/2, with e^{i phi} = conj(u)/u at the nodes taken from those rows,
-and kept as ``gauss.Rows`` each way, as mantissas with a power-of-two
-exponent per row, so the rows stay finite however large e^P grows.
+|t| <= T/2, with e^{i phi} = conj(u)/u at the nodes read off those rows a
+block at a time (``Rows.at_fractions``), and kept as ``gauss.Rows`` each
+way, as mantissas with a power-of-two exponent per row, so the rows stay
+finite however large e^P grows.
 
 Off the circle, Phi = v/u is continued through the linear system behind its
 Riccati equation, collocated by the same kernel along a route of straight
@@ -160,13 +161,11 @@ def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
 def _collocate(rows: _Rows, count: int) -> gauss.Rows:
     """The theta pair on the first ``count`` rows of one direction of the
     phase path, from (i, -i) at t = 0, chained by ``gauss.collocate``.
-    Phi = conj(u)/u at the nodes comes from the phase rows' own polynomial."""
-    fractions = gauss.NODE_FRACTIONS[:, None]
+    Phi = conj(u)/u at the nodes comes from the phase rows' own polynomial,
+    read a block at a time at the node fractions."""
 
     def matrices(blk: slice) -> np.ndarray:
-        k = np.arange(blk.start, blk.stop)
-        s = np.broadcast_to(fractions, (gauss.NODES, len(k)))
-        u = rows.values(np.tile(k, gauss.NODES), s.ravel())[:, 0].reshape(s.shape)
+        u = rows.at_fractions(blk, gauss.NODE_FRACTIONS)[0][:, :, 0]
         up, down = 0.5 * u.conj() / u, 0.5 * u / u.conj()
         return np.stack((np.stack((up, -up), 1), np.stack((-down, down), 1)), 1)
 

@@ -325,11 +325,6 @@ def _shifted_weighted(keys: list, limbs: list, shifts: list[int], factors: list[
     return np.add(keys, shift, out=keys), product
 
 
-def combine(pieces: Iterable[Piece]) -> "LaurentPoly":
-    """Exact sum of the pieces: the one-row form of ``combine_rows``."""
-    return combine_rows([pieces])[0]
-
-
 def times(c: int, y: "LaurentPoly", x: "LaurentPoly", dz: int = 0, dmu: int = 0,
           op: Callable | None = None) -> list[Piece]:
     """The pieces of ``c * y * z**dz * mu**dmu * op(x)``, one per term of ``y``.
@@ -423,12 +418,6 @@ class LaurentPoly:
     @property
     def max_degree(self) -> int | None:
         return (int(self._keys[-1]) >> _Z) - _BIAS if len(self._keys) else None
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return combine([Piece(1, self), Piece(1, other)])
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return combine([Piece(1, self), Piece(-1, other)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):

@@ -3,15 +3,17 @@
 dense output, ``Rows``.
 
 One table serves the one collocation kernel, ``row_propagators``, that
-solves every linear system of the program: the phase path's (``phase``), and
-the theta pair and the Riccati continuation off the circle (``circle``).
-One chain, ``chain``, carries a linear pair across a block of row
-propagators, rescaled by an exact power of two: every collocation goes
-through it, and it is the one place of the program that rescales.  One
-loop, ``collocate``, keeps the chained rows of a linear pair as ``Rows``:
-the phase path and the theta pair differ only in the matrices they give it.
-Every dense output is a ``Rows`` each way from t = 0: the phase path, the
-theta pair and the P_B panel table of ``sqrtmono``.  One row rule,
+solves every linear system of the program: the phase path's (``phase``),
+the theta pair and the Riccati continuation off the circle (``circle``),
+and the P_B panel table (``sqrtmono``).  One chain, ``chain``, carries a
+linear pair across a block of row propagators, rescaled by an exact power
+of two: every collocation goes through it, and it is the one place of the
+program that rescales.  One loop, ``collocate``, keeps the chained rows of
+a linear pair as ``Rows``, the one dense output, each way from t = 0: the
+phase path, the theta pair and the panel table differ only in the matrices
+they give it.  Only this module knows the row format, y' in powers of the
+row fraction: ``Rows`` reads it pointwise (``values``, ``slopes``) or a
+block of rows at fixed fractions (``at_fractions``).  One row rule,
 ``uniform_rows``, sizes the phase rows (which the theta pair shares), the
 panel table and every leg of the continuation: each caller states only a
 bound on its rate, and the rule is the one place that refuses a span with
@@ -22,7 +24,7 @@ Golub-Welsch: the first LAPACK call keeps about 1 MB for the whole run.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, comb, frexp, ldexp
 
 import numpy as np
@@ -218,17 +220,17 @@ class Rows:
     of the row fraction s = (t - ts[k]) / h, so
     y = y0[k] + h sum_i coef[i, k] s^(i + 1) / (i + 1).  A time on a row edge
     belongs to the row that ends there, counted in the direction of
-    integration; times beyond the ends use the end rows.  Rows chained by
-    ``chain`` keep y0 and coef as mantissas and their power-of-two
-    ``exponent`` per row: ``values`` and ``slopes`` give the mantissas, and
-    a call scales them by 2^exponent[k].
+    integration; times beyond the ends use the end rows.  The rows of
+    ``collocate`` keep y0 and coef as mantissas and their power-of-two
+    ``exponent`` per row: ``values``, ``slopes`` and ``at_fractions`` give
+    the mantissas, and a call scales them by 2^exponent[k].
     """
 
     ts: np.ndarray  # (n + 1,)
     h: float
     y0: np.ndarray  # (n, m) complex
     coef: np.ndarray  # (NODES, n, m) complex
-    exponent: np.ndarray | None = field(default=None, kw_only=True)  # (n,) int
+    exponent: np.ndarray  # (n,) int
 
     def __post_init__(self):
         self.n = self.coef.shape[1]
@@ -257,14 +259,22 @@ class Rows:
         """(len(k), m) mantissas of y' on the rows k at the fractions s."""
         return horner(self._dy, k, s[:, None]).view(complex)
 
+    def at_fractions(self, blk: slice, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(len(s), rows, m) mantissas of y and of y' on the rows ``blk`` at
+        the same fractions s on every row: one node sum each, with the
+        powers s^i that give y' and s^(i + 1) / (i + 1) that give
+        (y - y0[k]) / h."""
+        powers = s[:, None] ** np.arange(NODES)
+        rises = powers * s[:, None] / np.arange(1.0, NODES + 1.0)
+        coef = np.ascontiguousarray(self.coef[:, blk])
+        return self.h * node_sum(rises, coef) + self.y0[blk], node_sum(powers, coef)
+
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """(m, len(t)) values of y at the times t: the mantissas times
         2^exponent[k]."""
         k, s = self.locate(t)
-        y = self.values(k, s)
-        if self.exponent is not None:
-            y = np.ldexp(y.view(float), self.exponent[k][:, None]).view(complex)
-        return y.T
+        y = np.ldexp(self.values(k, s).view(float), self.exponent[k][:, None])
+        return y.view(complex).T
 
 
 def two_sided(t: np.ndarray, fwd, bwd, out: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ share one code path.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ from .heunpoly import NumericQuad
 from .params import ModelParams
 from .phase import PhasePath
 
-#: cos(phi(0)) threshold below which E+ and E- degenerate at z = 1.
+#: cos(phi(0)) threshold below which E+ and E- degenerate at z = 1 and the
+#: transform formulas of ``sqrtmono`` are singular there (``cos_phi_at_one``).
 COS_PHI0_FLOOR = 1e-8
 
 #: Lift convention for the argument reflection in the symmetry operator:
@@ -134,15 +136,23 @@ class BasisValues:
         return tuple(cp * f(+1) + cm * f(-1) for f in (self.E, self.Eprime, self.Esecond))
 
 
+def cos_phi_at_one(S0: complex) -> float:
+    """cos(phi(0)) = Re(S0^2) / |S0|^2 of a circle pair, from its S(0): the
+    one decision on the z = 1 edge, where the basis E+- and the transform
+    formulas divide by it.  Below COS_PHI0_FLOOR in modulus it raises
+    DegenerateAtOne."""
+    c = (S0 * S0).real / abs(S0) ** 2
+    if abs(c) < COS_PHI0_FLOOR:
+        raise DegenerateAtOne(f"cos(phi(0)) = {c:.2e}: basis and transform degenerate at z = 1")
+    return c
+
+
 def build_E(phi_fn: CircleFunction, psi_fn: CircleFunction) -> HeunBasisPath:
     """Assemble the basis from the circle pair; gates the degenerate point."""
     path = phi_fn.path
     if psi_fn.path is not path:
         raise ValueError("phi and psi must come from the same PhasePath")
-    if abs(np.cos(path.phi0)) < COS_PHI0_FLOOR:
-        raise DegenerateAtOne(
-            f"cos(phi(0)) = {np.cos(path.phi0):.2e}: basis degenerates at z = 1"
-        )
+    cos_phi_at_one(cmath.exp(0.5j * path.phi0))  # S(0) = v(0), bit for bit
     ell = path.params.require_integer_order()
     return HeunBasisPath(params=path.params, path=path, ell=ell)
 

@@ -25,8 +25,9 @@ with phi_k the running sum of the row turns and P read from the mantissa
 and its exponent.  The phase is stored unwrapped: the half-power branches
 downstream need the continuous lift, never phi mod 2*pi.  Derivatives are
 those of the collocation polynomial itself.  The global error bar
-propagates the polynomial's defect, sampled off the collocation nodes,
-along the linearised equation, plus the rounding of the chained row starts.
+propagates the polynomial's defect, sampled off the collocation nodes
+(``gauss.Rows.at_fractions``), along the linearised equation, plus the
+rounding of the chained row starts.
 """
 
 from __future__ import annotations
@@ -228,13 +229,10 @@ def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
 
 
 # The defect is sampled at the 10-point Gauss nodes of each half row, which
-# miss the row's own nodes (where it vanishes): the fractions, the powers
-# s^i that give y' there and s^(i + 1) / (i + 1) that give (y - y_k) / h,
-# and the quadrature of a sampled integrand over the row (weights) and up to
-# each sample (cumulative), in units of h.  No matrix product at import.
+# miss the row's own nodes (where it vanishes): the fractions, and the
+# quadrature of a sampled integrand over the row (weights) and up to each
+# sample (cumulative), in units of h.  No matrix product at import.
 _SAMPLE_FRACTIONS = np.concatenate((0.5 * gauss.NODE_FRACTIONS, 0.5 + 0.5 * gauss.NODE_FRACTIONS))
-_SAMPLE_POWERS = _SAMPLE_FRACTIONS[:, None] ** np.arange(NODES)
-_SAMPLE_RISES = _SAMPLE_POWERS * _SAMPLE_FRACTIONS[:, None] / np.arange(1.0, NODES + 1.0)
 _SAMPLE_WEIGHTS = 0.25 * np.concatenate((gauss.W, gauss.W))
 _SAMPLE_CUMULATIVE = 0.25 * np.block([
     [gauss.CUMULATIVE, np.broadcast_to(gauss.W[:, None], (NODES, NODES))],
@@ -251,12 +249,11 @@ ROW_ROUNDING = 2.0
 def _defect_samples(rows: _Rows, params: ModelParams, blk: slice):
     """The defect d = polynomial' - rhs on the rows blk at _SAMPLE_FRACTIONS,
     as (d_phi, d_P), with P - P_k and sin(phi) there, each (rows, S).  Only u
-    is read: v = conj(u) exactly."""
-    h = rows.h
-    coef = np.ascontiguousarray(rows.coef[:, blk, 0])
-    u = (h * gauss.node_sum(_SAMPLE_RISES, coef) + rows.y0[blk, 0]).T
-    M = system_matrix(params, rows.ts[blk, None] + h * _SAMPLE_FRACTIONS)
-    du = (gauss.node_sum(_SAMPLE_POWERS, coef).T - (M[0, 0] * u + M[0, 1] * u.conj())) / u
+    is used: v = conj(u) exactly."""
+    y, dy = rows.at_fractions(blk, _SAMPLE_FRACTIONS)
+    u = y[:, :, 0].T
+    M = system_matrix(params, rows.ts[blk, None] + rows.h * _SAMPLE_FRACTIONS)
+    du = (dy[:, :, 0].T - (M[0, 0] * u + M[0, 1] * u.conj())) / u
     rel_P = _log_norm(u) - _log_norm(rows.y0[blk, 0])[:, None]
     return -2.0 * du.imag, 2.0 * du.real, rel_P, (u.conj() / u).imag
 

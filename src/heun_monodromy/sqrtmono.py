@@ -22,7 +22,8 @@ solve the phase path's linear system, so sigma (den, num) / sqrt(k) is the
 transformed pair's own solution (u_B, v_B): v_B^2 = Psi_B Phi_B, with the
 sign sigma = +-1 that puts phi_B(0) on its principal branch.  Theorem 2 is
 then the same constructor applied twice: the second time to that solution.
-The P_B panel table, a quadrature of cos(phi_B), serves only the
+The P_B panel table, a quadrature of cos(phi_B) collocated by
+``gauss.collocate`` like every other dense output, serves only the
 ``psi_quadrature_residual`` route and the continuous ``phase``.
 
 The companion theta pair is taken literally from the displayed formulas.  As
@@ -47,8 +48,8 @@ import numpy as np
 
 from . import gauss
 from .circle import CirclePair, quotient, riccati_circle_residual
-from .errors import DegenerateAtOne, OutOfWindow
-from .heun import MINUS_Z_LIFT, COS_PHI0_FLOOR
+from .errors import OutOfWindow
+from .heun import MINUS_Z_LIFT, cos_phi_at_one
 from .heunpoly import NumericQuad
 from .monodromy import monodromy_direct
 from .phase import PhasePath, turning_rate
@@ -88,27 +89,6 @@ def _formula_constants(edges: tuple[complex, complex, complex], nq: NumericQuad)
 TABLE_SPAN = 0.55
 
 
-def _panel_rows(f, span: float, y_at_0: complex, rate: float) -> tuple[gauss.Rows, gauss.Rows]:
-    """Rows of y' = f from y(0) = y_at_0 to t = span and to t = -span, on the
-    rows of ``gauss.uniform_rows`` at ``rate`` each way, with one vectorized
-    call of ``f`` at every row's Gauss nodes.  On each row y' is the
-    interpolant of the node values, integrated in closed form, and each row
-    starts where the one before it ends."""
-    n, h = gauss.uniform_rows(span, rate, f"P_B table [0.0, {span!r}]")
-    widths = np.array((h, -h))
-    ts = widths[:, None] * np.arange(n + 1)
-    ts[:, -1] = span, -span
-    nodes = ts[:, None, :-1] + widths[:, None, None] * gauss.NODE_FRACTIONS[:, None]
-    vals = f(nodes.ravel()).reshape(nodes.shape)  # (side, node, panel)
-    rows = []
-    for edges, h, dy in zip(ts, widths, vals):
-        coef = gauss.power_coefficients(dy)
-        rise = h * (coef / np.arange(1.0, gauss.NODES + 1.0)[:, None]).sum(0)
-        y0 = y_at_0 + np.concatenate(([0.0], np.cumsum(rise[:-1])))
-        rows.append(gauss.Rows(ts=edges, h=h, y0=y0[:, None], coef=coef[:, :, None]))
-    return tuple(rows)
-
-
 class SqrtMonodromyTransform:
     """One application of the transform to a circle pair, with the constants
     of its formulas taken from the pair's own boundary data.
@@ -120,11 +100,7 @@ class SqrtMonodromyTransform:
     def __init__(self, pair: CirclePair, nq: NumericQuad):
         pair.params.require_integer_order()
         edges = pair.boundary()
-        self.cos_phi0 = (edges[2] * edges[2]).real / abs(edges[2]) ** 2
-        if abs(self.cos_phi0) < COS_PHI0_FLOOR:
-            raise DegenerateAtOne(
-                f"cos(phi(0)) = {self.cos_phi0:.2e}: transform formulas singular at z = 1"
-            )
+        self.cos_phi0 = cos_phi_at_one(edges[2])
         self.pair = pair
         self.params = pair.params
         K1, K2, self._X, self._n2 = _formula_constants(edges, nq)
@@ -159,20 +135,29 @@ class SqrtMonodromyTransform:
     # ---- continuous phase and quadrature of the transformed pair ----
     @cached_property
     def table(self) -> tuple[gauss.Rows, gauss.Rows]:
-        """The panel table, built on first use: forward and backward rows of
-        y = P_B + i phi_B over +-span.  y' is cos(phi_B) + i dphi_B/dt,
-        with cos(phi_B) = Re Phi_B (|Phi_B| = 1 is certified) and
-        dphi_B/dt = Im(conj(Phi_B) Phi_B'), from P_B(0) = 0 and phi_B(0) the
-        principal argument.  phi_B solves the phase's own drive equation
+        """The panel table, built on first use: forward and backward rows
+        over +-span of the linear pair y = (Y, 1), y' = [[0, f], [0, 0]] y,
+        collocated by ``gauss.collocate`` from (i phi_B(0), 1), so that
+        Y = P_B + i phi_B.  f = cos(phi_B) + i dphi_B/dt, with
+        cos(phi_B) = Re Phi_B (|Phi_B| = 1 is certified) and
+        dphi_B/dt = Im(conj(Phi_B) Phi_B'), and phi_B(0) is the principal
+        argument.  phi_B solves the phase's own drive equation
         (``phase_equation_residual`` certifies it), so the table takes the
-        phase rows' rate, ``phase.turning_rate`` (CHANGES.md)."""
-
-        def integrand(nodes):
-            b = self.at(nodes)
-            return b.phi.real + 1j * (np.conj(b.phi) * b.phi_dot).imag
-
-        phase_at_0 = float(np.angle(self.at(0.0).phi[0]))
-        return _panel_rows(integrand, self.span, 1j * phase_at_0, turning_rate(self.params))
+        phase rows' rate, ``phase.turning_rate`` (CHANGES.md).  The system
+        matrices square to zero, so two Picard sweeps settle each block."""
+        n, h = gauss.uniform_rows(self.span, turning_rate(self.params),
+                                  f"P_B table [0.0, {self.span!r}]")
+        widths = np.array((h, -h))
+        ts = widths[:, None] * np.arange(n + 1)
+        ts[:, -1] = self.span, -self.span
+        nodes = ts[:, None, :-1] + widths[:, None, None] * gauss.NODE_FRACTIONS[:, None]
+        t = nodes.ravel()  # one evaluation at every node of both sides
+        _, _, (F, F_dot) = quotient(self.alpha, self.beta, *self.pair(t), t, "Phi_B")
+        M = np.zeros(nodes.shape[:2] + (2, 2, n), dtype=complex)  # (side, node, 2, 2, row)
+        M[:, :, 0, 1] = (F.real + 1j * (np.conj(F) * F_dot).imag).reshape(nodes.shape)
+        y = (1j * float(np.angle(self.at(0.0).phi[0])), 1.0)
+        return tuple(gauss.collocate(lambda blk, side=side: side[..., blk], edges, h, y)
+                     for edges, h, side in zip(ts, widths, M))
 
     def integrals(self, t) -> np.ndarray:
         """P_B + i phi_B at the times t, from the panel table; the imaginary
@@ -182,7 +167,7 @@ class SqrtMonodromyTransform:
         if t.size and not (np.min(t) >= -self.span and np.max(t) <= self.span):
             raise OutOfWindow(f"t range [{np.min(t)}, {np.max(t)}] outside +-{self.span}")
         fwd, bwd = self.table
-        return gauss.two_sided(t, fwd, bwd, np.empty((1,) + t.shape, dtype=complex))[0]
+        return gauss.two_sided(t, fwd, bwd, np.empty((2,) + t.shape, dtype=complex))[0]
 
     def phase(self, t) -> np.ndarray:
         """Continuous phi_B(t): the principal argument of Phi_B moved by the

@@ -231,11 +231,12 @@ def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
 
 # sha256 of the bytes of ThetaPair.values(t), then of psi_route(t), on the
 # 1001-point grid over [-T/2, T/2], recorded with e^{i phi} = conj(u)/u at the
-# nodes read off the phase rows' polynomial, both chained by gauss.collocate.
+# nodes read off the phase rows' polynomial a block at a time
+# (Rows.at_fractions), both chained by gauss.collocate.
 THETA_PAIR_SHA256 = {
-    GOLDENS[0]: "95cd47b7f383c7b772f4ed7ee206ee14028b2d7bdba454b5183f981e4ee3b38e",
-    GOLDENS[1]: "017ee27fc2917d022383cf614a45afff987c7ea4e867ef64f2171b4d2b074e27",
-    FIXED_SWEEP_POINTS[0]: "8f30884b957db7b466bcc7049e2c56eb937a410728f9f3377fca4ec3bf907ba2",
+    GOLDENS[0]: "ab1152395e3a66849333296ddaa4a5bdbf92b6dbcaa8fcbe0134a824b616e9e7",
+    GOLDENS[1]: "78592b83048f2bc8dfcfc71f4264d81c684cea946bf2162602fa9cc148ac12b5",
+    FIXED_SWEEP_POINTS[0]: "2b84871a628933f2299a9a69c397bab871e7116799432d42f6f1b4a6fc2b5dc8",
 }
 
 

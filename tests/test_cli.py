@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -63,8 +64,9 @@ POLY_STDOUT_SHA256 = {
 
 # sha256 of `sqrt-monodromy` standard output at golden point 2 with the
 # default --tol and --grid, recorded with the phase rows chained as the
-# linear pair (u, conj u) and the second application on the first's solution.
-SQRT_MONODROMY_G2_SHA256 = "9e8600686db751b8f9b034075f79568480c669ee5ab2a271a3ca1147a959afbd"
+# linear pair (u, conj u), the second application on the first's solution and
+# the P_B panel table collocated by gauss.collocate.
+SQRT_MONODROMY_G2_SHA256 = "9ee0cab155b46a6918da98b16754a95b6c4f616c6076b7cea49d7d41d39604b3"
 # The same report with every residual set to null: its keys, order, grid
 # size and conventions.
 SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10a6b485c61905894a30"
@@ -88,10 +90,11 @@ SQRT_MONODROMY_G2_DOP853 = {
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
 # at the two golden points, recorded with the phase rows chained as the
 # linear pair (u, conj u) through gauss.collocate, every circle pair read off
-# a linear solution, and the second application on the first's solution.
+# a linear solution, the second application on the first's solution, and the
+# P_B panel table and the theta pair's node phases through gauss as well.
 VERIFY_STDOUT_SHA256 = {
     ("2", "0.3", "1", "0.5"): "a175fb609477b87e79bc76fb2f6babe0750c893ead59aef0cf352aebb86298f8",
-    ("1", "0.2", "1.3", "1.0"): "e62f0541bac1fb2fa83582f6fe6f0215b6de5a8d37173b7e7438bf6595378235",
+    ("1", "0.2", "1.3", "1.0"): "28d7445859754e851ae44808e6934de6dd459825efca0797cb03ed4a136337a8",
 }
 # The same reports with every residual set to null: their keys, order,
 # strings, grid sizes and radii.
@@ -515,6 +518,18 @@ def test_verify_degenerate_phase_exit_code(capsys):
         str(1.5707963267948966), "--tol", "1e-10", "--grid", "101", "--checks", "heun",
     )
     assert code == 2
+
+
+def test_z1_edge_gives_one_decision_and_one_message(capsys):
+    # phi0 = pi/2 - 1e-8 at (2, 0.3, 1): np.cos(phi0) reads 1.00000000005e-8
+    # and Re(S0^2)/|S0|^2 9.99999999474e-9, so two gates once disagreed (heun
+    # exited 1 with a report, theorem2 2); one function now decides from S(0)
+    point = ("--ell", "2", "--mu", "0.3", "--omega", "1", "--phi0", repr(math.pi / 2 - 1e-8))
+    results = {checks: run(capsys, "verify", *point, "--checks", checks)
+               for checks in ("heun", "theorem2", "heun,theorem2")}
+    message = results["theorem2"][2]
+    assert message.startswith("degenerate parameter point: cos(phi(0)) = 1.00e-08")
+    assert set(results.values()) == {(2, "", message)}
 
 
 def test_verify_unknown_check(capsys):

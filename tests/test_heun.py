@@ -29,6 +29,7 @@ from heun_monodromy.heun import (
 )
 from heun_monodromy.heunpoly import NumericQuad, diagonal
 from heun_monodromy.monodromy import _algebraic_coefficients, monodromy_algebraic
+from heun_monodromy.sqrtmono import transform_from_path
 from heun_monodromy.verify import PHI_ALPHA_VALUES, check_heun
 
 
@@ -79,11 +80,29 @@ def test_wronskian_matches_closed_form(hb):
     assert abs(wronskian) > 1e-6
 
 
-def test_degenerate_at_one_gate():
+#: phi0 on the z = 1 edge at (2, 0.3, 1): pi/2, and pi/2 - 1e-8, where
+#: np.cos(phi0) is 1.00000000005e-8 but Re(S0^2)/|S0|^2 9.99999999474e-9.
+EDGE_PHI0 = (np.pi / 2, np.pi / 2 - 1e-8)
+
+
+def _edge_messages(build):
+    """The DegenerateAtOne message of ``build(path)`` at each EDGE_PHI0."""
     params = ModelParams(ell=2, mu=0.3, omega=1.0)
-    path = solve_phase(params, np.pi / 2, tol=1e-10)
-    with pytest.raises(DegenerateAtOne):
-        build_E(phi_on_circle(path), psi_on_circle(path))
+    messages = []
+    for phi0 in EDGE_PHI0:
+        path = solve_phase(params, phi0, tol=1e-10)
+        with pytest.raises(DegenerateAtOne) as exc:
+            build(path)
+        messages.append(str(exc.value))
+    return messages
+
+
+def test_degenerate_at_one_gate(golden_quad):
+    # the basis and the transform make one decision, with one message, from
+    # the pair's S(0) = e^{i phi0/2}
+    basis = _edge_messages(lambda path: build_E(phi_on_circle(path), psi_on_circle(path)))
+    assert basis == _edge_messages(lambda path: transform_from_path(path, golden_quad))
+    assert basis[1].startswith("cos(phi(0)) = 1.00e-08")
 
 
 def test_non_integer_order_gate():
@@ -247,10 +266,8 @@ def test_matrix_matches_the_boundary_algebra(hb, golden_quad, hb2, golden2_quad)
 
 
 def test_matrix_degenerate_gate(golden_quad):
-    params = ModelParams(ell=2, mu=0.3, omega=1.0)
-    path = solve_phase(params, np.pi / 2, tol=1e-10)
-    with pytest.raises(DegenerateAtOne):
-        build_matrix_B(build_E(phi_on_circle(path), psi_on_circle(path)), golden_quad)
+    _edge_messages(lambda path: build_matrix_B(
+        build_E(phi_on_circle(path), psi_on_circle(path)), golden_quad))
 
 
 def test_apply_B_genericity_gate():

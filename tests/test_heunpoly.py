@@ -13,7 +13,7 @@ import heun_monodromy.cli as cli
 import heun_monodromy.heunpoly as heunpoly_mod
 import heun_monodromy.verify as verify
 from heun_monodromy import GenericityViolated, ModelParams, NotConstant
-from heun_monodromy.exactpoly import PRIME, LaurentPoly, Piece, combine, combine_rows
+from heun_monodromy.exactpoly import PRIME, LaurentPoly, Piece, combine_rows
 from heun_monodromy.heunpoly import (
     NumericQuad,
     PolyQuadruple,
@@ -25,7 +25,14 @@ from heun_monodromy.heunpoly import (
     recurrence_step,
 )
 from heun_monodromy.verify import check_poly_exact
-from tests.test_exactpoly import evaluate, evaluate_bivariate, reference_product
+from tests.test_exactpoly import (
+    combine,
+    evaluate,
+    evaluate_bivariate,
+    minus,
+    plus,
+    reference_product,
+)
 from tests.test_phase import _assert_only_called_in, _calls
 
 
@@ -212,9 +219,8 @@ def test_numeric_quad_evaluation(golden_params):
 def test_first_integral_ell2_closed_form():
     # D = lam + mu^2 - lam^2 at order 2
     D = first_integral(diagonal(2))
-    expected = LaurentPoly.monomial(1, lam_pow=1) + LaurentPoly.monomial(
-        1, mu_pow=2
-    ) - LaurentPoly.monomial(1, lam_pow=2)
+    expected = minus(plus(LaurentPoly.monomial(1, lam_pow=1), LaurentPoly.monomial(1, mu_pow=2)),
+                     LaurentPoly.monomial(1, lam_pow=2))
     assert D == expected
 
 
@@ -353,14 +359,14 @@ def test_ode_rows_are_the_checked_rows(ell, monkeypatch):
 @pytest.mark.parametrize("ell", range(1, 9))
 def test_first_integral_is_the_full_product(ell):
     quad = diagonal(ell)
-    W = reference_product(quad.p, quad.s) - reference_product(quad.q, quad.r)
+    W = minus(reference_product(quad.p, quad.s), reference_product(quad.q, quad.r))
     assert combine([Piece(1, W, 2 * (1 - ell))]) == first_integral(quad)
 
 
 def _corrupted_diagonal(ell: int) -> PolyQuadruple:
     """The diagonal quadruple with one monomial added to s (degrees unchanged)."""
     quad = diagonal(ell)
-    return dataclasses.replace(quad, s=quad.s + LaurentPoly.monomial(1, z_pow=1))
+    return dataclasses.replace(quad, s=plus(quad.s, LaurentPoly.monomial(1, z_pow=1)))
 
 
 def test_a_corrupted_quadruple_fails_typed_everywhere(monkeypatch, capsys):

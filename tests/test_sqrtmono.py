@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import heun_monodromy.sqrtmono as sqrt_mod
 from heun_monodromy import ModelParams, gauss, solve_phase
 from heun_monodromy.circle import CirclePair, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
@@ -238,11 +237,14 @@ def test_panel_table_one_point_is_bit_identical_to_the_array(golden_transform, g
     t = np.concatenate([np.random.default_rng(17).uniform(-span, span, 500), fwd.ts, bwd.ts])
     ref = golden_transform.integrals(t)
     assert np.array_equal(np.array([golden_transform.integrals(float(x))[0] for x in t]), ref)
-    # a time on a row edge belongs to the row that ends there
+    # a time on a row edge belongs to the row that ends there: its mantissa
+    # there times the row's power of two
     for rows in (fwd, bwd):
         k, t = np.arange(rows.n), rows.ts[1:]
-        assert np.array_equal(golden_transform.integrals(t),
-                              rows.values(k, (t - rows.ts[k]) / rows.h)[:, 0])
+        mantissas = rows.values(k, (t - rows.ts[k]) / rows.h)
+        scaled = np.ldexp(mantissas.view(float), rows.exponent[k][:, None]).view(complex)
+        assert np.array_equal(golden_transform.integrals(t), scaled[:, 0])
+    assert golden_transform.quadrature()(np.array([0.0]))[0] == 0.0
 
 
 def test_panel_table_never_extrapolates(golden_transform, golden_path):
@@ -275,16 +277,17 @@ def test_phase_is_one_table_lookup(golden_transform, monkeypatch):
 
 def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
     builds = []
-    build = sqrt_mod._panel_rows
+    build = gauss.collocate
 
     def counting_build(*args):
         builds.append(args)
         return build(*args)
 
-    monkeypatch.setattr(sqrt_mod, "_panel_rows", counting_build)
+    monkeypatch.setattr(gauss, "collocate", counting_build)
     rep = verify_theorem2(golden_path, golden_quad, grid_size=1001)
-    # one table, built once by the first transform; the second never needs one
-    assert len(builds) == 1
+    # one table of two sides, built once by the first transform; the second
+    # never needs one
+    assert len(builds) == 2
     assert rep["b_squared_residual"] < 1e-6
     assert rep["sup_phi_residual"] < 1e-7
     assert rep["unimodularity_residual"] < 1e-8
