@@ -13,7 +13,10 @@ is collocated by ``gauss.collocate`` on the phase path's own rows that cover
 |t| <= T/2, with e^{i phi} = conj(u)/u at the nodes read off those rows a
 block at a time (``Rows.at_fractions``), and kept as ``gauss.Rows`` each
 way, as mantissas with a power-of-two exponent per row, so the rows stay
-finite however large e^P grows.
+finite however large e^P grows.  On the circle |Phi| = 1, so its matrix has
+the form [[alpha, beta], [conj beta, conj alpha]], and from (i, -i) the
+pair is a conjugate pair of ``gauss``, ThetaTilde = conj Theta: the rows keep Theta
+alone, and the route to Psi is Im Theta (``ThetaPair.psi_route``).
 
 Off the circle, Phi = v/u is continued through the linear system behind its
 Riccati equation, collocated by the same kernel along a route of straight
@@ -155,21 +158,24 @@ def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
 #          [ -1/(2 Phi),   1/(2 Phi) ]],    Phi = e^{i phi(t)},
 #
 # the unique orientation under which (Theta - ThetaTilde)/(2i) reproduces
-# the quadrature e^{P(t)} (route equivalence pins the sign).
+# the quadrature e^{P(t)} (route equivalence pins the sign).  1/Phi =
+# conj Phi, so the second row is the first's conjugate, reversed: the pair
+# is collocated from the first row alone as (Theta, conj Theta).
 
 
 def _collocate(rows: _Rows, count: int) -> gauss.Rows:
     """The theta pair on the first ``count`` rows of one direction of the
-    phase path, from (i, -i) at t = 0, chained by ``gauss.collocate``.
+    phase path, the conjugate pair from Theta(0) = i, chained by
+    ``gauss.collocate`` with the first row of M.
     Phi = conj(u)/u at the nodes comes from the phase rows' own polynomial,
     read a block at a time at the node fractions."""
 
     def matrices(blk: slice) -> np.ndarray:
         u = rows.at_fractions(blk, gauss.NODE_FRACTIONS)[0][:, :, 0]
-        up, down = 0.5 * u.conj() / u, 0.5 * u / u.conj()
-        return np.stack((np.stack((up, -up), 1), np.stack((-down, down), 1)), 1)
+        up = 0.5 * u.conj() / u
+        return np.stack((up, -up), 1)[:, None]
 
-    return gauss.collocate(matrices, rows.ts[:count + 1], rows.h, (1j, -1j))
+    return gauss.collocate(matrices, rows.ts[:count + 1], rows.h, (1j,))
 
 
 class ThetaPair:
@@ -185,7 +191,8 @@ class ThetaPair:
             for rows in (path._fwd, path._bwd))
 
     def values(self, t) -> np.ndarray:
-        """(2, n) values of (Theta, ThetaTilde) at the times t."""
+        """(2, n) values of (Theta, ThetaTilde) at the times t, ThetaTilde =
+        conj Theta."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.size and not (t.min() >= -self._half and t.max() <= self._half):  # NaN fails
             raise OutOfWindow(f"theta pair evaluated outside [-T/2, T/2] = "
@@ -193,9 +200,9 @@ class ThetaPair:
         return gauss.two_sided(t, self._fwd, self._bwd, np.empty((2,) + t.shape, dtype=complex))
 
     def psi_route(self, t) -> np.ndarray:
-        """(Theta - ThetaTilde) / (2i): equals e^{P(t)} on the circle."""
-        theta, theta_tilde = self.values(t)
-        return (theta - theta_tilde) / 2j
+        """(Theta - ThetaTilde) / (2i) = Im Theta, real: equals e^{P(t)} on
+        the circle."""
+        return self.values(t)[0].imag
 
 
 def theta_pair_solve(path: PhasePath) -> ThetaPair:

@@ -11,14 +11,30 @@ of two: every collocation goes through it, and it is the one place of the
 program that rescales.  One loop, ``collocate``, keeps the chained rows of
 a linear pair as ``Rows``, the one dense output, each way from t = 0: the
 phase path, the theta pair and the panel table differ only in the matrices
-they give it.  Only this module knows the row format, y' in powers of the
-row fraction: ``Rows`` reads it pointwise (``values``, ``slopes``) or a
-block of rows at fixed fractions (``at_fractions``).  One row rule,
-``uniform_rows``, sizes the phase rows (which the theta pair shares), the
-panel table and every leg of the continuation: each caller states only a
-bound on its rate, and the rule is the one place that refuses a span with
-StepCeilingExceeded.  The nodes and weights are literals rather than
-Golub-Welsch: the first LAPACK call keeps about 1 MB for the whole run.
+they give it.
+
+A *conjugate pair* is a solution (u, conj u) of y' = M y with
+M = [[alpha, beta], [conj beta, conj alpha]].  Such a system also solves
+(conj v, conj u) with (u, v), and every rounding of the kernel and the
+chain commutes with conjugation, so v = conj u holds bit for bit and u
+alone carries the pair: from M's first row the kernel forms the first rows
+of the propagators, the chain steps u <- r00 u + r01 conj u, and the rows
+store u.  The phase path (alpha = -i b/2, beta = 1/2) and the theta pair on
+the circle (alpha = Phi/2, beta = -Phi/2, as 1/Phi = conj Phi) are
+conjugate pairs; the continuation off the circle and the panel table give
+the whole M.  One Picard loop, one chain and one collocation serve both:
+only the node product (``_node_product``) and the chain step differ,
+selected by the number of rows of M.
+
+Only this module knows the row format, y' in powers of the row fraction,
+and which components are stored: ``Rows`` reads it pointwise (``values``,
+``slopes``) or a block of rows at fixed fractions (``at_fractions``), and a
+call gives y, conj u included.  One row rule, ``uniform_rows``, sizes the
+phase rows (which the theta pair shares), the panel table and every leg of
+the continuation: each caller states only a bound on its rate, and the rule
+is the one place that refuses a span with StepCeilingExceeded.  The nodes
+and weights are literals rather than Golub-Welsch: the first LAPACK call
+keeps about 1 MB for the whole run.
 """
 
 from __future__ import annotations
@@ -132,51 +148,77 @@ def node_sum(C: np.ndarray, G: np.ndarray) -> np.ndarray:
     return out.reshape((len(C),) + G.shape[1:-1] + (2 * G.shape[-1],)).view(complex)
 
 
+def _node_product(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """M Y at the nodes, for M (..., m, 2, n) and Y (..., m, c, n), row by
+    row.  With m = 2 both are whole.  With m = 1 they are the first rows of a
+    conjugate pair's: M = [[alpha, beta], [conj beta, conj alpha]], and Y's
+    second row is the conjugate of its first in reverse column order, conj u
+    for a solution (u, conj u) and (conj U_01, conj U_00) for its
+    propagators."""
+    second = Y[:, 1] if len(Y[0]) == 2 else Y[:, 0, ::-1].conj()
+    return M[:, :, 0, None] * Y[:, None, 0] + M[:, :, 1, None] * second[:, None]
+
+
 def row_propagators(M: np.ndarray, h):
-    """Collocate y' = M y on n rows of signed widths h, with M (NODES, 2, 2, n)
-    at the nodes.  Returns M U at the nodes (NODES, 2, 2, n), for the node
-    propagators U from the row start, and the row propagators (2, 2, n).
-    U solves U_i = I + h sum_j a_ij M_j U_j by Picard sweeps from U = I,
-    stopped when a sweep moves no entry by more than 4 ulps of 1, or after
+    """Collocate y' = M y on n rows of signed widths h, with M (NODES, m, 2, n)
+    at the nodes: the whole matrix (m = 2) or a conjugate pair's first row
+    (m = 1, see ``_node_product``).  Returns the same rows of M U at the
+    nodes (NODES, m, 2, n), for the node propagators U from the row start,
+    and of the row propagators (m, 2, n).  U solves
+    U_i = I + h sum_j a_ij M_j U_j by Picard sweeps from U = I, stopped when
+    a sweep moves no entry by more than 4 ulps of 1, or after
     PICARD_MAX_SWEEPS sweeps with NotConverged."""
-    U = np.broadcast_to(_EYE, M.shape)
+    eye = _EYE[:len(M[0])]
+    U = np.broadcast_to(eye, M.shape)
     for _ in range(PICARD_MAX_SWEEPS):
-        G = M[:, :, 0, None] * U[:, None, 0] + M[:, :, 1, None] * U[:, None, 1]
-        U_next = _EYE + h * node_sum(_A, G)
+        G = _node_product(M, U)
+        U_next = eye + h * node_sum(_A, G)
         change = np.max(np.abs(U_next - U))
         U = U_next
         if change <= 4 * EPS:  # a NaN never settles
-            return G, _EYE + h * node_sum(_B, G)[0]
+            return G, eye + h * node_sum(_B, G)[0]
     raise NotConverged(f"Gauss collocation: Picard sweeps still moved by {change:.3e} "
                        f"after {PICARD_MAX_SWEEPS}")
 
 
-def chain(R: np.ndarray, y: tuple[complex, complex], e: int):
-    """Carry the pair 2^e y across one block's row propagators R (2, 2, n).
+def chain(R: np.ndarray, y: tuple[complex, ...], e: int):
+    """Carry the pair 2^e y across one block's row propagators R (m, 2, n):
+    y = (u, v) with the whole R, or y = (u,) for the conjugate pair
+    (u, conj u) with R's first row.
 
     The pair is first rescaled by an exact power of two, so that its larger
     modulus lies in [1/2, 1) (``frexp``), and then carried as
     y_{k+1} = R_k y_k in Python floats.  Returns the n row starts as
-    mantissas (n, 2), the end pair and their one exponent e': row k starts
+    mantissas (n, m), the end pair and their one exponent e': row k starts
     from 2^e' starts[k].  Scaling by 2^e' commutes with every rounding that
     neither under- nor overflows, so a ratio of the two components, or a
     value formed from the mantissas and then scaled, keeps every bit.
     """
-    shift = frexp(max(abs(y[0]), abs(y[1])))[1]
-    a, b = (complex(ldexp(c.real, -shift), ldexp(c.imag, -shift)) for c in y)
+    shift = frexp(max(abs(c) for c in y))[1]
+    y = tuple(complex(ldexp(c.real, -shift), ldexp(c.imag, -shift)) for c in y)
     starts = []
-    for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
-        starts.append((a, b))
-        a, b = r00 * a + r01 * b, r10 * a + r11 * b
-    return np.array(starts), (a, b), e + shift
+    if len(y) == 1:
+        (a,) = y
+        for r00, r01 in R[0].T.tolist():
+            starts.append(a)
+            a = r00 * a + r01 * a.conjugate()
+        y = (a,)
+    else:
+        a, b = y
+        for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
+            starts.append((a, b))
+            a, b = r00 * a + r01 * b, r10 * a + r11 * b
+        y = (a, b)
+    return np.array(starts).reshape(-1, len(y)), y, e + shift
 
 
-def collocate(matrices, ts: np.ndarray, h: float, y: tuple[complex, complex]) -> "Rows":
+def collocate(matrices, ts: np.ndarray, h: float, y: tuple[complex, ...]) -> "Rows":
     """The rows of a linear pair y' = M y from y at ts[0], on the rows of
     signed width h with edges ts, collocated block by block: ``matrices(blk)``
-    gives M at the nodes of the rows ``blk`` (a slice) as (NODES, 2, 2, rows).
+    gives M at the nodes of the rows ``blk`` (a slice) as (NODES, m, 2, rows),
+    with y = (u, v) and m = 2, or y = (u,) and m = 1 for a conjugate pair.
     Each block's row propagators carry the pair through ``chain``, and the
-    rows keep its mantissas and exponents."""
+    rows keep its mantissas and exponents, of u alone for a conjugate pair."""
     n = len(ts) - 1
     e, starts, exponents, coefs = 0, [], [], []
     for lo in range(0, n, BLOCK_ROWS):
@@ -184,7 +226,7 @@ def collocate(matrices, ts: np.ndarray, h: float, y: tuple[complex, complex]) ->
         y0, y, e = chain(R, y, e)
         starts.append(y0)
         exponents.append(np.full(len(y0), e))
-        dy = G[:, :, 0] * y0[:, 0] + G[:, :, 1] * y0[:, 1]
+        dy = _node_product(G, y0.T[None, :, None])[:, :, 0]  # G y0, y0 one column
         coefs.append(power_coefficients(dy).transpose(0, 2, 1))
     return Rows(ts=ts, h=h, y0=np.concatenate(starts), coef=np.concatenate(coefs, 1),
                 exponent=np.concatenate(exponents))
@@ -212,8 +254,9 @@ def horner(C: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Rows:
-    """Uniform rows of a dense output y (m complex components) from t = 0
-    in one direction.
+    """Uniform rows of a dense output y from t = 0 in one direction, with m
+    stored complex components: both of y = (u, v), or u alone for a
+    conjugate pair (u, conj u).
 
     Row k spans ``ts[k]..ts[k + 1]`` (in the order of integration, signed
     width ``h``) and starts from ``y0[k]``; ``coef[:, k]`` holds y' in powers
@@ -223,7 +266,8 @@ class Rows:
     integration; times beyond the ends use the end rows.  The rows of
     ``collocate`` keep y0 and coef as mantissas and their power-of-two
     ``exponent`` per row: ``values``, ``slopes`` and ``at_fractions`` give
-    the mantissas, and a call scales them by 2^exponent[k].
+    the stored mantissas, and a call scales them by 2^exponent[k] and gives
+    y, conj u included.
     """
 
     ts: np.ndarray  # (n + 1,)
@@ -270,11 +314,11 @@ class Rows:
         return self.h * node_sum(rises, coef) + self.y0[blk], node_sum(powers, coef)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        """(m, len(t)) values of y at the times t: the mantissas times
-        2^exponent[k]."""
+        """(2, len(t)) values of y at the times t: the mantissas times
+        2^exponent[k], and conj u beside a conjugate pair's u."""
         k, s = self.locate(t)
-        y = np.ldexp(self.values(k, s).view(float), self.exponent[k][:, None])
-        return y.view(complex).T
+        y = np.ldexp(self.values(k, s).view(float), self.exponent[k][:, None]).view(complex).T
+        return y if len(y) == 2 else np.concatenate((y, y.conj()))
 
 
 def two_sided(t: np.ndarray, fwd, bwd, out: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ this solution itself (``circle.CirclePair``).  M depends on t alone, so
 every row of the window is collocated at once with the 10-node Gauss kernel
 of ``gauss``, forward and backward from t = 0 on the uniform rows of
 ``gauss.uniform_rows`` at the turning rate |B| + |A| + 1, which bounds
-|dphi/dt|.  The rows chain y through ``gauss.collocate`` and keep its
-mantissas with one power-of-two exponent per block, so y stays finite
-however large e^P grows; inside row k, from its start u_k,
+|dphi/dt|.  M = [[alpha, beta], [conj beta, conj alpha]] with
+alpha = -i b/2 and beta = 1/2, so y is a conjugate pair of ``gauss``: the
+rows chain it through ``gauss.collocate`` from M's first row and keep u
+alone, as mantissas with one power-of-two exponent per block, so u stays
+finite however large e^P grows; inside row k, from its start u_k,
 
     phi = phi_k + 2 arg(u_k conj(u)),    P = 2 log|u|,
 
@@ -63,8 +65,9 @@ def _log_norm(u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Rows(gauss.Rows):
-    """The collocation rows of one direction from t = 0, for y = (u, v),
-    chained by ``gauss.collocate`` from y(0) = (e^{-i phi0/2}, e^{i phi0/2}).
+    """The collocation rows of one direction from t = 0 of the conjugate pair
+    y = (u, conj u), chained by ``gauss.collocate`` from u(0) = e^{-i phi0/2};
+    they store u alone.
 
     On top of the rows this keeps their lift: the phase at the row starts as
     float pairs ``phi + phi_lo``, and per row the ``log_scale`` that turns a
@@ -124,8 +127,8 @@ class PhasePath:
 
     def solution(self, t) -> np.ndarray:
         """(2, n) complex values of the linear pair (u, v) at the times t,
-        v = conj(u): the rows' mantissas times their power of two, which
-        overflows where P passes about 1419."""
+        v = conj(u): the rows' mantissas of u times their power of two, which
+        overflows where P passes about 1419, and its conjugate."""
         t = self._times(t)
         return gauss.two_sided(t, self._fwd, self._bwd, np.empty((2,) + t.shape, dtype=complex))
 
@@ -209,17 +212,18 @@ def _running_sum(start: float, steps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
     """The rows from t = 0 to t_bound: ``gauss.uniform_rows`` at the turning
-    rate, chained by ``gauss.collocate`` from (e^{-i phi0/2}, e^{i phi0/2}).
+    rate, chained by ``gauss.collocate`` as the conjugate pair from
+    u(0) = e^{-i phi0/2}, with the first row of M.
     The turns 2 arg(u_k conj(u_{k+1})) between the chained row starts are
     summed with their rounding carried along."""
     n, h = gauss.uniform_rows(t_bound, turning_rate(params), f"[0.0, {t_bound!r}]")
     ts = np.arange(n + 1) * h
     ts[-1] = t_bound
     nodes = h * gauss.NODE_FRACTIONS[:, None]
-    half = complex(math.cos(0.5 * phi0), math.sin(0.5 * phi0))
+    u0 = complex(math.cos(0.5 * phi0), -math.sin(0.5 * phi0))
     rows = gauss.collocate(
-        lambda blk: system_matrix(params, ts[blk] + nodes).transpose(2, 0, 1, 3),
-        ts, h, (half.conjugate(), half))
+        lambda blk: system_matrix(params, ts[blk] + nodes)[:1].transpose(2, 0, 1, 3),
+        ts, h, (u0,))
     starts = rows.y0[:, 0]
     w = starts[:-1] * starts[1:].conj()
     phi, phi_lo = _running_sum(phi0, 2.0 * np.arctan2(w.imag, w.real))

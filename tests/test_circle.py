@@ -219,7 +219,7 @@ def test_theta_pair_row_edge_belongs_to_the_row_ending_there(golden_path):
         t = path_rows.ts[k + 1]
         mantissas = rows.values(k, (t - rows.ts[k]) / rows.h)
         scaled = np.ldexp(mantissas.view(float), rows.exponent[k][:, None]).view(complex)
-        assert np.array_equal(pair.values(t), scaled.T)
+        assert np.array_equal(pair.values(t), np.concatenate((scaled.T, scaled.T.conj())))
 
 
 def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
@@ -230,13 +230,14 @@ def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
 
 
 # sha256 of the bytes of ThetaPair.values(t), then of psi_route(t), on the
-# 1001-point grid over [-T/2, T/2], recorded with e^{i phi} = conj(u)/u at the
-# nodes read off the phase rows' polynomial a block at a time
-# (Rows.at_fractions), both chained by gauss.collocate.
+# 1001-point grid over [-T/2, T/2], recorded with the theta pair collocated as
+# the conjugate pair (Theta, conj Theta) from Theta(0) = i, on e^{i phi} =
+# conj(u)/u at the nodes read off the phase rows' polynomial a block at a
+# time (Rows.at_fractions), and psi_route read as Im Theta.
 THETA_PAIR_SHA256 = {
-    GOLDENS[0]: "ab1152395e3a66849333296ddaa4a5bdbf92b6dbcaa8fcbe0134a824b616e9e7",
-    GOLDENS[1]: "78592b83048f2bc8dfcfc71f4264d81c684cea946bf2162602fa9cc148ac12b5",
-    FIXED_SWEEP_POINTS[0]: "2b84871a628933f2299a9a69c397bab871e7116799432d42f6f1b4a6fc2b5dc8",
+    GOLDENS[0]: "086dd19ad0a40a2f7ded8d0fae64d10d7031f83bb67f0b6bbb1f532b1a731bed",
+    GOLDENS[1]: "17431c5bde30def1b9e0f88271b245411e9695f834f85ce6454ec0b3ba707767",
+    FIXED_SWEEP_POINTS[0]: "f2325bf6ed733c5133467b5c3b1d31a32192e7e849154b8ffb456dae73063498",
 }
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ from scipy.integrate import solve_ivp
 
 import heun_monodromy
 from heun_monodromy import ModelParams, OutOfWindow, gauss, solve_phase
-from heun_monodromy.phase import turning_rate
+from heun_monodromy.circle import theta_pair_solve
+from heun_monodromy.phase import system_matrix, turning_rate
 from tests.conftest import (
     FIXED_SWEEP_POINTS,
     GOLDEN_1,
@@ -116,12 +118,11 @@ def _row_value(rows, t):
     ts = rows.ts
     i = next(i for i in range(rows.n) if min(ts[i], ts[i + 1]) <= t <= max(ts[i], ts[i + 1]))
     s = ((np.array([t]) - ts[i]) / rows.h)[:, None]
-    C = rows._rise[:, i:i + 1]  # (powers, 1, 4): Re u, Im u, Re v, Im v
+    C = rows._rise[:, i:i + 1]  # (powers, 1, 2): Re u, Im u
     acc = C[-1] * s
     for power in range(gauss.NODES - 2, 0, -1):
         acc = (acc + C[power]) * s
-    u, v = (rows.y0[i] + ((acc + C[0]) * s).view(complex)).T
-    assert np.array_equal(v, u.conj())
+    (u,) = (rows.y0[i] + ((acc + C[0]) * s).view(complex)).T
     w = rows.y0[i, 0] * u.conj()
     phi = rows.phi[i] + (rows.phi_lo[i] + 2.0 * np.arctan2(w.imag, w.real))
     P = rows.log_scale[i] + np.log(u.real * u.real + u.imag * u.imag)
@@ -150,17 +151,67 @@ def test_eval_is_bit_identical_to_dense_output(fixture, request):
 @pytest.mark.parametrize("point", GOLDENS + ((1.0, 0.3, 0.3, 0.5),))
 def test_v_is_conj_u_bit_for_bit(point):
     # with (u, v) the system also solves (conj v, conj u); every rounding of
-    # the collocation and the chain commutes with conjugation, so from
-    # v(0) = conj(u(0)) the rows keep v = conj(u) exactly, both ways over the
-    # whole window (e^P reaches 1.8e4 at the last point)
+    # the collocation and the chain commutes with conjugation, so the whole
+    # system, collocated from v(0) = conj(u(0)), keeps v = conj(u) exactly,
+    # and its u is the one the rows store, both ways over the whole window
+    # (e^P reaches 1.8e4 at the last point)
     ell, mu, omega, phi0 = point
-    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    params = ModelParams(ell=ell, mu=mu, omega=omega)
+    path = solve_phase(params, phi0, tol=1e-12)
+    u0 = complex(math.cos(0.5 * phi0), -math.sin(0.5 * phi0))
+    nodes = gauss.NODE_FRACTIONS[:, None]
     for rows in (path._fwd, path._bwd):
-        assert np.array_equal(rows.y0[:, 1], rows.y0[:, 0].conj())
-        assert np.array_equal(rows.coef[..., 1], rows.coef[..., 0].conj())
+        whole = gauss.collocate(
+            lambda blk: system_matrix(params, rows.ts[blk] + rows.h * nodes).transpose(2, 0, 1, 3),
+            rows.ts, rows.h, (u0, u0.conjugate()))
+        assert np.array_equal(whole.y0[:, 1], whole.y0[:, 0].conj())
+        assert np.array_equal(whole.coef[..., 1], whole.coef[..., 0].conj())
+        assert np.array_equal(whole.y0[:, :1], rows.y0)
+        assert np.array_equal(whole.coef[..., :1], rows.coef)
+        assert np.array_equal(whole.exponent, rows.exponent)
     t = np.concatenate((np.linspace(path.t_min, path.t_max, 4001), path.step_times))
     u, v = path.solution(t)
     assert np.array_equal(v, u.conj())
+
+
+@pytest.mark.parametrize("point", GOLDENS + ((1.0, 0.3, 0.3, 0.5),), ids=["G1", "G2", "hyperbolic"])
+def test_conjugate_pair_blocks_match_the_whole_system(point, monkeypatch):
+    # the phase rows and the theta pair are collocated as conjugate pairs
+    # from the first row of M = [[a, b], [conj b, conj a]] and keep u alone;
+    # on every block, the general kernel and chain on the whole M give the
+    # same first rows of G and R, the same row starts and end pair, with
+    # v = conj(u), and the same exponent (np.array_equal, so the sign of a
+    # zero is not compared)
+    kernel, chain, blocks = gauss.row_propagators, gauss.chain, []
+
+    def recording_kernel(M, h):
+        G, R = kernel(M, h)
+        blocks.append([M, h, G, R])
+        return G, R
+
+    def recording_chain(R, y, e):
+        out = chain(R, y, e)
+        blocks[-1] += [y, e, out]
+        return out
+
+    monkeypatch.setattr(gauss, "row_propagators", recording_kernel)
+    monkeypatch.setattr(gauss, "chain", recording_chain)
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    pair = theta_pair_solve(path)
+    rows = (path._fwd, path._bwd, pair._fwd, pair._bwd)
+    for r in rows:
+        assert r.y0.shape[1] == 1 and r.coef.shape[2] == 1
+    assert len(blocks) == sum(-(-r.n // gauss.BLOCK_ROWS) for r in rows)
+    for M, h, G, R, y, e, (starts, end, e_end) in blocks:
+        assert M.shape[1] == 1 and len(y) == 1
+        a, b = M[:, 0, 0], M[:, 0, 1]
+        whole_G, whole_R = kernel(np.stack((M[:, 0], np.stack((b.conj(), a.conj()), 1)), 1), h)
+        assert np.array_equal(whole_G[:, :1], G) and np.array_equal(whole_R[:1], R)
+        whole_starts, whole_end, whole_e = chain(whole_R, (y[0], y[0].conjugate()), e)
+        assert np.array_equal(whole_starts[:, :1], starts)
+        assert np.array_equal(whole_starts[:, 1], starts[:, 0].conj())
+        assert whole_end == (end[0], end[0].conjugate()) and whole_e == e_end
 
 
 @pytest.mark.parametrize("fixture", ["golden_path", "golden2_path"])
@@ -291,7 +342,7 @@ def test_fixed_fraction_read_matches_the_pointwise_read(point):
             k = np.arange(lo, min(lo + gauss.BLOCK_ROWS, rows.n))
             y, dy = rows.at_fractions(slice(k[0], k[-1] + 1), fractions)
             ks, s = np.tile(k, len(fractions)), np.repeat(fractions, len(k))
-            shape = (len(fractions), len(k), 2)
+            shape = (len(fractions), len(k), 1)  # u alone
             values, slopes = rows.values(ks, s).reshape(shape), rows.slopes(ks, s).reshape(shape)
             assert np.all(np.abs(y - values) <= 4 * gauss.EPS * np.abs(values))
             assert np.max(np.abs(dy - slopes)) <= 4 * gauss.EPS * np.max(np.abs(slopes))
