@@ -19,12 +19,11 @@ pair is a conjugate pair of ``gauss``, ThetaTilde = conj Theta: the rows keep Th
 alone, and the route to Psi is Im Theta (``ThetaPair.psi_route``).
 
 Off the circle, Phi = v/u is continued through the linear system behind its
-Riccati equation, collocated by the same kernel along a route of straight
-legs in w = log z, a radial ray being a real leg and an arc an imaginary
-one, each on the rows of ``gauss.uniform_rows`` and chained by the same
-``gauss.chain`` (``continue_riccati_path``, the one continuation off the
-circle); the system is analytic on the annulus, so poles of Phi need no
-chart switch.
+Riccati equation, collocated by the same ``gauss.collocate`` along one
+straight leg in w = log z from z = 1, on the rows of ``gauss.uniform_rows``
+(``continue_riccati_path``, the one continuation off the circle); the
+system is analytic on the annulus, so poles of Phi need no chart switch,
+and a leg ends where any route homotopic to it in the annulus does.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from . import gauss
 from .errors import DenominatorVanished, OutOfWindow
 from .params import ModelParams
-from .phase import PhasePath, _Rows, system_matrix
+from .phase import PhasePath, _Rows, system_row
 
 #: Annulus guard for off-circle continuation.
 RHO_MIN, RHO_MAX = 0.2, 5.0
@@ -100,8 +99,8 @@ class CirclePair:
         n = t.shape[0]
         u = np.concatenate((t, -t))
         y = self._values(u)
-        M = system_matrix(self.params, u)
-        dy = M[:, 0] * y[0] + M[:, 1] * y[1]
+        (alpha, beta), = system_row(self.params, u)
+        dy = np.array((alpha * y[0] + beta * y[1], beta * y[0] - alpha * y[1]))
         (Rrec, S), (R, Srec) = y[:, :n], y[:, n:]
         (Rrecd, Sd), (Rd, Srecd) = dy[:, :n], -dy[:, n:]
         return (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd)
@@ -232,54 +231,43 @@ def riccati_circle_residual(params: ModelParams, t, F, Fdot) -> np.ndarray:
     return Fdot - (0.5 * (1.0 - F * F) + 1j * params.omega * drive * F)
 
 
-def continue_riccati_path(
-    params: ModelParams,
-    F0: complex,
-    route: list[complex],
-) -> tuple[complex, bool]:
-    """Continue a Riccati solution, F = F0 at z = exp(route[0]), along the
-    straight legs in w = log z between the vertices of ``route``: a radial
-    ray is a real leg and an arc of a circle |z| = r an imaginary one.
+def continue_riccati_path(params: ModelParams, F0: complex, w1: complex) -> tuple[complex, bool]:
+    """Continue a Riccati solution, F = F0 at z = 1, along the one straight
+    leg w = s w1, s in [0, 1], in w = log z, to z = exp(w1).
 
     F = v/u for the linear system y = (u, v), dy/dz = M(z) y,
 
         u' = -(c/2) u + v / (2 i omega z),    v' = u / (2 i omega z) + (c/2) v,
 
-    c = ell/z + mu (1 + z^-2), carried from (1, F0) by the Gauss collocation
-    kernel.  Its coefficients are analytic on the annulus, so (u, v) passes
-    through a pole of F with no change of chart.  On the leg
-    z = exp(w0 + s (w1 - w0)), s in [0, 1], dy/ds = (w1 - w0) z M(z) y, and
+    c = ell/z + mu (1 + z^-2), collocated from (1, F0) by ``gauss.collocate``.
+    Its coefficients are analytic on the annulus, so (u, v) passes through a
+    pole of F with no change of chart, and any leg homotopic to a route in
+    the annulus ends at the same value.  On the leg dy/ds = w1 z M(z) y, and
 
         ||z M(z)||_inf <= (|ell| + |mu| (r + 1/r) + 1/omega) / 2,    r = |z|,
 
-    where r + 1/r = 2 cosh(log r) is convex in log r = Re w, which is linear
-    in s, so it is largest at an end of the leg; that rate times |w1 - w0|
-    is what the leg states to ``gauss.uniform_rows`` (CHANGES.md), for every
-    leg before any row is collocated.  Rows go in blocks, chained by
-    ``gauss.chain``, which rescales the pair by an exact power of two before
-    each block, so nothing overflows and v/u keeps every bit.
+    where r + 1/r = 2 cosh(Re w) is convex in Re w = s Re w1, so it is largest
+    at an end of the leg: 2 at z = 1, 2 cosh(Re w1) >= 2 at the other.  That
+    rate times |w1| is what the leg states to ``gauss.uniform_rows``
+    (CHANGES.md), before any row is collocated.  v/u is read from the last
+    row's mantissas at its end, so the rows' power of two never enters.
     Returns (v/u, pole_flag), where the flag marks an end at (numerically) a
     pole, |u| < |v| / 1e6.
     """
-    ell, mu, omega = params.ell, params.mu, params.omega
-    legs = []
-    for w0, w1 in zip(route[:-1], route[1:]):
-        w0, dw = complex(w0), complex(w1) - complex(w0)
-        if dw == 0:
-            continue
-        reach = max(r + 1.0 / r for r in (math.exp(w0.real), math.exp(w0.real + dw.real)))
-        rate = 0.5 * (abs(ell) + abs(mu) * reach + 1.0 / omega) * abs(dw)
-        legs.append((w0, dw, *gauss.uniform_rows(1.0, rate, f"log z leg {w0!r} -> {w0 + dw!r}")))
-    y, e = (1.0 + 0j, complex(F0)), 0
-    for w0, dw, rows, h in legs:
-        for lo in range(0, rows, gauss.BLOCK_ROWS):
-            k = np.arange(lo, min(lo + gauss.BLOCK_ROWS, rows))
-            z = np.exp(w0 + dw * (h * (k + gauss.NODE_FRACTIONS[:, None])))
-            # (w1 - w0) z M(z)
-            half_c = 0.5 * dw * (ell + mu * (z + 1.0 / z))
-            off = np.full_like(z, dw / (2j * omega))
-            N = np.array(((-half_c, off), (off, half_c)))
-            _, R = gauss.row_propagators(N.transpose(2, 0, 1, 3), h)
-            _, y, e = gauss.chain(R, y, e)
-    u, v = y
+    ell, mu, omega, w1 = params.ell, params.mu, params.omega, complex(w1)
+    rate = 0.5 * (abs(ell) + abs(mu) * 2.0 * math.cosh(w1.real) + 1.0 / omega) * abs(w1)
+    n, h = gauss.uniform_rows(1.0, rate, f"log z leg 0 -> {w1!r}")
+    ts = np.arange(n + 1) * h
+    ts[-1] = 1.0
+    nodes = h * gauss.NODE_FRACTIONS[:, None]
+
+    def matrices(blk: slice) -> np.ndarray:
+        z = np.exp(w1 * (ts[blk] + nodes))
+        # w1 z M(z)
+        half_c = 0.5 * w1 * (ell + mu * (z + 1.0 / z))
+        off = np.full_like(z, w1 / (2j * omega))
+        return np.array(((-half_c, off), (off, half_c))).transpose(2, 0, 1, 3)
+
+    rows = gauss.collocate(matrices, ts, h, (1.0 + 0j, complex(F0)))
+    u, v = rows.values(np.array([n - 1]), np.ones(1))[0].tolist()
     return (v / u if u else complex(math.inf, math.inf)), abs(u) < abs(v) / 1e6

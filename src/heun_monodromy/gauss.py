@@ -2,16 +2,15 @@
 10-node Gauss collocation of linear systems y' = M(t) y, and the one type of
 dense output, ``Rows``.
 
-One table serves the one collocation kernel, ``row_propagators``, that
-solves every linear system of the program: the phase path's (``phase``),
-the theta pair and the Riccati continuation off the circle (``circle``),
-and the P_B panel table (``sqrtmono``).  One chain, ``chain``, carries a
-linear pair across a block of row propagators, rescaled by an exact power
-of two: every collocation goes through it, and it is the one place of the
-program that rescales.  One loop, ``collocate``, keeps the chained rows of
-a linear pair as ``Rows``, the one dense output, each way from t = 0: the
-phase path, the theta pair and the panel table differ only in the matrices
-they give it.
+The program has four linear systems: the phase path's (``phase``), the
+theta pair and the Riccati continuation off the circle (``circle``), and
+the P_B panel table (``sqrtmono``).  Each enters through one entry point,
+``collocate``, which keeps the chained rows of a linear pair as ``Rows``,
+the one dense output; the four differ only in the matrices they give it.
+Behind it, one table serves the one collocation kernel,
+``row_propagators``, and one chain, ``chain``, carries a linear pair across
+a block of row propagators, rescaled by an exact power of two: the one
+place of the program that rescales.  No other module calls either.
 
 A *conjugate pair* is a solution (u, conj u) of y' = M y with
 M = [[alpha, beta], [conj beta, conj alpha]].  Such a system also solves
@@ -30,9 +29,9 @@ Only this module knows the row format, y' in powers of the row fraction,
 and which components are stored: ``Rows`` reads it pointwise (``values``,
 ``slopes``) or a block of rows at fixed fractions (``at_fractions``), and a
 call gives y, conj u included.  One row rule, ``uniform_rows``, sizes the
-phase rows (which the theta pair shares), the panel table and every leg of
-the continuation: each caller states only a bound on its rate, and the rule
-is the one place that refuses a span with StepCeilingExceeded.  The nodes
+phase rows (which the theta pair shares), the panel table and the one leg
+of each continuation: each caller states only a bound on its rate, and the
+rule is the one place that refuses a span with StepCeilingExceeded.  The nodes
 and weights are literals rather than Golub-Welsch: the first LAPACK call
 keeps about 1 MB for the whole run.
 """

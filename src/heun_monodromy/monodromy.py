@@ -97,14 +97,14 @@ def verify_monodromy(
 
     ray_residuals = []
     for rho in rhos or []:
-        # route A: Phi from z=1 radially out to rho, then the upper arc to the
-        # cut; route B: algebraic Phi_M on the same ray, then the lower arc
-        # (vertices in w = log z)
+        # route A: Phi from z = 1 to the cut at -rho over the upper half
+        # plane; route B: the algebraic Phi_M over the lower one.  Each is one
+        # straight leg in w = log z, to log rho +- i pi, homotopic in the
+        # annulus to the ray out to rho and the arc from there
         log_rho = float(np.log(rho))
         va, _ = continue_riccati_path(params, complex(np.exp(1j * path.phi0)),
-                                      [0.0, log_rho, complex(log_rho, np.pi)])
-        vb, _ = continue_riccati_path(params, complex(at_one),
-                                      [0.0, log_rho, complex(log_rho, -np.pi)])
+                                      complex(log_rho, np.pi))
+        vb, _ = continue_riccati_path(params, complex(at_one), complex(log_rho, -np.pi))
         ray_residuals.append([float(rho), float(abs(va - vb))])
 
     return {

@@ -190,12 +190,14 @@ def turning_rate(params: ModelParams) -> float:
     return abs(params.Bdrive) + abs(params.A) + 1.0
 
 
-def system_matrix(params: ModelParams, t: np.ndarray) -> np.ndarray:
-    """M(t) = [[-i b/2, 1/2], [1/2, i b/2]] at the times t, as (2, 2) + t.shape."""
+def system_row(params: ModelParams, t: np.ndarray) -> np.ndarray:
+    """The first row (-i b/2, 1/2) of M(t) = [[-i b/2, 1/2], [1/2, i b/2]] at
+    the times t, as (1, 2) + t.shape: M is [[alpha, beta], [beta, -alpha]],
+    so the row is all of it."""
     half_b = 0.5j * (params.Bdrive + params.A * np.cos(params.omega * t))
-    M = np.empty((2, 2) + t.shape, dtype=complex)
-    M[0, 0], M[0, 1], M[1, 0], M[1, 1] = -half_b, 0.5, 0.5, half_b
-    return M
+    row = np.empty((1, 2) + t.shape, dtype=complex)
+    row[0, 0], row[0, 1] = -half_b, 0.5
+    return row
 
 
 def _running_sum(start: float, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +224,7 @@ def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
     nodes = h * gauss.NODE_FRACTIONS[:, None]
     u0 = complex(math.cos(0.5 * phi0), -math.sin(0.5 * phi0))
     rows = gauss.collocate(
-        lambda blk: system_matrix(params, ts[blk] + nodes)[:1].transpose(2, 0, 1, 3),
+        lambda blk: system_row(params, ts[blk] + nodes).transpose(2, 0, 1, 3),
         ts, h, (u0,))
     starts = rows.y0[:, 0]
     w = starts[:-1] * starts[1:].conj()
@@ -256,8 +258,8 @@ def _defect_samples(rows: _Rows, params: ModelParams, blk: slice):
     is used: v = conj(u) exactly."""
     y, dy = rows.at_fractions(blk, _SAMPLE_FRACTIONS)
     u = y[:, :, 0].T
-    M = system_matrix(params, rows.ts[blk, None] + rows.h * _SAMPLE_FRACTIONS)
-    du = (dy[:, :, 0].T - (M[0, 0] * u + M[0, 1] * u.conj())) / u
+    (alpha, beta), = system_row(params, rows.ts[blk, None] + rows.h * _SAMPLE_FRACTIONS)
+    du = (dy[:, :, 0].T - (alpha * u + beta * u.conj())) / u
     rel_P = _log_norm(u) - _log_norm(rows.y0[blk, 0])[:, None]
     return -2.0 * du.imag, 2.0 * du.real, rel_P, (u.conj() / u).imag
 

@@ -289,7 +289,7 @@ POLE_PARAMS = ModelParams(ell=0.0, mu=0.0, omega=1.0)
 
 
 def _continue_from_pole_start(w: float) -> tuple[complex, bool]:
-    return continue_riccati_path(POLE_PARAMS, cmath.exp(0.5j * np.pi), [0.0, w])
+    return continue_riccati_path(POLE_PARAMS, cmath.exp(0.5j * np.pi), w)
 
 
 def _exact_pole_solution(w: float) -> complex:

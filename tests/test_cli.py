@@ -72,10 +72,11 @@ SQRT_MONODROMY_G2_SHA256 = "9ee0cab155b46a6918da98b16754a95b6c4f616c6076b7cea49d
 SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10a6b485c61905894a30"
 # sha256 of `monodromy` standard output at the two golden points with the
 # default --tol, --grid and --rhos (run_battery's monodromy section),
-# recorded with the circle pair read off the linear solution (u, conj u).
+# recorded with the circle pair read off the linear solution (u, conj u) and
+# each ray route one straight leg in w = log z through gauss.collocate.
 MONODROMY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "3dc4b494862309de4eb35207dcf67f665a24845fc78c408a1e92bdc54129cc15",
-    ("1", "0.2", "1.3", "1.0"): "ff7613c7c606d4e1b9fbd5cce2db27d4f65d00913883316e2ae56187c926330f",
+    ("2", "0.3", "1", "0.5"): "1f9110ce595a11afb58869c7ad8e8dcf860e5b73e076d2849280712f8c64aa53",
+    ("1", "0.2", "1.3", "1.0"): "e8e452eab60fc33f04930d3c2912af007b2b732aed0e787283a68c01bf257b1b",
 }
 # The one genericity message, NumericQuad's, at (1, 0.5, 1, 0.5) where D- = 0.
 GENERICITY_MESSAGE = ("D+=2.000e+00, D-=0.000e+00 at (ell=1, mu=0.5, omega=1.0); "
@@ -91,10 +92,11 @@ SQRT_MONODROMY_G2_DOP853 = {
 # at the two golden points, recorded with the phase rows chained as the
 # linear pair (u, conj u) through gauss.collocate, every circle pair read off
 # a linear solution, the second application on the first's solution, and the
-# P_B panel table and the theta pair's node phases through gauss as well.
+# P_B panel table, the theta pair's node phases and the ray routes, each one
+# straight leg in w = log z, through gauss as well.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "a175fb609477b87e79bc76fb2f6babe0750c893ead59aef0cf352aebb86298f8",
-    ("1", "0.2", "1.3", "1.0"): "28d7445859754e851ae44808e6934de6dd459825efca0797cb03ed4a136337a8",
+    ("2", "0.3", "1", "0.5"): "a8bf1e971ddced4c6f0cf3f14e0fa58eb0fcd9da97780d5b6265ddc493963132",
+    ("1", "0.2", "1.3", "1.0"): "c6f6fc4c1d8c8d2e53d3481bba2770bcab9bbfc9a68f4fa02a49417d8b306329",
 }
 # The same reports with every residual set to null: their keys, order,
 # strings, grid sizes and radii.
@@ -427,7 +429,7 @@ ZERO_INITIAL_STEP_EXITS = {
         1, '{"sup_residual_circle": 5.4672143489065709e-15, "boundary_residual": '
            '5.5511151231257827e-17, "unimodularity_residual": 4.4408920985006262e-16, '
            '"riccati_residual": 1.4871330771360971e+285, "ray_residuals": '
-           '[[0.80000000000000004, 1.1060518526157679e-15], [1.25, 0.0]], '
+           '[[0.80000000000000004, 8.3266726846886741e-16], [1.25, 1.7901808365247238e-15]], '
            '"grid_size": 1001, "tol": 9.9999999999999998e-13}\n', ""),
     # a slope scale of 2e307 makes the row count inf, one of inf makes the
     # row cap 0: both must hit the ceiling before any division

@@ -1,8 +1,10 @@
 """The continuation off the circle against scipy's DOP853, an integrator
 the program does not use, and the ray certificate it feeds.
 
-The reference integrates F itself, in the Phi chart, along the two routes of
-``verify_monodromy``; it shares no code with the collocation it checks.
+The reference integrates F itself, in the Phi chart, along the straight leg
+in w = log z that ``verify_monodromy`` continues on, and along the route of
+a radial ray and an arc that the leg stands in for; it shares no code with
+the collocation it checks.
 """
 
 from __future__ import annotations
@@ -45,17 +47,36 @@ def _scipy_riccati(params, F0, route):
     return F
 
 
+def _starts_and_ends(path):
+    """Each radius's two continuations of ``verify_monodromy``: route A from
+    the period-shift Phi over the upper half plane, route B from the
+    algebraic Phi_M over the lower one, as (F0, Im w at the end)."""
+    pair = CirclePair(path.solution, path.params)
+    at_one = _algebraic_values(pair, pair.boundary(), np.array([0.0]))[0][0]
+    return ((np.exp(1j * path.phi0), np.pi), (at_one, -np.pi))
+
+
 def test_riccati_continuation_matches_scipy(point_path):
     params = point_path.params
-    pair = CirclePair(point_path.solution, point_path.params)
-    at_one = _algebraic_values(pair, pair.boundary(), np.array([0.0]))[0][0]
     for rho in RHOS:
-        # route A from the period-shift Phi over the upper arc, route B from
-        # the algebraic Phi_M over the lower one
-        for F0, end in ((np.exp(1j * point_path.phi0), np.pi), (at_one, -np.pi)):
-            route = [0.0, np.log(rho), complex(np.log(rho), end)]
-            value, pole = continue_riccati_path(params, F0, route)
-            reference = _scipy_riccati(params, F0, route)
+        for F0, end in _starts_and_ends(point_path):
+            w1 = complex(np.log(rho), end)
+            value, pole = continue_riccati_path(params, F0, w1)
+            reference = _scipy_riccati(params, F0, [0.0, w1])
+            assert not pole
+            assert abs(value - reference) <= 1e-10 * abs(reference), (rho, end)
+
+
+def test_straight_leg_meets_the_ray_and_arc_route(point_path):
+    # the straight leg to log rho +- i pi and the route out along the ray to
+    # rho, then round the arc to the cut, lie in the strip |Im w| <= pi, so
+    # they are homotopic in the annulus, where the system is analytic: the
+    # leg ends at the value that DOP853 reaches along the route
+    params = point_path.params
+    for rho in RHOS:
+        for F0, end in _starts_and_ends(point_path):
+            value, pole = continue_riccati_path(params, F0, complex(np.log(rho), end))
+            reference = _scipy_riccati(params, F0, [0.0, np.log(rho), complex(np.log(rho), end)])
             assert not pole
             assert abs(value - reference) <= 1e-10 * abs(reference), (rho, end)
 
@@ -71,10 +92,11 @@ def test_ray_residuals_hold_to_1e_13(point_path):
 
 # sha256 of the four continuations of verify's ray routes (radii 0.8 and
 # 1.25): the bytes of the values, then the pole flags, recorded with route
-# B starting from the algebraic monodromy of the pair read off (u, conj u).
+# B starting from the algebraic monodromy of the pair read off (u, conj u),
+# and each route one straight leg in w = log z through gauss.collocate.
 RAY_SHA256 = {
-    GOLDENS[0]: "254254a6462c3a3d2e92967d6eca9ae76b7ac7061b37e799642c96efee29cd0e",
-    GOLDENS[1]: "28bc677081c01f6d6f9725fa2df01038ba67ce2d350a0445116341432924b3a6",
+    GOLDENS[0]: "2ab7cbf2e68f3c7b993d323b48d2df6e4a6a398df9d584420274d1eb763c8fe6",
+    GOLDENS[1]: "5b6274a6192b5f64a3928de6e88a63dbafd3f98a80f370592e529716efd2b300",
 }
 
 
@@ -97,12 +119,12 @@ def test_ray_continuations_are_pinned_bit_for_bit(point, monkeypatch):
 
 
 def test_step_ceiling_is_checked_before_any_row(monkeypatch):
-    # an arc of 1e7 radians needs about 1.5e8 rows: it is refused before the
-    # cheap first leg is collocated
+    # a leg that turns by 1e7 radians needs about 1.5e8 rows: it is refused
+    # before any row is collocated
     def no_rows(*args):
         raise AssertionError("a row was collocated")
 
     monkeypatch.setattr(gauss, "row_propagators", no_rows)
     params = ModelParams(ell=2.0, mu=0.3, omega=1.0)
     with pytest.raises(StepCeilingExceeded, match="needs more than 100000 rows"):
-        continue_riccati_path(params, 1j, [0.0, np.log(0.9), complex(np.log(0.9), 1e7)])
+        continue_riccati_path(params, 1j, complex(np.log(0.9), 1e7))

@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 import heun_monodromy
 from heun_monodromy import ModelParams, OutOfWindow, gauss, solve_phase
 from heun_monodromy.circle import theta_pair_solve
-from heun_monodromy.phase import system_matrix, turning_rate
+from heun_monodromy.phase import system_row, turning_rate
 from tests.conftest import (
     FIXED_SWEEP_POINTS,
     GOLDEN_1,
@@ -160,10 +160,15 @@ def test_v_is_conj_u_bit_for_bit(point):
     path = solve_phase(params, phi0, tol=1e-12)
     u0 = complex(math.cos(0.5 * phi0), -math.sin(0.5 * phi0))
     nodes = gauss.NODE_FRACTIONS[:, None]
+
+    def whole_matrix(t):
+        # M = [[alpha, beta], [beta, -alpha]] from its first row
+        (alpha, beta), = system_row(params, t)
+        return np.array(((alpha, beta), (beta, -alpha))).transpose(2, 0, 1, 3)
+
     for rows in (path._fwd, path._bwd):
-        whole = gauss.collocate(
-            lambda blk: system_matrix(params, rows.ts[blk] + rows.h * nodes).transpose(2, 0, 1, 3),
-            rows.ts, rows.h, (u0, u0.conjugate()))
+        whole = gauss.collocate(lambda blk: whole_matrix(rows.ts[blk] + rows.h * nodes),
+                                rows.ts, rows.h, (u0, u0.conjugate()))
         assert np.array_equal(whole.y0[:, 1], whole.y0[:, 0].conj())
         assert np.array_equal(whole.coef[..., 1], whole.coef[..., 0].conj())
         assert np.array_equal(whole.y0[:, :1], rows.y0)
@@ -318,10 +323,13 @@ def test_only_gauss_evaluates_dense_rows():
     # every dense output is built and evaluated through gauss: no other module
     # of the package may call the row evaluators, sum a row's coefficients or
     # convert node values to them, so no second builder or evaluator
+    # reappears; nor the collocation kernel or the chain, so every linear
+    # system enters through gauss.collocate and no second block loop
     # reappears; each guarded name must be one gauss defines, so the guard
     # cannot go stale
     package = Path(heun_monodromy.__file__).resolve().parent
-    evaluators = {"horner", "legendre", "legendre_integrals", "node_sum", "power_coefficients"}
+    evaluators = {"horner", "legendre", "legendre_integrals", "node_sum", "power_coefficients",
+                  "row_propagators", "chain"}
     defined = {node.name for node in ast.parse((package / "gauss.py").read_text()).body
                if isinstance(node, ast.FunctionDef)}
     assert evaluators <= defined, evaluators - defined

@@ -2,9 +2,10 @@
 
 Each caller states a rate, and the rule gives the fewest uniform rows with
 |h| * rate <= ROW_RATE: the phase rows at |B| + |A| + 1, the P_B panel table
-at the same rate over +-TABLE_SPAN*T, and each leg of the continuation, a
-straight line in w = log z, at (|ell| + |mu| max(r + 1/r) + 1/omega) |dw| / 2
-with the max over the leg's two ends.
+at the same rate over +-TABLE_SPAN*T, and each route of the continuation,
+one straight leg in w = log z from 0 to w1, at
+(|ell| + |mu| max(r + 1/r) + 1/omega) |w1| / 2 with the max over the leg's two
+ends.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ def _assert_fewest(span, rate, n, h):
     assert n == 1 or abs(span) / (n - 1) * rate > gauss.ROW_RATE
 
 
-def _leg_rate(params, w0, w1):
-    reach = max(abs(np.exp(w)) + 1 / abs(np.exp(w)) for w in (w0, w1))
-    return 0.5 * (abs(params.ell) + abs(params.mu) * reach + 1 / params.omega) * abs(w1 - w0)
+def _leg_rate(params, w1):
+    reach = max(abs(np.exp(w)) + 1 / abs(np.exp(w)) for w in (0.0, w1))
+    return 0.5 * (abs(params.ell) + abs(params.mu) * reach + 1 / params.omega) * abs(w1)
 
 
 @pytest.mark.parametrize("point", POINTS, ids=["G1", "G2", "ell20"])
@@ -50,11 +51,8 @@ def test_every_collocation_takes_the_fewest_rows_of_the_row_rule(point, monkeypa
     for rows, sign in zip(tr.table, (1, -1)):
         _assert_fewest(sign * TABLE_SPAN * params.T, rate, rows.n, rows.h)
 
-    # each ray and arc of the monodromy's routes, in the order collocated
-    legs = []
-    for rho in RHOS:
-        for end in (np.pi, -np.pi):
-            legs += [(0.0, np.log(rho)), (np.log(rho), complex(np.log(rho), end))]
+    # the one leg of each of the monodromy's routes, in the order collocated
+    legs = [complex(np.log(rho), end) for rho in RHOS for end in (np.pi, -np.pi)]
     collocated = []
     kernel = gauss.row_propagators
 
@@ -65,8 +63,8 @@ def test_every_collocation_takes_the_fewest_rows_of_the_row_rule(point, monkeypa
     monkeypatch.setattr(gauss, "row_propagators", counting)
     verify_monodromy(path, rhos=list(RHOS))
     expected = []
-    for w0, w1 in legs:
-        leg_rate = _leg_rate(params, w0, w1)
+    for w1 in legs:
+        leg_rate = _leg_rate(params, w1)
         n = math.ceil(leg_rate / gauss.ROW_RATE)
         _assert_fewest(1.0, leg_rate, n, 1.0 / n)
         expected.append(n)
@@ -74,7 +72,7 @@ def test_every_collocation_takes_the_fewest_rows_of_the_row_rule(point, monkeypa
     assert collocated == [min(gauss.BLOCK_ROWS, n - lo)
                           for n in expected for lo in range(0, n, gauss.BLOCK_ROWS)]
     if point == GOLDENS[0]:
-        # the ray 1 -> 0.2 takes 31 rows, the rays at the default radii 4
-        # rows each and their arcs 48
-        assert expected[:2] == [31, 60]
-        assert expected[4:6] == [4, 48] and expected[8:10] == [4, 48]
+        # the legs to log rho +- i pi take 68 rows at rho = 0.2 and 5 (the
+        # ray and arc there took 31 + 60), and 48 at the default radii
+        # (4 + 48): rho and 1/rho give one rate
+        assert expected == [68, 68, 48, 48, 48, 48, 68, 68]
