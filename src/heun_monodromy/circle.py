@@ -231,28 +231,42 @@ def riccati_circle_residual(params: ModelParams, t, F, Fdot) -> np.ndarray:
     return Fdot - (0.5 * (1.0 - F * F) + 1j * params.omega * drive * F)
 
 
-def continue_riccati_path(params: ModelParams, F0: complex, w1: complex) -> tuple[complex, bool]:
-    """Continue a Riccati solution, F = F0 at z = 1, along the one straight
-    leg w = s w1, s in [0, 1], in w = log z, to z = exp(w1).
+def continue_riccati_path(params: ModelParams, starts: list[complex],
+                          w1: complex) -> list[tuple[complex, bool]]:
+    """Continue Riccati solutions, F = F0 at z = 1 for each F0 in ``starts``,
+    along the one straight leg w = s w1, s in [0, 1], in w = log z, to
+    z = exp(w1).
 
     F = v/u for the linear system y = (u, v), dy/dz = M(z) y,
 
         u' = -(c/2) u + v / (2 i omega z),    v' = u / (2 i omega z) + (c/2) v,
 
-    c = ell/z + mu (1 + z^-2), collocated from (1, F0) by ``gauss.collocate``.
-    Its coefficients are analytic on the annulus, so (u, v) passes through a
-    pole of F with no change of chart, and any leg homotopic to a route in
-    the annulus ends at the same value.  On the leg dy/ds = w1 z M(z) y, and
+    c = ell/z + mu (1 + z^-2), collocated from (1, F0) for every start at
+    once by ``gauss.collocate``: one set of rows, each start a pair carried
+    by the same row propagators.  Its coefficients are analytic on the
+    annulus, so (u, v) passes through a pole of F with no change of chart,
+    and any leg homotopic to a route in the annulus ends at the same value.
+    On the leg dy/ds = w1 z M(z) y, and
 
         ||z M(z)||_inf <= (|ell| + |mu| (r + 1/r) + 1/omega) / 2,    r = |z|,
 
     where r + 1/r = 2 cosh(Re w) is convex in Re w = s Re w1, so it is largest
     at an end of the leg: 2 at z = 1, 2 cosh(Re w1) >= 2 at the other.  That
     rate times |w1| is what the leg states to ``gauss.uniform_rows``
-    (CHANGES.md), before any row is collocated.  v/u is read from the last
-    row's mantissas at its end, so the rows' power of two never enters.
-    Returns (v/u, pole_flag), where the flag marks an end at (numerically) a
-    pole, |u| < |v| / 1e6.
+    (CHANGES.md), before any row is collocated.
+
+    ell, mu and omega are real, so the leg to conj w1 is this one reflected.
+    There z is conj z, half c is conj(half c) and the off-diagonal
+    w1 / (2 i omega) is -conj of this leg's, so its matrix is D conj(M) D with
+    D = diag(1, -1), and D conj(y) solves it where y solves this one.  A
+    start F0 there is the start -conj F0 here, and ends at -conj(v/u): the
+    caller continues both legs on one set of rows.  Every rounding of the
+    kernel and the chain commutes with conjugation and with the signs of D,
+    so the reflected end is the bits of the leg collocated on its own.
+
+    v/u is read from the last row's mantissas at its end, so the rows' power
+    of two never enters.  Returns one (v/u, pole_flag) per start, where the
+    flag marks an end at (numerically) a pole, |u| < |v| / 1e6.
     """
     ell, mu, omega, w1 = params.ell, params.mu, params.omega, complex(w1)
     rate = 0.5 * (abs(ell) + abs(mu) * 2.0 * math.cosh(w1.real) + 1.0 / omega) * abs(w1)
@@ -268,6 +282,8 @@ def continue_riccati_path(params: ModelParams, F0: complex, w1: complex) -> tupl
         off = np.full_like(z, w1 / (2j * omega))
         return np.array(((-half_c, off), (off, half_c))).transpose(2, 0, 1, 3)
 
-    rows = gauss.collocate(matrices, ts, h, (1.0 + 0j, complex(F0)))
-    u, v = rows.values(np.array([n - 1]), np.ones(1))[0].tolist()
-    return (v / u if u else complex(math.inf, math.inf)), abs(u) < abs(v) / 1e6
+    y = tuple(c for F0 in starts for c in (1.0 + 0j, complex(F0)))
+    rows = gauss.collocate(matrices, ts, h, y)
+    end = rows.values(np.array([n - 1]), np.ones(1))[0].tolist()
+    return [((v / u if u else complex(math.inf, math.inf)), abs(u) < abs(v) / 1e6)
+            for u, v in zip(end[::2], end[1::2])]

@@ -181,43 +181,48 @@ def row_propagators(M: np.ndarray, h):
 
 
 def chain(R: np.ndarray, y: tuple[complex, ...], e: int):
-    """Carry the pair 2^e y across one block's row propagators R (m, 2, n):
-    y = (u, v) with the whole R, or y = (u,) for the conjugate pair
-    (u, conj u) with R's first row.
+    """Carry 2^e y across one block's row propagators R (m, 2, n): with the
+    whole R, y = (u1, v1, u2, v2, ...) holds one or more pairs of the one
+    system, each stepped by the same R; with R's first row, y = (u,) is the
+    conjugate pair (u, conj u).
 
-    The pair is first rescaled by an exact power of two, so that its larger
-    modulus lies in [1/2, 1) (``frexp``), and then carried as
-    y_{k+1} = R_k y_k in Python floats.  Returns the n row starts as
-    mantissas (n, m), the end pair and their one exponent e': row k starts
-    from 2^e' starts[k].  Scaling by 2^e' commutes with every rounding that
-    neither under- nor overflows, so a ratio of the two components, or a
-    value formed from the mantissas and then scaled, keeps every bit.
+    The components are first rescaled together by one exact power of two,
+    so that their largest modulus lies in [1/2, 1) (``frexp``), and then
+    carried as y_{k+1} = R_k y_k in Python floats.  Returns the n row starts
+    as mantissas (n, len(y)), the end and their one exponent e': row k
+    starts from 2^e' starts[k].  Scaling by 2^e' commutes with every rounding
+    that neither under- nor overflows, so a ratio of two components, or a
+    value formed from the mantissas and then scaled, keeps every bit, and a
+    pair carried beside others keeps the bits it has alone.
     """
     shift = frexp(max(abs(c) for c in y))[1]
     y = tuple(complex(ldexp(c.real, -shift), ldexp(c.imag, -shift)) for c in y)
     starts = []
-    if len(y) == 1:
+    if len(R) == 1:
         (a,) = y
         for r00, r01 in R[0].T.tolist():
             starts.append(a)
             a = r00 * a + r01 * a.conjugate()
         y = (a,)
     else:
-        a, b = y
+        pairs = list(zip(y[::2], y[1::2]))
         for (r00, r01), (r10, r11) in R.transpose(2, 0, 1).tolist():
-            starts.append((a, b))
-            a, b = r00 * a + r01 * b, r10 * a + r11 * b
-        y = (a, b)
+            starts.append(pairs)
+            pairs = [(r00 * a + r01 * b, r10 * a + r11 * b) for a, b in pairs]
+        y = tuple(c for pair in pairs for c in pair)
     return np.array(starts).reshape(-1, len(y)), y, e + shift
 
 
 def collocate(matrices, ts: np.ndarray, h: float, y: tuple[complex, ...]) -> "Rows":
-    """The rows of a linear pair y' = M y from y at ts[0], on the rows of
+    """The rows of a linear system y' = M y from y at ts[0], on the rows of
     signed width h with edges ts, collocated block by block: ``matrices(blk)``
-    gives M at the nodes of the rows ``blk`` (a slice) as (NODES, m, 2, rows),
-    with y = (u, v) and m = 2, or y = (u,) and m = 1 for a conjugate pair.
-    Each block's row propagators carry the pair through ``chain``, and the
-    rows keep its mantissas and exponents, of u alone for a conjugate pair."""
+    gives M at the nodes of the rows ``blk`` (a slice) as (NODES, m, 2, rows).
+    With the whole M (m = 2), y = (u1, v1, u2, v2, ...) holds one or more
+    pairs, solved together from their starts; with M's first row (m = 1),
+    y = (u,) is a conjugate pair.  Each block's row propagators, collocated
+    once, carry every pair through ``chain``, and the rows keep the
+    mantissas and the one exponent per row of every component, of u alone
+    for a conjugate pair."""
     n = len(ts) - 1
     e, starts, exponents, coefs = 0, [], [], []
     for lo in range(0, n, BLOCK_ROWS):
@@ -225,8 +230,11 @@ def collocate(matrices, ts: np.ndarray, h: float, y: tuple[complex, ...]) -> "Ro
         y0, y, e = chain(R, y, e)
         starts.append(y0)
         exponents.append(np.full(len(y0), e))
-        dy = _node_product(G, y0.T[None, :, None])[:, :, 0]  # G y0, y0 one column
-        coefs.append(power_coefficients(dy).transpose(0, 2, 1))
+        m, rows = len(R), len(y0)
+        # G y0, one column per pair, back to the order of y
+        dy = _node_product(G, y0.T.reshape(-1, m, rows).transpose(1, 0, 2)[None])
+        coefs.append(power_coefficients(dy.transpose(0, 2, 1, 3).reshape(NODES, -1, rows))
+                     .transpose(0, 2, 1))
     return Rows(ts=ts, h=h, y0=np.concatenate(starts), coef=np.concatenate(coefs, 1),
                 exponent=np.concatenate(exponents))
 

@@ -100,11 +100,16 @@ def verify_monodromy(
         # route A: Phi from z = 1 to the cut at -rho over the upper half
         # plane; route B: the algebraic Phi_M over the lower one.  Each is one
         # straight leg in w = log z, to log rho +- i pi, homotopic in the
-        # annulus to the ray out to rho and the arc from there
+        # annulus to the ray out to rho and the arc from there.  ell, mu and
+        # omega are real, so route B's leg is route A's under z -> conj z:
+        # its system is D conj(M_A) D with D = diag(1, -1), and its end from
+        # Phi_M(1) is -conj of route A's system's end from -conj Phi_M(1).
+        # One collocation carries both starts (``continue_riccati_path``)
         log_rho = float(np.log(rho))
-        va, _ = continue_riccati_path(params, complex(np.exp(1j * path.phi0)),
-                                      complex(log_rho, np.pi))
-        vb, _ = continue_riccati_path(params, complex(at_one), complex(log_rho, -np.pi))
+        (va, _), (reflected, _) = continue_riccati_path(
+            params, [complex(np.exp(1j * path.phi0)), -complex(at_one).conjugate()],
+            complex(log_rho, np.pi))
+        vb = -reflected.conjugate()
         ray_residuals.append([float(rho), float(abs(va - vb))])
 
     return {

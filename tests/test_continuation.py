@@ -61,7 +61,7 @@ def test_riccati_continuation_matches_scipy(point_path):
     for rho in RHOS:
         for F0, end in _starts_and_ends(point_path):
             w1 = complex(np.log(rho), end)
-            value, pole = continue_riccati_path(params, F0, w1)
+            (value, pole), = continue_riccati_path(params, [F0], w1)
             reference = _scipy_riccati(params, F0, [0.0, w1])
             assert not pole
             assert abs(value - reference) <= 1e-10 * abs(reference), (rho, end)
@@ -75,7 +75,7 @@ def test_straight_leg_meets_the_ray_and_arc_route(point_path):
     params = point_path.params
     for rho in RHOS:
         for F0, end in _starts_and_ends(point_path):
-            value, pole = continue_riccati_path(params, F0, complex(np.log(rho), end))
+            (value, pole), = continue_riccati_path(params, [F0], complex(np.log(rho), end))
             reference = _scipy_riccati(params, F0, [0.0, np.log(rho), complex(np.log(rho), end)])
             assert not pole
             assert abs(value - reference) <= 1e-10 * abs(reference), (rho, end)
@@ -91,9 +91,10 @@ def test_ray_residuals_hold_to_1e_13(point_path):
 
 
 # sha256 of the four continuations of verify's ray routes (radii 0.8 and
-# 1.25): the bytes of the values, then the pole flags, recorded with route
-# B starting from the algebraic monodromy of the pair read off (u, conj u),
-# and each route one straight leg in w = log z through gauss.collocate.
+# 1.25), in the order A, B per radius: the bytes of the values, then the
+# pole flags, recorded with route B starting from the algebraic monodromy of
+# the pair read off (u, conj u), and each route one straight leg in
+# w = log z through gauss.collocate, collocated on its own.
 RAY_SHA256 = {
     GOLDENS[0]: "2ab7cbf2e68f3c7b993d323b48d2df6e4a6a398df9d584420274d1eb763c8fe6",
     GOLDENS[1]: "5b6274a6192b5f64a3928de6e88a63dbafd3f98a80f370592e529716efd2b300",
@@ -105,8 +106,11 @@ def test_ray_continuations_are_pinned_bit_for_bit(point, monkeypatch):
     ends = []
 
     def recording(*args):
-        ends.append(continue_riccati_path(*args))
-        return ends[-1]
+        # one call per radius: route A's end and route B's by reflection,
+        # v_B/u_B = -conj(v/u) with the same pole flag
+        (a, reflected) = out = continue_riccati_path(*args)
+        ends.extend((a, (-reflected[0].conjugate(), reflected[1])))
+        return out
 
     monkeypatch.setattr(monodromy, "continue_riccati_path", recording)
     ell, mu, omega, phi0 = point
@@ -118,6 +122,23 @@ def test_ray_continuations_are_pinned_bit_for_bit(point, monkeypatch):
     assert digest.hexdigest() == RAY_SHA256[point]
 
 
+@pytest.mark.parametrize("rho", RHOS)
+def test_route_b_by_reflection_is_route_b_collocated_on_its_own(point_path, rho):
+    # route B's leg to log rho - i pi is route A's under z -> conj z: its end
+    # from Phi_M(1) is -conj of the end of route A's system from
+    # -conj Phi_M(1), bit for bit, and verify_monodromy collocates once
+    params = point_path.params
+    (_, at_one), _ = _starts_and_ends(point_path)
+    log_rho = float(np.log(rho))
+    own = continue_riccati_path(params, [at_one], complex(log_rho, -np.pi))
+    _, (reflected, pole) = continue_riccati_path(
+        params, [np.exp(1j * point_path.phi0), -complex(at_one).conjugate()],
+        complex(log_rho, np.pi))
+    by_reflection = -reflected.conjugate()
+    assert np.array([by_reflection]).tobytes() == np.array([own[0][0]]).tobytes()
+    assert pole == own[0][1]
+
+
 def test_step_ceiling_is_checked_before_any_row(monkeypatch):
     # a leg that turns by 1e7 radians needs about 1.5e8 rows: it is refused
     # before any row is collocated
@@ -127,4 +148,4 @@ def test_step_ceiling_is_checked_before_any_row(monkeypatch):
     monkeypatch.setattr(gauss, "row_propagators", no_rows)
     params = ModelParams(ell=2.0, mu=0.3, omega=1.0)
     with pytest.raises(StepCeilingExceeded, match="needs more than 100000 rows"):
-        continue_riccati_path(params, 1j, complex(np.log(0.9), 1e7))
+        continue_riccati_path(params, [1j], complex(np.log(0.9), 1e7))

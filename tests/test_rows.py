@@ -51,8 +51,9 @@ def test_every_collocation_takes_the_fewest_rows_of_the_row_rule(point, monkeypa
     for rows, sign in zip(tr.table, (1, -1)):
         _assert_fewest(sign * TABLE_SPAN * params.T, rate, rows.n, rows.h)
 
-    # the one leg of each of the monodromy's routes, in the order collocated
-    legs = [complex(np.log(rho), end) for rho in RHOS for end in (np.pi, -np.pi)]
+    # one leg per radius, route A's, in the order collocated: route B is its
+    # reflection and rides on the same rows
+    legs = [complex(np.log(rho), np.pi) for rho in RHOS]
     collocated = []
     kernel = gauss.row_propagators
 
@@ -72,7 +73,7 @@ def test_every_collocation_takes_the_fewest_rows_of_the_row_rule(point, monkeypa
     assert collocated == [min(gauss.BLOCK_ROWS, n - lo)
                           for n in expected for lo in range(0, n, gauss.BLOCK_ROWS)]
     if point == GOLDENS[0]:
-        # the legs to log rho +- i pi take 68 rows at rho = 0.2 and 5 (the
+        # the legs to log rho + i pi take 68 rows at rho = 0.2 and 5 (the
         # ray and arc there took 31 + 60), and 48 at the default radii
         # (4 + 48): rho and 1/rho give one rate
-        assert expected == [68, 68, 48, 48, 48, 48, 68, 68]
+        assert expected == [68, 48, 48, 68]
