@@ -23,15 +23,19 @@ the circle (alpha = Phi/2, beta = -Phi/2, as 1/Phi = conj Phi) are
 conjugate pairs; the continuation off the circle and the panel table give
 the whole M.  One Picard loop, one chain and one collocation serve both:
 only the node product (``_node_product``) and the chain step differ,
-selected by the number of rows of M.
+selected by the number of rows of M.  With the whole M, one collocation
+carries any number of pairs of the one system, y = (u1, v1, u2, v2, ...):
+the row propagators are collocated once, and the chain steps every pair
+with them under one shared exponent (the continuation's two routes).
 
 Only this module knows the row format, y' in powers of the row fraction,
 and which components are stored: ``Rows`` reads it pointwise (``values``,
 ``slopes``) or a block of rows at fixed fractions (``at_fractions``), and a
 call gives y, conj u included.  One row rule, ``uniform_rows``, sizes the
 phase rows (which the theta pair shares), the panel table and the one leg
-of each continuation: each caller states only a bound on its rate, and the
-rule is the one place that refuses a span with StepCeilingExceeded.  The nodes
+of each continuation: each caller states its own bound on ||M||_inf, the
+rule takes the fewest rows with |h| * rate <= ROW_RATE, and it is the one
+place that refuses a span with StepCeilingExceeded.  The nodes
 and weights are literals rather than Golub-Welsch: the first LAPACK call
 keeps about 1 MB for the whole run.
 """
@@ -104,18 +108,22 @@ SHIFTED = np.array([[(-1) ** (k + i) * comb(k, i) * comb(k + i, i) for i in rang
 
 #: The largest |h| * rate a row may take, where rate bounds ||M||_inf (in the
 #: row's own variable) over the row: each Picard sweep then contracts by
-#: q <= 0.12 * 0.98695 = 0.1184, and the local error, about (h rate)^21
-#: times 5.7e-31 at the row end, stays below rounding (CHANGES.md).
-ROW_RATE = 0.12
+#: q <= 0.24 * 0.98695 = 0.2369 (||a_ij||_inf = 0.98695), and the local
+#: error, about (h rate)^21 times 5.7e-31 = 5.5e-44 at the row end, stays far
+#: below rounding.  Picard sweeps per unit of time go like
+#: ln(1/(4 eps)) / (q ln(1/q)), least at q = 1/e; this q is within 8% of
+#: that least cost, and its worst case, 25 sweeps, stays well under
+#: PICARD_MAX_SWEEPS (derived in CHANGES.md).
+ROW_RATE = 0.24
 #: Row ceiling of one span: a span that needs more rows than this is refused
 #: before anything is allocated (``uniform_rows``).
 MAX_STEPS = 100_000
 #: Rows collocated together, so a block's node arrays stay at 82 kB however
-#: long the window (the phase's forward side at omega = 0.004 has 29.7k).
+#: long the window (the phase's forward side at omega = 0.004 has 14.7k).
 BLOCK_ROWS = 128
 #: Picard sweeps per block before the collocation gives up.  Each sweep
-#: contracts by at most 0.12 (derived in CHANGES.md), so 17 always settle;
-#: 6 to 8 is usual.
+#: contracts by at most q = 0.2369, so a sweep moves no entry by more than
+#: q^k after k of them, and 25 always settle (CHANGES.md); 2 to 12 is usual.
 PICARD_MAX_SWEEPS = 40
 
 #: The nodes as fractions of a row [t_old, t_old + h]; the stage matrix a_ij
@@ -262,8 +270,8 @@ def horner(C: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
 @dataclass
 class Rows:
     """Uniform rows of a dense output y from t = 0 in one direction, with m
-    stored complex components: both of y = (u, v), or u alone for a
-    conjugate pair (u, conj u).
+    stored complex components: every one of y = (u1, v1, u2, v2, ...), or u
+    alone for a conjugate pair (u, conj u).
 
     Row k spans ``ts[k]..ts[k + 1]`` (in the order of integration, signed
     width ``h``) and starts from ``y0[k]``; ``coef[:, k]`` holds y' in powers
@@ -321,8 +329,8 @@ class Rows:
         return self.h * node_sum(rises, coef) + self.y0[blk], node_sum(powers, coef)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        """(2, len(t)) values of y at the times t: the mantissas times
-        2^exponent[k], and conj u beside a conjugate pair's u."""
+        """(components, len(t)) values of y at the times t: the mantissas
+        times 2^exponent[k], and conj u beside a conjugate pair's u."""
         k, s = self.locate(t)
         y = np.ldexp(self.values(k, s).view(float), self.exponent[k][:, None]).view(complex).T
         return y if len(y) == 2 else np.concatenate((y, y.conj()))

@@ -14,8 +14,9 @@ P = int cos(phi) is 2 log|u|.  The four half powers of the circle pair are
 this solution itself (``circle.CirclePair``).  M depends on t alone, so
 every row of the window is collocated at once with the 10-node Gauss kernel
 of ``gauss``, forward and backward from t = 0 on the uniform rows of
-``gauss.uniform_rows`` at the turning rate |B| + |A| + 1, which bounds
-|dphi/dt|.  M = [[alpha, beta], [conj beta, conj alpha]] with
+``gauss.uniform_rows`` at ``row_rate``, max((|B| + |A| + 1)/2, 1), which
+bounds ||M||_inf here and on the theta pair that shares the rows.
+M = [[alpha, beta], [conj beta, conj alpha]] with
 alpha = -i b/2 and beta = 1/2, so y is a conjugate pair of ``gauss``: the
 rows chain it through ``gauss.collocate`` from M's first row and keep u
 alone, as mantissas with one power-of-two exponent per block, so u stays
@@ -180,14 +181,22 @@ class PhasePath:
 
 
 def turning_rate(params: ModelParams) -> float:
-    """|B| + |A| + 1: a bound on |dphi/dt| for every solution of the drive
-    equation, and twice ||M||_inf of its linear system.  The phase rows and
-    the P_B panel table of ``sqrtmono`` state it to ``gauss.uniform_rows``;
-    it keeps each row's phase change |dphi| <= ROW_RATE = 0.12 < pi, so the
-    arg increments that chain the rows are unambiguous, and the Picard
-    sweeps of the phase rows and of the theta pair on them contracting by
-    q <= 0.1184 (CHANGES.md)."""
+    """|B| + |A| + 1: a bound on |dphi/dt| = |b - sin(phi)| for every
+    solution of the drive equation.  The P_B panel table of ``sqrtmono``
+    states it to ``gauss.uniform_rows``: its system's ||M||_inf is
+    |cos phi_B + i dphi_B/dt| <= 1 + |b|.  The phase rows state half of it,
+    ``row_rate``."""
     return abs(params.Bdrive) + abs(params.A) + 1.0
+
+
+def row_rate(params: ModelParams) -> float:
+    """max(turning_rate / 2, 1): the bound on ||M||_inf that the phase rows
+    state to ``gauss.uniform_rows``.  The phase system has
+    ||M||_inf = |b|/2 + 1/2 <= turning_rate / 2, and the theta pair of
+    ``circle``, collocated on the same rows, has ||M_theta||_inf = |Phi| = 1.
+    Each row then turns the phase by |dphi| <= 2 ROW_RATE = 0.48 < pi, so the
+    arg increments that chain the rows are unambiguous (CHANGES.md)."""
+    return max(0.5 * turning_rate(params), 1.0)
 
 
 def system_row(params: ModelParams, t: np.ndarray) -> np.ndarray:
@@ -213,12 +222,12 @@ def _running_sum(start: float, steps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _collocate(params: ModelParams, phi0: float, t_bound: float) -> _Rows:
-    """The rows from t = 0 to t_bound: ``gauss.uniform_rows`` at the turning
-    rate, chained by ``gauss.collocate`` as the conjugate pair from
+    """The rows from t = 0 to t_bound: ``gauss.uniform_rows`` at
+    ``row_rate``, chained by ``gauss.collocate`` as the conjugate pair from
     u(0) = e^{-i phi0/2}, with the first row of M.
     The turns 2 arg(u_k conj(u_{k+1})) between the chained row starts are
     summed with their rounding carried along."""
-    n, h = gauss.uniform_rows(t_bound, turning_rate(params), f"[0.0, {t_bound!r}]")
+    n, h = gauss.uniform_rows(t_bound, row_rate(params), f"[0.0, {t_bound!r}]")
     ts = np.arange(n + 1) * h
     ts[-1] = t_bound
     nodes = h * gauss.NODE_FRACTIONS[:, None]

@@ -142,9 +142,11 @@ class SqrtMonodromyTransform:
         cos(phi_B) = Re Phi_B (|Phi_B| = 1 is certified) and
         dphi_B/dt = Im(conj(Phi_B) Phi_B'), and phi_B(0) is the principal
         argument.  phi_B solves the phase's own drive equation
-        (``phase_equation_residual`` certifies it), so the table takes the
-        phase rows' rate, ``phase.turning_rate`` (CHANGES.md).  The system
-        matrices square to zero, so two Picard sweeps settle each block."""
+        (``phase_equation_residual`` certifies it), so
+        ||M||_inf = |f| with |f|^2 = 1 + b^2 - 2 b sin(phi_B) <= (1 + |b|)^2,
+        and the table states ``phase.turning_rate`` (CHANGES.md).  The
+        system matrices square to zero, so two Picard sweeps settle each
+        block."""
         n, h = gauss.uniform_rows(self.span, turning_rate(self.params),
                                   f"P_B table [0.0, {self.span!r}]")
         widths = np.array((h, -h))

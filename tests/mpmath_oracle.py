@@ -29,8 +29,10 @@ import mpmath
 from heun_monodromy import ModelParams
 
 DPS = 30
-#: (ell, mu, omega, phi0): the two golden points and an order-3 point.
-POINTS = ((2.0, 0.3, 1.0, 0.5), (1.0, 0.2, 1.3, 1.0), (3.0, 0.3, 1.0, 0.5))
+#: (ell, mu, omega, phi0): the two golden points, an order-3 point and an
+#: order-6 point with a strong drive, where the phase rows turn the fastest.
+POINTS = ((2.0, 0.3, 1.0, 0.5), (1.0, 0.2, 1.3, 1.0), (3.0, 0.3, 1.0, 0.5),
+          (6.0, 1.5, 0.4, 0.0))
 MULTIPLES = (-1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from heun_monodromy.params import ModelParams
-from heun_monodromy.gauss import ROW_RATE
 from heun_monodromy.phase import PhasePath, turning_rate
 
 REFINE = 100.0
@@ -62,13 +61,13 @@ def phase_rhs(params: ModelParams):
 def resolve_disagreement(path: PhasePath) -> float:
     """max |path - reference| over the probes, both components.
 
-    The window is integrated again at tol/100 with the step cap, the phase
-    rows' widest row ROW_RATE / turning_rate, scaled by 200/293, so the
-    reference takes a different step sequence, and the two are compared at
-    317 probes across the window.
+    The window is integrated again at tol/100 with the step cap
+    0.12 / turning_rate, scaled by 200/293, so the reference takes a
+    different step sequence from the phase rows, and the two are compared
+    at 317 probes across the window.
     """
     rtol = max(path.tol / REFINE * 1e-2, 2.5e-14)
-    max_step = ROW_RATE / turning_rate(path.params) * 200.0 / 293.0
+    max_step = 0.12 / turning_rate(path.params) * 200.0 / 293.0
     reference = two_sided(phase_rhs(path.params), (path.phi0, 0.0), path.t_min, path.t_max,
                           rtol, rtol * 1e-2, max_step)
     probe = np.linspace(path.t_min, path.t_max, PROBES)

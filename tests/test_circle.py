@@ -223,7 +223,7 @@ def test_theta_pair_row_edge_belongs_to_the_row_ending_there(golden_path):
 
 
 def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
-    # each sweep contracts by at most 0.12, so one sweep cannot settle
+    # each sweep contracts by at most 0.2369, so one sweep cannot settle
     monkeypatch.setattr(gauss, "PICARD_MAX_SWEEPS", 1)
     with pytest.raises(NotConverged):
         theta_pair_solve(golden_path)
@@ -235,9 +235,9 @@ def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
 # conj(u)/u at the nodes read off the phase rows' polynomial a block at a
 # time (Rows.at_fractions), and psi_route read as Im Theta.
 THETA_PAIR_SHA256 = {
-    GOLDENS[0]: "086dd19ad0a40a2f7ded8d0fae64d10d7031f83bb67f0b6bbb1f532b1a731bed",
-    GOLDENS[1]: "17431c5bde30def1b9e0f88271b245411e9695f834f85ce6454ec0b3ba707767",
-    FIXED_SWEEP_POINTS[0]: "f2325bf6ed733c5133467b5c3b1d31a32192e7e849154b8ffb456dae73063498",
+    GOLDENS[0]: "d5152e73aec2644fba95b06d2fae7711d36b32712508cd8d1450789f12927877",
+    GOLDENS[1]: "248f402899f567d76cd18d0c8bf9a656859bcbb8427f7c0717fa2af2782a4272",
+    FIXED_SWEEP_POINTS[0]: "05a06dafe34b81dfb450e47a91da8c9ef41fb3149d56c722970307d4c74500eb",
 }
 
 
@@ -262,8 +262,8 @@ def test_theta_pair_rows_stay_finite_where_e_P_overflows():
     for rows in (pair._fwd, pair._bwd):
         assert np.isfinite(rows.y0).all() and np.isfinite(rows.coef).all()
         assert rows.exponent.max() > 1024  # the scale alone leaves the float range
-    # where e^P fits, the route meets it to the rounding of some 6600 chained
-    # rows (7.4e-14)
+    # where e^P fits, the route meets it to the rounding of some 3300 chained
+    # rows (1.1e-13)
     t = grid(path, 1001)
     P = path.P(t)
     t, P = t[P < 700], P[P < 700]

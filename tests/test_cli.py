@@ -66,7 +66,7 @@ POLY_STDOUT_SHA256 = {
 # default --tol and --grid, recorded with the phase rows chained as the
 # linear pair (u, conj u), the second application on the first's solution and
 # the P_B panel table collocated by gauss.collocate.
-SQRT_MONODROMY_G2_SHA256 = "9ee0cab155b46a6918da98b16754a95b6c4f616c6076b7cea49d7d41d39604b3"
+SQRT_MONODROMY_G2_SHA256 = "81b882d42e1133156d497807418b006a856bfeb17414d62d003f098c8ca0e886"
 # The same report with every residual set to null: its keys, order, grid
 # size and conventions.
 SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10a6b485c61905894a30"
@@ -75,8 +75,8 @@ SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10
 # recorded with the circle pair read off the linear solution (u, conj u) and
 # each ray route one straight leg in w = log z through gauss.collocate.
 MONODROMY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "1f9110ce595a11afb58869c7ad8e8dcf860e5b73e076d2849280712f8c64aa53",
-    ("1", "0.2", "1.3", "1.0"): "e8e452eab60fc33f04930d3c2912af007b2b732aed0e787283a68c01bf257b1b",
+    ("2", "0.3", "1", "0.5"): "1e77ce50c03503c5e5260e7fa1ff6da7195cbfa23f5cb55a5428afab267b8ee9",
+    ("1", "0.2", "1.3", "1.0"): "1ecc09ae3b39fef9dce30e6d09ada39ad269450c276566089cc353d3758b4995",
 }
 # The one genericity message, NumericQuad's, at (1, 0.5, 1, 0.5) where D- = 0.
 GENERICITY_MESSAGE = ("D+=2.000e+00, D-=0.000e+00 at (ell=1, mu=0.5, omega=1.0); "
@@ -95,8 +95,8 @@ SQRT_MONODROMY_G2_DOP853 = {
 # P_B panel table, the theta pair's node phases and the ray routes, each one
 # straight leg in w = log z, through gauss as well.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "a8bf1e971ddced4c6f0cf3f14e0fa58eb0fcd9da97780d5b6265ddc493963132",
-    ("1", "0.2", "1.3", "1.0"): "c6f6fc4c1d8c8d2e53d3481bba2770bcab9bbfc9a68f4fa02a49417d8b306329",
+    ("2", "0.3", "1", "0.5"): "d427f2d15b3c4a3774ee1cd0f32e7691248c3b9f13cc6ba50561cf63e76a022c",
+    ("1", "0.2", "1.3", "1.0"): "b67a115d76c65f251bd3e5af2382651d783e833744122b007033d633adc3eea7",
 }
 # The same reports with every residual set to null: their keys, order,
 # strings, grid sizes and radii.
@@ -416,26 +416,26 @@ def test_step_ceiling_refuses_a_vast_window(capsys):
 
 
 # What the two inputs whose slope scale once overflowed DOP853's initial step
-# print now: at mu = 1e300 the row cap is 6e-302, so the window needs about
-# 2e302 rows and is refused before anything is allocated; at omega = 1e300
-# the window is 546 rows, the solve succeeds, and the report fails its
+# print now: at mu = 1e300 the row cap is 2.4e-301, so the window needs about
+# 6e301 rows and is refused before anything is allocated; at omega = 1e300
+# the window is 137 rows, the solve succeeds, and the report fails its
 # Riccati budget (the residual scales with omega).  The stderr lines are the
 # one message of gauss.uniform_rows.
 ZERO_INITIAL_STEP_EXITS = {
     ("--mu", "1e300", "--omega", "1"): (
         1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 rows "
-               "of at most 6e-302\n"),
+               "of at most 2.4e-301\n"),
     ("--mu", "0.3", "--omega", "1e300"): (
-        1, '{"sup_residual_circle": 5.4672143489065709e-15, "boundary_residual": '
-           '5.5511151231257827e-17, "unimodularity_residual": 4.4408920985006262e-16, '
-           '"riccati_residual": 1.4871330771360971e+285, "ray_residuals": '
-           '[[0.80000000000000004, 8.3266726846886741e-16], [1.25, 1.7901808365247238e-15]], '
+        1, '{"sup_residual_circle": 4.8698183706588758e-15, "boundary_residual": '
+           '1.2412670766236366e-16, "unimodularity_residual": 3.3306690738754696e-16, '
+           '"riccati_residual": 1.4870169084777831e+285, "ray_residuals": '
+           '[[0.80000000000000004, 4.4754520913118096e-16], [1.25, 8.8817841970012523e-16]], '
            '"grid_size": 1001, "tol": 9.9999999999999998e-13}\n', ""),
     # a slope scale of 2e307 makes the row count inf, one of inf makes the
     # row cap 0: both must hit the ceiling before any division
     ("--mu", "1e307", "--omega", "1"): (
         1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 rows "
-               "of at most 6e-309\n"),
+               "of at most 2.4e-308\n"),
     ("--mu", "1e308", "--omega", "1"): (
         1, "", "tolerance failure: [0.0, 14.137166941154069] needs more than 100000 rows "
                "of at most 0\n"),

@@ -93,11 +93,12 @@ def test_ray_residuals_hold_to_1e_13(point_path):
 # sha256 of the four continuations of verify's ray routes (radii 0.8 and
 # 1.25), in the order A, B per radius: the bytes of the values, then the
 # pole flags, recorded with route B starting from the algebraic monodromy of
-# the pair read off (u, conj u), and each route one straight leg in
-# w = log z through gauss.collocate, collocated on its own.
+# the pair read off (u, conj u), each route one straight leg in w = log z
+# through gauss.collocate on the rows of ROW_RATE = 0.24, and route B read
+# off route A's rows by reflection (bit for bit its own leg).
 RAY_SHA256 = {
-    GOLDENS[0]: "2ab7cbf2e68f3c7b993d323b48d2df6e4a6a398df9d584420274d1eb763c8fe6",
-    GOLDENS[1]: "5b6274a6192b5f64a3928de6e88a63dbafd3f98a80f370592e529716efd2b300",
+    GOLDENS[0]: "7bb8d5750da7d55afb6dcfb77761b7312e71011a287c2b2b63e7178eee8c6314",
+    GOLDENS[1]: "2b33e5ecc9e06126dbcb699a97b9651ffba6bf14548d5e9979daaf02a40715db",
 }
 
 

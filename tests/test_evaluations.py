@@ -59,7 +59,7 @@ def test_check_theorem2_evaluations(golden_path, golden_quad, counts):
     check_theorem2(golden_path, golden_quad, 1001)
     # the boundary values are one 3-point evaluation at (T/2, -T/2, 0); they
     # were two one-point evaluations.  The panel table's nodes are 2 sides x
-    # 104 rows x 10 nodes, each evaluated at t and -t: 4160 points.  The
+    # 52 rows x 10 nodes, each evaluated at t and -t: 2080 points.  The
     # second application reads the first's solution, which evaluates the
     # path's at t and -t; the one (phi, P) evaluation is the period shift
-    assert counts == {"eval": 1, "solution": 9, "points": 11186, "derivative": 0}
+    assert counts == {"eval": 1, "solution": 9, "points": 9106, "derivative": 0}

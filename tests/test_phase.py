@@ -253,7 +253,8 @@ def test_phase_certificates_hold_to_1e_13(point):
 
 def _scipy_phase(params, phi0, t_bound, max_step):
     # rtol 2.5e-14, the setting solve_phase used with DOP853 at tol = 1e-12,
-    # and as max step the phase rows' widest row, 0.12/(|B| + |A| + 1)
+    # and as max step 0.12/(|B| + |A| + 1), a quarter of the phase rows'
+    # widest row at most points
     return solve_ivp(phase_rhs(params), (0.0, t_bound), (phi0, 0.0), method="DOP853",
                      rtol=2.5e-14, atol=2.5e-16, max_step=max_step, dense_output=True)
 
@@ -262,7 +263,7 @@ def _scipy_phase(params, phi0, t_bound, max_step):
 def test_phase_solve_matches_scipy(point):
     params = ModelParams(ell=point["ell"], mu=point["mu"], omega=point["omega"])
     path = solve_phase(params, point["phi0"], tol=1e-12)
-    sols = [_scipy_phase(params, point["phi0"], t_bound, gauss.ROW_RATE / turning_rate(params))
+    sols = [_scipy_phase(params, point["phi0"], t_bound, 0.12 / turning_rate(params))
             for t_bound in (path.t_max, path.t_min)]
     t = np.random.default_rng(5).uniform(path.t_min, path.t_max, 5000)
     expect = np.where(t >= 0, sols[0].sol(t), sols[1].sol(t))
