@@ -8,15 +8,16 @@ on-circle evaluation reduces to a PhasePath lookup.  The reciprocal point
 and -t, on the continuous branches through t = 0 by construction, and
 their derivatives are the system itself.
 
-The theta pair is the circle's second route to Psi = e^P: its linear system
-is collocated by ``gauss.collocate`` on the phase path's own rows that cover
-|t| <= T/2, with e^{i phi} = conj(u)/u at the nodes read off those rows a
-block at a time (``Rows.at_fractions``), and kept as ``gauss.Rows`` each
-way, as mantissas with a power-of-two exponent per row, so the rows stay
-finite however large e^P grows.  On the circle |Phi| = 1, so its matrix has
-the form [[alpha, beta], [conj beta, conj alpha]], and from (i, -i) the
-pair is a conjugate pair of ``gauss``, ThetaTilde = conj Theta: the rows keep Theta
-alone, and the route to Psi is Im Theta (``ThetaPair.psi_route``).
+The theta pair (Theta, ThetaTilde) from (i, -i), the circle's second route
+to Psi = e^P, solves y' = M y with the rank-one M = (Phi, -1/Phi)^T (1, -1)/2,
+Phi = e^{i phi(t)}: so Delta = Theta - ThetaTilde solves
+Delta' = cos(phi) Delta, Delta = 2i e^P, and Theta' = Phi Delta / 2 =
+i conj(u)^2 for the phase path's u = e^{P/2 - i phi/2}.  Hence
+Theta = i (1 + int_0^t conj(u)^2), ThetaTilde = conj Theta and
+(Theta - ThetaTilde)/(2i) = Im Theta = e^P (``ThetaPair.psi_route``; route
+equivalence pins that orientation): an exact integral of the phase rows' own
+polynomials over |t| <= T/2 (``gauss.conj_square_quadrature``), at twice
+their power-of-two exponent, so it stays finite however large e^P grows.
 
 Off the circle, Phi = v/u is continued through the linear system behind its
 Riccati equation, collocated by the same ``gauss.collocate`` along one
@@ -37,7 +38,7 @@ import numpy as np
 from . import gauss
 from .errors import DenominatorVanished, OutOfWindow
 from .params import ModelParams
-from .phase import PhasePath, _Rows, system_row
+from .phase import PhasePath, system_row
 
 #: Annulus guard for off-circle continuation.
 RHO_MIN, RHO_MAX = 0.2, 5.0
@@ -150,43 +151,17 @@ def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
 # Theta pair
 # ---------------------------------------------------------------------------
 
-# Orientation of the theta subsystem realized on the circle.  With
-# y = (Theta, ThetaTilde) the paired equations read y' = M(t) y,
-#
-#     M = [[ Phi/2,       -Phi/2     ],
-#          [ -1/(2 Phi),   1/(2 Phi) ]],    Phi = e^{i phi(t)},
-#
-# the unique orientation under which (Theta - ThetaTilde)/(2i) reproduces
-# the quadrature e^{P(t)} (route equivalence pins the sign).  1/Phi =
-# conj Phi, so the second row is the first's conjugate, reversed: the pair
-# is collocated from the first row alone as (Theta, conj Theta).
-
-
-def _collocate(rows: _Rows, count: int) -> gauss.Rows:
-    """The theta pair on the first ``count`` rows of one direction of the
-    phase path, the conjugate pair from Theta(0) = i, chained by
-    ``gauss.collocate`` with the first row of M.
-    Phi = conj(u)/u at the nodes comes from the phase rows' own polynomial,
-    read a block at a time at the node fractions."""
-
-    def matrices(blk: slice) -> np.ndarray:
-        u = rows.at_fractions(blk, gauss.NODE_FRACTIONS)[0][:, :, 0]
-        up = 0.5 * u.conj() / u
-        return np.stack((up, -up), 1)[:, None]
-
-    return gauss.collocate(matrices, rows.ts[:count + 1], rows.h, (1j,))
-
-
 class ThetaPair:
     """Theta, ThetaTilde on [-T/2, T/2] with Theta(1) = i, ThetaTilde(1) = -i,
-    collocated on the phase path's own rows (``theta_pair_solve``)."""
+    integrated on the phase path's own rows (``theta_pair_solve``)."""
 
     def __init__(self, path: PhasePath):
         self.path = path
         self._half = half = 0.5 * path.params.T
         # rows counted from t = 0 until one reaches |t| = T/2
         self._fwd, self._bwd = (
-            _collocate(rows, min(int(np.searchsorted(np.abs(rows.ts), half)), rows.n))
+            gauss.conj_square_quadrature(
+                rows, min(int(np.searchsorted(np.abs(rows.ts), half)), rows.n), 1j)
             for rows in (path._fwd, path._bwd))
 
     def values(self, t) -> np.ndarray:
@@ -205,12 +180,10 @@ class ThetaPair:
 
 
 def theta_pair_solve(path: PhasePath) -> ThetaPair:
-    """Collocate the theta subsystem from t = 0 both ways over [-T/2, T/2].
-
-    The collocation runs on the phase path's own rows, with e^{i phi} at the
-    nodes taken from them; P is never read.  Evaluating the pair outside
-    [-T/2, T/2] raises OutOfWindow, and a block whose Picard sweeps do not
-    settle raises NotConverged.
+    """The theta subsystem from t = 0 both ways over [-T/2, T/2], as the
+    exact integral Theta = i (1 + int_0^t conj(u)^2) of the phase path's own
+    row polynomials; P is never read.  Evaluating the pair outside
+    [-T/2, T/2] raises OutOfWindow.
     """
     return ThetaPair(path)
 

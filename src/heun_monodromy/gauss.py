@@ -2,11 +2,11 @@
 10-node Gauss collocation of linear systems y' = M(t) y, and the one type of
 dense output, ``Rows``.
 
-The program has four linear systems: the phase path's (``phase``), the
-theta pair and the Riccati continuation off the circle (``circle``), and
-the P_B panel table (``sqrtmono``).  Each enters through one entry point,
-``collocate``, which keeps the chained rows of a linear pair as ``Rows``,
-the one dense output; the four differ only in the matrices they give it.
+The program has three linear systems: the phase path's (``phase``), the
+Riccati continuation off the circle (``circle``), and the P_B panel table
+(``sqrtmono``).  Each enters through one entry point, ``collocate``, which
+keeps the chained rows of a linear pair as ``Rows``, the one dense output;
+the three differ only in the matrices they give it.
 Behind it, one table serves the one collocation kernel,
 ``row_propagators``, and one chain, ``chain``, carries a linear pair across
 a block of row propagators, rescaled by an exact power of two: the one
@@ -18,10 +18,9 @@ M = [[alpha, beta], [conj beta, conj alpha]].  Such a system also solves
 chain commutes with conjugation, so v = conj u holds bit for bit and u
 alone carries the pair: from M's first row the kernel forms the first rows
 of the propagators, the chain steps u <- r00 u + r01 conj u, and the rows
-store u.  The phase path (alpha = -i b/2, beta = 1/2) and the theta pair on
-the circle (alpha = Phi/2, beta = -Phi/2, as 1/Phi = conj Phi) are
-conjugate pairs; the continuation off the circle and the panel table give
-the whole M.  One Picard loop, one chain and one collocation serve both:
+store u.  The phase path (alpha = -i b/2, beta = 1/2) is a conjugate pair;
+the continuation off the circle and the panel table give the whole M.  One
+Picard loop, one chain and one collocation serve both:
 only the node product (``_node_product``) and the chain step differ,
 selected by the number of rows of M.  With the whole M, one collocation
 carries any number of pairs of the one system, y = (u1, v1, u2, v2, ...):
@@ -31,13 +30,15 @@ with them under one shared exponent (the continuation's two routes).
 Only this module knows the row format, y' in powers of the row fraction,
 and which components are stored: ``Rows`` reads it pointwise (``values``,
 ``slopes``) or a block of rows at fixed fractions (``at_fractions``), and a
-call gives y, conj u included.  One row rule, ``uniform_rows``, sizes the
-phase rows (which the theta pair shares), the panel table and the one leg
-of each continuation: each caller states its own bound on ||M||_inf, the
-rule takes the fewest rows with |h| * rate <= ROW_RATE, and it is the one
-place that refuses a span with StepCeilingExceeded.  The nodes
-and weights are literals rather than Golub-Welsch: the first LAPACK call
-keeps about 1 MB for the whole run.
+call gives y, conj u included, or integrates the phase rows' conj(u)^2
+into the circle's theta pair (``conj_square_quadrature``).  One row rule,
+``uniform_rows``, sizes the phase rows, the panel table and the one leg of
+each continuation: each caller states its own bound on ||M||_inf, the rule
+takes the fewest rows with |h| * rate <= ROW_RATE, and it is the one place
+that refuses a span with StepCeilingExceeded.  The nodes and weights are
+literals rather than Golub-Welsch, and every product over nodes or
+coefficients is a two-operand einsum: the program makes no BLAS or LAPACK
+call, whose first call keeps about 1 MB for the whole run.
 """
 
 from __future__ import annotations
@@ -255,12 +256,12 @@ def power_coefficients(dy: np.ndarray) -> np.ndarray:
 
 
 def horner(C: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_i C[i, k] s^i for a real (NODES, n, m) coefficient array, the rows
+    """sum_i C[i, k] s^i for a real (terms, n, m) coefficient array, the rows
     k and fractions s (len(k), 1), by Horner's rule elementwise, so a value
     does not depend on how many are evaluated together."""
     C = np.take(C, k, axis=1)
     acc = C[-1] * s
-    for i in range(NODES - 2, 0, -1):
+    for i in range(len(C) - 2, 0, -1):
         acc += C[i]
         acc *= s
     acc += C[0]
@@ -288,16 +289,16 @@ class Rows:
     ts: np.ndarray  # (n + 1,)
     h: float
     y0: np.ndarray  # (n, m) complex
-    coef: np.ndarray  # (NODES, n, m) complex
+    coef: np.ndarray  # (terms, n, m) complex: NODES from ``collocate``
     exponent: np.ndarray  # (n,) int
 
     def __post_init__(self):
         self.n = self.coef.shape[1]
-        # (NODES, n, 2m) real coefficients for the evaluation, of y' and of
+        # (terms, n, 2m) real coefficients for the evaluation, of y' and of
         # (y - y0) / s
         self._dy = np.ascontiguousarray(self.coef).view(float)
         self._rise = np.ascontiguousarray(
-            self.coef * (self.h / np.arange(1.0, NODES + 1.0))[:, None, None]).view(float)
+            self.coef * (self.h / np.arange(1.0, len(self.coef) + 1.0))[:, None, None]).view(float)
 
     def locate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows k that hold the times t, and the fractions s there."""
@@ -323,8 +324,8 @@ class Rows:
         the same fractions s on every row: one node sum each, with the
         powers s^i that give y' and s^(i + 1) / (i + 1) that give
         (y - y0[k]) / h."""
-        powers = s[:, None] ** np.arange(NODES)
-        rises = powers * s[:, None] / np.arange(1.0, NODES + 1.0)
+        powers = s[:, None] ** np.arange(len(self.coef))
+        rises = powers * s[:, None] / np.arange(1.0, len(self.coef) + 1.0)
         coef = np.ascontiguousarray(self.coef[:, blk])
         return self.h * node_sum(rises, coef) + self.y0[blk], node_sum(powers, coef)
 
@@ -334,6 +335,32 @@ class Rows:
         k, s = self.locate(t)
         y = np.ldexp(self.values(k, s).view(float), self.exponent[k][:, None]).view(complex).T
         return y if len(y) == 2 else np.concatenate((y, y.conj()))
+
+
+#: (i + j, (i, j)): the 0/1 table that gathers the products m_i m_j of the
+#: coefficients of a row polynomial of degree NODES into its square's.
+_SQUARE = (np.arange(2 * NODES + 1)[:, None]
+           == (np.arange(NODES + 1)[:, None] + np.arange(NODES + 1)).ravel()).astype(float)
+
+
+def conj_square_quadrature(rows: Rows, count: int, start: complex) -> Rows:
+    """The rows of y = start + i int_0^t conj(u)^2 on the first ``count``
+    rows of a conjugate pair's ``rows``, exactly.  On row k, u's mantissa
+    m(s) = y0[k] + h sum_i coef[i, k] s^(i + 1)/(i + 1) has degree NODES, so
+    y' = i conj(m)^2 times 2^(2 exponent[k]): the rows store its 2 NODES + 1
+    coefficients at that exponent, and each row starts where the one before
+    ends, carried to its exponent by an exact power of two."""
+    m = np.concatenate((rows.y0[None, :count, 0], rows._rise.view(complex)[:, :count, 0]))
+    dy = 1j * node_sum(_SQUARE, (m[:, None] * m).reshape(-1, count)).conj()
+    exponent = 2 * rows.exponent[:count]
+    scales = np.ldexp(1.0, np.append(exponent[:-1] - exponent[1:], 0)).tolist()
+    rises = rows.h * node_sum(1.0 / np.arange(1.0, len(dy) + 1.0)[None], dy)[0]
+    y, starts = complex(start) * ldexp(1.0, -int(exponent[0])), []
+    for rise, scale in zip(rises.tolist(), scales):
+        starts.append(y)
+        y = (y + rise) * scale
+    return Rows(ts=rows.ts[:count + 1], h=rows.h, y0=np.array(starts)[:, None],
+                coef=dy[:, :, None], exponent=exponent)
 
 
 def two_sided(t: np.ndarray, fwd, bwd, out: np.ndarray) -> np.ndarray:

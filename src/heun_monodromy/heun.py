@@ -315,20 +315,23 @@ def build_matrix_B(hb: HeunBasisPath, nq: NumericQuad) -> np.ndarray:
     read off from its action at z = 1.
 
     A solution is fixed by its value and z-derivative at z = 1, so column s
-    solves [[E+, E-], [E+', E-']] (at z = 1) against L_B[E_s] and its
-    z-derivative there, both from one ``apply_B_and_dot`` call at t = 0
-    (d/dz = (i omega)^-1 d/dt at z = 1).
+    solves V = [[E+, E-], [E+', E-']] = [[a, b], [c, d]] (at z = 1) against
+    L_B[E_s] and its z-derivative there, both from one ``apply_B_and_dot``
+    call at t = 0 (d/dz = (i omega)^-1 d/dt at z = 1), through the closed
+    form V^-1 = [[d, -b], [-c, a]] / (ad - bc).
     """
     images, images_dot = apply_B_and_dot(hb, nq, 0.0, coeffs=BASIS_COEFFS)
     b0 = hb.at(0.0)
-    V = np.array([[b0.E(+1)[0], b0.E(-1)[0]], [b0.Eprime(+1)[0], b0.Eprime(-1)[0]]])
-    values = np.stack((images[:, 0], images_dot[:, 0] / (1j * hb.params.omega)))
-    return np.linalg.solve(V, values)
+    (a, b), (c, d) = (b0.E(+1)[0], b0.E(-1)[0]), (b0.Eprime(+1)[0], b0.Eprime(-1)[0])
+    value, slope = images[:, 0], images_dot[:, 0] / (1j * hb.params.omega)
+    return np.array((d * value - b * slope, a * slope - c * value)) / (a * d - b * c)
 
 
 def det_relation_residual(matrix: np.ndarray, D: float) -> float:
-    """|det(B)^2 - D^2| / D^2 (the composition-law determinant identity)."""
-    return float(abs(complex(np.linalg.det(matrix)) ** 2 - D**2) / D**2)
+    """|det(B)^2 - D^2| / D^2 (the composition-law determinant identity),
+    with det B = ad - bc."""
+    (a, b), (c, d) = matrix
+    return float(abs(complex(a * d - b * c) ** 2 - D**2) / D**2)
 
 
 def operation_report(

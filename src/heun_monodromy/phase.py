@@ -14,9 +14,8 @@ P = int cos(phi) is 2 log|u|.  The four half powers of the circle pair are
 this solution itself (``circle.CirclePair``).  M depends on t alone, so
 every row of the window is collocated at once with the 10-node Gauss kernel
 of ``gauss``, forward and backward from t = 0 on the uniform rows of
-``gauss.uniform_rows`` at ``row_rate``, max((|B| + |A| + 1)/2, 1), which
-bounds ||M||_inf here and on the theta pair that shares the rows.
-M = [[alpha, beta], [conj beta, conj alpha]] with
+``gauss.uniform_rows`` at ``row_rate``, (|B| + |A| + 1)/2, which bounds
+||M||_inf.  M = [[alpha, beta], [conj beta, conj alpha]] with
 alpha = -i b/2 and beta = 1/2, so y is a conjugate pair of ``gauss``: the
 rows chain it through ``gauss.collocate`` from M's first row and keep u
 alone, as mantissas with one power-of-two exponent per block, so u stays
@@ -79,16 +78,14 @@ class _Rows(gauss.Rows):
     phi_lo: np.ndarray
     log_scale: np.ndarray  # (n,)
 
-    def lift(self, t: np.ndarray, derivative: bool) -> np.ndarray:
-        """(2, n) values of (phi, P) at the times t, or their d/dt."""
+    def jet(self, t: np.ndarray) -> np.ndarray:
+        """(4, n) values of (phi, P, dphi/dt, dP/dt) at the times t."""
         k, s = self.locate(t)
         u = self.values(k, s)[:, 0]
-        if derivative:
-            du = self.slopes(k, s)[:, 0] / u
-            return np.array((-2.0 * du.imag, 2.0 * du.real))
+        du = self.slopes(k, s)[:, 0] / u
         w = self.y0[k, 0] * u.conj()
         phi = self.phi[k] + (self.phi_lo[k] + 2.0 * np.arctan2(w.imag, w.real))
-        return np.array((phi, self.log_scale[k] + _log_norm(u)))
+        return np.array((phi, self.log_scale[k] + _log_norm(u), -2.0 * du.imag, 2.0 * du.real))
 
 
 @dataclass
@@ -117,14 +114,15 @@ class PhasePath:
                 )
         return t
 
-    def _split(self, t, derivative: bool) -> np.ndarray:
+    def jet(self, t) -> np.ndarray:
+        """(4, n) array of (phi, P) and their exact d/dt from one row lookup:
+        the collocation polynomial's -2 Im(u'/u) and 2 Re(u'/u), never M y."""
         t = self._times(t)
-        return gauss.two_sided(t, lambda u: self._fwd.lift(u, derivative),
-                               lambda u: self._bwd.lift(u, derivative), np.empty((2,) + t.shape))
+        return gauss.two_sided(t, self._fwd.jet, self._bwd.jet, np.empty((4,) + t.shape))
 
     def eval(self, t) -> np.ndarray:
         """(2, n) array of (phi, P) values; vectorized over t."""
-        return self._split(t, derivative=False)
+        return self.jet(t)[:2]
 
     def solution(self, t) -> np.ndarray:
         """(2, n) complex values of the linear pair (u, v) at the times t,
@@ -134,10 +132,10 @@ class PhasePath:
         return gauss.two_sided(t, self._fwd, self._bwd, np.empty((2,) + t.shape, dtype=complex))
 
     def phi(self, t):
-        return self.eval(t)[0]
+        return self.jet(t)[0]
 
     def P(self, t):
-        return self.eval(t)[1]
+        return self.jet(t)[1]
 
     def phidot(self, t, phi_val):
         """dphi/dt along the solution at the times t, where phi is phi_val
@@ -147,17 +145,15 @@ class PhasePath:
         return p.Bdrive + p.A * np.cos(p.omega * t) - np.sin(phi_val)
 
     def derivative(self, t) -> np.ndarray:
-        """Exact (2, n) derivative of the collocation polynomial itself:
-        -2 Im(u'/u) and 2 Re(u'/u), never M y."""
-        return self._split(t, derivative=True)
+        """Exact (2, n) derivative of (phi, P), from ``jet``."""
+        return self.jet(t)[2:]
 
     def ode_residual(self, t) -> tuple[np.ndarray, np.ndarray]:
         """|polynomial' - rhs| for the phi and P components at samples t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        d = self.derivative(t)
-        phi_val, _ = self.eval(t)
-        res_phi = np.abs(d[0] - self.phidot(t, phi_val))
-        res_p = np.abs(d[1] - np.cos(phi_val))
+        phi_val, _, dphi, dP = self.jet(t)
+        res_phi = np.abs(dphi - self.phidot(t, phi_val))
+        res_p = np.abs(dP - np.cos(phi_val))
         return res_phi, res_p
 
     def time_translation_residual(self, grid_size: int = 1001) -> float:
@@ -168,10 +164,9 @@ class PhasePath:
         """
         T = self.params.T
         t = np.linspace(self.t_min, self.t_max - T, grid_size)
-        d = self.derivative(t + T)
-        phi_shift = self.phi(t + T)
+        phi_shift, _, dphi, _ = self.jet(t + T)
         p = self.params
-        res = d[0] - (p.Bdrive + p.A * np.cos(p.omega * t) - np.sin(phi_shift))
+        res = dphi - (p.Bdrive + p.A * np.cos(p.omega * t) - np.sin(phi_shift))
         return float(np.max(np.abs(res)))
 
     @property
@@ -190,13 +185,12 @@ def turning_rate(params: ModelParams) -> float:
 
 
 def row_rate(params: ModelParams) -> float:
-    """max(turning_rate / 2, 1): the bound on ||M||_inf that the phase rows
-    state to ``gauss.uniform_rows``.  The phase system has
-    ||M||_inf = |b|/2 + 1/2 <= turning_rate / 2, and the theta pair of
-    ``circle``, collocated on the same rows, has ||M_theta||_inf = |Phi| = 1.
-    Each row then turns the phase by |dphi| <= 2 ROW_RATE = 0.48 < pi, so the
-    arg increments that chain the rows are unambiguous (CHANGES.md)."""
-    return max(0.5 * turning_rate(params), 1.0)
+    """turning_rate / 2: the bound on ||M||_inf that the phase rows state to
+    ``gauss.uniform_rows``, as the phase system has
+    ||M||_inf = |b|/2 + 1/2 <= turning_rate / 2.  Each row then turns the
+    phase by |dphi| <= 2 ROW_RATE = 0.48 < pi, so the arg increments that
+    chain the rows are unambiguous (CHANGES.md)."""
+    return 0.5 * turning_rate(params)
 
 
 def system_row(params: ModelParams, t: np.ndarray) -> np.ndarray:
@@ -299,13 +293,15 @@ def _error_estimate(rows: _Rows, params: ModelParams) -> float:
         d_phi, d_P, rel_P, sin_phi = _defect_samples(rows, params, blk)
         # e_phi at each row's end, one multiply-add per row
         g = np.exp(rel_P) * d_phi
-        full = h * (g @ _SAMPLE_WEIGHTS)
+        full = h * np.einsum("ij,j->i", g, _SAMPLE_WEIGHTS)
         ends = list(accumulate(zip(decay[blk].tolist(), full.tolist()),
                                lambda e, step: step[0] * (e + step[1]), initial=e_phi_end))
-        e_phi = np.exp(-rel_P) * (np.array(ends[:-1])[:, None] + h * (g @ _SAMPLE_CUMULATIVE))
+        rise = h * np.einsum("ij,jk->ik", g, _SAMPLE_CUMULATIVE)
+        e_phi = np.exp(-rel_P) * (np.array(ends[:-1])[:, None] + rise)
         q = d_P - sin_phi * e_phi
-        e_P_ends = e_P_end + np.cumsum(h * (q @ _SAMPLE_WEIGHTS))
-        e_P = np.concatenate(([e_P_end], e_P_ends[:-1]))[:, None] + h * (q @ _SAMPLE_CUMULATIVE)
+        e_P_ends = e_P_end + np.cumsum(h * np.einsum("ij,j->i", q, _SAMPLE_WEIGHTS))
+        rise = h * np.einsum("ij,jk->ik", q, _SAMPLE_CUMULATIVE)
+        e_P = np.concatenate(([e_P_end], e_P_ends[:-1]))[:, None] + rise
         sup = max(sup, np.max(np.abs(e_phi)), np.max(np.abs(ends)),
                   np.max(np.abs(e_P)), np.max(np.abs(e_P_ends)))
         e_phi_end, e_P_end = ends[-1], float(e_P_ends[-1])

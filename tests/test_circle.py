@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import ast
 import cmath
 import dataclasses
 import hashlib
+import inspect
 import math
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
-from heun_monodromy import gauss
-from heun_monodromy import ModelParams, NotConverged, OutOfWindow, solve_phase
+from heun_monodromy import gauss, verify
+from heun_monodromy import ModelParams, OutOfWindow, solve_phase
 from heun_monodromy.circle import (
     CirclePair,
     continue_riccati_path,
@@ -222,22 +225,28 @@ def test_theta_pair_row_edge_belongs_to_the_row_ending_there(golden_path):
         assert np.array_equal(pair.values(t), np.concatenate((scaled.T, scaled.T.conj())))
 
 
-def test_theta_pair_sweep_cap_raises_not_converged(golden_path, monkeypatch):
-    # each sweep contracts by at most 0.2369, so one sweep cannot settle
-    monkeypatch.setattr(gauss, "PICARD_MAX_SWEEPS", 1)
-    with pytest.raises(NotConverged):
-        theta_pair_solve(golden_path)
+def test_theta_pair_collocates_nothing(golden_path, monkeypatch):
+    # the pair is an exact integral of the phase rows: no Picard block runs,
+    # so a kernel that refuses every block changes nothing
+    expected = theta_pair_solve(golden_path).values(grid(golden_path, 1001))
+
+    def refused(M, h):
+        raise AssertionError("the theta pair collocated a block")
+
+    monkeypatch.setattr(gauss, "row_propagators", refused)
+    pair = theta_pair_solve(golden_path)
+    assert np.array_equal(pair.values(grid(golden_path, 1001)), expected)
 
 
 # sha256 of the bytes of ThetaPair.values(t), then of psi_route(t), on the
-# 1001-point grid over [-T/2, T/2], recorded with the theta pair collocated as
-# the conjugate pair (Theta, conj Theta) from Theta(0) = i, on e^{i phi} =
-# conj(u)/u at the nodes read off the phase rows' polynomial a block at a
-# time (Rows.at_fractions), and psi_route read as Im Theta.
+# 1001-point grid over [-T/2, T/2], recorded with Theta = i (1 + int conj(u)^2)
+# integrated exactly on the phase rows' own polynomials, each row at twice
+# their exponent (gauss.conj_square_quadrature), and psi_route read as
+# Im Theta.
 THETA_PAIR_SHA256 = {
-    GOLDENS[0]: "d5152e73aec2644fba95b06d2fae7711d36b32712508cd8d1450789f12927877",
-    GOLDENS[1]: "248f402899f567d76cd18d0c8bf9a656859bcbb8427f7c0717fa2af2782a4272",
-    FIXED_SWEEP_POINTS[0]: "05a06dafe34b81dfb450e47a91da8c9ef41fb3149d56c722970307d4c74500eb",
+    GOLDENS[0]: "07ea29f66654571befe8f99e5bc756afdb535e67e99a033b1c9f46b03c55eac3",
+    GOLDENS[1]: "55ddc33e6b4462012871f844cc815baf7b57bc3149ab61b0b202870dbcb77dae",
+    FIXED_SWEEP_POINTS[0]: "e867b36b1bd0b1ae02f38b6202bd4ce0b11b9479041af489d4a98e6e135fd82c",
 }
 
 
@@ -253,8 +262,10 @@ def test_theta_pair_values_are_pinned_bit_for_bit(point):
 
 def test_theta_pair_rows_stay_finite_where_e_P_overflows():
     # at omega = 0.004, P reaches 785 at t = +-T/2, past the float range of
-    # e^P; the chain rescales each block by a power of two, so the collocation
-    # warns of nothing and every stored row start and coefficient is finite
+    # e^P; each theta row keeps twice the exponent of the phase row it
+    # integrates, and each row start is carried to the next row's exponent by
+    # an exact power of two, so the quadrature warns of nothing and every
+    # stored row start and coefficient is finite
     path = solve_phase(ModelParams(ell=1.0, mu=0.3, omega=0.004), 0.5, tol=1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -262,8 +273,8 @@ def test_theta_pair_rows_stay_finite_where_e_P_overflows():
     for rows in (pair._fwd, pair._bwd):
         assert np.isfinite(rows.y0).all() and np.isfinite(rows.coef).all()
         assert rows.exponent.max() > 1024  # the scale alone leaves the float range
-    # where e^P fits, the route meets it to the rounding of some 3300 chained
-    # rows (1.1e-13)
+    # where e^P fits, the route meets it to the rounding of some 1650 chained
+    # rows (1.2e-13)
     t = grid(path, 1001)
     P = path.P(t)
     t, P = t[P < 700], P[P < 700]
@@ -271,13 +282,81 @@ def test_theta_pair_rows_stay_finite_where_e_P_overflows():
 
 
 @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
-def test_theta_pair_nan_phase_raises_not_converged(golden_path):
-    # a NaN row never settles: it hits the sweep cap instead of looping
+def test_theta_pair_nan_phase_fails_route_equivalence(golden_path):
+    # a NaN phase row spoils the theta rows from there on: against the clean
+    # path's e^P the route reads NaN, which its gate fails and never passes,
+    # and so does the circle check on the spoiled path
     coef = golden_path._fwd.coef.copy()
     coef[:, 3] = np.nan
-    fwd = dataclasses.replace(golden_path._fwd, coef=coef)
-    with pytest.raises(NotConverged):
-        theta_pair_solve(dataclasses.replace(golden_path, _fwd=fwd))
+    spoiled = dataclasses.replace(golden_path,
+                                  _fwd=dataclasses.replace(golden_path._fwd, coef=coef))
+    t = grid(golden_path, 1001)
+    route = np.max(np.abs(theta_pair_solve(spoiled).psi_route(t) - np.exp(golden_path.P(t))))
+    failures = []
+    assert verify._gate(failures, "route_equivalence", route, "route_equivalence") == "nan"
+    assert failures == ["route_equivalence = nan > 1.0e-09"]
+    report, failures = verify.check_circle(spoiled, 1001)
+    assert report["route_equivalence"] == "nan"
+    assert "route_equivalence = nan > 1.0e-09" in failures
+
+
+def _mutant(drop: str):
+    """gauss.conj_square_quadrature with every ``.conj()`` call (drop =
+    "conj") or every factor 1j (drop = "i") taken out of its source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(gauss.conj_square_quadrature)))
+    dropped = []
+
+    class Drop(ast.NodeTransformer):
+        def visit_Call(self, node):
+            self.generic_visit(node)
+            if drop == "conj" and isinstance(node.func, ast.Attribute) and node.func.attr == "conj":
+                dropped.append(node.lineno)
+                return node.func.value
+            return node
+
+        def visit_BinOp(self, node):
+            self.generic_visit(node)
+            if drop == "i" and isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant) \
+                    and node.left.value == 1j:
+                dropped.append(node.lineno)
+                return node.right
+            return node
+
+    tree = ast.fix_missing_locations(Drop().visit(tree))
+    assert len(dropped) == 1, dropped
+    namespace = dict(vars(gauss))
+    exec(compile(tree, "<mutant>", "exec"), namespace)
+    return namespace["conj_square_quadrature"]
+
+
+def test_dropping_the_conj_fails_the_pins_and_the_reference(monkeypatch):
+    # Theta' = i conj(u)^2; with the conj dropped Re Theta changes sign, so
+    # the pinned values and the scalar reference fail.  Im(i z) = Re z =
+    # Im(i conj z), so Im Theta, the route to e^P, keeps every bit:
+    # route_equivalence cannot see this mutant, only the one below
+    point = GOLDENS[0]
+    ell, mu, omega, phi0 = point
+    path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
+    t = grid(path, 1001)
+    clean = theta_pair_solve(path)
+    monkeypatch.setattr(gauss, "conj_square_quadrature", _mutant("conj"))
+    pair = theta_pair_solve(path)
+    digest = hashlib.sha256(pair.values(t).tobytes() + pair.psi_route(t).tobytes())
+    assert digest.hexdigest() != THETA_PAIR_SHA256[point]
+    ref_theta = reference_theta_pair(path)(t)[0]
+    assert np.max(np.abs(pair.values(t)[0] - ref_theta)) > 0.1 * np.max(np.abs(ref_theta))
+    assert np.array_equal(pair.psi_route(t), clean.psi_route(t))
+
+
+def test_dropping_the_i_fails_route_equivalence(golden_path, monkeypatch):
+    # Theta' = conj(u)^2 instead of i conj(u)^2: Im Theta becomes
+    # -int e^P sin(phi), far from e^P
+    report, failures = verify.check_circle(golden_path, 1001)
+    assert failures == []
+    monkeypatch.setattr(gauss, "conj_square_quadrature", _mutant("i"))
+    report, failures = verify.check_circle(golden_path, 1001)
+    assert report["route_equivalence"] > 0.1
+    assert [f.split(" = ")[0] for f in failures] == ["route_equivalence"]
 
 
 # --- pole handling: an exactly solvable continuation with a pole on the ray

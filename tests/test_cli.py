@@ -91,12 +91,13 @@ SQRT_MONODROMY_G2_DOP853 = {
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
 # at the two golden points, recorded with the phase rows chained as the
 # linear pair (u, conj u) through gauss.collocate, every circle pair read off
-# a linear solution, the second application on the first's solution, and the
-# P_B panel table, the theta pair's node phases and the ray routes, each one
-# straight leg in w = log z, through gauss as well.
+# a linear solution, the second application on the first's solution, the
+# P_B panel table and the ray routes, each one straight leg in w = log z,
+# through gauss as well, the theta pair integrated exactly on the phase rows,
+# and the 2x2 algebra of L_B in closed form.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "d427f2d15b3c4a3774ee1cd0f32e7691248c3b9f13cc6ba50561cf63e76a022c",
-    ("1", "0.2", "1.3", "1.0"): "b67a115d76c65f251bd3e5af2382651d783e833744122b007033d633adc3eea7",
+    ("2", "0.3", "1", "0.5"): "9dbc4e47e784ddeaa03c59da0782c7a703dff6f9f7b9450c456c5369b07ac9bd",
+    ("1", "0.2", "1.3", "1.0"): "2a4892c621120e8559920f9a9d0dd870643d99eebc5aea085e623b42f884c763",
 }
 # The same reports with every residual set to null: their keys, order,
 # strings, grid sizes and radii.

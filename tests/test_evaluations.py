@@ -7,7 +7,10 @@ Before that, ``check_heun`` made 577 array evaluations over 416k points, and
 ``check_theorem2`` made 151 array evaluations plus 6186 one-point
 evaluations from a scalar DOP853 quadrature; later, with one
 evaluation per residual call, 19 and 20, and ``check_circle`` 7 evaluations
-and 1 derivative of its one grid.
+and 1 derivative of its one grid, then 1 evaluation and 1 derivative.  Every
+(phi, P) read is one ``PhasePath.jet``, which gives the values and their
+derivatives from one row lookup: ``eval``, ``derivative``, ``phi`` and ``P``
+are views of it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from heun_monodromy.verify import check_circle, check_heun, check_theorem2
 
 @pytest.fixture()
 def counts(monkeypatch):
-    tally = {"eval": 0, "solution": 0, "points": 0, "derivative": 0}
+    tally = {"jet": 0, "solution": 0, "points": 0}
 
     def counting(name):
         method = getattr(PhasePath, name)
@@ -33,17 +36,17 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(PhasePath, name, counted)
 
-    for name in ("eval", "solution", "derivative"):
+    for name in ("jet", "solution"):
         counting(name)
     return tally
 
 
 def test_check_circle_evaluations(golden_path, counts):
     check_circle(golden_path, 1001)
-    # route_equivalence collocates the theta pair on the path's own rows and
-    # evaluates the path nowhere (the scalar solve it replaced made 3226
-    # one-point evaluations)
-    assert counts == {"eval": 1, "solution": 0, "points": 2002, "derivative": 1}
+    # one jet gives (phi, P) and dP/dt on the grid; route_equivalence
+    # integrates the theta pair on the path's own rows and evaluates the path
+    # nowhere (the scalar solve it replaced made 3226 one-point evaluations)
+    assert counts == {"jet": 1, "solution": 0, "points": 1001}
 
 
 def test_check_heun_evaluations(golden_path, golden_quad, counts):
@@ -52,7 +55,7 @@ def test_check_heun_evaluations(golden_path, golden_quad, counts):
     # each; the boundary values it was built from before took two one-point
     # evaluations.  Every circle pair reads the linear solution; the one
     # (phi, P) evaluation is phi_alpha_identity's reference e^{i phi}
-    assert counts == {"eval": 1, "solution": 12, "points": 11825, "derivative": 0}
+    assert counts == {"jet": 1, "solution": 12, "points": 11825}
 
 
 def test_check_theorem2_evaluations(golden_path, golden_quad, counts):
@@ -62,4 +65,4 @@ def test_check_theorem2_evaluations(golden_path, golden_quad, counts):
     # 52 rows x 10 nodes, each evaluated at t and -t: 2080 points.  The
     # second application reads the first's solution, which evaluates the
     # path's at t and -t; the one (phi, P) evaluation is the period shift
-    assert counts == {"eval": 1, "solution": 9, "points": 9106, "derivative": 0}
+    assert counts == {"jet": 1, "solution": 9, "points": 9106}

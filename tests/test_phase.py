@@ -12,7 +12,6 @@ from scipy.integrate import solve_ivp
 
 import heun_monodromy
 from heun_monodromy import ModelParams, OutOfWindow, gauss, solve_phase
-from heun_monodromy.circle import theta_pair_solve
 from heun_monodromy.phase import system_row, turning_rate
 from tests.conftest import (
     FIXED_SWEEP_POINTS,
@@ -181,8 +180,8 @@ def test_v_is_conj_u_bit_for_bit(point):
 
 @pytest.mark.parametrize("point", GOLDENS + ((1.0, 0.3, 0.3, 0.5),), ids=["G1", "G2", "hyperbolic"])
 def test_conjugate_pair_blocks_match_the_whole_system(point, monkeypatch):
-    # the phase rows and the theta pair are collocated as conjugate pairs
-    # from the first row of M = [[a, b], [conj b, conj a]] and keep u alone;
+    # the phase rows are collocated as a conjugate pair from the first row
+    # of M = [[a, b], [conj b, conj a]] and keep u alone;
     # on every block, the general kernel and chain on the whole M give the
     # same first rows of G and R, the same row starts and end pair, with
     # v = conj(u), and the same exponent (np.array_equal, so the sign of a
@@ -203,8 +202,7 @@ def test_conjugate_pair_blocks_match_the_whole_system(point, monkeypatch):
     monkeypatch.setattr(gauss, "chain", recording_chain)
     ell, mu, omega, phi0 = point
     path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
-    pair = theta_pair_solve(path)
-    rows = (path._fwd, path._bwd, pair._fwd, pair._bwd)
+    rows = (path._fwd, path._bwd)
     for r in rows:
         assert r.y0.shape[1] == 1 and r.coef.shape[2] == 1
     assert len(blocks) == sum(-(-r.n // gauss.BLOCK_ROWS) for r in rows)

@@ -3,7 +3,7 @@ row widths and Picard sweeps it leads to.
 
 Each caller states a bound on ||M||_inf, and the rule gives the fewest
 uniform rows with |h| * rate <= ROW_RATE: the phase rows at
-max((|B| + |A| + 1)/2, 1), which the theta pair shares, the P_B panel table
+(|B| + |A| + 1)/2, the P_B panel table
 at |B| + |A| + 1 over +-TABLE_SPAN*T, and the continuation, one straight leg
 in w = log z from 0 to w1 per radius (route B rides on route A's rows), at
 (|ell| + |mu| max(r + 1/r) + 1/omega) |w1| / 2 with the max over the leg's two
@@ -19,13 +19,12 @@ import numpy as np
 import pytest
 
 from heun_monodromy import ModelParams, gauss, solve_phase
-from heun_monodromy.circle import theta_pair_solve
 from heun_monodromy.heunpoly import NumericQuad, diagonal
 from heun_monodromy.monodromy import verify_monodromy
 from heun_monodromy.sqrtmono import TABLE_SPAN, transform_from_path
 from tests.conftest import GOLDENS
 
-POINTS = GOLDENS + ((20.0, 0.3, 1.0, 0.5),)
+POINTS = GOLDENS + ((20.0, 0.3, 1.0, 0.5), (1.0, 0.3, 0.3, 0.5))
 RHOS = (0.2, 0.8, 1.25, 5.0)
 #: The contraction of one Picard sweep, and the sweeps that take a change of
 #: at most q^k below the kernel's stop at 4 ulps of 1: 25 at q = 0.2369.
@@ -46,14 +45,14 @@ def _leg_rate(params, w1):
     return 0.5 * (abs(params.ell) + abs(params.mu) * reach + 1 / params.omega) * abs(w1)
 
 
-@pytest.mark.parametrize("point", POINTS, ids=["G1", "G2", "ell20"])
+@pytest.mark.parametrize("point", POINTS, ids=["G1", "G2", "ell20", "low_drive"])
 def test_every_collocation_takes_the_fewest_rows_of_the_row_rule(point, monkeypatch):
     ell, mu, omega, phi0 = point
     params = ModelParams(ell=ell, mu=mu, omega=omega)
     turning = abs(params.Bdrive) + abs(params.A) + 1.0
     path = solve_phase(params, phi0, tol=1e-12)
     for rows, end in ((path._fwd, path.t_max), (path._bwd, path.t_min)):
-        _assert_fewest(end, max(turning / 2, 1.0), rows.n, rows.h)
+        _assert_fewest(end, turning / 2, rows.n, rows.h)
 
     tr = transform_from_path(path, NumericQuad(diagonal(int(ell)), params))
     for rows, sign in zip(tr.table, (1, -1)):
@@ -116,21 +115,22 @@ def _widest_step(M, h) -> float:
     return abs(h) * float(np.max(np.sum(np.abs(M), axis=2)))
 
 
-@pytest.mark.parametrize("point", GOLDENS + ((6.0, 1.5, 0.4, 0.0), (20.0, 0.3, 1.0, 0.5)),
-                         ids=["G1", "G2", "ell6", "ell20"])
+@pytest.mark.parametrize("point", GOLDENS + ((6.0, 1.5, 0.4, 0.0), (20.0, 0.3, 1.0, 0.5),
+                                             (1.0, 0.3, 0.3, 0.5)),
+                         ids=["G1", "G2", "ell6", "ell20", "low_drive"])
 def test_every_block_keeps_its_norm_bound_and_settles(point, blocks):
     # each system's stated rate bounds ||M||_inf on its rows, so |h| ||M||_inf
-    # at the nodes stays within ROW_RATE (to the rounding of the node values,
-    # where the theta pair's norm of exactly 1 is the bound), and every block
-    # settles within the worst case of the contraction, well under the cap
+    # at the nodes stays within ROW_RATE (to the rounding of node norms that
+    # reach the bound), and every block settles within the worst case of the
+    # contraction, well under the cap; at the low-drive point the phase rows
+    # state (|B| + |A| + 1)/2 = 0.74, below the 1 they once shared with the
+    # theta pair
     assert Q < 0.237 and WORST_SWEEPS == 25 < gauss.PICARD_MAX_SWEEPS
     ell, mu, omega, phi0 = point
     params = ModelParams(ell=ell, mu=mu, omega=omega)
     systems = {}
     path = solve_phase(params, phi0, tol=1e-12)
     systems["phase"], blocks[:] = blocks[:], []
-    theta_pair_solve(path)
-    systems["theta"], blocks[:] = blocks[:], []
     transform_from_path(path, NumericQuad(diagonal(int(ell)), params)).table
     systems["table"], blocks[:] = blocks[:], []
     verify_monodromy(path, rhos=list(RHOS))
@@ -140,6 +140,6 @@ def test_every_block_keeps_its_norm_bound_and_settles(point, blocks):
         for M, h, sweeps in recorded:
             assert _widest_step(M, h) <= gauss.ROW_RATE * (1 + 4 * gauss.EPS), name
             assert 2 <= sweeps <= WORST_SWEEPS, name
-    # the phase rows and the theta pair are conjugate pairs, the table and the
-    # continuation whole systems
-    assert [len(recorded[0][0][0]) for recorded in systems.values()] == [1, 1, 2, 2]
+    # the phase rows are a conjugate pair, the table and the continuation
+    # whole systems
+    assert [len(recorded[0][0][0]) for recorded in systems.values()] == [1, 2, 2]
