@@ -2,11 +2,11 @@
 
 The circle is parametrized by real time through z = exp(i*omega*t); every
 on-circle evaluation reduces to a PhasePath lookup.  The reciprocal point
-1/z on the circle is the lift t -> -t.  A circle pair is one solution
-(u, v) of the phase equation's linear system, given by a callable
-(``CirclePair``): the four half-power products are its components at t
-and -t, on the continuous branches through t = 0 by construction, and
-their derivatives are the system itself.
+1/z on the circle is the lift t -> -t.  Every circle solution is a
+coordinate pair on the basis {y, Ry} of the phase equation's linear system
+(``CirclePair``), y = (u, v) the path's own solution: the four half-power
+products are y's components at t and -t, and their derivatives are the
+system itself.
 
 The theta pair (Theta, ThetaTilde) from (i, -i), the circle's second route
 to Psi = e^P, solves y' = M y with the rank-one M = (Phi, -1/Phi)^T (1, -1)/2,
@@ -46,6 +46,8 @@ RHO_MIN, RHO_MAX = 0.2, 5.0
 DEFAULT_RHOS = (0.8, 1.25)
 #: A Moebius denominator below this raises DenominatorVanished.
 DENOMINATOR_FLOOR = 1e-10
+#: The coordinates of y itself on the basis {y, Ry} (``CirclePair``).
+IDENTITY = (1.0, 0.0)
 
 
 @dataclass
@@ -70,80 +72,100 @@ def psi_on_circle(path: PhasePath) -> CircleFunction:
 
 
 class CirclePair:
-    """The four half-power products of a circle pair and their t-derivatives.
+    """The solution y = (u, v) of the linear system y' = M y of ``phase``
+    behind the path (``PhasePath.solution``) and Ry(t) = (-v(-t), u(-t)),
+    which solves the system too since b is even: the basis of every circle
+    solution.  A circle solution is a coordinate pair c = (c0, c1), the
+    solution c0 y + c1 Ry:
 
-    ``values`` takes a float array of times and returns there, as (2, n),
-    the solution (u, v) of the linear system y' = M y of ``phase`` behind
-    the pair (``PhasePath.solution`` does).  Its components are the
-    half-power products themselves: in circle coordinates
+        u_c = c0 u(t) - c1 v(-t),    v_c = c0 v(t) + c1 u(-t).
+
+    In circle coordinates the four half-power products are y at t and -t,
 
         S    = Psi(z)^1/2   Phi(z)^1/2    = v(t)
         R    = Psi(1/z)^1/2 Phi(1/z)^-1/2 = u(-t)
         Rrec = Psi(z)^1/2   Phi(z)^-1/2   = u(t)
-        Srec = Psi(1/z)^1/2 Phi(1/z)^1/2  = v(-t)
+        Srec = Psi(1/z)^1/2 Phi(1/z)^1/2  = v(-t),
 
-    One call evaluates (u, v) once, on t and -t together; the derivatives
-    are M y itself, negated on -t.  The reciprocal point is a swap:
-    S(-t) = Srec(t) and R(-t) = Rrec(t).  The pair also gives its own
-    boundary data (``boundary``); ``quotient`` combines the four products
-    into the Moebius quotient that the monodromy, the square-root transform
-    and the alpha family of ``heun`` share.
+    on the continuous branches through t = 0 by construction.  R^2 = -1, so
+    c0 + c1 R acts on coordinates as [[c0, -c1], [c1, c0]] (``compose``).
+    The Wronskian u(t)u(-t) + v(t)v(-t) of y and Ry is constant, M being
+    traceless, and equals 2 cos(phi0): {y, Ry} is a basis where cos(phi0) != 0.
     """
 
-    def __init__(self, values, params: ModelParams):
-        self.params = params
-        self._values = values
+    def __init__(self, path: PhasePath):
+        self.path = path
+        self.params = path.params
 
-    def __call__(self, t):
-        """((S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd)) at the times t."""
+    def __call__(self, t) -> "PairValues":
+        """The basis on (t, -t) from one read of the path; y' = M y."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = t.shape[0]
         u = np.concatenate((t, -t))
-        y = self._values(u)
+        y = self.path.solution(u)
         (alpha, beta), = system_row(self.params, u)
-        dy = np.array((alpha * y[0] + beta * y[1], beta * y[0] - alpha * y[1]))
-        (Rrec, S), (R, Srec) = y[:, :n], y[:, n:]
-        (Rrecd, Sd), (Rd, Srecd) = dy[:, :n], -dy[:, n:]
-        return (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd)
+        return PairValues(t, y, np.array((alpha * y[0] + beta * y[1], beta * y[0] - alpha * y[1])))
 
-    def boundary(self) -> tuple[complex, complex, complex]:
-        """S at the cut edges e^{+-i pi} (t = +-T/2) and at z = 1, from one
-        evaluation of the pair: e^{P/2} = |S| and e^{i phi/2} = S/|S|."""
+    def boundary(self, c) -> tuple[complex, complex, complex]:
+        """v_c of the solution c at the cut edges e^{+-i pi} (t = +-T/2) and
+        at z = 1, from one read of y there: for c = (1, 0) it is S, with
+        e^{P/2} = |S| and e^{i phi/2} = S/|S|."""
         T = self.params.T
-        return tuple(self._values(np.array([T / 2, -T / 2, 0.0]))[1].tolist())
+        u, v = self.path.solution(np.array([T / 2, -T / 2, 0.0]))
+        return tuple((c[0] * v + c[1] * u[[1, 0, 2]]).tolist())  # u(-t): the edges swap
+
+
+class PairValues:
+    """y and Ry on u = (t, -t), and their t-derivatives at t: Ry at u reads y
+    at -u, the other half."""
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, dy: np.ndarray):
+        n = t.shape[0]
+        self.t = t
+        yr = y.reshape(2, 2, n)[:, ::-1].reshape(2, 2 * n)
+        self.basis = y, np.array((-yr[1], yr[0]))
+        self.dots = dy[:, :n], np.array((dy[1, n:], -dy[0, n:]))
+
+    def solution(self, c) -> tuple[np.ndarray, np.ndarray]:
+        """y_c = c0 y + c1 Ry as (2, 2n) on (t, -t), and y_c' as (2, n) at t."""
+        (y, ry), (dy, dry) = self.basis, self.dots
+        return c[0] * y + c[1] * ry, c[0] * dy + c[1] * dry
+
+
+def compose(a, c) -> tuple[complex, complex]:
+    """The coordinates of a0 y' + a1 R y' for y' = c0 y + c1 R y: the
+    product [[a0, -a1], [a1, a0]] c, as R y' = c0 R y - c1 y."""
+    return a[0] * c[0] - a[1] * c[1], a[1] * c[0] + a[0] * c[1]
 
 
 def half_power_factors(path: PhasePath, t: np.ndarray):
     """(S, R, Rrec, Srec) of the solved pair at t; see ``CirclePair``."""
-    return CirclePair(path.solution, path.params)(t)[0]
+    (u, v), n = CirclePair(path)(t).basis[0], np.size(t)
+    return v[:n], u[n:], u[:n], v[n:]
 
 
 def half_power_factor_dots(path: PhasePath, t: np.ndarray):
     """Analytic d/dt of the four half-power products (same order)."""
-    return CirclePair(path.solution, path.params)(t)[1]
+    (du, dv), (dru, drv) = CirclePair(path)(t).dots
+    return dv, drv, du, -dru
 
 
-def quotient(alpha: complex, beta: complex, factors, dots, t, what: str):
-    """The Moebius quotient (alpha S + beta R) / (alpha Rrec - beta Srec) of
-    the four half-power products at the times t, as ((num, den), (num_dot,
-    den_dot), (value, dot)): its two parts, their t-derivatives, and the
-    quotient itself with its t-derivative.
+def quotient(values: PairValues, c, what: str):
+    """The Moebius quotient v_c / u_c of the circle solution c at the times
+    of ``values``, as ((num, den), (num_dot, den_dot), (value, dot)): its
+    two parts v_c and u_c, their t-derivatives, and the quotient itself with
+    its t-derivative.
 
-    ``factors`` and ``dots`` are one ``CirclePair`` call at t.  The explicit
-    monodromy, both applications of the square-root transform and the alpha
-    family on the linear basis have this shape; only the constants differ.
-    A denominator below DENOMINATOR_FLOOR raises DenominatorVanished, naming
+    The explicit monodromy, the square-root transform (both applications)
+    and the alpha family have this shape; only the coordinates differ.  A
+    denominator below DENOMINATOR_FLOOR raises DenominatorVanished, naming
     ``what`` and the first such time.
     """
-    (S, R, Rrec, Srec), (Sd, Rd, Rrecd, Srecd) = factors, dots
-    num = alpha * S + beta * R
-    den = alpha * Rrec - beta * Srec
+    t = values.t
+    y_c, (den_dot, num_dot) = values.solution(c)
+    den, num = y_c[:, : t.shape[0]]
     bad = np.abs(den) < DENOMINATOR_FLOOR
     if bad.any():
-        raise DenominatorVanished(f"{what} denominator vanished",
-                                  t=float(np.atleast_1d(t)[bad][0]))
-    num_dot = alpha * Sd + beta * Rd
-    den_dot = alpha * Rrecd - beta * Srecd
+        raise DenominatorVanished(f"{what} denominator vanished", t=float(t[bad][0]))
     return (num, den), (num_dot, den_dot), (num / den, (num_dot * den - num * den_dot) / den**2)
 
 

@@ -10,13 +10,15 @@ and hence the double confluent Heun equation
     z^2 E'' + ((ell+1) z + mu (1 - z^2)) E' + (lam - mu (ell+1) z) E = 0.
 
 All derivatives used below are closed-form (the pair's are its linear
-system's, ``CirclePair``).  The one finite difference left is the second
+system's, ``CirclePair``): E+- is the circle solution (q+-, q-+) on the
+basis {y, Ry}, times a gauge.  The one finite difference left is the second
 derivative of the L_B image in the ``lb_maps_solutions`` check of
 ``verify.check_heun``.
 E, E' and E'' of a combination c+ E+ + c- E- come from one
 ``BasisValues.combination``, and the alpha family on E+- is the circle's one
-Moebius quotient (``phi_alpha_values``).  Every certificate here is on the
-circle; the one continuation off it is the Riccati path of ``circle``.
+Moebius quotient, of the solution (c + s, -i (c - s)) (``phi_alpha_values``).
+Every certificate here is on the circle; the one continuation off it is the
+Riccati path of ``circle``.
 
 For positive integer order the operator L_B maps solutions to solutions and
 its square reproduces the counterclockwise monodromy times the scalar first
@@ -30,11 +32,11 @@ share one code path.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleFunction, CirclePair, quotient
+from .circle import CircleFunction, CirclePair, PairValues, quotient
 from .errors import DegenerateAtOne
 from .heunpoly import NumericQuad
 from .params import ModelParams
@@ -70,10 +72,7 @@ class HeunBasisPath:
     params: ModelParams
     path: PhasePath
     ell: int
-    pair: CirclePair = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.pair = CirclePair(self.path.solution, self.params)
+    pair: CirclePair
 
     def at(self, t) -> "BasisValues":
         """E+-(+-t) and their t-derivatives at t from one pair evaluation."""
@@ -83,8 +82,9 @@ class HeunBasisPath:
 class BasisValues:
     """E+- at t and at -t and dE+-/dt at t, built from one ``CirclePair`` call.
 
-    E runs over u = (t, -t); ``side`` +1 selects t and -1 selects -t.
-    ``z`` is e^{i omega t}.
+    E_s = g (q_s S + q_-s R), q+- = (1 +- i)/sqrt(2): g times the v-component
+    of the circle solution (q_s, q_-s).  E runs over u = (t, -t); ``side`` +1
+    selects t and -1 selects -t.  ``z`` is e^{i omega t}.
     """
 
     def __init__(self, hb: HeunBasisPath, t: np.ndarray):
@@ -92,17 +92,15 @@ class BasisValues:
         self.t, self.ell, self.params, self.phi0 = t, hb.ell, p, hb.path.phi0
         self.z = np.exp(1j * p.omega * t)
         self._n = n = t.shape[0]
-        (S, R, Rrec, Srec), (Sd, Rd, _, _) = hb.pair(t)
+        values = hb.pair(t)
         u = np.concatenate((t, -t))
-        # S and R at u: S(-t) = Srec(t), R(-t) = Rrec(t)
-        X, Y = np.concatenate((S, Srec)), np.concatenate((R, Rrec))
         g = 0.5 * np.exp(p.mu * (np.cos(p.omega * u) - 1.0)) * np.exp(-0.5j * hb.ell * p.omega * u)
         gd_over_g = -p.mu * p.omega * np.sin(p.omega * t) - 0.5j * hb.ell * p.omega
         self._E, self._Edot = {}, {}
         for s in (+1, -1):
-            comb = _quarter(s) * X + _quarter(-s) * Y
+            (_, comb), (_, comb_dot) = values.solution((_quarter(s), _quarter(-s)))
             self._E[s] = g * comb
-            self._Edot[s] = g[:n] * (gd_over_g * comb[:n] + _quarter(s) * Sd + _quarter(-s) * Rd)
+            self._Edot[s] = g[:n] * (gd_over_g * comb[:n] + comb_dot)
         self._zpow = np.exp(-1j * (hb.ell + 1) * p.omega * u)
 
     def _side(self, a: np.ndarray, side: int) -> np.ndarray:
@@ -154,7 +152,7 @@ def build_E(phi_fn: CircleFunction, psi_fn: CircleFunction) -> HeunBasisPath:
         raise ValueError("phi and psi must come from the same PhasePath")
     cos_phi_at_one(cmath.exp(0.5j * path.phi0))  # S(0) = v(0), bit for bit
     ell = path.params.require_integer_order()
-    return HeunBasisPath(params=path.params, path=path, ell=ell)
+    return HeunBasisPath(params=path.params, path=path, ell=ell, pair=CirclePair(path))
 
 
 def boundary_E_values(b0: BasisValues, s: int) -> tuple[float, float]:
@@ -201,18 +199,18 @@ def dche_residual(b: BasisValues, coeffs=BASIS_COEFFS) -> float:
     return float(np.max(np.abs(dche_operator(b.params, b.ell, b.z, E, Ep, Epp))))
 
 
-def phi_alpha_values(factors, dots, t, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """phi_alpha at the times t and its analytic d/dt, from one ``CirclePair``
-    call there (``factors``, ``dots``).
+def phi_alpha_values(values: PairValues, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """phi_alpha at the times of ``values`` (one ``CirclePair`` call) and its
+    analytic d/dt.
 
     With E+- = g(u) (q+- S + q-+ R), q+- = (1 +- i)/sqrt(2) and
     g(t)/g(-t) = e^{-i ell omega t}, the paper's
     -i z^ell (c E+ + i s E-) / (c E+(1/z) - i s E-(1/z)), c = cos(alpha/2),
-    s = sin(alpha/2), is the circle quotient with alpha' = c + s and
-    beta' = -i (c - s).
+    s = sin(alpha/2), is the circle quotient of the solution
+    (c + s, -i (c - s)).
     """
     c, s = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
-    return quotient(c + s, -1j * (c - s), factors, dots, t, "phi_alpha")[2]
+    return quotient(values, (c + s, -1j * (c - s)), "phi_alpha")[2]
 
 
 # ---------------------------------------------------------------------------

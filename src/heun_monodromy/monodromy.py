@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circle import (
+    IDENTITY,
     RHO_MAX,
     RHO_MIN,
     CirclePair,
@@ -53,14 +54,15 @@ def monodromy_algebraic(path: PhasePath, t) -> np.ndarray:
     sm = e^{P(-T/2)/2} sin((phi(T/2) - phi(-T/2))/2), all half powers on the
     continuous branches through t = 0.
     """
-    pair = CirclePair(path.solution, path.params)
-    return _algebraic_values(pair, pair.boundary(), t)[0]
+    pair = CirclePair(path)
+    return _algebraic_values(pair, pair.boundary(IDENTITY), t)[0]
 
 
 def _algebraic_values(pair: CirclePair, edges, t) -> tuple[np.ndarray, np.ndarray]:
-    """Algebraic monodromy values and their analytic d/dt from one pair evaluation."""
+    """Algebraic monodromy values and their analytic d/dt from one pair
+    evaluation: the circle solution (cp, i sm)."""
     cp, sm = _algebraic_coefficients(edges)
-    return quotient(cp, 1j * sm, *pair(t), t, "monodromy")[2]
+    return quotient(pair(t), (cp, 1j * sm), "monodromy")[2]
 
 
 def verify_monodromy(
@@ -83,8 +85,8 @@ def verify_monodromy(
         raise ValueError(f"every radius must lie in [{RHO_MIN}, {RHO_MAX}]")
     params = path.params
     T = params.T
-    pair = CirclePair(path.solution, params)
-    edges = pair.boundary()
+    pair = CirclePair(path)
+    edges = pair.boundary(IDENTITY)
 
     t = np.linspace(-T / 2, T / 2, grid_size)
     d = monodromy_direct(path, t)

@@ -10,12 +10,12 @@ with Phi = v/u (Buchstaber & Tertychnyi, *Theor. Math. Phys.* 176, 2013).
 With (u, v) the system also solves (conj v, conj u), so from
 y(0) = (e^{-i phi0/2}, e^{i phi0/2}) it keeps v = conj(u): then
 Phi = conj(u)/u, and since Re(u'/u) = cos(phi)/2 the quadrature
-P = int cos(phi) is 2 log|u|.  The four half powers of the circle pair are
-this solution itself (``circle.CirclePair``).  M depends on t alone, so
-every row of the window is collocated at once with the 10-node Gauss kernel
-of ``gauss``, forward and backward from t = 0 on the uniform rows of
-``gauss.uniform_rows`` at ``row_rate``, (|B| + |A| + 1)/2, which bounds
-||M||_inf.  M = [[alpha, beta], [conj beta, conj alpha]] with
+P = int cos(phi) is 2 log|u|.  Every circle solution is a coordinate pair
+on the basis {y, Ry} of this solution (``circle.CirclePair``).  M depends
+on t alone, so every row of the window is collocated at once with the
+10-node Gauss kernel of ``gauss``, forward and backward from t = 0 on the
+uniform rows of ``gauss.uniform_rows`` at ``row_rate``, (|B| + |A| + 1)/2,
+which bounds ||M||_inf.  M = [[alpha, beta], [conj beta, conj alpha]] with
 alpha = -i b/2 and beta = 1/2, so y is a conjugate pair of ``gauss``: the
 rows chain it through ``gauss.collocate`` from M's first row and keep u
 alone, as mantissas with one power-of-two exponent per block, so u stays

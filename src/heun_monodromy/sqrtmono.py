@@ -1,30 +1,30 @@
 """The transform whose double application is the monodromy.
 
-Everything here is algebraic in the circle data: the transformed pair is
-built from the four half-power products and a handful of constants taken
-from the pair's own boundary data (``CirclePair.boundary``, where
-e^{i phi/2} = S/|S| and e^{P/2} = |S|).  The two numerator/denominator
-combinations
+Everything here is algebraic in the circle data: the transformed pair is a
+circle solution on the basis {y, Ry} of ``circle.CirclePair``, with a
+handful of constants taken from the input solution's own boundary data
+(``CirclePair.boundary``, where e^{i phi/2} = S/|S| and e^{P/2} = |S|).
+The two numerator/denominator combinations
 
     Nhat = 2i K1 S + K2 R,        Dden = -2i K1 Rrec + K2 Srec
 
 satisfy the same two-by-two linear system along the circle as (S, Rrec)
 themselves, which is why Phi_B = -Nhat / Dden and Psi_B = -Nhat Dden / k,
 with k = -Nhat(0) Dden(0), solve the Riccati pair with Psi_B(1) = 1.  In the
-code Phi_B is the ``circle.quotient`` with alpha = 2i K1 and beta = K2, the
+code Phi_B is the ``circle.quotient`` of the solution (2i K1, K2), the
 shape of the explicit monodromy, whose denominator is den = -Dden exactly:
 
     Phi_B = Nhat / den,           Psi_B = Nhat den / k,    k = Nhat(0) den(0).
 
 Negation is exact in floating point, so the two forms agree bit for bit.
-(den, num) is (Rrec, S) times alpha plus (-Srec, R) times beta, and both
-solve the phase path's linear system, so sigma (den, num) / sqrt(k) is the
-transformed pair's own solution (u_B, v_B): v_B^2 = Psi_B Phi_B, with the
-sign sigma = +-1 that puts phi_B(0) on its principal branch.  Theorem 2 is
-then the same constructor applied twice: the second time to that solution.
-The P_B panel table, a quadrature of cos(phi_B) collocated by
-``gauss.collocate`` like every other dense output, serves only the
-``psi_quadrature_residual`` route and the continuous ``phase``.
+(den, num) is the solution 2i K1 y + K2 Ry, and s (den, num), s =
+sigma / sqrt(k), the transformed pair's own
+(``SqrtMonodromyTransform.image``): the transform maps coordinates by
+Q = s [[2i K1, -K2], [K2, 2i K1]] (``circle.compose``), and theorem 2, the
+same constructor applied twice, is Q2 Q1 read on the same y.  The P_B panel table, a quadrature of
+cos(phi_B) collocated by ``gauss.collocate`` like every other dense output,
+serves only the ``psi_quadrature_residual`` route and the continuous
+``phase``.
 
 The companion theta pair is taken literally from the displayed formulas.  As
 extracted, those formulas produce the mirror-oriented pair: they satisfy
@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gauss
-from .circle import CirclePair, quotient, riccati_circle_residual
+from .circle import IDENTITY, CirclePair, PairValues, compose, quotient, riccati_circle_residual
 from .errors import OutOfWindow
 from .heun import MINUS_Z_LIFT, cos_phi_at_one
 from .heunpoly import NumericQuad
@@ -90,47 +90,42 @@ TABLE_SPAN = 0.55
 
 
 class SqrtMonodromyTransform:
-    """One application of the transform to a circle pair, with the constants
-    of its formulas taken from the pair's own boundary data.
+    """One application of the transform to the circle solution ``c`` of
+    ``pair``, with the constants of its formulas taken from that solution's
+    own boundary data.
 
-    Raises NonIntegerOrder off integer ell and DegenerateAtOne where
+    ``coords`` are those of (den, num), whose v/u is Phi_B, and ``image``
+    those of the transformed pair's own solution (u_B, v_B) = ``scale``
+    (den, num), scale = sigma / sqrt(k): v_B^2 = Psi_B Phi_B and
+    u_B^2 = Psi_B / Phi_B, and sigma = +-1 puts phi_B(0) on its principal
+    branch.  Raises NonIntegerOrder off integer ell and DegenerateAtOne where
     cos(phi(0)) vanishes; where D+ or D- vanishes there is no ``nq``.
     """
 
-    def __init__(self, pair: CirclePair, nq: NumericQuad):
+    def __init__(self, pair: CirclePair, c, nq: NumericQuad):
         pair.params.require_integer_order()
-        edges = pair.boundary()
+        edges = pair.boundary(c)
         self.cos_phi0 = cos_phi_at_one(edges[2])
         self.pair = pair
         self.params = pair.params
-        K1, K2, self._X, self._n2 = _formula_constants(edges, nq)
-        # Phi_B as a circle.quotient: num = Nhat, den = -Dden (module docstring)
-        self.alpha, self.beta = 2j * K1, K2
-        (num, den), _, _ = quotient(self.alpha, self.beta, *pair(0.0), 0.0, "Phi_B")
+        K1, K2, X, n2 = _formula_constants(edges, nq)
+        # Phi_B as a circle.quotient: num = Nhat, den = -Dden (module docstring);
+        # the theta numerators are u- and v-components of (-i X, -n2), (i X, n2)
+        self.coords = compose((2j * K1, K2), c)
+        self._top, self._tilde = compose((-1j * X, -n2), c), compose((1j * X, n2), c)
+        (num, den), _, _ = quotient(pair(0.0), self.coords, "Phi_B")
         self.k_norm = complex(num[0] * den[0])
         # S_B(0) = sigma num(0) / sqrt(k) is e^{i phi_B(0)/2} on the principal
         # branch of phi_B(0): its argument lies in (-pi/2, pi/2]
         root = cmath.sqrt(self.k_norm)
-        self._scale = (1.0 if -0.5 * np.pi < cmath.phase(num[0] / root) <= 0.5 * np.pi
-                       else -1.0) / root
+        self.scale = (1.0 if -0.5 * np.pi < cmath.phase(num[0] / root) <= 0.5 * np.pi
+                      else -1.0) / root
+        self.image = (self.scale * self.coords[0], self.scale * self.coords[1])
         self.span = TABLE_SPAN * self.params.T  # of the panel table
 
     def at(self, t) -> "TransformValues":
         """The transformed pair and its theta companions at t, from one pair evaluation."""
-        return TransformValues(self, np.atleast_1d(np.asarray(t, dtype=float)))
-
-    def solution(self, t) -> np.ndarray:
-        """(2, n) values of the transformed pair's linear solution,
-        (u_B, v_B) = sigma (den, num) / sqrt(k), at the times t.
-
-        Phi_B = num/den and Psi_B = num den / k, so v_B^2 = Psi_B Phi_B and
-        u_B^2 = Psi_B / Phi_B: these are the transformed pair's half powers
-        S_B and Rrec_B, and (den, num) solves the phase path's linear system
-        (module docstring).  sigma = +-1 puts phi_B(0) on its principal
-        branch."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        (num, den), _, _ = quotient(self.alpha, self.beta, *self.pair(t), t, "Phi_B")
-        return self._scale * np.array((den, num))
+        return TransformValues(self, self.pair(t))
 
     # ---- continuous phase and quadrature of the transformed pair ----
     @cached_property
@@ -154,7 +149,7 @@ class SqrtMonodromyTransform:
         ts[:, -1] = self.span, -self.span
         nodes = ts[:, None, :-1] + widths[:, None, None] * gauss.NODE_FRACTIONS[:, None]
         t = nodes.ravel()  # one evaluation at every node of both sides
-        _, _, (F, F_dot) = quotient(self.alpha, self.beta, *self.pair(t), t, "Phi_B")
+        _, _, (F, F_dot) = quotient(self.pair(t), self.coords, "Phi_B")
         M = np.zeros(nodes.shape[:2] + (2, 2, n), dtype=complex)  # (side, node, 2, 2, row)
         M[:, :, 0, 1] = (F.real + 1j * (np.conj(F) * F_dot).imag).reshape(nodes.shape)
         y = (1j * float(np.angle(self.at(0.0).phi[0])), 1.0)
@@ -191,25 +186,24 @@ class SqrtMonodromyTransform:
 
 class TransformValues:
     """Phi_B, Psi_B, Theta_B, ThetaTilde_B and their t-derivatives at the
-    times t, built from one ``CirclePair`` call.
+    times of ``values``, one ``CirclePair`` call.
 
     Psi_B = Nhat*den is normalized to 1 at t = 0.  The theta pair is taken
     literally from the displayed formulas (mirror orientation, see the module
-    docstring).
+    docstring): its numerators n1 Rrec + n2 Srec and m1 S + n2 R, m1 = -n1,
+    are u of the solution (n1, -n2) and v of (m1, n2).
     """
 
-    def __init__(self, tr: SqrtMonodromyTransform, t: np.ndarray):
-        factors, dots = tr.pair(t)
+    def __init__(self, tr: SqrtMonodromyTransform, values: PairValues):
         (num, den), (numd, dend), (self.phi, self.phi_dot) = quotient(
-            tr.alpha, tr.beta, factors, dots, t, "Phi_B")
+            values, tr.coords, "Phi_B")
         self.psi = num * den / tr.k_norm
         self.psi_dot = (numd * den + num * dend) / tr.k_norm
 
-        S, R, Rrec, Srec = factors
-        Sd, Rd, Rrecd, Srecd = dots
-        n1, m1, n2, c0 = -1j * tr._X, 1j * tr._X, tr._n2, tr.cos_phi0
-        top, topd = n1 * Rrec + n2 * Srec, n1 * Rrecd + n2 * Srecd
-        tilde, tilded = m1 * S + n2 * R, m1 * Sd + n2 * Rd
+        n, c0 = values.t.shape[0], tr.cos_phi0
+        (top, _), (topd, _) = values.solution(tr._top)
+        (_, tilde), (_, tilded) = values.solution(tr._tilde)
+        top, tilde = top[:n], tilde[:n]
         self.theta = -top / (c0 * den)
         self.theta_tilde = tilde / (c0 * num)
         self.theta_dot = (top * dend - topd * den) / (c0 * den**2)
@@ -218,7 +212,7 @@ class TransformValues:
 
 def transform_from_path(path: PhasePath, nq: NumericQuad) -> SqrtMonodromyTransform:
     """First application of the transform, built on the solved circle pair."""
-    return SqrtMonodromyTransform(CirclePair(path.solution, path.params), nq)
+    return SqrtMonodromyTransform(CirclePair(path), IDENTITY, nq)
 
 
 def verify_theorem2(
@@ -228,8 +222,8 @@ def verify_theorem2(
 ) -> dict:
     """Full certification battery for the square-root property.
 
-    Applies the transform twice (the second time on the reconstructed
-    continuous phase and its quadrature) and compares with the period shift;
+    Applies the transform twice (the second time to the first one's
+    solution, Q2 Q1 on one read of y) and compares with the period shift;
     also certifies the transformed pair's equations, constraints and theta
     companions.  Returns a flat report dict.
     """
@@ -240,12 +234,14 @@ def verify_theorem2(
     first = transform_from_path(path, nq)
     P_B = first.quadrature()
 
-    # second application: the same constructor on the transformed pair
-    second = SqrtMonodromyTransform(CirclePair(first.solution, p), nq)
-    b_squared = float(np.max(np.abs(second.at(t).phi - monodromy_direct(path, t))))
+    # second application: the same constructor on the first one's solution
+    second = SqrtMonodromyTransform(first.pair, first.image, nq)
+    values = first.pair(t)
+    phi_BB = quotient(values, second.coords, "Phi_B")[2][0]
+    b_squared = float(np.max(np.abs(phi_BB - monodromy_direct(path, t))))
 
     # every other residual from one bundle on the grid and one at t = 0
-    b, b0 = first.at(t), first.at(0.0)
+    b, b0 = TransformValues(first, values), first.at(0.0)
     F = b.phi
     # transformed phase solves the drive equation (analytic derivative),
     # with sin(phi_B) = Im(Phi_B) / |Phi_B|

@@ -160,35 +160,6 @@ def check_poly_exact() -> tuple[dict, list[str], dict[int, PolyQuadruple]]:
     return report, failures, quads
 
 
-def _phi_alpha_battery(path: PhasePath, grid_size: int) -> tuple[dict, list[str]]:
-    report: dict = {}
-    failures: list[str] = []
-    p = path.params
-    t = np.linspace(-p.T / 2, p.T / 2, grid_size)
-    factors, dots = circle_mod.CirclePair(path.solution, p)(t)
-    for alpha in PHI_ALPHA_VALUES:
-        vals, dvals = heun_mod.phi_alpha_values(factors, dots, t, alpha)
-        uni = float(np.max(np.abs(np.abs(vals) - 1)))
-        _record(report, failures, f"phi_alpha_unimodular[{alpha:.4g}]", uni, "phi_alpha_unimodular")
-        ric = circle_mod.riccati_circle_residual(p, t, vals, dvals)
-        _record(
-            report,
-            failures,
-            f"phi_alpha_riccati[{alpha:.4g}]",
-            float(np.max(np.abs(ric))),
-            "phi_alpha_riccati",
-        )
-    ident = heun_mod.phi_alpha_values(factors, dots, t, np.pi / 2)[0]
-    _record(
-        report,
-        failures,
-        "phi_alpha_identity",
-        float(np.max(np.abs(ident - np.exp(1j * path.phi(t))))),
-        "phi_alpha_identity",
-    )
-    return report, failures
-
-
 def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, list[str]]:
     report: dict = {}
     failures: list[str] = []
@@ -208,9 +179,17 @@ def check_heun(path: PhasePath, nq: NumericQuad, grid_size: int) -> tuple[dict, 
         e_bound += [abs(direct - closed), abs(float(b0.E(s)[0].imag))]
     _record(report, failures, "boundary_E", np.max(e_bound), "boundary_E")
 
-    rep_a, fail_a = _phi_alpha_battery(path, grid_size)
-    report.update(rep_a)
-    failures.extend(fail_a)
+    # the alpha family on the basis, from one read of the pair on the grid
+    t = np.linspace(-path.params.T / 2, path.params.T / 2, grid_size)
+    values = hb.pair(t)
+    for alpha in PHI_ALPHA_VALUES:
+        vals, dvals = heun_mod.phi_alpha_values(values, alpha)
+        uni = np.max(np.abs(np.abs(vals) - 1))
+        _record(report, failures, f"phi_alpha_unimodular[{alpha:.4g}]", uni, "phi_alpha_unimodular")
+        ric = np.max(np.abs(circle_mod.riccati_circle_residual(path.params, t, vals, dvals)))
+        _record(report, failures, f"phi_alpha_riccati[{alpha:.4g}]", ric, "phi_alpha_riccati")
+    ident = heun_mod.phi_alpha_values(values, np.pi / 2)[0] - np.exp(1j * path.phi(t))
+    _record(report, failures, "phi_alpha_identity", np.max(np.abs(ident)), "phi_alpha_identity")
 
     # operator layer: the image of L_B must again solve the second-order
     # equation.  F and F' are closed-form; F'' comes from a symmetric

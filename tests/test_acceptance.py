@@ -106,11 +106,11 @@ def test_criterion_5_heun_layer(golden_path):
         assert abs(direct - closed) <= 1e-10
     T = golden_path.params.T
     t = np.linspace(-T / 2, T / 2, 1001)
-    ident = phi_alpha_values(*hb.pair(t), t, np.pi / 2)[0]
+    ident = phi_alpha_values(hb.pair(t), np.pi / 2)[0]
     r_id = float(np.max(np.abs(ident - np.exp(1j * golden_path.phi(t)))))
     assert r_id <= 1e-9
     for alpha in (0.0, 0.7, np.pi / 2, 2.1):
-        vals = phi_alpha_values(*hb.pair(t), t, alpha)[0]
+        vals = phi_alpha_values(hb.pair(t), alpha)[0]
         assert float(np.max(np.abs(np.abs(vals) - 1))) <= 1e-8
     _report(5, f"pair {r21:.1e}, second-order {r22:.1e}, identity {r_id:.1e}")
 

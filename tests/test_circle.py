@@ -15,6 +15,7 @@ import pytest
 from heun_monodromy import gauss, verify
 from heun_monodromy import ModelParams, OutOfWindow, solve_phase
 from heun_monodromy.circle import (
+    IDENTITY,
     CirclePair,
     continue_riccati_path,
     half_power_factor_dots,
@@ -81,7 +82,7 @@ def test_riccati_residual_of_phi(golden_path):
 
 def test_boundary_values_trivial(trivial_path):
     # phi = 0 and P = t: S = e^{t/2} at the cut edges and 1 at t = 0
-    S_plus, S_minus, S_at_0 = CirclePair(trivial_path.solution, trivial_path.params).boundary()
+    S_plus, S_minus, S_at_0 = CirclePair(trivial_path).boundary(IDENTITY)
     T = trivial_path.params.T
     assert S_plus == pytest.approx(np.exp(T / 4), rel=1e-9)
     assert S_minus == pytest.approx(np.exp(-T / 4), rel=1e-9)
@@ -89,7 +90,7 @@ def test_boundary_values_trivial(trivial_path):
 
 
 def test_boundary_values_golden(golden_path):
-    S_plus, S_minus, _ = CirclePair(golden_path.solution, golden_path.params).boundary()
+    S_plus, S_minus, _ = CirclePair(golden_path).boundary(IDENTITY)
     # generic solution: the two cut edges carry different values
     Phi_plus, Phi_minus = (S_plus / abs(S_plus)) ** 2, (S_minus / abs(S_minus)) ** 2
     assert abs(Phi_plus - Phi_minus) > 1e-3
@@ -103,7 +104,7 @@ def test_boundary_values_golden(golden_path):
 def test_boundary_is_the_one_point_eval(point):
     ell, mu, omega, phi0 = point
     path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
-    edges = CirclePair(path.solution, path.params).boundary()
+    edges = CirclePair(path).boundary(IDENTITY)
     T = path.params.T
     # S at the cut edges and at t = 0, one evaluation of the solution
     assert edges == tuple(path.solution(np.array([T / 2, -T / 2, 0.0]))[1])
@@ -134,7 +135,7 @@ def test_pair_products_are_the_exp_of_the_lift(point):
     ell, mu, omega, phi0 = point
     path = solve_phase(ModelParams(ell=ell, mu=mu, omega=omega), phi0, tol=1e-12)
     t = grid(path, 1001)
-    factors, dots = CirclePair(path.solution, path.params)(t)
+    factors, dots = half_power_factors(path, t), half_power_factor_dots(path, t)
     ref_factors, ref_dots = _exp_of_the_lift(path, t)
     for got, ref in zip(factors, ref_factors):
         assert np.max(np.abs(got / ref - 1.0)) <= 2e-15

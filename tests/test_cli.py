@@ -64,9 +64,10 @@ POLY_STDOUT_SHA256 = {
 
 # sha256 of `sqrt-monodromy` standard output at golden point 2 with the
 # default --tol and --grid, recorded with the phase rows chained as the
-# linear pair (u, conj u), the second application on the first's solution and
-# the P_B panel table collocated by gauss.collocate.
-SQRT_MONODROMY_G2_SHA256 = "81b882d42e1133156d497807418b006a856bfeb17414d62d003f098c8ca0e886"
+# linear pair (u, conj u), the second application as Q2 Q1 on the first's
+# coordinates on the basis {y, Ry} and the P_B panel table collocated by
+# gauss.collocate.
+SQRT_MONODROMY_G2_SHA256 = "4db2f058f28299ca4139b1a39d5030fd65e026a0eb7201d3c748cd9952574f73"
 # The same report with every residual set to null: its keys, order, grid
 # size and conventions.
 SQRT_MONODROMY_G2_SHAPE_SHA256 = "d2f65ef802007cef4838e16e345be505725f45ca96ef10a6b485c61905894a30"
@@ -90,14 +91,15 @@ SQRT_MONODROMY_G2_DOP853 = {
 
 # sha256 of `verify` standard output (all checks, default --tol and --grid)
 # at the two golden points, recorded with the phase rows chained as the
-# linear pair (u, conj u) through gauss.collocate, every circle pair read off
-# a linear solution, the second application on the first's solution, the
-# P_B panel table and the ray routes, each one straight leg in w = log z,
-# through gauss as well, the theta pair integrated exactly on the phase rows,
-# and the 2x2 algebra of L_B in closed form.
+# linear pair (u, conj u) through gauss.collocate, every circle solution
+# read as coordinates on the basis {y, Ry} of that linear solution, the
+# second application as Q2 Q1 on the first's coordinates, the P_B panel
+# table and the ray routes, each one straight leg in w = log z, through gauss
+# as well, the theta pair integrated exactly on the phase rows, and the 2x2
+# algebra of L_B in closed form.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "9dbc4e47e784ddeaa03c59da0782c7a703dff6f9f7b9450c456c5369b07ac9bd",
-    ("1", "0.2", "1.3", "1.0"): "2a4892c621120e8559920f9a9d0dd870643d99eebc5aea085e623b42f884c763",
+    ("2", "0.3", "1", "0.5"): "ead5b6494a65a4efc06dac69e1ba4b62c4c6a2288f88f7fa977c001bd9460b7b",
+    ("1", "0.2", "1.3", "1.0"): "5da67d3ed884d6c3fb52dc101025fed47411985d1d2c925b61ea8aa0554df065",
 }
 # The same reports with every residual set to null: their keys, order,
 # strings, grid sizes and radii.
@@ -105,8 +107,8 @@ VERIFY_SHAPE_SHA256 = {
     ("2", "0.3", "1", "0.5"): "dffa9847fbc56bdbcf669f1141e3f4e58b3aef3df3a8837b03135f8e6e68ee1a",
     ("1", "0.2", "1.3", "1.0"): "cd040fd8b8067698880216b1c4597773b269f0596242deadd7e8aa7136f1ff89",
 }
-# Every residual of those reports is bounded at over six times the largest
-# (theorem2's b_squared_residual at G2, 1.42e-14), but lb_maps_solutions,
+# Every residual of those reports is bounded at over eight times the largest
+# (ode's err_est at G1, 1.17e-14), but lb_maps_solutions,
 # which takes F'' from a symmetric difference (3.4e-10).
 RESIDUAL_BOUND = 1e-13
 LB_MAPS_BOUND = 1e-9

@@ -2,15 +2,11 @@
 
 Each check evaluates every grid once: the heun and theorem-2 checks through
 one ``CirclePair`` call on t and -t together, one ``PhasePath.solution``
-per grid, and theorem 2 integrates P_B on one Gauss-Legendre panel table.
-Before that, ``check_heun`` made 577 array evaluations over 416k points, and
-``check_theorem2`` made 151 array evaluations plus 6186 one-point
-evaluations from a scalar DOP853 quadrature; later, with one
-evaluation per residual call, 19 and 20, and ``check_circle`` 7 evaluations
-and 1 derivative of its one grid, then 1 evaluation and 1 derivative.  Every
-(phi, P) read is one ``PhasePath.jet``, which gives the values and their
-derivatives from one row lookup: ``eval``, ``derivative``, ``phi`` and ``P``
-are views of it.
+per grid, which every circle solution reads as coordinates on the basis
+{y, Ry}, and theorem 2 integrates P_B on one Gauss-Legendre panel table.
+Every (phi, P) read is one ``PhasePath.jet``, which gives the values and
+their derivatives from one row lookup: ``eval``, ``derivative``, ``phi`` and
+``P`` are views of it.
 """
 
 from __future__ import annotations
@@ -60,9 +56,11 @@ def test_check_heun_evaluations(golden_path, golden_quad, counts):
 
 def test_check_theorem2_evaluations(golden_path, golden_quad, counts):
     check_theorem2(golden_path, golden_quad, 1001)
-    # the boundary values are one 3-point evaluation at (T/2, -T/2, 0); they
-    # were two one-point evaluations.  The panel table's nodes are 2 sides x
-    # 52 rows x 10 nodes, each evaluated at t and -t: 2080 points.  The
-    # second application reads the first's solution, which evaluates the
-    # path's at t and -t; the one (phi, P) evaluation is the period shift
-    assert counts == {"jet": 1, "solution": 9, "points": 9106}
+    # each application reads its boundary values in one 3-point evaluation
+    # at (T/2, -T/2, 0) and its k in one at t = +-0.  The panel table's
+    # nodes are 2 sides x 52 rows x 10 nodes, each evaluated at t and -t:
+    # 2080 points, and its start 2 more.  Both applications are coordinates
+    # on the same y, so one 2002-point read of the grid serves them both,
+    # and the residuals at t = 0 read 2 more.  The one (phi, P) evaluation
+    # is the period shift.  The second application reads 5 points of its own
+    assert counts == {"jet": 1, "solution": 8, "points": 5097}

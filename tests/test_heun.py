@@ -5,7 +5,7 @@ import pytest
 
 from heun_monodromy import ModelParams, solve_phase
 from heun_monodromy.circle import (
-    CirclePair,
+    IDENTITY,
     phi_on_circle,
     psi_on_circle,
     riccati_circle_residual,
@@ -115,7 +115,7 @@ def test_non_integer_order_gate():
 def test_phi_alpha_identity_at_half_pi(hb):
     T = hb.params.T
     t = np.linspace(-T / 2, T / 2, 801)
-    vals = phi_alpha_values(*hb.pair(t), t, np.pi / 2)[0]
+    vals = phi_alpha_values(hb.pair(t), np.pi / 2)[0]
     assert np.max(np.abs(vals - np.exp(1j * hb.path.phi(t)))) < 1e-9
 
 
@@ -123,7 +123,7 @@ def test_phi_alpha_identity_at_half_pi(hb):
 def test_phi_alpha_unimodular_and_riccati(hb, alpha):
     T = hb.params.T
     t = np.linspace(-T / 2, T / 2, 801)
-    fn = lambda t: phi_alpha_values(*hb.pair(t), t, alpha)[0]  # noqa: E731
+    fn = lambda t: phi_alpha_values(hb.pair(t), alpha)[0]  # noqa: E731
     vals = fn(t)
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-8
     h = 1e-6
@@ -135,8 +135,8 @@ def test_phi_alpha_unimodular_and_riccati(hb, alpha):
 def test_phi_alpha_derivative_matches_fd(hb, alpha):
     T = hb.params.T
     t = np.linspace(-T / 2, T / 2, 201)
-    dvals = phi_alpha_values(*hb.pair(t), t, alpha)[1]
-    fn = lambda t: phi_alpha_values(*hb.pair(t), t, alpha)[0]  # noqa: E731
+    dvals = phi_alpha_values(hb.pair(t), alpha)[1]
+    fn = lambda t: phi_alpha_values(hb.pair(t), alpha)[0]  # noqa: E731
     h = 1e-6
     assert np.max(np.abs(dvals - (fn(t + h) - fn(t - h)) / (2 * h))) < 1e-7
 
@@ -153,7 +153,7 @@ def test_phi_alpha_is_the_papers_display_on_the_basis(hb, hb2):
             c, s = np.cos(alpha / 2), np.sin(alpha / 2)
             display = (-1j * zl * (c * b.E(+1) + 1j * s * b.E(-1))
                        / (c * b.E(+1, -1) - 1j * s * b.E(-1, -1)))
-            member = phi_alpha_values(*basis.pair(t), t, alpha)[0]
+            member = phi_alpha_values(basis.pair(t), alpha)[0]
             assert np.max(np.abs(display - member)) <= 1e-13
 
 
@@ -161,11 +161,11 @@ def test_monodromy_is_the_alpha_family_member(hb, hb2):
     # quotient(cp, i sm) is quotient(c + s, -i (c - s)) up to a real factor
     # when tan(alpha/2) = (cp + sm)/(cp - sm)
     for basis in (hb, hb2):
-        cp, sm = _algebraic_coefficients(CirclePair(basis.path.solution, basis.params).boundary())
+        cp, sm = _algebraic_coefficients(basis.pair.boundary(IDENTITY))
         alpha_m = 2.0 * np.arctan2(cp + sm, cp - sm)
         T = basis.params.T
         t = np.linspace(-T / 2, T / 2, 401)
-        member = phi_alpha_values(*basis.pair(t), t, alpha_m)[0]
+        member = phi_alpha_values(basis.pair(t), alpha_m)[0]
         assert np.max(np.abs(monodromy_algebraic(basis.path, t) - member)) <= 1e-13
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import heun_monodromy.circle as circle_mod
 from heun_monodromy import ModelParams, solve_phase
-from heun_monodromy.circle import CirclePair, phi_on_circle, psi_on_circle
+from heun_monodromy.circle import IDENTITY, CirclePair, phi_on_circle, psi_on_circle
 from heun_monodromy.errors import DenominatorVanished, OutOfWindow
 from heun_monodromy.heun import apply_B_and_dot, build_E, phi_alpha_values
 from heun_monodromy.monodromy import monodromy_algebraic, monodromy_direct, verify_monodromy
@@ -53,7 +53,7 @@ def test_algebraic_vs_direct_golden(golden_path):
 
 def test_algebraic_boundary_limit(golden_path):
     T = golden_path.params.T
-    S_plus = CirclePair(golden_path.solution, golden_path.params).boundary()[0]
+    S_plus = CirclePair(golden_path).boundary(IDENTITY)[0]
     t = np.linspace(-T / 2, -T / 2 + 0.02 * T, 50)
     vals = monodromy_algebraic(golden_path, t)
     assert abs(vals[0] - (S_plus / abs(S_plus)) ** 2) < 1e-8
@@ -91,7 +91,7 @@ def test_denominator_guard_fires(golden_path, golden_quad, monkeypatch):
     monkeypatch.setattr(circle_mod, "DENOMINATOR_FLOOR", 1e10)
     for values, what in ((lambda t: monodromy_algebraic(golden_path, t), "monodromy"),
                          (lambda t: tr.at(t).phi, "Phi_B"),
-                         (lambda t: phi_alpha_values(*hb.pair(t), t, 0.7)[0], "phi_alpha")):
+                         (lambda t: phi_alpha_values(hb.pair(t), 0.7)[0], "phi_alpha")):
         with pytest.raises(DenominatorVanished, match=what) as err:
             values(np.linspace(-1, 1, 11))
         assert err.value.t == -1.0

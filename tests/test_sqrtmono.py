@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heun_monodromy import ModelParams, gauss, solve_phase
-from heun_monodromy.circle import CirclePair, riccati_circle_residual
+from heun_monodromy.circle import IDENTITY, CirclePair, riccati_circle_residual
 from heun_monodromy.errors import DegenerateAtOne, GenericityViolated, OutOfWindow
 from heun_monodromy.heunpoly import NumericQuad, diagonal
 from heun_monodromy.sqrtmono import (
@@ -39,7 +39,7 @@ def test_shortcuts_trivial_values():
 
 
 def test_shortcut_recomputation_and_moduli(golden_path):
-    edges = CirclePair(golden_path.solution, golden_path.params).boundary()
+    edges = CirclePair(golden_path).boundary(IDENTITY)
     sc = _shortcuts(edges, 2)
     sgn = (-1.0) ** 2
     # e^{i phi/2} from the path's own phase at the cut edge t = T/2
@@ -143,17 +143,18 @@ def test_sine_of_phi_B_needs_no_branch(golden_transform, golden_path):
 @pytest.mark.parametrize("point, sigma", [((2, 0.3, 1.0, 0.5), 1.0), ((1, 0.2, 1.3, 1.0), -1.0),
                                           ((3, 0.7, 0.6, 0.2), 1.0)])
 def test_transformed_pair_products_are_the_exp_of_the_panel_table(point, sigma):
-    # the second application reads sigma (den, num) / sqrt(k); its four
+    # the second application reads the solution sigma (den, num) / sqrt(k),
+    # whose coordinates are scale (2i K1, K2) on the pair's basis; its four
     # products equal exp((P_B +- i phi_B)/2) of the panel table's continuous
     # phase and quadrature to 1.6e-15 relative, with sigma = -1 at G2
     ell, mu, omega, phi0 = point
     params = ModelParams(ell=ell, mu=mu, omega=omega)
     tr = transform_from_path(solve_phase(params, phi0, tol=1e-12),
                              NumericQuad(diagonal(ell), params))
-    # _scale = sigma / sqrt(k) is one complex division of the transform's own
+    # scale = sigma / sqrt(k) is one complex division of the transform's own
     # root, and the product one complex multiply, so it is sigma to within
     # (4 + sqrt(5)) u = 3.1 EPS (CHANGES.md); its real part carries the sign
-    product = tr._scale * cmath.sqrt(tr.k_norm)
+    product = tr.scale * cmath.sqrt(tr.k_norm)
     assert np.sign(product.real) == sigma
     assert abs(product - sigma) <= 4 * gauss.EPS
     t = np.linspace(-params.T / 2, params.T / 2, 1001)
@@ -163,7 +164,8 @@ def test_transformed_pair_products_are_the_exp_of_the_panel_table(point, sigma):
     minus = plus.conj()
     n = len(t)
     reference = (plus[:n], minus[n:], minus[:n], plus[n:])
-    for got, ref in zip(CirclePair(tr.solution, params)(t)[0], reference):
+    (u_B, v_B), _ = tr.pair(t).solution(tr.image)  # on (t, -t)
+    for got, ref in zip((v_B[:n], u_B[n:], u_B[:n], v_B[n:]), reference):
         assert np.max(np.abs(got / ref - 1.0)) <= 4e-15
 
 
@@ -217,7 +219,7 @@ def test_gauss_legendre_literals():
 
 
 def test_panel_table_is_converged(golden2_path, golden2_quad, monkeypatch):
-    # the row rule's table (63 rows per side here) against one with twice
+    # the row rule's table (32 rows per side here) against one with twice
     # the rows
     T = golden2_path.params.T
     t = np.linspace(-0.55 * T, 0.55 * T, 20001)
@@ -307,21 +309,27 @@ def test_theorem2_golden_set1(golden_path, golden_quad, monkeypatch):
 
 def test_theorem2_applies_one_constructor_twice(golden_path, golden_quad, monkeypatch):
     calls = {"init": 0, "boundary": 0}
+    pairs, inputs = [], []
     init, boundary = SqrtMonodromyTransform.__init__, CirclePair.boundary
 
-    def counting_init(self, *args):
+    def counting_init(self, pair, c, nq):
         calls["init"] += 1
-        init(self, *args)
+        pairs.append(pair)
+        init(self, pair, c, nq)
+        inputs.append((c, self.image))
 
-    def counting_boundary(self):
+    def counting_boundary(self, c):
         calls["boundary"] += 1
-        return boundary(self)
+        return boundary(self, c)
 
     monkeypatch.setattr(SqrtMonodromyTransform, "__init__", counting_init)
     monkeypatch.setattr(CirclePair, "boundary", counting_boundary)
     verify_theorem2(golden_path, golden_quad, grid_size=201)
-    # the first application on the solved pair, the second on the transformed one
+    # the first application on y itself, the second on the first one's
+    # solution: coordinates on the same pair, never a pair of its own
     assert calls == {"init": 2, "boundary": 2}
+    assert pairs[0] is pairs[1] and pairs[0].path is golden_path
+    assert inputs[0][0] == IDENTITY and inputs[1][0] == inputs[0][1]
 
 
 def test_theorem2_golden_set2(golden2_path, golden2_quad):
