@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -105,12 +106,22 @@ class CirclePair:
         (alpha, beta), = system_row(self.params, u)
         return PairValues(t, y, np.array((alpha * y[0] + beta * y[1], beta * y[0] - alpha * y[1])))
 
-    def boundary(self, c) -> tuple[complex, complex, complex]:
-        """v_c of the solution c at the cut edges e^{+-i pi} (t = +-T/2) and
-        at z = 1, from one read of y there: for c = (1, 0) it is S, with
-        e^{P/2} = |S| and e^{i phi/2} = S/|S|."""
+    @cached_property
+    def at_one(self) -> "PairValues":
+        """The basis at t = 0 (z = 1), read once for every solution on it."""
+        return self(0.0)
+
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        """y at the cut edges e^{+-i pi} (t = +-T/2) and at z = 1, read once."""
         T = self.params.T
-        u, v = self.path.solution(np.array([T / 2, -T / 2, 0.0]))
+        return self.path.solution(np.array([T / 2, -T / 2, 0.0]))
+
+    def boundary(self, c) -> tuple[complex, complex, complex]:
+        """v_c of the solution c at the cut edges and at z = 1, from the
+        pair's one read of y there: for c = (1, 0) it is S, with
+        e^{P/2} = |S| and e^{i phi/2} = S/|S|."""
+        u, v = self._edges
         return tuple((c[0] * v + c[1] * u[[1, 0, 2]]).tolist())  # u(-t): the edges swap
 
 

@@ -32,7 +32,7 @@ share one code path.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,10 @@ class HeunBasisPath:
     params: ModelParams
     path: PhasePath
     ell: int
-    pair: CirclePair
+    pair: CirclePair = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.pair = CirclePair(self.path)
 
     def at(self, t) -> "BasisValues":
         """E+-(+-t) and their t-derivatives at t from one pair evaluation."""
@@ -97,10 +100,11 @@ class BasisValues:
         g = 0.5 * np.exp(p.mu * (np.cos(p.omega * u) - 1.0)) * np.exp(-0.5j * hb.ell * p.omega * u)
         gd_over_g = -p.mu * p.omega * np.sin(p.omega * t) - 0.5j * hb.ell * p.omega
         self._E, self._Edot = {}, {}
+        ((_, v), (_, rv)), ((_, dv), (_, drv)) = values.basis, values.dots
         for s in (+1, -1):
-            (_, comb), (_, comb_dot) = values.solution((_quarter(s), _quarter(-s)))
+            comb = _quarter(s) * v + _quarter(-s) * rv
             self._E[s] = g * comb
-            self._Edot[s] = g[:n] * (gd_over_g * comb[:n] + comb_dot)
+            self._Edot[s] = g[:n] * (gd_over_g * comb[:n] + _quarter(s) * dv + _quarter(-s) * drv)
         self._zpow = np.exp(-1j * (hb.ell + 1) * p.omega * u)
 
     def _side(self, a: np.ndarray, side: int) -> np.ndarray:
@@ -152,7 +156,7 @@ def build_E(phi_fn: CircleFunction, psi_fn: CircleFunction) -> HeunBasisPath:
         raise ValueError("phi and psi must come from the same PhasePath")
     cos_phi_at_one(cmath.exp(0.5j * path.phi0))  # S(0) = v(0), bit for bit
     ell = path.params.require_integer_order()
-    return HeunBasisPath(params=path.params, path=path, ell=ell, pair=CirclePair(path))
+    return HeunBasisPath(params=path.params, path=path, ell=ell)
 
 
 def boundary_E_values(b0: BasisValues, s: int) -> tuple[float, float]:

@@ -54,14 +54,14 @@ def monodromy_algebraic(path: PhasePath, t) -> np.ndarray:
     sm = e^{P(-T/2)/2} sin((phi(T/2) - phi(-T/2))/2), all half powers on the
     continuous branches through t = 0.
     """
-    pair = CirclePair(path)
-    return _algebraic_values(pair, pair.boundary(IDENTITY), t)[0]
+    return _algebraic_values(CirclePair(path), t)[0]
 
 
-def _algebraic_values(pair: CirclePair, edges, t) -> tuple[np.ndarray, np.ndarray]:
+def _algebraic_values(pair: CirclePair, t) -> tuple[np.ndarray, np.ndarray]:
     """Algebraic monodromy values and their analytic d/dt from one pair
-    evaluation: the circle solution (cp, i sm)."""
-    cp, sm = _algebraic_coefficients(edges)
+    evaluation: the circle solution (cp, i sm), cp and sm from the pair's
+    one read of its boundary."""
+    cp, sm = _algebraic_coefficients(pair.boundary(IDENTITY))
     return quotient(pair(t), (cp, 1j * sm), "monodromy")[2]
 
 
@@ -86,14 +86,14 @@ def verify_monodromy(
     params = path.params
     T = params.T
     pair = CirclePair(path)
-    edges = pair.boundary(IDENTITY)
 
     t = np.linspace(-T / 2, T / 2, grid_size)
     d = monodromy_direct(path, t)
-    a, a_dot = _algebraic_values(pair, edges, t)
+    a, a_dot = _algebraic_values(pair, t)
     sup_circle = float(np.max(np.abs(a - d)))
-    at_cut, at_one = _algebraic_values(pair, edges, np.array([-T / 2, 0.0]))[0]
-    boundary = float(abs(at_cut - (edges[0] / abs(edges[0])) ** 2))  # e^{i phi(T/2)}
+    at_cut, at_one = _algebraic_values(pair, np.array([-T / 2, 0.0]))[0]
+    S_plus = pair.boundary(IDENTITY)[0]
+    boundary = float(abs(at_cut - (S_plus / abs(S_plus)) ** 2))  # e^{i phi(T/2)}
     unimod = float(np.max(np.abs(np.abs(a) - 1.0)))
     ric = float(np.max(np.abs(riccati_circle_residual(params, t, a, a_dot))))
 

@@ -21,10 +21,11 @@ Negation is exact in floating point, so the two forms agree bit for bit.
 sigma / sqrt(k), the transformed pair's own
 (``SqrtMonodromyTransform.image``): the transform maps coordinates by
 Q = s [[2i K1, -K2], [K2, 2i K1]] (``circle.compose``), and theorem 2, the
-same constructor applied twice, is Q2 Q1 read on the same y.  The P_B panel table, a quadrature of
-cos(phi_B) collocated by ``gauss.collocate`` like every other dense output,
-serves only the ``psi_quadrature_residual`` route and the continuous
-``phase``.
+same constructor applied twice, is Q2 Q1 read on the same y, whose values
+at the cut edges and at t = 0 the pair reads once for both.  The P_B panel
+table, a quadrature of cos(phi_B) collocated by ``gauss.collocate`` like
+every other dense output, serves only the ``psi_quadrature_residual`` route
+and the continuous ``phase``.
 
 The companion theta pair is taken literally from the displayed formulas.  As
 extracted, those formulas produce the mirror-oriented pair: they satisfy
@@ -113,8 +114,9 @@ class SqrtMonodromyTransform:
         # the theta numerators are u- and v-components of (-i X, -n2), (i X, n2)
         self.coords = compose((2j * K1, K2), c)
         self._top, self._tilde = compose((-1j * X, -n2), c), compose((1j * X, n2), c)
-        (num, den), _, _ = quotient(pair(0.0), self.coords, "Phi_B")
+        (num, den), _, (phi, _) = quotient(pair.at_one, self.coords, "Phi_B")
         self.k_norm = complex(num[0] * den[0])
+        self._phi_at_one = phi[0]  # the panel table's start
         # S_B(0) = sigma num(0) / sqrt(k) is e^{i phi_B(0)/2} on the principal
         # branch of phi_B(0): its argument lies in (-pi/2, pi/2]
         root = cmath.sqrt(self.k_norm)
@@ -152,7 +154,7 @@ class SqrtMonodromyTransform:
         _, _, (F, F_dot) = quotient(self.pair(t), self.coords, "Phi_B")
         M = np.zeros(nodes.shape[:2] + (2, 2, n), dtype=complex)  # (side, node, 2, 2, row)
         M[:, :, 0, 1] = (F.real + 1j * (np.conj(F) * F_dot).imag).reshape(nodes.shape)
-        y = (1j * float(np.angle(self.at(0.0).phi[0])), 1.0)
+        y = (1j * float(np.angle(self._phi_at_one)), 1.0)
         return tuple(gauss.collocate(lambda blk, side=side: side[..., blk], edges, h, y)
                      for edges, h, side in zip(ts, widths, M))
 
@@ -241,7 +243,7 @@ def verify_theorem2(
     b_squared = float(np.max(np.abs(phi_BB - monodromy_direct(path, t))))
 
     # every other residual from one bundle on the grid and one at t = 0
-    b, b0 = TransformValues(first, values), first.at(0.0)
+    b, b0 = TransformValues(first, values), TransformValues(first, first.pair.at_one)
     F = b.phi
     # transformed phase solves the drive equation (analytic derivative),
     # with sin(phi_B) = Im(Phi_B) / |Phi_B|

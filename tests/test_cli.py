@@ -98,8 +98,8 @@ SQRT_MONODROMY_G2_DOP853 = {
 # as well, the theta pair integrated exactly on the phase rows, and the 2x2
 # algebra of L_B in closed form.
 VERIFY_STDOUT_SHA256 = {
-    ("2", "0.3", "1", "0.5"): "ead5b6494a65a4efc06dac69e1ba4b62c4c6a2288f88f7fa977c001bd9460b7b",
-    ("1", "0.2", "1.3", "1.0"): "5da67d3ed884d6c3fb52dc101025fed47411985d1d2c925b61ea8aa0554df065",
+    ("2", "0.3", "1", "0.5"): "018b047b6d6d3fc53c2f7119e0dcfa0ea58d22cf9844b42d124acb20d2e3a019",
+    ("1", "0.2", "1.3", "1.0"): "282dc10239aee0eb3ecaaa7a6695be090f1c757e801c7931096be8ae8dcda30a",
 }
 # The same reports with every residual set to null: their keys, order,
 # strings, grid sizes and radii.

@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from heun_monodromy import ModelParams, StepCeilingExceeded, gauss, monodromy, solve_phase
-from heun_monodromy.circle import IDENTITY, CirclePair, continue_riccati_path
+from heun_monodromy.circle import CirclePair, continue_riccati_path
 from heun_monodromy.monodromy import _algebraic_values, verify_monodromy
 from tests.conftest import FIXED_SWEEP_POINTS, GOLDENS
 
@@ -52,7 +52,7 @@ def _starts_and_ends(path):
     the period-shift Phi over the upper half plane, route B from the
     algebraic Phi_M over the lower one, as (F0, Im w at the end)."""
     pair = CirclePair(path)
-    at_one = _algebraic_values(pair, pair.boundary(IDENTITY), np.array([0.0]))[0][0]
+    at_one = _algebraic_values(pair, np.array([0.0]))[0][0]
     return ((np.exp(1j * path.phi0), np.pi), (at_one, -np.pi))
 
 

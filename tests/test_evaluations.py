@@ -56,11 +56,10 @@ def test_check_heun_evaluations(golden_path, golden_quad, counts):
 
 def test_check_theorem2_evaluations(golden_path, golden_quad, counts):
     check_theorem2(golden_path, golden_quad, 1001)
-    # each application reads its boundary values in one 3-point evaluation
-    # at (T/2, -T/2, 0) and its k in one at t = +-0.  The panel table's
-    # nodes are 2 sides x 52 rows x 10 nodes, each evaluated at t and -t:
-    # 2080 points, and its start 2 more.  Both applications are coordinates
-    # on the same y, so one 2002-point read of the grid serves them both,
-    # and the residuals at t = 0 read 2 more.  The one (phi, P) evaluation
-    # is the period shift.  The second application reads 5 points of its own
-    assert counts == {"jet": 1, "solution": 8, "points": 5097}
+    # Both applications are coordinates on the same y: the pair reads it
+    # once at the cut edges and z = 1 (3 points), once at t = +-0 (2), which
+    # give both applications' constants and k, the panel table's start and
+    # the residuals at t = 0, and once on the grid at t and -t (2002).  The
+    # panel table's nodes are 2 sides x 52 rows x 10 nodes, each at t and
+    # -t: 2080 points.  The one (phi, P) evaluation is the period shift
+    assert counts == {"jet": 1, "solution": 4, "points": 5088}
